@@ -24,6 +24,12 @@ cargo clippy "${OFFLINE[@]}" --release --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> benchmark package (perfbench: build + test)"
+# perfbench/ is its own package outside the workspace, so the workspace
+# build above never compiles it; a kernel API change that breaks the
+# benchmark must fail here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo build --no-default-features (obs compiled out)"
 cargo build "${OFFLINE[@]}" --release --workspace --no-default-features
 

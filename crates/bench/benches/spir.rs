@@ -46,7 +46,7 @@ fn bench_parallel_scan(c: &mut Criterion) {
     for n in [1_024usize, 4_096] {
         let db = make_db(n, 1_000);
         let layout = Layout::square(n);
-        let q = hom_pir::client_query(&b.pk, &layout, n / 2, &mut b.rng);
+        let q = hom_pir::client_query(&b.pk, &b.sk, &layout, n / 2, &mut b.rng);
         for threads in [1usize, 4] {
             group.bench_with_input(
                 BenchmarkId::new(&format!("n{n}_threads"), threads),

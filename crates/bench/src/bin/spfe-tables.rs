@@ -1041,7 +1041,7 @@ fn pir_scan() {
     for n in [256usize, 1_024, 4_096] {
         let db = make_db(n, 1_000);
         let layout = Layout::square(n);
-        let q = hom_pir::client_query(&b.pk, &layout, n / 2, &mut b.rng);
+        let q = hom_pir::client_query(&b.pk, &b.sk, &layout, n / 2, &mut b.rng);
         let bytes_up = q.to_bytes().len();
         let baseline = hom_pir::server_answer(&b.pk, &layout, &db, &q).unwrap();
         let bytes_down = hom_pir::answer_to_wire(&b.pk, &baseline).to_bytes().len();

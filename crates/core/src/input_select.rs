@@ -113,7 +113,7 @@ where
         let mut queries = Vec::with_capacity(indices.len());
         let mut states = Vec::with_capacity(indices.len());
         for &i in indices {
-            let (q, st) = spir::client_query(&params, pk, i, rng);
+            let (q, st) = spir::client_query(&params, pk, sk, i, rng);
             queries.push(q);
             states.push(st);
         }

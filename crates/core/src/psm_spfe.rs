@@ -100,7 +100,7 @@ where
         let mut queries = Vec::with_capacity(m);
         let mut states = Vec::with_capacity(m);
         for &i in indices {
-            let (q, st) = spir::client_query(&params, pk, i, rng);
+            let (q, st) = spir::client_query(&params, pk, sk, i, rng);
             queries.push(q);
             states.push(st);
         }

@@ -128,7 +128,7 @@ where
 
     // Client message: batched SPIR queries + encrypted coefficients.
     let _qg = spfe_obs::span("query-gen");
-    let (queries, state) = batched::client_query(group, pk, db.len(), indices, rng);
+    let (queries, state) = batched::client_query(group, pk, sk, db.len(), indices, rng);
     let coeffs = functional_coeffs(field, indices, weights);
     let coeff_cts: Vec<Vec<u8>> = coeffs
         .iter()
@@ -207,7 +207,7 @@ where
     let mut queries = Vec::new();
     let mut states = Vec::new();
     for &q in leftovers {
-        let (fq, fst) = spir::client_query(&params, pk, indices[q], rng);
+        let (fq, fst) = spir::client_query(&params, pk, sk, indices[q], rng);
         queries.push(fq);
         states.push(fst);
     }
@@ -278,7 +278,7 @@ where
 
     // Client: one query set + coefficients for the all-ones functional
     // (weights 1), sent once but applied to both masking polynomials.
-    let (queries, state) = batched::client_query(group, pk, db.len(), indices, rng);
+    let (queries, state) = batched::client_query(group, pk, sk, db.len(), indices, rng);
     let ones = vec![1u64; m];
     let coeffs = functional_coeffs(field, indices, &ones);
     let coeff_cts: Vec<Vec<u8>> = coeffs

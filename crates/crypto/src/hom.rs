@@ -104,6 +104,22 @@ pub trait HomomorphicPk: Clone + std::fmt::Debug + Send + Sync {
 pub trait HomomorphicSk<Pk: HomomorphicPk>: Clone + std::fmt::Debug {
     /// Decrypts a ciphertext to its canonical plaintext residue.
     fn decrypt(&self, ct: &Pk::Ciphertext) -> Nat;
+
+    /// [`HomomorphicPk::encrypt_batch`] under `pk` (this key's public
+    /// half) by the key holder, who may use the secret key to encrypt
+    /// faster. Ciphertexts, the randomness drawn from `rng` and the op
+    /// counts are exactly those of `pk.encrypt_batch`.
+    ///
+    /// The default is `pk.encrypt_batch`; Paillier overrides it with
+    /// CRT exponentiation (see [`crate::paillier`]).
+    fn encrypt_batch<R: RandomSource + ?Sized>(
+        &self,
+        pk: &Pk,
+        ms: &[Nat],
+        rng: &mut R,
+    ) -> Vec<Pk::Ciphertext> {
+        pk.encrypt_batch(ms, rng)
+    }
 }
 
 /// A key-generation entry point, so protocol code can be written generically

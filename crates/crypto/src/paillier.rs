@@ -8,9 +8,27 @@
 //! With generator `g = n + 1`:
 //! * `E(m; r) = (1 + m·n) · r^n  mod n²`
 //! * `D(c) = L(c^λ mod n²) · λ^{-1} mod n`, where `L(x) = (x-1)/n`.
+//!
+//! The key holder knows `n = p·q` and works modulo `p²` and `q²` instead
+//! (Chinese remainder theorem), on operands half as wide:
+//! * encryption computes `r^n mod n²` from `r^(n mod p(p−1)) mod p²` and
+//!   `r^(n mod q(q−1)) mod q²` (the exponent reduced by the group orders)
+//!   recombined with Garner's method — the same residue, so the same
+//!   ciphertext bytes for the same `r`;
+//! * decryption computes `m_p = L_p(c^(p−1) mod p²) · h_p mod p` with
+//!   `L_p(x) = (x−1)/p` and `h_p = L_p(g^(p−1) mod p²)^{-1} = (−q)^{-1}
+//!   mod p`, likewise `m_q`, and recombines `m mod n` with Garner's method.
+//!
+//! Each CRT exponentiation pair counts as one [`Op::Modexp`], like the
+//! full-width power it replaces, so op counts do not depend on who
+//! encrypts. Only the key holder may take this path
+//! ([`HomomorphicSk::encrypt_batch`], [`HomomorphicSk::decrypt`]);
+//! servers and other public-key holders encrypt and evaluate through
+//! [`PaillierPk`] modulo `n²`.
 
 use crate::hom::{HomomorphicPk, HomomorphicScheme, HomomorphicSk};
-use spfe_math::modular::mod_inv;
+use spfe_math::modular::{garner, gcd, mod_inv, mod_mul};
+use spfe_math::montgomery::crt_pow;
 use spfe_math::prime::gen_prime;
 use spfe_math::{Montgomery, Nat, RandomSource};
 use spfe_obs::{count, Op};
@@ -40,14 +58,87 @@ impl std::fmt::Debug for PaillierPk {
     }
 }
 
-/// Paillier secret key.
+/// Paillier secret key: the factors of `n` and the CRT constants of the
+/// module docs.
 #[derive(Clone)]
 pub struct PaillierSk {
     pk: PaillierPk,
-    /// λ = lcm(p-1, q-1).
-    lambda: Nat,
-    /// λ^{-1} mod n (valid since g = n+1).
-    mu: Nat,
+    /// Shared with clones: protocol cores take the key by value.
+    crt: Arc<Crt>,
+}
+
+/// The key holder's precomputation for working modulo `p²` and `q²`.
+struct Crt {
+    p: Nat,
+    q: Nat,
+    /// Montgomery contexts for `p²` and `q²`.
+    p_sq: Montgomery,
+    q_sq: Montgomery,
+    /// `n mod p(p−1)` and `n mod q(q−1)`: the exponent of `r^n` reduced
+    /// by the orders of `Z*_{p²}` and `Z*_{q²}`.
+    enc_exp_p: Nat,
+    enc_exp_q: Nat,
+    /// `(p²)⁻¹ mod q²`: Garner's constant for recombining mod `n²`.
+    p_sq_inv: Nat,
+    /// `p − 1` and `q − 1`: the decryption exponents.
+    dec_exp_p: Nat,
+    dec_exp_q: Nat,
+    /// `h_p = (−q)⁻¹ mod p` and `h_q = (−p)⁻¹ mod q`.
+    h_p: Nat,
+    h_q: Nat,
+    /// `p⁻¹ mod q`: Garner's constant for recombining mod `n`.
+    p_inv: Nat,
+}
+
+impl Crt {
+    /// Precomputes the constants for `n = p·q`, or `None` when `p` and `q`
+    /// share a factor.
+    fn new(p: Nat, q: Nat) -> Option<Self> {
+        let n = p.mul(&q);
+        let one = Nat::one();
+        let (p1, q1) = (p.sub(&one), q.sub(&one));
+        // L_p(g^(p−1) mod p²) = (p−1)·q mod p = −q mod p (g = n + 1).
+        let h_p = mod_inv(&p.sub(&q.rem(&p)), &p)?;
+        let h_q = mod_inv(&q.sub(&p.rem(&q)), &q)?;
+        let (p_sq, q_sq) = (p.square(), q.square());
+        Some(Crt {
+            enc_exp_p: n.rem(&p.mul(&p1)),
+            enc_exp_q: n.rem(&q.mul(&q1)),
+            p_sq_inv: mod_inv(&p_sq, &q_sq)?,
+            p_inv: mod_inv(&p, &q)?,
+            p_sq: Montgomery::new(p_sq),
+            q_sq: Montgomery::new(q_sq),
+            dec_exp_p: p1,
+            dec_exp_q: q1,
+            h_p,
+            h_q,
+            p,
+            q,
+        })
+    }
+
+    /// `r^n mod n²` by CRT — one counted [`Op::Modexp`].
+    fn r_pow_n(&self, r: &Nat) -> Nat {
+        let (xp, xq) = crt_pow(r, &self.p_sq, &self.enc_exp_p, &self.q_sq, &self.enc_exp_q);
+        garner(
+            &xp,
+            self.p_sq.modulus(),
+            &xq,
+            self.q_sq.modulus(),
+            &self.p_sq_inv,
+        )
+    }
+
+    /// The plaintext of `c` — one counted [`Op::Modexp`].
+    fn decrypt(&self, c: &Nat) -> Nat {
+        // L(x) = (x − 1) / d, saturating: a non-unit `c` from the wire
+        // (x = 0) decrypts to garbage instead of panicking.
+        let l = |x: &Nat, d: &Nat| x.saturating_sub(&Nat::one()).div_rem(d).0;
+        let (xp, xq) = crt_pow(c, &self.p_sq, &self.dec_exp_p, &self.q_sq, &self.dec_exp_q);
+        let mp = mod_mul(&l(&xp, &self.p), &self.h_p, &self.p);
+        let mq = mod_mul(&l(&xq, &self.q), &self.h_q, &self.q);
+        garner(&mp, &self.p, &mq, &self.q, &self.p_inv)
+    }
 }
 
 impl std::fmt::Debug for PaillierSk {
@@ -84,10 +175,36 @@ impl PaillierPk {
     fn random_unit<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Nat {
         loop {
             let r = Nat::random_below(rng, &self.n);
-            if !r.is_zero() && spfe_math::modular::gcd(&r, &self.n).is_one() {
+            if !r.is_zero() && gcd(&r, &self.n).is_one() {
                 return r;
             }
         }
+    }
+
+    /// `(1 + m·n) · rn mod n²` for `rn = r^n mod n²`, counted as one
+    /// encryption.
+    fn encrypt_with(&self, m: &Nat, rn: &Nat) -> PaillierCt {
+        count(Op::PaillierEncrypt, 1);
+        let m = m.rem(&self.n);
+        let gm = Nat::one().add(&m.mul(&self.n)).rem(&self.n_sq);
+        PaillierCt(self.mont.mul_mod(&gm, rn))
+    }
+
+    /// Batch encryption on the worker pool: the per-ciphertext randomness
+    /// is drawn serially first (exactly the stream the serial loop would
+    /// draw), then `r_pow_n` — the actual cost — runs on
+    /// [`spfe_math::par`].
+    fn encrypt_batch_with<R: RandomSource + ?Sized>(
+        &self,
+        ms: &[Nat],
+        rng: &mut R,
+        r_pow_n: impl Fn(&Nat) -> Nat + Sync,
+    ) -> Vec<PaillierCt> {
+        let rs: Vec<Nat> = ms.iter().map(|_| self.random_unit(rng)).collect();
+        let jobs: Vec<(&Nat, &Nat)> = ms.iter().zip(&rs).collect();
+        spfe_math::par::par_map_cost(CostClass::Heavy, &jobs, |&(m, r)| {
+            self.encrypt_with(m, &r_pow_n(r))
+        })
     }
 }
 
@@ -99,13 +216,8 @@ impl HomomorphicPk for PaillierPk {
     }
 
     fn encrypt<R: RandomSource + ?Sized>(&self, m: &Nat, rng: &mut R) -> PaillierCt {
-        count(Op::PaillierEncrypt, 1);
-        let m = m.rem(&self.n);
         let r = self.random_unit(rng);
-        // (1 + m·n) · r^n mod n²
-        let gm = Nat::one().add(&m.mul(&self.n)).rem(&self.n_sq);
-        let rn = self.mont.pow(&r, &self.n);
-        PaillierCt(self.mont.mul_mod(&gm, &rn))
+        self.encrypt_with(m, &self.mont.pow(&r, &self.n))
     }
 
     fn add(&self, a: &PaillierCt, b: &PaillierCt) -> PaillierCt {
@@ -125,20 +237,8 @@ impl HomomorphicPk for PaillierPk {
         PaillierCt(self.mont.pow(&a.0, c))
     }
 
-    /// Batch encryption on the worker pool: the per-ciphertext randomness
-    /// is drawn serially first (exactly the stream the serial loop would
-    /// draw), then the `r^n mod n²` exponentiations — the actual cost —
-    /// run on [`spfe_math::par`].
     fn encrypt_batch<R: RandomSource + ?Sized>(&self, ms: &[Nat], rng: &mut R) -> Vec<PaillierCt> {
-        let rs: Vec<Nat> = ms.iter().map(|_| self.random_unit(rng)).collect();
-        let jobs: Vec<(&Nat, &Nat)> = ms.iter().zip(&rs).collect();
-        spfe_math::par::par_map_cost(CostClass::Heavy, &jobs, |&(m, r)| {
-            count(Op::PaillierEncrypt, 1);
-            let m = m.rem(&self.n);
-            let gm = Nat::one().add(&m.mul(&self.n)).rem(&self.n_sq);
-            let rn = self.mont.pow(r, &self.n);
-            PaillierCt(self.mont.mul_mod(&gm, &rn))
-        })
+        self.encrypt_batch_with(ms, rng, |r| self.mont.pow(r, &self.n))
     }
 
     /// Batch scalar multiplication (`ct^c mod n²`) on the worker pool;
@@ -146,24 +246,14 @@ impl HomomorphicPk for PaillierPk {
     fn scalar_mul_batch(&self, cts: &[PaillierCt], cs: &[Nat]) -> Vec<PaillierCt> {
         assert_eq!(cts.len(), cs.len(), "batch length mismatch");
         let jobs: Vec<(&PaillierCt, &Nat)> = cts.iter().zip(cs).collect();
-        spfe_math::par::par_map_cost(CostClass::Heavy, &jobs, |&(ct, c)| {
-            count(Op::HomScalarMul, 1);
-            let reduced;
-            let c = if c < &self.n {
-                c
-            } else {
-                reduced = c.rem(&self.n);
-                &reduced
-            };
-            PaillierCt(self.mont.pow(&ct.0, c))
-        })
+        spfe_math::par::par_map_cost(CostClass::Heavy, &jobs, |&(ct, c)| self.mul_const(ct, c))
     }
 
     fn rerandomize<R: RandomSource + ?Sized>(&self, a: &PaillierCt, rng: &mut R) -> PaillierCt {
         count(Op::HomRerandomize, 1);
         let r = self.random_unit(rng);
         let rn = self.mont.pow(&r, &self.n);
-        PaillierCt(a.0.mul(&rn).rem(&self.n_sq))
+        PaillierCt(self.mont.mul_mod(&a.0, &rn))
     }
 
     fn ciphertext_bytes(&self) -> usize {
@@ -189,11 +279,19 @@ impl HomomorphicPk for PaillierPk {
 impl HomomorphicSk<PaillierPk> for PaillierSk {
     fn decrypt(&self, ct: &PaillierCt) -> Nat {
         count(Op::PaillierDecrypt, 1);
-        let pk = &self.pk;
-        let x = pk.mont.pow(&ct.0, &self.lambda);
-        // L(x) = (x - 1) / n
-        let l = x.sub(&Nat::one()).div_rem(&pk.n).0;
-        l.mul(&self.mu).rem(&pk.n)
+        self.crt.decrypt(&ct.0)
+    }
+
+    /// CRT encryption: `r^n mod n²` through [`Crt::r_pow_n`], with the
+    /// randomness, ciphertexts and op counts of `pk.encrypt_batch`.
+    fn encrypt_batch<R: RandomSource + ?Sized>(
+        &self,
+        pk: &PaillierPk,
+        ms: &[Nat],
+        rng: &mut R,
+    ) -> Vec<PaillierCt> {
+        debug_assert_eq!(pk.n, self.pk.n, "public key of another key pair");
+        pk.encrypt_batch_with(ms, rng, |r| self.crt.r_pow_n(r))
     }
 }
 
@@ -220,18 +318,17 @@ impl HomomorphicScheme for Paillier {
                 continue;
             }
             let n = p.mul(&q);
-            let p1 = p.sub(&Nat::one());
-            let q1 = q.sub(&Nat::one());
-            let g = spfe_math::modular::gcd(&p1, &q1);
-            let lambda = p1.mul(&q1).div_rem(&g).0; // lcm
-            let Some(mu) = mod_inv(&lambda, &n) else {
+            // g = n + 1 needs gcd(n, (p−1)(q−1)) = 1 (equivalently,
+            // λ = lcm(p−1, q−1) invertible mod n).
+            let phi = p.sub(&Nat::one()).mul(&q.sub(&Nat::one()));
+            if !gcd(&n, &phi).is_one() {
                 continue;
-            };
+            }
+            let crt = Crt::new(p, q).expect("distinct primes are coprime");
             let pk = PaillierPk::from_n(n);
             let sk = PaillierSk {
                 pk: pk.clone(),
-                lambda,
-                mu,
+                crt: Arc::new(crt),
             };
             return (pk, sk);
         }
@@ -242,7 +339,8 @@ impl HomomorphicScheme for Paillier {
 mod tests {
     use super::*;
     use crate::chacha::ChaChaRng;
-    use spfe_math::modular::mod_add;
+    use proptest::prelude::*;
+    use spfe_math::modular::{mod_add, mod_pow};
 
     fn keys(bits: usize) -> (PaillierPk, PaillierSk, ChaChaRng) {
         let mut rng = ChaChaRng::from_u64_seed(0xA11CE);
@@ -369,5 +467,82 @@ mod tests {
         }
         let expect: u64 = ms.iter().zip(&cs).map(|(&m, &c)| m * c).sum();
         assert_eq!(sk.decrypt(&acc), Nat::from(expect));
+    }
+
+    /// The textbook decryption `L(c^λ mod n²) · μ mod n` with
+    /// `λ = lcm(p−1, q−1)` and `μ = λ⁻¹ mod n`, from the key's factors.
+    fn reference_decrypt(sk: &PaillierSk, ct: &PaillierCt) -> Nat {
+        let (p, q, n) = (&sk.crt.p, &sk.crt.q, sk.pk.n());
+        let (p1, q1) = (p.sub(&Nat::one()), q.sub(&Nat::one()));
+        let lambda = p1.mul(&q1).div_rem(&gcd(&p1, &q1)).0;
+        let mu = mod_inv(&lambda, n).unwrap();
+        let x = mod_pow(&ct.0, &lambda, sk.pk.n_squared());
+        x.sub(&Nat::one()).div_rem(n).0.mul(&mu).rem(n)
+    }
+
+    /// The key holder's CRT path against the public path at one key:
+    /// identical ciphertext bytes and rng end state from `encrypt_batch`
+    /// (at 1 and 4 pool threads), and CRT decryption equal to the
+    /// reference on fresh ciphertexts, sums and scalar multiples.
+    fn check_crt_equivalence(bits: usize, seed: u64) {
+        let mut rng = ChaChaRng::from_u64_seed(seed);
+        let (pk, sk) = Paillier::keygen(bits, &mut rng);
+        let mut ms: Vec<Nat> = vec![Nat::zero(), Nat::one(), pk.n().sub(&Nat::one())];
+        ms.extend((0..3).map(|_| Nat::random_below(&mut rng, pk.n())));
+        let mut cts = Vec::new();
+        for threads in [1, 4] {
+            spfe_math::par::set_threads(Some(threads));
+            let (mut rng_pk, mut rng_sk) = (rng.clone(), rng.clone());
+            let public = pk.encrypt_batch(&ms, &mut rng_pk);
+            let crt = sk.encrypt_batch(&pk, &ms, &mut rng_sk);
+            spfe_math::par::set_threads(None);
+            let bytes = |cts: &[PaillierCt]| -> Vec<Vec<u8>> {
+                cts.iter().map(|c| pk.ciphertext_to_bytes(c)).collect()
+            };
+            assert_eq!(bytes(&public), bytes(&crt), "bits={bits} threads={threads}");
+            assert_eq!(rng_pk.next_u64(), rng_sk.next_u64(), "rng end state");
+            cts = crt;
+        }
+        let sum = pk.add(&cts[3], &cts[4]);
+        let scaled = pk.mul_const(&cts[5], &Nat::from(1_000_003u64));
+        for ct in cts.iter().chain([&sum, &scaled]) {
+            assert_eq!(sk.decrypt(ct), reference_decrypt(&sk, ct), "bits={bits}");
+        }
+        for (ct, m) in cts.iter().zip(&ms) {
+            assert_eq!(&sk.decrypt(ct), m);
+        }
+    }
+
+    #[test]
+    fn crt_matches_public_path_at_2048_bits() {
+        check_crt_equivalence(2048, 0x2048);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn prop_crt_matches_public_path_128(seed in any::<u64>()) {
+            check_crt_equivalence(128, seed);
+        }
+
+        #[test]
+        fn prop_crt_matches_public_path_512(seed in any::<u64>()) {
+            check_crt_equivalence(512, seed);
+        }
+    }
+
+    /// `rerandomize`'s Montgomery product equals the schoolbook product
+    /// plus long division it replaced, ciphertext for ciphertext.
+    #[test]
+    fn rerandomize_mul_mod_matches_schoolbook_form() {
+        let (pk, _, mut rng) = keys(256);
+        for v in [0u64, 7, u64::MAX] {
+            let ct = pk.encrypt(&Nat::from(v), &mut rng);
+            let mut rng_sb = rng.clone();
+            let got = pk.rerandomize(&ct, &mut rng);
+            let rn = pk.mont.pow(&pk.random_unit(&mut rng_sb), pk.n());
+            assert_eq!(got, PaillierCt(ct.0.mul(&rn).rem(pk.n_squared())));
+        }
     }
 }

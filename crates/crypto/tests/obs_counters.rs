@@ -79,6 +79,32 @@ fn elgamal_batch_counts_thread_invariant() {
     assert_eq!(serial.get(Op::HomScalarMul), 9);
 }
 
+/// The key holder's CRT encryption and decryption count exactly what the
+/// public `n²` path counts — one `Modexp` per CRT pair — at every pool
+/// size, at 128, 512 and 2048 bits.
+#[test]
+fn paillier_crt_counts_match_public_path() {
+    let _g = LOCK.lock().unwrap();
+    for (bits, seed) in [(128, 4u64), (512, 5), (2048, 6)] {
+        let mut rng = ChaChaRng::from_u64_seed(seed);
+        let (pk, sk) = Paillier::keygen(bits, &mut rng);
+        let ms: Vec<Nat> = (0..5u64).map(|v| Nat::from(v * 77)).collect();
+        for threads in [1, 4] {
+            let public = counts_at(threads, |rng| {
+                let cts = pk.encrypt_batch(&ms, rng);
+                let _ = sk.decrypt(&cts[1]);
+            });
+            let crt = counts_at(threads, |rng| {
+                let cts = sk.encrypt_batch(&pk, &ms, rng);
+                let _ = sk.decrypt(&cts[1]);
+            });
+            assert_eq!(public, crt, "bits={bits} threads={threads}");
+            assert_eq!(crt.get(Op::PaillierEncrypt), 5);
+            assert_eq!(crt.get(Op::Modexp), 6);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

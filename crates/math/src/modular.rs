@@ -173,11 +173,16 @@ pub fn jacobi(a: &Nat, n: &Nat) -> i32 {
 ///
 /// Returns `None` if `m1` and `m2` are not coprime.
 pub fn crt_pair(r1: &Nat, m1: &Nat, r2: &Nat, m2: &Nat) -> Option<Nat> {
-    let m1_inv = mod_inv(m1, m2)?;
+    Some(garner(r1, m1, r2, m2, &mod_inv(m1, m2)?))
+}
+
+/// [`crt_pair`] with Garner's constant `m1_inv = m1⁻¹ mod m2` precomputed,
+/// for callers that recombine over the same moduli many times. The result
+/// is below `m1·m2` when `r1 < m1`.
+pub fn garner(r1: &Nat, m1: &Nat, r2: &Nat, m2: &Nat, m1_inv: &Nat) -> Nat {
     // x = r1 + m1 * ((r2 - r1) * m1^{-1} mod m2)
     let diff = mod_sub(&r2.rem(m2), &r1.rem(m2), m2);
-    let k = mod_mul(&diff, &m1_inv, m2);
-    Some(r1.add(&m1.mul(&k)))
+    r1.add(&m1.mul(&mod_mul(&diff, m1_inv, m2)))
 }
 
 /// Integer square root via Newton's method: `floor(sqrt(n))`.

@@ -3,23 +3,66 @@
 //! [`Montgomery`] precomputes the constants for REDC reduction and provides
 //! fast repeated multiplication/exponentiation — the inner loop of Paillier,
 //! Goldwasser–Micali, ElGamal and the Naor–Pinkas oblivious transfer.
+//!
+//! Every product at every modulus width goes through one fused CIOS
+//! multiply-and-reduce kernel working on limb-slice scratch: an
+//! exponentiation allocates its scratch once (on the stack up to the
+//! window table of a 4096-bit modulus) and touches the heap again only
+//! for its result.
 
 use crate::nat::Nat;
+use std::cell::Cell;
 
-/// Operand width (limbs) above which [`Montgomery::mont_mul`] falls back
-/// to a separate Karatsuba product + REDC instead of the fused
-/// schoolbook CIOS pass (matches `Nat::mul`'s Karatsuba threshold).
-const CIOS_MAX_LIMBS: usize = 24;
+// Stack scratch tiers (limbs). Zeroing the scratch is part of every call,
+// so a product at a small modulus must not pay for a window table's worth.
 
-/// Stack scratch size for CIOS working buffers: covers `k + 2` limbs for
-/// every CIOS-eligible modulus (`k < CIOS_MAX_LIMBS`), so ladders and
-/// product chains can run entirely on the stack.
-const CIOS_STACK_LIMBS: usize = CIOS_MAX_LIMBS + 2;
+/// Products and ladders up to ~20 limbs.
+const SCRATCH_SMALL: usize = 64;
+/// Window tables up to width 4 at ~28 limbs.
+const SCRATCH_MEDIUM: usize = 512;
+/// A width-6 window table plus two working slots (65 slots of `k + 1`
+/// limbs) up to 65 limbs — a 2048-bit Paillier key's `n²` has 64 — in
+/// 34 KiB. Larger jobs take one heap buffer.
+const SCRATCH_LARGE: usize = 65 * 66;
 
-/// Exponent bit-length at or below which [`Montgomery::pow`] uses a plain
-/// square-and-multiply ladder: the 4-bit window table costs 14
-/// multiplications to build, more than such a short ladder in total.
-const SMALL_EXP_BITS: usize = 32;
+/// Runs `f` on `len` zeroed limbs of scratch: on the stack when they fit,
+/// otherwise in a single heap buffer.
+fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
+    /// One stack tier, out of line so that a short job's frame neither
+    /// reserves nor zeroes the large tier.
+    #[inline(never)]
+    fn on_stack<const N: usize, T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
+        f(&mut [0u64; N][..len])
+    }
+    if len <= SCRATCH_SMALL {
+        on_stack::<SCRATCH_SMALL, T>(len, f)
+    } else if len <= SCRATCH_MEDIUM {
+        on_stack::<SCRATCH_MEDIUM, T>(len, f)
+    } else if len <= SCRATCH_LARGE {
+        on_stack::<SCRATCH_LARGE, T>(len, f)
+    } else {
+        f(&mut vec![0u64; len])
+    }
+}
+
+/// Fixed-window width for an exponent of `bits` bits: the table costs
+/// `2^w - 2` products and the walk about `bits / w`, so wider windows pay
+/// off only for longer exponents. Width 1 is the plain square-and-multiply
+/// ladder (homomorphic scalar weights, small plaintexts).
+fn window_bits(bits: usize) -> usize {
+    match bits {
+        0..=23 => 1,
+        24..=79 => 3,
+        80..=239 => 4,
+        240..=671 => 5,
+        _ => 6,
+    }
+}
+
+/// The `width`-bit digit of `exp` starting at bit `lo`.
+fn digit(exp: &Nat, lo: usize, width: usize) -> usize {
+    (0..width).fold(0, |d, b| d | (usize::from(exp.bit(lo + b)) << b))
+}
 
 /// `true` iff little-endian limb slice `a >= b` (missing high limbs are
 /// treated as zero).
@@ -64,10 +107,11 @@ pub struct Montgomery {
     k: usize,
     /// `-n^{-1} mod 2^64`.
     n0_inv: u64,
-    /// `R mod n` where `R = 2^(64k)` — the Montgomery form of 1.
-    r_mod_n: Nat,
-    /// `R^2 mod n` — used to convert into Montgomery form.
-    r2_mod_n: Nat,
+    /// `R mod n` where `R = 2^(64k)` — the Montgomery form of 1 — as
+    /// exactly `k` limbs.
+    one: Vec<u64>,
+    /// `R^2 mod n` as exactly `k` limbs — converts into Montgomery form.
+    r2: Vec<u64>,
 }
 
 impl Montgomery {
@@ -87,14 +131,19 @@ impl Montgomery {
         }
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
         let n0_inv = inv.wrapping_neg();
-        let r_mod_n = Nat::one().shl(64 * k).rem(&n);
-        let r2_mod_n = Nat::one().shl(128 * k).rem(&n);
+        let padded = |v: Nat| {
+            let mut l = v.limbs().to_vec();
+            l.resize(k, 0);
+            l
+        };
+        let one = padded(Nat::one().shl(64 * k).rem(&n));
+        let r2 = padded(Nat::one().shl(128 * k).rem(&n));
         Montgomery {
             n,
             k,
             n0_inv,
-            r_mod_n,
-            r2_mod_n,
+            one,
+            r2,
         }
     }
 
@@ -103,214 +152,151 @@ impl Montgomery {
         &self.n
     }
 
-    /// REDC: given `t < n * R` as limbs, computes `t * R^{-1} mod n`.
-    fn redc(&self, t: &[u64]) -> Nat {
-        let k = self.k;
-        let n_limbs = self.n.limbs();
-        let mut buf = vec![0u64; 2 * k + 1];
-        buf[..t.len()].copy_from_slice(t);
-        for i in 0..k {
-            let m = buf[i].wrapping_mul(self.n0_inv);
-            // buf += m * n << (64 * i)
-            let mut carry = 0u128;
-            for (j, &nj) in n_limbs.iter().enumerate() {
-                let cur = buf[i + j] as u128 + m as u128 * nj as u128 + carry;
-                buf[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let mut idx = i + k;
-            while carry != 0 {
-                let cur = buf[idx] as u128 + carry;
-                buf[idx] = cur as u64;
-                carry = cur >> 64;
-                idx += 1;
-            }
-        }
-        // Shift the high half down and reduce into [0, n) in place: the
-        // working buffer doubles as the result, so REDC costs a single
-        // allocation.
-        buf.copy_within(k.., 0);
-        buf.truncate(k + 1);
-        if slice_ge(&buf, n_limbs) {
-            slice_sub(&mut buf, n_limbs);
-        }
-        Nat::from_limbs(buf)
-    }
-
-    /// Converts `a` into Montgomery form (`a * R mod n`).
-    pub fn to_mont(&self, a: &Nat) -> Nat {
-        if a >= &self.n {
-            self.mont_mul(&a.rem(&self.n), &self.r2_mod_n)
-        } else {
-            self.mont_mul(a, &self.r2_mod_n)
-        }
-    }
-
-    /// Converts from Montgomery form back to a plain residue.
-    pub fn from_mont(&self, a: &Nat) -> Nat {
-        self.redc(a.limbs())
-    }
-
-    /// Montgomery product of two Montgomery-form values.
+    /// The fused CIOS multiply-and-reduce kernel: writes `a·b·R⁻¹ mod n`
+    /// into `t[..k]`.
     ///
-    /// Reduced operands (`a, b < n` — Montgomery-form values always are)
-    /// take a fused CIOS multiply-and-reduce: one interleaved pass over a
-    /// single `k + 2`-limb buffer instead of a full double-width product
-    /// followed by a separate REDC, cutting both work and heap traffic in
-    /// the modexp inner loop. Wide operands (or moduli past `Nat::mul`'s
-    /// Karatsuba threshold) fall back to the two-step path.
-    pub fn mont_mul(&self, a: &Nat, b: &Nat) -> Nat {
+    /// `a` is any slice of at most `k` limbs (missing high limbs read as
+    /// zero); `b` must hold exactly `k` limbs with value below `n`; `t`
+    /// must hold exactly `k + 1` limbs and may contain stale data — it is
+    /// zeroed here, which is what lets callers ping-pong two scratch slots
+    /// through an entire exponentiation without touching the allocator.
+    /// `t` must not alias the operands.
+    ///
+    /// Each outer step adds `a_i·b` and `m·n` in one pass with two carry
+    /// chains and folds the division by `2^64` into the store index. The
+    /// running value stays below `b + n < 2n`, so `t[k]` only ever holds
+    /// the final carry and one conditional subtraction reduces the result.
+    fn cios_into(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         let k = self.k;
-        let (al, bl) = (a.limbs(), b.limbs());
-        if k >= CIOS_MAX_LIMBS || al.len() > k || bl.len() > k {
-            let prod = a.mul(b);
-            return self.redc(prod.limbs());
-        }
-        let mut t = vec![0u64; k + 2];
-        self.cios_into(al, bl, &mut t);
-        t.truncate(k + 1);
-        Nat::from_limbs(t)
-    }
-
-    /// The CIOS kernel behind [`Montgomery::mont_mul`]: computes the
-    /// Montgomery product of the reduced values in limb slices `al` and
-    /// `bl` (any length; missing high limbs read as zero) into `t`, which
-    /// must hold exactly `k + 2` limbs and may contain stale data — it is
-    /// zeroed here, which is what lets callers ping-pong two scratch
-    /// buffers through an entire exponentiation ladder without touching
-    /// the allocator. `t` must not alias the operands.
-    fn cios_into(&self, al: &[u64], bl: &[u64], t: &mut [u64]) {
-        let k = self.k;
-        debug_assert_eq!(t.len(), k + 2);
-        let n_limbs = self.n.limbs();
+        let n = self.n.limbs();
+        assert!(a.len() <= k && b.len() == k && t.len() == k + 1);
+        debug_assert!(!slice_ge(b, n), "CIOS inner operand must be reduced");
         t.fill(0);
-        for i in 0..k {
-            let ai = al.get(i).copied().unwrap_or(0);
-            // t += a_i * b
-            let mut carry = 0u128;
-            for (j, tj) in t.iter_mut().enumerate().take(k) {
-                let bj = bl.get(j).copied().unwrap_or(0);
-                let cur = *tj as u128 + ai as u128 * bj as u128 + carry;
-                *tj = cur as u64;
-                carry = cur >> 64;
+        let a_limbs = a.iter().copied().chain(std::iter::repeat(0)).take(k);
+        for ai in a_limbs {
+            let x = t[0] as u128 + ai as u128 * b[0] as u128;
+            let m = (x as u64).wrapping_mul(self.n0_inv);
+            let y = (x as u64) as u128 + m as u128 * n[0] as u128;
+            debug_assert_eq!(y as u64, 0);
+            let (mut c1, mut c2) = (x >> 64, y >> 64);
+            // Limb j of the sum lands in limb j − 1: walk overlapping
+            // (t[j − 1], t[j]) pairs as cells, zipped with b and n, so the
+            // loop carries no bounds checks.
+            let cells = Cell::from_mut(&mut t[..]).as_slice_of_cells();
+            for ((pair, &bj), &nj) in cells.windows(2).zip(&b[1..]).zip(&n[1..]) {
+                let x = pair[1].get() as u128 + ai as u128 * bj as u128 + c1;
+                let y = (x as u64) as u128 + m as u128 * nj as u128 + c2;
+                pair[0].set(y as u64);
+                c1 = x >> 64;
+                c2 = y >> 64;
             }
-            let cur = t[k] as u128 + carry;
-            t[k] = cur as u64;
-            t[k + 1] = (cur >> 64) as u64;
-            // t = (t + m·n) / 2^64 — the division is the one-limb shift
-            // folded into the store index. t stays < 2n throughout, so
-            // the top limb addition cannot overflow.
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let cur = t[0] as u128 + m as u128 * n_limbs[0] as u128;
-            debug_assert_eq!(cur as u64, 0);
-            let mut carry = cur >> 64;
-            for j in 1..k {
-                let cur = t[j] as u128 + m as u128 * n_limbs[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[k] as u128 + carry;
-            t[k - 1] = cur as u64;
-            t[k] = t[k + 1] + (cur >> 64) as u64;
-            t[k + 1] = 0;
+            let x = t[k] as u128 + c1 + c2;
+            t[k - 1] = x as u64;
+            t[k] = (x >> 64) as u64;
         }
-        if slice_ge(&t[..k + 1], n_limbs) {
-            slice_sub(&mut t[..k + 1], n_limbs);
+        if slice_ge(t, n) {
+            slice_sub(t, n);
         }
     }
 
-    /// Montgomery square.
-    pub fn mont_sqr(&self, a: &Nat) -> Nat {
-        self.mont_mul(a, a)
+    /// Copies `a mod n` into the `k`-limb slot `out` (zero-padded).
+    fn load_reduced(&self, a: &Nat, out: &mut [u64]) {
+        let reduced;
+        let a = if a < &self.n {
+            a
+        } else {
+            reduced = a.rem(&self.n);
+            &reduced
+        };
+        out[..a.limbs().len()].copy_from_slice(a.limbs());
     }
 
-    /// `base^exp mod n` using 4-bit windowed Montgomery exponentiation.
+    /// The plain residue in Montgomery-form slot `a` (`k` limbs), via the
+    /// product with 1 in `t`.
+    fn plain_residue(&self, a: &[u64], t: &mut [u64]) -> Nat {
+        self.cios_into(&[1], a, t);
+        Nat::from_limbs(t[..self.k].to_vec())
+    }
+
+    /// `base^exp mod n` by fixed-window Montgomery exponentiation.
     pub fn pow(&self, base: &Nat, exp: &Nat) -> Nat {
         spfe_obs::count(spfe_obs::Op::Modexp, 1);
+        self.pow_uncounted(base, exp)
+    }
+
+    /// [`Montgomery::pow`] without the op count, for callers that count
+    /// one logical exponentiation themselves (see [`crt_pow`]).
+    fn pow_uncounted(&self, base: &Nat, exp: &Nat) -> Nat {
         if exp.is_zero() {
             return Nat::one().rem(&self.n);
         }
-        let base_m = self.to_mont(base);
+        let (k, w) = (self.k, self.k + 1);
         let bits = exp.bit_len();
-        // Short exponents (homomorphic scalar weights, small plaintexts)
-        // use a plain left-to-right ladder over two reused CIOS scratch
-        // buffers: the whole ladder costs three allocations, not one per
-        // multiplication. See [`SMALL_EXP_BITS`].
-        if bits <= SMALL_EXP_BITS && self.k < CIOS_MAX_LIMBS {
-            let base_l = base_m.limbs();
-            let w = self.k + 2;
-            let mut acc_buf = [0u64; CIOS_STACK_LIMBS];
-            let mut tmp_buf = [0u64; CIOS_STACK_LIMBS];
-            acc_buf[..base_l.len()].copy_from_slice(base_l);
-            let (mut acc, mut tmp) = (&mut acc_buf[..w], &mut tmp_buf[..w]);
-            for i in (0..bits - 1).rev() {
-                self.cios_into(acc, acc, tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-                if exp.bit(i) {
-                    self.cios_into(acc, base_l, tmp);
+        let win = window_bits(bits);
+        let entries = (1 << win) - 1;
+        with_scratch((entries + 2) * w, |s| {
+            // table[d - 1] = base^d in Montgomery form, one slot per digit.
+            let (table, work) = s.split_at_mut(entries * w);
+            let (mut acc, mut tmp) = work.split_at_mut(w);
+            self.load_reduced(base, &mut tmp[..k]);
+            self.cios_into(&tmp[..k], &self.r2, &mut table[..w]);
+            for d in 1..entries {
+                let (done, next) = table.split_at_mut(d * w);
+                self.cios_into(&done[(d - 1) * w..][..k], &done[..k], &mut next[..w]);
+            }
+            let entry = |d: usize| &table[(d - 1) * w..][..k];
+            let top = bits.div_ceil(win) - 1;
+            acc[..k].copy_from_slice(entry(digit(exp, top * win, win)));
+            for i in (0..top).rev() {
+                for _ in 0..win {
+                    self.cios_into(&acc[..k], &acc[..k], tmp);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                let d = digit(exp, i * win, win);
+                if d != 0 {
+                    self.cios_into(&acc[..k], entry(d), tmp);
                     std::mem::swap(&mut acc, &mut tmp);
                 }
             }
-            // Montgomery product with 1 is exactly `from_mont`.
-            self.cios_into(acc, &[1], tmp);
-            return Nat::from_limbs(tmp[..self.k + 1].to_vec());
-        }
-        // Precompute base^0..base^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r_mod_n.clone()); // 1 in Montgomery form
-        table.push(base_m.clone());
-        for i in 2..16 {
-            table.push(self.mont_mul(&table[i - 1], &base_m));
-        }
-        let top_window = bits.div_ceil(4) - 1;
-        let window_at = |w: usize| -> usize {
-            let mut v = 0usize;
-            for b in 0..4 {
-                let i = w * 4 + b;
-                if i < bits && exp.bit(i) {
-                    v |= 1 << b;
-                }
-            }
-            v
-        };
-        let mut acc = table[window_at(top_window)].clone();
-        for w in (0..top_window).rev() {
-            for _ in 0..4 {
-                acc = self.mont_sqr(&acc);
-            }
-            let v = window_at(w);
-            if v != 0 {
-                acc = self.mont_mul(&acc, &table[v]);
-            }
-        }
-        self.from_mont(&acc)
+            self.plain_residue(&acc[..k], tmp)
+        })
     }
 
-    /// `(a * b) mod n` for plain (non-Montgomery) residues.
-    ///
-    /// Reduced operands take two fused Montgomery products —
-    /// `(a·b·R⁻¹)·R²·R⁻¹ = a·b mod n` — instead of a double-width
-    /// product followed by long division.
+    /// `(a * b) mod n` for plain (non-Montgomery) residues: two fused
+    /// Montgomery products, `(a·b·R⁻¹)·R²·R⁻¹ = a·b mod n`, instead of a
+    /// double-width product followed by long division. Operands at or
+    /// above `n` are reduced first.
     pub fn mul_mod(&self, a: &Nat, b: &Nat) -> Nat {
-        if a < &self.n && b < &self.n {
-            if self.k < CIOS_MAX_LIMBS {
-                // Both passes run on stack scratch; only the final result
-                // touches the heap.
-                let w = self.k + 2;
-                let mut t1 = [0u64; CIOS_STACK_LIMBS];
-                let mut t2 = [0u64; CIOS_STACK_LIMBS];
-                self.cios_into(a.limbs(), b.limbs(), &mut t1[..w]);
-                self.cios_into(&t1[..w], self.r2_mod_n.limbs(), &mut t2[..w]);
-                return Nat::from_limbs(t2[..self.k + 1].to_vec());
-            }
-            return self.mont_mul(&self.mont_mul(a, b), &self.r2_mod_n);
-        }
-        (a * b).rem(&self.n)
+        let (k, w) = (self.k, self.k + 1);
+        with_scratch(3 * w, |s| {
+            let (bs, rest) = s.split_at_mut(w);
+            let (t1, t2) = rest.split_at_mut(w);
+            self.load_reduced(a, &mut t2[..k]);
+            self.load_reduced(b, &mut bs[..k]);
+            self.cios_into(&t2[..k], &bs[..k], t1);
+            self.cios_into(&t1[..k], &self.r2, t2);
+            Nat::from_limbs(t2[..k].to_vec())
+        })
     }
+}
+
+/// One logical exponentiation split by the Chinese remainder theorem:
+/// `(base^e1 mod m1, base^e2 mod m2)` for the coprime factors of a
+/// modulus whose factorization the caller knows.
+///
+/// It counts a single [`spfe_obs::Op::Modexp`], the same as the
+/// full-modulus [`Montgomery::pow`] it replaces, so switching a key
+/// holder to CRT leaves every deterministic op count unchanged.
+pub fn crt_pow(base: &Nat, m1: &Montgomery, e1: &Nat, m2: &Montgomery, e2: &Nat) -> (Nat, Nat) {
+    spfe_obs::count(spfe_obs::Op::Modexp, 1);
+    (m1.pow_uncounted(base, e1), m2.pow_uncounted(base, e2))
 }
 
 /// Window width (bits) of the [`FixedBasePow`] comb tables.
 const FB_WINDOW: usize = 4;
+
+/// Nonzero digits per [`FixedBasePow`] window.
+const FB_DIGITS: usize = (1 << FB_WINDOW) - 1;
 
 /// Precomputed fixed-base exponentiation.
 ///
@@ -345,8 +331,13 @@ const FB_WINDOW: usize = 4;
 #[derive(Debug, Clone)]
 pub struct FixedBasePow {
     mont: std::sync::Arc<Montgomery>,
-    /// `tables[w][d - 1] = base^(d << (FB_WINDOW * w))` in Montgomery form.
-    tables: Vec<Vec<Nat>>,
+    /// The base, reduced mod `n` (for exponents past the table).
+    base: Nat,
+    /// Number of windows in the table.
+    windows: usize,
+    /// Flat table of `k`-limb slots: slot `w · FB_DIGITS + d - 1` holds
+    /// `base^(d << (FB_WINDOW * w))` in Montgomery form.
+    table: Vec<u64>,
 }
 
 impl FixedBasePow {
@@ -355,25 +346,35 @@ impl FixedBasePow {
     /// Larger exponents still work (see [`FixedBasePow::pow`]) but fall
     /// back to the generic square-and-multiply path.
     pub fn new(mont: std::sync::Arc<Montgomery>, base: &Nat, max_exp_bits: usize) -> Self {
+        let (k, w) = (mont.k, mont.k + 1);
         let windows = max_exp_bits.max(1).div_ceil(FB_WINDOW);
-        let mut tables = Vec::with_capacity(windows);
-        // cur = base^(2^(FB_WINDOW * w)) in Montgomery form.
-        let mut cur = mont.to_mont(base);
-        for w in 0..windows {
-            let mut tab = Vec::with_capacity((1 << FB_WINDOW) - 1);
-            tab.push(cur.clone());
-            for _ in 2..1usize << FB_WINDOW {
-                let next = mont.mont_mul(tab.last().expect("nonempty"), &cur);
-                tab.push(next);
-            }
-            if w + 1 < windows {
-                for _ in 0..FB_WINDOW {
-                    cur = mont.mont_sqr(&cur);
+        let base = base.rem(&mont.n);
+        let mut table = vec![0u64; windows * FB_DIGITS * k];
+        with_scratch(2 * w, |s| {
+            let (mut cur, mut tmp) = s.split_at_mut(w);
+            // cur = base^(2^(FB_WINDOW * window)) in Montgomery form.
+            mont.load_reduced(&base, &mut tmp[..k]);
+            mont.cios_into(&tmp[..k], &mont.r2, cur);
+            for (window, row) in table.chunks_exact_mut(FB_DIGITS * k).enumerate() {
+                if window > 0 {
+                    for _ in 0..FB_WINDOW {
+                        mont.cios_into(&cur[..k], &cur[..k], tmp);
+                        std::mem::swap(&mut cur, &mut tmp);
+                    }
+                }
+                row[..k].copy_from_slice(&cur[..k]);
+                for d in 1..FB_DIGITS {
+                    mont.cios_into(&row[(d - 1) * k..][..k], &cur[..k], tmp);
+                    row[d * k..][..k].copy_from_slice(&tmp[..k]);
                 }
             }
-            tables.push(tab);
+        });
+        FixedBasePow {
+            mont,
+            base,
+            windows,
+            table,
         }
-        FixedBasePow { mont, tables }
     }
 
     /// The modulus this table lives over.
@@ -383,7 +384,7 @@ impl FixedBasePow {
 
     /// The largest exponent bit-length served from the table.
     pub fn capacity_bits(&self) -> usize {
-        self.tables.len() * FB_WINDOW
+        self.windows * FB_WINDOW
     }
 
     /// `base^exp mod n` — a product of precomputed window entries.
@@ -392,53 +393,25 @@ impl FixedBasePow {
     /// correctly via the generic path (at generic speed).
     pub fn pow(&self, exp: &Nat) -> Nat {
         spfe_obs::count(spfe_obs::Op::FixedBaseExp, 1);
-        let bits = exp.bit_len();
-        if bits > self.capacity_bits() {
-            // Rebuild the base from window 0 (digit 1 entry); the generic
-            // path below also counts an `Op::Modexp`.
-            let base = self.mont.from_mont(&self.tables[0][0]);
-            return self.mont.pow(&base, exp);
+        if exp.bit_len() > self.capacity_bits() {
+            // The generic path also counts an `Op::Modexp`.
+            return self.mont.pow(&self.base, exp);
         }
-        if self.mont.k < CIOS_MAX_LIMBS {
-            // Accumulate the window product on stack scratch (as in
-            // [`Montgomery::pow`]'s short-exponent ladder): the whole
-            // comb walk costs one heap allocation, for the result.
-            let width = self.mont.k + 2;
-            let mut acc_buf = [0u64; CIOS_STACK_LIMBS];
-            let mut tmp_buf = [0u64; CIOS_STACK_LIMBS];
-            let one_m = self.mont.r_mod_n.limbs();
-            acc_buf[..one_m.len()].copy_from_slice(one_m);
-            let (mut acc, mut tmp) = (&mut acc_buf[..width], &mut tmp_buf[..width]);
-            for (w, tab) in self.tables.iter().enumerate() {
-                let d = self.window_digit(w, bits, exp);
+        let mont = &self.mont;
+        let (k, w) = (mont.k, mont.k + 1);
+        with_scratch(2 * w, |s| {
+            let (mut acc, mut tmp) = s.split_at_mut(w);
+            acc[..k].copy_from_slice(&mont.one);
+            for window in 0..self.windows {
+                let d = digit(exp, window * FB_WINDOW, FB_WINDOW);
                 if d != 0 {
-                    self.mont.cios_into(acc, tab[d - 1].limbs(), tmp);
+                    let entry = &self.table[(window * FB_DIGITS + d - 1) * k..][..k];
+                    mont.cios_into(&acc[..k], entry, tmp);
                     std::mem::swap(&mut acc, &mut tmp);
                 }
             }
-            self.mont.cios_into(acc, &[1], tmp); // from_mont
-            return Nat::from_limbs(tmp[..self.mont.k + 1].to_vec());
-        }
-        let mut acc = self.mont.r_mod_n.clone(); // 1 in Montgomery form
-        for (w, tab) in self.tables.iter().enumerate() {
-            let d = self.window_digit(w, bits, exp);
-            if d != 0 {
-                acc = self.mont.mont_mul(&acc, &tab[d - 1]);
-            }
-        }
-        self.mont.from_mont(&acc)
-    }
-
-    /// The `w`-th FB_WINDOW-bit digit of `exp` (little-endian windows).
-    fn window_digit(&self, w: usize, bits: usize, exp: &Nat) -> usize {
-        let mut d = 0usize;
-        for b in 0..FB_WINDOW {
-            let i = w * FB_WINDOW + b;
-            if i < bits && exp.bit(i) {
-                d |= 1 << b;
-            }
-        }
-        d
+            mont.plain_residue(&acc[..k], tmp)
+        })
     }
 }
 
@@ -446,14 +419,53 @@ impl FixedBasePow {
 mod tests {
     use super::*;
     use crate::modular;
+    use crate::rand_src::{RandomSource, XorShiftRng};
     use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// `a·b·R⁻¹ mod n` through the CIOS kernel (`a`, `b` reduced).
+    fn cios(ctx: &Montgomery, a: &Nat, b: &Nat) -> Nat {
+        let mut bs = vec![0u64; ctx.k];
+        ctx.load_reduced(b, &mut bs);
+        let mut t = vec![0u64; ctx.k + 1];
+        ctx.cios_into(a.limbs(), &bs, &mut t);
+        Nat::from_limbs(t[..ctx.k].to_vec())
+    }
+
+    /// Montgomery form `a·R mod n`, by definition.
+    fn to_mont(ctx: &Montgomery, a: &Nat) -> Nat {
+        a.shl(64 * ctx.k).rem(&ctx.n)
+    }
+
+    /// Square-and-multiply with schoolbook products and long division —
+    /// independent of the Montgomery kernel (`modular::mod_pow` is not:
+    /// it calls [`Montgomery::pow`] for wide odd moduli).
+    fn naive_pow(base: &Nat, exp: &Nat, n: &Nat) -> Nat {
+        let mut acc = Nat::one().rem(n);
+        for i in (0..exp.bit_len()).rev() {
+            acc = acc.mul(&acc).rem(n);
+            if exp.bit(i) {
+                acc = acc.mul(base).rem(n);
+            }
+        }
+        acc
+    }
+
+    /// A random odd modulus of exactly `k` limbs.
+    fn odd_modulus(rng: &mut XorShiftRng, k: usize) -> Nat {
+        let mut n = Nat::random_exact_bits(rng, 64 * k);
+        n.set_bit(0, true);
+        n
+    }
 
     #[test]
     fn roundtrip_mont_form() {
         let ctx = Montgomery::new(Nat::from(1_000_003u64));
         for v in [0u64, 1, 2, 999_999, 1_000_002] {
             let a = Nat::from(v);
-            assert_eq!(ctx.from_mont(&ctx.to_mont(&a)), a);
+            let am = cios(&ctx, &a, &Nat::from_limbs(ctx.r2.clone()));
+            assert_eq!(am, to_mont(&ctx, &a));
+            assert_eq!(cios(&ctx, &Nat::one(), &am), a);
         }
     }
 
@@ -496,7 +508,6 @@ mod tests {
 
     #[test]
     fn fixed_base_matches_generic_pow() {
-        use std::sync::Arc;
         let ctx = Arc::new(Montgomery::new(Nat::from(1_000_003u64)));
         let base = Nat::from(12_345u64);
         let fb = FixedBasePow::new(Arc::clone(&ctx), &base, 64);
@@ -508,7 +519,6 @@ mod tests {
 
     #[test]
     fn fixed_base_large_modulus_and_overflow_fallback() {
-        use std::sync::Arc;
         let p = Nat::one().shl(255).sub(&Nat::from(19u64));
         let ctx = Arc::new(Montgomery::new(p.clone()));
         let base = Nat::from_hex("123456789abcdef0fedcba9876543210").unwrap();
@@ -526,7 +536,6 @@ mod tests {
 
     #[test]
     fn fixed_base_zero_exponent_and_base_reduction() {
-        use std::sync::Arc;
         let ctx = Arc::new(Montgomery::new(Nat::from(101u64)));
         // Base above the modulus is reduced on entry, like Montgomery::pow.
         let fb = FixedBasePow::new(Arc::clone(&ctx), &Nat::from(305u64), 16);
@@ -537,10 +546,33 @@ mod tests {
         );
     }
 
+    /// The widths a real key lands on (32 limbs = `p²` of a 2048-bit
+    /// Paillier key, 64 = its `n²`), either side of the old 24-limb
+    /// Karatsuba cutover, and 70 limbs, whose width-6 window table
+    /// outgrows the stack scratch: short and full-width `pow`, `mul_mod`
+    /// and `FixedBasePow::pow` against schoolbook references.
+    #[test]
+    fn wide_moduli_match_schoolbook_references() {
+        let mut rng = XorShiftRng::new(0x00C1_0520);
+        for k in [20, 24, 25, 32, 64, 70] {
+            let n = odd_modulus(&mut rng, k);
+            let ctx = Arc::new(Montgomery::new(n.clone()));
+            let a = Nat::random_below(&mut rng, &n);
+            let b = Nat::random_below(&mut rng, &n);
+            assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&n), "k={k}");
+            let short = Nat::random_bits(&mut rng, 32);
+            assert_eq!(ctx.pow(&a, &short), naive_pow(&a, &short, &n), "k={k}");
+            let full = Nat::random_exact_bits(&mut rng, 64 * k);
+            assert_eq!(ctx.pow(&a, &full), naive_pow(&a, &full, &n), "k={k}");
+            let fb = FixedBasePow::new(Arc::clone(&ctx), &a, 128);
+            let e = Nat::random_bits(&mut rng, 128);
+            assert_eq!(fb.pow(&e), naive_pow(&a, &e, &n), "k={k}");
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_fixed_base_matches_generic(b in any::<u64>(), e in any::<u64>(), m in (1u64<<32)..u64::MAX) {
-            use std::sync::Arc;
             let m = m | 1;
             let ctx = Arc::new(Montgomery::new(Nat::from(m)));
             let fb = FixedBasePow::new(Arc::clone(&ctx), &Nat::from(b), 64);
@@ -557,15 +589,15 @@ mod tests {
             prop_assert_eq!(got, expect);
         }
 
-        /// Multi-limb moduli drive the fused CIOS path through real carry
+        /// Multi-limb moduli drive the fused CIOS kernel through real carry
         /// chains (the u64-modulus tests above only ever see `k = 1`): it
-        /// must agree with the definitional product-then-REDC two-step,
-        /// and `mul_mod`'s double-REDC shortcut with plain long division.
+        /// must agree with the definition `a·b·R⁻¹ mod n`, and `mul_mod`
+        /// with plain long division — for unreduced operands too.
         #[test]
         fn prop_cios_matches_two_step_multi_limb(
             m_limbs in proptest::collection::vec(any::<u64>(), 3..7),
-            a_limbs in proptest::collection::vec(any::<u64>(), 1..7),
-            b_limbs in proptest::collection::vec(any::<u64>(), 1..7),
+            a_limbs in proptest::collection::vec(any::<u64>(), 1..9),
+            b_limbs in proptest::collection::vec(any::<u64>(), 1..9),
         ) {
             let mut m_limbs = m_limbs;
             m_limbs[0] |= 1; // odd
@@ -573,19 +605,39 @@ mod tests {
             m_limbs[last] |= 1 << 63; // keep the top limb populated
             let n = Nat::from_limbs(m_limbs);
             let ctx = Montgomery::new(n.clone());
-            let a = Nat::from_limbs(a_limbs).rem(&n);
-            let b = Nat::from_limbs(b_limbs).rem(&n);
-            prop_assert_eq!(ctx.mont_mul(&a, &b), ctx.redc(a.mul(&b).limbs()));
-            prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&n));
+            let (a_wide, b_wide) = (Nat::from_limbs(a_limbs), Nat::from_limbs(b_limbs));
+            prop_assert_eq!(ctx.mul_mod(&a_wide, &b_wide), a_wide.mul(&b_wide).rem(&n));
+            let (a, b) = (a_wide.rem(&n), b_wide.rem(&n));
+            let r_inv = modular::mod_inv(&Nat::one().shl(64 * ctx.k), &n).unwrap();
+            prop_assert_eq!(cios(&ctx, &a, &b), a.mul(&b).mul(&r_inv).rem(&n));
         }
 
         #[test]
         fn prop_mont_mul_is_mod_mul(a in any::<u64>(), b in any::<u64>(), m in (1u64<<32)..u64::MAX) {
             let m = m | 1;
             let ctx = Montgomery::new(Nat::from(m));
-            let (am, bm) = (ctx.to_mont(&Nat::from(a)), ctx.to_mont(&Nat::from(b)));
-            let got = ctx.from_mont(&ctx.mont_mul(&am, &bm));
+            let (am, bm) = (to_mont(&ctx, &Nat::from(a)), to_mont(&ctx, &Nat::from(b)));
+            let got = cios(&ctx, &Nat::one(), &cios(&ctx, &am, &bm));
             prop_assert_eq!(got.to_u64().unwrap(), ((a as u128 % m as u128) * (b as u128 % m as u128) % m as u128) as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Random widths across the old 24-limb cutover, with exponents of
+        /// random length (so every window width is drawn).
+        #[test]
+        fn prop_wide_pow_and_mul_mod(k in 20usize..71, seed in any::<u64>()) {
+            let mut rng = XorShiftRng::new(seed | 1);
+            let n = odd_modulus(&mut rng, k);
+            let ctx = Montgomery::new(n.clone());
+            let a = Nat::random_below(&mut rng, &n);
+            let b = Nat::random_bits(&mut rng, 64 * k + 7); // unreduced
+            prop_assert_eq!(ctx.mul_mod(&a, &b), a.mul(&b).rem(&n));
+            let e_bits = 1 + rng.next_u64() as usize % (64 * k);
+            let e = Nat::random_bits(&mut rng, e_bits);
+            prop_assert_eq!(ctx.pow(&b, &e), naive_pow(&b.rem(&n), &e, &n));
         }
     }
 }

@@ -18,8 +18,9 @@
 //! line on stderr ([`SessionLogRecord`]).
 //!
 //! Shutdown is cooperative: [`Server::shutdown`] flips a flag and nudges
-//! the accept loop awake with a loopback connection, then joins it. No
-//! signal handling, no non-std dependencies.
+//! the accept loop awake with a loopback connection, then joins it and
+//! every in-flight session thread. No signal handling, no non-std
+//! dependencies.
 
 use spfe::harness;
 use spfe_obs::metrics::{
@@ -43,7 +44,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Per-connection read deadline. A session whose client goes quiet
     /// for longer is torn down (its thread exits); other sessions are
-    /// unaffected. `None` waits forever.
+    /// unaffected. `None` waits forever, and so does
+    /// [`Server::shutdown`] for a client that never closes.
     pub read_deadline: Option<Duration>,
     /// Fault injection for tests: a Hello naming this driver makes the
     /// session thread panic mid-handshake, exercising the unwind-capture
@@ -67,6 +69,8 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     accept: Option<JoinHandle<()>>,
+    /// Session threads not yet joined (see [`accept_loop`]).
+    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -81,16 +85,19 @@ impl Server {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(Metrics::new());
+        let sessions = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || accept_loop(&listener, &config, &stop, &metrics))
+            let sessions = Arc::clone(&sessions);
+            std::thread::spawn(move || accept_loop(&listener, &config, &stop, &metrics, &sessions))
         };
         Ok(Server {
             addr: local,
             stop,
             metrics,
             accept: Some(accept),
+            sessions,
         })
     }
 
@@ -130,14 +137,20 @@ impl Server {
         self.metrics.failures(kind)
     }
 
-    /// Stops accepting, wakes the accept loop, and joins it. In-flight
-    /// session threads run to completion on their own; their sockets are
-    /// not yanked.
+    /// Stops accepting, wakes the accept loop, and joins it, then joins
+    /// every in-flight session thread. Their sockets are not yanked:
+    /// each session runs to its close (or its read deadline), so once
+    /// this returns every session has settled into the metrics registry
+    /// and flushed its trace journal.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Nudge the blocking accept() awake with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        let sessions = std::mem::take(&mut *lock(&self.sessions));
+        for h in sessions {
             let _ = h.join();
         }
     }
@@ -163,11 +176,22 @@ pub fn classify_failure(handshake: bool, e: &ProtocolError) -> FailureKind {
     }
 }
 
+/// Locks the session-handle list; a panic while it was held cannot leave
+/// it inconsistent (every update is one push or one swap), so poisoning
+/// is recovered.
+fn lock(sessions: &Mutex<Vec<JoinHandle<()>>>) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+    sessions.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Accepts connections until `stop`, one session thread each. Handles of
+/// finished sessions are joined as new ones arrive, so a long-running
+/// server keeps only live threads; [`Server::shutdown`] joins the rest.
 fn accept_loop(
     listener: &TcpListener,
     config: &ServerConfig,
     stop: &AtomicBool,
     metrics: &Arc<Metrics>,
+    sessions: &Mutex<Vec<JoinHandle<()>>>,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -184,7 +208,17 @@ fn accept_loop(
         }
         let config = config.clone();
         let metrics = Arc::clone(metrics);
-        std::thread::spawn(move || run_session(stream, &config, &metrics));
+        let handle = std::thread::spawn(move || run_session(stream, &config, &metrics));
+        let mut live = lock(sessions);
+        let (done, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
+            .into_iter()
+            .partition(|h| h.is_finished());
+        *live = running;
+        live.push(handle);
+        drop(live);
+        for h in done {
+            let _ = h.join();
+        }
     }
 }
 

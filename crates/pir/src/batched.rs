@@ -239,9 +239,10 @@ impl BatchedClientState {
 /// # Panics
 ///
 /// Panics if `indices` is empty or out of range for `n`.
-pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
+pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     group: &SchnorrGroup,
     pk: &P,
+    sk: &S,
     n: usize,
     indices: &[usize],
     rng: &mut R,
@@ -283,7 +284,7 @@ pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
         } else {
             &row_params
         };
-        let (q, st) = spir::client_query(params, pk, slot, rng);
+        let (q, st) = spir::client_query(params, pk, sk, slot, rng);
         queries.push(q);
         states.push(st);
     }
@@ -414,7 +415,7 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
     let width = db.first().map_or(0, |it| it.len());
     let (queries, state) = {
         let _s = spfe_obs::span("query-gen");
-        client_query(group, pk, db.len(), indices, rng)
+        client_query(group, pk, sk, db.len(), indices, rng)
     };
     let queries = t.client_to_server(0, "batched-queries", &queries)?;
     let answers = {
@@ -434,7 +435,7 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
         let mut fqueries = Vec::with_capacity(state.leftovers.len());
         let mut fstates = Vec::with_capacity(state.leftovers.len());
         for &q in &state.leftovers {
-            let (fq, fst) = spir::client_query(&full_params, pk, indices[q], rng);
+            let (fq, fst) = spir::client_query(&full_params, pk, sk, indices[q], rng);
             fqueries.push(fq);
             fstates.push(fst);
         }

@@ -92,13 +92,16 @@ impl Wire for HomPirAnswer {
     }
 }
 
-/// Client: builds the encrypted row selector for `index`.
+/// Client: builds the encrypted row selector for `index`. The client
+/// holds the secret key, so it encrypts through
+/// [`HomomorphicSk::encrypt_batch`] (CRT for Paillier; same bytes).
 ///
 /// # Panics
 ///
 /// Panics if `index >= layout.cells()`.
-pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
+pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     pk: &P,
+    sk: &S,
     layout: &Layout,
     index: usize,
     rng: &mut R,
@@ -108,8 +111,8 @@ pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
     let bits: Vec<Nat> = (0..layout.rows)
         .map(|r| if r == row { Nat::one() } else { Nat::zero() })
         .collect();
-    let row_selector = pk
-        .encrypt_batch(&bits, rng)
+    let row_selector = sk
+        .encrypt_batch(pk, &bits, rng)
         .iter()
         .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
@@ -248,7 +251,7 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     let layout = Layout::square(db.len());
     let q = {
         let _s = spfe_obs::span("query-gen");
-        client_query(pk, &layout, index, rng)
+        client_query(pk, sk, &layout, index, rng)
     };
     let q = t.client_to_server(0, "hompir-query", &q)?;
     let a = {
@@ -341,7 +344,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> HomPirClientCore<P, S> {
         rng: &mut R,
     ) -> Self {
         let layout = Layout::square(n);
-        let query = client_query(&pk, &layout, index, rng);
+        let query = client_query(&pk, &sk, &layout, index, rng);
         HomPirClientCore {
             pk,
             sk,
@@ -479,7 +482,7 @@ mod tests {
             let mut rng = rng.clone();
             let mut t = Transcript::new(1);
             let layout = Layout::square(database.len());
-            let q = client_query(&pk, &layout, 17, &mut rng);
+            let q = client_query(&pk, &sk, &layout, 17, &mut rng);
             let q_wire = {
                 use spfe_transport::Wire as _;
                 q.to_bytes()
@@ -578,7 +581,7 @@ mod tests {
         // without the secret key. Sanity: all entries decrypt to a unit vector.
         let (pk, sk, mut rng) = setup();
         let layout = Layout::square(9);
-        let q = client_query(&pk, &layout, 5, &mut rng);
+        let q = client_query(&pk, &sk, &layout, 5, &mut rng);
         let decrypted: Vec<u64> = q
             .row_selector
             .iter()

@@ -92,8 +92,9 @@ fn chunk_bytes<P: HomomorphicPk>(pk: &P) -> usize {
 /// # Panics
 ///
 /// Panics if the index is out of range.
-pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
+pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     pk: &P,
+    sk: &S,
     layout: &RecursiveLayout,
     index: usize,
     rng: &mut R,
@@ -102,11 +103,12 @@ pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
     let (row1, col1) = layout.level1_pos(index);
     let (row2, _) = (col1 / layout.c2, col1 % layout.c2);
     let unit = |len: usize, target: usize, rng: &mut R| -> Vec<Vec<u8>> {
-        (0..len)
-            .map(|r| {
-                let bit = if r == target { Nat::one() } else { Nat::zero() };
-                pk.ciphertext_to_bytes(&pk.encrypt(&bit, rng))
-            })
+        let bits: Vec<Nat> = (0..len)
+            .map(|r| if r == target { Nat::one() } else { Nat::zero() })
+            .collect();
+        sk.encrypt_batch(pk, &bits, rng)
+            .iter()
+            .map(|ct| pk.ciphertext_to_bytes(ct))
             .collect()
     };
     RecursiveQuery {
@@ -290,7 +292,7 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     let layout = RecursiveLayout::balanced(db.len());
     let q = {
         let _s = spfe_obs::span("query-gen");
-        client_query(pk, &layout, index, rng)
+        client_query(pk, sk, &layout, index, rng)
     };
     let q = t.client_to_server(0, "recpir-query", &q)?;
     let a = {

@@ -116,15 +116,16 @@ fn pad_bytes<P: HomomorphicPk>(pk: &P) -> usize {
 /// # Panics
 ///
 /// Panics if `index >= n`.
-pub fn client_query<P: HomomorphicPk, R: RandomSource + ?Sized>(
+pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     params: &SpirParams,
     pk: &P,
+    sk: &S,
     index: usize,
     rng: &mut R,
 ) -> (SpirQuery, SpirClientState) {
     assert!(index < params.n, "index out of range");
     let layout = params.layout();
-    let pir = hom_pir::client_query(pk, &layout, index, rng);
+    let pir = hom_pir::client_query(pk, sk, &layout, index, rng);
     let (_, col) = layout.position(index);
     let (pad_ot, ot_state) =
         ot_n::receiver_choose(&params.group, &params.ot_setup(), layout.cols, col, rng);
@@ -452,7 +453,7 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
     let _proto = spfe_obs::span("spirw");
     let (q, state) = {
         let _s = spfe_obs::span("query-gen");
-        client_query(params, pk, index, rng)
+        client_query(params, pk, sk, index, rng)
     };
     let q = t.client_to_server(0, "spirw-query", &q)?;
     let a = {
@@ -486,7 +487,7 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     let _proto = spfe_obs::span("spir");
     let (q, state) = {
         let _s = spfe_obs::span("query-gen");
-        client_query(params, pk, index, rng)
+        client_query(params, pk, sk, index, rng)
     };
     let q = t.client_to_server(0, "spir-query", &q)?;
     let a = {
@@ -549,7 +550,7 @@ mod tests {
         // are uniformly masked — without the pad they do not reveal items.
         let (params, pk, sk, mut rng) = setup();
         let database = db(params.n);
-        let (q, state) = client_query(&params, &pk, 0, &mut rng);
+        let (q, state) = client_query(&params, &pk, &sk, 0, &mut rng);
         let a = server_answer(&params, &pk, &database, &q, &mut rng).unwrap();
         let layout = params.layout();
         let mut masked_matches = 0;
@@ -601,8 +602,8 @@ mod tests {
 
     #[test]
     fn wire_roundtrip() {
-        let (params, pk, _, mut rng) = setup();
-        let (q, _) = client_query(&params, &pk, 5, &mut rng);
+        let (params, pk, sk, mut rng) = setup();
+        let (q, _) = client_query(&params, &pk, &sk, 5, &mut rng);
         assert_eq!(SpirQuery::from_bytes(&q.to_bytes()).unwrap(), q);
     }
 }

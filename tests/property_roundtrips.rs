@@ -182,11 +182,11 @@ proptest! {
         check("xor2-query", &q1, &cut, &bit);
 
         let layout = spfe::pir::hom_pir::Layout::square(db.len());
-        let hq = spfe::pir::hom_pir::client_query(&f.pk, &layout, 3, &mut *r);
+        let hq = spfe::pir::hom_pir::client_query(&f.pk, &f.sk, &layout, 3, &mut *r);
         check("hom-pir-query", &hq, &cut, &bit);
 
         let params = spfe::pir::SpirParams::new(f.group.clone(), db.len());
-        let (sq, _st) = spfe::pir::spir::client_query(&params, &f.pk, 7, &mut *r);
+        let (sq, _st) = spfe::pir::spir::client_query(&params, &f.pk, &f.sk, 7, &mut *r);
         let sa = spfe::pir::spir::server_answer(&params, &f.pk, &db, &sq, &mut *r).unwrap();
         check("spir-query", &sq, &cut, &bit);
         check("spir-answer", &sa, &cut, &bit);

@@ -174,10 +174,10 @@ fn frequency_hides_match_positions() {
 #[test]
 fn pir_queries_are_probabilistic() {
     let mut rng = ChaChaRng::from_u64_seed(0x9E9);
-    let (pk, _) = Paillier::keygen(160, &mut rng);
+    let (pk, sk) = Paillier::keygen(160, &mut rng);
     let layout = spfe::pir::Layout::square(16);
-    let q1 = spfe::pir::hom_pir::client_query(&pk, &layout, 3, &mut rng);
-    let q2 = spfe::pir::hom_pir::client_query(&pk, &layout, 3, &mut rng);
+    let q1 = spfe::pir::hom_pir::client_query(&pk, &sk, &layout, 3, &mut rng);
+    let q2 = spfe::pir::hom_pir::client_query(&pk, &sk, &layout, 3, &mut rng);
     assert_ne!(
         q1.row_selector, q2.row_selector,
         "same index must yield fresh ciphertexts"
