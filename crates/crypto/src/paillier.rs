@@ -284,14 +284,15 @@ impl HomomorphicSk<PaillierPk> for PaillierSk {
 
     /// CRT encryption: `r^n mod n²` through [`Crt::r_pow_n`], with the
     /// randomness, ciphertexts and op counts of `pk.encrypt_batch`.
+    /// Always encrypts under this key's own public half, the only key
+    /// its CRT constants fit.
     fn encrypt_batch<R: RandomSource + ?Sized>(
         &self,
-        pk: &PaillierPk,
+        _pk: &PaillierPk,
         ms: &[Nat],
         rng: &mut R,
     ) -> Vec<PaillierCt> {
-        debug_assert_eq!(pk.n, self.pk.n, "public key of another key pair");
-        pk.encrypt_batch_with(ms, rng, |r| self.crt.r_pow_n(r))
+        self.pk.encrypt_batch_with(ms, rng, |r| self.crt.r_pow_n(r))
     }
 }
 

@@ -18,8 +18,6 @@ use std::cell::Cell;
 
 /// Products and ladders up to ~20 limbs.
 const SCRATCH_SMALL: usize = 64;
-/// Window tables up to width 4 at ~28 limbs.
-const SCRATCH_MEDIUM: usize = 512;
 /// A width-6 window table plus two working slots (65 slots of `k + 1`
 /// limbs) up to 65 limbs — a 2048-bit Paillier key's `n²` has 64 — in
 /// 34 KiB. Larger jobs take one heap buffer.
@@ -36,8 +34,6 @@ fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
     }
     if len <= SCRATCH_SMALL {
         on_stack::<SCRATCH_SMALL, T>(len, f)
-    } else if len <= SCRATCH_MEDIUM {
-        on_stack::<SCRATCH_MEDIUM, T>(len, f)
     } else if len <= SCRATCH_LARGE {
         on_stack::<SCRATCH_LARGE, T>(len, f)
     } else {

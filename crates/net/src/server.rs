@@ -18,9 +18,10 @@
 //! line on stderr ([`SessionLogRecord`]).
 //!
 //! Shutdown is cooperative: [`Server::shutdown`] flips a flag and nudges
-//! the accept loop awake with a loopback connection, then joins it and
-//! every in-flight session thread. No signal handling, no non-std
-//! dependencies.
+//! the accept loop awake with a loopback connection, then joins it. It
+//! then shuts down every live session's socket, which ends each session
+//! at its next socket call, and joins the session threads. No signal
+//! handling, no non-std dependencies.
 
 use spfe::harness;
 use spfe_obs::metrics::{
@@ -32,10 +33,10 @@ use spfe_transport::{
     FlowMeter, Frame, FrameKind, Lamport, ProtocolError, SessionCore, SessionMode,
 };
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,8 +45,7 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Per-connection read deadline. A session whose client goes quiet
     /// for longer is torn down (its thread exits); other sessions are
-    /// unaffected. `None` waits forever, and so does
-    /// [`Server::shutdown`] for a client that never closes.
+    /// unaffected. `None` waits forever.
     pub read_deadline: Option<Duration>,
     /// Fault injection for tests: a Hello naming this driver makes the
     /// session thread panic mid-handshake, exercising the unwind-capture
@@ -69,8 +69,8 @@ pub struct Server {
     stop: Arc<AtomicBool>,
     metrics: Arc<Metrics>,
     accept: Option<JoinHandle<()>>,
-    /// Session threads not yet joined (see [`accept_loop`]).
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Sessions not yet joined (see [`accept_loop`]).
+    sessions: Arc<Mutex<Vec<LiveSession>>>,
 }
 
 impl Server {
@@ -137,11 +137,15 @@ impl Server {
         self.metrics.failures(kind)
     }
 
-    /// Stops accepting, wakes the accept loop, and joins it, then joins
-    /// every in-flight session thread. Their sockets are not yanked:
-    /// each session runs to its close (or its read deadline), so once
-    /// this returns every session has settled into the metrics registry
-    /// and flushed its trace journal.
+    /// Stops accepting, wakes the accept loop, and joins it. Then shuts
+    /// down every live session's socket in both directions and joins the
+    /// session threads. A session waiting on its client (an idle
+    /// connection, a `--watch` scraper) ends at once; one mid-step ends
+    /// at its next write or read. Frames the client already sent are
+    /// still read (Linux keeps a shut-down socket's receive queue), so a
+    /// session whose Bye has arrived completes normally.
+    /// Once this returns every session has settled into the metrics
+    /// registry and flushed its trace journal.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Nudge the blocking accept() awake with a throwaway connection.
@@ -150,8 +154,13 @@ impl Server {
             let _ = h.join();
         }
         let sessions = std::mem::take(&mut *lock(&self.sessions));
-        for h in sessions {
-            let _ = h.join();
+        for s in &sessions {
+            if let Some(socket) = s.socket.upgrade() {
+                let _ = socket.shutdown(Shutdown::Both);
+            }
+        }
+        for s in sessions {
+            let _ = s.thread.join();
         }
     }
 }
@@ -176,22 +185,32 @@ pub fn classify_failure(handshake: bool, e: &ProtocolError) -> FailureKind {
     }
 }
 
-/// Locks the session-handle list; a panic while it was held cannot leave
-/// it inconsistent (every update is one push or one swap), so poisoning
+/// A session thread and a weak handle on its socket, through which
+/// [`Server::shutdown`] ends the session's blocking reads. The thread
+/// holds the only strong handle, so the socket closes when it exits.
+#[derive(Debug)]
+struct LiveSession {
+    thread: JoinHandle<()>,
+    socket: Weak<TcpStream>,
+}
+
+/// Locks the session list; a panic while it was held cannot leave it
+/// inconsistent (every update is one retain and one push), so poisoning
 /// is recovered.
-fn lock(sessions: &Mutex<Vec<JoinHandle<()>>>) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+fn lock(sessions: &Mutex<Vec<LiveSession>>) -> std::sync::MutexGuard<'_, Vec<LiveSession>> {
     sessions.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Accepts connections until `stop`, one session thread each. Handles of
-/// finished sessions are joined as new ones arrive, so a long-running
-/// server keeps only live threads; [`Server::shutdown`] joins the rest.
+/// Accepts connections until `stop`, one session thread each. Finished
+/// sessions are dropped from the list as new ones arrive, so a
+/// long-running server keeps only live ones; [`Server::shutdown`] ends
+/// and joins the rest.
 fn accept_loop(
     listener: &TcpListener,
     config: &ServerConfig,
     stop: &AtomicBool,
     metrics: &Arc<Metrics>,
-    sessions: &Mutex<Vec<JoinHandle<()>>>,
+    sessions: &Mutex<Vec<LiveSession>>,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -206,19 +225,14 @@ fn accept_loop(
         if stop.load(Ordering::SeqCst) {
             return;
         }
+        let stream = Arc::new(stream);
+        let socket = Arc::downgrade(&stream);
         let config = config.clone();
         let metrics = Arc::clone(metrics);
-        let handle = std::thread::spawn(move || run_session(stream, &config, &metrics));
+        let thread = std::thread::spawn(move || run_session(&stream, &config, &metrics));
         let mut live = lock(sessions);
-        let (done, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
-            .into_iter()
-            .partition(|h| h.is_finished());
-        *live = running;
-        live.push(handle);
-        drop(live);
-        for h in done {
-            let _ = h.join();
-        }
+        live.retain(|s| !s.thread.is_finished());
+        live.push(LiveSession { thread, socket });
     }
 }
 
@@ -285,7 +299,7 @@ fn fail(
 }
 
 /// Runs one connection to completion and settles its metrics + log line.
-fn run_session(mut stream: TcpStream, config: &ServerConfig, metrics: &Arc<Metrics>) {
+fn run_session(mut stream: &TcpStream, config: &ServerConfig, metrics: &Arc<Metrics>) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
@@ -354,7 +368,12 @@ fn run_session(mut stream: TcpStream, config: &ServerConfig, metrics: &Arc<Metri
 }
 
 /// Sends an Error frame (best effort) and returns the protocol error.
-fn abort(stream: &mut TcpStream, session: u64, label: &str, reason: &'static str) -> ProtocolError {
+fn abort(
+    stream: &mut &TcpStream,
+    session: u64,
+    label: &str,
+    reason: &'static str,
+) -> ProtocolError {
     let e = ProtocolError::InvalidMessage {
         label: "net-session",
         reason,
@@ -374,7 +393,7 @@ fn abort(stream: &mut TcpStream, session: u64, label: &str, reason: &'static str
 
 /// Runs one session (or scrape) on the session's own thread.
 fn serve_connection(
-    stream: &mut TcpStream,
+    stream: &mut &TcpStream,
     config: &ServerConfig,
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
@@ -487,7 +506,7 @@ fn serve_connection(
 /// answered request bumps `stats_probes`. The request payload selects
 /// the format: `[0]` (or empty) = `spfe-metrics/v1` JSON, `[1]` =
 /// Prometheus text exposition.
-fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> SessionEnd {
+fn stats_session(stream: &mut &TcpStream, metrics: &Metrics, first: Frame) -> SessionEnd {
     let mut request = first;
     loop {
         metrics.stats_probe();
@@ -522,7 +541,7 @@ fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> Ses
 /// Each received frame is metered once by its *logical* direction flag;
 /// the echo is the same logical message and is not counted.
 fn relay_session(
-    stream: &mut TcpStream,
+    stream: &mut &TcpStream,
     session: u64,
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
@@ -593,7 +612,7 @@ fn relay_session(
 /// Bye) or an error tears the session down. Incoming frames meter as
 /// client → server traffic, originated replies as server → client.
 fn compute_session(
-    stream: &mut TcpStream,
+    stream: &mut &TcpStream,
     session: u64,
     cores: &mut [Box<dyn SessionCore + Send>],
     metrics: &Metrics,

@@ -211,6 +211,10 @@ impl Metrics {
         outcome: Result<(), FailureKind>,
         usage: SessionUsage,
     ) {
+        // The outcome counters move under the drivers lock, the one a
+        // snapshot reads them under, so no snapshot shows a session as
+        // closed before its driver row has it.
+        let mut drivers = lock_drivers(&self.drivers);
         self.active.fetch_sub(1, Ordering::Relaxed);
         match outcome {
             Ok(()) => {
@@ -220,7 +224,6 @@ impl Metrics {
                 self.failures[kind as usize].fetch_add(1, Ordering::Relaxed);
             }
         }
-        let mut drivers = lock_drivers(&self.drivers);
         let entry = match drivers
             .iter_mut()
             .find(|d| d.driver == driver && d.mode == mode)
@@ -289,7 +292,9 @@ impl Metrics {
 
     /// A point-in-time copy of every counter and aggregate.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let drivers = lock_drivers(&self.drivers)
+        // Held until the counters below are read (see `session_closed`).
+        let rows = lock_drivers(&self.drivers);
+        let drivers = rows
             .iter()
             .map(|d| DriverSnapshot {
                 driver: d.driver.clone(),

@@ -12,7 +12,7 @@ use spfe::transport::frame::{read_frame, write_frame};
 use spfe::transport::{
     Channel, Direction, Frame, FrameKind, ProtocolError, SessionMode, SocketChannel,
 };
-use spfe_net::{next_session_id, run_driver, Server, ServerConfig};
+use spfe_net::{next_session_id, run_driver, Server, ServerConfig, StatsConn};
 use spfe_obs::metrics::FailureKind;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -277,5 +277,59 @@ fn killed_session_leaves_other_sessions_serving() {
         server.failures(FailureKind::CodecReject),
         1,
         "the garbage frame must be counted as a codec reject, not io/protocol"
+    );
+}
+
+/// Shutdown must not wait on clients that never hang up: a held-open
+/// metrics scrape (`spfe-client stats --watch`), a connection that never
+/// says Hello, and a relay session idle after its handshake, all on a
+/// server with no read deadline. Each is ended by shutdown and settled
+/// into the registry before it returns.
+#[test]
+fn shutdown_is_bounded_with_held_open_connections() {
+    let _ = fx();
+    let config = ServerConfig {
+        read_deadline: None,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr_sock = server.local_addr();
+    let addr = addr_sock.to_string();
+
+    let mut watcher = StatsConn::connect(&addr, Some(BOUND)).expect("scrape connect");
+    watcher.fetch(false).expect("first scrape");
+    let _mute = TcpStream::connect(addr_sock).expect("mute connect");
+    let _idle = SocketChannel::connect(
+        connect_with_deadline(addr_sock),
+        2,
+        "xor2",
+        SessionMode::Relay,
+        next_session_id(),
+    )
+    .expect("idle handshake");
+    // Let the mute connection's session thread start its Hello read.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let start = Instant::now();
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(start.elapsed());
+        server
+    });
+    let took = done_rx
+        .recv_timeout(BOUND)
+        .expect("shutdown must not wait for clients that never hang up");
+    assert!(took < BOUND, "shutdown took {took:?}");
+    let server = stopper.join().expect("shutdown thread");
+
+    let snap = server.snapshot();
+    assert_eq!(snap.sessions_active, 0, "every session settled: {snap:?}");
+    assert_eq!(snap.sessions_opened, 1, "only the relay session opened");
+    assert_eq!(snap.sessions_completed, 1, "{snap:?}");
+    assert_eq!(snap.stats_probes, 1);
+    assert!(
+        watcher.fetch(false).is_err(),
+        "the scrape connection is closed by shutdown"
     );
 }
