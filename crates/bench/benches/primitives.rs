@@ -107,6 +107,12 @@ fn bench_polynomials(c: &mut Criterion) {
     group.bench_function("selector_eval_n65536", |bench| {
         bench.iter(|| black_box(spfe::circuits::formula::selector_eval(&db, &point, f)))
     });
+    // The largest field: the lazy inner product reduces every 4 terms.
+    let f63 = Fp64::new(9_223_372_036_854_775_783).expect("largest prime below 2^63");
+    let point63: Vec<u64> = (0..ell).map(|_| f63.random(&mut rng)).collect();
+    group.bench_function("selector_eval_n65536_p63", |bench| {
+        bench.iter(|| black_box(spfe::circuits::formula::selector_eval(&db, &point63, f63)))
+    });
     group.finish();
 }
 

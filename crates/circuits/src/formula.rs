@@ -13,10 +13,12 @@
 //! leaves — the quantity that determines the server count `k = t·ℓ·s + 1`
 //! in Theorem 2.
 //!
-//! `P` is *evaluated implicitly* (gate by gate over field values), which
-//! costs `O(n·ℓ)` per leaf; the explicit expansion to an
-//! `MPoly` is provided for validation on small
-//! instances.
+//! `P` is *evaluated implicitly* (gate by gate over field values). Each
+//! leaf costs `n` word multiply-adds plus about `1024 + 3n/1024` field
+//! multiplications ([`selector_eval`]: an eq-table inner product over
+//! 2¹⁰-entry blocks, reduced mod `p` only every `⌊(2¹²⁸−1)/(p−1)²⌋`
+//! terms); the explicit expansion to an `MPoly` is provided for
+//! validation on small instances.
 
 use spfe_math::{Fp64, MPoly};
 
@@ -195,38 +197,71 @@ pub fn encode_index(i: usize, ell: usize) -> Vec<u64> {
     (0..ell).map(|k| ((i >> k) & 1) as u64).collect()
 }
 
+/// Index bits covered by one block of [`selector_eval`]'s inner product.
+const BLOCK_BITS: usize = 10;
+
 /// Evaluates the database selector polynomial
 /// `P₀(y) = Σ_i x_i · Π_k (y_k if i(k)=1 else 1-y_k)`
 /// at an arbitrary field point `y ∈ F^ℓ` — the implicit leaf evaluation of
-/// §3.1, costing `O(n·ℓ)` field operations.
+/// §3.1.
+///
+/// `χ_i(y)` factors over the low `lo = min(index_bits(n), 10)` and the
+/// high index bits, so `P₀(y) = Σ_b eq_hi[b] · Σ_j x_{b·2^lo + j} · eq_lo[j]`
+/// with two eq tables of `2^lo ≤ 1024` and `2^(index_bits(n)−lo) < 2n/2^lo`
+/// entries. Each block's inner sum accumulates raw `u128` products of
+/// reduced words and reduces only every `⌊(2¹²⁸−1)/(p−1)²⌋` terms (4 at
+/// `p ≈ 2⁶³`, never within a block for `p < 2⁵⁹`). Cost: `n`
+/// multiply-adds plus fewer than `2^lo + 3n/2^lo + ℓ` field
+/// multiplications, against `n·ℓ` for the per-entry product. The result
+/// is the canonical residue of the same value, so it is bit-identical to
+/// the per-entry form, and the scratch depends only on `n`.
 ///
 /// # Panics
 ///
 /// Panics if `2^{y.len()} < db.len()`.
 pub fn selector_eval(db: &[u64], y: &[u64], f: Fp64) -> u64 {
-    let ell = y.len();
-    assert!(
-        ell >= index_bits(db.len().max(1)),
-        "too few index bits for the database"
-    );
-    let y: Vec<u64> = y.iter().map(|&v| f.from_u64(v)).collect();
-    let not_y: Vec<u64> = y.iter().map(|&v| f.sub(1, v)).collect();
+    let bits = index_bits(db.len().max(1));
+    assert!(y.len() >= bits, "too few index bits for the database");
+    let lo = bits.min(BLOCK_BITS);
+    let eq_lo = eq_table(&y[..lo], f);
+    let eq_hi = eq_table(&y[lo..bits], f);
+    let p = f.modulus();
+    let pm1 = (p - 1) as u128;
+    // Terms of at most (p−1)² each that a u128 holds without overflow.
+    let run = (u128::MAX / (pm1 * pm1)).min(eq_lo.len() as u128) as usize;
     let mut acc = 0u64;
-    for (i, &xi) in db.iter().enumerate() {
-        if xi == 0 {
-            continue;
-        }
-        let mut chi = f.from_u64(xi);
-        for k in 0..ell {
-            let factor = if (i >> k) & 1 == 1 { y[k] } else { not_y[k] };
-            chi = f.mul(chi, factor);
-            if chi == 0 {
-                break;
+    for (block, &w) in db.chunks(eq_lo.len()).zip(&eq_hi) {
+        let mut block_sum = 0u64;
+        for (xs, eqs) in block.chunks(run).zip(eq_lo.chunks(run)) {
+            let mut lazy = 0u128;
+            for (&x, &e) in xs.iter().zip(eqs) {
+                let x = if x >= p { x % p } else { x };
+                lazy += x as u128 * e as u128;
             }
+            block_sum = f.add(block_sum, (lazy % p as u128) as u64);
         }
-        acc = f.add(acc, chi);
+        acc = f.add(acc, f.mul(block_sum, w));
     }
-    acc
+    // Index bits beyond index_bits(n) are 0 for every entry.
+    y[bits..]
+        .iter()
+        .fold(acc, |acc, &v| f.mul(acc, f.sub(1, f.from_u64(v))))
+}
+
+/// The eq table of `ys`: entry `i` is `Π_k (ys_k if i(k)=1 else 1−ys_k)`,
+/// one field multiplication per entry (`v·(1−y) = v − v·y`).
+fn eq_table(ys: &[u64], f: Fp64) -> Vec<u64> {
+    let mut table = Vec::with_capacity(1 << ys.len());
+    table.push(1);
+    for &yk in ys {
+        let yk = f.from_u64(yk);
+        for j in 0..table.len() {
+            let vy = f.mul(table[j], yk);
+            table[j] = f.sub(table[j], vy);
+            table.push(vy);
+        }
+    }
+    table
 }
 
 /// Explicitly expands the selector polynomial `P₀` for slot variables
@@ -326,6 +361,68 @@ mod tests {
         for (i, &x) in db.iter().enumerate() {
             assert_eq!(selector_eval(&db, &encode_index(i, ell), f), x, "i={i}");
         }
+    }
+
+    /// The definition: `Σ_i x_i · Π_k (y_k if i(k)=1 else 1−y_k)`, one
+    /// entry at a time.
+    fn selector_per_entry(db: &[u64], y: &[u64], f: Fp64) -> u64 {
+        let y: Vec<u64> = y.iter().map(|&v| f.from_u64(v)).collect();
+        db.iter().enumerate().fold(0, |acc, (i, &xi)| {
+            let chi = y.iter().enumerate().fold(f.from_u64(xi), |chi, (k, &yk)| {
+                f.mul(chi, if (i >> k) & 1 == 1 { yk } else { f.sub(1, yk) })
+            });
+            f.add(acc, chi)
+        })
+    }
+
+    #[test]
+    fn selector_eval_matches_the_per_entry_definition() {
+        let primes = [
+            2u64,
+            3,
+            13,
+            65_537,
+            1_000_003,
+            (1 << 61) - 1,
+            9_223_372_036_854_775_783, // largest prime below 2⁶³
+        ];
+        let mut rng = XorShiftRng::new(13);
+        for p in primes {
+            let f = Fp64::new(p).unwrap();
+            for n in [1usize, 2, 3, 1023, 1024, 1025, 3000, 65_536] {
+                // Unreduced words (≥ p, up to u64::MAX) and a run of zeros.
+                let mut db: Vec<u64> = (0..n)
+                    .map(|i| match i % 7 {
+                        0 => u64::MAX - i as u64,
+                        1 => p + i as u64,
+                        _ => rng.next_u64(),
+                    })
+                    .collect();
+                let zeros = n / 3..(n / 3 + n / 4).min(n);
+                db[zeros].fill(0);
+                let bits = index_bits(n);
+                for ell in bits..=bits + 2 {
+                    // Client coordinates may be unreduced too.
+                    let y: Vec<u64> = (0..ell)
+                        .map(|k| match k % 3 {
+                            0 => u64::MAX - k as u64,
+                            1 => p + rng.next_below(p),
+                            _ => rng.next_u64(),
+                        })
+                        .collect();
+                    assert_eq!(
+                        selector_eval(&db, &y, f),
+                        selector_per_entry(&db, &y, f),
+                        "p={p} n={n} ell={ell}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selector_eval_of_an_empty_database_is_zero() {
+        assert_eq!(selector_eval(&[], &[5, 7], field()), 0);
     }
 
     #[test]

@@ -212,15 +212,16 @@ pub fn client_queries<R: RandomSource + ?Sized>(
 }
 
 /// Evaluates every coordinate curve at each server's point — rng-free, so
-/// the per-server work shards across the worker pool (ordered by `h`).
-/// One item is every curve evaluated at one point: `Heavy`.
+/// the per-server work may shard across the worker pool (ordered by `h`).
+/// One item is `m·ℓ` degree-`t` evaluations, about a microsecond: `Light`,
+/// since waking the pool would cost more than the work.
 fn eval_curves_at_servers(
     params: &MultiServerParams,
     curves: &[Vec<Poly>],
     k: usize,
 ) -> Vec<MsQuery> {
     let hs: Vec<usize> = (0..k).collect();
-    par_map_cost(CostClass::Heavy, &hs, |&h| {
+    par_map_cost(CostClass::Light, &hs, |&h| {
         let tau = params.alpha(h);
         MsQuery {
             slot_points: curves
@@ -565,45 +566,6 @@ pub fn run_many_databases<R: RandomSource + ?Sized>(
         .collect())
 }
 
-/// Like [`run`], but forces the (independent) server evaluations onto the
-/// worker pool even below the sequential-fallback threshold — the
-/// deployment reality the paper assumes, where each replica is its own
-/// machine. Communication accounting is identical to the sequential run;
-/// only wall-clock changes.
-///
-/// # Errors / Panics
-///
-/// Same contract as [`run`].
-pub fn run_parallel<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
-    params: &MultiServerParams,
-    db: &[u64],
-    indices: &[usize],
-    rng: &mut R,
-) -> Result<u64, ProtocolError> {
-    assert_eq!(t.num_servers(), params.num_servers(), "server count");
-    let _proto = spfe_obs::span("multiserver-par");
-    let queries = client_queries(params, indices, rng);
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    // Every server computes concurrently (min_len 1 bypasses the
-    // sequential-fallback threshold)…
-    let computed: Vec<u64> =
-        spfe_math::par::par_map_min(1, &received, |q| server_answer(params, db, q, None))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-    // …and the replies are metered as usual.
-    let answers: Vec<u64> = computed
-        .iter()
-        .enumerate()
-        .map(|(h, &a)| t.server_to_client(h, "ms-answer", &a))
-        .collect::<Result<_, _>>()?;
-    Ok(client_reconstruct(params, &answers))
-}
-
 // ---------------------------------------------------------------------------
 // Sans-io state machines (DESIGN.md §15) for the unblinded configuration
 // the conformance harness runs (`shared_seed = None`). They call the same
@@ -909,15 +871,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential() {
+    fn server_answers_at_n65536_open_to_the_selected_sum() {
+        // The ms-sum benchmark shape: Sum of 4 over 2¹⁶ unreduced words in F_65537.
+        let f = Fp64::new(65_537).unwrap();
         let mut rng = XorShiftRng::new(22);
-        let db: Vec<u64> = (0..64u64).map(|i| i + 7).collect();
-        let params = MultiServerParams::new(db.len(), 2, field(), MsFunction::Sum { m: 3 });
-        let idx = [0usize, 32, 63];
-        let mut tr = Transcript::new(params.num_servers());
-        let got = run_parallel(&mut tr, &params, &db, &idx, &mut rng).unwrap();
-        assert_eq!(got, db[0] + db[32] + db[63]);
-        assert_eq!(tr.report().half_rounds, 2);
+        let db: Vec<u64> = (0..1u64 << 16).map(|_| rng.next_u64()).collect();
+        let params = MultiServerParams::new(db.len(), 1, f, MsFunction::Sum { m: 4 });
+        let idx = [0usize, 1023, 40_000, 65_535];
+        let expect = params.function.eval_clear(&db, &idx, f).unwrap();
+        // At the encoded indices themselves the answer is the sum…
+        let at_indices = MsQuery {
+            slot_points: idx.iter().map(|&i| encode_index(i, params.ell)).collect(),
+        };
+        assert_eq!(
+            server_answer(&params, &db, &at_indices, None).unwrap(),
+            expect
+        );
+        // …and at curve points it interpolates back to it.
+        let answers: Vec<u64> = client_queries(&params, &idx, &mut rng)
+            .iter()
+            .map(|q| server_answer(&params, &db, q, None).unwrap())
+            .collect();
+        assert_eq!(client_reconstruct(&params, &answers), expect);
     }
 
     #[test]

@@ -303,18 +303,6 @@ where
     par_map_grained(seq_threshold(), 1, items, f)
 }
 
-/// [`par_map`] with an explicit sequential-fallback threshold, for call
-/// sites whose per-item cost is far from both class presets (e.g.
-/// `multiserver::run_parallel` forces the pool on with `min_len = 1`).
-pub fn par_map_min<T, U, F>(min_len: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_grained(min_len, 1, items, f)
-}
-
 /// [`par_map`] with a per-call-site [`CostClass`]: the class picks the
 /// sequential-fallback threshold ([`seq_threshold_for`]) and the scheduler
 /// block granularity.

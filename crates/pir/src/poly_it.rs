@@ -400,6 +400,29 @@ mod tests {
     }
 
     #[test]
+    fn server_answers_at_n65536_open_to_the_entry() {
+        let f = Fp64::new(65_537).unwrap();
+        let mut rng = XorShiftRng::new(3);
+        let database: Vec<u64> = (0..1u64 << 16).map(|_| rng.next_u64()).collect();
+        let params = PolyItParams::new(database.len(), 1, f);
+        for i in [0usize, 1024, 54_321, 65_535] {
+            let expect = f.from_u64(database[i]);
+            let at_index = PolyItQuery {
+                point: encode_index(i, params.ell),
+            };
+            assert_eq!(
+                server_answer(&params, &database, &at_index).unwrap(),
+                expect
+            );
+            let answers: Vec<u64> = client_queries(&params, i, &mut rng)
+                .iter()
+                .map(|q| server_answer(&params, &database, q).unwrap())
+                .collect();
+            assert_eq!(client_reconstruct(&params, &answers), expect, "i={i}");
+        }
+    }
+
+    #[test]
     fn retrieves_every_index_various_t() {
         let mut rng = XorShiftRng::new(1);
         for t_priv in [1usize, 2, 3] {

@@ -11,7 +11,7 @@
 //! count even under the heavy kernel.
 
 use spfe::math::par;
-use spfe::math::{Montgomery, Nat};
+use spfe::math::{Montgomery, Nat, XorShiftRng};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -33,14 +33,18 @@ impl Drop for Restore {
     }
 }
 
-/// A ~512-bit odd modulus and per-item modexp, roughly one PIR cell's
-/// work: heavy enough that the pool handshake is noise at this item count.
+/// A 512-bit odd modulus and 256 full-width (512-bit) exponents. Serially
+/// that is at least 10 ms, so the pool's fixed wake/join cost stays under
+/// 1% of the run and cannot decide the comparison.
 fn heavy_kernel() -> (Montgomery, Vec<Nat>) {
     let mut limbs = [0xA5u8; 64];
     limbs[0] |= 1; // odd, as Montgomery requires
     limbs[63] |= 0x80; // full width
     let mont = Montgomery::new(Nat::from_le_bytes(&limbs));
-    let exps: Vec<Nat> = (0..256u64).map(|i| Nat::from(0x1_0001u64 + i)).collect();
+    let mut rng = XorShiftRng::new(0x5CA1E);
+    let exps: Vec<Nat> = (0..256)
+        .map(|_| Nat::random_exact_bits(&mut rng, 512))
+        .collect();
     (mont, exps)
 }
 
