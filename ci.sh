@@ -12,6 +12,10 @@ if [[ "${CARGO_NET_OFFLINE:-}" == "true" ]]; then
   OFFLINE=(--offline)
 fi
 
+# Printed only, not a gate: the size ROADMAP.md tracks (perfbench/ is a
+# separate package and not counted).
+echo "==> workspace .rs lines: $(git ls-files '*.rs' | grep -v '^perfbench/' | xargs cat | wc -l)"
+
 echo "==> cargo build --release"
 cargo build "${OFFLINE[@]}" --release --workspace --all-targets
 

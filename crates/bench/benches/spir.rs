@@ -150,20 +150,13 @@ fn bench_it_schemes(c: &mut Criterion) {
     group.bench_function("poly_it_kserver", |bench| {
         bench.iter(|| {
             let mut t = Transcript::new(k);
-            black_box(poly_it::run(&mut t, &params, &db, n / 3, &mut rng))
+            black_box(poly_it::run(&mut t, &params, &db, n / 3, None, &mut rng))
         })
     });
     group.bench_function("poly_it_symmetric", |bench| {
         bench.iter(|| {
             let mut t = Transcript::new(k);
-            black_box(poly_it::run_symmetric(
-                &mut t,
-                &params,
-                &db,
-                n / 3,
-                9,
-                &mut rng,
-            ))
+            black_box(poly_it::run(&mut t, &params, &db, n / 3, Some(9), &mut rng))
         })
     });
     group.finish();

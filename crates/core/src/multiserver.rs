@@ -14,14 +14,23 @@
 //! The tiny per-server replies are the protocol's signature feature: the
 //! same query can be answered against several databases (e.g. `x` and the
 //! squared `x'` for average+variance, §4) at one extra field element each.
+//!
+//! The basic protocol is written once, as sans-io cores (DESIGN.md §15):
+//! [`run`] pumps [`MsClientCore`] against [`server_cores`] in process, and
+//! the networked server hosts the same server cores. The robust and
+//! multi-database variants ([`run_robust`], [`run_sum_and_squares`],
+//! [`run_many_databases`]) have their own answer formats and still play
+//! both parties over the channel, fanning the server evaluations out on
+//! the worker pool.
 
 use spfe_circuits::formula::{encode_index, eval_formula_poly, index_bits, selector_eval, Formula};
 use spfe_math::par::{par_map_cost, CostClass};
 use spfe_math::{Fp64, Poly, RandomSource};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError, Reader,
+    SessionCore, SessionState, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// The function being evaluated, in a representation the protocol can
 /// arithmetize.
@@ -401,9 +410,11 @@ where
     }
 }
 
-/// Runs the full 1-round protocol over a metered transcript. With
-/// `shared_seed = Some(s)` the servers add the \[25\]-style blinding (the
-/// client then learns *only* `f(x_I)` — symmetric privacy).
+/// Runs the full 1-round protocol over a metered transcript: [`pump`]
+/// over a client core and the `k` server cores, which borrow `db` and
+/// answer one after another. With `shared_seed = Some(s)` the servers add
+/// the \[25\]-style blinding (the client then learns *only* `f(x_I)` —
+/// symmetric privacy).
 ///
 /// # Errors
 ///
@@ -423,39 +434,8 @@ pub fn run<R: RandomSource + ?Sized>(
 ) -> Result<u64, ProtocolError> {
     assert_eq!(t.num_servers(), params.num_servers(), "server count");
     let _proto = spfe_obs::span("multiserver");
-    let queries = {
-        let _s = spfe_obs::span("query-gen");
-        client_queries(params, indices, rng)
-    };
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    // Each server's evaluation is independent and (given the shared seed)
-    // deterministic, so compute all answers on the worker pool…
-    let jobs: Vec<(usize, &MsQuery)> = received.iter().enumerate().collect();
-    let computed: Vec<u64> = {
-        let _s = spfe_obs::span("server-eval");
-        par_map_cost(CostClass::Heavy, &jobs, |&(h, q)| match shared_seed {
-            None => server_answer(params, db, q, None),
-            Some(seed) => {
-                let mut server_rng = spfe_crypto::ChaChaRng::from_u64_seed(seed);
-                let blind = blinding_poly(params, &mut server_rng);
-                server_answer(params, db, q, Some((&blind, h)))
-            }
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?
-    };
-    // …and meter the replies serially in server order.
-    let answers: Vec<u64> = computed
-        .iter()
-        .enumerate()
-        .map(|(h, &a)| t.server_to_client(h, "ms-answer", &a))
-        .collect::<Result<_, _>>()?;
-    let _s = spfe_obs::span("reconstruct");
-    Ok(client_reconstruct(params, &answers))
+    let mut client = MsClientCore::new(params.clone(), indices, rng);
+    pump(t, &mut client, &mut server_cores(params, db, shared_seed))
 }
 
 /// The §4 "package": answers the *same* queries against both `x` and the
@@ -566,59 +546,72 @@ pub fn run_many_databases<R: RandomSource + ?Sized>(
         .collect())
 }
 
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15) for the unblinded configuration
-// the conformance harness runs (`shared_seed = None`). They call the same
-// client_queries/server_answer/client_reconstruct as the monolithic
-// [`run`], so every transport yields identical bytes and op counts.
-// ---------------------------------------------------------------------------
+/// The `k` server cores over `db` (borrowed in process, owned when a
+/// networked server hosts them), blinded from `shared_seed` if given.
+pub fn server_cores<'a>(
+    params: &MultiServerParams,
+    db: impl Into<Cow<'a, [u64]>>,
+    shared_seed: Option<u64>,
+) -> Vec<Box<dyn SessionCore + Send + 'a>> {
+    let db = db.into();
+    (0..params.num_servers())
+        .map(|h| {
+            let core = MsServerCore::new(h, params.clone(), db.clone()).with_blind(shared_seed);
+            Box::new(core) as Box<dyn SessionCore + Send + 'a>
+        })
+        .collect()
+}
 
 /// Server `h` of the Theorem 2 multi-server SPFE as a sans-io machine.
 #[derive(Debug)]
-pub struct MsServerCore {
-    index: usize,
+pub struct MsServerCore<'a> {
+    once: AnswerOnce,
     params: MultiServerParams,
-    db: Vec<u64>,
-    answered: bool,
+    db: Cow<'a, [u64]>,
+    blind: Option<Poly>,
 }
 
-impl MsServerCore {
-    /// A core for server `index` holding `db` under `params`.
-    pub fn new(index: usize, params: MultiServerParams, db: Vec<u64>) -> Self {
+impl<'a> MsServerCore<'a> {
+    /// A core for server `index` holding (or borrowing) `db` under
+    /// `params`.
+    pub fn new(index: usize, params: MultiServerParams, db: impl Into<Cow<'a, [u64]>>) -> Self {
         MsServerCore {
-            index,
+            once: AnswerOnce::new(index, "ms-query", "ms-answer"),
             params,
-            db,
-            answered: false,
+            db: db.into(),
+            blind: None,
         }
+    }
+
+    /// With `Some(seed)`, adds the servers' shared blinding polynomial,
+    /// re-derived from their common random input (symmetric privacy,
+    /// \[25\]); `None` leaves the core unblinded.
+    #[must_use]
+    pub fn with_blind(mut self, shared_seed: Option<u64>) -> Self {
+        self.blind = shared_seed.map(|seed| {
+            blinding_poly(
+                &self.params,
+                &mut spfe_crypto::ChaChaRng::from_u64_seed(seed),
+            )
+        });
+        self
     }
 }
 
-impl SessionCore for MsServerCore {
+impl SessionCore for MsServerCore<'_> {
     fn on_message(
         &mut self,
         _half_round: u32,
-        _server: usize,
+        server: usize,
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "ms-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "ms-query",
-                reason: "unexpected message for a multiserver server",
-            });
-        }
-        let query = MsQuery::from_bytes(payload)?;
-        let answer = server_answer(&self.params, &self.db, &query, None)?;
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(
-                self.index,
-                "ms-answer",
-                answer.to_bytes(),
-            )],
-        ))
+        self.once.answer(label, || {
+            let query = MsQuery::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-eval");
+            let blind = self.blind.as_ref().map(|r| (r, server));
+            Ok(server_answer(&self.params, &self.db, &query, blind)?.to_bytes())
+        })
     }
 }
 
@@ -627,8 +620,7 @@ impl SessionCore for MsServerCore {
 #[derive(Debug)]
 pub struct MsClientCore {
     params: MultiServerParams,
-    queries: Option<Vec<MsQuery>>,
-    answers: Vec<Option<u64>>,
+    round: OneRound<MsQuery, u64>,
     result: Option<u64>,
 }
 
@@ -645,12 +637,11 @@ impl MsClientCore {
         indices: &[usize],
         rng: &mut R,
     ) -> Self {
+        let _s = spfe_obs::span("query-gen");
         let queries = client_queries(&params, indices, rng);
-        let k = params.num_servers();
         MsClientCore {
             params,
-            queries: Some(queries),
-            answers: vec![None; k],
+            round: OneRound::new("ms-query", "ms-answer", queries),
             result: None,
         }
     }
@@ -658,18 +649,7 @@ impl MsClientCore {
 
 impl SessionCore for MsClientCore {
     fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let queries = self.queries.take().ok_or(ProtocolError::InvalidMessage {
-            label: "ms-query",
-            reason: "multiserver client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            queries
-                .iter()
-                .enumerate()
-                .map(|(h, q)| OutMsg::to_server(h, "ms-query", q.to_bytes()))
-                .collect(),
-        ))
+        self.round.start()
     }
 
     fn on_message(
@@ -679,19 +659,12 @@ impl SessionCore for MsClientCore {
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "ms-answer" || server >= self.answers.len() || self.answers[server].is_some() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "ms-answer",
-                reason: "unexpected message for the multiserver client",
-            });
-        }
-        self.answers[server] = Some(u64::from_bytes(payload)?);
-        if self.answers.iter().all(Option::is_some) {
-            let answers: Vec<u64> = self.answers.iter().map(|a| a.unwrap()).collect();
-            self.result = Some(client_reconstruct(&self.params, &answers));
-            return Ok((SessionState::Done, Vec::new()));
-        }
-        Ok((SessionState::Running, Vec::new()))
+        let Some(answers) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.result = Some(client_reconstruct(&self.params, &answers));
+        Ok((SessionState::Done, Vec::new()))
     }
 }
 
@@ -701,7 +674,7 @@ impl ClientCore for MsClientCore {
     }
 
     fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "ms-answer").then_some("ms-answer")
+        self.round.static_label(label)
     }
 }
 

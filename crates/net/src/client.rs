@@ -7,7 +7,7 @@
 //! stream and a sequential peer, is server order) — so the metered
 //! transcript, and hence the digest, per-label byte totals, and the
 //! `spfe-view/v1` fingerprints, are byte-identical to the in-memory run
-//! of the same core and to the monolithic driver.
+//! of the same core — which is what the harness driver's `run` pumps.
 //!
 //! [`run_driver`] is the convenience entry point the `spfe-client` binary
 //! and the conformance matrix use: it looks the driver up in
@@ -194,9 +194,9 @@ pub fn run_core<S: Read + Write>(
     Ok((digest, transcript))
 }
 
-/// Runs harness driver `name` over TCP in relay mode: the monolithic
-/// driver plays both parties locally, every message crossing the wire
-/// through the echoing peer.
+/// Runs harness driver `name` over TCP in relay mode: the driver plays
+/// both parties locally, every message crossing the wire through the
+/// echoing peer.
 ///
 /// # Errors
 ///
@@ -333,12 +333,15 @@ pub fn fetch_stats(
 fn connect(addr: &str, deadline: Option<Duration>) -> Result<TcpStream, ProtocolError> {
     let stream =
         TcpStream::connect(addr).map_err(|_| ProtocolError::ServerCrashed { server: 0 })?;
+    // Each burst is a few small frames answered by the peer: without
+    // TCP_NODELAY, Nagle holds the tail frame for the peer's delayed ACK.
     stream
-        .set_read_timeout(deadline)
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(deadline))
         .and_then(|()| stream.set_write_timeout(deadline))
         .map_err(|_| ProtocolError::InvalidMessage {
             label: "net-hello",
-            reason: "could not configure socket deadlines",
+            reason: "could not configure the socket",
         })?;
     Ok(stream)
 }

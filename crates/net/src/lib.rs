@@ -13,9 +13,9 @@
 //!
 //! * [`Server`] — a `TcpListener` accept loop with one thread per
 //!   session, serving both Hello modes: **relay** (echo every frame; the
-//!   blanket adapter that runs all monolithic harness drivers over TCP
-//!   unchanged) and **compute** (host the genuine server state machines
-//!   from `spfe::harness::net_server_cores`).
+//!   blanket adapter that runs every harness driver, both parties in
+//!   process, over TCP unchanged) and **compute** (host the genuine
+//!   server state machines from `spfe::harness::net_server_cores`).
 //! * [`run_core`] / [`run_driver`] — the client side: drive a
 //!   [`spfe_transport::ClientCore`] over a connected stream in the same
 //!   phase order as [`spfe_transport::pump`], metering every frame on a

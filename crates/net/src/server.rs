@@ -398,8 +398,11 @@ fn serve_connection(
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
 ) -> Result<SessionEnd, SessionFailure> {
+    // TCP_NODELAY: replies are small frames the client waits on, which
+    // Nagle would hold for the client's delayed ACK.
     if stream
-        .set_read_timeout(config.read_deadline)
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(config.read_deadline))
         .and_then(|()| stream.set_write_timeout(config.read_deadline))
         .is_err()
     {
@@ -409,7 +412,7 @@ fn serve_connection(
             true,
             ProtocolError::InvalidMessage {
                 label: "net-session",
-                reason: "could not configure socket deadlines",
+                reason: "could not configure the socket",
             },
         ));
     }

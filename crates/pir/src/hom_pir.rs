@@ -11,13 +11,18 @@
 //! Note: the client decrypts its entire row, so this is *plain* PIR; the
 //! SPIR layer that restricts the client to a single item is added in
 //! [`crate::spir`].
+//!
+//! Each party is written once, as a sans-io core (DESIGN.md §15): [`run`]
+//! pumps [`HomPirClientCore`] against a [`HomPirServerCore`] in process,
+//! and the networked server hosts the same server core.
 
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_math::{Nat, RandomSource};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// Matrix layout for a database of `n` items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,7 +234,8 @@ pub fn client_decode<P: HomomorphicPk, S: HomomorphicSk<P>>(
         })
 }
 
-/// Runs the full single-server protocol over a metered channel.
+/// Runs the full single-server protocol over a metered channel: [`pump`]
+/// over a client core and one server core, which borrows `db`.
 ///
 /// # Errors
 ///
@@ -248,51 +254,35 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     let _proto = spfe_obs::span("hompir");
-    let layout = Layout::square(db.len());
-    let q = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(pk, sk, &layout, index, rng)
-    };
-    let q = t.client_to_server(0, "hompir-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        let cols = server_answer(pk, &layout, db, &q)?;
-        answer_to_wire(pk, &cols)
-    };
-    let a = t.server_to_client(0, "hompir-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode(pk, sk, &layout, index, &a)
+    let mut client = HomPirClientCore::new(pk.clone(), sk.clone(), db.len(), index, rng);
+    let server: Box<dyn SessionCore + Send + '_> = Box::new(HomPirServerCore::new(pk.clone(), db));
+    pump(t, &mut client, &mut [server])
 }
-
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15), calling the same
-// client_query/server_answer/client_decode functions as the monolithic
-// [`run`] so every transport produces identical wire bytes and op counts.
-// ---------------------------------------------------------------------------
 
 /// Server half of √n homomorphic PIR as a sans-io state machine.
 #[derive(Debug)]
-pub struct HomPirServerCore<P: HomomorphicPk> {
+pub struct HomPirServerCore<'a, P: HomomorphicPk> {
+    once: AnswerOnce,
     pk: P,
     layout: Layout,
-    db: Vec<u64>,
-    answered: bool,
+    db: Cow<'a, [u64]>,
 }
 
-impl<P: HomomorphicPk> HomPirServerCore<P> {
-    /// A core holding `db` under the square layout for its size.
-    pub fn new(pk: P, db: Vec<u64>) -> Self {
-        let layout = Layout::square(db.len());
+impl<'a, P: HomomorphicPk> HomPirServerCore<'a, P> {
+    /// A core holding (or borrowing) `db` under the square layout for its
+    /// size.
+    pub fn new(pk: P, db: impl Into<Cow<'a, [u64]>>) -> Self {
+        let db = db.into();
         HomPirServerCore {
+            once: AnswerOnce::new(0, "hompir-query", "hompir-answer"),
             pk,
-            layout,
+            layout: Layout::square(db.len()),
             db,
-            answered: false,
         }
     }
 }
 
-impl<P: HomomorphicPk> SessionCore for HomPirServerCore<P> {
+impl<P: HomomorphicPk> SessionCore for HomPirServerCore<'_, P> {
     fn on_message(
         &mut self,
         _half_round: u32,
@@ -300,20 +290,12 @@ impl<P: HomomorphicPk> SessionCore for HomPirServerCore<P> {
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "hompir-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "hompir-query",
-                reason: "unexpected message for a hom_pir server",
-            });
-        }
-        let query = HomPirQuery::from_bytes(payload)?;
-        let columns = server_answer(&self.pk, &self.layout, &self.db, &query)?;
-        let answer = answer_to_wire(&self.pk, &columns);
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(0, "hompir-answer", answer.to_bytes())],
-        ))
+        self.once.answer(label, || {
+            let query = HomPirQuery::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-scan");
+            let columns = server_answer(&self.pk, &self.layout, &self.db, &query)?;
+            Ok(answer_to_wire(&self.pk, &columns).to_bytes())
+        })
     }
 }
 
@@ -324,7 +306,7 @@ pub struct HomPirClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
     sk: S,
     layout: Layout,
     index: usize,
-    query: Option<HomPirQuery>,
+    round: OneRound<HomPirQuery, HomPirAnswer>,
     result: Option<u64>,
 }
 
@@ -343,6 +325,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> HomPirClientCore<P, S> {
         index: usize,
         rng: &mut R,
     ) -> Self {
+        let _s = spfe_obs::span("query-gen");
         let layout = Layout::square(n);
         let query = client_query(&pk, &sk, &layout, index, rng);
         HomPirClientCore {
@@ -350,7 +333,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> HomPirClientCore<P, S> {
             sk,
             layout,
             index,
-            query: Some(query),
+            round: OneRound::new("hompir-query", "hompir-answer", vec![query]),
             result: None,
         }
     }
@@ -358,14 +341,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> HomPirClientCore<P, S> {
 
 impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for HomPirClientCore<P, S> {
     fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let q = self.query.take().ok_or(ProtocolError::InvalidMessage {
-            label: "hompir-query",
-            reason: "hom_pir client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            vec![OutMsg::to_server(0, "hompir-query", q.to_bytes())],
-        ))
+        self.round.start()
     }
 
     fn on_message(
@@ -375,19 +351,16 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for HomPirClientCore<P, 
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "hompir-answer" || server != 0 || self.result.is_some() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "hompir-answer",
-                reason: "unexpected message for the hom_pir client",
-            });
-        }
-        let answer = HomPirAnswer::from_bytes(payload)?;
+        let Some(answers) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
         self.result = Some(client_decode(
             &self.pk,
             &self.sk,
             &self.layout,
             self.index,
-            &answer,
+            &answers[0],
         )?);
         Ok((SessionState::Done, Vec::new()))
     }
@@ -399,7 +372,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for HomPirClientCore<P, S
     }
 
     fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "hompir-answer").then_some("hompir-answer")
+        self.round.static_label(label)
     }
 }
 

@@ -13,13 +13,18 @@
 //! With the symmetric-privacy extension of \[25\], servers share a random
 //! degree-`ℓt` polynomial `R` with `R(0) = 0` and reply `P₀(c(α_h)) + R(α_h)`
 //! so the client learns *only* `x_i` (SPIR).
+//!
+//! Each party is written once, as a sans-io core (DESIGN.md §15): [`run`]
+//! pumps [`PolyItClientCore`] against [`server_cores`] in process, and the
+//! networked server hosts the same server cores.
 
 use spfe_circuits::formula::{encode_index, index_bits, selector_eval};
 use spfe_math::{Fp64, Poly, RandomSource};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// Parameters of the scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +165,10 @@ pub fn client_reconstruct(params: &PolyItParams, answers: &[u64]) -> u64 {
     Poly::interpolate_at(&xs, &answers[..k], 0, params.field)
 }
 
-/// Runs the full protocol over a metered channel (plain PIR).
+/// Runs the full protocol over a metered channel: [`pump`] over a client
+/// core and the `k` server cores, which borrow `db`. With
+/// `shared_seed = Some(s)` the servers add the \[25\]-style blinding
+/// derived from `s` (SPIR: the client learns only `x_i`).
 ///
 /// # Errors
 ///
@@ -174,134 +182,85 @@ pub fn run<R: RandomSource + ?Sized>(
     params: &PolyItParams,
     db: &[u64],
     index: usize,
+    shared_seed: Option<u64>,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     assert_eq!(t.num_servers(), params.num_servers());
     let _proto = spfe_obs::span("polyit");
-    let queries = {
-        let _s = spfe_obs::span("query-gen");
-        client_queries(params, index, rng)
-    };
-    let received: Vec<PolyItQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "polyit-query", q))
-        .collect::<Result<_, _>>()?;
-    let answers: Vec<u64> = {
-        let _s = spfe_obs::span("server-scan");
-        received
-            .iter()
-            .enumerate()
-            .map(|(h, q)| {
-                let a = server_answer(params, db, q)?;
-                t.server_to_client(h, "polyit-answer", &a)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let _s = spfe_obs::span("reconstruct");
-    Ok(client_reconstruct(params, &answers))
+    let mut client = PolyItClientCore::new(*params, index, rng);
+    pump(t, &mut client, &mut server_cores(params, db, shared_seed))
 }
 
-/// Runs the full protocol with \[25\]-style symmetric privacy (SPIR): the
-/// servers derive a shared blinding polynomial from `shared_seed`.
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed message.
-///
-/// # Panics
-///
-/// Panics if the channel server count is not `k` (a driver bug).
-pub fn run_symmetric<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
+/// The `k` server cores over `db` (borrowed in process, owned when a
+/// networked server hosts them), blinded from `shared_seed` if given.
+pub fn server_cores<'a>(
     params: &PolyItParams,
-    db: &[u64],
-    index: usize,
-    shared_seed: u64,
-    rng: &mut R,
-) -> Result<u64, ProtocolError> {
-    assert_eq!(t.num_servers(), params.num_servers());
-    let _proto = spfe_obs::span("polyit-sym");
-    let queries = {
-        let _s = spfe_obs::span("query-gen");
-        client_queries(params, index, rng)
-    };
-    let received: Vec<PolyItQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "polyit-query", q))
-        .collect::<Result<_, _>>()?;
-    let answers: Vec<u64> = {
-        let _s = spfe_obs::span("server-scan");
-        received
-            .iter()
-            .enumerate()
-            .map(|(h, q)| {
-                // Each server re-derives the same R from the common random input.
-                let mut server_rng = spfe_crypto::ChaChaRng::from_u64_seed(shared_seed);
-                let blind = blinding_poly(params, &mut server_rng);
-                let a = server_answer_blinded(params, db, q, &blind, h)?;
-                t.server_to_client(h, "polyit-answer", &a)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let _s = spfe_obs::span("reconstruct");
-    Ok(client_reconstruct(params, &answers))
+    db: impl Into<Cow<'a, [u64]>>,
+    shared_seed: Option<u64>,
+) -> Vec<Box<dyn SessionCore + Send + 'a>> {
+    let db = db.into();
+    (0..params.num_servers())
+        .map(|h| {
+            let core = PolyItServerCore::new(h, *params, db.clone()).with_blind(shared_seed);
+            Box::new(core) as Box<dyn SessionCore + Send + 'a>
+        })
+        .collect()
 }
-
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15) for the plain (unblinded) scheme
-// — the configuration the conformance harness runs. They call the same
-// client_queries/server_answer/client_reconstruct as the monolithic
-// [`run`], so every transport yields identical bytes and op counts.
-// ---------------------------------------------------------------------------
 
 /// Server `h` of the k-server interpolation PIR as a sans-io machine.
 #[derive(Debug)]
-pub struct PolyItServerCore {
-    index: usize,
+pub struct PolyItServerCore<'a> {
+    once: AnswerOnce,
     params: PolyItParams,
-    db: Vec<u64>,
-    answered: bool,
+    db: Cow<'a, [u64]>,
+    blind: Option<Poly>,
 }
 
-impl PolyItServerCore {
-    /// A core for server `index` holding `db` under `params`.
-    pub fn new(index: usize, params: PolyItParams, db: Vec<u64>) -> Self {
+impl<'a> PolyItServerCore<'a> {
+    /// A core for server `index` holding (or borrowing) `db` under
+    /// `params`.
+    pub fn new(index: usize, params: PolyItParams, db: impl Into<Cow<'a, [u64]>>) -> Self {
         PolyItServerCore {
-            index,
+            once: AnswerOnce::new(index, "polyit-query", "polyit-answer"),
             params,
-            db,
-            answered: false,
+            db: db.into(),
+            blind: None,
         }
+    }
+
+    /// With `Some(seed)`, adds the servers' shared blinding polynomial,
+    /// re-derived from their common random input (symmetric privacy,
+    /// \[25\]); `None` leaves the core unblinded.
+    #[must_use]
+    pub fn with_blind(mut self, shared_seed: Option<u64>) -> Self {
+        self.blind = shared_seed.map(|seed| {
+            blinding_poly(
+                &self.params,
+                &mut spfe_crypto::ChaChaRng::from_u64_seed(seed),
+            )
+        });
+        self
     }
 }
 
-impl SessionCore for PolyItServerCore {
+impl SessionCore for PolyItServerCore<'_> {
     fn on_message(
         &mut self,
         _half_round: u32,
-        _server: usize,
+        server: usize,
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "polyit-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "polyit-query",
-                reason: "unexpected message for a poly_it server",
-            });
-        }
-        let query = PolyItQuery::from_bytes(payload)?;
-        let answer = server_answer(&self.params, &self.db, &query)?;
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(
-                self.index,
-                "polyit-answer",
-                answer.to_bytes(),
-            )],
-        ))
+        self.once.answer(label, || {
+            let query = PolyItQuery::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-scan");
+            let (params, db) = (&self.params, &self.db);
+            Ok(match &self.blind {
+                None => server_answer(params, db, &query)?,
+                Some(blind) => server_answer_blinded(params, db, &query, blind, server)?,
+            }
+            .to_bytes())
+        })
     }
 }
 
@@ -310,8 +269,7 @@ impl SessionCore for PolyItServerCore {
 #[derive(Debug)]
 pub struct PolyItClientCore {
     params: PolyItParams,
-    queries: Option<Vec<PolyItQuery>>,
-    answers: Vec<Option<u64>>,
+    round: OneRound<PolyItQuery, u64>,
     result: Option<u64>,
 }
 
@@ -322,12 +280,11 @@ impl PolyItClientCore {
     ///
     /// Panics if `index` does not fit in the parameters' `ℓ` bits.
     pub fn new<R: RandomSource + ?Sized>(params: PolyItParams, index: usize, rng: &mut R) -> Self {
+        let _s = spfe_obs::span("query-gen");
         let queries = client_queries(&params, index, rng);
-        let k = params.num_servers();
         PolyItClientCore {
             params,
-            queries: Some(queries),
-            answers: vec![None; k],
+            round: OneRound::new("polyit-query", "polyit-answer", queries),
             result: None,
         }
     }
@@ -335,18 +292,7 @@ impl PolyItClientCore {
 
 impl SessionCore for PolyItClientCore {
     fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let queries = self.queries.take().ok_or(ProtocolError::InvalidMessage {
-            label: "polyit-query",
-            reason: "poly_it client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            queries
-                .iter()
-                .enumerate()
-                .map(|(h, q)| OutMsg::to_server(h, "polyit-query", q.to_bytes()))
-                .collect(),
-        ))
+        self.round.start()
     }
 
     fn on_message(
@@ -356,22 +302,12 @@ impl SessionCore for PolyItClientCore {
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "polyit-answer"
-            || server >= self.answers.len()
-            || self.answers[server].is_some()
-        {
-            return Err(ProtocolError::InvalidMessage {
-                label: "polyit-answer",
-                reason: "unexpected message for the poly_it client",
-            });
-        }
-        self.answers[server] = Some(u64::from_bytes(payload)?);
-        if self.answers.iter().all(Option::is_some) {
-            let answers: Vec<u64> = self.answers.iter().map(|a| a.unwrap()).collect();
-            self.result = Some(client_reconstruct(&self.params, &answers));
-            return Ok((SessionState::Done, Vec::new()));
-        }
-        Ok((SessionState::Running, Vec::new()))
+        let Some(answers) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.result = Some(client_reconstruct(&self.params, &answers));
+        Ok((SessionState::Done, Vec::new()))
     }
 }
 
@@ -381,7 +317,7 @@ impl ClientCore for PolyItClientCore {
     }
 
     fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "polyit-answer").then_some("polyit-answer")
+        self.round.static_label(label)
     }
 }
 
@@ -431,7 +367,7 @@ mod tests {
             for i in 0..database.len() {
                 let mut tr = Transcript::new(params.num_servers());
                 assert_eq!(
-                    run(&mut tr, &params, &database, i, &mut rng).unwrap(),
+                    run(&mut tr, &params, &database, i, None, &mut rng).unwrap(),
                     database[i],
                     "t={t_priv} i={i}"
                 );
@@ -452,7 +388,7 @@ mod tests {
         let database = db(16);
         let params = PolyItParams::new(database.len(), 1, field());
         let mut tr = Transcript::new(params.num_servers());
-        run(&mut tr, &params, &database, 3, &mut rng).unwrap();
+        run(&mut tr, &params, &database, 3, None, &mut rng).unwrap();
         assert_eq!(tr.report().half_rounds, 2);
     }
 
@@ -495,8 +431,18 @@ mod tests {
         let database = db(8);
         let params = PolyItParams::new(database.len(), 1, field());
         let mut tr = Transcript::new(params.num_servers());
-        let got = run_symmetric(&mut tr, &params, &database, 5, 0x5EED, &mut rng).unwrap();
+        let got = run(&mut tr, &params, &database, 5, Some(0x5EED), &mut rng).unwrap();
         assert_eq!(got, database[5]);
+        // The blinding lives in the server cores: blinded cores answer the
+        // same query differently from plain ones.
+        let query = client_queries(&params, 5, &mut rng)[0].to_bytes();
+        let answer = |seed| {
+            let (_, out) = server_cores(&params, &database[..], seed)[0]
+                .on_message(1, 0, "polyit-query", &query)
+                .unwrap();
+            out[0].payload.clone()
+        };
+        assert_ne!(answer(None), answer(Some(0x5EED)), "blinding had no effect");
     }
 
     #[test]
@@ -531,7 +477,7 @@ mod tests {
             let database = db(n);
             let params = PolyItParams::new(n, 1, f);
             let mut tr = Transcript::new(params.num_servers());
-            run(&mut tr, &params, &database, 1, &mut rng).unwrap();
+            run(&mut tr, &params, &database, 1, None, &mut rng).unwrap();
             bytes.push(tr.report().total_bytes());
         }
         // k·ℓ grows ~ quadratically in ℓ; just check monotone growth and

@@ -6,12 +6,17 @@
 //! server's view is a uniformly random subset — information-theoretic
 //! client privacy against one server. Communication: `n` bits up and one
 //! item down, per server.
+//!
+//! Each party is written once, as a sans-io core (DESIGN.md §15): [`run`]
+//! pumps [`Xor2ClientCore`] against [`server_cores`] in process, and the
+//! networked server hosts the same server cores.
 
 use spfe_math::RandomSource;
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// A query: a subset of `[n]` as a packed bitmask.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,7 +126,8 @@ pub fn client_combine(a1: &[u8], a2: &[u8]) -> Result<Vec<u8>, ProtocolError> {
 }
 
 /// Runs the full 2-server protocol over a metered channel, returning the
-/// retrieved item.
+/// retrieved item: [`pump`] over a client core and both server cores,
+/// which borrow `db`.
 ///
 /// # Errors
 ///
@@ -139,50 +145,41 @@ pub fn run<R: RandomSource + ?Sized>(
 ) -> Result<Vec<u8>, ProtocolError> {
     assert_eq!(t.num_servers(), 2, "xor2 PIR needs exactly 2 servers");
     let _proto = spfe_obs::span("pir2");
-    let (q1, q2) = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(db.len(), index, rng)
-    };
-    let q1 = t.client_to_server(0, "pir2-query", &q1)?;
-    let q2 = t.client_to_server(1, "pir2-query", &q2)?;
-    let (a1, a2) = {
-        let _s = spfe_obs::span("server-scan");
-        (server_answer(db, &q1)?, server_answer(db, &q2)?)
-    };
-    let a1 = t.server_to_client(0, "pir2-answer", &a1)?;
-    let a2 = t.server_to_client(1, "pir2-answer", &a2)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_combine(&a1, &a2)
+    let mut client = Xor2ClientCore::new(db.len(), index, rng);
+    pump(t, &mut client, &mut server_cores(db))?;
+    Ok(client.item.expect("pump returns once the item is combined"))
 }
 
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15). The cores call exactly the
-// client_query/server_answer/client_combine functions the monolithic
-// [`run`] calls, so a pumped or networked execution produces the same
-// wire bytes and deterministic op counts as an in-memory run.
-// ---------------------------------------------------------------------------
+/// The two server cores over `db`: borrowed in process, owned when a
+/// networked server hosts them.
+pub fn server_cores<'a>(
+    db: impl Into<Cow<'a, [Vec<u8>]>>,
+) -> Vec<Box<dyn SessionCore + Send + 'a>> {
+    let db = db.into();
+    (0..2)
+        .map(|i| Box::new(Xor2ServerCore::new(i, db.clone())) as Box<dyn SessionCore + Send + 'a>)
+        .collect()
+}
 
 /// Server half of 2-server XOR PIR as a sans-io state machine: one query
 /// in, one answer out.
 #[derive(Debug)]
-pub struct Xor2ServerCore {
-    index: usize,
-    db: Vec<Vec<u8>>,
-    answered: bool,
+pub struct Xor2ServerCore<'a> {
+    once: AnswerOnce,
+    db: Cow<'a, [Vec<u8>]>,
 }
 
-impl Xor2ServerCore {
-    /// A core for server `index` holding `db`.
-    pub fn new(index: usize, db: Vec<Vec<u8>>) -> Self {
+impl<'a> Xor2ServerCore<'a> {
+    /// A core for server `index` holding (or borrowing) `db`.
+    pub fn new(index: usize, db: impl Into<Cow<'a, [Vec<u8>]>>) -> Self {
         Xor2ServerCore {
-            index,
-            db,
-            answered: false,
+            once: AnswerOnce::new(index, "pir2-query", "pir2-answer"),
+            db: db.into(),
         }
     }
 }
 
-impl SessionCore for Xor2ServerCore {
+impl SessionCore for Xor2ServerCore<'_> {
     fn on_message(
         &mut self,
         _half_round: u32,
@@ -190,23 +187,11 @@ impl SessionCore for Xor2ServerCore {
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "pir2-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "pir2-query",
-                reason: "unexpected message for a xor2 server",
-            });
-        }
-        let query = Xor2Query::from_bytes(payload)?;
-        let answer = server_answer(&self.db, &query)?;
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(
-                self.index,
-                "pir2-answer",
-                answer.to_bytes(),
-            )],
-        ))
+        self.once.answer(label, || {
+            let query = Xor2Query::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-scan");
+            Ok(server_answer(&self.db, &query)?.to_bytes())
+        })
     }
 }
 
@@ -214,8 +199,7 @@ impl SessionCore for Xor2ServerCore {
 /// the two answers. All randomness is consumed at construction.
 #[derive(Debug)]
 pub struct Xor2ClientCore {
-    queries: Option<(Xor2Query, Xor2Query)>,
-    answers: [Option<Vec<u8>>; 2],
+    round: OneRound<Xor2Query, Vec<u8>>,
     item: Option<Vec<u8>>,
 }
 
@@ -226,9 +210,10 @@ impl Xor2ClientCore {
     ///
     /// Panics if `index >= n` or `n == 0`.
     pub fn new<R: RandomSource + ?Sized>(n: usize, index: usize, rng: &mut R) -> Self {
+        let _s = spfe_obs::span("query-gen");
+        let (q1, q2) = client_query(n, index, rng);
         Xor2ClientCore {
-            queries: Some(client_query(n, index, rng)),
-            answers: [None, None],
+            round: OneRound::new("pir2-query", "pir2-answer", vec![q1, q2]),
             item: None,
         }
     }
@@ -241,17 +226,7 @@ impl Xor2ClientCore {
 
 impl SessionCore for Xor2ClientCore {
     fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let (q1, q2) = self.queries.take().ok_or(ProtocolError::InvalidMessage {
-            label: "pir2-query",
-            reason: "xor2 client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            vec![
-                OutMsg::to_server(0, "pir2-query", q1.to_bytes()),
-                OutMsg::to_server(1, "pir2-query", q2.to_bytes()),
-            ],
-        ))
+        self.round.start()
     }
 
     fn on_message(
@@ -261,18 +236,12 @@ impl SessionCore for Xor2ClientCore {
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "pir2-answer" || server > 1 || self.answers[server].is_some() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "pir2-answer",
-                reason: "unexpected message for the xor2 client",
-            });
-        }
-        self.answers[server] = Some(Vec::<u8>::from_bytes(payload)?);
-        if let [Some(a1), Some(a2)] = &self.answers {
-            self.item = Some(client_combine(a1, a2)?);
-            return Ok((SessionState::Done, Vec::new()));
-        }
-        Ok((SessionState::Running, Vec::new()))
+        let Some(answers) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.item = Some(client_combine(&answers[0], &answers[1])?);
+        Ok((SessionState::Done, Vec::new()))
     }
 }
 
@@ -286,7 +255,7 @@ impl ClientCore for Xor2ClientCore {
     }
 
     fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "pir2-answer").then_some("pir2-answer")
+        self.round.static_label(label)
     }
 }
 

@@ -91,11 +91,6 @@ pub fn db27_v(v: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The canonical 16×4-byte XOR-PIR database (variant 0 of [`xor_db_v`]).
-pub fn xor_db() -> Vec<Vec<u8>> {
-    xor_db_v(0)
-}
-
 /// A 16-record byte database whose contents vary with the secret variant.
 pub fn xor_db_v(v: usize) -> Vec<Vec<u8>> {
     assert!(v < NUM_VARIANTS);
@@ -152,18 +147,30 @@ pub struct Driver {
     pub expect_variant: fn(usize) -> u64,
 }
 
+/// A cored driver's inputs under a secret variant: the client's rng, the
+/// database and the client's index (or index set). The in-process driver,
+/// its expected digest and the networked cores ([`net_client_core`],
+/// [`net_server_cores`]) all read them from its `*_inputs` function.
+type Inputs<D, I> = (ChaChaRng, D, I);
+
+fn xor2_inputs(v: usize) -> Inputs<Vec<Vec<u8>>, usize> {
+    let rng = ChaChaRng::from_u64_seed(0xA0);
+    (rng, xor_db_v(v), idx16(v, [5, 3, 12]))
+}
+
+fn byte_sum(item: &[u8]) -> u64 {
+    item.iter().map(|&b| u64::from(b)).sum()
+}
+
 /// xor2 variant `v`: two-server XOR PIR; the record index is the secret.
 pub fn drv_xor2_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA0);
-    let item = xor2::run(t, &xor_db_v(v), idx16(v, [5, 3, 12]), &mut rng)?;
-    Ok(item.iter().map(|&b| b as u64).sum())
+    let (mut rng, db, index) = xor2_inputs(v);
+    Ok(byte_sum(&xor2::run(t, &db, index, &mut rng)?))
 }
 
 fn expect_xor2(v: usize) -> u64 {
-    xor_db_v(v)[idx16(v, [5, 3, 12])]
-        .iter()
-        .map(|&b| b as u64)
-        .sum()
+    let (_, db, index) = xor2_inputs(v);
+    byte_sum(&db[index])
 }
 
 /// The canonical xor2 run.
@@ -171,21 +178,20 @@ pub fn drv_xor2(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
     drv_xor2_v(t, 0)
 }
 
+fn hom_pir_inputs(v: usize) -> Inputs<Vec<u64>, usize> {
+    let rng = ChaChaRng::from_u64_seed(0xA1);
+    (rng, db16_v(v), idx16(v, [9, 0, 15]))
+}
+
 /// hom_pir variant `v`: √n homomorphic PIR; index and db are the secrets.
 pub fn drv_hom_pir_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA1);
-    hom_pir::run(
-        t,
-        &fx().pk,
-        &fx().sk,
-        &db16_v(v),
-        idx16(v, [9, 0, 15]),
-        &mut rng,
-    )
+    let (mut rng, db, index) = hom_pir_inputs(v);
+    hom_pir::run(t, &fx().pk, &fx().sk, &db, index, &mut rng)
 }
 
 fn expect_hom_pir(v: usize) -> u64 {
-    db16_v(v)[idx16(v, [9, 0, 15])]
+    let (_, db, index) = hom_pir_inputs(v);
+    db[index]
 }
 
 /// The canonical hom_pir run.
@@ -261,14 +267,20 @@ pub fn drv_batched(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
     drv_batched_v(t, 0)
 }
 
+fn poly_it_inputs(v: usize) -> Inputs<Vec<u64>, usize> {
+    let rng = ChaChaRng::from_u64_seed(0xA5);
+    (rng, db16_v(v), idx16(v, [5, 8, 2]))
+}
+
 /// poly_it variant `v`: polynomial-interpolation PIR.
 pub fn drv_poly_it_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA5);
-    poly_it::run(t, &poly_params(), &db16_v(v), idx16(v, [5, 8, 2]), &mut rng)
+    let (mut rng, db, index) = poly_it_inputs(v);
+    poly_it::run(t, &poly_params(), &db, index, None, &mut rng)
 }
 
 fn expect_poly_it(v: usize) -> u64 {
-    db16_v(v)[idx16(v, [5, 8, 2])]
+    let (_, db, index) = poly_it_inputs(v);
+    db[index]
 }
 
 /// The canonical poly_it run.
@@ -281,17 +293,20 @@ pub fn poly_params() -> PolyItParams {
     PolyItParams::new(16, 1, field())
 }
 
-const MS_INDICES: [[usize; 2]; NUM_VARIANTS] = [[3, 10], [0, 15], [6, 7]];
+fn ms_inputs(v: usize) -> Inputs<Vec<u64>, [usize; 2]> {
+    let rng = ChaChaRng::from_u64_seed(0xA6);
+    (rng, db16_v(v), [[3, 10], [0, 15], [6, 7]][v])
+}
 
 /// multiserver variant `v`: Theorem 2 multi-server SPFE, f = sum.
 pub fn drv_multiserver_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA6);
-    multiserver::run(t, &ms_params(), &db16_v(v), &MS_INDICES[v], None, &mut rng)
+    let (mut rng, db, index) = ms_inputs(v);
+    multiserver::run(t, &ms_params(), &db, &index, None, &mut rng)
 }
 
 fn expect_multiserver(v: usize) -> u64 {
-    let db = db16_v(v);
-    (db[MS_INDICES[v][0]] + db[MS_INDICES[v][1]]) % field().modulus()
+    let (_, db, index) = ms_inputs(v);
+    (db[index[0]] + db[index[1]]) % field().modulus()
 }
 
 /// The canonical multiserver run.
@@ -588,11 +603,9 @@ pub fn drivers() -> Vec<Driver> {
 }
 
 // ---------------------------------------------------------------------------
-// Networked-service wiring (DESIGN.md §15): the sans-io state machines of
-// the PIR/multiserver driver family, constructed with the *same* seeds,
-// databases, and indices as the canonical monolithic drivers above — so a
-// socket compute-mode run reproduces the canonical digest and transcript
-// byte-for-byte.
+// Networked-service wiring (DESIGN.md §15): the canonical (variant-0)
+// inputs of the cored drivers, as the client and server cores their
+// in-process `run` pumps.
 // ---------------------------------------------------------------------------
 
 /// The drivers with genuine sans-io state machines ([`net_server_cores`] /
@@ -604,67 +617,50 @@ pub const NET_CORE_DRIVERS: &[&str] = &["xor2", "hom_pir", "poly_it", "multiserv
 /// one per logical server; `None` for drivers without an extracted core.
 pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> {
     Some(match name {
-        "xor2" => (0..2)
-            .map(|i| {
-                Box::new(xor2::Xor2ServerCore::new(i, xor_db())) as Box<dyn SessionCore + Send>
-            })
-            .collect(),
+        "xor2" => xor2::server_cores(xor2_inputs(0).1),
         "hom_pir" => vec![Box::new(hom_pir::HomPirServerCore::new(
             fx().pk.clone(),
-            db16(),
+            hom_pir_inputs(0).1,
         ))],
-        "poly_it" => {
-            let params = poly_params();
-            (0..params.num_servers())
-                .map(|i| {
-                    Box::new(poly_it::PolyItServerCore::new(i, params, db16()))
-                        as Box<dyn SessionCore + Send>
-                })
-                .collect()
-        }
-        "multiserver" => {
-            let params = ms_params();
-            (0..params.num_servers())
-                .map(|i| {
-                    Box::new(multiserver::MsServerCore::new(i, params.clone(), db16()))
-                        as Box<dyn SessionCore + Send>
-                })
-                .collect()
-        }
+        "poly_it" => poly_it::server_cores(&poly_params(), poly_it_inputs(0).1, None),
+        "multiserver" => multiserver::server_cores(&ms_params(), ms_inputs(0).1, None),
         _ => return None,
     })
 }
 
-/// The client state machine for driver `name`'s canonical run (same rng
-/// seed, index, and database as the monolithic driver, so the digest —
-/// and the transcript — are identical); `None` for drivers without an
-/// extracted core.
+/// The client state machine for driver `name`'s canonical run, so its
+/// digest and transcript are those of the in-process driver; `None` for
+/// drivers without an extracted core.
 pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
     Some(match name {
         "xor2" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA0);
-            Box::new(xor2::Xor2ClientCore::new(16, 5, &mut rng)) as Box<dyn ClientCore>
+            let (mut rng, db, index) = xor2_inputs(0);
+            Box::new(xor2::Xor2ClientCore::new(db.len(), index, &mut rng)) as Box<dyn ClientCore>
         }
         "hom_pir" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA1);
+            let (mut rng, db, index) = hom_pir_inputs(0);
             let f = fx();
             Box::new(hom_pir::HomPirClientCore::new(
                 f.pk.clone(),
                 f.sk.clone(),
-                16,
-                9,
+                db.len(),
+                index,
                 &mut rng,
             ))
         }
         "poly_it" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA5);
-            Box::new(poly_it::PolyItClientCore::new(poly_params(), 5, &mut rng))
+            let (mut rng, _, index) = poly_it_inputs(0);
+            Box::new(poly_it::PolyItClientCore::new(
+                poly_params(),
+                index,
+                &mut rng,
+            ))
         }
         "multiserver" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA6);
+            let (mut rng, _, index) = ms_inputs(0);
             Box::new(multiserver::MsClientCore::new(
                 ms_params(),
-                &MS_INDICES[0],
+                &index,
                 &mut rng,
             ))
         }

@@ -31,6 +31,6 @@ pub use fault::{FaultAction, FaultPlan, FaultyChannel, TamperHook, DEFAULT_TIMEO
 pub use frame::{Frame, FrameKind, HEADER_LEN, MAGIC, MAX_LABEL_LEN, MAX_PAYLOAD_LEN, VERSION};
 pub use lamport::Lamport;
 pub use meter::{CommReport, Direction, FlowMeter, MessageRecord, Transcript};
-pub use session::{pump, ClientCore, OutMsg, SessionCore, SessionState};
+pub use session::{pump, AnswerOnce, ClientCore, OneRound, OutMsg, SessionCore, SessionState};
 pub use socket::{SessionMode, SocketChannel};
 pub use wire::{Reader, Wire, WireError};

@@ -11,16 +11,18 @@
 //! produce byte-identical transcripts.
 //!
 //! [`pump`] is the in-memory driver: it runs a client core against a set
-//! of server cores over any [`Channel`], delivering messages in the same
-//! phase order as the monolithic `run()` functions (all client → server
-//! messages of a burst, then all server replies in server order), so the
-//! metered half-round structure — and hence every audit fingerprint —
-//! matches the monolithic execution exactly.
+//! of server cores over any [`Channel`], phase by phase (all client →
+//! server messages of a burst, then all server replies in server order).
+//! A protocol's in-process `run()` is `pump` over its cores, and the
+//! networked client delivers in the same order, so the metered half-round
+//! structure — and hence every audit fingerprint — is one and the same
+//! in memory and over a socket.
 
 use crate::channel::{deliver_with_retry, Channel};
 use crate::error::ProtocolError;
 use crate::lamport::Lamport;
 use crate::meter::Direction;
+use crate::wire::Wire;
 
 /// Where a session core stands after processing a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +40,7 @@ pub struct OutMsg {
     pub server: usize,
     /// Direction (`true` = client → server).
     pub client_to_server: bool,
-    /// Protocol label (the same label the monolithic driver meters).
+    /// Protocol label (the label the transcript meters).
     pub label: &'static str,
     /// The `Wire` encoding of the protocol message.
     pub payload: Vec<u8>,
@@ -100,6 +102,124 @@ pub trait SessionCore {
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError>;
 }
 
+/// The message discipline of a one-round server core: exactly one
+/// `query`-labelled message in, one `reply`-labelled answer out.
+#[derive(Debug)]
+pub struct AnswerOnce {
+    server: usize,
+    query: &'static str,
+    reply: &'static str,
+    answered: bool,
+}
+
+impl AnswerOnce {
+    /// Server `server`'s discipline for the `query` → `reply` exchange.
+    pub fn new(server: usize, query: &'static str, reply: &'static str) -> Self {
+        AnswerOnce {
+            server,
+            query,
+            reply,
+            answered: false,
+        }
+    }
+
+    /// Answers the one query with the bytes `answer` produces.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidMessage`] for a foreign label or a second
+    /// query; any error of `answer`.
+    pub fn answer(
+        &mut self,
+        label: &str,
+        answer: impl FnOnce() -> Result<Vec<u8>, ProtocolError>,
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if label != self.query || self.answered {
+            return Err(ProtocolError::InvalidMessage {
+                label: self.query,
+                reason: "unexpected message for a one-round server",
+            });
+        }
+        let payload = answer()?;
+        self.answered = true;
+        let reply = OutMsg::to_client(self.server, self.reply, payload);
+        Ok((SessionState::Done, vec![reply]))
+    }
+}
+
+/// The message discipline of a one-round client core: one `query`
+/// message `Q` to each server at start, then one `reply` from each
+/// server, decoded as `A`.
+#[derive(Debug)]
+pub struct OneRound<Q, A> {
+    query: &'static str,
+    reply: &'static str,
+    queries: Option<Vec<Q>>,
+    answers: Vec<Option<A>>,
+}
+
+impl<Q: Wire, A: Wire> OneRound<Q, A> {
+    /// A round sending `queries[h]` to server `h`.
+    pub fn new(query: &'static str, reply: &'static str, queries: Vec<Q>) -> Self {
+        let answers = queries.iter().map(|_| None).collect();
+        OneRound {
+            query,
+            reply,
+            queries: Some(queries),
+            answers,
+        }
+    }
+
+    /// The opening burst: every query, encoded.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidMessage`] if the round was already started.
+    pub fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let queries = self.queries.take().ok_or(ProtocolError::InvalidMessage {
+            label: self.query,
+            reason: "client core started twice",
+        })?;
+        let outs = queries
+            .iter()
+            .enumerate()
+            .map(|(h, q)| OutMsg::to_server(h, self.query, q.to_bytes()))
+            .collect();
+        Ok((SessionState::Running, outs))
+    }
+
+    /// Records server `server`'s reply; once every server has replied,
+    /// returns all answers in server order.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::InvalidMessage`] for a foreign label, an unknown
+    /// server or a second reply; a decode error for malformed bytes.
+    pub fn receive(
+        &mut self,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<Option<Vec<A>>, ProtocolError> {
+        if label != self.reply || self.answers.get(server).is_none_or(Option::is_some) {
+            return Err(ProtocolError::InvalidMessage {
+                label: self.reply,
+                reason: "unexpected message for a one-round client",
+            });
+        }
+        self.answers[server] = Some(A::from_bytes(payload)?);
+        if !self.answers.iter().all(Option::is_some) {
+            return Ok(None);
+        }
+        Ok(std::mem::take(&mut self.answers).into_iter().collect())
+    }
+
+    /// [`ClientCore::static_label`] for this round's reply label.
+    pub fn static_label(&self, label: &str) -> Option<&'static str> {
+        (label == self.reply).then_some(self.reply)
+    }
+}
+
 /// A client-side [`SessionCore`] that reduces the protocol result to the
 /// `u64` digest convention the conformance harness uses.
 pub trait ClientCore: SessionCore {
@@ -115,11 +235,10 @@ pub trait ClientCore: SessionCore {
 
 /// Runs a client core against its server cores over any [`Channel`],
 /// phase-synchronized: each burst delivers every client → server message
-/// (feeding the server cores), then every server reply in server order —
-/// the exact delivery order of the monolithic `run()` functions, so the
-/// metered transcript is byte-identical to theirs. Transient transport
-/// faults are retried with the same bounded policy as
-/// [`crate::ChannelExt`].
+/// (feeding the server cores), then every server reply in server order.
+/// Server cores may borrow their data (`'_`), so an in-process run need
+/// not copy a database per server. Transient transport faults are retried
+/// with the same bounded policy as [`crate::ChannelExt`].
 ///
 /// # Errors
 ///
@@ -129,7 +248,7 @@ pub trait ClientCore: SessionCore {
 pub fn pump(
     ch: &mut dyn Channel,
     client: &mut dyn ClientCore,
-    servers: &mut [Box<dyn SessionCore + Send>],
+    servers: &mut [Box<dyn SessionCore + Send + '_>],
 ) -> Result<u64, ProtocolError> {
     for s in servers.iter_mut() {
         // Server cores may not speak first in this driver family.
@@ -208,23 +327,17 @@ pub fn pump(
 mod tests {
     use super::*;
     use crate::meter::Transcript;
-    use crate::wire::Wire;
 
     /// Toy protocol: client sends `x` to each server, server replies
     /// `x + server`, client sums the replies.
     struct ToyClient {
-        x: u64,
-        k: usize,
-        got: Vec<Option<u64>>,
+        round: OneRound<u64, u64>,
         sum: Option<u64>,
     }
 
     impl SessionCore for ToyClient {
         fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-            let outs = (0..self.k)
-                .map(|s| OutMsg::to_server(s, "toy-q", self.x.to_bytes()))
-                .collect();
-            Ok((SessionState::Running, outs))
+            self.round.start()
         }
 
         fn on_message(
@@ -234,14 +347,11 @@ mod tests {
             label: &str,
             payload: &[u8],
         ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-            assert_eq!(label, "toy-a");
-            let v = u64::from_bytes(payload)?;
-            self.got[server] = Some(v);
-            if self.got.iter().all(Option::is_some) {
-                self.sum = Some(self.got.iter().map(|v| v.unwrap()).sum());
-                return Ok((SessionState::Done, Vec::new()));
-            }
-            Ok((SessionState::Running, Vec::new()))
+            let Some(answers) = self.round.receive(server, label, payload)? else {
+                return Ok((SessionState::Running, Vec::new()));
+            };
+            self.sum = Some(answers.iter().sum());
+            Ok((SessionState::Done, Vec::new()))
         }
     }
 
@@ -250,12 +360,12 @@ mod tests {
             self.sum
         }
         fn static_label(&self, label: &str) -> Option<&'static str> {
-            (label == "toy-a").then_some("toy-a")
+            self.round.static_label(label)
         }
     }
 
     struct ToyServer {
-        index: usize,
+        once: AnswerOnce,
     }
 
     impl SessionCore for ToyServer {
@@ -266,28 +376,49 @@ mod tests {
             label: &str,
             payload: &[u8],
         ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-            assert_eq!(server, self.index);
-            assert_eq!(label, "toy-q");
-            let x = u64::from_bytes(payload)?;
-            let reply = (x + self.index as u64).to_bytes();
-            Ok((
-                SessionState::Done,
-                vec![OutMsg::to_client(self.index, "toy-a", reply)],
-            ))
+            self.once.answer(label, || {
+                Ok((u64::from_bytes(payload)? + server as u64).to_bytes())
+            })
         }
+    }
+
+    #[test]
+    fn one_round_disciplines_reject_strangers_and_repeats() {
+        let mut server = AnswerOnce::new(0, "toy-q", "toy-a");
+        assert!(
+            server.answer("toy-a", || Ok(vec![])).is_err(),
+            "foreign label"
+        );
+        assert!(server.answer("toy-q", || Ok(vec![])).is_ok());
+        assert!(
+            server.answer("toy-q", || Ok(vec![])).is_err(),
+            "second query"
+        );
+
+        let mut round = OneRound::<u64, u64>::new("toy-q", "toy-a", vec![1, 2]);
+        assert!(round.start().is_ok());
+        assert!(round.start().is_err(), "started twice");
+        let one = 1u64.to_bytes();
+        assert!(round.receive(2, "toy-a", &one).is_err(), "unknown server");
+        assert!(round.receive(0, "toy-q", &one).is_err(), "foreign label");
+        assert_eq!(round.receive(0, "toy-a", &one), Ok(None));
+        assert!(round.receive(0, "toy-a", &one).is_err(), "second reply");
+        assert_eq!(round.receive(1, "toy-a", &one), Ok(Some(vec![1, 1])));
+        assert!(round.receive(1, "toy-a", &one).is_err(), "after completion");
     }
 
     #[test]
     fn pump_runs_the_toy_protocol() {
         let k = 3;
         let mut client = ToyClient {
-            x: 10,
-            k,
-            got: vec![None; k],
+            round: OneRound::new("toy-q", "toy-a", vec![10; k]),
             sum: None,
         };
         let mut servers: Vec<Box<dyn SessionCore + Send>> = (0..k)
-            .map(|index| Box::new(ToyServer { index }) as Box<dyn SessionCore + Send>)
+            .map(|index| {
+                let once = AnswerOnce::new(index, "toy-q", "toy-a");
+                Box::new(ToyServer { once }) as Box<dyn SessionCore + Send>
+            })
             .collect();
         let mut t = Transcript::new(k);
         let got = pump(&mut t, &mut client, &mut servers).unwrap();

@@ -12,8 +12,9 @@
 //!
 //! * **Relay** — the peer echoes every `Msg` frame back. The channel
 //!   returns the echoed payload as "the bytes seen by the receiver",
-//!   which lets *every* monolithic `spfe::harness` driver run over a real
-//!   socket unchanged: the driver still plays both sides, but each
+//!   which lets *every* `spfe::harness` driver run over a real socket
+//!   unchanged: the driver still plays both sides in process (a cored
+//!   driver by pumping its own client and server cores), but each
 //!   message physically crosses the network. This is the blanket adapter
 //!   the cross-transport conformance matrix runs on.
 //! * **Compute** — the peer hosts genuine server state machines
@@ -40,7 +41,7 @@ use std::io::{Read, Write};
 /// How the peer should treat this session (the byte carried in Hello).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionMode {
-    /// Echo every frame back (the blanket adapter for monolithic drivers).
+    /// Echo every frame back (the blanket adapter for in-process drivers).
     Relay = 0,
     /// Host the protocol's server state machines.
     Compute = 1,

@@ -5,12 +5,12 @@
 //! seeds, and a real loopback-TCP relay session — and must produce the
 //! identical answer, the identical per-label communication bytes, the
 //! identical half-round structure, the identical per-party view
-//! fingerprints, and the identical deterministic op counters. For the
-//! drivers with extracted sans-io cores (`spfe::harness::NET_CORE_DRIVERS`)
-//! the matrix additionally covers the core itself: [`spfe::transport::pump`]
-//! over the in-memory and faulty channels, and a genuine compute-mode TCP
-//! session against hosted server state machines, all byte-identical to
-//! the monolithic run.
+//! fingerprints, and the identical deterministic op counters. The
+//! drivers with sans-io cores (`spfe::harness::NET_CORE_DRIVERS`) run as
+//! `spfe::transport::pump` over those cores in process, so the in-memory
+//! and faulty arms already cover the cores; they additionally run a
+//! genuine compute-mode TCP session against hosted server state
+//! machines, byte-identical to the in-process run.
 //!
 //! The matrix re-runs at `SPFE_THREADS` 1 and 4: thread count is outside
 //! the protocol, so nothing observable may move.
@@ -19,7 +19,7 @@ mod common;
 use common::*;
 
 use spfe::obs::audit::deterministic_ops;
-use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel, Transcript};
+use spfe::transport::{FaultAction, FaultPlan, FaultyChannel, Transcript};
 use spfe_net::{run_driver, run_driver_relay, Server, ServerConfig};
 use std::sync::Mutex;
 
@@ -139,11 +139,11 @@ fn op_counters_are_thread_invariant() {
     spfe::math::par::set_threads(None);
 }
 
-/// The sans-io half of the matrix: for every extracted core, pump over
-/// in-memory and masked-faulty channels, plus a genuine compute-mode TCP
-/// session, all byte-identical to the monolithic driver run.
+/// The compute-mode half of the matrix: every cored driver over a
+/// genuine compute-mode TCP session against hosted server cores, equal
+/// to its in-process run (which pumps the same cores).
 #[test]
-fn extracted_cores_match_their_monolithic_drivers() {
+fn compute_mode_tcp_matches_the_in_process_run() {
     let _g = LOCK.lock().unwrap();
     let server = local_server();
     let addr = server.local_addr().to_string();
@@ -155,38 +155,6 @@ fn extracted_cores_match_their_monolithic_drivers() {
                 .find(|d| d.name == *name)
                 .expect("core driver in table");
             let base = in_memory(d, threads);
-
-            // pump over the plain in-memory transcript.
-            arm(threads);
-            let mut t = Transcript::new(d.servers);
-            let mut client = net_client_core(name).expect("client core");
-            let mut cores = net_server_cores(name).expect("server cores");
-            let digest = pump(&mut t, client.as_mut(), &mut cores).expect("pump in-memory");
-            assert_eq!(
-                observe(digest, &t),
-                base,
-                "[{name} t{threads}] pump over in-memory diverged from the monolithic run"
-            );
-
-            // pump over the fault-injecting channel at both audit seeds.
-            for seed in [11u64, 77] {
-                arm(threads);
-                let mut ch = FaultyChannel::new(
-                    d.servers,
-                    FaultPlan::with_rate(seed, FaultAction::Drop, 300),
-                    0,
-                );
-                let mut client = net_client_core(name).expect("client core");
-                let mut cores = net_server_cores(name).expect("server cores");
-                let digest = pump(&mut ch, client.as_mut(), &mut cores).expect("pump faulty");
-                assert_eq!(
-                    observe(digest, ch.inner()),
-                    base,
-                    "[{name} t{threads} seed {seed}] pump under masked faults diverged"
-                );
-            }
-
-            // Genuine compute-mode session against hosted server cores.
             arm(threads);
             let run = run_driver(&addr, name, Some(std::time::Duration::from_secs(30)))
                 .expect("compute tcp run");
@@ -198,7 +166,7 @@ fn extracted_cores_match_their_monolithic_drivers() {
             assert_eq!(
                 observe(run.digest, &run.transcript),
                 base,
-                "[{name} t{threads}] compute-mode TCP diverged from the monolithic run"
+                "[{name} t{threads}] compute-mode TCP diverged from the in-process run"
             );
         }
     }

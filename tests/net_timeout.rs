@@ -138,7 +138,7 @@ fn stalling_server_times_out_one_deadline_total() {
     drop(peer);
 }
 
-/// A full monolithic driver over a stalling relay: the bounded retry
+/// A full in-process driver over a stalling relay: the bounded retry
 /// policy must abort (timeout or exhausted retries) within the bound —
 /// never hang for attempts × deadline.
 #[test]

@@ -244,3 +244,38 @@ fn trace_window_isolation_between_captures() {
     let _ = (d.run)(&mut ch);
     assert_eq!(trace::take().total_events(), 0, "untraced run journalled");
 }
+
+/// The cored protocols run as `pump` over their sans-io cores, and the
+/// phase spans live in those cores: one in-process run of each must still
+/// record its protocol span with the query-generation, per-server and
+/// reconstruction phases nested under it (one server span per server).
+#[test]
+fn cored_runs_keep_their_phase_spans() {
+    let _g = lock();
+    let _t = ThreadsGuard::set(1);
+    for (name, proto, server_phase) in [
+        ("xor2", "pir2", "server-scan"),
+        ("hom_pir", "hompir", "server-scan"),
+        ("poly_it", "polyit", "server-scan"),
+        ("multiserver", "multiserver", "server-eval"),
+    ] {
+        let d = drivers().into_iter().find(|d| d.name == name).unwrap();
+        spfe::obs::reset();
+        let mut ch = FaultyChannel::new(d.servers, FaultPlan::honest(), 0);
+        assert_eq!((d.run)(&mut ch), Ok(d.expect), "[{name}] honest run");
+        let spans = spfe::obs::spans_snapshot();
+        let calls: Vec<(&str, u64)> = spans.iter().map(|s| (s.path.as_str(), s.calls)).collect();
+        for (phase, want) in [
+            (String::new(), 1),
+            ("/query-gen".to_owned(), 1),
+            (format!("/{server_phase}"), d.servers as u64),
+            ("/reconstruct".to_owned(), 1),
+        ] {
+            let path = format!("{proto}{phase}");
+            assert!(
+                calls.contains(&(&path, want)),
+                "[{name}] {path} × {want}: {calls:?}"
+            );
+        }
+    }
+}
