@@ -34,10 +34,7 @@ echo "==> benchmark package (perfbench: build + test)"
 # benchmark must fail here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo build --no-default-features (obs compiled out)"
-cargo build "${OFFLINE[@]}" --release --workspace --no-default-features
-
-echo "==> adversarial conformance suite (two fault seeds + obs compiled out)"
+echo "==> adversarial conformance suite (two fault seeds)"
 # The suite asserts every driver x fault-class cell returns Ok or a typed
 # ProtocolError. The backtrace log scan is the panic gate: a panic that a
 # test harness converted into a failure (or that unwound inside a should-
@@ -54,13 +51,6 @@ for seed in 1 77; do
     exit 1
   fi
 done
-echo "    --no-default-features (probes compiled out)"
-SPFE_FAULT_SEED=1 RUST_BACKTRACE=1 \
-  cargo test "${OFFLINE[@]}" --release -p spfe --test adversarial -q --no-default-features 2>&1 | tee "$ADV_LOG"
-if grep -q "panicked at" "$ADV_LOG"; then
-  echo "FAIL: a protocol driver panicked under fault injection (no obs)" >&2
-  exit 1
-fi
 
 echo "==> heap-profiling conformance (obs-alloc: instrumented allocator)"
 # The mem_profile suite asserts every driver attributes heap to spans and
@@ -71,8 +61,7 @@ cargo test "${OFFLINE[@]}" --release -p spfe-obs -p spfe --features obs-alloc -q
 ROOT=$PWD
 TABLES="$ROOT/target/release/spfe-tables"
 
-# The feature-variant builds above overwrote the release binaries; the
-# gates below need the CLI back *with* the instrumented allocator, so the
+# The gates below need the CLI *with* the instrumented allocator, so the
 # fresh suite carries the heap axis the committed v3 baseline gates on.
 echo "==> rebuild instrumented CLI (obs-alloc)"
 cargo build "${OFFLINE[@]}" --release -p spfe-bench --features obs-alloc --bins
@@ -136,9 +125,6 @@ for threads in 1 4; do
 done
 
 echo "==> networked service smoke (spfe-server + spfe-client over loopback TCP)"
-# The --no-default-features build above overwrote the release binaries;
-# put the instrumented service binaries back first.
-cargo build "${OFFLINE[@]}" --release -p spfe-net --bins
 SRV_LOG="$WORK/server.log"
 CTL="$WORK/ctl"
 SNAP_MID="$WORK/metrics_mid.json"

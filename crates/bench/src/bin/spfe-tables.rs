@@ -680,10 +680,6 @@ fn trace_cmd(args: &[String]) {
         list_ids();
         std::process::exit(2);
     };
-    if !spfe_obs::enabled() {
-        eprintln!("error: built without the `obs` feature; the journal records nothing");
-        std::process::exit(1);
-    }
     // One thread: op deltas are attributed to the enclosing span on the
     // recording thread, so the single-threaded timeline is the complete,
     // fully attributed one.

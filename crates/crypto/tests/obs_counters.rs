@@ -3,8 +3,6 @@
 //! worker pool runs with one thread or several, because every probe site
 //! counts *work items*, not scheduling events.
 
-#![cfg(feature = "obs")]
-
 use proptest::prelude::*;
 use spfe_crypto::{
     elgamal_keygen, ChaChaRng, HomomorphicPk, HomomorphicScheme, HomomorphicSk, Paillier,

@@ -201,11 +201,6 @@ pub fn isqrt(n: &Nat) -> Nat {
     }
 }
 
-/// Lifts an `Int` into the residue ring `Z_m` (alias for [`Int::rem_euclid`]).
-pub fn int_mod(v: &Int, m: &Nat) -> Nat {
-    v.rem_euclid(m)
-}
-
 /// Signed representative of `a mod m` in `(-m/2, m/2]`.
 pub fn centered(a: &Nat, m: &Nat) -> Int {
     let a = a.rem(m);

@@ -69,11 +69,8 @@
 use std::cell::Cell;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
-
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicU64;
 
 /// Poison-tolerant lock: a panic that unwound through a guard (the
 /// propagated worker-panic path) must not wedge the pool for later jobs.
@@ -100,20 +97,11 @@ pub struct PoolStats {
     pub steals_per_worker: Vec<u64>,
 }
 
-#[cfg(feature = "obs")]
 static LAST_POOL_STATS: Mutex<Option<PoolStats>> = Mutex::new(None);
 
-/// The [`PoolStats`] of the most recent parallel run, if any (always
-/// `None` without the `obs` feature).
+/// The [`PoolStats`] of the most recent parallel run, if any.
 pub fn last_pool_stats() -> Option<PoolStats> {
-    #[cfg(feature = "obs")]
-    {
-        lock(&LAST_POOL_STATS).clone()
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        None
-    }
+    lock(&LAST_POOL_STATS).clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -436,35 +424,29 @@ struct Shared<'w> {
     /// First panic payload out of any participant (including the caller).
     panic_slot: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
     /// (blocks claimed, blocks stolen) per worker ordinal — gauges.
-    #[cfg(feature = "obs")]
     claims: Vec<(AtomicU64, AtomicU64)>,
 }
 
 impl Shared<'_> {
     /// The block-claim loop every participant runs; never unwinds.
     fn participate(&self, ordinal: usize) {
-        let res = panic::catch_unwind(AssertUnwindSafe(|| {
-            loop {
-                if self.abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let b = self.cursor.fetch_add(1, Ordering::Relaxed);
-                if b >= self.nblocks {
-                    break;
-                }
-                let start = b * self.block;
-                let end = (start + self.block).min(self.len);
-                (self.work)(start, end);
-                #[cfg(feature = "obs")]
-                if let Some((tasks, steals)) = self.claims.get(ordinal) {
-                    tasks.fetch_add(1, Ordering::Relaxed);
-                    if ordinal != b % self.nt {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                    }
+        let res = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            if self.abort.load(Ordering::Relaxed) {
+                break;
+            }
+            let b = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if b >= self.nblocks {
+                break;
+            }
+            let start = b * self.block;
+            let end = (start + self.block).min(self.len);
+            (self.work)(start, end);
+            if let Some((tasks, steals)) = self.claims.get(ordinal) {
+                tasks.fetch_add(1, Ordering::Relaxed);
+                if ordinal != b % self.nt {
+                    steals.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            #[cfg(not(feature = "obs"))]
-            let _ = ordinal;
         }));
         if let Err(payload) = res {
             self.abort.store(true, Ordering::Relaxed);
@@ -614,7 +596,6 @@ fn run_pooled(len: usize, nt: usize, min_block: usize, work: &(dyn Fn(usize, usi
         pending: Mutex::new(participants),
         done: Condvar::new(),
         panic_slot: Mutex::new(None),
-        #[cfg(feature = "obs")]
         claims: {
             // Engine bookkeeping, not protocol cost: keep it out of the
             // span-attributed heap tallies.
@@ -631,7 +612,6 @@ fn run_pooled(len: usize, nt: usize, min_block: usize, work: &(dyn Fn(usize, usi
         if slot.spawned < participants {
             // Lazy growth, paid once per high-water mark — pool-internal,
             // so the thread bootstrap never lands in a protocol span.
-            #[cfg(feature = "obs")]
             let _pause = spfe_obs::mem::pause();
             while slot.spawned < participants {
                 std::thread::Builder::new()
@@ -664,7 +644,6 @@ fn run_pooled(len: usize, nt: usize, min_block: usize, work: &(dyn Fn(usize, usi
         }
     }
 
-    #[cfg(feature = "obs")]
     {
         use spfe_obs::Op;
         spfe_obs::count(Op::PoolRuns, 1);
@@ -879,7 +858,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn pool_stats_cover_all_blocks() {
         with_config(4, 1, || {

@@ -15,7 +15,7 @@ use crate::garble::{self, GarbledCircuit, Label};
 use spfe_circuits::boolean::Circuit;
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
-use spfe_ot::{ot2, ot_n};
+use spfe_ot::ot2;
 use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
 
 /// Domain label for the deterministic OT setup.
@@ -200,20 +200,6 @@ pub fn from_bits(bits: &[bool]) -> u64 {
     bits.iter()
         .enumerate()
         .fold(0, |acc, (i, &b)| acc | ((b as u64) << i))
-}
-
-/// The shared 1-out-of-n OT wrapper used when the evaluator's input is an
-/// *index* rather than bits (used by tests and the PSM fallbacks).
-pub fn ot_n_labels<R: RandomSource + ?Sized>(
-    group: &SchnorrGroup,
-    items: &[Vec<u8>],
-    index: usize,
-    rng: &mut R,
-) -> Vec<u8> {
-    let setup = ot2::deterministic_setup(group, OT_LABEL);
-    let (q, st) = ot_n::receiver_choose(group, &setup, items.len(), index, rng);
-    let a = ot_n::sender_answer(group, &setup, &q, items, rng);
-    ot_n::receiver_output(group, &st, &a)
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //! §14 for the full contract.
 //!
 //! This module is deliberately dependency-free and feature-independent:
-//! fingerprints compute identically with or without the `obs` feature, so
-//! an audit baseline gates every build flavor.
+//! fingerprints compute identically with or without `obs-alloc`, so one
+//! audit baseline gates every build.
 
 /// Version tag mixed into every canonical serialization; bump on any
 /// layout change so old and new fingerprints can never collide.

@@ -6,6 +6,8 @@
 //! [`ops_snapshot`] sums the shards — addition commutes, so the totals for
 //! deterministic ops are independent of the thread count and schedule.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
 /// A countable hot-path operation.
 ///
 /// The discriminant doubles as the per-shard array index, so new ops go at
@@ -162,93 +164,61 @@ impl OpsSnapshot {
     }
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::{OpsSnapshot, NUM_OPS};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+/// Shard count: enough that a dozen pool workers rarely collide.
+const NUM_SHARDS: usize = 32;
 
-    /// Shard count: enough that a dozen pool workers rarely collide.
-    const NUM_SHARDS: usize = 32;
-
-    /// One cache line (or more) per shard so workers on different shards
-    /// never write-share.
-    #[repr(align(64))]
-    struct Shard {
-        counts: [AtomicU64; NUM_OPS],
-    }
-
-    static SHARDS: [Shard; NUM_SHARDS] = [const {
-        Shard {
-            counts: [const { AtomicU64::new(0) }; NUM_OPS],
-        }
-    }; NUM_SHARDS];
-
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-    thread_local! {
-        /// Round-robin shard assignment on first use per thread.
-        static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
-    }
-
-    #[inline]
-    pub fn count(op: super::Op, n: u64) {
-        let s = MY_SHARD.with(|s| *s);
-        SHARDS[s].counts[op as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn ops_snapshot() -> OpsSnapshot {
-        let mut counts = [0u64; NUM_OPS];
-        for shard in &SHARDS {
-            for (total, c) in counts.iter_mut().zip(&shard.counts) {
-                *total = total.wrapping_add(c.load(Ordering::Relaxed));
-            }
-        }
-        OpsSnapshot { counts }
-    }
-
-    pub fn reset_ops() {
-        for shard in &SHARDS {
-            for c in &shard.counts {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-    }
+/// One cache line (or more) per shard so workers on different shards
+/// never write-share.
+#[repr(align(64))]
+struct Shard {
+    counts: [AtomicU64; NUM_OPS],
 }
 
-/// Adds `n` to `op`'s counter (relaxed; no-op without the `obs` feature).
-/// With tracing on, the delta is also attributed to the calling thread's
-/// innermost open span in the event journal.
+static SHARDS: [Shard; NUM_SHARDS] = [const {
+    Shard {
+        counts: [const { AtomicU64::new(0) }; NUM_OPS],
+    }
+}; NUM_SHARDS];
+
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Round-robin shard assignment on first use per thread.
+    static MY_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % NUM_SHARDS;
+}
+
+/// Adds `n` to `op`'s counter (relaxed). With tracing on, the delta is
+/// also attributed to the calling thread's innermost open span in the
+/// event journal.
 #[inline]
 pub fn count(op: Op, n: u64) {
-    #[cfg(feature = "obs")]
-    {
-        imp::count(op, n);
-        if crate::trace::tracing() {
-            crate::trace::on_op(op, n);
-        }
+    let s = MY_SHARD.with(|s| *s);
+    SHARDS[s].counts[op as usize].fetch_add(n, Ordering::Relaxed);
+    if crate::trace::tracing() {
+        crate::trace::on_op(op, n);
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = (op, n);
 }
 
 /// Sums all shards into a consistent-enough snapshot. Call it from the
 /// measuring thread after the measured work has joined; relaxed loads are
 /// exact once the incrementing threads are quiescent.
 pub fn ops_snapshot() -> OpsSnapshot {
-    #[cfg(feature = "obs")]
-    {
-        imp::ops_snapshot()
+    let mut counts = [0u64; NUM_OPS];
+    for shard in &SHARDS {
+        for (total, c) in counts.iter_mut().zip(&shard.counts) {
+            *total = total.wrapping_add(c.load(Ordering::Relaxed));
+        }
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        OpsSnapshot::default()
-    }
+    OpsSnapshot { counts }
 }
 
 /// Zeroes every counter (start of a measurement window).
 pub fn reset_ops() {
-    #[cfg(feature = "obs")]
-    imp::reset_ops();
+    for shard in &SHARDS {
+        for c in &shard.counts {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -285,7 +255,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn counts_sum_across_threads() {
         // Not exact-count (other tests in this binary may count too):

@@ -4,9 +4,13 @@
 //! histogram of per-call durations: bucket `b` counts values whose bit
 //! length is `b` (value 0 lands in bucket 0, `u64::MAX` in bucket 64).
 //! Quantiles are answered as the *upper bound* of the bucket holding the
-//! requested rank — a conservative estimate with at most 2× relative
-//! error, which is plenty to tell a 1 µs phase from a 1 ms phase and
-//! costs 520 bytes per span path instead of storing every sample.
+//! requested rank, clamped into the `[min, max]` of the recorded samples
+//! — a conservative estimate with at most 2× relative error, which is
+//! plenty to tell a 1 µs phase from a 1 ms phase and costs 536 bytes per
+//! span path instead of storing every sample. The clamp makes the answer
+//! exact whenever the rank falls on the smallest or largest sample: a
+//! single call reports its real duration, and no quantile ever exceeds
+//! the largest sample.
 
 /// Number of buckets: one per possible bit length of a `u64`, plus zero.
 pub const NUM_BUCKETS: usize = 65;
@@ -15,12 +19,18 @@ pub const NUM_BUCKETS: usize = 65;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histo {
     counts: [u64; NUM_BUCKETS],
+    /// Smallest recorded sample (`u64::MAX` while empty).
+    min: u64,
+    /// Largest recorded sample (0 while empty).
+    max: u64,
 }
 
 impl Default for Histo {
     fn default() -> Self {
         Histo {
             counts: [0; NUM_BUCKETS],
+            min: u64::MAX,
+            max: 0,
         }
     }
 }
@@ -53,8 +63,13 @@ impl Histo {
 
     /// Records `n` identical samples at once.
     pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = bucket(value);
         self.counts[b] = self.counts[b].saturating_add(n);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Folds another histogram into this one (saturating per bucket).
@@ -62,6 +77,8 @@ impl Histo {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a = a.saturating_add(*b);
         }
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Total recorded samples (saturating).
@@ -72,7 +89,8 @@ impl Histo {
     }
 
     /// The value at quantile `q ∈ [0, 1]`, reported as the upper bound of
-    /// the bucket containing that rank. Empty histograms answer 0.
+    /// the bucket containing that rank, clamped into the `[min, max]` of
+    /// the recorded samples. Empty histograms answer 0.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -84,10 +102,10 @@ impl Histo {
         for (b, &c) in self.counts.iter().enumerate() {
             seen = seen.saturating_add(c);
             if seen >= rank {
-                return bucket_max(b);
+                return bucket_max(b).clamp(self.min, self.max);
             }
         }
-        u64::MAX
+        self.max
     }
 
     /// Median (upper-bound estimate).
@@ -159,12 +177,14 @@ mod tests {
 
     #[test]
     fn single_sample_is_every_quantile() {
-        let mut h = Histo::new();
-        h.record(700);
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            let v = h.quantile(q);
-            assert_eq!(v, 1023, "q={q}: one sample fills every rank");
-            assert!(v >= 700, "upper bound covers the sample");
+        // 736 ms sits in the bucket whose ceiling is 2^30 - 1 ns; the one
+        // sample, not that ceiling, is the answer at every rank.
+        for sample in [700, 736_000_000] {
+            let mut h = Histo::new();
+            h.record(sample);
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                assert_eq!(h.quantile(q), sample, "q={q}: one sample fills every rank");
+            }
         }
     }
 
@@ -183,7 +203,7 @@ mod tests {
         h.record(5);
         h.record_n(5, u64::MAX);
         assert_eq!(h.count(), u64::MAX, "bucket and total both saturate");
-        assert_eq!(h.p50(), 7, "quantiles still answer the 5-bucket bound");
+        assert_eq!(h.p50(), 5, "quantiles still answer the one sample value");
         let mut other = Histo::new();
         other.record_n(5, u64::MAX);
         h.merge(&other);
@@ -197,8 +217,8 @@ mod tests {
         h.record_n(100, 90);
         h.record_n(1_000_000, 10);
         assert_eq!(h.p50(), bucket_max(bucket(100)));
-        assert_eq!(h.p95(), bucket_max(bucket(1_000_000)));
-        assert_eq!(h.p99(), bucket_max(bucket(1_000_000)));
+        assert_eq!(h.p95(), 1_000_000, "clamped to the largest sample");
+        assert_eq!(h.p99(), 1_000_000, "clamped to the largest sample");
         assert!(h.p50() < h.p95());
     }
 
@@ -211,7 +231,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 8);
         assert_eq!(a.p50(), bucket_max(bucket(10)));
-        assert_eq!(a.p99(), bucket_max(bucket(1_000)));
+        assert_eq!(a.p99(), 1_000, "merge keeps the largest sample");
     }
 
     #[test]

@@ -38,10 +38,9 @@
 //! latency [`histo::Histo`] per path, surfaced as `p50_ns`/`p95_ns`/
 //! `p99_ns` on [`SpanStat`].
 //!
-//! Everything is feature-gated: with the default `obs` feature the probes
-//! record; built with `--no-default-features` they compile to no-ops and
-//! the recording state vanishes, while all types (and this API) remain, so
-//! no downstream crate ever writes a `cfg`.
+//! There is one build of the probes: every crate in the workspace records
+//! through them, so no downstream crate ever writes a `cfg`. Only the
+//! heap allocator hook is opt-in (`obs-alloc`).
 //!
 //! # Examples
 //!
@@ -53,7 +52,7 @@
 //!     obs::count(obs::Op::Modexp, 3);
 //! }
 //! let ops = obs::ops_snapshot();
-//! assert!(!obs::enabled() || ops.get(obs::Op::Modexp) == 3);
+//! assert_eq!(ops.get(obs::Op::Modexp), 3);
 //! ```
 
 pub mod audit;
@@ -80,11 +79,6 @@ pub use trace::{
     wire_event,
 };
 
-/// Whether the recording paths are compiled in (the `obs` feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "obs")
-}
-
 /// Clears all op counters, span aggregates and windowed heap tallies
 /// (start of a measurement). The trace journal has its own window control
 /// ([`trace::reset`], [`trace::take`]) so one timeline can cover several
@@ -97,7 +91,7 @@ pub fn reset() {
 
 /// Tests across this crate's modules share the process-global span
 /// registry and trace journal; they serialize on one lock.
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     use std::sync::{Mutex, OnceLock};
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();

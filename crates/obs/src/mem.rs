@@ -132,14 +132,12 @@ pub fn reset_mem() {
 
 /// Opens an attribution frame for a span on this thread. Called by the
 /// span guard; pairs with [`frame_close`].
-#[cfg(feature = "obs")]
 pub(crate) fn frame_open() {
     imp::frame_open()
 }
 
 /// Closes the innermost attribution frame and returns the span's heap
 /// delta (zeros if no frame is open or the feature is off).
-#[cfg(feature = "obs")]
 pub(crate) fn frame_close() -> MemDelta {
     imp::frame_close()
 }
@@ -566,11 +564,9 @@ mod imp {
 
     pub fn reset_mem() {}
 
-    #[cfg(feature = "obs")]
     #[inline(always)]
     pub fn frame_open() {}
 
-    #[cfg(feature = "obs")]
     #[inline(always)]
     pub fn frame_close() -> super::MemDelta {
         super::MemDelta::default()

@@ -23,10 +23,8 @@
 //! Failures are classified into the stable [`FailureKind`] taxonomy
 //! instead of one opaque `failed` counter, so dashboards (and
 //! `tests/net_timeout.rs`) can tell a handshake timeout from a codec
-//! rejection. Unlike the measurement probes this module is *not* gated
-//! behind the `obs` feature: a server built `--no-default-features`
-//! still answers scrapes — operational telemetry is part of the service,
-//! not of the benchmark harness.
+//! rejection. Operational telemetry is part of the service, not of the
+//! benchmark harness: every server answers scrapes.
 
 use crate::histo::Histo;
 use crate::json::{self, escape, Json};
@@ -355,7 +353,8 @@ pub struct DriverSnapshot {
     pub wall_count: u64,
     /// Exact sum of session wall times in microseconds.
     pub wall_sum_micros: u64,
-    /// Median session wall time (log2-bucket upper bound).
+    /// Median session wall time (log2-bucket upper bound clamped into the
+    /// sampled range).
     pub p50_micros: u64,
     /// 95th-percentile session wall time.
     pub p95_micros: u64,

@@ -16,11 +16,12 @@ pub struct SpanStat {
     pub calls: u64,
     /// Total wall-clock nanoseconds across those calls.
     pub ns: u64,
-    /// Median per-call duration (log-bucket upper bound, see [`crate::histo`]).
+    /// Median per-call duration (log-bucket upper bound clamped into the
+    /// sampled range, see [`crate::histo`]).
     pub p50_ns: u64,
-    /// 95th-percentile per-call duration (log-bucket upper bound).
+    /// 95th-percentile per-call duration (same estimate).
     pub p95_ns: u64,
-    /// 99th-percentile per-call duration (log-bucket upper bound).
+    /// 99th-percentile per-call duration (same estimate).
     pub p99_ns: u64,
     /// Heap allocations attributed to this path itself (children
     /// excluded); zero unless built with `obs-alloc` (see [`crate::mem`]).
@@ -32,152 +33,37 @@ pub struct SpanStat {
     pub peak_live_bytes: u64,
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::SpanStat;
-    use crate::histo::Histo;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-    use std::time::Instant;
+use crate::histo::Histo;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+use std::time::Instant;
 
-    thread_local! {
-        /// The active span names on this thread, outermost first.
-        static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Per-path aggregate held in the registry.
-    #[derive(Default)]
-    struct Agg {
-        calls: u64,
-        ns: u64,
-        histo: Histo,
-        allocs: u64,
-        alloc_bytes: u64,
-        peak_live_bytes: u64,
-    }
-
-    /// `path → aggregate`.
-    static REGISTRY: Mutex<BTreeMap<String, Agg>> = Mutex::new(BTreeMap::new());
-
-    pub struct SpanGuard {
-        path: String,
-        name: &'static str,
-        start: Instant,
-    }
-
-    pub fn span(name: &str) -> SpanGuard {
-        // Interning, path building, the stack push and the trace buffer
-        // are instrumentation bookkeeping with warmup-dependent
-        // allocation patterns (first call interns, first event grows the
-        // buffer); pause the heap tallies so measured spans stay
-        // bit-identical across reruns (DESIGN.md §12).
-        let paused = crate::mem::pause();
-        let name = intern(name);
-        let path = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let mut path = String::new();
-            for seg in stack.iter() {
-                path.push_str(seg);
-                path.push('/');
-            }
-            path.push_str(name);
-            stack.push(name);
-            path
-        });
-        crate::trace::on_span_open(name);
-        drop(paused);
-        crate::mem::frame_open();
-        SpanGuard {
-            path,
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    /// Interns a span name (the vocabulary is a few dozen phase labels, so
-    /// the leaked cache stays tiny and makes the hot path allocation-free
-    /// for repeated spans).
-    fn intern(name: &str) -> &'static str {
-        static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-        let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.iter().find(|s| **s == name) {
-            return hit;
-        }
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        cache.push(leaked);
-        leaked
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let mem = crate::mem::frame_close();
-            // From here on everything is bookkeeping charged to no span:
-            // the trace buffer and registry allocate on first use, which
-            // must not skew the parent frame (see `span`).
-            let _paused = crate::mem::pause();
-            STACK.with(|stack| {
-                stack.borrow_mut().pop();
-            });
-            crate::trace::on_span_close(self.name, mem);
-            let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-            let entry = reg.entry(std::mem::take(&mut self.path)).or_default();
-            entry.calls += 1;
-            entry.ns = entry.ns.saturating_add(ns);
-            entry.histo.record(ns);
-            entry.allocs = entry.allocs.saturating_add(mem.allocs);
-            entry.alloc_bytes = entry.alloc_bytes.saturating_add(mem.alloc_bytes);
-            entry.peak_live_bytes = entry.peak_live_bytes.max(mem.peak_live_bytes);
-        }
-    }
-
-    pub fn spans_snapshot() -> Vec<SpanStat> {
-        REGISTRY
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(path, agg)| SpanStat {
-                path: path.clone(),
-                calls: agg.calls,
-                ns: agg.ns,
-                p50_ns: agg.histo.p50(),
-                p95_ns: agg.histo.p95(),
-                p99_ns: agg.histo.p99(),
-                allocs: agg.allocs,
-                alloc_bytes: agg.alloc_bytes,
-                peak_live_bytes: agg.peak_live_bytes,
-            })
-            .collect()
-    }
-
-    pub fn reset_spans() {
-        REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
+thread_local! {
+    /// The active span names on this thread, outermost first.
+    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use super::SpanStat;
-
-    pub struct SpanGuard {
-        _priv: (),
-    }
-
-    #[inline(always)]
-    pub fn span(_name: &str) -> SpanGuard {
-        SpanGuard { _priv: () }
-    }
-
-    pub fn spans_snapshot() -> Vec<SpanStat> {
-        Vec::new()
-    }
-
-    pub fn reset_spans() {}
+/// Per-path aggregate held in the registry.
+#[derive(Default)]
+struct Agg {
+    calls: u64,
+    ns: u64,
+    histo: Histo,
+    allocs: u64,
+    alloc_bytes: u64,
+    peak_live_bytes: u64,
 }
+
+/// `path → aggregate`.
+static REGISTRY: Mutex<BTreeMap<String, Agg>> = Mutex::new(BTreeMap::new());
 
 /// RAII guard returned by [`span`]; dropping it records the elapsed time.
-pub use imp::SpanGuard;
+pub struct SpanGuard {
+    path: String,
+    name: &'static str,
+    start: Instant,
+}
 
 /// Opens a span named `name` nested under the thread's current span path.
 ///
@@ -189,20 +75,97 @@ pub use imp::SpanGuard;
 /// ```
 #[must_use = "the span measures until the guard drops"]
 pub fn span(name: &str) -> SpanGuard {
-    imp::span(name)
+    // Interning, path building, the stack push and the trace buffer
+    // are instrumentation bookkeeping with warmup-dependent
+    // allocation patterns (first call interns, first event grows the
+    // buffer); pause the heap tallies so measured spans stay
+    // bit-identical across reruns (DESIGN.md §12).
+    let paused = crate::mem::pause();
+    let name = intern(name);
+    let path = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let mut path = String::new();
+        for seg in stack.iter() {
+            path.push_str(seg);
+            path.push('/');
+        }
+        path.push_str(name);
+        stack.push(name);
+        path
+    });
+    crate::trace::on_span_open(name);
+    drop(paused);
+    crate::mem::frame_open();
+    SpanGuard {
+        path,
+        name,
+        start: Instant::now(),
+    }
+}
+
+/// Interns a span name (the vocabulary is a few dozen phase labels, so
+/// the leaked cache stays tiny and makes the hot path allocation-free
+/// for repeated spans).
+fn intern(name: &str) -> &'static str {
+    static CACHE: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut cache = CACHE.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(hit) = cache.iter().find(|s| **s == name) {
+        return hit;
+    }
+    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+    cache.push(leaked);
+    leaked
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let mem = crate::mem::frame_close();
+        // From here on everything is bookkeeping charged to no span:
+        // the trace buffer and registry allocate on first use, which
+        // must not skew the parent frame (see `span`).
+        let _paused = crate::mem::pause();
+        STACK.with(|stack| {
+            stack.borrow_mut().pop();
+        });
+        crate::trace::on_span_close(self.name, mem);
+        let mut reg = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = reg.entry(std::mem::take(&mut self.path)).or_default();
+        entry.calls += 1;
+        entry.ns = entry.ns.saturating_add(ns);
+        entry.histo.record(ns);
+        entry.allocs = entry.allocs.saturating_add(mem.allocs);
+        entry.alloc_bytes = entry.alloc_bytes.saturating_add(mem.alloc_bytes);
+        entry.peak_live_bytes = entry.peak_live_bytes.max(mem.peak_live_bytes);
+    }
 }
 
 /// All span aggregates, sorted by path.
 pub fn spans_snapshot() -> Vec<SpanStat> {
-    imp::spans_snapshot()
+    REGISTRY
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .iter()
+        .map(|(path, agg)| SpanStat {
+            path: path.clone(),
+            calls: agg.calls,
+            ns: agg.ns,
+            p50_ns: agg.histo.p50(),
+            p95_ns: agg.histo.p95(),
+            p99_ns: agg.histo.p99(),
+            allocs: agg.allocs,
+            alloc_bytes: agg.alloc_bytes,
+            peak_live_bytes: agg.peak_live_bytes,
+        })
+        .collect()
 }
 
 /// Clears all span aggregates (start of a measurement window).
 pub fn reset_spans() {
-    imp::reset_spans()
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -283,6 +246,24 @@ mod tests {
         assert!(stat.p50_ns >= 2_000_000, "p50={}", stat.p50_ns);
         assert!(stat.p95_ns >= stat.p50_ns);
         assert!(stat.p99_ns >= stat.p95_ns);
+    }
+
+    #[test]
+    fn single_call_quantiles_are_its_duration() {
+        let _l = lock();
+        reset_spans();
+        {
+            let _g = span("once");
+            std::thread::sleep(std::time::Duration::from_millis(3));
+        }
+        let snap = spans_snapshot();
+        let stat = snap.iter().find(|s| s.path == "once").unwrap();
+        assert_eq!(stat.calls, 1);
+        assert_eq!(
+            (stat.p50_ns, stat.p95_ns, stat.p99_ns),
+            (stat.ns, stat.ns, stat.ns),
+            "one call reports its own duration, not the bucket ceiling"
+        );
     }
 
     #[test]

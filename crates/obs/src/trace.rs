@@ -36,6 +36,12 @@
 //! from the off period; a span whose open was not traced does not emit a
 //! close, so a captured trace is always structurally balanced per thread.
 
+use crate::counter::Op;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
+
 /// Default per-thread event cap per measurement window.
 pub const DEFAULT_CAP: usize = 1 << 16;
 
@@ -137,345 +143,286 @@ impl Trace {
     }
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::{Event, EventKind, ThreadTrace, Trace, CAP_ENV, DEFAULT_CAP};
-    use crate::counter::Op;
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+static TRACING: AtomicBool = AtomicBool::new(false);
+/// 0 = unset (resolve from the environment on first use).
+static CAP: AtomicUsize = AtomicUsize::new(0);
+/// Bumped by `take`/`reset`; thread-locals lazily discard stale state.
+static GEN: AtomicU64 = AtomicU64::new(1);
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+/// Journals flushed from their owning threads, in flush order per
+/// thread (appends keep each thread's internal order).
+static SINK: Mutex<Vec<ThreadTrace>> = Mutex::new(Vec::new());
 
-    static TRACING: AtomicBool = AtomicBool::new(false);
-    /// 0 = unset (resolve from the environment on first use).
-    static CAP: AtomicUsize = AtomicUsize::new(0);
-    /// Bumped by `take`/`reset`; thread-locals lazily discard stale state.
-    static GEN: AtomicU64 = AtomicU64::new(1);
-    static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-    /// Journals flushed from their owning threads, in flush order per
-    /// thread (appends keep each thread's internal order).
-    static SINK: Mutex<Vec<ThreadTrace>> = Mutex::new(Vec::new());
+fn epoch() -> &'static Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now)
+}
 
-    fn epoch() -> &'static Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        EPOCH.get_or_init(Instant::now)
+fn now_ns() -> u64 {
+    u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+fn resolve_cap() -> usize {
+    let c = CAP.load(Ordering::Relaxed);
+    if c != 0 {
+        return c;
     }
+    let c = std::env::var(CAP_ENV)
+        .ok()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .filter(|&c| c > 0)
+        .unwrap_or(DEFAULT_CAP);
+    CAP.store(c, Ordering::Relaxed);
+    c
+}
 
-    fn now_ns() -> u64 {
-        u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
+const NUM_OPS: usize = Op::ALL.len();
 
-    fn resolve_cap() -> usize {
-        let c = CAP.load(Ordering::Relaxed);
-        if c != 0 {
-            return c;
-        }
-        let c = std::env::var(CAP_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAP);
-        CAP.store(c, Ordering::Relaxed);
-        c
-    }
+struct Local {
+    thread: u64,
+    gen: u64,
+    cap: usize,
+    recorded: usize,
+    dropped: u64,
+    buf: Vec<Event>,
+    /// One op-delta accumulator per open traced span, innermost last.
+    frames: Vec<[u64; NUM_OPS]>,
+}
 
-    const NUM_OPS: usize = Op::ALL.len();
-
-    struct Local {
-        thread: u64,
-        gen: u64,
-        cap: usize,
-        recorded: usize,
-        dropped: u64,
-        buf: Vec<Event>,
-        /// One op-delta accumulator per open traced span, innermost last.
-        frames: Vec<[u64; NUM_OPS]>,
-    }
-
-    impl Local {
-        fn new() -> Local {
-            Local {
-                thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-                gen: 0, // stale on purpose: first touch syncs to GEN
-                cap: DEFAULT_CAP,
-                recorded: 0,
-                dropped: 0,
-                buf: Vec::new(),
-                frames: Vec::new(),
-            }
-        }
-
-        /// Discards state from a previous measurement window.
-        fn sync(&mut self) {
-            let g = GEN.load(Ordering::Relaxed);
-            if self.gen != g {
-                self.gen = g;
-                self.cap = resolve_cap();
-                self.recorded = 0;
-                self.dropped = 0;
-                self.buf.clear();
-                self.frames.clear();
-            }
-        }
-
-        fn push(&mut self, ev: Event) {
-            if self.recorded < self.cap {
-                self.buf.push(ev);
-                self.recorded += 1;
-            } else {
-                self.dropped += 1;
-            }
-        }
-
-        fn flush(&mut self) {
-            if self.buf.is_empty() && self.dropped == 0 {
-                return;
-            }
-            let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
-            let entry = match sink.iter_mut().find(|t| t.thread == self.thread) {
-                Some(t) => t,
-                None => {
-                    sink.push(ThreadTrace {
-                        thread: self.thread,
-                        ..ThreadTrace::default()
-                    });
-                    sink.last_mut().unwrap()
-                }
-            };
-            entry.events.append(&mut self.buf);
-            entry.dropped += std::mem::take(&mut self.dropped);
+impl Local {
+    fn new() -> Local {
+        Local {
+            thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
+            gen: 0, // stale on purpose: first touch syncs to GEN
+            cap: DEFAULT_CAP,
+            recorded: 0,
+            dropped: 0,
+            buf: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
-    impl Drop for Local {
-        fn drop(&mut self) {
-            // Thread exit: whatever this thread recorded reaches the sink
-            // even if no outermost span closed (only if still current).
-            if self.gen == GEN.load(Ordering::Relaxed) {
-                self.flush();
-            }
+    /// Discards state from a previous measurement window.
+    fn sync(&mut self) {
+        let g = GEN.load(Ordering::Relaxed);
+        if self.gen != g {
+            self.gen = g;
+            self.cap = resolve_cap();
+            self.recorded = 0;
+            self.dropped = 0;
+            self.buf.clear();
+            self.frames.clear();
         }
     }
 
-    thread_local! {
-        static LOCAL: RefCell<Local> = RefCell::new(Local::new());
-    }
-
-    fn with_local(f: impl FnOnce(&mut Local)) {
-        // Ignore accesses during thread teardown (the destructor already
-        // flushed; late probes have nowhere coherent to record).
-        let _ = LOCAL.try_with(|l| {
-            let mut l = l.borrow_mut();
-            l.sync();
-            f(&mut l);
-        });
-    }
-
-    #[inline]
-    pub fn tracing() -> bool {
-        TRACING.load(Ordering::Relaxed)
-    }
-
-    pub fn set_tracing(on: bool) {
-        if on {
-            // Pin the epoch and cap before the first event needs them.
-            let _ = epoch();
-            let _ = resolve_cap();
+    fn push(&mut self, ev: Event) {
+        if self.recorded < self.cap {
+            self.buf.push(ev);
+            self.recorded += 1;
+        } else {
+            self.dropped += 1;
         }
-        TRACING.store(on, Ordering::Relaxed);
     }
 
-    pub fn set_cap(cap: usize) {
-        CAP.store(cap.max(1), Ordering::Relaxed);
-    }
-
-    pub fn cap() -> usize {
-        resolve_cap()
-    }
-
-    pub fn on_span_open(name: &'static str) {
-        if !tracing() {
+    fn flush(&mut self) {
+        if self.buf.is_empty() && self.dropped == 0 {
             return;
         }
-        with_local(|l| {
-            l.frames.push([0; NUM_OPS]);
-            l.push(Event {
-                kind: EventKind::SpanOpen,
-                t_ns: now_ns(),
-                label: name,
-                a: 0,
-                b: 0,
-            });
-        });
-    }
-
-    pub fn on_span_close(name: &'static str, mem: crate::mem::MemDelta) {
-        if !tracing() {
-            return;
-        }
-        with_local(|l| {
-            // No frame ⇒ the open predated tracing; skip the close so the
-            // captured journal stays balanced.
-            let Some(frame) = l.frames.pop() else {
-                return;
-            };
-            let t_ns = now_ns();
-            for op in Op::ALL {
-                let delta = frame[op as usize];
-                if delta > 0 {
-                    l.push(Event {
-                        kind: EventKind::OpDelta,
-                        t_ns,
-                        label: op.name(),
-                        a: delta,
-                        b: 0,
-                    });
-                }
+        let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = match sink.iter_mut().find(|t| t.thread == self.thread) {
+            Some(t) => t,
+            None => {
+                sink.push(ThreadTrace {
+                    thread: self.thread,
+                    ..ThreadTrace::default()
+                });
+                sink.last_mut().unwrap()
             }
-            for (label, delta) in [
-                (crate::mem::ALLOCS_LABEL, mem.allocs),
-                (crate::mem::ALLOC_BYTES_LABEL, mem.alloc_bytes),
-            ] {
-                if delta > 0 {
-                    l.push(Event {
-                        kind: EventKind::MemDelta,
-                        t_ns,
-                        label,
-                        a: delta,
-                        b: 0,
-                    });
-                }
-            }
-            l.push(Event {
-                kind: EventKind::SpanClose,
-                t_ns,
-                label: name,
-                a: 0,
-                b: 0,
-            });
-            if l.frames.is_empty() {
-                l.flush();
-            }
-        });
-    }
-
-    #[inline]
-    pub fn on_op(op: Op, n: u64) {
-        with_local(|l| {
-            if let Some(frame) = l.frames.last_mut() {
-                let slot = &mut frame[op as usize];
-                *slot = slot.saturating_add(n);
-            }
-        });
-    }
-
-    pub fn record(kind: EventKind, label: &'static str, a: u64, b: u64) {
-        with_local(|l| {
-            l.push(Event {
-                kind,
-                t_ns: now_ns(),
-                label,
-                a,
-                b,
-            });
-        });
-    }
-
-    pub fn take() -> Trace {
-        // Flush the calling thread so a single-threaded capture is
-        // complete even while its outermost span is still open elsewhere
-        // in the call stack.
-        with_local(Local::flush);
-        let mut threads = std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
-        let cap = resolve_cap();
-        GEN.fetch_add(1, Ordering::Relaxed);
-        threads.sort_by_key(|t| t.thread);
-        Trace { threads, cap }
-    }
-
-    pub fn reset() {
-        SINK.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        GEN.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Interns a runtime string as a journal label. The networked paths
-    /// see driver names and wire labels as runtime strings (decoded from
-    /// frames), while the journal stores `&'static str`; each distinct
-    /// label is therefore leaked exactly once. The set is tiny — driver
-    /// names plus protocol labels — and only grows while tracing is on.
-    pub fn intern(s: &str) -> &'static str {
-        static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-        let mut set = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = set.iter().find(|k| **k == s) {
-            return hit;
-        }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        set.push(leaked);
-        leaked
+        };
+        entry.events.append(&mut self.buf);
+        entry.dropped += std::mem::take(&mut self.dropped);
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use super::Trace;
-
-    #[inline(always)]
-    pub fn tracing() -> bool {
-        false
-    }
-
-    pub fn set_tracing(_on: bool) {}
-
-    pub fn set_cap(_cap: usize) {}
-
-    pub fn cap() -> usize {
-        super::DEFAULT_CAP
-    }
-
-    #[inline(always)]
-    pub fn record(_kind: super::EventKind, _label: &'static str, _a: u64, _b: u64) {}
-
-    pub fn take() -> Trace {
-        Trace::default()
-    }
-
-    pub fn reset() {}
-
-    pub fn intern(_s: &str) -> &'static str {
-        ""
+impl Drop for Local {
+    fn drop(&mut self) {
+        // Thread exit: whatever this thread recorded reaches the sink
+        // even if no outermost span closed (only if still current).
+        if self.gen == GEN.load(Ordering::Relaxed) {
+            self.flush();
+        }
     }
 }
 
-#[cfg(feature = "obs")]
-pub(crate) use imp::{on_op, on_span_close, on_span_open};
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::new(Local::new());
+}
+
+fn with_local(f: impl FnOnce(&mut Local)) {
+    // Ignore accesses during thread teardown (the destructor already
+    // flushed; late probes have nowhere coherent to record).
+    let _ = LOCAL.try_with(|l| {
+        let mut l = l.borrow_mut();
+        l.sync();
+        f(&mut l);
+    });
+}
 
 /// Whether event recording is currently switched on.
 #[inline]
 pub fn tracing() -> bool {
-    imp::tracing()
+    TRACING.load(Ordering::Relaxed)
 }
 
-/// Switches event recording on or off (off at process start; no-op
-/// without the `obs` feature).
+/// Switches event recording on or off (off at process start).
 pub fn set_tracing(on: bool) {
-    imp::set_tracing(on)
+    if on {
+        // Pin the epoch and cap before the first event needs them.
+        let _ = epoch();
+        let _ = resolve_cap();
+    }
+    TRACING.store(on, Ordering::Relaxed);
 }
 
 /// Overrides the per-thread event cap (normally `SPFE_TRACE_CAP`).
 pub fn set_cap(cap: usize) {
-    imp::set_cap(cap)
+    CAP.store(cap.max(1), Ordering::Relaxed);
 }
 
 /// The per-thread event cap currently in force.
 pub fn cap() -> usize {
-    imp::cap()
+    resolve_cap()
+}
+
+pub(crate) fn on_span_open(name: &'static str) {
+    if !tracing() {
+        return;
+    }
+    with_local(|l| {
+        l.frames.push([0; NUM_OPS]);
+        l.push(Event {
+            kind: EventKind::SpanOpen,
+            t_ns: now_ns(),
+            label: name,
+            a: 0,
+            b: 0,
+        });
+    });
+}
+
+pub(crate) fn on_span_close(name: &'static str, mem: crate::mem::MemDelta) {
+    if !tracing() {
+        return;
+    }
+    with_local(|l| {
+        // No frame ⇒ the open predated tracing; skip the close so the
+        // captured journal stays balanced.
+        let Some(frame) = l.frames.pop() else {
+            return;
+        };
+        let t_ns = now_ns();
+        for op in Op::ALL {
+            let delta = frame[op as usize];
+            if delta > 0 {
+                l.push(Event {
+                    kind: EventKind::OpDelta,
+                    t_ns,
+                    label: op.name(),
+                    a: delta,
+                    b: 0,
+                });
+            }
+        }
+        for (label, delta) in [
+            (crate::mem::ALLOCS_LABEL, mem.allocs),
+            (crate::mem::ALLOC_BYTES_LABEL, mem.alloc_bytes),
+        ] {
+            if delta > 0 {
+                l.push(Event {
+                    kind: EventKind::MemDelta,
+                    t_ns,
+                    label,
+                    a: delta,
+                    b: 0,
+                });
+            }
+        }
+        l.push(Event {
+            kind: EventKind::SpanClose,
+            t_ns,
+            label: name,
+            a: 0,
+            b: 0,
+        });
+        if l.frames.is_empty() {
+            l.flush();
+        }
+    });
+}
+
+#[inline]
+pub(crate) fn on_op(op: Op, n: u64) {
+    with_local(|l| {
+        if let Some(frame) = l.frames.last_mut() {
+            let slot = &mut frame[op as usize];
+            *slot = slot.saturating_add(n);
+        }
+    });
+}
+
+fn record(kind: EventKind, label: &'static str, a: u64, b: u64) {
+    with_local(|l| {
+        l.push(Event {
+            kind,
+            t_ns: now_ns(),
+            label,
+            a,
+            b,
+        });
+    });
+}
+
+/// Drains everything recorded since the last [`take`]/[`reset`] (flushing
+/// the calling thread first) and starts a new measurement window.
+pub fn take() -> Trace {
+    // Flush the calling thread so a single-threaded capture is
+    // complete even while its outermost span is still open elsewhere
+    // in the call stack.
+    with_local(Local::flush);
+    let mut threads = std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()));
+    let cap = resolve_cap();
+    GEN.fetch_add(1, Ordering::Relaxed);
+    threads.sort_by_key(|t| t.thread);
+    Trace { threads, cap }
+}
+
+/// Discards everything recorded so far and starts a new window.
+pub fn reset() {
+    SINK.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    GEN.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Interns a runtime string as a journal label. The networked paths
+/// see driver names and wire labels as runtime strings (decoded from
+/// frames), while the journal stores `&'static str`; each distinct
+/// label is therefore leaked exactly once. The set is tiny — driver
+/// names plus protocol labels — and only grows while tracing is on.
+fn intern(s: &str) -> &'static str {
+    static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut set = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(hit) = set.iter().find(|k| **k == s) {
+        return hit;
+    }
+    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+    set.push(leaked);
+    leaked
 }
 
 /// Records a wire message event (`up` = client→server). Called by the
 /// transport meter; a no-op unless tracing is on.
 #[inline]
 pub fn wire_event(up: bool, server: usize, label: &'static str, bytes: u64) {
-    if !imp::tracing() {
+    if !tracing() {
         return;
     }
     let kind = if up {
@@ -483,38 +430,38 @@ pub fn wire_event(up: bool, server: usize, label: &'static str, bytes: u64) {
     } else {
         EventKind::WireDown
     };
-    imp::record(kind, label, bytes, server as u64);
+    record(kind, label, bytes, server as u64);
 }
 
 /// Records a fault-injection event. Called by `FaultyChannel`; a no-op
 /// unless tracing is on.
 #[inline]
 pub fn fault_event(action: &'static str, server: usize) {
-    if !imp::tracing() {
+    if !tracing() {
         return;
     }
-    imp::record(EventKind::Fault, action, 0, server as u64);
+    record(EventKind::Fault, action, 0, server as u64);
 }
 
 /// Records a delivery-retry event (`attempt` = 1 for the first retry).
 /// Called by the transport retry loop; a no-op unless tracing is on.
 #[inline]
 pub fn retry_event(label: &'static str, server: usize, attempt: u64) {
-    if !imp::tracing() {
+    if !tracing() {
         return;
     }
-    imp::record(EventKind::Retry, label, attempt, server as u64);
+    record(EventKind::Retry, label, attempt, server as u64);
 }
 
 /// Records a view-seal event: the leakage-audit layer fingerprinted one
 /// party's view of `events` messages. A no-op unless tracing is on.
 #[inline]
 pub fn view_event(party_is_client: bool, server: usize, events: u64) {
-    if !imp::tracing() {
+    if !tracing() {
         return;
     }
     let label = if party_is_client { "client" } else { "server" };
-    imp::record(EventKind::ViewSeal, label, events, server as u64);
+    record(EventKind::ViewSeal, label, events, server as u64);
 }
 
 /// Records a networked session span opening or closing on this party.
@@ -525,7 +472,7 @@ pub fn view_event(party_is_client: bool, server: usize, events: u64) {
 /// A no-op unless tracing is on.
 #[inline]
 pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
-    if !imp::tracing() {
+    if !tracing() {
         return;
     }
     let kind = if open {
@@ -533,7 +480,7 @@ pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
     } else {
         EventKind::NetSessionClose
     };
-    imp::record(kind, imp::intern(driver), session, u64::from(mode));
+    record(kind, intern(driver), session, u64::from(mode));
 }
 
 /// Records a stamped session-frame event: `send` for a frame leaving this
@@ -542,7 +489,7 @@ pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
 /// always strictly greater than its send). A no-op unless tracing is on.
 #[inline]
 pub fn net_frame_event(send: bool, label: &str, bytes: u64, half_round: u32, lamport: u32) {
-    if !imp::tracing() {
+    if !tracing() {
         return;
     }
     let kind = if send {
@@ -551,7 +498,7 @@ pub fn net_frame_event(send: bool, label: &str, bytes: u64, half_round: u32, lam
         EventKind::NetRecv
     };
     let b = (u64::from(half_round) << 32) | u64::from(lamport);
-    imp::record(kind, imp::intern(label), bytes, b);
+    record(kind, intern(label), bytes, b);
 }
 
 /// Unpacks the `b` word of a [`EventKind::NetSend`]/[`EventKind::NetRecv`]
@@ -561,18 +508,7 @@ pub fn unpack_net_stamp(b: u64) -> (u32, u32) {
     ((b >> 32) as u32, b as u32)
 }
 
-/// Drains everything recorded since the last [`take`]/[`reset`] (flushing
-/// the calling thread first) and starts a new measurement window.
-pub fn take() -> Trace {
-    imp::take()
-}
-
-/// Discards everything recorded so far and starts a new window.
-pub fn reset() {
-    imp::reset()
-}
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{count, span, Op};

@@ -3,8 +3,6 @@
 //! touches) must be bit-identical whether the server's column scan runs
 //! serially or on the worker pool.
 
-#![cfg(feature = "obs")]
-
 use proptest::prelude::*;
 use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier};
 use spfe_obs::{Op, OpsSnapshot};

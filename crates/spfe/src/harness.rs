@@ -78,11 +78,6 @@ pub fn db16_v(v: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The canonical 27-item database (variant 0 of [`db27_v`]).
-pub fn db27() -> Vec<u64> {
-    db27_v(0)
-}
-
 /// A 27-item database whose contents vary with the secret variant `v`.
 pub fn db27_v(v: usize) -> Vec<u64> {
     assert!(v < NUM_VARIANTS);

@@ -166,7 +166,8 @@ fn mix(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default per-round tick budget before a delayed delivery times out.
+/// Tick budget of every `FaultyChannel`: a delivery delayed by more ticks
+/// than this times out.
 pub const DEFAULT_TIMEOUT_TICKS: u64 = 3;
 
 /// Targeted byzantine tamper hook: receives the protocol label and the
@@ -185,7 +186,6 @@ pub struct FaultyChannel {
     /// How many distinct crashed servers may be replaced (the `t` of the
     /// paper's fault model).
     tolerance: usize,
-    timeout_ticks: u64,
     clock: u64,
     msg_index: u64,
     crashed: Vec<bool>,
@@ -215,19 +215,12 @@ impl FaultyChannel {
             inner: Transcript::new(num_servers),
             plan,
             tolerance,
-            timeout_ticks: DEFAULT_TIMEOUT_TICKS,
             clock: 0,
             msg_index: 0,
             crashed: vec![false; num_servers],
             healed: Vec::new(),
             tamper: None,
         }
-    }
-
-    /// Overrides the per-delivery tick budget.
-    pub fn with_timeout_ticks(mut self, ticks: u64) -> Self {
-        self.timeout_ticks = ticks;
-        self
     }
 
     /// Installs a targeted byzantine tamper hook, applied *instead of* the
@@ -359,7 +352,7 @@ impl Channel for FaultyChannel {
             }
             Some(FaultAction::Delay(ticks)) => {
                 self.clock += ticks;
-                if ticks > self.timeout_ticks {
+                if ticks > DEFAULT_TIMEOUT_TICKS {
                     Err(ProtocolError::Timeout { server, label })
                 } else {
                     self.deliver(dir, label, bytes, action, idx)
@@ -526,7 +519,6 @@ mod tests {
         assert!(fired > 10 && fired < 100, "rate plausible: {fired}/200");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn faults_and_retries_reach_the_event_journal() {
         use spfe_obs::trace::{self, EventKind};

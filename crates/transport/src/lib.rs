@@ -20,7 +20,6 @@ pub mod fault;
 pub mod frame;
 pub mod lamport;
 pub mod meter;
-pub mod report_wire;
 pub mod session;
 pub mod socket;
 pub mod wire;

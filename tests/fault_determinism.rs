@@ -9,8 +9,6 @@
 //! This lives in its own test binary: the counters are process-global and
 //! the adversarial matrix next door would pollute the windows.
 
-#![cfg(feature = "obs")]
-
 use spfe::core::stats;
 use spfe::crypto::{ChaChaRng, HomomorphicScheme, Paillier, PaillierPk, PaillierSk, SchnorrGroup};
 use spfe::math::Fp64;

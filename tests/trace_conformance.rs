@@ -18,8 +18,6 @@
 //! on a local lock. The adversarial suite runs in a separate process and
 //! never enables tracing, so the two cannot interfere.
 
-#![cfg(feature = "obs")]
-
 mod common;
 
 use common::*;
