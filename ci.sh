@@ -142,8 +142,9 @@ for _ in $(seq 1 50); do
 done
 ADDR=$(awk '/^listening on /{print $3; exit}' "$SRV_LOG")
 test -n "$ADDR"
-# e1/e2/e11 run in relay mode; xor2 has extracted sans-io cores and runs
-# in compute mode, so both session kinds land in the trace journals.
+# e1's psm_spfe and two_phase run in relay mode; every driver with
+# extracted sans-io cores (e1's hom_pir and spir, all of e2 and e11, xor2)
+# runs in compute mode, so both session kinds land in the trace journals.
 target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" e1 e2 e11 xor2
 # Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
 # Prometheus text exposition, both while sessions are being served.

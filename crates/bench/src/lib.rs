@@ -1,9 +1,9 @@
 //! Shared harness for the SPFE experiment suite.
 //!
-//! Each experiment in DESIGN.md §3 has a criterion bench (wall-clock
-//! computation) and a row-producer here (exact communication/round
-//! measurements via [`Transcript`]); the `spfe-tables` binary prints the
-//! paper-style tables recorded in EXPERIMENTS.md.
+//! Each experiment in DESIGN.md §3 has a row-producer here (exact
+//! communication/round measurements via [`Transcript`]); the
+//! `spfe-tables` binary prints the paper-style tables recorded in
+//! EXPERIMENTS.md.
 
 #![forbid(unsafe_code)]
 

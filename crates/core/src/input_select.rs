@@ -594,8 +594,7 @@ where
     drop(_setup);
 
     // Round 1: batched SPIR(n, m, κ) for the encrypted items.
-    let (retrieved, _) =
-        words::retrieve_many(t, group, client_pk, client_sk, &enc_db, indices, rng)?;
+    let (retrieved, _) = batched::run_words(t, group, client_pk, client_sk, &enc_db, indices, rng)?;
 
     // Round 2 (client → server): E_s(x + R_j), rerandomized.
     let _unblind = spfe_obs::span("unblind");

@@ -50,6 +50,12 @@ impl<R: RandomSource + ?Sized> RandomSource for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
     }
+
+    // Forwarded too: a generator may override it (ChaCha draws bytes, not
+    // words), and a borrowed rng must yield the stream the rng itself does.
+    fn fill_bytes(&mut self, buf: &mut [u8]) {
+        (**self).fill_bytes(buf);
+    }
 }
 
 /// A xorshift64* generator: fast and deterministic. **Not** cryptographically

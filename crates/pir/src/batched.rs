@@ -20,12 +20,24 @@
 //! Indices that cuckoo fails to place (possible only for adversarial index
 //! sets sharing both buckets) fall back to individual full-database SPIRs,
 //! reported in [`BatchedStats`].
+//!
+//! Each party is written once, as a sans-io core (DESIGN.md §15):
+//! [`run_words`] pumps [`BatchedClientCore`] against a
+//! [`BatchedServerCore`] in process, and the networked server hosts the
+//! same server core. As in [`crate::spir`], the server core holds the rng
+//! its pads and OTs draw from. The client core draws everything at
+//! construction, fallback queries included, so a fallback round needs no
+//! client randomness after the first answer.
 
 use crate::spir::{self, SpirParams};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, SessionCore,
+    SessionState, Wire,
+};
+use std::borrow::Cow;
 
 /// Outcome statistics of a batched retrieval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,34 +99,24 @@ impl BatchLayout {
         self.b * self.n.div_ceil(self.b * self.b)
     }
 
-    /// Materializes column bucket `c` (padded with zeros).
-    pub fn col_bucket_db(&self, db: &[u64], c: usize) -> Vec<u64> {
-        (0..self.col_bucket_len())
-            .map(|slot| {
-                let i = slot * self.b + c;
-                if i < db.len() {
-                    db[i]
-                } else {
-                    0
-                }
-            })
-            .collect()
+    /// Fixed size of bucket `k` (columns `0..B`, then rows `B..2B`).
+    pub fn bucket_len(&self, k: usize) -> usize {
+        if k < self.b {
+            self.col_bucket_len()
+        } else {
+            self.row_bucket_len()
+        }
     }
 
-    /// Materializes row bucket `s` (padded with zeros).
-    pub fn row_bucket_db(&self, db: &[u64], s: usize) -> Vec<u64> {
-        (0..self.row_bucket_len())
-            .map(|slot| {
-                let r = slot % self.b;
-                let qq = slot / self.b;
-                let i = (qq * self.b + s) * self.b + r;
-                if i < db.len() {
-                    db[i]
-                } else {
-                    0
-                }
-            })
-            .collect()
+    /// The database index bucket `k` holds at `slot`; at or past `n` the
+    /// slot is zero padding.
+    pub fn bucket_item(&self, k: usize, slot: usize) -> usize {
+        let b = self.b;
+        if k < b {
+            slot * b + k
+        } else {
+            ((slot / b) * b + (k - b)) * b + slot % b
+        }
     }
 }
 
@@ -172,25 +174,13 @@ fn cuckoo_assign<R: RandomSource + ?Sized>(
 
 /// Materializes bucket `k`'s virtual database of multi-word items.
 fn bucket_words(layout: &BatchLayout, db: &[Vec<u64>], width: usize, k: usize) -> Vec<Vec<u64>> {
-    let b = layout.b;
-    if k < b {
-        (0..layout.col_bucket_len())
-            .map(|slot| {
-                let i = slot * b + k;
-                db.get(i).cloned().unwrap_or_else(|| vec![0; width])
-            })
-            .collect()
-    } else {
-        let s = k - b;
-        (0..layout.row_bucket_len())
-            .map(|slot| {
-                let r = slot % b;
-                let qq = slot / b;
-                let i = (qq * b + s) * b + r;
-                db.get(i).cloned().unwrap_or_else(|| vec![0; width])
-            })
-            .collect()
-    }
+    (0..layout.bucket_len(k))
+        .map(|slot| {
+            db.get(layout.bucket_item(k, slot))
+                .cloned()
+                .unwrap_or_else(|| vec![0; width])
+        })
+        .collect()
 }
 
 /// Client-side state of a batched retrieval, spanning the query and decode
@@ -349,7 +339,7 @@ pub fn server_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
     // Stage 2 — pads and OT consume the rng, so run serially in bucket
     // order: the draw sequence (and the transcript) is thread-count
     // independent.
-    Ok(query
+    query
         .iter()
         .zip(&scans)
         .enumerate()
@@ -357,7 +347,7 @@ pub fn server_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
             let params = if k < b { &col_params } else { &row_params };
             spir::pad_answer_words(params, pk, scanned, q, rng)
         })
-        .collect())
+        .collect()
 }
 
 /// Phase 3 (client): decodes the buckets it owns. Positions listed in
@@ -389,10 +379,11 @@ pub fn client_decode_words<P: HomomorphicPk, S: HomomorphicSk<P>>(
     Ok(values)
 }
 
-/// Runs the batched `SPIR(n, m, *)` over multi-word items: all bucket
-/// queries travel in one client message and all answers in one server
-/// message — a single round plus (rarely) one extra round of full-database
-/// fallbacks.
+/// Runs the batched `SPIR(n, m, *)` over multi-word items: [`pump`] over
+/// a client core and one server core, which borrows `db` and `rng`. All
+/// bucket queries travel in one client message and all answers in one
+/// server message — a single round plus (rarely) one extra round of
+/// full-database fallbacks.
 ///
 /// # Errors
 ///
@@ -412,51 +403,21 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
     rng: &mut R,
 ) -> Result<(Vec<Vec<u64>>, BatchedStats), ProtocolError> {
     let _proto = spfe_obs::span("batched");
-    let width = db.first().map_or(0, |it| it.len());
-    let (queries, state) = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(group, pk, sk, db.len(), indices, rng)
-    };
-    let queries = t.client_to_server(0, "batched-queries", &queries)?;
-    let answers = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer_words(group, pk, db, &queries, rng)?
-    };
-    let answers = t.server_to_client(0, "batched-answers", &answers)?;
-    let mut values = {
-        let _s = spfe_obs::span("reconstruct");
-        client_decode_words(pk, sk, &state, &answers, width)?
-    };
-
-    // Fallbacks: full-database retrievals, batched into one extra exchange.
-    if !state.leftovers.is_empty() {
-        let _s = spfe_obs::span("fallbacks");
-        let full_params = SpirParams::new(group.clone(), db.len());
-        let mut fqueries = Vec::with_capacity(state.leftovers.len());
-        let mut fstates = Vec::with_capacity(state.leftovers.len());
-        for &q in &state.leftovers {
-            let (fq, fst) = spir::client_query(&full_params, pk, sk, indices[q], rng);
-            fqueries.push(fq);
-            fstates.push(fst);
-        }
-        let fqueries = t.client_to_server(0, "batched-fallback-queries", &fqueries)?;
-        let fanswers: Vec<spir::SpirWordsAnswer> = fqueries
-            .iter()
-            .map(|fq| spir::server_answer_words(&full_params, pk, db, fq, rng))
-            .collect::<Result<_, _>>()?;
-        let fanswers = t.server_to_client(0, "batched-fallback-answers", &fanswers)?;
-        for ((&q, st), a) in state.leftovers.iter().zip(&fstates).zip(&fanswers) {
-            values[q] = spir::client_decode_words(&full_params, pk, sk, st, a)?;
-        }
-    }
-
-    Ok((
-        values,
-        BatchedStats {
-            bucket_queries: state.owners.len(),
-            fallbacks: state.leftovers.len(),
-        },
-    ))
+    let width = db.first().map_or(0, Vec::len);
+    let mut client = BatchedClientCore::new(
+        group.clone(),
+        pk.clone(),
+        sk.clone(),
+        db.len(),
+        width,
+        indices,
+        rng,
+    );
+    let server = Box::new(BatchedServerCore::new(group.clone(), pk.clone(), db, rng));
+    pump(t, &mut client, &mut [server])?;
+    Ok(client
+        .into_output()
+        .expect("a finished pump leaves the output"))
 }
 
 /// Runs the batched `SPIR(n, m, *)` over single-word items, returning the
@@ -484,6 +445,209 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     Ok((vals.into_iter().map(|v| v[0]).collect(), stats))
 }
 
+/// Server half of batched SPIR as a sans-io state machine: one answer to
+/// the bucket queries and, if the client sends them, one to its
+/// full-database fallback queries. It draws pads and OT randomness from
+/// `rng` while answering.
+#[derive(Debug)]
+pub struct BatchedServerCore<'a, P: HomomorphicPk, G> {
+    buckets: AnswerOnce,
+    fallbacks: AnswerOnce,
+    group: SchnorrGroup,
+    pk: P,
+    db: Cow<'a, [Vec<u64>]>,
+    rng: G,
+}
+
+impl<'a, P: HomomorphicPk, G: RandomSource> BatchedServerCore<'a, P, G> {
+    /// A core holding (or borrowing) the multi-word `db` and drawing from
+    /// `rng`.
+    pub fn new(group: SchnorrGroup, pk: P, db: impl Into<Cow<'a, [Vec<u64>]>>, rng: G) -> Self {
+        BatchedServerCore {
+            buckets: AnswerOnce::new(0, "batched-queries", "batched-answers"),
+            fallbacks: AnswerOnce::new(0, "batched-fallback-queries", "batched-fallback-answers"),
+            group,
+            pk,
+            db: db.into(),
+            rng,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, G: RandomSource> SessionCore for BatchedServerCore<'_, P, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if label == "batched-fallback-queries" {
+            return self.fallbacks.answer(label, || {
+                let queries = Vec::<spir::SpirQuery>::from_bytes(payload)?;
+                let _s = spfe_obs::span("fallbacks");
+                let full = SpirParams::new(self.group.clone(), self.db.len());
+                let answers: Vec<spir::SpirWordsAnswer> = queries
+                    .iter()
+                    .map(|q| spir::server_answer_words(&full, &self.pk, &self.db, q, &mut self.rng))
+                    .collect::<Result<_, _>>()?;
+                Ok(answers.to_bytes())
+            });
+        }
+        self.buckets.answer(label, || {
+            let queries = BatchedQuery::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-scan");
+            let answers =
+                server_answer_words(&self.group, &self.pk, &self.db, &queries, &mut self.rng)?;
+            Ok(answers.to_bytes())
+        })
+    }
+}
+
+/// Client half of batched SPIR: the bucket queries at start, then — only
+/// if cuckoo left indices unplaced — one round of full-database fallback
+/// queries, built at construction with the rest.
+#[derive(Debug)]
+pub struct BatchedClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
+    pk: P,
+    sk: S,
+    width: usize,
+    state: BatchedClientState,
+    buckets: OneRound<BatchedQuery, Vec<spir::SpirWordsAnswer>>,
+    fallbacks: OneRound<Vec<spir::SpirQuery>, Vec<spir::SpirWordsAnswer>>,
+    fallback_params: SpirParams,
+    fallback_states: Vec<spir::SpirClientState>,
+    values: Vec<Vec<u64>>,
+    output: Option<(Vec<Vec<u64>>, BatchedStats)>,
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> BatchedClientCore<P, S> {
+    /// A client core retrieving `indices` from an `n`-item database of
+    /// `width`-word items. Cuckoo placement, every bucket query and every
+    /// fallback query are drawn here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` is empty or out of range for `n`.
+    pub fn new<R: RandomSource + ?Sized>(
+        group: SchnorrGroup,
+        pk: P,
+        sk: S,
+        n: usize,
+        width: usize,
+        indices: &[usize],
+        rng: &mut R,
+    ) -> Self {
+        let _s = spfe_obs::span("query-gen");
+        let (queries, state) = client_query(&group, &pk, &sk, n, indices, rng);
+        let fallback_params = SpirParams::new(group, n);
+        let (fqueries, fallback_states) = state
+            .leftovers
+            .iter()
+            .map(|&q| spir::client_query(&fallback_params, &pk, &sk, indices[q], rng))
+            .unzip();
+        BatchedClientCore {
+            pk,
+            sk,
+            width,
+            state,
+            buckets: OneRound::new("batched-queries", "batched-answers", vec![queries]),
+            fallbacks: OneRound::new(
+                "batched-fallback-queries",
+                "batched-fallback-answers",
+                vec![fqueries],
+            ),
+            fallback_params,
+            fallback_states,
+            values: Vec::new(),
+            output: None,
+        }
+    }
+
+    /// The retrieved items in query order plus the batching statistics,
+    /// once the session is done.
+    pub fn into_output(self) -> Option<(Vec<Vec<u64>>, BatchedStats)> {
+        self.output
+    }
+
+    fn finish(&mut self) -> (SessionState, Vec<OutMsg>) {
+        let stats = BatchedStats {
+            bucket_queries: self.state.owners.len(),
+            fallbacks: self.state.leftovers.len(),
+        };
+        self.output = Some((std::mem::take(&mut self.values), stats));
+        (SessionState::Done, Vec::new())
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for BatchedClientCore<P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.buckets.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if label == "batched-fallback-answers" {
+            let Some(answers) = self.fallbacks.receive(server, label, payload)? else {
+                return Ok((SessionState::Running, Vec::new()));
+            };
+            let answers = &answers[0];
+            if answers.len() != self.fallback_states.len() {
+                return Err(ProtocolError::InvalidMessage {
+                    label: "batched-fallback-answers",
+                    reason: "answer count mismatches fallback count",
+                });
+            }
+            let _s = spfe_obs::span("reconstruct");
+            for ((&q, st), a) in self
+                .state
+                .leftovers
+                .iter()
+                .zip(&self.fallback_states)
+                .zip(answers)
+            {
+                self.values[q] =
+                    spir::client_decode_words(&self.fallback_params, &self.pk, &self.sk, st, a)?;
+            }
+            return Ok(self.finish());
+        }
+        let Some(answers) = self.buckets.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.values =
+            client_decode_words(&self.pk, &self.sk, &self.state, &answers[0], self.width)?;
+        if self.state.leftovers.is_empty() {
+            return Ok(self.finish());
+        }
+        self.fallbacks.start()
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for BatchedClientCore<P, S> {
+    /// The wrapping sum of every word retrieved.
+    fn digest(&self) -> Option<u64> {
+        let (values, _) = self.output.as_ref()?;
+        Some(
+            values
+                .iter()
+                .flatten()
+                .fold(0, |acc, &w| acc.wrapping_add(w)),
+        )
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.buckets
+            .static_label(label)
+            .or_else(|| self.fallbacks.static_label(label))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,14 +673,13 @@ mod tests {
     #[test]
     fn grid_positions_are_consistent() {
         let layout = BatchLayout::new(100, 4);
-        let database = db(100);
         for i in 0..100 {
-            let c = layout.col_bucket(i);
-            let cs = layout.col_slot(i);
-            assert_eq!(layout.col_bucket_db(&database, c)[cs], database[i]);
-            let r = layout.row_bucket(i);
-            let rs = layout.row_slot(i);
-            assert_eq!(layout.row_bucket_db(&database, r)[rs], database[i], "i={i}");
+            let (c, cs) = (layout.col_bucket(i), layout.col_slot(i));
+            assert!(cs < layout.bucket_len(c));
+            assert_eq!(layout.bucket_item(c, cs), i);
+            let (r, rs) = (layout.b + layout.row_bucket(i), layout.row_slot(i));
+            assert!(rs < layout.bucket_len(r));
+            assert_eq!(layout.bucket_item(r, rs), i, "i={i}");
         }
     }
 
@@ -563,6 +726,7 @@ mod tests {
             assert_eq!(*v, database[i], "i={i}");
         }
         assert!(stats.fallbacks >= 1, "third clone must fall back");
+        assert_eq!(t.report().half_rounds, 4, "bucket round + fallback round");
     }
 
     #[test]

@@ -153,44 +153,69 @@ pub fn server_answer<P: HomomorphicPk>(
     // Counted once on the calling thread (not inside the parallel closure)
     // so the tally is identical under any worker-pool configuration.
     spfe_obs::count(spfe_obs::Op::PirWordsScanned, layout.cells() as u64);
-    let selectors: Vec<P::Ciphertext> = query
-        .row_selector
+    let selectors = parse_selectors(pk, &query.row_selector, "hompir-query")?;
+    Ok(fold_columns(pk, &selectors, layout.cols, |i| {
+        Nat::from(db.get(i).copied().unwrap_or(0))
+    }))
+}
+
+/// Decodes a query's encrypted selector, one ciphertext per entry.
+///
+/// # Errors
+///
+/// [`ProtocolError::InvalidMessage`] (under `label`) if any entry is not a
+/// well-formed ciphertext.
+pub(crate) fn parse_selectors<P: HomomorphicPk>(
+    pk: &P,
+    selector: &[Vec<u8>],
+    label: &'static str,
+) -> Result<Vec<P::Ciphertext>, ProtocolError> {
+    selector
         .iter()
         .map(|b| {
             pk.ciphertext_from_bytes(b)
                 .ok_or(ProtocolError::InvalidMessage {
-                    label: "hompir-query",
+                    label,
                     reason: "malformed query ciphertext",
                 })
         })
-        .collect::<Result<_, _>>()?;
-    // The Ω(n) hot loop: one mod-exp per non-zero cell. Each column is
-    // independent and rng-free, so shard columns across the worker pool —
-    // results come back in column order, keeping the answer (and every
-    // transcript built from it) byte-identical to the serial scan. Each
-    // column is √n modexps: squarely `CostClass::Heavy`.
-    let col_idx: Vec<usize> = (0..layout.cols).collect();
-    Ok(spfe_math::par::par_map_cost(
-        spfe_math::par::CostClass::Heavy,
-        &col_idx,
-        |&j| {
-            let mut acc: Option<P::Ciphertext> = None;
-            for (r, sel) in selectors.iter().enumerate() {
-                let i = r * layout.cols + j;
-                let v = if i < db.len() { db[i] } else { 0 };
-                if v == 0 {
-                    continue;
-                }
-                let term = pk.mul_const(sel, &Nat::from(v));
-                acc = Some(match acc {
-                    None => term,
-                    Some(prev) => pk.add(&prev, &term),
-                });
+        .collect()
+}
+
+/// The column fold every Paillier scan in this crate runs: for each of
+/// `cols` columns, `C_j = Σ_r sel_r · cell(r·cols + j)`, one mod-exp per
+/// non-zero cell. Each column is independent and rng-free, so columns
+/// shard across the worker pool and come back in column order, keeping
+/// every transcript built from them byte-identical to a serial scan. A
+/// column is `selectors.len()` modexps: squarely `CostClass::Heavy`.
+///
+/// # Panics
+///
+/// Panics if `selectors` is empty, or a cell is not below the plaintext
+/// modulus (the server's own data).
+pub(crate) fn fold_columns<P: HomomorphicPk>(
+    pk: &P,
+    selectors: &[P::Ciphertext],
+    cols: usize,
+    cell: impl Fn(usize) -> Nat + Sync,
+) -> Vec<P::Ciphertext> {
+    let col_idx: Vec<usize> = (0..cols).collect();
+    spfe_math::par::par_map_cost(spfe_math::par::CostClass::Heavy, &col_idx, |&j| {
+        let mut acc: Option<P::Ciphertext> = None;
+        for (r, sel) in selectors.iter().enumerate() {
+            let v = cell(r * cols + j);
+            if v.is_zero() {
+                continue;
             }
-            // An all-zero column still needs a well-formed ciphertext.
-            acc.unwrap_or_else(|| pk.mul_const(&selectors[0], &Nat::zero()))
-        },
-    ))
+            let term = pk.mul_const(sel, &v);
+            acc = Some(match acc {
+                None => term,
+                Some(prev) => pk.add(&prev, &term),
+            });
+        }
+        // An all-zero column still needs a well-formed ciphertext.
+        acc.unwrap_or_else(|| pk.mul_const(&selectors[0], &Nat::zero()))
+    })
 }
 
 /// Serializes column ciphertexts into the wire answer.

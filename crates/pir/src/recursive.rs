@@ -13,12 +13,21 @@
 //! with `d1` ciphertexts; the server folds the grid into `d2` first-level
 //! answer ciphertexts. Level 2: those `d2` ciphertexts, split into
 //! plaintext-sized chunks, form a `r2 × c2` grid queried by `r2` more
-//! ciphertexts; the client decrypts twice.
+//! ciphertexts; the client decrypts twice. Both levels run the column
+//! fold of `hom_pir::fold_columns`.
+//!
+//! Each party is written once, as a sans-io core (DESIGN.md §15): [`run`]
+//! pumps [`RecursiveClientCore`] against a [`RecursiveServerCore`] in
+//! process, and the networked server hosts the same server core.
 
-use crate::hom_pir::Layout;
+use crate::hom_pir;
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_math::{Nat, RandomSource};
-use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
+};
+use std::borrow::Cow;
 
 /// Dimensions of the two recursion levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +126,8 @@ pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Si
     }
 }
 
-/// Server: the two folding passes. Returns `c2 × chunks` ciphertext blobs.
+/// Server: the two folding passes, both the column fold of
+/// `hom_pir::fold_columns`. Returns `c2 × chunks` ciphertext blobs.
 ///
 /// # Errors
 ///
@@ -144,87 +154,40 @@ pub fn server_answer<P: HomomorphicPk>(
         spfe_obs::Op::PirWordsScanned,
         (layout.d1 * layout.d2) as u64,
     );
-    let sel1: Vec<P::Ciphertext> = query
-        .level1
-        .iter()
-        .map(|b| {
-            pk.ciphertext_from_bytes(b)
-                .ok_or(ProtocolError::InvalidMessage {
-                    label: "recpir-query",
-                    reason: "malformed level-1 ciphertext",
-                })
-        })
-        .collect::<Result<_, _>>()?;
+    let sel1 = hom_pir::parse_selectors(pk, &query.level1, "recpir-query")?;
+    let sel2 = hom_pir::parse_selectors(pk, &query.level2, "recpir-query")?;
     // Level 1: fold rows into d2 ciphertexts.
-    let level1_layout = Layout {
-        rows: layout.d1,
-        cols: layout.d2,
-    };
-    let level1_cts: Vec<P::Ciphertext> = (0..layout.d2)
-        .map(|j| {
-            let mut acc: Option<P::Ciphertext> = None;
-            for (r, sel) in sel1.iter().enumerate() {
-                let i = r * level1_layout.cols + j;
-                let v = db.get(i).copied().unwrap_or(0);
-                if v == 0 {
-                    continue;
-                }
-                let term = pk.mul_const(sel, &Nat::from(v));
-                acc = Some(match acc {
-                    None => term,
-                    Some(prev) => pk.add(&prev, &term),
-                });
-            }
-            acc.unwrap_or_else(|| pk.mul_const(&sel1[0], &Nat::zero()))
-        })
-        .collect();
+    let level1: Vec<Vec<u8>> = hom_pir::fold_columns(pk, &sel1, layout.d2, |i| {
+        Nat::from(db.get(i).copied().unwrap_or(0))
+    })
+    .iter()
+    .map(|ct| pk.ciphertext_to_bytes(ct))
+    .collect();
 
-    // Level 2: the d2 ciphertexts, chunked, become the new database.
+    // Level 2: the d2 ciphertexts, chunked, become the new database — one
+    // fold per chunk plane.
     let cw = chunk_bytes(pk);
     let n_chunks = pk.ciphertext_bytes().div_ceil(cw);
-    let sel2: Vec<P::Ciphertext> = query
-        .level2
-        .iter()
-        .map(|b| {
-            pk.ciphertext_from_bytes(b)
-                .ok_or(ProtocolError::InvalidMessage {
-                    label: "recpir-query",
-                    reason: "malformed level-2 ciphertext",
-                })
+    let planes: Vec<Vec<P::Ciphertext>> = (0..n_chunks)
+        .map(|ch| {
+            hom_pir::fold_columns(pk, &sel2, layout.c2, |item| {
+                let Some(bytes) = level1.get(item) else {
+                    return Nat::zero();
+                };
+                let (lo, hi) = (ch * cw, ((ch + 1) * cw).min(bytes.len()));
+                if lo < hi {
+                    Nat::from_le_bytes(&bytes[lo..hi])
+                } else {
+                    Nat::zero()
+                }
+            })
         })
-        .collect::<Result<_, _>>()?;
+        .collect();
     Ok((0..layout.c2)
         .map(|j| {
-            (0..n_chunks)
-                .map(|ch| {
-                    let mut acc: Option<P::Ciphertext> = None;
-                    for (r, sel) in sel2.iter().enumerate() {
-                        let item = r * layout.c2 + j;
-                        let chunk_val = if item < level1_cts.len() {
-                            let bytes = pk.ciphertext_to_bytes(&level1_cts[item]);
-                            let lo = ch * cw;
-                            let hi = ((ch + 1) * cw).min(bytes.len());
-                            if lo < hi {
-                                Nat::from_le_bytes(&bytes[lo..hi])
-                            } else {
-                                Nat::zero()
-                            }
-                        } else {
-                            Nat::zero()
-                        };
-                        if chunk_val.is_zero() {
-                            continue;
-                        }
-                        let term = pk.mul_const(sel, &chunk_val);
-                        acc = Some(match acc {
-                            None => term,
-                            Some(prev) => pk.add(&prev, &term),
-                        });
-                    }
-                    pk.ciphertext_to_bytes(
-                        &acc.unwrap_or_else(|| pk.mul_const(&sel2[0], &Nat::zero())),
-                    )
-                })
+            planes
+                .iter()
+                .map(|plane| pk.ciphertext_to_bytes(&plane[j]))
                 .collect()
         })
         .collect())
@@ -271,7 +234,8 @@ pub fn client_decode<P: HomomorphicPk, S: HomomorphicSk<P>>(
     sk.decrypt(&inner).to_u64().ok_or(BAD)
 }
 
-/// Runs the depth-2 scheme over a metered channel.
+/// Runs the depth-2 scheme over a metered channel: [`pump`] over a
+/// client core and one server core, which borrows `db`.
 ///
 /// # Errors
 ///
@@ -289,25 +253,130 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     let _proto = spfe_obs::span("recpir");
-    let layout = RecursiveLayout::balanced(db.len());
-    let q = {
+    let mut client = RecursiveClientCore::new(pk.clone(), sk.clone(), db.len(), index, rng);
+    let server = Box::new(RecursiveServerCore::new(pk.clone(), db));
+    pump(t, &mut client, &mut [server])
+}
+
+/// Server half of depth-2 recursive PIR as a sans-io state machine.
+#[derive(Debug)]
+pub struct RecursiveServerCore<'a, P: HomomorphicPk> {
+    once: AnswerOnce,
+    pk: P,
+    layout: RecursiveLayout,
+    db: Cow<'a, [u64]>,
+}
+
+impl<'a, P: HomomorphicPk> RecursiveServerCore<'a, P> {
+    /// A core holding (or borrowing) `db` under the balanced layout for
+    /// its size.
+    pub fn new(pk: P, db: impl Into<Cow<'a, [u64]>>) -> Self {
+        let db = db.into();
+        RecursiveServerCore {
+            once: AnswerOnce::new(0, "recpir-query", "recpir-answer"),
+            pk,
+            layout: RecursiveLayout::balanced(db.len()),
+            db,
+        }
+    }
+}
+
+impl<P: HomomorphicPk> SessionCore for RecursiveServerCore<'_, P> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            let query = RecursiveQuery::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-scan");
+            Ok(server_answer(&self.pk, &self.layout, &self.db, &query)?.to_bytes())
+        })
+    }
+}
+
+/// Client half of depth-2 recursive PIR: query at start, double
+/// decryption on answer.
+#[derive(Debug)]
+pub struct RecursiveClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
+    pk: P,
+    sk: S,
+    layout: RecursiveLayout,
+    index: usize,
+    round: OneRound<RecursiveQuery, Vec<Vec<Vec<u8>>>>,
+    result: Option<u64>,
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> RecursiveClientCore<P, S> {
+    /// A client core retrieving `index` from an `n`-item database; both
+    /// selectors are encrypted here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is outside the layout for `n`.
+    pub fn new<R: RandomSource + ?Sized>(
+        pk: P,
+        sk: S,
+        n: usize,
+        index: usize,
+        rng: &mut R,
+    ) -> Self {
         let _s = spfe_obs::span("query-gen");
-        client_query(pk, sk, &layout, index, rng)
-    };
-    let q = t.client_to_server(0, "recpir-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer(pk, &layout, db, &q)?
-    };
-    let a = t.server_to_client(0, "recpir-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode(pk, sk, &layout, index, &a)
+        let layout = RecursiveLayout::balanced(n);
+        let query = client_query(&pk, &sk, &layout, index, rng);
+        RecursiveClientCore {
+            pk,
+            sk,
+            layout,
+            index,
+            round: OneRound::new("recpir-query", "recpir-answer", vec![query]),
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for RecursiveClientCore<P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(answers) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.result = Some(client_decode(
+            &self.pk,
+            &self.sk,
+            &self.layout,
+            self.index,
+            &answers[0],
+        )?);
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for RecursiveClientCore<P, S> {
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hom_pir;
     use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier};
     use spfe_transport::Transcript;
 

@@ -12,6 +12,12 @@
 //! Both the PIR query and the OT query travel in the client's single
 //! message; the padded columns and the OT answer travel in the server's
 //! reply — a 1-round `SPIR(n, 1, *)` with `O(√n·κ)` communication.
+//!
+//! Each party is written once, as a sans-io core (DESIGN.md §15): [`run`]
+//! pumps [`SpirClientCore`] against a [`SpirServerCore`] in process, and
+//! the networked server hosts the same server core. The server draws its
+//! pads and OT randomness while answering, so its core holds an rng: the
+//! caller's, borrowed, in process; a fresh OS-seeded one when hosted.
 
 use crate::hom_pir::{self, HomPirAnswer, HomPirQuery, Layout};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
@@ -19,7 +25,11 @@ use spfe_crypto::SchnorrGroup;
 use spfe_math::modular::mod_sub;
 use spfe_math::{Nat, RandomSource};
 use spfe_ot::{ot2, ot_n};
-use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
+};
+use std::borrow::Cow;
 
 /// Domain-separation label for the OT's deterministic setup element.
 const OT_SETUP_LABEL: &[u8] = b"spfe-spir-pad-ot";
@@ -139,7 +149,8 @@ pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Si
     )
 }
 
-/// Server: pads every column homomorphically and transfers the pads by OT.
+/// Server: pads every column homomorphically and transfers the pads by OT
+/// — the one-chunk case of [`pad_answer_words`].
 ///
 /// # Errors
 ///
@@ -152,38 +163,11 @@ pub fn server_answer<P: HomomorphicPk, R: RandomSource + ?Sized>(
     query: &SpirQuery,
     rng: &mut R,
 ) -> Result<SpirAnswer, ProtocolError> {
-    let layout = params.layout();
-    let columns = hom_pir::server_answer(pk, &layout, db, &query.pir)?;
-    let u = pk.plaintext_modulus().clone();
-    let width = pad_bytes(pk);
-    // Random pads, applied under encryption.
-    let pads: Vec<Nat> = (0..layout.cols)
-        .map(|_| Nat::random_below(rng, &u))
-        .collect();
-    let enc_pads = pk.encrypt_batch(&pads, rng);
-    // Pad application is one homomorphic add per column — no modexp, so
-    // `CostClass::Light`: it only fans out for very wide answers and runs
-    // inline at typical √n column counts.
-    let pad_jobs: Vec<(&P::Ciphertext, &P::Ciphertext)> = columns.iter().zip(&enc_pads).collect();
-    let padded: Vec<P::Ciphertext> = spfe_math::par::par_map_cost(
-        spfe_math::par::CostClass::Light,
-        &pad_jobs,
-        |&(c, enc_pad)| pk.add(c, enc_pad),
-    );
-    let pad_items: Vec<Vec<u8>> = pads
-        .iter()
-        .map(|rho| rho.to_le_bytes_padded(width))
-        .collect();
-    let pad_ot = ot_n::sender_answer(
-        &params.group,
-        &params.ot_setup(),
-        &query.pad_ot,
-        &pad_items,
-        rng,
-    );
+    let columns = hom_pir::server_answer(pk, &params.layout(), db, &query.pir)?;
+    let mut padded = pad_answer_words(params, pk, &[columns], query, rng)?;
     Ok(SpirAnswer {
-        padded: hom_pir::answer_to_wire(pk, &padded),
-        pad_ot,
+        padded: padded.padded.pop().expect("one chunk"),
+        pad_ot: padded.pad_ot,
     })
 }
 
@@ -200,37 +184,8 @@ pub fn client_decode<P: HomomorphicPk, S: HomomorphicSk<P>>(
     state: &SpirClientState,
     answer: &SpirAnswer,
 ) -> Result<u64, ProtocolError> {
-    let (_, col) = state.layout.position(state.index);
-    let ct_bytes = answer
-        .padded
-        .columns
-        .get(col)
-        .ok_or(ProtocolError::InvalidMessage {
-            label: "spir-answer",
-            reason: "answer has too few columns",
-        })?;
-    let ct = pk
-        .ciphertext_from_bytes(ct_bytes)
-        .ok_or(ProtocolError::InvalidMessage {
-            label: "spir-answer",
-            reason: "malformed answer ciphertext",
-        })?;
-    let masked = sk.decrypt(&ct);
-    let pad = Nat::from_le_bytes(&ot_n::receiver_output(
-        &params.group,
-        &state.ot_state,
-        &answer.pad_ot,
-    ));
-    mod_sub(
-        &masked,
-        &pad.rem(pk.plaintext_modulus()),
-        pk.plaintext_modulus(),
-    )
-    .to_u64()
-    .ok_or(ProtocolError::InvalidMessage {
-        label: "spir-answer",
-        reason: "unpadded item exceeds u64",
-    })
+    let pads = pad_ot_output(params, state, &answer.pad_ot, pad_bytes(pk))?;
+    unpad(pk, sk, state, &answer.padded, &pads)
 }
 
 /// Server answer for multi-word items (width `W`): per column, `W` padded
@@ -299,19 +254,40 @@ pub fn scan_words<P: HomomorphicPk>(
 /// The randomized stage of [`server_answer_words`]: pads every scanned
 /// column under encryption and transfers the pads by OT.
 ///
+/// # Errors
+///
+/// [`ProtocolError::InvalidMessage`] if the (client-controlled) pad OT
+/// query has the wrong arity or a base query outside the group.
+///
 /// # Panics
 ///
-/// Panics on malformed queries or a scan of the wrong shape.
+/// Panics on a scan of the wrong shape.
 pub fn pad_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
     params: &SpirParams,
     pk: &P,
     scanned: &[Vec<P::Ciphertext>],
     query: &SpirQuery,
     rng: &mut R,
-) -> SpirWordsAnswer {
+) -> Result<SpirWordsAnswer, ProtocolError> {
     let width = scanned.len();
     assert!(width > 0, "empty scan");
     let layout = params.layout();
+    let bits = &query.pad_ot.bit_queries;
+    if bits.len() != ot_n::selection_bits(layout.cols) {
+        return Err(ProtocolError::InvalidMessage {
+            label: "spir-query",
+            reason: "pad OT query arity mismatches layout",
+        });
+    }
+    if bits
+        .iter()
+        .any(|q| q.pk0.is_zero() || &q.pk0 >= params.group.p())
+    {
+        return Err(ProtocolError::InvalidMessage {
+            label: "spir-query",
+            reason: "pad OT query outside the group",
+        });
+    }
     let u = pk.plaintext_modulus().clone();
     let pad_w = pad_bytes(pk);
     // pads[c][j] = pad for chunk c, column j.
@@ -353,7 +329,7 @@ pub fn pad_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
         &pad_items,
         rng,
     );
-    SpirWordsAnswer { padded, pad_ot }
+    Ok(SpirWordsAnswer { padded, pad_ot })
 }
 
 /// Server: answers a (standard) SPIR query against a multi-word database
@@ -376,7 +352,7 @@ pub fn server_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<SpirWordsAnswer, ProtocolError> {
     let scanned = scan_words(params, pk, db_words, query)?;
-    Ok(pad_answer_words(params, pk, &scanned, query, rng))
+    pad_answer_words(params, pk, &scanned, query, rng)
 }
 
 /// Client: unpads its multi-word item.
@@ -392,80 +368,68 @@ pub fn client_decode_words<P: HomomorphicPk, S: HomomorphicSk<P>>(
     state: &SpirClientState,
     answer: &SpirWordsAnswer,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let (_, col) = state.layout.position(state.index);
     let pad_w = pad_bytes(pk);
-    let pads_bytes = ot_n::receiver_output(&params.group, &state.ot_state, &answer.pad_ot);
-    let u = pk.plaintext_modulus();
-    if pads_bytes.len() < answer.padded.len() * pad_w {
-        return Err(ProtocolError::InvalidMessage {
-            label: "spirw-answer",
-            reason: "OT pads shorter than the answer",
-        });
-    }
+    let pads = pad_ot_output(params, state, &answer.pad_ot, answer.padded.len() * pad_w)?;
     answer
         .padded
         .iter()
-        .enumerate()
-        .map(|(c, chunk)| {
-            let ct_bytes = chunk
-                .columns
-                .get(col)
-                .ok_or(ProtocolError::InvalidMessage {
-                    label: "spirw-answer",
-                    reason: "answer has too few columns",
-                })?;
-            let ct = pk
-                .ciphertext_from_bytes(ct_bytes)
-                .ok_or(ProtocolError::InvalidMessage {
-                    label: "spirw-answer",
-                    reason: "malformed answer ciphertext",
-                })?;
-            let masked = sk.decrypt(&ct);
-            let pad = Nat::from_le_bytes(&pads_bytes[c * pad_w..(c + 1) * pad_w]);
-            mod_sub(&masked, &pad.rem(u), u)
-                .to_u64()
-                .ok_or(ProtocolError::InvalidMessage {
-                    label: "spirw-answer",
-                    reason: "unpadded item exceeds u64",
-                })
-        })
+        .zip(pads.chunks(pad_w))
+        .map(|(chunk, pad)| unpad(pk, sk, state, chunk, pad))
         .collect()
 }
 
-/// Runs a full 1-round multi-word SPIR over a metered channel.
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed message.
-///
-/// # Panics
-///
-/// Panics on index out of range or ragged items (driver bugs).
-pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
+/// The client's OT output — the pads of its column — checked against the
+/// answer's shape before the OT receiver (which asserts it) sees it.
+fn pad_ot_output(
     params: &SpirParams,
-    pk: &P,
-    sk: &S,
-    db_words: &[Vec<u64>],
-    index: usize,
-    rng: &mut R,
-) -> Result<Vec<u64>, ProtocolError> {
-    let _proto = spfe_obs::span("spirw");
-    let (q, state) = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(params, pk, sk, index, rng)
+    state: &SpirClientState,
+    pad_ot: &ot_n::OtnAnswer,
+    want: usize,
+) -> Result<Vec<u8>, ProtocolError> {
+    let bad = |reason| ProtocolError::InvalidMessage {
+        label: "spir-answer",
+        reason,
     };
-    let q = t.client_to_server(0, "spirw-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer_words(params, pk, db_words, &q, rng)?
-    };
-    let a = t.server_to_client(0, "spirw-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode_words(params, pk, sk, &state, &a)
+    if pad_ot.bit_transfers.len() != ot_n::selection_bits(state.layout.cols)
+        || pad_ot.ciphertexts.len() != state.layout.cols
+    {
+        return Err(bad("pad OT answer mismatches layout"));
+    }
+    let pads = ot_n::receiver_output(&params.group, &state.ot_state, pad_ot);
+    if pads.len() != want {
+        return Err(bad("OT pads do not match the answer"));
+    }
+    Ok(pads)
 }
 
-/// Runs the full 1-round SPIR over a metered channel.
+/// Decrypts the client's column of one padded chunk and removes `pad`.
+fn unpad<P: HomomorphicPk, S: HomomorphicSk<P>>(
+    pk: &P,
+    sk: &S,
+    state: &SpirClientState,
+    chunk: &HomPirAnswer,
+    pad: &[u8],
+) -> Result<u64, ProtocolError> {
+    let bad = |reason| ProtocolError::InvalidMessage {
+        label: "spir-answer",
+        reason,
+    };
+    let (_, col) = state.layout.position(state.index);
+    let ct_bytes = chunk
+        .columns
+        .get(col)
+        .ok_or(bad("answer has too few columns"))?;
+    let ct = pk
+        .ciphertext_from_bytes(ct_bytes)
+        .ok_or(bad("malformed answer ciphertext"))?;
+    let u = pk.plaintext_modulus();
+    mod_sub(&sk.decrypt(&ct), &Nat::from_le_bytes(pad).rem(u), u)
+        .to_u64()
+        .ok_or(bad("unpadded item exceeds u64"))
+}
+
+/// Runs the full 1-round SPIR over a metered channel: [`pump`] over a
+/// client core and one server core, which borrows `db` and `rng`.
 ///
 /// # Errors
 ///
@@ -485,18 +449,132 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
 ) -> Result<u64, ProtocolError> {
     assert_eq!(db.len(), params.n, "db size mismatch");
     let _proto = spfe_obs::span("spir");
-    let (q, state) = {
+    let mut client = SpirClientCore::new(params.clone(), pk.clone(), sk.clone(), index, rng);
+    let server = Box::new(SpirServerCore::new(params.clone(), pk.clone(), db, rng));
+    pump(t, &mut client, &mut [server])
+}
+
+/// Server half of single-server SPIR as a sans-io state machine. It draws
+/// pads and OT randomness from `rng` while answering.
+#[derive(Debug)]
+pub struct SpirServerCore<'a, P: HomomorphicPk, G> {
+    once: AnswerOnce,
+    params: SpirParams,
+    pk: P,
+    db: Cow<'a, [u64]>,
+    rng: G,
+}
+
+impl<'a, P: HomomorphicPk, G: RandomSource> SpirServerCore<'a, P, G> {
+    /// A core holding (or borrowing) `db`, which must have `params.n`
+    /// items, and drawing from `rng`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `db` does not have `params.n` items.
+    pub fn new(params: SpirParams, pk: P, db: impl Into<Cow<'a, [u64]>>, rng: G) -> Self {
+        let db = db.into();
+        assert_eq!(db.len(), params.n, "db size mismatch");
+        SpirServerCore {
+            once: AnswerOnce::new(0, "spir-query", "spir-answer"),
+            params,
+            pk,
+            db,
+            rng,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, G: RandomSource> SessionCore for SpirServerCore<'_, P, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            let query = SpirQuery::from_bytes(payload)?;
+            let _s = spfe_obs::span("server-scan");
+            let answer = server_answer(&self.params, &self.pk, &self.db, &query, &mut self.rng)?;
+            Ok(answer.to_bytes())
+        })
+    }
+}
+
+/// Client half of single-server SPIR: query at start, unpad on answer.
+#[derive(Debug)]
+pub struct SpirClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
+    params: SpirParams,
+    pk: P,
+    sk: S,
+    state: SpirClientState,
+    round: OneRound<SpirQuery, SpirAnswer>,
+    result: Option<u64>,
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SpirClientCore<P, S> {
+    /// A client core retrieving `index`; the PIR selector and the pad OT
+    /// query are drawn here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= params.n`.
+    pub fn new<R: RandomSource + ?Sized>(
+        params: SpirParams,
+        pk: P,
+        sk: S,
+        index: usize,
+        rng: &mut R,
+    ) -> Self {
         let _s = spfe_obs::span("query-gen");
-        client_query(params, pk, sk, index, rng)
-    };
-    let q = t.client_to_server(0, "spir-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer(params, pk, db, &q, rng)?
-    };
-    let a = t.server_to_client(0, "spir-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode(params, pk, sk, &state, &a)
+        let (query, state) = client_query(&params, &pk, &sk, index, rng);
+        SpirClientCore {
+            params,
+            pk,
+            sk,
+            state,
+            round: OneRound::new("spir-query", "spir-answer", vec![query]),
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for SpirClientCore<P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(answers) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.result = Some(client_decode(
+            &self.params,
+            &self.pk,
+            &self.sk,
+            &self.state,
+            &answers[0],
+        )?);
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for SpirClientCore<P, S> {
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
 }
 
 #[cfg(test)]
@@ -605,5 +683,43 @@ mod tests {
         let (params, pk, sk, mut rng) = setup();
         let (q, _) = client_query(&params, &pk, &sk, 5, &mut rng);
         assert_eq!(SpirQuery::from_bytes(&q.to_bytes()).unwrap(), q);
+    }
+
+    #[test]
+    fn malformed_pad_ot_is_a_typed_error_on_both_sides() {
+        let (params, pk, sk, mut rng) = setup();
+        let database = db(params.n);
+        let (q, state) = client_query(&params, &pk, &sk, 5, &mut rng);
+        fn typed<T>(r: Result<T, ProtocolError>) -> bool {
+            matches!(r, Err(ProtocolError::InvalidMessage { .. }))
+        }
+        // Server side: a wrong arity, or a base query of 0 or ≥ p, would
+        // otherwise reach the OT sender's assert or the group inverse.
+        let mut short = q.clone();
+        short.pad_ot.bit_queries.pop();
+        assert!(typed(server_answer(
+            &params, &pk, &database, &short, &mut rng
+        )));
+        for pk0 in [Nat::zero(), params.group.p().clone()] {
+            let mut bad = q.clone();
+            bad.pad_ot.bit_queries[0].pk0 = pk0;
+            assert!(typed(server_answer(
+                &params, &pk, &database, &bad, &mut rng
+            )));
+        }
+        // Client side: a pad OT answer of the wrong shape.
+        let a = server_answer(&params, &pk, &database, &q, &mut rng).unwrap();
+        let mut short = a.clone();
+        short.pad_ot.ciphertexts.pop();
+        assert!(typed(client_decode(&params, &pk, &sk, &state, &short)));
+        let mut long = a.clone();
+        long.pad_ot
+            .bit_transfers
+            .push(long.pad_ot.bit_transfers[0].clone());
+        assert!(typed(client_decode(&params, &pk, &sk, &state, &long)));
+        assert_eq!(
+            client_decode(&params, &pk, &sk, &state, &a),
+            Ok(database[5])
+        );
     }
 }

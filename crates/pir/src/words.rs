@@ -1,80 +1,13 @@
-//! SPIR over multi-word items — `SPIR(n, m, ℓ)` for `ℓ > 64` bits.
+//! Multi-word items — `SPIR(n, m, ℓ)` for `ℓ > 64` bits.
 //!
 //! The paper's protocols retrieve items of several lengths: `log n`-bit
 //! field elements (§3.3.2), `κ`-bit encryptions (§3.3.3), and `κ·w`-bit
-//! garbled-label bundles (§3.2). This module lifts the single-word SPIR of
-//! [`crate::spir`]/[`crate::batched`] to fixed-width multi-word items by
-//! running one instance per 64-bit chunk position. (A production scheme
-//! would share one query across chunks; running per-chunk instances
-//! duplicates the upstream query at a small constant factor while keeping
-//! the downstream — the dominant κ-dependent term — identical, so the cost
-//! *shape* the paper reasons about is preserved. See EXPERIMENTS.md.)
-
-use crate::batched::{self, BatchedStats};
-use crate::spir::{self, SpirParams};
-use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
-use spfe_crypto::SchnorrGroup;
-use spfe_math::RandomSource;
-use spfe_transport::{Channel, ProtocolError};
-
-/// Retrieves one multi-word item: `items[index]` where every item is a
-/// fixed-width `Vec<u64>`.
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed message.
-///
-/// # Panics
-///
-/// Panics if items are ragged/empty or the index is out of range.
-pub fn retrieve_one<P, S, R>(
-    t: &mut dyn Channel,
-    group: &SchnorrGroup,
-    pk: &P,
-    sk: &S,
-    items: &[Vec<u64>],
-    index: usize,
-    rng: &mut R,
-) -> Result<Vec<u64>, ProtocolError>
-where
-    P: HomomorphicPk,
-    S: HomomorphicSk<P>,
-    R: RandomSource + ?Sized,
-{
-    assert!(!items.is_empty() && index < items.len());
-    let params = SpirParams::new(group.clone(), items.len());
-    spir::run_words(t, &params, pk, sk, items, index, rng)
-}
-
-/// Retrieves `m` multi-word items with batched SPIR per chunk position.
-///
-/// Returns the items in query order plus the batching statistics of the
-/// first chunk (all chunks share the same geometry).
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed message.
-///
-/// # Panics
-///
-/// Panics if items are ragged/empty or any index is out of range.
-pub fn retrieve_many<P, S, R>(
-    t: &mut dyn Channel,
-    group: &SchnorrGroup,
-    pk: &P,
-    sk: &S,
-    items: &[Vec<u64>],
-    indices: &[usize],
-    rng: &mut R,
-) -> Result<(Vec<Vec<u64>>, BatchedStats), ProtocolError>
-where
-    P: HomomorphicPk,
-    S: HomomorphicSk<P>,
-    R: RandomSource + ?Sized,
-{
-    assert!(!items.is_empty() && !indices.is_empty());
-    batched::run_words(t, group, pk, sk, items, indices, rng)
-}
+//! garbled-label bundles (§3.2). An item of `ℓ` bits travels as `⌈ℓ/64⌉`
+//! little-endian words, and the word-level SPIR of [`crate::spir`]
+//! (`*_words`) and [`crate::batched::run_words`] retrieve it whole: one
+//! query shared by every word, the pads of all words in one OT, so the
+//! upstream is width-independent and only the downstream grows with `ℓ`.
+//! This module holds the byte ↔ word packing.
 
 /// Packs bytes into little-endian u64 words (zero-padded).
 pub fn bytes_to_words(bytes: &[u8]) -> Vec<u64> {
@@ -106,7 +39,9 @@ pub fn words_to_bytes(words: &[u64], len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier};
+    use crate::batched;
+    use crate::spir::{self, SpirParams};
+    use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier, SchnorrGroup};
     use spfe_transport::Transcript;
 
     fn setup() -> (
@@ -131,16 +66,22 @@ mod tests {
             .collect()
     }
 
+    /// One multi-word item through the word-level SPIR phases: query,
+    /// scan-and-pad answer, unpad.
+    fn retrieve_one(db: &[Vec<u64>], index: usize) -> Vec<u64> {
+        let (group, pk, sk, mut rng) = setup();
+        let params = SpirParams::new(group, db.len());
+        let (q, state) = spir::client_query(&params, &pk, &sk, index, &mut rng);
+        let a = spir::server_answer_words(&params, &pk, db, &q, &mut rng).unwrap();
+        assert_eq!(a.padded.len(), db[0].len(), "one padded answer per word");
+        spir::client_decode_words(&params, &pk, &sk, &state, &a).unwrap()
+    }
+
     #[test]
     fn retrieve_one_multiword() {
-        let (group, pk, sk, mut rng) = setup();
         let db = items(9, 3);
         for i in [0usize, 4, 8] {
-            let mut t = Transcript::new(1);
-            assert_eq!(
-                retrieve_one(&mut t, &group, &pk, &sk, &db, i, &mut rng).unwrap(),
-                db[i]
-            );
+            assert_eq!(retrieve_one(&db, i), db[i]);
         }
     }
 
@@ -151,7 +92,7 @@ mod tests {
         let indices = [1usize, 13, 29];
         let mut t = Transcript::new(1);
         let (got, stats) =
-            retrieve_many(&mut t, &group, &pk, &sk, &db, &indices, &mut rng).unwrap();
+            batched::run_words(&mut t, &group, &pk, &sk, &db, &indices, &mut rng).unwrap();
         for (g, &i) in got.iter().zip(&indices) {
             assert_eq!(*g, db[i]);
         }
@@ -171,12 +112,8 @@ mod tests {
     fn max_value_words_survive() {
         // Chunks equal to u64::MAX must round-trip through the homomorphic
         // layer (they are < the 128-bit plaintext modulus).
-        let (group, pk, sk, mut rng) = setup();
         let db = vec![vec![u64::MAX, 0], vec![1, u64::MAX - 1]];
-        let mut t = Transcript::new(1);
-        assert_eq!(
-            retrieve_one(&mut t, &group, &pk, &sk, &db, 0, &mut rng).unwrap(),
-            db[0]
-        );
+        assert_eq!(retrieve_one(&db, 0), db[0]);
+        assert_eq!(retrieve_one(&db, 1), db[1]);
     }
 }

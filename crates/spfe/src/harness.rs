@@ -194,15 +194,20 @@ pub fn drv_hom_pir(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
     drv_hom_pir_v(t, 0)
 }
 
+fn recursive_inputs(v: usize) -> Inputs<Vec<u64>, usize> {
+    let rng = ChaChaRng::from_u64_seed(0xA2);
+    (rng, db27_v(v), [13, 1, 26][v])
+}
+
 /// recursive variant `v`: depth-2 recursive PIR on the 27-item db.
 pub fn drv_recursive_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA2);
-    let idx = [13, 1, 26][v];
-    recursive::run(t, &fx().pk, &fx().sk, &db27_v(v), idx, &mut rng)
+    let (mut rng, db, index) = recursive_inputs(v);
+    recursive::run(t, &fx().pk, &fx().sk, &db, index, &mut rng)
 }
 
 fn expect_recursive(v: usize) -> u64 {
-    db27_v(v)[[13, 1, 26][v]]
+    let (_, db, index) = recursive_inputs(v);
+    db[index]
 }
 
 /// The canonical recursive run.
@@ -210,23 +215,25 @@ pub fn drv_recursive(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
     drv_recursive_v(t, 0)
 }
 
+fn spir_inputs(v: usize) -> Inputs<Vec<u64>, usize> {
+    let rng = ChaChaRng::from_u64_seed(0xA3);
+    (rng, db16_v(v), idx16(v, [7, 2, 11]))
+}
+
+/// The shared spir parameters (public).
+fn spir_params() -> SpirParams {
+    SpirParams::new(fx().group.clone(), 16)
+}
+
 /// spir variant `v`: single-server SPIR; index and db are the secrets.
 pub fn drv_spir_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA3);
-    let params = SpirParams::new(fx().group.clone(), 16);
-    spir::run(
-        t,
-        &params,
-        &fx().pk,
-        &fx().sk,
-        &db16_v(v),
-        idx16(v, [7, 2, 11]),
-        &mut rng,
-    )
+    let (mut rng, db, index) = spir_inputs(v);
+    spir::run(t, &spir_params(), &fx().pk, &fx().sk, &db, index, &mut rng)
 }
 
 fn expect_spir(v: usize) -> u64 {
-    db16_v(v)[idx16(v, [7, 2, 11])]
+    let (_, db, index) = spir_inputs(v);
+    db[index]
 }
 
 /// The canonical spir run.
@@ -236,25 +243,22 @@ pub fn drv_spir(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
 
 const BATCHED_INDICES: [[usize; 4]; NUM_VARIANTS] = [[1, 5, 9, 14], [0, 2, 3, 15], [4, 7, 8, 12]];
 
+fn batched_inputs(v: usize) -> Inputs<Vec<u64>, [usize; 4]> {
+    let rng = ChaChaRng::from_u64_seed(0xA4);
+    (rng, db16_v(v), BATCHED_INDICES[v])
+}
+
 /// batched variant `v`: cuckoo-batched SPIR; the index *set* is the secret.
 pub fn drv_batched_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA4);
+    let (mut rng, db, indices) = batched_inputs(v);
     let f = fx();
-    let (vals, _) = batched::run(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &BATCHED_INDICES[v],
-        &mut rng,
-    )?;
+    let (vals, _) = batched::run(t, &f.group, &f.pk, &f.sk, &db, &indices, &mut rng)?;
     Ok(vals.iter().sum())
 }
 
 fn expect_batched(v: usize) -> u64 {
-    let db = db16_v(v);
-    BATCHED_INDICES[v].iter().map(|&i| db[i]).sum()
+    let (_, db, indices) = batched_inputs(v);
+    indices.iter().map(|&i| db[i]).sum()
 }
 
 /// The canonical batched run.
@@ -603,13 +607,18 @@ pub fn drivers() -> Vec<Driver> {
 // in-process `run` pumps.
 // ---------------------------------------------------------------------------
 
-/// The drivers with genuine sans-io state machines ([`net_server_cores`] /
-/// [`net_client_core`]); every other driver runs over sockets through the
-/// relay-mode blanket adapter ([`spfe_transport::SocketChannel`]).
+/// The svc-compute batch: the cored drivers perfbench's `svc-compute`
+/// workload times over TCP, and nothing else. It is not the set of cored
+/// drivers — every driver whose [`net_client_core`] is `Some` runs in
+/// compute mode — and it widens only with a benchmark change, since it
+/// fixes the workload's `comm_bytes_per_request`.
 pub const NET_CORE_DRIVERS: &[&str] = &["xor2", "hom_pir", "poly_it", "multiserver"];
 
 /// The server state machines hosting driver `name`'s canonical database,
 /// one per logical server; `None` for drivers without an extracted core.
+/// A server that draws while answering (spir, batched) gets a fresh
+/// OS-seeded rng per session: a fixed seed would let a client predict,
+/// and strip, every pad.
 pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> {
     Some(match name {
         "xor2" => xor2::server_cores(xor2_inputs(0).1),
@@ -617,6 +626,25 @@ pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> 
             fx().pk.clone(),
             hom_pir_inputs(0).1,
         ))],
+        "recursive" => vec![Box::new(recursive::RecursiveServerCore::new(
+            fx().pk.clone(),
+            recursive_inputs(0).1,
+        ))],
+        "spir" => vec![Box::new(spir::SpirServerCore::new(
+            spir_params(),
+            fx().pk.clone(),
+            spir_inputs(0).1,
+            ChaChaRng::from_os_entropy(),
+        ))],
+        "batched" => {
+            let db: Vec<Vec<u64>> = batched_inputs(0).1.iter().map(|&v| vec![v]).collect();
+            vec![Box::new(batched::BatchedServerCore::new(
+                fx().group.clone(),
+                fx().pk.clone(),
+                db,
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
         "poly_it" => poly_it::server_cores(&poly_params(), poly_it_inputs(0).1, None),
         "multiserver" => multiserver::server_cores(&ms_params(), ms_inputs(0).1, None),
         _ => return None,
@@ -634,12 +662,43 @@ pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
         }
         "hom_pir" => {
             let (mut rng, db, index) = hom_pir_inputs(0);
-            let f = fx();
             Box::new(hom_pir::HomPirClientCore::new(
-                f.pk.clone(),
-                f.sk.clone(),
+                fx().pk.clone(),
+                fx().sk.clone(),
                 db.len(),
                 index,
+                &mut rng,
+            ))
+        }
+        "recursive" => {
+            let (mut rng, db, index) = recursive_inputs(0);
+            Box::new(recursive::RecursiveClientCore::new(
+                fx().pk.clone(),
+                fx().sk.clone(),
+                db.len(),
+                index,
+                &mut rng,
+            ))
+        }
+        "spir" => {
+            let (mut rng, _, index) = spir_inputs(0);
+            Box::new(spir::SpirClientCore::new(
+                spir_params(),
+                fx().pk.clone(),
+                fx().sk.clone(),
+                index,
+                &mut rng,
+            ))
+        }
+        "batched" => {
+            let (mut rng, db, indices) = batched_inputs(0);
+            Box::new(batched::BatchedClientCore::new(
+                fx().group.clone(),
+                fx().pk.clone(),
+                fx().sk.clone(),
+                db.len(),
+                1,
+                &indices,
                 &mut rng,
             ))
         }

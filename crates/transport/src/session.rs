@@ -71,9 +71,11 @@ impl OutMsg {
 /// One party's half of a protocol as an explicit state machine.
 ///
 /// Object-safe; implementations live next to the protocol code they
-/// extract (e.g. `spfe_pir::xor2::Xor2ServerCore`). Any randomness is
-/// consumed at construction time, so a core's behaviour is a pure
-/// function of the messages fed to it.
+/// extract (e.g. `spfe_pir::xor2::Xor2ServerCore`). A client core
+/// consumes all its randomness at construction, so its behaviour is a
+/// pure function of the messages fed to it. A server core that draws
+/// while answering (pads, OT keys) holds its rng: the caller's, borrowed,
+/// in process, or its own when a networked server hosts it.
 pub trait SessionCore {
     /// Messages to send before anything is received (client cores emit
     /// their opening queries here; server cores usually emit nothing).
@@ -193,15 +195,19 @@ impl<Q: Wire, A: Wire> OneRound<Q, A> {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::InvalidMessage`] for a foreign label, an unknown
-    /// server or a second reply; a decode error for malformed bytes.
+    /// [`ProtocolError::InvalidMessage`] for a foreign label, a reply
+    /// before the round started, an unknown server or a second reply; a
+    /// decode error for malformed bytes.
     pub fn receive(
         &mut self,
         server: usize,
         label: &str,
         payload: &[u8],
     ) -> Result<Option<Vec<A>>, ProtocolError> {
-        if label != self.reply || self.answers.get(server).is_none_or(Option::is_some) {
+        if label != self.reply
+            || self.queries.is_some()
+            || self.answers.get(server).is_none_or(Option::is_some)
+        {
             return Err(ProtocolError::InvalidMessage {
                 label: self.reply,
                 reason: "unexpected message for a one-round client",
@@ -236,19 +242,20 @@ pub trait ClientCore: SessionCore {
 /// Runs a client core against its server cores over any [`Channel`],
 /// phase-synchronized: each burst delivers every client → server message
 /// (feeding the server cores), then every server reply in server order.
-/// Server cores may borrow their data (`'_`), so an in-process run need
-/// not copy a database per server. Transient transport faults are retried
-/// with the same bounded policy as [`crate::ChannelExt`].
+/// Server cores may borrow their data and the caller's rng (`S` need be
+/// neither `Send` nor `'static`), so an in-process run need not copy a
+/// database per server. Transient transport faults are retried with the
+/// same bounded policy as [`crate::ChannelExt`].
 ///
 /// # Errors
 ///
 /// Any [`ProtocolError`] surfaced by the transport or either side's core,
 /// or [`ProtocolError::InvalidMessage`] if the client core stops without
 /// a digest.
-pub fn pump(
+pub fn pump<S: SessionCore + ?Sized>(
     ch: &mut dyn Channel,
     client: &mut dyn ClientCore,
-    servers: &mut [Box<dyn SessionCore + Send + '_>],
+    servers: &mut [Box<S>],
 ) -> Result<u64, ProtocolError> {
     for s in servers.iter_mut() {
         // Server cores may not speak first in this driver family.
@@ -396,9 +403,10 @@ mod tests {
         );
 
         let mut round = OneRound::<u64, u64>::new("toy-q", "toy-a", vec![1, 2]);
+        let one = 1u64.to_bytes();
+        assert!(round.receive(0, "toy-a", &one).is_err(), "before start");
         assert!(round.start().is_ok());
         assert!(round.start().is_err(), "started twice");
-        let one = 1u64.to_bytes();
         assert!(round.receive(2, "toy-a", &one).is_err(), "unknown server");
         assert!(round.receive(0, "toy-q", &one).is_err(), "foreign label");
         assert_eq!(round.receive(0, "toy-a", &one), Ok(None));
@@ -457,7 +465,7 @@ mod tests {
             }
         }
         let mut t = Transcript::new(1);
-        let err = pump(&mut t, &mut Bad, &mut []).unwrap_err();
+        let err = pump::<dyn SessionCore>(&mut t, &mut Bad, &mut []).unwrap_err();
         assert!(matches!(err, ProtocolError::InvalidMessage { .. }));
     }
 }

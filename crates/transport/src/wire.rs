@@ -42,7 +42,9 @@ impl<'a> Reader<'a> {
     ///
     /// Fails if fewer than `n` bytes remain.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+        // Compared against what is left, never as `pos + n`: a length
+        // prefix near `u64::MAX` would wrap that sum past the check.
+        if n > self.remaining() {
             return Err(WireError {
                 context: "unexpected end of message",
             });
@@ -311,6 +313,14 @@ mod tests {
         let mut bytes = Vec::new();
         (1u64 << 60).encode(&mut bytes);
         assert!(Vec::<u64>::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn take_near_usize_max_is_an_error_not_a_wrap() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(r.take(1).unwrap(), &[1]);
+        assert!(r.take(usize::MAX).is_err());
+        assert_eq!(r.remaining(), 2, "a failed take consumes nothing");
     }
 
     #[test]

@@ -106,6 +106,45 @@ fn byzantine_payloads_never_panic_and_errors_stay_typed() {
     }
 }
 
+/// Seeded tamper runs per message index in
+/// [`huge_length_words_never_panic_and_errors_stay_typed`].
+const HUGE_WORD_PICKS: u64 = 16;
+
+#[test]
+fn huge_length_words_never_panic_and_errors_stay_typed() {
+    // A length prefix near u64::MAX must fail the decode, never wrap the
+    // reader's bounds check. At every message index of every driver, a
+    // fixed-seed hook overwrites one aligned word that reads like a length
+    // (1 ..= payload size: length prefixes do, ciphertext words almost
+    // never) with u64::MAX minus a small offset. Ok or any typed error
+    // passes; a panic fails the test.
+    use spfe::math::{RandomSource, XorShiftRng};
+    for (di, d) in drivers().iter().enumerate() {
+        for idx in 0..honest_messages(d) {
+            for pick in 0..HUGE_WORD_PICKS {
+                let mut rng = XorShiftRng::new((di as u64) << 32 | idx << 8 | pick);
+                let plan = FaultPlan::scripted(vec![(idx, FaultAction::Byzantine)]);
+                let mut ch = FaultyChannel::new(d.servers, plan, 0);
+                ch.set_tamper(Box::new(move |_, bytes| {
+                    let word =
+                        |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+                    let lengths: Vec<usize> = (0..bytes.len() / 8)
+                        .map(|w| 8 * w)
+                        .filter(|&at| (1..=bytes.len() as u64).contains(&word(at)))
+                        .collect();
+                    if lengths.is_empty() {
+                        return;
+                    }
+                    let at = lengths[rng.next_below(lengths.len() as u64) as usize];
+                    let huge = u64::MAX - rng.next_below(256);
+                    bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+                }));
+                let _ = (d.run)(&mut ch);
+            }
+        }
+    }
+}
+
 #[test]
 fn crash_is_healed_within_tolerance_and_aborts_past_it() {
     for d in drivers() {

@@ -176,7 +176,8 @@ fn socket_sessions_reproduce_committed_fingerprints() {
             d.name
         );
     }
-    for name in NET_CORE_DRIVERS {
+    for d in cored_drivers() {
+        let name = d.name;
         let committed = committed_fingerprints(&baseline, name);
         let _ = fx();
         spfe::obs::reset();

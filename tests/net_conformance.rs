@@ -6,9 +6,9 @@
 //! identical answer, the identical per-label communication bytes, the
 //! identical half-round structure, the identical per-party view
 //! fingerprints, and the identical deterministic op counters. The
-//! drivers with sans-io cores (`spfe::harness::NET_CORE_DRIVERS`) run as
-//! `spfe::transport::pump` over those cores in process, so the in-memory
-//! and faulty arms already cover the cores; they additionally run a
+//! drivers with sans-io cores (those `spfe::harness::net_client_core`
+//! builds) run as `spfe::transport::pump` over those cores in process, so
+//! the in-memory and faulty arms already cover the cores; they also run a
 //! genuine compute-mode TCP session against hosted server state
 //! machines, byte-identical to the in-process run.
 //!
@@ -147,14 +147,10 @@ fn compute_mode_tcp_matches_the_in_process_run() {
     let _g = LOCK.lock().unwrap();
     let server = local_server();
     let addr = server.local_addr().to_string();
-    let table = drivers();
     for threads in [1usize, 4] {
-        for name in NET_CORE_DRIVERS {
-            let d = table
-                .iter()
-                .find(|d| d.name == *name)
-                .expect("core driver in table");
-            let base = in_memory(d, threads);
+        for d in cored_drivers() {
+            let name = d.name;
+            let base = in_memory(&d, threads);
             arm(threads);
             let run = run_driver(&addr, name, Some(std::time::Duration::from_secs(30)))
                 .expect("compute tcp run");
@@ -187,6 +183,9 @@ fn concurrent_sessions_multiplex_on_one_listener() {
         "poly_it",
         "multiserver",
         "hom_pir",
+        "spir",
+        "batched",
+        "recursive",
         "xor2",
         "poly_it",
     ];
@@ -209,4 +208,37 @@ fn concurrent_sessions_multiplex_on_one_listener() {
         assert_eq!(digest, d.expect, "[{name}] concurrent session digest");
     }
     spfe::math::par::set_threads(None);
+}
+
+/// Hosted servers that draw while answering (spir, batched) get a fresh
+/// rng per session: the same client query, answered by two sessions'
+/// cores, yields different bytes, and each answer still decodes right.
+#[test]
+fn hosted_pads_are_fresh_per_session() {
+    let _g = LOCK.lock().unwrap();
+    for name in ["spir", "batched"] {
+        let d = drivers().into_iter().find(|d| d.name == name).unwrap();
+        let query = {
+            let mut client = net_client_core(name).unwrap();
+            client.start().unwrap().1.remove(0)
+        };
+        let answer = || {
+            let mut cores = net_server_cores(name).unwrap();
+            let (_, mut outs) = cores[0]
+                .on_message(1, 0, query.label, &query.payload)
+                .unwrap();
+            outs.remove(0)
+        };
+        let (a, b) = (answer(), answer());
+        assert_eq!(a.payload.len(), b.payload.len(), "[{name}] same shape");
+        assert_ne!(a.payload, b.payload, "[{name}] pads repeat across sessions");
+        for reply in [a, b] {
+            let mut client = net_client_core(name).unwrap();
+            client.start().unwrap();
+            client
+                .on_message(2, 0, reply.label, &reply.payload)
+                .unwrap();
+            assert_eq!(client.digest(), Some(d.expect), "[{name}] decodes");
+        }
+    }
 }

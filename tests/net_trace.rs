@@ -80,7 +80,8 @@ fn pump_core(name: &str, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
 fn pump_stamps_survive_masked_fault_seeds() {
     let _g = LOCK.lock().unwrap();
     let _ = fx();
-    for name in NET_CORE_DRIVERS {
+    for d in cored_drivers() {
+        let name = d.name;
         let (digest, honest) = pump_core(name, FaultPlan::honest());
         assert!(!honest.is_empty(), "[{name}] journal captured the run");
         // pump emits send/recv pairs synchronously: check pairwise order.
@@ -236,7 +237,7 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
     let compute = NET_CORE_DRIVERS[0];
     let relay = table
         .iter()
-        .find(|d| !NET_CORE_DRIVERS.contains(&d.name))
+        .find(|d| net_client_core(d.name).is_none())
         .expect("a relay-mode driver")
         .name;
     for threads in [1usize, 4] {

@@ -254,6 +254,9 @@ fn cored_runs_keep_their_phase_spans() {
     for (name, proto, server_phase) in [
         ("xor2", "pir2", "server-scan"),
         ("hom_pir", "hompir", "server-scan"),
+        ("recursive", "recpir", "server-scan"),
+        ("spir", "spir", "server-scan"),
+        ("batched", "batched", "server-scan"),
         ("poly_it", "polyit", "server-scan"),
         ("multiserver", "multiserver", "server-eval"),
     ] {
