@@ -900,12 +900,19 @@ fn trend_cmd(args: &[String]) {
         );
     }
     if out.regressions.is_empty() {
-        println!("trend: OK — no deterministic counter, comm byte, or heap total regressed");
+        println!(
+            "trend: OK — no deterministic counter or comm byte changed, no heap total regressed"
+        );
         return;
     }
     for r in &out.regressions {
+        let kind = if r.exact {
+            "baseline stale: re-accept"
+        } else {
+            "REGRESSION"
+        };
         eprintln!(
-            "REGRESSION {}/{} {}: {} -> {} (+{:.1}%)",
+            "{kind} {}/{} {}: {} -> {} ({:+.1}%)",
             r.experiment,
             r.protocol,
             r.metric,
@@ -915,8 +922,10 @@ fn trend_cmd(args: &[String]) {
         );
     }
     eprintln!(
-        "trend: {} regression(s); rerun with `trend --accept` after committing \
-         an intentional cost change (see EXPERIMENTS.md)",
+        "trend: {} gated metric(s) failed; a deterministic counter or comm total \
+         that moved at all means the baseline is stale — rerun with \
+         `trend --accept` after committing an intentional cost change (see \
+         EXPERIMENTS.md)",
         out.regressions.len()
     );
     std::process::exit(1);

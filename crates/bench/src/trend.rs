@@ -4,26 +4,30 @@
 //! noise-free: deterministic op counters and metered comm bytes are
 //! bit-identical across reruns, thread counts, and fault seeds, so any
 //! delta between a committed baseline `BENCH_costs.json` and a fresh run
-//! is a real change in protocol cost. [`compare_suites`] flags every
-//! metric that grew past a percentage threshold; `spfe-tables trend`
-//! turns the result into an exit code for CI.
+//! is a real change in protocol cost. [`compare_suites`] therefore flags
+//! *any* change to one of them, in either direction, as a stale baseline
+//! to re-accept — a shrink is as much a change as a growth, and a kernel
+//! that miscounts low must not pass. `spfe-tables trend` turns the result
+//! into an exit code for CI.
 //!
 //! Wall-clock times and scheduler/fault gauges are deliberately *not*
 //! compared — they vary run to run and would make the gate flaky.
 //!
 //! The heap axis (schema v3) joins the gate with its own rules: at
 //! `threads == 1` on both sides, `mem:allocs` and `mem:alloc_bytes` are
-//! deterministic (DESIGN.md §12) and gate like op counters — but only
-//! when the baseline actually carries heap data (`mem.allocs > 0`), so a
-//! v3 baseline produced without `obs-alloc` never flags an instrumented
-//! run. `mem:peak_live_bytes` is reported in [`TrendReport::deltas`] but
+//! deterministic (DESIGN.md §12) and gate on growth past the percentage
+//! threshold — but only when the baseline actually carries heap data
+//! (`mem.allocs > 0`), so a v3 baseline produced without `obs-alloc`
+//! never flags an instrumented run. `mem:peak_live_bytes` is reported in [`TrendReport::deltas`] but
 //! never gated: the high-water mark depends on allocator reuse and, at
 //! `SPFE_THREADS > 1`, on scheduling.
 
 use spfe_obs::{CostReport, Suite};
 use std::collections::BTreeMap;
 
-/// One metric that regressed past the threshold.
+/// One gated metric that failed the gate: a deterministic counter or
+/// comm total that changed at all, or a heap total that grew past the
+/// threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Experiment id of the offending report.
@@ -36,6 +40,10 @@ pub struct Regression {
     pub baseline: u64,
     /// Current value.
     pub current: u64,
+    /// Whether the metric is held exactly (a deterministic op counter or
+    /// comm total): then the baseline is stale and must be re-accepted,
+    /// whichever way the value moved.
+    pub exact: bool,
 }
 
 impl Regression {
@@ -63,7 +71,9 @@ pub struct Delta {
     /// metrics (`mem:peak_live_bytes`, heap counters outside the
     /// single-thread regime) are reported but can never flag.
     pub gated: bool,
-    /// Whether this metric grew past the threshold *and* is gated.
+    /// Whether this metric is gated and failed its rule: any change for
+    /// a deterministic counter or comm total, growth past the threshold
+    /// for a heap total.
     pub flagged: bool,
 }
 
@@ -95,7 +105,7 @@ pub struct TrendReport {
     /// Individual *gated* metric comparisons performed (informational
     /// deltas are excluded so the gate's coverage figure stays honest).
     pub metrics_compared: usize,
-    /// Metrics that grew more than the threshold, in report order.
+    /// Gated metrics that failed their rule, in report order.
     pub regressions: Vec<Regression>,
     /// Every comparison performed, flagged or not, in report order.
     pub deltas: Vec<Delta>,
@@ -152,11 +162,12 @@ fn mem_metrics(
 }
 
 /// Compares `current` against `baseline`, flagging every deterministic
-/// counter or comm byte total that grew more than `threshold_pct` percent
-/// (a metric going from 0 to nonzero always flags). Shrinking is never a
-/// regression. Heap counters join the gate under the conditions in the
-/// module docs; every comparison — gated or informational — is recorded
-/// in [`TrendReport::deltas`].
+/// counter or comm byte total that differs at all (in either direction),
+/// and every gated heap total that grew more than `threshold_pct` percent
+/// (going from 0 to nonzero always flags; a heap shrink never does). Heap
+/// counters join the gate under the conditions in the module docs; every
+/// comparison — gated or informational — is recorded in
+/// [`TrendReport::deltas`].
 ///
 /// # Errors
 ///
@@ -183,25 +194,30 @@ pub fn compare_suites(
         let mut keys: Vec<&String> = base_metrics.keys().chain(cur_metrics.keys()).collect();
         keys.sort();
         keys.dedup();
-        let mut rows: Vec<(String, u64, u64, bool)> = keys
+        // (metric, baseline, current, gated, exact)
+        let mut rows: Vec<(String, u64, u64, bool, bool)> = keys
             .into_iter()
             .map(|key| {
                 let b = base_metrics.get(key).copied().unwrap_or(0);
                 let c = cur_metrics.get(key).copied().unwrap_or(0);
-                (key.clone(), b, c, true)
+                (key.clone(), b, c, true, true)
             })
             .collect();
         rows.extend(
             mem_metrics(baseline, base, current, cur)
                 .into_iter()
-                .map(|(k, b, c, gated)| (k.to_owned(), b, c, gated)),
+                .map(|(k, b, c, gated)| (k.to_owned(), b, c, gated, false)),
         );
-        for (metric, b, c, gated) in rows {
+        for (metric, b, c, gated, exact) in rows {
             if gated {
                 rep.metrics_compared += 1;
             }
-            let budget = b as f64 * (1.0 + threshold_pct / 100.0);
-            let flagged = gated && c as f64 > budget;
+            let failed = if exact {
+                c != b
+            } else {
+                c as f64 > b as f64 * (1.0 + threshold_pct / 100.0)
+            };
+            let flagged = gated && failed;
             if flagged {
                 rep.regressions.push(Regression {
                     experiment: cur.experiment.clone(),
@@ -209,6 +225,7 @@ pub fn compare_suites(
                     metric: metric.clone(),
                     baseline: b,
                     current: c,
+                    exact,
                 });
             }
             rep.deltas.push(Delta {
@@ -456,15 +473,23 @@ mod tests {
         let r = &out.regressions[0];
         assert_eq!(r.metric, "op:modexp");
         assert_eq!((r.baseline, r.current), (100, 110));
+        assert!(r.exact);
         assert!((r.pct() - 10.0).abs() < 1e-9);
     }
 
+    /// The threshold covers heap totals only: a deterministic counter or
+    /// comm total growing by less than it still flags.
     #[test]
     fn growth_within_threshold_passes() {
+        let base = suite_at(1, vec![mem_report("e1", 100, 10_000, 4_096)]);
+        let cur = suite_at(1, vec![mem_report("e1", 104, 10_400, 4_096)]);
+        let out = compare_suites(&base, &cur, 5.0).unwrap();
+        assert!(out.regressions.is_empty(), "{out:?}");
         let base = suite(vec![report("e1", "p", 100, 1_000)]);
         let cur = suite(vec![report("e1", "p", 104, 1_040)]);
         let out = compare_suites(&base, &cur, 5.0).unwrap();
-        assert!(out.regressions.is_empty(), "{out:?}");
+        let flagged: Vec<&str> = out.regressions.iter().map(|r| r.metric.as_str()).collect();
+        assert_eq!(flagged, ["comm:up_bytes", "op:modexp"], "{out:?}");
     }
 
     #[test]
@@ -476,12 +501,17 @@ mod tests {
         assert_eq!(out.regressions[0].metric, "comm:up_bytes");
     }
 
+    /// A deterministic counter or comm total that shrank is a stale
+    /// baseline too: a kernel that miscounts low must not pass.
     #[test]
-    fn shrinking_is_never_a_regression() {
+    fn deterministic_shrink_flags_as_stale() {
         let base = suite(vec![report("e1", "p", 100, 1_000)]);
-        let cur = suite(vec![report("e1", "p", 10, 100)]);
+        let cur = suite(vec![report("e1", "p", 99, 100)]);
         let out = compare_suites(&base, &cur, 5.0).unwrap();
-        assert!(out.regressions.is_empty());
+        assert_eq!(out.regressions.len(), 2, "{out:?}");
+        assert!(out.regressions.iter().all(|r| r.exact && r.pct() < 0.0));
+        let flagged: Vec<&str> = out.regressions.iter().map(|r| r.metric.as_str()).collect();
+        assert_eq!(flagged, ["comm:up_bytes", "op:modexp"]);
     }
 
     #[test]
@@ -600,6 +630,8 @@ mod tests {
         let cur = suite_at(1, vec![mem_report("e1", 100, 10_000, 5_000)]);
         let out = compare_suites(&base, &cur, 5.0).unwrap();
         assert!(out.regressions.is_empty(), "{out:?}");
+        let allocs = out.deltas.iter().find(|d| d.metric == "mem:allocs");
+        assert!(allocs.is_some_and(|d| d.gated && !d.flagged), "{out:?}");
     }
 
     #[test]

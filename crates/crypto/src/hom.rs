@@ -87,6 +87,30 @@ pub trait HomomorphicPk: Clone + std::fmt::Debug + Send + Sync {
             .collect()
     }
 
+    /// The homomorphic PIR column fold: for each of `cols` columns,
+    /// `C_j = Σ_r sel_r ⊙ cell(r·cols + j)` over the `rows =
+    /// selectors.len()` encrypted selectors, returned in column order.
+    ///
+    /// It is logically one [`HomomorphicPk::mul_const`] per non-zero cell
+    /// and one [`HomomorphicPk::add`] per accumulation, and counts as
+    /// that; an all-zero column is `sel_0 ⊙ 0`. Deterministic, so every
+    /// implementation must return the bytes of [`fold_columns_per_cell`],
+    /// the default, under any worker-pool configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `selectors` is empty, or a cell is not below the
+    /// plaintext modulus where the scheme requires it (the server's own
+    /// data).
+    fn fold_columns(
+        &self,
+        selectors: &[Self::Ciphertext],
+        cols: usize,
+        cell: impl Fn(usize) -> Nat + Sync,
+    ) -> Vec<Self::Ciphertext> {
+        fold_columns_per_cell(self, selectors, cols, cell)
+    }
+
     /// `E(a) ⊖ E(b) = E(a - b mod u)` — derived from `add`/`mul_const`.
     fn sub(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext {
         let u = self.plaintext_modulus().clone();
@@ -98,6 +122,42 @@ pub trait HomomorphicPk: Clone + std::fmt::Debug + Send + Sync {
     fn encrypt_zero<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Self::Ciphertext {
         self.encrypt(&Nat::zero(), rng)
     }
+}
+
+/// The default [`HomomorphicPk::fold_columns`]: one
+/// [`HomomorphicPk::mul_const`] per non-zero cell, folded with
+/// [`HomomorphicPk::add`]. Each column is independent and rng-free, so
+/// columns shard across the worker pool and come back in column order,
+/// keeping every transcript built from them byte-identical to a serial
+/// scan. A column is `selectors.len()` exponentiations: squarely
+/// `CostClass::Heavy`.
+///
+/// # Panics
+///
+/// As [`HomomorphicPk::fold_columns`].
+pub fn fold_columns_per_cell<P: HomomorphicPk>(
+    pk: &P,
+    selectors: &[P::Ciphertext],
+    cols: usize,
+    cell: impl Fn(usize) -> Nat + Sync,
+) -> Vec<P::Ciphertext> {
+    let col_idx: Vec<usize> = (0..cols).collect();
+    spfe_math::par::par_map_cost(spfe_math::par::CostClass::Heavy, &col_idx, |&j| {
+        let mut acc: Option<P::Ciphertext> = None;
+        for (r, sel) in selectors.iter().enumerate() {
+            let v = cell(r * cols + j);
+            if v.is_zero() {
+                continue;
+            }
+            let term = pk.mul_const(sel, &v);
+            acc = Some(match acc {
+                None => term,
+                Some(prev) => pk.add(&prev, &term),
+            });
+        }
+        // An all-zero column still needs a well-formed ciphertext.
+        acc.unwrap_or_else(|| pk.mul_const(&selectors[0], &Nat::zero()))
+    })
 }
 
 /// The matching secret key.

@@ -30,8 +30,9 @@ use crate::hom::{HomomorphicPk, HomomorphicScheme, HomomorphicSk};
 use spfe_math::modular::{garner, gcd, mod_inv, mod_mul};
 use spfe_math::montgomery::crt_pow;
 use spfe_math::prime::gen_prime;
-use spfe_math::{Montgomery, Nat, RandomSource};
+use spfe_math::{Montgomery, MultiPow, Nat, RandomSource};
 use spfe_obs::{count, Op};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use spfe_math::par::CostClass;
@@ -172,6 +173,15 @@ impl PaillierPk {
         &self.n_sq
     }
 
+    /// A scalar weight as the plaintext it multiplies by: reduced mod `n`.
+    fn reduce_scalar<'c>(&self, c: &'c Nat) -> Cow<'c, Nat> {
+        if c < &self.n {
+            Cow::Borrowed(c)
+        } else {
+            Cow::Owned(c.rem(&self.n))
+        }
+    }
+
     fn random_unit<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Nat {
         loop {
             let r = Nat::random_below(rng, &self.n);
@@ -227,14 +237,44 @@ impl HomomorphicPk for PaillierPk {
 
     fn mul_const(&self, a: &PaillierCt, c: &Nat) -> PaillierCt {
         count(Op::HomScalarMul, 1);
-        let reduced;
-        let c = if c < &self.n {
-            c
-        } else {
-            reduced = c.rem(&self.n);
-            &reduced
-        };
-        PaillierCt(self.mont.pow(&a.0, c))
+        PaillierCt(self.mont.pow(&a.0, &self.reduce_scalar(c)))
+    }
+
+    /// The Straus column fold: one [`MultiPow`] table over the selectors
+    /// per call, then each column's multi-exponentiation on the worker
+    /// pool, in column order. A column's product mod `n²` is the residue
+    /// the per-cell default reaches by `mul_const` and `add`, so the bytes
+    /// are the same; so are the counts, kept logical per column: one
+    /// `HomScalarMul` and one `Modexp` per non-zero cell (one of each for
+    /// an all-zero column, which is the canonical `1`) and `nz − 1`
+    /// `HomAdd`.
+    fn fold_columns(
+        &self,
+        selectors: &[PaillierCt],
+        cols: usize,
+        cell: impl Fn(usize) -> Nat + Sync,
+    ) -> Vec<PaillierCt> {
+        assert!(!selectors.is_empty(), "column fold without selectors");
+        let rows = selectors.len();
+        // The widest cell sizes the window. Columns read their cells
+        // again below rather than holding the whole matrix at once.
+        let bits = (0..rows * cols)
+            .map(|i| self.reduce_scalar(&cell(i)).bit_len())
+            .max()
+            .unwrap_or(0);
+        let bases: Vec<&Nat> = selectors.iter().map(|s| &s.0).collect();
+        let table = MultiPow::new(&self.mont, &bases, bits, cols);
+        let col_idx: Vec<usize> = (0..cols).collect();
+        spfe_math::par::par_map_cost(CostClass::Heavy, &col_idx, |&j| {
+            let cells: Vec<Nat> = (0..rows).map(|r| cell(r * cols + j)).collect();
+            let nz = cells.iter().filter(|v| !v.is_zero()).count() as u64;
+            count(Op::HomScalarMul, nz.max(1));
+            count(Op::Modexp, nz.max(1));
+            count(Op::HomAdd, nz.saturating_sub(1));
+            let exps: Vec<Cow<'_, Nat>> = cells.iter().map(|v| self.reduce_scalar(v)).collect();
+            let exps: Vec<&Nat> = exps.iter().map(|e| e.as_ref()).collect();
+            PaillierCt(table.pow(&exps))
+        })
     }
 
     fn encrypt_batch<R: RandomSource + ?Sized>(&self, ms: &[Nat], rng: &mut R) -> Vec<PaillierCt> {

@@ -8,7 +8,9 @@
 //! Provided here, with no external dependencies:
 //!
 //! * [`Nat`] / [`Int`] — arbitrary-precision integers (Karatsuba, Knuth D);
-//! * [`Montgomery`] — fast modular exponentiation for odd moduli;
+//! * [`Montgomery`] — fast modular exponentiation for odd moduli, with
+//!   fixed-base combs ([`FixedBasePow`]) and Straus multi-exponentiation
+//!   ([`MultiPow`]);
 //! * [`modular`] — gcd / inverses / Jacobi / CRT;
 //! * [`prime`] — Miller–Rabin and prime generation;
 //! * [`Fp64`], [`Poly`], [`MPoly`] — word-sized prime fields and the
@@ -54,7 +56,7 @@ pub mod rs;
 pub use fp64::Fp64;
 pub use int::{Int, Sign};
 pub use linalg::Mat;
-pub use montgomery::{FixedBasePow, Montgomery};
+pub use montgomery::{FixedBasePow, Montgomery, MultiPow};
 pub use mpoly::MPoly;
 pub use nat::Nat;
 pub use poly::Poly;

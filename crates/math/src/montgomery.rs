@@ -411,6 +411,134 @@ impl FixedBasePow {
     }
 }
 
+/// Byte budget of a [`MultiPow`] table. At a 2048-bit Paillier key's `n²`
+/// (64 limbs) and 32 bases it admits width 3 (112 KiB); the unconstrained
+/// optimum there, width 5 (496 KiB), saves few products and costs its
+/// whole table in resident memory per query.
+const MULTI_POW_TABLE_BYTES: usize = 128 << 10;
+
+/// Widest [`MultiPow`] window considered.
+const MULTI_POW_MAX_WINDOW: usize = 8;
+
+/// The [`MultiPow`] window width for `bases` bases of `k` limbs raised to
+/// exponents of up to `bits` bits in `uses` multi-exponentiations: the
+/// width minimising the product count — `bases·(2^w − 1)` for the table
+/// plus `uses·(bases·⌈bits/w⌉ + bits)` for the walks, every digit counted
+/// — among the widths whose table fits [`MULTI_POW_TABLE_BYTES`]. Width 1
+/// always qualifies.
+fn multi_pow_window(bases: usize, k: usize, bits: usize, uses: usize) -> usize {
+    let entries = |w: usize| bases * ((1 << w) - 1);
+    (1..=MULTI_POW_MAX_WINDOW)
+        .filter(|&w| w == 1 || entries(w) * k * 8 <= MULTI_POW_TABLE_BYTES)
+        .min_by_key(|&w| entries(w) + uses * (bases * bits.div_ceil(w) + bits))
+        .unwrap_or(1)
+}
+
+/// Straus multi-exponentiation over a fixed list of bases:
+/// `Π_r base_r^{e_r} mod n` for many exponent vectors.
+///
+/// A homomorphic PIR column is exactly this product over the query's
+/// encrypted row selectors. The table stores `base_r^d` in Montgomery
+/// form for every digit `d ∈ [1, 2^w)`, built once for all columns; each
+/// [`MultiPow::pow`] then walks the digit positions top down, sharing one
+/// chain of `w` squarings per position across every base, multiplying in
+/// the table entry of each non-zero digit, and leaving the Montgomery
+/// domain once at the end. Per product of `rows` exponents of `b` bits
+/// that is at most `b + rows·⌈b/w⌉` products, where separate
+/// [`Montgomery::pow`] calls spend about `rows·b` on squarings alone.
+///
+/// The window width `w` is derived from the shape of the job (see
+/// [`MultiPow::new`]). Nothing here is counted: callers count the logical
+/// operations a multi-exponentiation replaces.
+#[derive(Debug)]
+pub struct MultiPow<'a> {
+    mont: &'a Montgomery,
+    /// Window width in bits.
+    win: usize,
+    /// Number of bases.
+    bases: usize,
+    /// Flat table of `k`-limb slots: slot `r · (2^win − 1) + d − 1` holds
+    /// `base_r^d` in Montgomery form.
+    table: Vec<u64>,
+}
+
+impl<'a> MultiPow<'a> {
+    /// Builds the table for `bases` (reduced mod `n` on entry), sized for
+    /// `uses` multi-exponentiations with exponents of up to `exp_bits`
+    /// bits: the window width minimises the total product count among the
+    /// widths whose table fits a fixed byte budget. Longer exponents are
+    /// still handled correctly by [`MultiPow::pow`].
+    pub fn new(mont: &'a Montgomery, bases: &[&Nat], exp_bits: usize, uses: usize) -> Self {
+        let k = mont.k;
+        let win = multi_pow_window(bases.len(), k, exp_bits, uses);
+        let digits = (1 << win) - 1;
+        let mut table = vec![0u64; bases.len() * digits * k];
+        with_scratch(k + 1, |t| {
+            for (base, row) in bases.iter().zip(table.chunks_exact_mut(digits * k)) {
+                // row[0] = base·R; row[d] = row[d − 1]·row[0]·R⁻¹.
+                mont.load_reduced(base, &mut row[..k]);
+                mont.cios_into(&row[..k], &mont.r2, t);
+                row[..k].copy_from_slice(&t[..k]);
+                for d in 1..digits {
+                    mont.cios_into(&row[(d - 1) * k..][..k], &row[..k], t);
+                    row[d * k..][..k].copy_from_slice(&t[..k]);
+                }
+            }
+        });
+        MultiPow {
+            mont,
+            win,
+            bases: bases.len(),
+            table,
+        }
+    }
+
+    /// `Π_r base_r^{exps[r]} mod n`; `1 mod n` when every exponent is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one exponent per base.
+    pub fn pow(&self, exps: &[&Nat]) -> Nat {
+        assert_eq!(exps.len(), self.bases, "one exponent per base");
+        let mont = self.mont;
+        let (k, win) = (mont.k, self.win);
+        let digits = (1 << win) - 1;
+        let bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
+        if bits == 0 {
+            return Nat::one().rem(&mont.n);
+        }
+        with_scratch(2 * (k + 1), |s| {
+            let (mut acc, mut tmp) = s.split_at_mut(k + 1);
+            // The top position holds a non-zero digit, so `acc` is loaded
+            // there before any squaring.
+            let mut loaded = false;
+            for i in (0..bits.div_ceil(win)).rev() {
+                if loaded {
+                    for _ in 0..win {
+                        mont.cios_into(&acc[..k], &acc[..k], tmp);
+                        std::mem::swap(&mut acc, &mut tmp);
+                    }
+                }
+                for (r, exp) in exps.iter().enumerate() {
+                    let d = digit(exp, i * win, win);
+                    if d == 0 {
+                        continue;
+                    }
+                    let entry = &self.table[(r * digits + d - 1) * k..][..k];
+                    if loaded {
+                        mont.cios_into(&acc[..k], entry, tmp);
+                        std::mem::swap(&mut acc, &mut tmp);
+                    } else {
+                        acc[..k].copy_from_slice(entry);
+                        loaded = true;
+                    }
+                }
+            }
+            mont.plain_residue(&acc[..k], tmp)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,7 +694,101 @@ mod tests {
         }
     }
 
+    /// `Π_r naive_pow(base_r, exp_r)`: the multi-exponentiation by
+    /// definition, through the schoolbook reference.
+    fn naive_multi_pow(bases: &[Nat], exps: &[Nat], n: &Nat) -> Nat {
+        bases
+            .iter()
+            .zip(exps)
+            .fold(Nat::one().rem(n), |acc, (b, e)| {
+                acc.mul(&naive_pow(&b.rem(n), e, n)).rem(n)
+            })
+    }
+
+    fn multi_pow(ctx: &Montgomery, bases: &[Nat], exps: &[Nat], exp_bits: usize) -> Nat {
+        let bases: Vec<&Nat> = bases.iter().collect();
+        let exps: Vec<&Nat> = exps.iter().collect();
+        MultiPow::new(ctx, &bases, exp_bits, 4).pow(&exps)
+    }
+
+    /// The widths a 2048-bit key lands on (32 and 64 limbs) and 70 limbs:
+    /// all-zero and single-digit exponent vectors, mixed exponent lengths
+    /// with zeros among them, an unreduced and a zero base, and exponents
+    /// longer than the table was sized for.
+    #[test]
+    fn multi_pow_matches_product_of_naive_pows() {
+        let mut rng = XorShiftRng::new(0x5742_0500);
+        for k in [32, 64, 70] {
+            let n = odd_modulus(&mut rng, k);
+            let ctx = Montgomery::new(n.clone());
+            let mut bases: Vec<Nat> = (0..5).map(|_| Nat::random_below(&mut rng, &n)).collect();
+            bases.push(Nat::random_bits(&mut rng, 64 * k + 9)); // unreduced
+            let zeros = vec![Nat::zero(); bases.len()];
+            assert_eq!(multi_pow(&ctx, &bases, &zeros, 10), Nat::one(), "k={k}");
+            let mut one_digit = zeros.clone();
+            one_digit[3] = Nat::one();
+            assert_eq!(multi_pow(&ctx, &bases, &one_digit, 10), bases[3], "k={k}");
+            let exps: Vec<Nat> = [1, 10, 0, 64, 130, 33]
+                .iter()
+                .map(|&bits| match bits {
+                    0 => Nat::zero(),
+                    _ => Nat::random_exact_bits(&mut rng, bits),
+                })
+                .collect();
+            let expect = naive_multi_pow(&bases, &exps, &n);
+            for sized_for in [1, 64, 130] {
+                assert_eq!(multi_pow(&ctx, &bases, &exps, sized_for), expect, "k={k}");
+            }
+            let mut with_zero_base = bases.clone();
+            with_zero_base[2] = Nat::zero();
+            assert_eq!(
+                multi_pow(&ctx, &with_zero_base, &exps, 64),
+                naive_multi_pow(&with_zero_base, &exps, &n),
+                "k={k} zero base, zero exponent"
+            );
+            let mut hits_zero = exps.clone();
+            hits_zero[2] = Nat::from(5u64);
+            assert_eq!(
+                multi_pow(&ctx, &with_zero_base, &hits_zero, 64),
+                Nat::zero()
+            );
+        }
+    }
+
+    /// The width rule: the cheapest width whose table fits the budget.
+    #[test]
+    fn multi_pow_window_fits_the_table_budget() {
+        // A 32×32 scan of 10-bit cells under a 2048-bit key (n²: 64 limbs):
+        // width 5 would need fewest products but 496 KiB of table.
+        assert_eq!(multi_pow_window(32, 64, 10, 32), 3);
+        assert_eq!(multi_pow_window(32, 1, 10, 32), 5);
+        // Past the budget even at width 2, width 1 still qualifies.
+        assert_eq!(multi_pow_window(4096, 64, 64, 4096), 1);
+        // Nothing to walk: the smallest table wins.
+        assert_eq!(multi_pow_window(32, 64, 0, 32), 1);
+    }
+
     proptest! {
+        #[test]
+        fn prop_multi_pow_matches_naive(
+            bases in proptest::collection::vec(any::<u64>(), 1..6),
+            exps in proptest::collection::vec(any::<u64>(), 6..7),
+            shifts in proptest::collection::vec(0u32..65, 6..7),
+            m in (1u64<<32)..u64::MAX,
+        ) {
+            let n = Nat::from(m | 1);
+            let ctx = Montgomery::new(n.clone());
+            let bases: Vec<Nat> = bases.into_iter().map(Nat::from).collect();
+            // Exponents of every length from 0 to 64 bits.
+            let exps: Vec<Nat> = exps
+                .iter()
+                .zip(&shifts)
+                .take(bases.len())
+                .map(|(&e, &s)| Nat::from(e.checked_shr(s).unwrap_or(0)))
+                .collect();
+            prop_assert_eq!(multi_pow(&ctx, &bases, &exps, 64), naive_multi_pow(&bases, &exps, &n));
+        }
+
         #[test]
         fn prop_fixed_base_matches_generic(b in any::<u64>(), e in any::<u64>(), m in (1u64<<32)..u64::MAX) {
             let m = m | 1;

@@ -93,7 +93,8 @@ pub fn client_query<R: RandomSource + ?Sized>(
 /// # Errors
 ///
 /// [`ProtocolError::InvalidMessage`] if the (client-controlled) query
-/// arity does not fit the circuit's input split.
+/// arity does not fit the circuit's input split, or a label-OT query is
+/// outside the group.
 pub fn server_reply<R: RandomSource + ?Sized>(
     group: &SchnorrGroup,
     circuit: &Circuit,
@@ -125,7 +126,7 @@ pub fn server_reply<R: RandomSource + ?Sized>(
             let (l0, l1) = secrets.input_label_pair(server_bits.len() + j);
             ot2::sender_transfer(group, &setup, q, &l0, &l1, rng)
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     Ok(YaoReply {
         garbled,
         server_labels,
@@ -290,6 +291,21 @@ mod tests {
         run(&mut t2, &group, &c2, &[false; 16], &[true; 16], &mut rng).unwrap();
         let ratio = t2.report().server_to_client as f64 / rep.server_to_client as f64;
         assert!(ratio > 1.4 && ratio < 3.0, "ratio {ratio}");
+    }
+
+    /// A client-chosen label-OT `PK₀` of 0 or `p` has no group inverse:
+    /// the reply is a typed error, not a panic in the OT sender.
+    #[test]
+    fn label_ot_query_outside_the_group_is_a_typed_error() {
+        let (group, mut rng) = setup();
+        let c = sum_circuit(2, 3);
+        let (q, _) = client_query(&group, &to_bits(6, 3), &mut rng);
+        for pk0 in [spfe_math::Nat::zero(), group.p().clone()] {
+            let mut bad = q.clone();
+            bad.label_ots[1].pk0 = pk0;
+            let r = server_reply(&group, &c, &to_bits(5, 3), &bad, &mut rng);
+            assert!(matches!(r, Err(ProtocolError::InvalidMessage { .. })));
+        }
     }
 
     #[test]

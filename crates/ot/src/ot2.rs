@@ -20,7 +20,7 @@
 use spfe_crypto::sha256::prf;
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Nat, RandomSource};
-use spfe_transport::{Reader, Wire, WireError};
+use spfe_transport::{ProtocolError, Reader, Wire, WireError};
 
 /// Sender's reusable setup message: the "forced" public key base `C`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,6 +154,12 @@ pub fn receiver_choose<R: RandomSource + ?Sized>(
 
 /// Sender: answers a query with both encrypted branches.
 ///
+/// # Errors
+///
+/// [`ProtocolError::InvalidMessage`] if the (receiver-controlled) `PK₀`
+/// is zero or not below `p`: it has no inverse to derive `PK₁` from.
+/// Nothing is drawn from `rng` or counted then.
+///
 /// # Panics
 ///
 /// Panics if `m0` and `m1` have different lengths.
@@ -164,10 +170,16 @@ pub fn sender_transfer<R: RandomSource + ?Sized>(
     m0: &[u8],
     m1: &[u8],
     rng: &mut R,
-) -> OtTransfer {
-    spfe_obs::count(spfe_obs::Op::Ot2Transfer, 1);
+) -> Result<OtTransfer, ProtocolError> {
     assert_eq!(m0.len(), m1.len(), "OT messages must have equal length");
     let pk0 = &query.pk0;
+    if pk0.is_zero() || pk0 >= group.p() {
+        return Err(ProtocolError::InvalidMessage {
+            label: "ot2-query",
+            reason: "base OT query outside the group",
+        });
+    }
+    spfe_obs::count(spfe_obs::Op::Ot2Transfer, 1);
     let pk1 = group.mul(&setup.c, &group.inv(pk0));
     let r0 = group.random_exponent(rng);
     let r1 = group.random_exponent(rng);
@@ -175,12 +187,12 @@ pub fn sender_transfer<R: RandomSource + ?Sized>(
     let g_r1 = group.pow(group.g(), &r1);
     let pad0 = pad_from_point(&group.pow(pk0, &r0), m0.len(), 0);
     let pad1 = pad_from_point(&group.pow(&pk1, &r1), m1.len(), 1);
-    OtTransfer {
+    Ok(OtTransfer {
         g_r0,
         c0: xor_into(m0.to_vec(), &pad0),
         g_r1,
         c1: xor_into(m1.to_vec(), &pad1),
-    }
+    })
 }
 
 /// Receiver: recovers `m_choice`.
@@ -215,7 +227,8 @@ mod tests {
         let setup = sender_setup(&group, &mut rng);
         for choice in [false, true] {
             let (q, st) = receiver_choose(&group, &setup, choice, &mut rng);
-            let t = sender_transfer(&group, &setup, &q, b"zero-msg", b"one-msgg", &mut rng);
+            let t =
+                sender_transfer(&group, &setup, &q, b"zero-msg", b"one-msgg", &mut rng).unwrap();
             let out = receiver_output(&group, &st, &t);
             let expect: &[u8] = if choice { b"one-msgg" } else { b"zero-msg" };
             assert_eq!(out, expect, "choice={choice}");
@@ -227,7 +240,7 @@ mod tests {
         let (group, mut rng) = group_and_rng();
         let setup = sender_setup(&group, &mut rng);
         let (q, st) = receiver_choose(&group, &setup, false, &mut rng);
-        let t = sender_transfer(&group, &setup, &q, b"aaaaaaaa", b"bbbbbbbb", &mut rng);
+        let t = sender_transfer(&group, &setup, &q, b"aaaaaaaa", b"bbbbbbbb", &mut rng).unwrap();
         // Decrypting the wrong branch with the receiver's key fails.
         let wrong_pad = pad_from_point(&group.pow(&t.g_r1, &st.k), 8, 1);
         let wrong = xor_into(t.c1.clone(), &wrong_pad);
@@ -256,7 +269,7 @@ mod tests {
             let (q, st) = receiver_choose(&group, &setup, choice, &mut rng);
             let m0 = vec![i; 4];
             let m1 = vec![i + 100; 4];
-            let t = sender_transfer(&group, &setup, &q, &m0, &m1, &mut rng);
+            let t = sender_transfer(&group, &setup, &q, &m0, &m1, &mut rng).unwrap();
             let out = receiver_output(&group, &st, &t);
             assert_eq!(out, if choice { m1 } else { m0 });
         }
@@ -270,7 +283,7 @@ mod tests {
         assert_eq!(OtSetup::from_bytes(&bytes).unwrap(), setup);
         let (q, _) = receiver_choose(&group, &setup, true, &mut rng);
         assert_eq!(OtQuery::from_bytes(&q.to_bytes()).unwrap(), q);
-        let t = sender_transfer(&group, &setup, &q, b"xy", b"zw", &mut rng);
+        let t = sender_transfer(&group, &setup, &q, b"xy", b"zw", &mut rng).unwrap();
         assert_eq!(OtTransfer::from_bytes(&t.to_bytes()).unwrap(), t);
     }
 
@@ -284,11 +297,24 @@ mod tests {
     }
 
     #[test]
+    fn query_outside_the_group_is_a_typed_error() {
+        let (group, mut rng) = group_and_rng();
+        let setup = sender_setup(&group, &mut rng);
+        for pk0 in [Nat::zero(), group.p().clone(), group.p().add(&Nat::one())] {
+            let q = OtQuery { pk0 };
+            let before = rng.clone().next_u64();
+            let r = sender_transfer(&group, &setup, &q, b"m0", b"m1", &mut rng);
+            assert!(matches!(r, Err(ProtocolError::InvalidMessage { .. })));
+            assert_eq!(rng.clone().next_u64(), before, "no randomness drawn");
+        }
+    }
+
+    #[test]
     fn empty_messages_work() {
         let (group, mut rng) = group_and_rng();
         let setup = sender_setup(&group, &mut rng);
         let (q, st) = receiver_choose(&group, &setup, true, &mut rng);
-        let t = sender_transfer(&group, &setup, &q, b"", b"", &mut rng);
+        let t = sender_transfer(&group, &setup, &q, b"", b"", &mut rng).unwrap();
         assert!(receiver_output(&group, &st, &t).is_empty());
     }
 }

@@ -15,7 +15,7 @@ use crate::ot2::{self, OtQuery, OtReceiverState, OtSetup, OtTransfer};
 use spfe_crypto::sha256::prf;
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
-use spfe_transport::{Reader, Wire, WireError};
+use spfe_transport::{ProtocolError, Reader, Wire, WireError};
 
 /// Key length for the per-bit keys.
 const KEY_LEN: usize = 16;
@@ -120,19 +120,22 @@ pub fn receiver_choose<R: RandomSource + ?Sized>(
 
 /// Sender: answers with key transfers and all encrypted items.
 ///
+/// # Errors
+///
+/// [`ProtocolError::InvalidMessage`] if the (receiver-controlled) query
+/// has the wrong number of bit queries, or a bit query outside the group
+/// (see [`ot2::sender_transfer`]).
+///
 /// # Panics
 ///
-/// Panics if items have unequal lengths, `items` is empty, or the query has
-/// the wrong number of bit queries.
+/// Panics if items have unequal lengths or `items` is empty.
 pub fn sender_answer<R: RandomSource + ?Sized>(
     group: &SchnorrGroup,
     setup: &OtSetup,
     query: &OtnQuery,
     items: &[Vec<u8>],
     rng: &mut R,
-) -> OtnAnswer {
-    // Each answer also counts its `log n` base `Ot2Transfer`s below.
-    spfe_obs::count(spfe_obs::Op::OtnTransfer, 1);
+) -> Result<OtnAnswer, ProtocolError> {
     assert!(!items.is_empty());
     let len = items[0].len();
     assert!(
@@ -140,7 +143,14 @@ pub fn sender_answer<R: RandomSource + ?Sized>(
         "items must have equal length"
     );
     let bits = selection_bits(items.len());
-    assert_eq!(query.bit_queries.len(), bits, "wrong query arity");
+    if query.bit_queries.len() != bits {
+        return Err(ProtocolError::InvalidMessage {
+            label: "otn-query",
+            reason: "bit query arity mismatches the items",
+        });
+    }
+    // Each answer also counts its `log n` base `Ot2Transfer`s below.
+    spfe_obs::count(spfe_obs::Op::OtnTransfer, 1);
 
     // Sample key pairs.
     let mut keys = Vec::with_capacity(bits);
@@ -157,7 +167,7 @@ pub fn sender_answer<R: RandomSource + ?Sized>(
         .iter()
         .zip(&query.bit_queries)
         .map(|((k0, k1), q)| ot2::sender_transfer(group, setup, q, k0, k1, rng))
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     // Encrypt every item under its bit-selected keys.
     let ciphertexts = items
@@ -175,10 +185,10 @@ pub fn sender_answer<R: RandomSource + ?Sized>(
         })
         .collect();
 
-    OtnAnswer {
+    Ok(OtnAnswer {
         bit_transfers,
         ciphertexts,
-    }
+    })
 }
 
 /// Receiver: decrypts its chosen item.
@@ -232,7 +242,7 @@ mod tests {
         let items: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i, i * 2, i * 3]).collect();
         for index in 0..items.len() {
             let (q, st) = receiver_choose(&group, &s, items.len(), index, &mut rng);
-            let a = sender_answer(&group, &s, &q, &items, &mut rng);
+            let a = sender_answer(&group, &s, &q, &items, &mut rng).unwrap();
             assert_eq!(receiver_output(&group, &st, &a), items[index], "i={index}");
         }
     }
@@ -242,7 +252,7 @@ mod tests {
         let (group, s, mut rng) = setup();
         let items: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 10]).collect();
         let (q, st) = receiver_choose(&group, &s, 8, 6, &mut rng);
-        let a = sender_answer(&group, &s, &q, &items, &mut rng);
+        let a = sender_answer(&group, &s, &q, &items, &mut rng).unwrap();
         assert_eq!(receiver_output(&group, &st, &a), vec![6u8; 10]);
     }
 
@@ -251,7 +261,7 @@ mod tests {
         let (group, s, mut rng) = setup();
         let items: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
         let (q, st) = receiver_choose(&group, &s, 4, 1, &mut rng);
-        let a = sender_answer(&group, &s, &q, &items, &mut rng);
+        let a = sender_answer(&group, &s, &q, &items, &mut rng).unwrap();
         // Attempt to decrypt a different index with the received keys: the
         // keys obtained are for index 1's bits, so index 2 (differing in
         // both bits) stays encrypted.
@@ -271,7 +281,7 @@ mod tests {
         let (group, s, mut rng) = setup();
         let items = vec![b"only".to_vec()];
         let (q, st) = receiver_choose(&group, &s, 1, 0, &mut rng);
-        let a = sender_answer(&group, &s, &q, &items, &mut rng);
+        let a = sender_answer(&group, &s, &q, &items, &mut rng).unwrap();
         assert_eq!(receiver_output(&group, &st, &a), b"only");
     }
 
@@ -281,9 +291,24 @@ mod tests {
         let items: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 4]).collect();
         let (q, st) = receiver_choose(&group, &s, 3, 2, &mut rng);
         let q2 = OtnQuery::from_bytes(&q.to_bytes()).unwrap();
-        let a = sender_answer(&group, &s, &q2, &items, &mut rng);
+        let a = sender_answer(&group, &s, &q2, &items, &mut rng).unwrap();
         let a2 = OtnAnswer::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(receiver_output(&group, &st, &a2), items[2]);
+    }
+
+    #[test]
+    fn malformed_queries_are_typed_errors() {
+        let (group, s, mut rng) = setup();
+        let items: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 4]).collect();
+        let (q, _) = receiver_choose(&group, &s, 4, 1, &mut rng);
+        let mut short = q.clone();
+        short.bit_queries.pop();
+        let mut zero = q.clone();
+        zero.bit_queries[1].pk0 = spfe_math::Nat::zero();
+        for bad in [short, zero] {
+            let r = sender_answer(&group, &s, &bad, &items, &mut rng);
+            assert!(matches!(r, Err(ProtocolError::InvalidMessage { .. })));
+        }
     }
 
     #[test]

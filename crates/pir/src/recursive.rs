@@ -14,7 +14,7 @@
 //! answer ciphertexts. Level 2: those `d2` ciphertexts, split into
 //! plaintext-sized chunks, form a `r2 × c2` grid queried by `r2` more
 //! ciphertexts; the client decrypts twice. Both levels run the column
-//! fold of `hom_pir::fold_columns`.
+//! fold [`HomomorphicPk::fold_columns`].
 //!
 //! Each party is written once, as a sans-io core (DESIGN.md §15): [`run`]
 //! pumps [`RecursiveClientCore`] against a [`RecursiveServerCore`] in
@@ -126,8 +126,8 @@ pub fn client_query<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Si
     }
 }
 
-/// Server: the two folding passes, both the column fold of
-/// `hom_pir::fold_columns`. Returns `c2 × chunks` ciphertext blobs.
+/// Server: the two folding passes, both the column fold
+/// [`HomomorphicPk::fold_columns`]. Returns `c2 × chunks` ciphertext blobs.
 ///
 /// # Errors
 ///
@@ -157,12 +157,13 @@ pub fn server_answer<P: HomomorphicPk>(
     let sel1 = hom_pir::parse_selectors(pk, &query.level1, "recpir-query")?;
     let sel2 = hom_pir::parse_selectors(pk, &query.level2, "recpir-query")?;
     // Level 1: fold rows into d2 ciphertexts.
-    let level1: Vec<Vec<u8>> = hom_pir::fold_columns(pk, &sel1, layout.d2, |i| {
-        Nat::from(db.get(i).copied().unwrap_or(0))
-    })
-    .iter()
-    .map(|ct| pk.ciphertext_to_bytes(ct))
-    .collect();
+    let level1: Vec<Vec<u8>> = pk
+        .fold_columns(&sel1, layout.d2, |i| {
+            Nat::from(db.get(i).copied().unwrap_or(0))
+        })
+        .iter()
+        .map(|ct| pk.ciphertext_to_bytes(ct))
+        .collect();
 
     // Level 2: the d2 ciphertexts, chunked, become the new database — one
     // fold per chunk plane.
@@ -170,7 +171,7 @@ pub fn server_answer<P: HomomorphicPk>(
     let n_chunks = pk.ciphertext_bytes().div_ceil(cw);
     let planes: Vec<Vec<P::Ciphertext>> = (0..n_chunks)
         .map(|ch| {
-            hom_pir::fold_columns(pk, &sel2, layout.c2, |item| {
+            pk.fold_columns(&sel2, layout.c2, |item| {
                 let Some(bytes) = level1.get(item) else {
                     return Nat::zero();
                 };

@@ -257,7 +257,8 @@ pub fn scan_words<P: HomomorphicPk>(
 /// # Errors
 ///
 /// [`ProtocolError::InvalidMessage`] if the (client-controlled) pad OT
-/// query has the wrong arity or a base query outside the group.
+/// query has the wrong arity or a base query outside the group (from
+/// [`ot_n::sender_answer`]).
 ///
 /// # Panics
 ///
@@ -272,22 +273,6 @@ pub fn pad_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
     let width = scanned.len();
     assert!(width > 0, "empty scan");
     let layout = params.layout();
-    let bits = &query.pad_ot.bit_queries;
-    if bits.len() != ot_n::selection_bits(layout.cols) {
-        return Err(ProtocolError::InvalidMessage {
-            label: "spir-query",
-            reason: "pad OT query arity mismatches layout",
-        });
-    }
-    if bits
-        .iter()
-        .any(|q| q.pk0.is_zero() || &q.pk0 >= params.group.p())
-    {
-        return Err(ProtocolError::InvalidMessage {
-            label: "spir-query",
-            reason: "pad OT query outside the group",
-        });
-    }
     let u = pk.plaintext_modulus().clone();
     let pad_w = pad_bytes(pk);
     // pads[c][j] = pad for chunk c, column j.
@@ -328,7 +313,7 @@ pub fn pad_answer_words<P: HomomorphicPk, R: RandomSource + ?Sized>(
         &query.pad_ot,
         &pad_items,
         rng,
-    );
+    )?;
     Ok(SpirWordsAnswer { padded, pad_ot })
 }
 
@@ -693,8 +678,8 @@ mod tests {
         fn typed<T>(r: Result<T, ProtocolError>) -> bool {
             matches!(r, Err(ProtocolError::InvalidMessage { .. }))
         }
-        // Server side: a wrong arity, or a base query of 0 or ≥ p, would
-        // otherwise reach the OT sender's assert or the group inverse.
+        // Server side: a wrong arity, or a base query of 0 or ≥ p, has no
+        // OT answer; the OT sender rejects it.
         let mut short = q.clone();
         short.pad_ot.bit_queries.pop();
         assert!(typed(server_answer(
