@@ -30,10 +30,12 @@
 //!   `obs-alloc` build).
 //! * `trend --baseline A --current B [--threshold PCT] [--json]
 //!   [--accept]` — compares two suites on deterministic op counters, comm
-//!   bytes, and (single-thread, instrumented baselines only) heap
-//!   counters, exiting nonzero on any growth past the threshold (default
-//!   5%); `--json` prints every delta machine-readably; `--accept`
-//!   instead copies `B` over `A` to bless an intentional change.
+//!   bytes, and (single-thread only) span call counts and, for
+//!   instrumented baselines, heap counters, exiting nonzero on any change
+//!   to a counter, comm total or span count and on heap growth past the
+//!   threshold (default 5%); `--json` prints every delta
+//!   machine-readably; `--accept` instead copies `B` over `A` to bless an
+//!   intentional change.
 //! * `trend --scaling [--scan PATH] [--min-n N] [--speedup PCT]
 //!   [--overhead PCT]` — the parallel-scaling gate over
 //!   `BENCH_pir_scan.json`: on a machine with `cores ≥ threads` the
@@ -901,7 +903,8 @@ fn trend_cmd(args: &[String]) {
     }
     if out.regressions.is_empty() {
         println!(
-            "trend: OK — no deterministic counter or comm byte changed, no heap total regressed"
+            "trend: OK — no deterministic counter, comm byte or span count changed, \
+             no heap total regressed"
         );
         return;
     }
@@ -922,8 +925,8 @@ fn trend_cmd(args: &[String]) {
         );
     }
     eprintln!(
-        "trend: {} gated metric(s) failed; a deterministic counter or comm total \
-         that moved at all means the baseline is stale — rerun with \
+        "trend: {} gated metric(s) failed; a deterministic counter, comm total \
+         or span count that moved at all means the baseline is stale — rerun with \
          `trend --accept` after committing an intentional cost change (see \
          EXPERIMENTS.md)",
         out.regressions.len()

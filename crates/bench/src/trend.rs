@@ -13,6 +13,11 @@
 //! Wall-clock times and scheduler/fault gauges are deliberately *not*
 //! compared — they vary run to run and would make the gate flaky.
 //!
+//! Span call counts join the gate at `threads == 1` on both sides: each
+//! span path's `calls` is held exactly there (`span:<path>:calls`), so a
+//! change that adds, drops or repeats a protocol phase shows without a
+//! hand diff; at more threads the rows are informational.
+//!
 //! The heap axis (schema v3) joins the gate with its own rules: at
 //! `threads == 1` on both sides, `mem:allocs` and `mem:alloc_bytes` are
 //! deterministic (DESIGN.md §12) and gate on growth past the percentage
@@ -25,24 +30,25 @@
 use spfe_obs::{CostReport, Suite};
 use std::collections::BTreeMap;
 
-/// One gated metric that failed the gate: a deterministic counter or
-/// comm total that changed at all, or a heap total that grew past the
-/// threshold.
+/// One gated metric that failed the gate: a deterministic counter, comm
+/// total or span call count that changed at all, or a heap total that
+/// grew past the threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Experiment id of the offending report.
     pub experiment: String,
     /// Protocol variant of the offending report.
     pub protocol: String,
-    /// Metric name (`op:<name>`, `comm:<direction>_bytes`, or `mem:<field>`).
+    /// Metric name (`op:<name>`, `comm:<direction>_bytes`,
+    /// `span:<path>:calls`, or `mem:<field>`).
     pub metric: String,
     /// Baseline value.
     pub baseline: u64,
     /// Current value.
     pub current: u64,
-    /// Whether the metric is held exactly (a deterministic op counter or
-    /// comm total): then the baseline is stale and must be re-accepted,
-    /// whichever way the value moved.
+    /// Whether the metric is held exactly (a deterministic op counter,
+    /// comm total or span call count): then the baseline is stale and
+    /// must be re-accepted, whichever way the value moved.
     pub exact: bool,
 }
 
@@ -61,7 +67,8 @@ pub struct Delta {
     pub experiment: String,
     /// Protocol variant of the compared report.
     pub protocol: String,
-    /// Metric name (`op:<name>`, `comm:<direction>_bytes`, or `mem:<field>`).
+    /// Metric name (`op:<name>`, `comm:<direction>_bytes`,
+    /// `span:<path>:calls`, or `mem:<field>`).
     pub metric: String,
     /// Baseline value.
     pub baseline: u64,
@@ -161,6 +168,33 @@ fn mem_metrics(
     ]
 }
 
+/// The span-call metrics for one pair of reports: `(metric, baseline,
+/// current, gated)` per span path in either report, `span:<path>:calls`.
+/// A path's call count is fixed by the protocol's control flow, so it is
+/// held exactly — but only in the single-thread regime, like the heap
+/// totals. Span paths are per thread: a span opened inside a pool job
+/// nests under the caller's path only when the job runs on the calling
+/// thread, so at more threads the rows are informational.
+fn span_metrics(
+    baseline: &Suite,
+    base: &CostReport,
+    current: &Suite,
+    cur: &CostReport,
+) -> Vec<(String, u64, u64, bool)> {
+    let gate = baseline.threads == 1 && current.threads == 1;
+    let mut calls: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for s in &base.spans {
+        calls.entry(&s.path).or_default().0 = s.calls;
+    }
+    for s in &cur.spans {
+        calls.entry(&s.path).or_default().1 = s.calls;
+    }
+    calls
+        .into_iter()
+        .map(|(path, (b, c))| (format!("span:{path}:calls"), b, c, gate))
+        .collect()
+}
+
 /// Compares `current` against `baseline`, flagging every deterministic
 /// counter or comm byte total that differs at all (in either direction),
 /// and every gated heap total that grew more than `threshold_pct` percent
@@ -203,6 +237,11 @@ pub fn compare_suites(
                 (key.clone(), b, c, true, true)
             })
             .collect();
+        rows.extend(
+            span_metrics(baseline, base, current, cur)
+                .into_iter()
+                .map(|(k, b, c, gated)| (k, b, c, gated, true)),
+        );
         rows.extend(
             mem_metrics(baseline, base, current, cur)
                 .into_iter()
@@ -395,7 +434,7 @@ pub fn check_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spfe_obs::{CommStat, MemStat, Op, OpStat};
+    use spfe_obs::{CommStat, MemStat, Op, OpStat, SpanStat};
 
     fn report(experiment: &str, protocol: &str, modexps: u64, up: u64) -> CostReport {
         CostReport {
@@ -632,6 +671,64 @@ mod tests {
         assert!(out.regressions.is_empty(), "{out:?}");
         let allocs = out.deltas.iter().find(|d| d.metric == "mem:allocs");
         assert!(allocs.is_some_and(|d| d.gated && !d.flagged), "{out:?}");
+    }
+
+    fn span_report(calls: &[(&str, u64)]) -> CostReport {
+        let mut r = report("e1", "p", 100, 1_000);
+        r.spans = calls
+            .iter()
+            .map(|&(path, calls)| SpanStat {
+                path: path.into(),
+                calls,
+                ns: 1_000 * calls,
+                p50_ns: 1_000,
+                p95_ns: 1_000,
+                p99_ns: 1_000,
+                allocs: 0,
+                alloc_bytes: 0,
+                peak_live_bytes: 0,
+            })
+            .collect();
+        r
+    }
+
+    #[test]
+    fn span_calls_are_held_exactly_in_the_single_thread_regime() {
+        let base = span_report(&[("p", 1), ("p/scan", 4)]);
+        let same = compare_suites(
+            &suite_at(1, vec![base.clone()]),
+            &suite_at(1, vec![base.clone()]),
+            5.0,
+        )
+        .unwrap();
+        assert!(same.regressions.is_empty(), "{same:?}");
+        // modexp + 2 comm + 2 span paths.
+        assert_eq!(same.metrics_compared, 5);
+        // A repeated phase and a new path both flag, in either direction.
+        let cur = span_report(&[("p", 1), ("p/scan", 3), ("p/extra", 1)]);
+        let out = compare_suites(&suite_at(1, vec![base]), &suite_at(1, vec![cur]), 5.0).unwrap();
+        let flagged: Vec<&str> = out.regressions.iter().map(|r| r.metric.as_str()).collect();
+        assert_eq!(
+            flagged,
+            ["span:p/extra:calls", "span:p/scan:calls"],
+            "{out:?}"
+        );
+        assert!(out.regressions.iter().all(|r| r.exact));
+    }
+
+    #[test]
+    fn span_calls_are_informational_outside_single_thread() {
+        let base = suite_at(4, vec![span_report(&[("p", 1), ("p/scan", 4)])]);
+        let cur = suite_at(1, vec![span_report(&[("p", 2)])]);
+        let out = compare_suites(&base, &cur, 5.0).unwrap();
+        assert!(out.regressions.is_empty(), "{out:?}");
+        let spans: Vec<&Delta> = out
+            .deltas
+            .iter()
+            .filter(|d| d.metric.starts_with("span:"))
+            .collect();
+        assert_eq!(spans.len(), 2);
+        assert!(spans.iter().all(|d| !d.gated && !d.flagged));
     }
 
     #[test]

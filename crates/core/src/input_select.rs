@@ -279,8 +279,8 @@ where
             (0..m).map(move |k| Nat::from(field.pow(i_f, k as u64)))
         })
         .collect();
-    let powers: Vec<Vec<u8>> = pk
-        .encrypt_batch(&power_plains, rng)
+    let powers: Vec<Vec<u8>> = sk
+        .encrypt_batch(pk, &power_plains, rng)
         .iter()
         .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
@@ -437,8 +437,8 @@ where
     let coeff_plains: Vec<Nat> = (0..m)
         .map(|k| Nat::from(s_poly.coeffs().get(k).copied().unwrap_or(0)))
         .collect();
-    let coeff_cts: Vec<Vec<u8>> = server_pk
-        .encrypt_batch(&coeff_plains, rng)
+    let coeff_cts: Vec<Vec<u8>> = server_sk
+        .encrypt_batch(server_pk, &coeff_plains, rng)
         .iter()
         .map(|ct| server_pk.ciphertext_to_bytes(ct))
         .collect();
@@ -586,8 +586,8 @@ where
     // n public-key operations, batched onto the worker pool.
     let _setup = spfe_obs::span("setup-encrypt-db");
     let plains: Vec<Nat> = db.iter().map(|&x| Nat::from(x)).collect();
-    let enc_db: Vec<Vec<u64>> = server_pk
-        .encrypt_batch(&plains, rng)
+    let enc_db: Vec<Vec<u64>> = server_sk
+        .encrypt_batch(server_pk, &plains, rng)
         .iter()
         .map(|ct| words::bytes_to_words(&server_pk.ciphertext_to_bytes(ct)))
         .collect();

@@ -130,9 +130,11 @@ where
     let _qg = spfe_obs::span("query-gen");
     let (queries, state) = batched::client_query(group, pk, sk, db.len(), indices, rng);
     let coeffs = functional_coeffs(field, indices, weights);
-    let coeff_cts: Vec<Vec<u8>> = coeffs
+    let coeff_plains: Vec<Nat> = coeffs.iter().map(|&c| Nat::from(c)).collect();
+    let coeff_cts: Vec<Vec<u8>> = sk
+        .encrypt_batch(pk, &coeff_plains, rng)
         .iter()
-        .map(|&c| pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(c), rng)))
+        .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
     let (queries, coeff_cts) = t.client_to_server(0, "wsum-query", &(queries, coeff_cts))?;
     drop(_qg);
@@ -281,9 +283,11 @@ where
     let (queries, state) = batched::client_query(group, pk, sk, db.len(), indices, rng);
     let ones = vec![1u64; m];
     let coeffs = functional_coeffs(field, indices, &ones);
-    let coeff_cts: Vec<Vec<u8>> = coeffs
+    let coeff_plains: Vec<Nat> = coeffs.iter().map(|&c| Nat::from(c)).collect();
+    let coeff_cts: Vec<Vec<u8>> = sk
+        .encrypt_batch(pk, &coeff_plains, rng)
         .iter()
-        .map(|&c| pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(c), rng)))
+        .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
     let (queries, coeff_cts) = t.client_to_server(0, "avgvar-query", &(queries, coeff_cts))?;
 
@@ -440,13 +444,15 @@ where
     let _proto = spfe_obs::span("frequency");
 
     // Client: E((b_j − w) mod p).
-    let client_cts: Vec<Vec<u8>> = shares
+    let blinded: Vec<Nat> = shares
         .client
         .iter()
-        .map(|&b| {
-            let v = field.sub(b, field.from_u64(keyword));
-            pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(v), rng))
-        })
+        .map(|&b| Nat::from(field.sub(b, field.from_u64(keyword))))
+        .collect();
+    let client_cts: Vec<Vec<u8>> = sk
+        .encrypt_batch(pk, &blinded, rng)
+        .iter()
+        .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
     let client_cts = t.client_to_server(0, "freq-blinded-shares", &client_cts)?;
 
@@ -500,14 +506,16 @@ where
     check_capacity(pk, p, m);
     let _proto = spfe_obs::span("frequency-multi");
 
-    let client_cts: Vec<Vec<u8>> = shares
+    let blinded: Vec<Nat> = shares
         .client
         .iter()
         .zip(keywords)
-        .map(|(&b, &w)| {
-            let v = field.sub(b, field.from_u64(w));
-            pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(v), rng))
-        })
+        .map(|(&b, &w)| Nat::from(field.sub(b, field.from_u64(w))))
+        .collect();
+    let client_cts: Vec<Vec<u8>> = sk
+        .encrypt_batch(pk, &blinded, rng)
+        .iter()
+        .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
     let client_cts = t.client_to_server(0, "freqm-blinded-shares", &client_cts)?;
 

@@ -11,24 +11,30 @@
 //!
 //! The key holder knows `n = p·q` and works modulo `p²` and `q²` instead
 //! (Chinese remainder theorem), on operands half as wide:
-//! * encryption computes `r^n mod n²` from `r^(n mod p(p−1)) mod p²` and
-//!   `r^(n mod q(q−1)) mod q²` (the exponent reduced by the group orders)
-//!   recombined with Garner's method — the same residue, so the same
-//!   ciphertext bytes for the same `r`;
+//! * encryption computes `r^n mod p²` by the p-adic lift. For any integer
+//!   `a + b·p`, the binomial theorem gives `(a + b·p)^p ≡ a^p (mod p²)`,
+//!   so `r^n = (r^q)^p ≡ ((r mod p)^q mod p)^p (mod p²)` for every `r`,
+//!   multiples of `p` included. That is one power mod `p` with exponent
+//!   `q` (half-width operands, half-width exponent: about ⅛ of a power
+//!   mod `p²` with a full-width exponent) and one power mod `p²` with
+//!   exponent `p` (about ½), about 36% fewer products than the direct
+//!   `r^(n mod p(p−1)) mod p²`. Likewise mod `q²`; Garner's method
+//!   recombines `r^n mod n²`. It is the same residue from the same `r`,
+//!   so the same ciphertext bytes as the public path — an exact identity,
+//!   not a change of randomness or assumption;
 //! * decryption computes `m_p = L_p(c^(p−1) mod p²) · h_p mod p` with
 //!   `L_p(x) = (x−1)/p` and `h_p = L_p(g^(p−1) mod p²)^{-1} = (−q)^{-1}
 //!   mod p`, likewise `m_q`, and recombines `m mod n` with Garner's method.
 //!
-//! Each CRT exponentiation pair counts as one [`Op::Modexp`], like the
-//! full-width power it replaces, so op counts do not depend on who
-//! encrypts. Only the key holder may take this path
-//! ([`HomomorphicSk::encrypt_batch`], [`HomomorphicSk::decrypt`]);
+//! Each encryption's or decryption's set of half-width powers counts as
+//! one [`Op::Modexp`], like the full-width power it replaces, so op
+//! counts do not depend on who encrypts. Only the key holder may take
+//! this path ([`HomomorphicSk::encrypt_batch`], [`HomomorphicSk::decrypt`]);
 //! servers and other public-key holders encrypt and evaluate through
 //! [`PaillierPk`] modulo `n²`.
 
 use crate::hom::{HomomorphicPk, HomomorphicScheme, HomomorphicSk};
 use spfe_math::modular::{garner, gcd, mod_inv, mod_mul};
-use spfe_math::montgomery::crt_pow;
 use spfe_math::prime::gen_prime;
 use spfe_math::{Montgomery, MultiPow, Nat, RandomSource};
 use spfe_obs::{count, Op};
@@ -70,15 +76,13 @@ pub struct PaillierSk {
 
 /// The key holder's precomputation for working modulo `p²` and `q²`.
 struct Crt {
-    p: Nat,
-    q: Nat,
+    /// Montgomery contexts for `p` and `q`: the half-width step of the
+    /// lift, and the moduli of decryption's recombination.
+    p: Montgomery,
+    q: Montgomery,
     /// Montgomery contexts for `p²` and `q²`.
     p_sq: Montgomery,
     q_sq: Montgomery,
-    /// `n mod p(p−1)` and `n mod q(q−1)`: the exponent of `r^n` reduced
-    /// by the orders of `Z*_{p²}` and `Z*_{q²}`.
-    enc_exp_p: Nat,
-    enc_exp_q: Nat,
     /// `(p²)⁻¹ mod q²`: Garner's constant for recombining mod `n²`.
     p_sq_inv: Nat,
     /// `p − 1` and `q − 1`: the decryption exponents.
@@ -95,7 +99,6 @@ impl Crt {
     /// Precomputes the constants for `n = p·q`, or `None` when `p` and `q`
     /// share a factor.
     fn new(p: Nat, q: Nat) -> Option<Self> {
-        let n = p.mul(&q);
         let one = Nat::one();
         let (p1, q1) = (p.sub(&one), q.sub(&one));
         // L_p(g^(p−1) mod p²) = (p−1)·q mod p = −q mod p (g = n + 1).
@@ -103,8 +106,6 @@ impl Crt {
         let h_q = mod_inv(&q.sub(&p.rem(&q)), &q)?;
         let (p_sq, q_sq) = (p.square(), q.square());
         Some(Crt {
-            enc_exp_p: n.rem(&p.mul(&p1)),
-            enc_exp_q: n.rem(&q.mul(&q1)),
             p_sq_inv: mod_inv(&p_sq, &q_sq)?,
             p_inv: mod_inv(&p, &q)?,
             p_sq: Montgomery::new(p_sq),
@@ -113,14 +114,19 @@ impl Crt {
             dec_exp_q: q1,
             h_p,
             h_q,
-            p,
-            q,
+            p: Montgomery::new(p),
+            q: Montgomery::new(q),
         })
     }
 
-    /// `r^n mod n²` by CRT — one counted [`Op::Modexp`].
+    /// `r^n mod n²` by the p-adic lift of the module docs — one counted
+    /// [`Op::Modexp`].
     fn r_pow_n(&self, r: &Nat) -> Nat {
-        let (xp, xq) = crt_pow(r, &self.p_sq, &self.enc_exp_p, &self.q_sq, &self.enc_exp_q);
+        count(Op::Modexp, 1);
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        // r^n ≡ ((r mod p)^q mod p)^p (mod p²), and symmetrically mod q².
+        let xp = self.p_sq.pow_uncounted(&self.p.pow_uncounted(r, q), p);
+        let xq = self.q_sq.pow_uncounted(&self.q.pow_uncounted(r, p), q);
         garner(
             &xp,
             self.p_sq.modulus(),
@@ -132,13 +138,16 @@ impl Crt {
 
     /// The plaintext of `c` — one counted [`Op::Modexp`].
     fn decrypt(&self, c: &Nat) -> Nat {
+        count(Op::Modexp, 1);
+        let (p, q) = (self.p.modulus(), self.q.modulus());
         // L(x) = (x − 1) / d, saturating: a non-unit `c` from the wire
         // (x = 0) decrypts to garbage instead of panicking.
         let l = |x: &Nat, d: &Nat| x.saturating_sub(&Nat::one()).div_rem(d).0;
-        let (xp, xq) = crt_pow(c, &self.p_sq, &self.dec_exp_p, &self.q_sq, &self.dec_exp_q);
-        let mp = mod_mul(&l(&xp, &self.p), &self.h_p, &self.p);
-        let mq = mod_mul(&l(&xq, &self.q), &self.h_q, &self.q);
-        garner(&mp, &self.p, &mq, &self.q, &self.p_inv)
+        let xp = self.p_sq.pow_uncounted(c, &self.dec_exp_p);
+        let xq = self.q_sq.pow_uncounted(c, &self.dec_exp_q);
+        let mp = mod_mul(&l(&xp, p), &self.h_p, p);
+        let mq = mod_mul(&l(&xq, q), &self.h_q, q);
+        garner(&mp, p, &mq, q, &self.p_inv)
     }
 }
 
@@ -513,12 +522,31 @@ mod tests {
     /// The textbook decryption `L(c^λ mod n²) · μ mod n` with
     /// `λ = lcm(p−1, q−1)` and `μ = λ⁻¹ mod n`, from the key's factors.
     fn reference_decrypt(sk: &PaillierSk, ct: &PaillierCt) -> Nat {
-        let (p, q, n) = (&sk.crt.p, &sk.crt.q, sk.pk.n());
+        let (p, q, n) = (sk.crt.p.modulus(), sk.crt.q.modulus(), sk.pk.n());
         let (p1, q1) = (p.sub(&Nat::one()), q.sub(&Nat::one()));
         let lambda = p1.mul(&q1).div_rem(&gcd(&p1, &q1)).0;
         let mu = mod_inv(&lambda, n).unwrap();
         let x = mod_pow(&ct.0, &lambda, sk.pk.n_squared());
         x.sub(&Nat::one()).div_rem(n).0.mul(&mu).rem(n)
+    }
+
+    /// The p-adic lift `r^n ≡ ((r mod p)^q mod p)^p (mod p²)` behind
+    /// `Crt::r_pow_n`, checked for every `r ∈ [0, n)` at tiny keys against
+    /// the direct power mod `n²` (so mod `p²` and `q²` too): 0 and the
+    /// multiples of `p` and `q` included.
+    #[test]
+    fn lift_matches_direct_power_exhaustively() {
+        let primes = [11u64, 13, 17, 19];
+        for (i, &p) in primes.iter().enumerate() {
+            for &q in &primes[i + 1..] {
+                let crt = Crt::new(Nat::from(p), Nat::from(q)).unwrap();
+                let n = Nat::from(p * q);
+                for r in (0..p * q).map(Nat::from) {
+                    let want = mod_pow(&r, &n, &n.square());
+                    assert_eq!(crt.r_pow_n(&r), want, "p={p} q={q} r={r:?}");
+                }
+            }
+        }
     }
 
     /// The key holder's CRT path against the public path at one key:

@@ -78,8 +78,8 @@ fn elgamal_batch_counts_thread_invariant() {
 }
 
 /// The key holder's CRT encryption and decryption count exactly what the
-/// public `n²` path counts — one `Modexp` per CRT pair — at every pool
-/// size, at 128, 512 and 2048 bits.
+/// public `n²` path counts — one `Modexp` per encryption or decryption —
+/// at every pool size, at 128, 512 and 2048 bits.
 #[test]
 fn paillier_crt_counts_match_public_path() {
     let _g = LOCK.lock().unwrap();
@@ -99,6 +99,13 @@ fn paillier_crt_counts_match_public_path() {
             assert_eq!(public, crt, "bits={bits} threads={threads}");
             assert_eq!(crt.get(Op::PaillierEncrypt), 5);
             assert_eq!(crt.get(Op::Modexp), 6);
+            // One key-holder encryption is one logical exponentiation,
+            // however many half-width powers the lift takes.
+            let one = counts_at(threads, |rng| {
+                let _ = sk.encrypt_batch(&pk, &ms[..1], rng);
+            });
+            assert_eq!(one.get(Op::PaillierEncrypt), 1, "bits={bits}");
+            assert_eq!(one.get(Op::Modexp), 1, "bits={bits}");
         }
     }
 }

@@ -220,9 +220,12 @@ impl Montgomery {
         self.pow_uncounted(base, exp)
     }
 
-    /// [`Montgomery::pow`] without the op count, for callers that count
-    /// one logical exponentiation themselves (see [`crt_pow`]).
-    fn pow_uncounted(&self, base: &Nat, exp: &Nat) -> Nat {
+    /// [`Montgomery::pow`] without the op count. The caller counts: a key
+    /// holder that splits one logical exponentiation into several powers
+    /// modulo the factors of a modulus (CRT Paillier) counts a single
+    /// [`spfe_obs::Op::Modexp`], the same as the full-modulus power it
+    /// replaces, so op counts do not depend on who computes.
+    pub fn pow_uncounted(&self, base: &Nat, exp: &Nat) -> Nat {
         if exp.is_zero() {
             return Nat::one().rem(&self.n);
         }
@@ -274,18 +277,6 @@ impl Montgomery {
             Nat::from_limbs(t2[..k].to_vec())
         })
     }
-}
-
-/// One logical exponentiation split by the Chinese remainder theorem:
-/// `(base^e1 mod m1, base^e2 mod m2)` for the coprime factors of a
-/// modulus whose factorization the caller knows.
-///
-/// It counts a single [`spfe_obs::Op::Modexp`], the same as the
-/// full-modulus [`Montgomery::pow`] it replaces, so switching a key
-/// holder to CRT leaves every deterministic op count unchanged.
-pub fn crt_pow(base: &Nat, m1: &Montgomery, e1: &Nat, m2: &Montgomery, e2: &Nat) -> (Nat, Nat) {
-    spfe_obs::count(spfe_obs::Op::Modexp, 1);
-    (m1.pow_uncounted(base, e1), m2.pow_uncounted(base, e2))
 }
 
 /// Window width (bits) of the [`FixedBasePow`] comb tables.

@@ -66,9 +66,10 @@ where
     let u = pk.plaintext_modulus().clone();
 
     // Round 0: client encrypts and sends its inputs.
-    let client_cts: Vec<Vec<u8>> = client_inputs
+    let client_cts: Vec<Vec<u8>> = sk
+        .encrypt_batch(pk, client_inputs, rng)
         .iter()
-        .map(|v| pk.ciphertext_to_bytes(&pk.encrypt(v, rng)))
+        .map(|ct| pk.ciphertext_to_bytes(ct))
         .collect();
     let client_cts: Vec<Vec<u8>> = t.client_to_server(0, "arith-inputs", &client_cts)?;
     if client_cts.len() != client_inputs.len() {
@@ -164,15 +165,19 @@ where
             label: "arith-mul-blinded",
             reason: "malformed blinded pair",
         };
-        let products: Vec<Vec<u8>> = blinded_pairs
+        let prods: Vec<Nat> = blinded_pairs
             .iter()
             .map(|(e1, e2)| {
                 let v1 = sk.decrypt(&pk.ciphertext_from_bytes(e1).ok_or(BAD_BLINDED)?);
                 let v2 = sk.decrypt(&pk.ciphertext_from_bytes(e2).ok_or(BAD_BLINDED)?);
-                let prod = mod_mul(&v1, &v2, &u);
-                Ok(pk.ciphertext_to_bytes(&pk.encrypt(&prod, rng)))
+                Ok(mod_mul(&v1, &v2, &u))
             })
             .collect::<Result<_, ProtocolError>>()?;
+        let products: Vec<Vec<u8>> = sk
+            .encrypt_batch(pk, &prods, rng)
+            .iter()
+            .map(|ct| pk.ciphertext_to_bytes(ct))
+            .collect();
         let products: Vec<Vec<u8>> = t.client_to_server(0, "arith-mul-products", &products)?;
         if products.len() != ready.len() {
             return Err(ProtocolError::InvalidMessage {

@@ -144,6 +144,28 @@ pub fn server_answer<P: HomomorphicPk>(
     db: &[u64],
     query: &HomPirQuery,
 ) -> Result<Vec<P::Ciphertext>, ProtocolError> {
+    let mut planes = server_answer_planes(pk, layout, 1, query, |_, i| {
+        Nat::from(db.get(i).copied().unwrap_or(0))
+    })?;
+    Ok(planes.remove(0))
+}
+
+/// [`server_answer`] on `planes` databases of one layout under one query:
+/// `out[c]` answers the plane whose cell `i` is `cell(c, i)`. The selectors
+/// are parsed once and folded once, over `planes · cols` columns
+/// plane-major, so a Paillier scan builds one window table per query
+/// rather than one per plane.
+///
+/// # Errors
+///
+/// As [`server_answer`].
+pub(crate) fn server_answer_planes<P: HomomorphicPk>(
+    pk: &P,
+    layout: &Layout,
+    planes: usize,
+    query: &HomPirQuery,
+    cell: impl Fn(usize, usize) -> Nat + Sync,
+) -> Result<Vec<Vec<P::Ciphertext>>, ProtocolError> {
     if query.row_selector.len() != layout.rows {
         return Err(ProtocolError::InvalidMessage {
             label: "hompir-query",
@@ -152,11 +174,35 @@ pub fn server_answer<P: HomomorphicPk>(
     }
     // Counted once on the calling thread (not inside the parallel closure)
     // so the tally is identical under any worker-pool configuration.
-    spfe_obs::count(spfe_obs::Op::PirWordsScanned, layout.cells() as u64);
+    spfe_obs::count(
+        spfe_obs::Op::PirWordsScanned,
+        (planes * layout.cells()) as u64,
+    );
     let selectors = parse_selectors(pk, &query.row_selector, "hompir-query")?;
-    Ok(pk.fold_columns(&selectors, layout.cols, |i| {
-        Nat::from(db.get(i).copied().unwrap_or(0))
-    }))
+    Ok(fold_planes(pk, &selectors, planes, layout.cols, cell))
+}
+
+/// [`HomomorphicPk::fold_columns`] on `planes` databases of `cols` columns
+/// under the same selectors, as one call over `planes · cols` columns,
+/// plane-major: `out[c][j]` is column `j` of the plane whose cell `i` is
+/// `cell(c, i)`.
+pub(crate) fn fold_planes<P: HomomorphicPk>(
+    pk: &P,
+    selectors: &[P::Ciphertext],
+    planes: usize,
+    cols: usize,
+    cell: impl Fn(usize, usize) -> Nat + Sync,
+) -> Vec<Vec<P::Ciphertext>> {
+    let width = planes * cols;
+    let mut folded = pk
+        .fold_columns(selectors, width, |i| {
+            let (r, c, j) = (i / width, i % width / cols, i % cols);
+            cell(c, r * cols + j)
+        })
+        .into_iter();
+    (0..planes)
+        .map(|_| folded.by_ref().take(cols).collect())
+        .collect()
 }
 
 /// Decodes a query's encrypted selector, one ciphertext per entry.

@@ -166,24 +166,20 @@ pub fn server_answer<P: HomomorphicPk>(
         .collect();
 
     // Level 2: the d2 ciphertexts, chunked, become the new database — one
-    // fold per chunk plane.
+    // fold over every chunk plane's columns, plane-major.
     let cw = chunk_bytes(pk);
     let n_chunks = pk.ciphertext_bytes().div_ceil(cw);
-    let planes: Vec<Vec<P::Ciphertext>> = (0..n_chunks)
-        .map(|ch| {
-            pk.fold_columns(&sel2, layout.c2, |item| {
-                let Some(bytes) = level1.get(item) else {
-                    return Nat::zero();
-                };
-                let (lo, hi) = (ch * cw, ((ch + 1) * cw).min(bytes.len()));
-                if lo < hi {
-                    Nat::from_le_bytes(&bytes[lo..hi])
-                } else {
-                    Nat::zero()
-                }
-            })
-        })
-        .collect();
+    let planes = hom_pir::fold_planes(pk, &sel2, n_chunks, layout.c2, |ch, item| {
+        let Some(bytes) = level1.get(item) else {
+            return Nat::zero();
+        };
+        let (lo, hi) = (ch * cw, ((ch + 1) * cw).min(bytes.len()));
+        if lo < hi {
+            Nat::from_le_bytes(&bytes[lo..hi])
+        } else {
+            Nat::zero()
+        }
+    });
     Ok((0..layout.c2)
         .map(|j| {
             planes

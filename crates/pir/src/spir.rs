@@ -242,13 +242,9 @@ pub fn scan_words<P: HomomorphicPk>(
     let width = db_words.first().map_or(0, |it| it.len());
     assert!(width > 0, "empty items");
     assert!(db_words.iter().all(|it| it.len() == width), "ragged items");
-    let layout = params.layout();
-    (0..width)
-        .map(|c| {
-            let chunk_db: Vec<u64> = db_words.iter().map(|it| it[c]).collect();
-            hom_pir::server_answer(pk, &layout, &chunk_db, &query.pir)
-        })
-        .collect()
+    hom_pir::server_answer_planes(pk, &params.layout(), width, &query.pir, |c, i| {
+        Nat::from(db_words.get(i).map_or(0, |it| it[c]))
+    })
 }
 
 /// The randomized stage of [`server_answer_words`]: pads every scanned

@@ -22,7 +22,9 @@ mod common;
 use common::*;
 use spfe::core::multiserver;
 use spfe::crypto::ChaChaRng;
-use spfe::transport::{FaultAction, FaultPlan, FaultyChannel, ProtocolError, Wire, MAX_ATTEMPTS};
+use spfe::transport::{
+    FaultAction, FaultPlan, FaultyChannel, OutMsg, ProtocolError, Wire, MAX_ATTEMPTS,
+};
 
 // ---------------------------------------------------------------------------
 // The conformance matrix.
@@ -140,6 +142,116 @@ fn huge_length_words_never_panic_and_errors_stay_typed() {
                     bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
                 }));
                 let _ = (d.run)(&mut ch);
+            }
+        }
+    }
+}
+
+/// Mutated copies of each recorded message per cored driver in
+/// [`mutated_messages_fed_to_cores_never_panic`], spread over the
+/// messages so every core sees at most this many cases.
+const CORE_MUTATIONS: usize = 1_200;
+
+/// Drives cored driver `name` in process in `pump`'s delivery order,
+/// feeding each message straight to its receiving core's `on_message`.
+/// `tamper(i, bytes)` may rewrite delivery `i` first. Returns every
+/// delivered message and the outcome (the first error ends the run).
+fn drive_cores(
+    name: &str,
+    mut tamper: impl FnMut(usize, &mut Vec<u8>),
+) -> (Vec<OutMsg>, Result<(), ProtocolError>) {
+    let mut client = net_client_core(name).expect("client core");
+    let mut servers = net_server_cores(name).expect("server cores");
+    let mut log: Vec<OutMsg> = Vec::new();
+    let mut run = || -> Result<(), ProtocolError> {
+        let (_, mut outbox) = client.start()?;
+        let mut half_round = 0u32;
+        while !outbox.is_empty() {
+            half_round += 1;
+            let mut next = Vec::new();
+            for mut m in outbox.drain(..) {
+                tamper(log.len(), &mut m.payload);
+                log.push(m.clone());
+                let (_, outs) = if m.client_to_server {
+                    let s = servers
+                        .get_mut(m.server)
+                        .ok_or(ProtocolError::InvalidMessage {
+                            label: m.label,
+                            reason: "misdirected",
+                        })?;
+                    s.on_message(half_round, m.server, m.label, &m.payload)?
+                } else {
+                    client.on_message(half_round, m.server, m.label, &m.payload)?
+                };
+                next.extend(outs);
+            }
+            outbox = next;
+        }
+        Ok(())
+    };
+    let outcome = run();
+    (log, outcome)
+}
+
+/// One seeded mutation of a recorded message: truncate, extend, flip
+/// bits, overwrite a run with `0xff`, or write a `u64::MAX`-like word at
+/// any offset.
+fn mutate(rng: &mut spfe::math::XorShiftRng, case: usize, bytes: &mut Vec<u8>) {
+    use spfe::math::RandomSource;
+    let mut below = |n: usize| rng.next_below(n.max(1) as u64) as usize;
+    match case % 5 {
+        0 => bytes.truncate(below(bytes.len())),
+        1 => {
+            let extra = 1 + below(16);
+            bytes.extend((0..extra).map(|_| below(256) as u8));
+        }
+        2 => {
+            for _ in 0..1 + below(8) {
+                let bit = below(8 * bytes.len());
+                if let Some(b) = bytes.get_mut(bit / 8) {
+                    *b ^= 1 << (bit % 8);
+                }
+            }
+        }
+        3 => {
+            let at = below(bytes.len());
+            let end = bytes.len().min(at + 1 + below(32));
+            bytes[at..end].fill(0xff);
+        }
+        _ => {
+            let at = below(bytes.len().saturating_sub(7));
+            let word = (u64::MAX - below(256) as u64).to_le_bytes();
+            let end = bytes.len().min(at + 8);
+            bytes[at..end].copy_from_slice(&word[..end - at]);
+        }
+    }
+}
+
+#[test]
+fn mutated_messages_fed_to_cores_never_panic() {
+    // Every cored driver's recorded honest session, replayed into fresh
+    // cores with one message mutated: the receiving core (and whatever
+    // runs after it) must return Ok or a typed ProtocolError. A panic is
+    // caught only to name the failing case.
+    use spfe::math::XorShiftRng;
+    for (di, d) in cored_drivers().iter().enumerate() {
+        let (log, honest) = drive_cores(d.name, |_, _| {});
+        assert_eq!(honest, Ok(()), "[{}] honest replay", d.name);
+        let per_message = CORE_MUTATIONS / log.len();
+        for (at, m) in log.iter().enumerate() {
+            for case in 0..per_message {
+                let seed = (di as u64) << 40 | (at as u64) << 20 | case as u64;
+                let mut rng = XorShiftRng::new(seed);
+                let run = std::panic::AssertUnwindSafe(|| {
+                    drive_cores(d.name, |i, bytes| {
+                        if i == at {
+                            mutate(&mut rng, case, bytes);
+                        }
+                    })
+                });
+                if std::panic::catch_unwind(run).is_err() {
+                    panic!("[{}] {} message {at} case {case} panicked", d.name, m.label);
+                }
             }
         }
     }
