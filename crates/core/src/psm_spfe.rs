@@ -130,7 +130,12 @@ where
                     words
                 })
                 .collect();
-            spir::server_answer_words(&params, pk, &vdb, q, rng)
+            let scanned = {
+                let _s = spfe_obs::span("scan");
+                spir::scan_words(&params, pk, &vdb, q)?
+            };
+            let _s = spfe_obs::span("pad");
+            spir::pad_answer_words(&params, pk, &scanned, q, rng)
         })
         .collect::<Result<_, _>>()?;
     drop(_se);

@@ -36,7 +36,7 @@
 use crate::hom::{HomomorphicPk, HomomorphicScheme, HomomorphicSk};
 use spfe_math::modular::{garner, gcd, mod_inv, mod_mul};
 use spfe_math::prime::gen_prime;
-use spfe_math::{Montgomery, MultiPow, Nat, RandomSource};
+use spfe_math::{Montgomery, MultiPow, Nat, RandomSource, POW_BATCH_GROUP};
 use spfe_obs::{count, Op};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -119,21 +119,28 @@ impl Crt {
         })
     }
 
-    /// `r^n mod n²` by the p-adic lift of the module docs — one counted
-    /// [`Op::Modexp`].
-    fn r_pow_n(&self, r: &Nat) -> Nat {
-        count(Op::Modexp, 1);
+    /// `r^n mod n²` for every `r` by the p-adic lift of the module docs —
+    /// one counted [`Op::Modexp`] per `r`. Both steps of each half run
+    /// as one chained batch power, so `(r mod p)^q mod p` never leaves the
+    /// kernel's form before it is raised to `p` mod `p²`.
+    fn r_pow_n_batch(&self, rs: &[&Nat]) -> Vec<Nat> {
+        count(Op::Modexp, rs.len() as u64);
         let (p, q) = (self.p.modulus(), self.q.modulus());
         // r^n ≡ ((r mod p)^q mod p)^p (mod p²), and symmetrically mod q².
-        let xp = self.p_sq.pow_uncounted(&self.p.pow_uncounted(r, q), p);
-        let xq = self.q_sq.pow_uncounted(&self.q.pow_uncounted(r, p), q);
-        garner(
-            &xp,
-            self.p_sq.modulus(),
-            &xq,
-            self.q_sq.modulus(),
-            &self.p_sq_inv,
-        )
+        let xp = self.p.pow_batch_then(rs, q, &self.p_sq, p);
+        let xq = self.q.pow_batch_then(rs, p, &self.q_sq, q);
+        xp.iter()
+            .zip(&xq)
+            .map(|(xp, xq)| {
+                garner(
+                    xp,
+                    self.p_sq.modulus(),
+                    xq,
+                    self.q_sq.modulus(),
+                    &self.p_sq_inv,
+                )
+            })
+            .collect()
     }
 
     /// The plaintext of `c` — one counted [`Op::Modexp`].
@@ -204,26 +211,40 @@ impl PaillierPk {
     /// encryption.
     fn encrypt_with(&self, m: &Nat, rn: &Nat) -> PaillierCt {
         count(Op::PaillierEncrypt, 1);
-        let m = m.rem(&self.n);
-        let gm = Nat::one().add(&m.mul(&self.n)).rem(&self.n_sq);
+        // 1 + m·n < n² for m < n: no reduction.
+        let gm = self.reduce_scalar(m).mul(&self.n).add(&Nat::one());
         PaillierCt(self.mont.mul_mod(&gm, rn))
     }
 
     /// Batch encryption on the worker pool: the per-ciphertext randomness
     /// is drawn serially first (exactly the stream the serial loop would
-    /// draw), then `r_pow_n` — the actual cost — runs on
-    /// [`spfe_math::par`].
+    /// draw), then each group of [`POW_BATCH_GROUP`] goes to
+    /// [`spfe_math::par`] as one batch power `r_pow_n` — the actual cost,
+    /// counted by it — and its encryptions.
     fn encrypt_batch_with<R: RandomSource + ?Sized>(
         &self,
         ms: &[Nat],
         rng: &mut R,
-        r_pow_n: impl Fn(&Nat) -> Nat + Sync,
+        r_pow_n: impl Fn(&[&Nat]) -> Vec<Nat> + Sync,
     ) -> Vec<PaillierCt> {
         let rs: Vec<Nat> = ms.iter().map(|_| self.random_unit(rng)).collect();
-        let jobs: Vec<(&Nat, &Nat)> = ms.iter().zip(&rs).collect();
-        spfe_math::par::par_map_cost(CostClass::Heavy, &jobs, |&(m, r)| {
-            self.encrypt_with(m, &r_pow_n(r))
-        })
+        let rs: Vec<&Nat> = rs.iter().collect();
+        let groups: Vec<(&[Nat], &[&Nat])> = ms
+            .chunks(POW_BATCH_GROUP)
+            .zip(rs.chunks(POW_BATCH_GROUP))
+            .collect();
+        let per_group = spfe_math::par::par_map_cost(CostClass::Heavy, &groups, |&(ms, rs)| {
+            let rns = r_pow_n(rs);
+            ms.iter()
+                .zip(&rns)
+                .map(|(m, rn)| self.encrypt_with(m, rn))
+                .collect::<Vec<_>>()
+        });
+        let mut out = Vec::with_capacity(ms.len());
+        for cts in per_group {
+            out.extend(cts);
+        }
+        out
     }
 }
 
@@ -287,7 +308,10 @@ impl HomomorphicPk for PaillierPk {
     }
 
     fn encrypt_batch<R: RandomSource + ?Sized>(&self, ms: &[Nat], rng: &mut R) -> Vec<PaillierCt> {
-        self.encrypt_batch_with(ms, rng, |r| self.mont.pow(r, &self.n))
+        self.encrypt_batch_with(ms, rng, |rs| {
+            count(Op::Modexp, rs.len() as u64);
+            self.mont.pow_batch(rs, &self.n)
+        })
     }
 
     /// Batch scalar multiplication (`ct^c mod n²`) on the worker pool;
@@ -331,7 +355,7 @@ impl HomomorphicSk<PaillierPk> for PaillierSk {
         self.crt.decrypt(&ct.0)
     }
 
-    /// CRT encryption: `r^n mod n²` through [`Crt::r_pow_n`], with the
+    /// CRT encryption: `r^n mod n²` through [`Crt::r_pow_n_batch`], with the
     /// randomness, ciphertexts and op counts of `pk.encrypt_batch`.
     /// Always encrypts under this key's own public half, the only key
     /// its CRT constants fit.
@@ -341,7 +365,8 @@ impl HomomorphicSk<PaillierPk> for PaillierSk {
         ms: &[Nat],
         rng: &mut R,
     ) -> Vec<PaillierCt> {
-        self.pk.encrypt_batch_with(ms, rng, |r| self.crt.r_pow_n(r))
+        self.pk
+            .encrypt_batch_with(ms, rng, |rs| self.crt.r_pow_n_batch(rs))
     }
 }
 
@@ -468,28 +493,37 @@ mod tests {
         assert_eq!(sk.decrypt(&ct), m);
     }
 
+    /// Batch lengths that split into full and partial lane groups.
+    const BATCH_LENS: [usize; 5] = [1, 7, 8, 9, 17];
+
     #[test]
     fn batch_apis_bit_identical_to_serial() {
         let (pk, _, mut rng) = keys(128);
-        let ms: Vec<Nat> = (0..9u64).map(|v| Nat::from(v * 1_234_567)).collect();
         // Same seed on both paths: the batch must draw the identical
         // randomness stream and produce the identical ciphertext bytes,
-        // whatever the thread configuration.
+        // whatever the thread configuration and however the batch splits
+        // into groups for the batch power.
+        for len in BATCH_LENS {
+            let ms: Vec<Nat> = (0..len as u64).map(|v| Nat::from(v * 1_234_567)).collect();
+            let mut rng_a = rng.clone();
+            let serial: Vec<PaillierCt> = ms.iter().map(|m| pk.encrypt(m, &mut rng_a)).collect();
+            for threads in [1, 4] {
+                spfe_math::par::set_threads(Some(threads));
+                let mut rng_b = rng.clone();
+                let batch = pk.encrypt_batch(&ms, &mut rng_b);
+                spfe_math::par::set_threads(None);
+                assert_eq!(serial, batch, "len={len} threads={threads}");
+                // The rng must end in the same state as the serial loop left it.
+                assert_eq!(
+                    rng_a.clone().next_u64(),
+                    rng_b.next_u64(),
+                    "len={len} threads={threads}"
+                );
+            }
+        }
+        let ms: Vec<Nat> = (0..9u64).map(|v| Nat::from(v * 1_234_567)).collect();
         let mut rng_a = rng.clone();
         let serial: Vec<PaillierCt> = ms.iter().map(|m| pk.encrypt(m, &mut rng_a)).collect();
-        for threads in [1, 4] {
-            spfe_math::par::set_threads(Some(threads));
-            let mut rng_b = rng.clone();
-            let batch = pk.encrypt_batch(&ms, &mut rng_b);
-            spfe_math::par::set_threads(None);
-            assert_eq!(serial, batch, "threads={threads}");
-            // The rng must end in the same state as the serial loop left it.
-            assert_eq!(
-                rng_a.clone().next_u64(),
-                rng_b.next_u64(),
-                "threads={threads}"
-            );
-        }
 
         let cs: Vec<Nat> = (0..9u64).map(|v| Nat::from(v + 2)).collect();
         let serial_sm: Vec<PaillierCt> = serial
@@ -531,7 +565,7 @@ mod tests {
     }
 
     /// The p-adic lift `r^n ≡ ((r mod p)^q mod p)^p (mod p²)` behind
-    /// `Crt::r_pow_n`, checked for every `r ∈ [0, n)` at tiny keys against
+    /// `Crt::r_pow_n_batch`, checked for every `r ∈ [0, n)` at tiny keys against
     /// the direct power mod `n²` (so mod `p²` and `q²` too): 0 and the
     /// multiples of `p` and `q` included.
     #[test]
@@ -541,9 +575,13 @@ mod tests {
             for &q in &primes[i + 1..] {
                 let crt = Crt::new(Nat::from(p), Nat::from(q)).unwrap();
                 let n = Nat::from(p * q);
-                for r in (0..p * q).map(Nat::from) {
-                    let want = mod_pow(&r, &n, &n.square());
-                    assert_eq!(crt.r_pow_n(&r), want, "p={p} q={q} r={r:?}");
+                let rs: Vec<Nat> = (0..p * q).map(Nat::from).collect();
+                let rs: Vec<&Nat> = rs.iter().collect();
+                for group in rs.chunks(POW_BATCH_GROUP) {
+                    for (r, got) in group.iter().zip(crt.r_pow_n_batch(group)) {
+                        let want = mod_pow(r, &n, &n.square());
+                        assert_eq!(got, want, "p={p} q={q} r={r:?}");
+                    }
                 }
             }
         }
@@ -551,26 +589,35 @@ mod tests {
 
     /// The key holder's CRT path against the public path at one key:
     /// identical ciphertext bytes and rng end state from `encrypt_batch`
-    /// (at 1 and 4 pool threads), and CRT decryption equal to the
-    /// reference on fresh ciphertexts, sums and scalar multiples.
+    /// (at 1 and 4 pool threads, at batch lengths that split into full and
+    /// partial lane groups), and CRT decryption equal to the reference on
+    /// fresh ciphertexts, sums and scalar multiples.
     fn check_crt_equivalence(bits: usize, seed: u64) {
         let mut rng = ChaChaRng::from_u64_seed(seed);
         let (pk, sk) = Paillier::keygen(bits, &mut rng);
         let mut ms: Vec<Nat> = vec![Nat::zero(), Nat::one(), pk.n().sub(&Nat::one())];
         ms.extend((0..3).map(|_| Nat::random_below(&mut rng, pk.n())));
         let mut cts = Vec::new();
-        for threads in [1, 4] {
-            spfe_math::par::set_threads(Some(threads));
-            let (mut rng_pk, mut rng_sk) = (rng.clone(), rng.clone());
-            let public = pk.encrypt_batch(&ms, &mut rng_pk);
-            let crt = sk.encrypt_batch(&pk, &ms, &mut rng_sk);
-            spfe_math::par::set_threads(None);
-            let bytes = |cts: &[PaillierCt]| -> Vec<Vec<u8>> {
-                cts.iter().map(|c| pk.ciphertext_to_bytes(c)).collect()
-            };
-            assert_eq!(bytes(&public), bytes(&crt), "bits={bits} threads={threads}");
-            assert_eq!(rng_pk.next_u64(), rng_sk.next_u64(), "rng end state");
-            cts = crt;
+        for len in BATCH_LENS {
+            let ms: Vec<Nat> = ms.iter().cycle().take(len).cloned().collect();
+            for threads in [1, 4] {
+                spfe_math::par::set_threads(Some(threads));
+                let (mut rng_pk, mut rng_sk) = (rng.clone(), rng.clone());
+                let public = pk.encrypt_batch(&ms, &mut rng_pk);
+                let crt = sk.encrypt_batch(&pk, &ms, &mut rng_sk);
+                spfe_math::par::set_threads(None);
+                let bytes = |cts: &[PaillierCt]| -> Vec<Vec<u8>> {
+                    cts.iter().map(|c| pk.ciphertext_to_bytes(c)).collect()
+                };
+                let what = format!("bits={bits} len={len} threads={threads}");
+                assert_eq!(bytes(&public), bytes(&crt), "{what}");
+                assert_eq!(
+                    rng_pk.next_u64(),
+                    rng_sk.next_u64(),
+                    "rng end state, {what}"
+                );
+                cts = crt;
+            }
         }
         let sum = pk.add(&cts[3], &cts[4]);
         let scaled = pk.mul_const(&cts[5], &Nat::from(1_000_003u64));

@@ -32,11 +32,14 @@
 //! assert_eq!(Poly::interpolate_at(&xs, &ys, 0, field), 42);
 //! ```
 
-// Unsafe is denied crate-wide, not forbidden: the [`par`] engine's slab
-// placement and persistent-worker job handoff are the two audited
-// exceptions (each site carries a SAFETY comment and is covered by the
-// serial-equivalence proptests). Everything else in the crate remains
-// unsafe-free.
+// Unsafe is denied crate-wide, not forbidden. There are three audited
+// exceptions, each site with a SAFETY comment: the [`par`] engine's slab
+// placement and its persistent-worker job handoff (both covered by the
+// serial-equivalence proptests), and the AVX-512 IFMA lane kernel under
+// [`Montgomery::pow_batch`] (`montgomery/lanes.rs`: one target-feature
+// call after run-time detection, and its aligned vector loads/stores;
+// covered by the batch-vs-scalar tests). Everything else in the crate
+// remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -56,7 +59,7 @@ pub mod rs;
 pub use fp64::Fp64;
 pub use int::{Int, Sign};
 pub use linalg::Mat;
-pub use montgomery::{FixedBasePow, Montgomery, MultiPow};
+pub use montgomery::{FixedBasePow, Montgomery, MultiPow, POW_BATCH_GROUP};
 pub use mpoly::MPoly;
 pub use nat::Nat;
 pub use poly::Poly;

@@ -12,6 +12,9 @@
 
 use crate::nat::Nat;
 use std::cell::Cell;
+use std::sync::OnceLock;
+
+mod lanes;
 
 // Stack scratch tiers (limbs). Zeroing the scratch is part of every call,
 // so a product at a small modulus must not pay for a window table's worth.
@@ -23,19 +26,21 @@ const SCRATCH_SMALL: usize = 64;
 /// 34 KiB. Larger jobs take one heap buffer.
 const SCRATCH_LARGE: usize = 65 * 66;
 
+/// One stack scratch tier: runs `f` on the first `len` of `N` zeroed
+/// elements, out of line so that a short job's frame neither reserves nor
+/// zeroes a larger tier.
+#[inline(never)]
+fn on_stack<E: Copy + Default, const N: usize, T>(len: usize, f: impl FnOnce(&mut [E]) -> T) -> T {
+    f(&mut [E::default(); N][..len])
+}
+
 /// Runs `f` on `len` zeroed limbs of scratch: on the stack when they fit,
 /// otherwise in a single heap buffer.
 fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
-    /// One stack tier, out of line so that a short job's frame neither
-    /// reserves nor zeroes the large tier.
-    #[inline(never)]
-    fn on_stack<const N: usize, T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
-        f(&mut [0u64; N][..len])
-    }
     if len <= SCRATCH_SMALL {
-        on_stack::<SCRATCH_SMALL, T>(len, f)
+        on_stack::<u64, SCRATCH_SMALL, T>(len, f)
     } else if len <= SCRATCH_LARGE {
-        on_stack::<SCRATCH_LARGE, T>(len, f)
+        on_stack::<u64, SCRATCH_LARGE, T>(len, f)
     } else {
         f(&mut vec![0u64; len])
     }
@@ -73,6 +78,19 @@ fn slice_ge(a: &[u64], b: &[u64]) -> bool {
     true
 }
 
+/// In-place `a += b` over `a`'s length; requires no carry out of it.
+fn slice_add(a: &mut [u64], b: &[u64]) {
+    let mut carry = 0u64;
+    for (i, ai) in a.iter_mut().enumerate() {
+        let bi = b.get(i).copied().unwrap_or(0);
+        let (s1, c1) = ai.overflowing_add(bi);
+        let (s2, c2) = s1.overflowing_add(carry);
+        *ai = s2;
+        carry = c1 as u64 + c2 as u64;
+    }
+    debug_assert_eq!(carry, 0);
+}
+
 /// In-place `a -= b`; requires `a >= b` as limb slices.
 fn slice_sub(a: &mut [u64], b: &[u64]) {
     let mut borrow = 0u64;
@@ -108,6 +126,9 @@ pub struct Montgomery {
     one: Vec<u64>,
     /// `R^2 mod n` as exactly `k` limbs — converts into Montgomery form.
     r2: Vec<u64>,
+    /// The [`Montgomery::pow_batch`] lane kernel's constants, built the
+    /// first time a group of bases runs on it.
+    lanes: OnceLock<lanes::LaneConsts>,
 }
 
 impl Montgomery {
@@ -140,6 +161,7 @@ impl Montgomery {
             n0_inv,
             one,
             r2,
+            lanes: OnceLock::new(),
         }
     }
 
@@ -195,16 +217,31 @@ impl Montgomery {
         }
     }
 
-    /// Copies `a mod n` into the `k`-limb slot `out` (zero-padded).
-    fn load_reduced(&self, a: &Nat, out: &mut [u64]) {
-        let reduced;
-        let a = if a < &self.n {
-            a
-        } else {
-            reduced = a.rem(&self.n);
-            &reduced
-        };
-        out[..a.limbs().len()].copy_from_slice(a.limbs());
+    /// Writes `a mod n` into the `k`-limb slot `out` for a limb slice `a`
+    /// of any length, without touching the heap: a copy when `a < n`,
+    /// otherwise Horner's rule over `k`-limb chunks `c` from the top,
+    /// `x ← x·R + c`, with `x·R = CIOS(x, R²)` and `c mod n = CIOS(c, R)`.
+    fn load_reduced(&self, a: &[u64], out: &mut [u64]) {
+        let k = self.k;
+        out.fill(0);
+        if a.len() <= k && !slice_ge(a, self.n.limbs()) {
+            out[..a.len()].copy_from_slice(a);
+            return;
+        }
+        with_scratch(2 * (k + 1), |s| {
+            let (shifted, chunk) = s.split_at_mut(k + 1);
+            for (i, c) in a.chunks(k).rev().enumerate() {
+                self.cios_into(c, &self.one, chunk);
+                if i > 0 {
+                    self.cios_into(out, &self.r2, shifted);
+                    slice_add(chunk, shifted);
+                    if slice_ge(chunk, self.n.limbs()) {
+                        slice_sub(chunk, self.n.limbs());
+                    }
+                }
+                out.copy_from_slice(&chunk[..k]);
+            }
+        });
     }
 
     /// The plain residue in Montgomery-form slot `a` (`k` limbs), via the
@@ -227,7 +264,21 @@ impl Montgomery {
     /// replaces, so op counts do not depend on who computes.
     pub fn pow_uncounted(&self, base: &Nat, exp: &Nat) -> Nat {
         if exp.is_zero() {
-            return Nat::one().rem(&self.n);
+            return Nat::one();
+        }
+        let mut out = vec![0; self.k];
+        self.pow_into(base.limbs(), exp, &mut out);
+        Nat::from_limbs(out)
+    }
+
+    /// `base^exp mod n` into the `k`-limb slot `out`, for a limb slice
+    /// `base` of any length; the heap is touched only for a window table
+    /// too large for the stack.
+    fn pow_into(&self, base: &[u64], exp: &Nat, out: &mut [u64]) {
+        if exp.is_zero() {
+            out.fill(0);
+            out[0] = 1;
+            return;
         }
         let (k, w) = (self.k, self.k + 1);
         let bits = exp.bit_len();
@@ -257,7 +308,49 @@ impl Montgomery {
                     std::mem::swap(&mut acc, &mut tmp);
                 }
             }
-            self.plain_residue(&acc[..k], tmp)
+            self.cios_into(&[1], &acc[..k], tmp);
+            out.copy_from_slice(&tmp[..k]);
+        })
+    }
+
+    /// `base^exp mod n` for every base, in order: bit-identical to mapping
+    /// [`Montgomery::pow_uncounted`] over `bases`, and likewise uncounted.
+    ///
+    /// Groups of up to eight bases run as one lane exponentiation on
+    /// CPUs with AVX-512 IFMA when the group is full enough to beat
+    /// separate powers at this modulus width (DESIGN §8); every other
+    /// group, and every group on other CPUs, runs the scalar kernel base by
+    /// base. Either way each result is one heap allocation.
+    pub fn pow_batch(&self, bases: &[&Nat], exp: &Nat) -> Vec<Nat> {
+        pow_chain(bases, &[(self, exp)])
+    }
+
+    /// `(base^exp mod n)^outer_exp mod m` for every base, where `m` is the
+    /// modulus of `outer`: [`Montgomery::pow_batch`] for two powers in a
+    /// row, with the intermediate residues kept in the kernel's own form
+    /// (limb slices, or lane digits) rather than as [`Nat`]s. Uncounted.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n ≤ m`.
+    pub fn pow_batch_then(
+        &self,
+        bases: &[&Nat],
+        exp: &Nat,
+        outer: &Montgomery,
+        outer_exp: &Nat,
+    ) -> Vec<Nat> {
+        assert!(self.n <= outer.n, "the outer modulus must not be smaller");
+        pow_chain(bases, &[(self, exp), (outer, outer_exp)])
+    }
+
+    /// The lane kernel's constants, built on first use. Only CPUs with
+    /// the kernel build them, so their few allocations stay out of the
+    /// deterministic heap tallies, which must not depend on the host.
+    fn lane_consts(&self) -> &lanes::LaneConsts {
+        self.lanes.get_or_init(|| {
+            let _host_dependent = spfe_obs::mem::pause();
+            lanes::LaneConsts::new(&self.n, self.n0_inv)
         })
     }
 
@@ -270,13 +363,104 @@ impl Montgomery {
         with_scratch(3 * w, |s| {
             let (bs, rest) = s.split_at_mut(w);
             let (t1, t2) = rest.split_at_mut(w);
-            self.load_reduced(a, &mut t2[..k]);
-            self.load_reduced(b, &mut bs[..k]);
+            self.load_reduced(a.limbs(), &mut t2[..k]);
+            self.load_reduced(b.limbs(), &mut bs[..k]);
             self.cios_into(&t2[..k], &bs[..k], t1);
             self.cios_into(&t1[..k], &self.r2, t2);
             Nat::from_limbs(t2[..k].to_vec())
         })
     }
+}
+
+/// Bases per lane exponentiation: [`Montgomery::pow_batch`] runs each
+/// group of this many as one. Callers that split a batch across the
+/// worker pool split it at this size.
+pub const POW_BATCH_GROUP: usize = lanes::LANES;
+
+/// The fewest bases, by modulus limbs `k`, for which one lane
+/// exponentiation beats the scalar kernel base by base. The lane kernel
+/// pays for all eight lanes whatever the group holds: one group costs
+/// about two scalar powers at 1–2 limbs, 1.0–1.4 at 3–8 and 0.8 from 12
+/// up (DESIGN §8), so singles stay scalar everywhere.
+fn lane_min_group(k: usize) -> usize {
+    match k {
+        1..=2 => 3,
+        _ => 2,
+    }
+}
+
+/// Whether a group of `fill` bases runs the chain `steps` on the lane
+/// kernel: the CPU has it, the group is full enough for the first (the
+/// narrowest) modulus, and every power fits the lane scratch.
+fn lanes_pay(steps: &[(&Montgomery, &Nat)], fill: usize) -> bool {
+    lanes::available()
+        && fill >= lane_min_group(steps[0].0.k)
+        && steps
+            .iter()
+            .all(|(m, e)| !e.is_zero() && m.lane_consts().window(e.bit_len()).is_some())
+}
+
+/// The powers `steps` applied in order to every base — the engine of
+/// [`Montgomery::pow_batch`] and [`Montgomery::pow_batch_then`]. The
+/// moduli must not decrease, so each intermediate residue is a valid
+/// input of the next step without reduction.
+fn pow_chain(bases: &[&Nat], steps: &[(&Montgomery, &Nat)]) -> Vec<Nat> {
+    let mut out = Vec::with_capacity(bases.len());
+    for group in bases.chunks(lanes::LANES) {
+        if lanes_pay(steps, group.len()) {
+            lane_chain(group, steps, &mut out);
+        } else {
+            out.extend(group.iter().map(|b| scalar_chain(b, steps)));
+        }
+    }
+    out
+}
+
+/// One base through `steps` on the scalar kernel, intermediates in stack
+/// limbs.
+fn scalar_chain(base: &Nat, steps: &[(&Montgomery, &Nat)]) -> Nat {
+    let k_max = steps.iter().map(|(m, _)| m.k).max().unwrap_or(1);
+    with_scratch(2 * k_max, |s| {
+        let (mut cur, mut next) = s.split_at_mut(k_max);
+        let mut k_cur = 0;
+        for (i, &(m, e)) in steps.iter().enumerate() {
+            let input = if i == 0 { base.limbs() } else { &cur[..k_cur] };
+            m.pow_into(input, e, &mut next[..m.k]);
+            std::mem::swap(&mut cur, &mut next);
+            k_cur = m.k;
+        }
+        Nat::from_limbs(cur[..k_cur].to_vec())
+    })
+}
+
+/// A group of at most eight bases through `steps` on the lane kernel,
+/// one base per lane; results are appended to `out` in order.
+fn lane_chain(group: &[&Nat], steps: &[(&Montgomery, &Nat)], out: &mut Vec<Nat>) {
+    let first = steps[0].0;
+    let d_max = steps.iter().map(|(m, _)| m.lane_consts().d).max();
+    let d_max = d_max.unwrap_or(1);
+    lanes::with_lanes(d_max, |x| {
+        with_scratch(first.k, |limbs| {
+            for (lane, base) in group.iter().enumerate() {
+                first.load_reduced(base.limbs(), limbs);
+                for (v, dig) in x.iter_mut().zip(lanes::digits(limbs)) {
+                    v.0[lane] = dig;
+                }
+            }
+        });
+        // Each step leaves its residues below its modulus, a valid
+        // (zero-extended) input of the next, wider step.
+        for &(m, e) in steps {
+            let c = m.lane_consts();
+            lanes::pow(c, &mut x[..c.d], e);
+        }
+        let k_last = steps[steps.len() - 1].0.k;
+        for lane in 0..group.len() {
+            let mut res = vec![0; k_last];
+            lanes::limbs_from_digits(x.iter().map(|v| v.0[lane]), &mut res);
+            out.push(Nat::from_limbs(res));
+        }
+    })
 }
 
 /// Window width (bits) of the [`FixedBasePow`] comb tables.
@@ -340,7 +524,7 @@ impl FixedBasePow {
         with_scratch(2 * w, |s| {
             let (mut cur, mut tmp) = s.split_at_mut(w);
             // cur = base^(2^(FB_WINDOW * window)) in Montgomery form.
-            mont.load_reduced(&base, &mut tmp[..k]);
+            mont.load_reduced(base.limbs(), &mut tmp[..k]);
             mont.cios_into(&tmp[..k], &mont.r2, cur);
             for (window, row) in table.chunks_exact_mut(FB_DIGITS * k).enumerate() {
                 if window > 0 {
@@ -467,7 +651,7 @@ impl<'a> MultiPow<'a> {
         with_scratch(k + 1, |t| {
             for (base, row) in bases.iter().zip(table.chunks_exact_mut(digits * k)) {
                 // row[0] = base·R; row[d] = row[d − 1]·row[0]·R⁻¹.
-                mont.load_reduced(base, &mut row[..k]);
+                mont.load_reduced(base.limbs(), &mut row[..k]);
                 mont.cios_into(&row[..k], &mont.r2, t);
                 row[..k].copy_from_slice(&t[..k]);
                 for d in 1..digits {
@@ -541,7 +725,7 @@ mod tests {
     /// `a·b·R⁻¹ mod n` through the CIOS kernel (`a`, `b` reduced).
     fn cios(ctx: &Montgomery, a: &Nat, b: &Nat) -> Nat {
         let mut bs = vec![0u64; ctx.k];
-        ctx.load_reduced(b, &mut bs);
+        ctx.load_reduced(b.limbs(), &mut bs);
         let mut t = vec![0u64; ctx.k + 1];
         ctx.cios_into(a.limbs(), &bs, &mut t);
         Nat::from_limbs(t[..ctx.k].to_vec())
@@ -757,6 +941,126 @@ mod tests {
         assert_eq!(multi_pow_window(4096, 64, 64, 4096), 1);
         // Nothing to walk: the smallest table wins.
         assert_eq!(multi_pow_window(32, 64, 0, 32), 1);
+    }
+
+    /// Says on stderr whether this host ran the lane kernel, so a run
+    /// with `--nocapture` shows which path the batch tests covered.
+    fn report_lane_path(test: &str) {
+        if lanes::available() {
+            eprintln!("{test}: lane kernel ran (avx512ifma)");
+        } else {
+            eprintln!("{test}: no avx512ifma, only the scalar fallback ran");
+        }
+    }
+
+    /// `pow_batch` against `pow_uncounted` over `bases` at `exps`, at every
+    /// batch length that splits into full and partial lane groups.
+    fn check_batch(ctx: &Montgomery, bases: &[Nat], exps: &[Nat], what: &str) {
+        for e in exps {
+            let want: Vec<Nat> = bases.iter().map(|b| ctx.pow_uncounted(b, e)).collect();
+            for len in [1, 7, 8, 9, 17] {
+                let batch: Vec<&Nat> = bases.iter().cycle().take(len).collect();
+                let want: Vec<Nat> = want.iter().cycle().take(len).cloned().collect();
+                assert_eq!(ctx.pow_batch(&batch, e), want, "{what} len={len} e={e:?}");
+            }
+        }
+    }
+
+    /// Bases for a batch at modulus `n`: random residues, zero, `n − 1`,
+    /// `n` itself and unreduced values of one and several limbs past `n`.
+    fn batch_bases(rng: &mut XorShiftRng, n: &Nat) -> Vec<Nat> {
+        let mut bases: Vec<Nat> = (0..4).map(|_| Nat::random_below(rng, n)).collect();
+        let k = n.limbs().len();
+        bases.extend([
+            Nat::zero(),
+            n.sub(&Nat::one()),
+            n.clone(),
+            Nat::random_bits(rng, 64 * k + 9),
+            Nat::random_bits(rng, 64 * (3 * k + 1)),
+        ]);
+        bases
+    }
+
+    /// Every width from 1 to 70 limbs with exponents 0, 1 and short ones,
+    /// full-width exponents at the widths a 2048-bit key lands on and
+    /// either side of them.
+    #[test]
+    fn pow_batch_matches_pow_uncounted_at_every_width() {
+        report_lane_path("pow_batch_matches_pow_uncounted_at_every_width");
+        let mut rng = XorShiftRng::new(0x1F3A_0808);
+        for k in 1..=70 {
+            let n = odd_modulus(&mut rng, k);
+            let ctx = Montgomery::new(n.clone());
+            let mut exps = vec![Nat::zero(), Nat::one(), Nat::random_bits(&mut rng, 40)];
+            if [1, 2, 3, 16, 32, 33, 64, 70].contains(&k) {
+                exps.push(Nat::random_exact_bits(&mut rng, 64 * k));
+            }
+            check_batch(&ctx, &batch_bases(&mut rng, &n), &exps, &format!("k={k}"));
+        }
+    }
+
+    /// Moduli whose bit length is ≡ 50, 51 or 0 mod 52 sit at the edge of
+    /// the lane kernel's `R > 4n` margin (a digit more or less), and the
+    /// base `n − 1` drives its products to their bounds.
+    #[test]
+    fn pow_batch_at_digit_boundaries() {
+        report_lane_path("pow_batch_at_digit_boundaries");
+        let mut rng = XorShiftRng::new(0x52_0052);
+        for digits in [1, 2, 10, 20, 39, 40, 79] {
+            for rem in [50, 51, 52] {
+                let bits = 52 * digits + rem;
+                let mut n = Nat::random_exact_bits(&mut rng, bits);
+                n.set_bit(0, true);
+                let ctx = Montgomery::new(n.clone());
+                let exps = [
+                    Nat::random_bits(&mut rng, 33),
+                    Nat::random_exact_bits(&mut rng, bits.min(700)),
+                ];
+                check_batch(
+                    &ctx,
+                    &batch_bases(&mut rng, &n),
+                    &exps,
+                    &format!("bits={bits}"),
+                );
+            }
+        }
+    }
+
+    /// The chained batch is the two powers in a row, at a tiny and a
+    /// 2048-bit-key-sized pair of moduli.
+    #[test]
+    fn pow_batch_then_matches_two_powers() {
+        report_lane_path("pow_batch_then_matches_two_powers");
+        let mut rng = XorShiftRng::new(0x7E4_0002);
+        for k in [1, 2, 16] {
+            let p = odd_modulus(&mut rng, k);
+            let (inner, outer) = (Montgomery::new(p.clone()), Montgomery::new(p.square()));
+            let (e1, e2) = (Nat::random_exact_bits(&mut rng, 64 * k), p.clone());
+            let bases = batch_bases(&mut rng, &p.square());
+            for len in [1, 7, 8, 9, 17] {
+                let batch: Vec<&Nat> = bases.iter().cycle().take(len).collect();
+                let want: Vec<Nat> = batch
+                    .iter()
+                    .map(|b| outer.pow_uncounted(&inner.pow_uncounted(b, &e1), &e2))
+                    .collect();
+                let got = inner.pow_batch_then(&batch, &e1, &outer, &e2);
+                assert_eq!(got, want, "k={k} len={len}");
+            }
+        }
+    }
+
+    /// The crossover table sends full groups to the lane kernel wherever
+    /// the CPU has it, and singles never.
+    #[test]
+    fn lane_dispatch_follows_the_crossover_table() {
+        let mut rng = XorShiftRng::new(3);
+        for k in [1, 2, 3, 32] {
+            let ctx = Montgomery::new(odd_modulus(&mut rng, k));
+            let e = Nat::from(65_537u64);
+            assert_eq!(lanes_pay(&[(&ctx, &e)], 8), lanes::available(), "k={k}");
+            assert!(!lanes_pay(&[(&ctx, &e)], 1), "k={k}");
+            assert!(!lanes_pay(&[(&ctx, &Nat::zero())], 8), "k={k}");
+        }
     }
 
     proptest! {

@@ -141,3 +141,57 @@ fn span_heap_tallies_are_bit_identical_across_masked_fault_plans() {
         }
     }
 }
+
+/// The self-attributed `(allocs, alloc_bytes)` of `f`, run in a span of
+/// its own on this thread.
+fn heap_of<T>(f: impl FnOnce() -> T) -> (u64, u64) {
+    spfe::obs::reset();
+    {
+        let _s = spfe::obs::span("measured");
+        std::hint::black_box(f());
+    }
+    let spans = spfe::obs::spans_snapshot();
+    let s = spans
+        .iter()
+        .find(|s| s.path == "measured")
+        .expect("measured span");
+    (s.allocs, s.alloc_bytes)
+}
+
+/// `pow_batch` allocates exactly what mapping `pow_uncounted` over its
+/// bases does — the result vector and one `k`-limb residue per power —
+/// on the lane path (full groups, on CPUs with AVX-512 IFMA) and on the
+/// scalar path (single bases, and every group elsewhere) alike, so the
+/// committed heap rows do not depend on the host CPU. The lane
+/// constants a context builds on first use stay out of the tallies.
+#[test]
+fn pow_batch_heap_is_one_result_per_power_on_both_paths() {
+    use spfe::math::{Montgomery, Nat, XorShiftRng};
+    let _g = lock();
+    let _t = ThreadsGuard::set(1);
+    let mut rng = XorShiftRng::new(0x0A11_0C08);
+    for k in [1, 2, 16, 32, 64] {
+        let mut n = Nat::random_exact_bits(&mut rng, 64 * k);
+        n.set_bit(0, true);
+        let bases: Vec<Nat> = (0..9).map(|_| Nat::random_below(&mut rng, &n)).collect();
+        let e = Nat::random_exact_bits(&mut rng, 48 * k);
+        let ctx = Montgomery::new(n);
+        // A first batch builds the lane constants: paused, so it must
+        // tally the same as every later one.
+        for round in 0..2 {
+            for len in [1, 8, 9] {
+                let refs: Vec<&Nat> = bases[..len].iter().collect();
+                let batch = heap_of(|| ctx.pow_batch(&refs, &e));
+                let mapped = heap_of(|| {
+                    refs.iter()
+                        .map(|b| ctx.pow_uncounted(b, &e))
+                        .collect::<Vec<_>>()
+                });
+                let per_power = (8 * k + std::mem::size_of::<Nat>()) as u64;
+                let what = format!("k={k} len={len} round={round}");
+                assert_eq!(batch, mapped, "{what}");
+                assert_eq!(batch, (len as u64 + 1, len as u64 * per_power), "{what}");
+            }
+        }
+    }
+}
