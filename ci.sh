@@ -52,16 +52,19 @@ for seed in 1 77; do
   fi
 done
 
-echo "==> lane kernel tests (AVX-512 IFMA batch powers)"
-# Montgomery::pow_batch runs groups of eight same-exponent powers on the
-# IFMA lane kernel when the CPU has it and on the scalar CIOS kernel
-# otherwise (DESIGN.md §8); both must match the scalar powers bit for bit.
-# On an IFMA host the tests must say that the lane kernel ran.
+echo "==> lane kernel tests (AVX-512 IFMA batch powers and column folds)"
+# Montgomery::pow_batch runs groups of eight same-exponent powers, and
+# MultiPow (the Paillier column fold) eight columns per Straus walk, on
+# the IFMA lane kernel when the CPU has it and on the scalar CIOS kernel
+# otherwise (DESIGN.md §8); both must match the scalar results bit for
+# bit. On an IFMA host the tests must say that the lane kernel ran, for
+# the batch powers and for the fold.
 LANE_LOG="$WORK/lanes.log"
 cargo test "${OFFLINE[@]}" --release -p spfe-math -p spfe-crypto -q -- --nocapture \
-  pow_batch lane_dispatch crt_matches batch_apis 2>&1 | tee "$LANE_LOG"
+  pow_batch lane_dispatch lane_fold crt_matches batch_apis decrypt_batch 2>&1 | tee "$LANE_LOG"
 if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
-  if ! grep -q "lane kernel ran" "$LANE_LOG"; then
+  if ! grep -q "pow_batch[a-z_]*: lane kernel ran" "$LANE_LOG" \
+    || ! grep -q "lane_fold[a-z_]*: lane kernel ran" "$LANE_LOG"; then
     echo "FAIL: avx512ifma host, but the lane kernel did not run" >&2
     exit 1
   fi

@@ -365,20 +365,21 @@ where
 
     // Client: d_j = (P_s(i_j) − r_j) mod p; b_j = x'_{i_j} − d_j.
     let _s = spfe_obs::span("reconstruct");
-    let client_shares: Vec<u64> = retrieved
+    let evals = evals
         .iter()
-        .zip(&evals)
-        .map(|(&xp, ct)| {
-            let v = sk.decrypt(&pk.ciphertext_from_bytes(ct).ok_or(
-                ProtocolError::InvalidMessage {
+        .map(|ct| {
+            pk.ciphertext_from_bytes(ct)
+                .ok_or(ProtocolError::InvalidMessage {
                     label: "sel2v1-evals",
                     reason: "malformed evaluation ciphertext",
-                },
-            )?);
-            let d_j = v.rem(&Nat::from(p)).to_u64().expect("fits");
-            Ok(field.sub(xp, d_j))
+                })
         })
-        .collect::<Result<_, ProtocolError>>()?;
+        .collect::<Result<Vec<_>, _>>()?;
+    let client_shares: Vec<u64> = retrieved
+        .iter()
+        .zip(sk.decrypt_batch(&evals))
+        .map(|(&xp, v)| field.sub(xp, v.rem(&Nat::from(p)).to_u64().expect("fits")))
+        .collect();
     // Server: a_j = −r_j.
     let server_shares: Vec<u64> = server_r.iter().map(|&r| field.neg(r)).collect();
 

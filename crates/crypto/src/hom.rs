@@ -165,6 +165,13 @@ pub trait HomomorphicSk<Pk: HomomorphicPk>: Clone + std::fmt::Debug {
     /// Decrypts a ciphertext to its canonical plaintext residue.
     fn decrypt(&self, ct: &Pk::Ciphertext) -> Nat;
 
+    /// Decrypts a batch: element for element [`HomomorphicSk::decrypt`],
+    /// with the same op counts. The default maps `decrypt`; Paillier
+    /// overrides it with batch powers (see [`crate::paillier`]).
+    fn decrypt_batch(&self, cts: &[Pk::Ciphertext]) -> Vec<Nat> {
+        cts.iter().map(|ct| self.decrypt(ct)).collect()
+    }
+
     /// [`HomomorphicPk::encrypt_batch`] under `pk` (this key's public
     /// half) by the key holder, who may use the secret key to encrypt
     /// faster. Ciphertexts, the randomness drawn from `rng` and the op

@@ -146,14 +146,31 @@ impl Crt {
     /// The plaintext of `c` — one counted [`Op::Modexp`].
     fn decrypt(&self, c: &Nat) -> Nat {
         count(Op::Modexp, 1);
+        let xp = self.p_sq.pow_uncounted(c, &self.dec_exp_p);
+        let xq = self.q_sq.pow_uncounted(c, &self.dec_exp_q);
+        self.recombine(&xp, &xq)
+    }
+
+    /// The plaintexts of `cs`, in order — one counted [`Op::Modexp`]
+    /// each. The powers mod `p²` and mod `q²` run as two batch powers.
+    fn decrypt_batch(&self, cs: &[&Nat]) -> Vec<Nat> {
+        count(Op::Modexp, cs.len() as u64);
+        let xp = self.p_sq.pow_batch(cs, &self.dec_exp_p);
+        let xq = self.q_sq.pow_batch(cs, &self.dec_exp_q);
+        xp.iter()
+            .zip(&xq)
+            .map(|(xp, xq)| self.recombine(xp, xq))
+            .collect()
+    }
+
+    /// `m mod n` from `c^(p−1) mod p²` and `c^(q−1) mod q²`.
+    fn recombine(&self, xp: &Nat, xq: &Nat) -> Nat {
         let (p, q) = (self.p.modulus(), self.q.modulus());
         // L(x) = (x − 1) / d, saturating: a non-unit `c` from the wire
         // (x = 0) decrypts to garbage instead of panicking.
         let l = |x: &Nat, d: &Nat| x.saturating_sub(&Nat::one()).div_rem(d).0;
-        let xp = self.p_sq.pow_uncounted(c, &self.dec_exp_p);
-        let xq = self.q_sq.pow_uncounted(c, &self.dec_exp_q);
-        let mp = mod_mul(&l(&xp, p), &self.h_p, p);
-        let mq = mod_mul(&l(&xq, q), &self.h_q, q);
+        let mp = mod_mul(&l(xp, p), &self.h_p, p);
+        let mq = mod_mul(&l(xq, q), &self.h_q, q);
         garner(&mp, p, &mq, q, &self.p_inv)
     }
 }
@@ -198,6 +215,15 @@ impl PaillierPk {
         }
     }
 
+    /// [`PaillierPk::reduce_scalar`] of an owned weight.
+    fn reduced_scalar(&self, c: Nat) -> Nat {
+        if c < self.n {
+            c
+        } else {
+            c.rem(&self.n)
+        }
+    }
+
     fn random_unit<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Nat {
         loop {
             let r = Nat::random_below(rng, &self.n);
@@ -220,7 +246,7 @@ impl PaillierPk {
     /// is drawn serially first (exactly the stream the serial loop would
     /// draw), then each group of [`POW_BATCH_GROUP`] goes to
     /// [`spfe_math::par`] as one batch power `r_pow_n` — the actual cost,
-    /// counted by it — and its encryptions.
+    /// counted by it — and its encryptions; two groups already split.
     fn encrypt_batch_with<R: RandomSource + ?Sized>(
         &self,
         ms: &[Nat],
@@ -233,7 +259,7 @@ impl PaillierPk {
             .chunks(POW_BATCH_GROUP)
             .zip(rs.chunks(POW_BATCH_GROUP))
             .collect();
-        let per_group = spfe_math::par::par_map_cost(CostClass::Heavy, &groups, |&(ms, rs)| {
+        let per_group = spfe_math::par::par_map_cost(CostClass::Batch, &groups, |&(ms, rs)| {
             let rns = r_pow_n(rs);
             ms.iter()
                 .zip(&rns)
@@ -271,10 +297,11 @@ impl HomomorphicPk for PaillierPk {
     }
 
     /// The Straus column fold: one [`MultiPow`] table over the selectors
-    /// per call, then each column's multi-exponentiation on the worker
-    /// pool, in column order. A column's product mod `n²` is the residue
-    /// the per-cell default reaches by `mul_const` and `add`, so the bytes
-    /// are the same; so are the counts, kept logical per column: one
+    /// per call, then each group of [`POW_BATCH_GROUP`] columns' multi-
+    /// exponentiations on the worker pool (two groups already split), in
+    /// column order. A column's product mod `n²` is the residue the
+    /// per-cell default reaches by `mul_const` and `add`, so the bytes are
+    /// the same; so are the counts, kept logical per column: one
     /// `HomScalarMul` and one `Modexp` per non-zero cell (one of each for
     /// an all-zero column, which is the canonical `1`) and `nz − 1`
     /// `HomAdd`.
@@ -294,17 +321,21 @@ impl HomomorphicPk for PaillierPk {
             .unwrap_or(0);
         let bases: Vec<&Nat> = selectors.iter().map(|s| &s.0).collect();
         let table = MultiPow::new(&self.mont, &bases, bits, cols);
-        let col_idx: Vec<usize> = (0..cols).collect();
-        spfe_math::par::par_map_cost(CostClass::Heavy, &col_idx, |&j| {
-            let cells: Vec<Nat> = (0..rows).map(|r| cell(r * cols + j)).collect();
-            let nz = cells.iter().filter(|v| !v.is_zero()).count() as u64;
-            count(Op::HomScalarMul, nz.max(1));
-            count(Op::Modexp, nz.max(1));
-            count(Op::HomAdd, nz.saturating_sub(1));
-            let exps: Vec<Cow<'_, Nat>> = cells.iter().map(|v| self.reduce_scalar(v)).collect();
-            let exps: Vec<&Nat> = exps.iter().map(|e| e.as_ref()).collect();
-            PaillierCt(table.pow(&exps))
-        })
+        let groups: Vec<usize> = (0..cols).step_by(POW_BATCH_GROUP).collect();
+        let per_group = spfe_math::par::par_map_cost(CostClass::Batch, &groups, |&first| {
+            let exps: Vec<Vec<Nat>> = (first..cols.min(first + POW_BATCH_GROUP))
+                .map(|j| {
+                    let cells: Vec<Nat> = (0..rows).map(|r| cell(r * cols + j)).collect();
+                    let nz = cells.iter().filter(|v| !v.is_zero()).count() as u64;
+                    count(Op::HomScalarMul, nz.max(1));
+                    count(Op::Modexp, nz.max(1));
+                    count(Op::HomAdd, nz.saturating_sub(1));
+                    cells.into_iter().map(|v| self.reduced_scalar(v)).collect()
+                })
+                .collect();
+            table.pow_batch(&exps)
+        });
+        per_group.into_iter().flatten().map(PaillierCt).collect()
     }
 
     fn encrypt_batch<R: RandomSource + ?Sized>(&self, ms: &[Nat], rng: &mut R) -> Vec<PaillierCt> {
@@ -353,6 +384,15 @@ impl HomomorphicSk<PaillierPk> for PaillierSk {
     fn decrypt(&self, ct: &PaillierCt) -> Nat {
         count(Op::PaillierDecrypt, 1);
         self.crt.decrypt(&ct.0)
+    }
+
+    /// CRT decryption with each half's powers as one batch power, so
+    /// groups of ciphertexts run on the lane kernel where it pays; the
+    /// plaintexts and counts of mapping [`PaillierSk::decrypt`].
+    fn decrypt_batch(&self, cts: &[PaillierCt]) -> Vec<Nat> {
+        count(Op::PaillierDecrypt, cts.len() as u64);
+        let cs: Vec<&Nat> = cts.iter().map(|ct| &ct.0).collect();
+        self.crt.decrypt_batch(&cs)
     }
 
     /// CRT encryption: `r^n mod n²` through [`Crt::r_pow_n_batch`], with the
@@ -626,6 +666,30 @@ mod tests {
         }
         for (ct, m) in cts.iter().zip(&ms) {
             assert_eq!(&sk.decrypt(ct), m);
+        }
+    }
+
+    /// `decrypt_batch` against mapping `decrypt`, at batch lengths that
+    /// split into full and partial lane groups, on fresh ciphertexts and
+    /// on residues that are not encryptions (zero, one, `n² − 1`).
+    #[test]
+    fn decrypt_batch_matches_decrypt() {
+        for (bits, seed) in [(128, 0xDEC1u64), (2048, 0xDEC2)] {
+            let mut rng = ChaChaRng::from_u64_seed(seed);
+            let (pk, sk) = Paillier::keygen(bits, &mut rng);
+            let ms: Vec<Nat> = (0..14)
+                .map(|_| Nat::random_below(&mut rng, pk.n()))
+                .collect();
+            let mut cts = sk.encrypt_batch(&pk, &ms, &mut rng);
+            for v in [Nat::zero(), Nat::one(), pk.n_squared().sub(&Nat::one())] {
+                cts.push(PaillierCt(v));
+            }
+            for len in BATCH_LENS {
+                let got = sk.decrypt_batch(&cts[..len]);
+                let want: Vec<Nat> = cts[..len].iter().map(|ct| sk.decrypt(ct)).collect();
+                assert_eq!(got, want, "bits={bits} len={len}");
+            }
+            assert_eq!(sk.decrypt_batch(&cts[..ms.len()]), ms, "bits={bits}");
         }
     }
 

@@ -134,3 +134,69 @@ proptest! {
         prop_assert_eq!(serial.get(Op::HomScalarMul), len as u64);
     }
 }
+
+/// Batch encryption and the Straus column fold hand the pool groups of
+/// `POW_BATCH_GROUP`, and two groups already split: 9, 16 and 17
+/// encryptions (public and key-holder paths) and a 16-column fold give
+/// the same bytes at 1 and 2 threads, and at 2 threads, with the class
+/// default threshold, the two-group jobs run on the pool.
+#[test]
+fn batch_groups_go_to_the_pool_from_two() {
+    use spfe_math::POW_BATCH_GROUP;
+    let _g = LOCK.lock().unwrap();
+    let (pk, sk) = Paillier::keygen(256, &mut ChaChaRng::from_u64_seed(9));
+    let pool_runs = |threads: usize, f: &dyn Fn() -> Vec<Vec<u8>>| {
+        spfe_math::par::set_threads(Some(threads));
+        spfe_obs::reset_ops();
+        let out = f();
+        let runs = spfe_obs::ops_snapshot().get(Op::PoolRuns);
+        spfe_math::par::set_threads(None);
+        (out, runs)
+    };
+    let bytes = |cts: &[spfe_crypto::PaillierCt]| -> Vec<Vec<u8>> {
+        cts.iter().map(|c| pk.ciphertext_to_bytes(c)).collect()
+    };
+    for len in [9usize, 16, 17] {
+        assert_eq!(len.div_ceil(POW_BATCH_GROUP), 2 + usize::from(len > 16));
+        let ms: Vec<Nat> = (0..len as u64).map(|v| Nat::from(v * 31)).collect();
+        let public = || bytes(&pk.encrypt_batch(&ms, &mut ChaChaRng::from_u64_seed(3)));
+        let crt = || bytes(&sk.encrypt_batch(&pk, &ms, &mut ChaChaRng::from_u64_seed(3)));
+        for run in [&public as &dyn Fn() -> Vec<Vec<u8>>, &crt] {
+            let (serial, serial_runs) = pool_runs(1, run);
+            let (pooled, pooled_runs) = pool_runs(2, run);
+            assert_eq!(serial, pooled, "len={len}");
+            assert_eq!(serial_runs, 0, "len={len}");
+            assert!(pooled_runs >= 1, "len={len}: two groups stayed serial");
+        }
+    }
+    let sels = sk.encrypt_batch(
+        &pk,
+        &[Nat::one(), Nat::from(2u64)],
+        &mut ChaChaRng::from_u64_seed(4),
+    );
+    let fold = || bytes(&pk.fold_columns(&sels, 16, |i| Nat::from(i as u64 % 7)));
+    let (serial, _) = pool_runs(1, &fold);
+    let (pooled, pooled_runs) = pool_runs(2, &fold);
+    assert_eq!(serial, pooled);
+    assert!(pooled_runs >= 1, "a two-group fold stayed serial");
+}
+
+/// `decrypt_batch` counts what mapping `decrypt` counts — one
+/// `PaillierDecrypt` and one `Modexp` per ciphertext — at every pool size.
+#[test]
+fn decrypt_batch_counts_match_decrypt() {
+    let _g = LOCK.lock().unwrap();
+    let (pk, sk) = Paillier::keygen(160, &mut ChaChaRng::from_u64_seed(10));
+    let ms: Vec<Nat> = (0..9u64).map(Nat::from).collect();
+    let cts = sk.encrypt_batch(&pk, &ms, &mut ChaChaRng::from_u64_seed(11));
+    for threads in [1, 4] {
+        let mapped = counts_at(threads, |_| {
+            let got: Vec<Nat> = cts.iter().map(|ct| sk.decrypt(ct)).collect();
+            assert_eq!(got, ms);
+        });
+        let batch = counts_at(threads, |_| assert_eq!(sk.decrypt_batch(&cts), ms));
+        assert_eq!(mapped, batch, "threads={threads}");
+        assert_eq!(batch.get(Op::PaillierDecrypt), 9);
+        assert_eq!(batch.get(Op::Modexp), 9);
+    }
+}

@@ -4,11 +4,14 @@
 //! fast repeated multiplication/exponentiation — the inner loop of Paillier,
 //! Goldwasser–Micali, ElGamal and the Naor–Pinkas oblivious transfer.
 //!
-//! Every product at every modulus width goes through one fused CIOS
-//! multiply-and-reduce kernel working on limb-slice scratch: an
-//! exponentiation allocates its scratch once (on the stack up to the
-//! window table of a 4096-bit modulus) and touches the heap again only
-//! for its result.
+//! Products go through one of two kernels. The scalar one is a fused CIOS
+//! multiply-and-reduce on limb-slice scratch: an exponentiation allocates
+//! its scratch once (on the stack up to the window table of a 4096-bit
+//! modulus) and touches the heap again only for its result. On CPUs with
+//! AVX-512 IFMA, batch powers ([`Montgomery::pow_batch`]) and Straus
+//! column folds ([`MultiPow`]) with enough work per group run eight
+//! numbers at a time on the lane kernel (`montgomery/lanes.rs`), with
+//! the same results and the same heap tallies.
 
 use crate::nat::Nat;
 use std::cell::Cell;
@@ -440,14 +443,7 @@ fn lane_chain(group: &[&Nat], steps: &[(&Montgomery, &Nat)], out: &mut Vec<Nat>)
     let d_max = steps.iter().map(|(m, _)| m.lane_consts().d).max();
     let d_max = d_max.unwrap_or(1);
     lanes::with_lanes(d_max, |x| {
-        with_scratch(first.k, |limbs| {
-            for (lane, base) in group.iter().enumerate() {
-                first.load_reduced(base.limbs(), limbs);
-                for (v, dig) in x.iter_mut().zip(lanes::digits(limbs)) {
-                    v.0[lane] = dig;
-                }
-            }
-        });
+        load_lanes(first, group, x);
         // Each step leaves its residues below its modulus, a valid
         // (zero-extended) input of the next, wider step.
         for &(m, e) in steps {
@@ -461,6 +457,19 @@ fn lane_chain(group: &[&Nat], steps: &[(&Montgomery, &Nat)], out: &mut Vec<Nat>)
             out.push(Nat::from_limbs(res));
         }
     })
+}
+
+/// Loads at most eight bases, reduced mod `mont`'s modulus, into the
+/// lanes of `x`, one base per lane.
+fn load_lanes(mont: &Montgomery, group: &[&Nat], x: &mut [lanes::Lane]) {
+    with_scratch(mont.k, |limbs| {
+        for (lane, base) in group.iter().enumerate() {
+            mont.load_reduced(base.limbs(), limbs);
+            for (v, dig) in x.iter_mut().zip(lanes::digits(limbs)) {
+                v.0[lane] = dig;
+            }
+        }
+    });
 }
 
 /// Window width (bits) of the [`FixedBasePow`] comb tables.
@@ -587,26 +596,60 @@ impl FixedBasePow {
 }
 
 /// Byte budget of a [`MultiPow`] table. At a 2048-bit Paillier key's `n²`
-/// (64 limbs) and 32 bases it admits width 3 (112 KiB); the unconstrained
-/// optimum there, width 5 (496 KiB), saves few products and costs its
-/// whole table in resident memory per query.
-const MULTI_POW_TABLE_BYTES: usize = 128 << 10;
+/// (79 lane digits a slot) and 32 bases it admits width 3 (139 KiB); the
+/// unconstrained optimum there, width 5 (613 KiB), saves few products and
+/// costs its whole table in resident memory per query (DESIGN §8).
+const MULTI_POW_TABLE_BYTES: usize = 144 << 10;
 
 /// Widest [`MultiPow`] window considered.
 const MULTI_POW_MAX_WINDOW: usize = 8;
 
-/// The [`MultiPow`] window width for `bases` bases of `k` limbs raised to
-/// exponents of up to `bits` bits in `uses` multi-exponentiations: the
-/// width minimising the product count — `bases·(2^w − 1)` for the table
-/// plus `uses·(bases·⌈bits/w⌉ + bits)` for the walks, every digit counted
-/// — among the widths whose table fits [`MULTI_POW_TABLE_BYTES`]. Width 1
-/// always qualifies.
-fn multi_pow_window(bases: usize, k: usize, bits: usize, uses: usize) -> usize {
+/// Words per [`MultiPow`] table slot at modulus `n`: the wider of the
+/// scalar kernel's `k` limbs and the lane kernel's digits, so the table's
+/// size, and with it the heap tallies, does not depend on the CPU.
+fn multi_pow_slot(mont: &Montgomery) -> usize {
+    mont.k.max(lanes::digits_for(mont.n.bit_len()))
+}
+
+/// The [`MultiPow`] window width for `bases` bases in slots of `slot`
+/// words raised to exponents of up to `bits` bits in `uses`
+/// multi-exponentiations: the width minimising the product count —
+/// `bases·(2^w − 1)` for the table plus `uses·(bases·⌈bits/w⌉ + bits)` for
+/// the walks, every digit counted — among the widths whose table (the
+/// entries and one slot for one) fits [`MULTI_POW_TABLE_BYTES`]. Width 1
+/// always qualifies. The lane kernel divides both terms by eight alike, so
+/// one rule serves both kernels.
+fn multi_pow_window(bases: usize, slot: usize, bits: usize, uses: usize) -> usize {
     let entries = |w: usize| bases * ((1 << w) - 1);
     (1..=MULTI_POW_MAX_WINDOW)
-        .filter(|&w| w == 1 || entries(w) * k * 8 <= MULTI_POW_TABLE_BYTES)
+        .filter(|&w| w == 1 || (1 + entries(w)) * slot * 8 <= MULTI_POW_TABLE_BYTES)
         .min_by_key(|&w| entries(w) + uses * (bases * bits.div_ceil(w) + bits))
         .unwrap_or(1)
+}
+
+/// The fewest columns, by modulus limbs `k`, for which a [`MultiPow`]
+/// table built and walked on the lane kernel beats the scalar kernel
+/// column by column (DESIGN §8). A lane walk costs the same whatever its
+/// fill and pays a fixed cost per product (gathers, digits of eight
+/// columns), so narrow moduli need fuller groups than
+/// [`lane_min_group`]'s batch powers; from 10 limbs one column pays.
+fn lane_min_cols(k: usize) -> usize {
+    match k {
+        1 => 5,
+        2..=5 => 4,
+        6..=9 => 2,
+        _ => 1,
+    }
+}
+
+/// Whether a [`MultiPow`] table at `mont` for `uses` columns is built and
+/// walked on the lane kernel: the CPU has it, a lane group of the job is
+/// full enough at this modulus width, and the walk's rows fit the lane
+/// scratch.
+fn lane_fold_pays(mont: &Montgomery, uses: usize) -> bool {
+    lanes::available()
+        && uses.min(lanes::LANES) >= lane_min_cols(mont.k)
+        && mont.lane_consts().straus_fits()
 }
 
 /// Straus multi-exponentiation over a fixed list of bases:
@@ -614,17 +657,23 @@ fn multi_pow_window(bases: usize, k: usize, bits: usize, uses: usize) -> usize {
 ///
 /// A homomorphic PIR column is exactly this product over the query's
 /// encrypted row selectors. The table stores `base_r^d` in Montgomery
-/// form for every digit `d ∈ [1, 2^w)`, built once for all columns; each
-/// [`MultiPow::pow`] then walks the digit positions top down, sharing one
-/// chain of `w` squarings per position across every base, multiplying in
-/// the table entry of each non-zero digit, and leaving the Montgomery
-/// domain once at the end. Per product of `rows` exponents of `b` bits
-/// that is at most `b + rows·⌈b/w⌉` products, where separate
-/// [`Montgomery::pow`] calls spend about `rows·b` on squarings alone.
+/// form for every digit `d ∈ [1, 2^w)`, plus one entry for one, built once
+/// for all columns; [`MultiPow::pow_batch`] then walks the digit positions
+/// top down, sharing one chain of `w` squarings per position across every
+/// base, multiplying in the table entry of each non-zero digit, and
+/// leaving the Montgomery domain once at the end. Per product of `rows`
+/// exponents of `b` bits that is at most `b + rows·⌈b/w⌉` products, where
+/// separate [`Montgomery::pow`] calls spend about `rows·b` on squarings
+/// alone.
 ///
-/// The window width `w` is derived from the shape of the job (see
-/// [`MultiPow::new`]). Nothing here is counted: callers count the logical
-/// operations a multi-exponentiation replaces.
+/// On CPUs with AVX-512 IFMA, a job with enough columns at its modulus
+/// width builds the table eight bases at a time on the lane kernel and
+/// walks eight columns at a time, one per lane (DESIGN §8); otherwise
+/// the scalar kernel builds the table and walks column by column. One
+/// digit walk ([`straus_walk`]) drives both kernels. The window width
+/// `w` is derived from the shape of the job (see [`MultiPow::new`]).
+/// Nothing here is counted: callers count the logical operations a
+/// multi-exponentiation replaces.
 #[derive(Debug)]
 pub struct MultiPow<'a> {
     mont: &'a Montgomery,
@@ -632,8 +681,13 @@ pub struct MultiPow<'a> {
     win: usize,
     /// Number of bases.
     bases: usize,
-    /// Flat table of `k`-limb slots: slot `r · (2^win − 1) + d − 1` holds
-    /// `base_r^d` in Montgomery form.
+    /// Words per table slot ([`multi_pow_slot`]).
+    slot: usize,
+    /// The lane constants when the table is in lane form.
+    lanes: Option<&'a lanes::LaneConsts>,
+    /// Flat table of slots: slot 0 holds one and slot
+    /// `1 + r·(2^win − 1) + d − 1` holds `base_r^d`, in the kernel's
+    /// Montgomery form — `k` limbs below `n`, or lane digits below `2n`.
     table: Vec<u64>,
 }
 
@@ -642,75 +696,199 @@ impl<'a> MultiPow<'a> {
     /// `uses` multi-exponentiations with exponents of up to `exp_bits`
     /// bits: the window width minimises the total product count among the
     /// widths whose table fits a fixed byte budget. Longer exponents are
-    /// still handled correctly by [`MultiPow::pow`].
+    /// still handled correctly by [`MultiPow::pow_batch`].
     pub fn new(mont: &'a Montgomery, bases: &[&Nat], exp_bits: usize, uses: usize) -> Self {
-        let k = mont.k;
-        let win = multi_pow_window(bases.len(), k, exp_bits, uses);
-        let digits = (1 << win) - 1;
-        let mut table = vec![0u64; bases.len() * digits * k];
-        with_scratch(k + 1, |t| {
-            for (base, row) in bases.iter().zip(table.chunks_exact_mut(digits * k)) {
-                // row[0] = base·R; row[d] = row[d − 1]·row[0]·R⁻¹.
-                mont.load_reduced(base.limbs(), &mut row[..k]);
-                mont.cios_into(&row[..k], &mont.r2, t);
-                row[..k].copy_from_slice(&t[..k]);
-                for d in 1..digits {
-                    mont.cios_into(&row[(d - 1) * k..][..k], &row[..k], t);
-                    row[d * k..][..k].copy_from_slice(&t[..k]);
+        Self::build(mont, bases, exp_bits, uses, lane_fold_pays(mont, uses))
+    }
+
+    /// [`MultiPow::new`] on the lane kernel or the scalar one.
+    fn build(
+        mont: &'a Montgomery,
+        bases: &[&Nat],
+        exp_bits: usize,
+        uses: usize,
+        lanes: bool,
+    ) -> Self {
+        let (k, slot) = (mont.k, multi_pow_slot(mont));
+        let win = multi_pow_window(bases.len(), slot, exp_bits, uses);
+        let per_row = (1 << win) - 1;
+        let mut table = vec![0u64; (1 + bases.len() * per_row) * slot];
+        let (one, rows) = table.split_at_mut(slot);
+        let lanes = lanes.then(|| mont.lane_consts());
+        match lanes {
+            Some(c) => {
+                one[..c.d].copy_from_slice(&c.one);
+                let group_len = lanes::LANES * per_row * slot;
+                for (group, rows) in bases.chunks(lanes::LANES).zip(rows.chunks_mut(group_len)) {
+                    let load = |x: &mut [lanes::Lane]| load_lanes(mont, group, x);
+                    lanes::powers(c, load, per_row, |e, v| {
+                        for (lane, row) in rows.chunks_exact_mut(per_row * slot).enumerate() {
+                            let entry = &mut row[(e - 1) * slot..][..c.d];
+                            for (w, dig) in entry.iter_mut().zip(v) {
+                                *w = dig.0[lane];
+                            }
+                        }
+                    });
                 }
             }
-        });
+            None => {
+                one[..k].copy_from_slice(&mont.one);
+                with_scratch(k + 1, |t| {
+                    for (base, row) in bases.iter().zip(rows.chunks_exact_mut(per_row * slot)) {
+                        // row[0] = base·R; row[d] = row[d − 1]·row[0]·R⁻¹.
+                        mont.load_reduced(base.limbs(), &mut row[..k]);
+                        mont.cios_into(&row[..k], &mont.r2, t);
+                        row[..k].copy_from_slice(&t[..k]);
+                        for d in 1..per_row {
+                            mont.cios_into(&row[(d - 1) * slot..][..k], &row[..k], t);
+                            row[d * slot..][..k].copy_from_slice(&t[..k]);
+                        }
+                    }
+                });
+            }
+        }
         MultiPow {
             mont,
             win,
             bases: bases.len(),
+            slot,
+            lanes,
             table,
         }
     }
 
-    /// `Π_r base_r^{exps[r]} mod n`; `1 mod n` when every exponent is zero.
+    /// `Π_r base_r^{col[r]} mod n` for each column `col` of exponents, in
+    /// order; `1 mod n` for a column of zeros. Each result is one heap
+    /// allocation, on either kernel.
     ///
     /// # Panics
     ///
-    /// Panics unless there is exactly one exponent per base.
-    pub fn pow(&self, exps: &[&Nat]) -> Nat {
-        assert_eq!(exps.len(), self.bases, "one exponent per base");
-        let mont = self.mont;
-        let (k, win) = (mont.k, self.win);
-        let digits = (1 << win) - 1;
-        let bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
-        if bits == 0 {
-            return Nat::one().rem(&mont.n);
+    /// Panics unless each column holds exactly one exponent per base.
+    pub fn pow_batch<C: AsRef<[Nat]>>(&self, cols: &[C]) -> Vec<Nat> {
+        for col in cols {
+            assert_eq!(col.as_ref().len(), self.bases, "one exponent per base");
         }
-        with_scratch(2 * (k + 1), |s| {
-            let (mut acc, mut tmp) = s.split_at_mut(k + 1);
-            // The top position holds a non-zero digit, so `acc` is loaded
-            // there before any squaring.
-            let mut loaded = false;
-            for i in (0..bits.div_ceil(win)).rev() {
-                if loaded {
-                    for _ in 0..win {
-                        mont.cios_into(&acc[..k], &acc[..k], tmp);
-                        std::mem::swap(&mut acc, &mut tmp);
-                    }
-                }
-                for (r, exp) in exps.iter().enumerate() {
-                    let d = digit(exp, i * win, win);
-                    if d == 0 {
-                        continue;
-                    }
-                    let entry = &self.table[(r * digits + d - 1) * k..][..k];
-                    if loaded {
-                        mont.cios_into(&acc[..k], entry, tmp);
-                        std::mem::swap(&mut acc, &mut tmp);
-                    } else {
-                        acc[..k].copy_from_slice(entry);
-                        loaded = true;
-                    }
+        let (mont, k) = (self.mont, self.mont.k);
+        let per_row = (1 << self.win) - 1;
+        let mut out = Vec::with_capacity(cols.len());
+        match self.lanes {
+            Some(c) => {
+                for group in cols.chunks(lanes::LANES) {
+                    lanes::straus(c, &self.table, self.slot, per_row, |kernel| {
+                        straus_walk(kernel, self.win, group);
+                        kernel.finish();
+                        for lane in 0..group.len() {
+                            let mut res = vec![0; k];
+                            lanes::limbs_from_digits(kernel.lane(lane), &mut res);
+                            out.push(Nat::from_limbs(res));
+                        }
+                    });
                 }
             }
-            mont.plain_residue(&acc[..k], tmp)
-        })
+            None => with_scratch(2 * (k + 1), |s| {
+                let (acc, tmp) = s.split_at_mut(k + 1);
+                let mut kernel = StrausCios {
+                    table: self,
+                    per_row,
+                    acc,
+                    tmp,
+                };
+                for col in cols.chunks(1) {
+                    straus_walk(&mut kernel, self.win, col);
+                    out.push(mont.plain_residue(&kernel.acc[..k], kernel.tmp));
+                }
+            }),
+        }
+        out
+    }
+}
+
+/// The [`MultiPow`] table slot of `base_row^d` with `per_row` entries a
+/// row: slot 0 holds one, the entry of a zero digit.
+fn entry_slot(per_row: usize, row: usize, d: usize) -> usize {
+    match d {
+        0 => 0,
+        d => 1 + row * per_row + d - 1,
+    }
+}
+
+/// A product kernel under [`straus_walk`]: one accumulator per column.
+trait StrausKernel {
+    /// `acc ← acc²` in every column.
+    fn square(&mut self);
+
+    /// `acc ← acc · entry(row, digits[c])` in every column `c`, or
+    /// `acc ← entry(row, digits[c])` when `load`; digit 0 takes one.
+    fn mul(&mut self, row: usize, digits: &[usize], load: bool);
+}
+
+/// The scalar [`StrausKernel`]: one column, CIOS products on `k`-limb
+/// slots, accumulator in `acc`.
+struct StrausCios<'t, 's> {
+    table: &'t MultiPow<'t>,
+    per_row: usize,
+    acc: &'s mut [u64],
+    tmp: &'s mut [u64],
+}
+
+impl StrausKernel for StrausCios<'_, '_> {
+    fn square(&mut self) {
+        let k = self.table.mont.k;
+        self.table
+            .mont
+            .cios_into(&self.acc[..k], &self.acc[..k], self.tmp);
+        std::mem::swap(&mut self.acc, &mut self.tmp);
+    }
+
+    fn mul(&mut self, row: usize, digits: &[usize], load: bool) {
+        let (mp, k) = (self.table, self.table.mont.k);
+        let entry = &mp.table[entry_slot(self.per_row, row, digits[0]) * mp.slot..][..k];
+        if load {
+            self.acc[..k].copy_from_slice(entry);
+        } else {
+            mp.mont.cios_into(&self.acc[..k], entry, self.tmp);
+            std::mem::swap(&mut self.acc, &mut self.tmp);
+        }
+    }
+}
+
+/// The Straus digit walk of [`MultiPow::pow_batch`] over up to eight
+/// columns of exponents, once for both kernels: digit positions top down,
+/// `win` squarings per position shared by every base and column, then one
+/// product per row by each column's table entry, skipped where every
+/// column's digit is zero. The top position holds a non-zero digit, so
+/// the first product loads the accumulator and no squaring comes before
+/// it; columns of zeros alone load one.
+fn straus_walk<C: AsRef<[Nat]>>(kernel: &mut impl StrausKernel, win: usize, cols: &[C]) {
+    assert!(cols.len() <= lanes::LANES, "one column per lane");
+    let rows = cols.first().map_or(0, |c| c.as_ref().len());
+    let bits = cols
+        .iter()
+        .flat_map(|c| c.as_ref().iter().map(Nat::bit_len))
+        .max()
+        .unwrap_or(0);
+    let mut digits = [0; lanes::LANES];
+    let digits = &mut digits[..cols.len()];
+    let mut loaded = false;
+    for i in (0..bits.div_ceil(win)).rev() {
+        if loaded {
+            for _ in 0..win {
+                kernel.square();
+            }
+        }
+        for r in 0..rows {
+            for (d, col) in digits.iter_mut().zip(cols) {
+                *d = digit(&col.as_ref()[r], i * win, win);
+            }
+            if digits.iter().any(|&d| d != 0) {
+                kernel.mul(r, digits, !loaded);
+                loaded = true;
+            }
+        }
+    }
+    if !loaded {
+        digits.fill(0);
+        kernel.mul(0, digits, true);
     }
 }
 
@@ -882,8 +1060,8 @@ mod tests {
 
     fn multi_pow(ctx: &Montgomery, bases: &[Nat], exps: &[Nat], exp_bits: usize) -> Nat {
         let bases: Vec<&Nat> = bases.iter().collect();
-        let exps: Vec<&Nat> = exps.iter().collect();
-        MultiPow::new(ctx, &bases, exp_bits, 4).pow(&exps)
+        let mut out = MultiPow::new(ctx, &bases, exp_bits, 4).pow_batch(&[exps]);
+        out.pop().expect("one column")
     }
 
     /// The widths a 2048-bit key lands on (32 and 64 limbs) and 70 limbs:
@@ -933,14 +1111,17 @@ mod tests {
     /// The width rule: the cheapest width whose table fits the budget.
     #[test]
     fn multi_pow_window_fits_the_table_budget() {
-        // A 32×32 scan of 10-bit cells under a 2048-bit key (n²: 64 limbs):
-        // width 5 would need fewest products but 496 KiB of table.
-        assert_eq!(multi_pow_window(32, 64, 10, 32), 3);
+        // A 32×32 scan of 10-bit cells under a 2048-bit key (n²: 64 limbs,
+        // 79 lane digits a slot): width 5 would need fewest products but
+        // 613 KiB of table.
+        let n_sq = Montgomery::new(Nat::one().shl(4095).add(&Nat::one()));
+        assert_eq!(multi_pow_slot(&n_sq), 79);
+        assert_eq!(multi_pow_window(32, 79, 10, 32), 3);
         assert_eq!(multi_pow_window(32, 1, 10, 32), 5);
         // Past the budget even at width 2, width 1 still qualifies.
-        assert_eq!(multi_pow_window(4096, 64, 64, 4096), 1);
+        assert_eq!(multi_pow_window(4096, 79, 64, 4096), 1);
         // Nothing to walk: the smallest table wins.
-        assert_eq!(multi_pow_window(32, 64, 0, 32), 1);
+        assert_eq!(multi_pow_window(32, 79, 0, 32), 1);
     }
 
     /// Says on stderr whether this host ran the lane kernel, so a run
@@ -1060,6 +1241,72 @@ mod tests {
             assert_eq!(lanes_pay(&[(&ctx, &e)], 8), lanes::available(), "k={k}");
             assert!(!lanes_pay(&[(&ctx, &e)], 1), "k={k}");
             assert!(!lanes_pay(&[(&ctx, &Nat::zero())], 8), "k={k}");
+        }
+    }
+
+    /// `cols` columns of exponents over `rows` bases: an all-zero column,
+    /// random lengths up to `bits` with zeros among them, and one column
+    /// of exponents longer than a table sized for `bits` serves.
+    fn fold_columns(rng: &mut XorShiftRng, rows: usize, cols: usize, bits: usize) -> Vec<Vec<Nat>> {
+        (0..cols)
+            .map(|c| {
+                (0..rows)
+                    .map(|r| match (c % 4, (r + c) % 5) {
+                        (0, _) | (_, 0) => Nat::zero(),
+                        (3, 1) => Nat::random_exact_bits(rng, 3 * bits + 7),
+                        _ => {
+                            let len = 1 + rng.next_u64() as usize % bits;
+                            Nat::random_bits(rng, len)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The lane fold (on CPUs with AVX-512 IFMA) against the scalar
+    /// `MultiPow` and the schoolbook product of powers: at every width a
+    /// key lands on and either side of the lane kernel's crossover, at
+    /// column counts that split into full and partial lane groups, with
+    /// all-zero columns, a zero base, an unreduced base and exponents
+    /// longer than the table was sized for.
+    #[test]
+    fn lane_fold_matches_scalar_and_naive_multi_pow() {
+        report_lane_path("lane_fold_matches_scalar_and_naive_multi_pow");
+        let mut rng = XorShiftRng::new(0x57A5_0808);
+        for k in [1, 2, 3, 5, 16, 32, 64, 70] {
+            let n = odd_modulus(&mut rng, k);
+            let ctx = Montgomery::new(n.clone());
+            let mut bases: Vec<Nat> = (0..9).map(|_| Nat::random_below(&mut rng, &n)).collect();
+            bases[2] = Nat::zero();
+            bases[5] = Nat::random_bits(&mut rng, 64 * k + 9);
+            let refs: Vec<&Nat> = bases.iter().collect();
+            for cols in [1, 7, 8, 9, 17] {
+                let exps = fold_columns(&mut rng, bases.len(), cols, 12);
+                let lane = MultiPow::build(&ctx, &refs, 12, cols, lanes::available());
+                let scalar = MultiPow::build(&ctx, &refs, 12, cols, false);
+                let got = lane.pow_batch(&exps);
+                assert_eq!(got, scalar.pow_batch(&exps), "k={k} cols={cols}");
+                for (c, col) in exps.iter().enumerate().filter(|(c, _)| c % 3 == 0) {
+                    let want = naive_multi_pow(&bases, col, &n);
+                    assert_eq!(got[c], want, "k={k} cols={cols} col={c}");
+                }
+                assert_eq!(got[0], Nat::one(), "k={k}: all-zero column");
+            }
+        }
+    }
+
+    /// Folds go to the lanes from the crossover's column count, wherever
+    /// the CPU has the kernel, and never below it.
+    #[test]
+    fn lane_fold_dispatch_follows_the_crossover_table() {
+        let mut rng = XorShiftRng::new(5);
+        for k in [1, 2, 3, 5, 32, 64] {
+            let ctx = Montgomery::new(odd_modulus(&mut rng, k));
+            let min = lane_min_cols(k);
+            assert_eq!(lane_fold_pays(&ctx, 32), lanes::available(), "k={k}");
+            assert_eq!(lane_fold_pays(&ctx, min), lanes::available(), "k={k}");
+            assert!(!lane_fold_pays(&ctx, min - 1), "k={k}");
         }
     }
 

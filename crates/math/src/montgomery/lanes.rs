@@ -1,5 +1,6 @@
-//! Eight same-exponent powers at once: the AVX-512 IFMA lane kernel
-//! behind [`super::Montgomery::pow_batch`].
+//! Eight numbers at once: the AVX-512 IFMA lane kernel behind
+//! [`super::Montgomery::pow_batch`] (eight same-exponent powers) and the
+//! [`super::MultiPow`] column fold (eight columns of one Straus table).
 //!
 //! A lane vector holds one radix-2⁵² digit of eight numbers, one number
 //! per 64-bit lane, so a `d`-digit number set is `d` vectors. With
@@ -13,13 +14,16 @@
 //! 64-bit accumulators hold `d` rows without normalising until the end
 //! of the product (for `d` below 2¹⁰).
 //!
-//! All lanes walk one fixed-window chain over the shared exponent. The
-//! result leaves the domain as `AMM(x, 1) ≤ n` and takes one conditional
-//! subtraction.
+//! A batch power walks one fixed-window chain over the shared exponent in
+//! all lanes. A Straus fold ([`StrausLanes`]) keeps one column per lane
+//! and multiplies each lane by the table entry of its own digit, gathered
+//! per digit vector. Either result leaves the domain as `AMM(x, 1) ≤ n`
+//! and takes one conditional subtraction.
 //!
-//! Unsafe is confined to this module: the `#[target_feature]` entry
-//! [`pow`] calls once, after run-time detection, and the aligned
-//! loads/stores between [`Lane`] and `__m512i`.
+//! Unsafe is confined to this module: the calls into the
+//! `#[target_feature]` code from [`pow`], [`powers`] and [`StrausLanes`],
+//! each made only after run-time detection, the aligned loads/stores
+//! between [`Lane`] and `__m512i`, and the bounds-checked table gathers.
 #![allow(unsafe_code)]
 
 use super::on_stack;
@@ -44,7 +48,8 @@ pub(super) struct Lane(pub(super) [u64; LANES]);
 /// table plus its working rows at 40 digits (a 2048-bit key's `p²`), a
 /// width-5 one at 20 (its `p`) and a width-3 one at 79 (its `n²`) in
 /// 52 KiB. Wider windows would save 1–12% of the products for about
-/// twice the stack, which a process keeps resident per thread.
+/// twice the stack, which a process keeps resident per thread. A Straus
+/// walk keeps its table on the heap and needs four rows here.
 const SCRATCH_SMALL: usize = 128;
 const SCRATCH_LARGE: usize = 832;
 
@@ -55,6 +60,11 @@ pub(super) fn with_lanes<T>(len: usize, f: impl FnOnce(&mut [Lane]) -> T) -> T {
     } else {
         on_stack::<Lane, SCRATCH_LARGE, T>(len, f)
     }
+}
+
+/// Digits per number for a modulus of `bits` bits: `R = 2^(52d) > 4n`.
+pub(super) fn digits_for(bits: usize) -> usize {
+    (bits + 2).div_ceil(DIGIT_BITS)
 }
 
 /// Whether this CPU runs the kernel (checked once per call; the standard
@@ -82,18 +92,22 @@ pub(super) struct LaneConsts {
     n0_inv: u64,
     /// `R² mod n` in 52-bit digits.
     r2: Vec<u64>,
+    /// `R mod n` in 52-bit digits: one in the domain.
+    pub(super) one: Vec<u64>,
 }
 
 impl LaneConsts {
     /// The constants for odd `n` with `−n⁻¹ mod 2⁶⁴ = n0_inv`.
     pub(super) fn new(n: &Nat, n0_inv: u64) -> Self {
-        let d = (n.bit_len() + 2).div_ceil(DIGIT_BITS);
+        let d = digits_for(n.bit_len());
+        let r = Nat::one().shl(DIGIT_BITS * d).rem(n);
         let r2 = Nat::one().shl(2 * DIGIT_BITS * d).rem(n);
         LaneConsts {
             d,
             n: digits(n.limbs()).take(d).collect(),
             n0_inv: n0_inv & DIGIT_MASK,
             r2: digits(r2.limbs()).take(d).collect(),
+            one: digits(r.limbs()).take(d).collect(),
         }
     }
 
@@ -110,6 +124,11 @@ impl LaneConsts {
     /// the accumulator and the product output.
     fn scratch_len(&self, w: usize) -> usize {
         ((1 << w) + 2) * self.d
+    }
+
+    /// Whether a Straus walk's four working rows fit the scratch.
+    pub(super) fn straus_fits(&self) -> bool {
+        4 * self.d <= SCRATCH_LARGE
     }
 }
 
@@ -159,6 +178,161 @@ pub(super) fn pow(c: &LaneConsts, x: &mut [Lane], exp: &Nat) {
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("no lane kernel off x86_64: {:?}", s.len());
     })
+}
+
+/// Calls `f(e, x^e·R)` for `e = 1..=count` in order, where `load` writes
+/// the numbers `x` (`c.d` digit vectors, every lane value below `R`) and
+/// each lane is raised on its own: the rows of a [`super::MultiPow`]
+/// table. The powers stay in the domain, below `2n`, as operands of later
+/// products.
+///
+/// # Panics
+///
+/// Panics unless this CPU has the kernel's features and
+/// `c.straus_fits()`.
+pub(super) fn powers(
+    c: &LaneConsts,
+    load: impl FnOnce(&mut [Lane]),
+    count: usize,
+    mut f: impl FnMut(usize, &[Lane]),
+) {
+    assert!(available(), "lane kernel needs avx512f and avx512ifma");
+    assert!(c.straus_fits(), "lane power shape");
+    let d = c.d;
+    with_lanes(4 * d, |s| {
+        let (n, rest) = s.split_at_mut(d);
+        let (first, rest) = rest.split_at_mut(d);
+        let (mut cur, mut next) = rest.split_at_mut(d);
+        load(next);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available()` just confirmed avx512f and avx512ifma.
+        unsafe {
+            ifma::broadcast(&c.n, n);
+            // x·R = AMM(x, R² mod n).
+            ifma::broadcast(&c.r2, cur);
+            ifma::amm_n0(next, cur, n, c.n0_inv, first);
+        }
+        if count > 0 {
+            f(1, first);
+        }
+        cur.copy_from_slice(first);
+        for e in 2..=count {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            unsafe {
+                ifma::amm_n0(cur, first, n, c.n0_inv, next);
+            }
+            f(e, next);
+            std::mem::swap(&mut cur, &mut next);
+        }
+    })
+}
+
+/// The [`super::MultiPow`] walk's lane kernel: one column per lane, each
+/// lane's accumulator in the domain below `2n`, over a table of
+/// [`LaneConsts::d`]-digit entries, one every `slot` words.
+pub(super) struct StrausLanes<'a> {
+    c: &'a LaneConsts,
+    table: &'a [u64],
+    slot: usize,
+    /// Table entries per row ([`super::entry_slot`]).
+    per_row: usize,
+    n: &'a [Lane],
+    acc: &'a mut [Lane],
+    tmp: &'a mut [Lane],
+    op: &'a mut [Lane],
+}
+
+/// Runs `f` on a [`StrausLanes`] kernel over `table`.
+///
+/// # Panics
+///
+/// Panics unless this CPU has the kernel's features, `c.straus_fits()`
+/// and `slot ≥ c.d`.
+pub(super) fn straus<T>(
+    c: &LaneConsts,
+    table: &[u64],
+    slot: usize,
+    per_row: usize,
+    f: impl FnOnce(&mut StrausLanes<'_>) -> T,
+) -> T {
+    assert!(available(), "lane kernel needs avx512f and avx512ifma");
+    assert!(c.straus_fits() && slot >= c.d, "lane Straus shape");
+    let d = c.d;
+    with_lanes(4 * d, |s| {
+        let (n, rest) = s.split_at_mut(d);
+        let (acc, rest) = rest.split_at_mut(d);
+        let (tmp, op) = rest.split_at_mut(d);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available()` just confirmed avx512f and avx512ifma.
+        unsafe {
+            ifma::broadcast(&c.n, n);
+        }
+        f(&mut StrausLanes {
+            c,
+            table,
+            slot,
+            per_row,
+            n,
+            acc,
+            tmp,
+            op,
+        })
+    })
+}
+
+impl super::StrausKernel for StrausLanes<'_> {
+    fn square(&mut self) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `StrausLanes` exists only inside `straus`, after
+        // `available()` confirmed avx512f and avx512ifma.
+        unsafe {
+            ifma::amm_n0(self.acc, self.acc, self.n, self.c.n0_inv, self.tmp);
+        }
+        std::mem::swap(&mut self.acc, &mut self.tmp);
+    }
+
+    /// Every lane past `digits` takes the one entry.
+    fn mul(&mut self, row: usize, digits: &[usize], load: bool) {
+        let idx: [usize; LANES] = std::array::from_fn(|l| {
+            super::entry_slot(self.per_row, row, digits.get(l).copied().unwrap_or(0))
+        });
+        let last = idx.iter().max().map_or(0, |&i| i * self.slot + self.c.d);
+        assert!(last <= self.table.len(), "table entry out of range");
+        let dst = if load { &mut *self.acc } else { &mut *self.op };
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `StrausLanes` exists only after `available()` confirmed
+        // avx512f and avx512ifma, and every gathered word lies below
+        // `last`, which is within the table.
+        unsafe {
+            ifma::gather(self.table, self.slot, &idx, dst);
+            if !load {
+                ifma::amm_n0(self.acc, self.op, self.n, self.c.n0_inv, self.tmp);
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        unreachable!("no lane kernel off x86_64: {}", dst.len());
+        if !load {
+            std::mem::swap(&mut self.acc, &mut self.tmp);
+        }
+    }
+}
+
+impl StrausLanes<'_> {
+    /// Leaves the domain; [`StrausLanes::lane`] then reads each lane's
+    /// result, fully reduced.
+    pub(super) fn finish(&mut self) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `square`.
+        unsafe {
+            ifma::leave(self.acc, self.n, self.c.n0_inv, self.op, self.tmp);
+        }
+    }
+
+    /// The digits of lane `l` after [`StrausLanes::finish`], low first.
+    pub(super) fn lane(&self, l: usize) -> impl Iterator<Item = u64> + '_ {
+        self.op.iter().map(move |v| v.0[l])
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -228,9 +402,33 @@ mod ifma {
         }
     }
 
+    /// [`amm`] with `−n⁻¹ mod 2⁵²` given as a word.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn amm_n0(a: &[Lane], b: &[Lane], n: &[Lane], n0_inv: u64, out: &mut [Lane]) {
+        amm(a, b, n, _mm512_set1_epi64(n0_inv as i64), out);
+    }
+
+    /// `out[j]` = word `idx[l]·slot + j` of `table` in lane `l`, for every
+    /// digit vector `j` of `out`.
+    ///
+    /// # Safety
+    ///
+    /// Every `idx[l]·slot + out.len()` must be at most `table.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gather(table: &[u64], slot: usize, idx: &[usize; 8], out: &mut [Lane]) {
+        let at = |l: usize| (idx[l] * slot) as i64;
+        let offsets = _mm512_set_epi64(at(7), at(6), at(5), at(4), at(3), at(2), at(1), at(0));
+        for (j, o) in out.iter_mut().enumerate() {
+            // SAFETY: word `idx[l]·slot + j` is in the table (the caller's
+            // contract), and scale 8 makes the offsets count words.
+            let v = unsafe { _mm512_i64gather_epi64::<8>(offsets, table.as_ptr().add(j).cast()) };
+            st(o, v);
+        }
+    }
+
     /// Writes the digits of `v` broadcast to every lane into `out`.
     #[target_feature(enable = "avx512f")]
-    fn broadcast(v: &[u64], out: &mut [Lane]) {
+    pub(super) fn broadcast(v: &[u64], out: &mut [Lane]) {
         for (l, &dig) in out.iter_mut().zip(v) {
             st(l, _mm512_set1_epi64(dig as i64));
         }
@@ -269,10 +467,16 @@ mod ifma {
                 std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        // Leave the domain: AMM(acc, 1) ≤ n, then subtract n where ≥ n.
+        leave(acc, n, c.n0_inv, x, tmp);
+    }
+
+    /// Leaves the domain into `x`: `AMM(acc, 1) ≤ n`, then `n` subtracted
+    /// where the result is at least `n`. `tmp` is scratch.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn leave(acc: &[Lane], n: &[Lane], n0_inv: u64, x: &mut [Lane], tmp: &mut [Lane]) {
         x.fill(Lane::default());
         st(&mut x[0], _mm512_set1_epi64(1));
-        amm(acc, x, n, n0_inv, tmp);
+        amm_n0(acc, x, n, n0_inv, tmp);
         let mut borrow = _mm512_setzero_si512();
         for ((l, t), nl) in x.iter_mut().zip(tmp.iter()).zip(n.iter()) {
             let diff = _mm512_sub_epi64(_mm512_sub_epi64(ld(t), ld(nl)), borrow);

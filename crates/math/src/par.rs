@@ -214,6 +214,10 @@ pub enum CostClass {
     /// microseconds and up per item: parallelism pays almost immediately,
     /// and fine-grained blocks keep stragglers rebalanced.
     Heavy,
+    /// Items that are each a group of `Heavy` ones run as one — a lane
+    /// group of [`crate::POW_BATCH_GROUP`] batch powers or Straus
+    /// columns. Two items already pay for the pool.
+    Batch,
     /// Cheap word/field-level items — a masked-database cell, a
     /// homomorphic add. Tens of nanoseconds per item: only large batches
     /// amortize even the persistent pool's wake/join handshake, and
@@ -227,6 +231,7 @@ impl CostClass {
     pub const fn min_items(self) -> usize {
         match self {
             CostClass::Heavy => 4,
+            CostClass::Batch => 2,
             CostClass::Light => 1024,
         }
     }
@@ -236,7 +241,7 @@ impl CostClass {
     /// cursor cold).
     const fn min_block(self) -> usize {
         match self {
-            CostClass::Heavy => 1,
+            CostClass::Heavy | CostClass::Batch => 1,
             CostClass::Light => 256,
         }
     }
@@ -764,6 +769,7 @@ mod tests {
     fn cost_class_thresholds_resolve() {
         // Class defaults apply when nothing is overridden…
         assert_eq!(CostClass::Heavy.min_items(), 4);
+        assert_eq!(CostClass::Batch.min_items(), 2);
         assert!(CostClass::Light.min_items() > CostClass::Heavy.min_items());
         // …and an explicit override beats both classes.
         with_config(4, 7, || {

@@ -165,14 +165,16 @@ where
             label: "arith-mul-blinded",
             reason: "malformed blinded pair",
         };
-        let prods: Vec<Nat> = blinded_pairs
+        let blinded = blinded_pairs
             .iter()
-            .map(|(e1, e2)| {
-                let v1 = sk.decrypt(&pk.ciphertext_from_bytes(e1).ok_or(BAD_BLINDED)?);
-                let v2 = sk.decrypt(&pk.ciphertext_from_bytes(e2).ok_or(BAD_BLINDED)?);
-                Ok(mod_mul(&v1, &v2, &u))
-            })
-            .collect::<Result<_, ProtocolError>>()?;
+            .flat_map(|(e1, e2)| [e1, e2])
+            .map(|e| pk.ciphertext_from_bytes(e).ok_or(BAD_BLINDED))
+            .collect::<Result<Vec<_>, _>>()?;
+        let prods: Vec<Nat> = sk
+            .decrypt_batch(&blinded)
+            .chunks(2)
+            .map(|v| mod_mul(&v[0], &v[1], &u))
+            .collect();
         let products: Vec<Vec<u8>> = sk
             .encrypt_batch(pk, &prods, rng)
             .iter()

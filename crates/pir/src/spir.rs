@@ -185,7 +185,8 @@ pub fn client_decode<P: HomomorphicPk, S: HomomorphicSk<P>>(
     answer: &SpirAnswer,
 ) -> Result<u64, ProtocolError> {
     let pads = pad_ot_output(params, state, &answer.pad_ot, pad_bytes(pk))?;
-    unpad(pk, sk, state, &answer.padded, &pads)
+    let ct = padded_ct(pk, state, &answer.padded)?;
+    unpad(pk, &sk.decrypt(&ct), &pads)
 }
 
 /// Server answer for multi-word items (width `W`): per column, `W` padded
@@ -351,11 +352,15 @@ pub fn client_decode_words<P: HomomorphicPk, S: HomomorphicSk<P>>(
 ) -> Result<Vec<u64>, ProtocolError> {
     let pad_w = pad_bytes(pk);
     let pads = pad_ot_output(params, state, &answer.pad_ot, answer.padded.len() * pad_w)?;
-    answer
+    let cts = answer
         .padded
         .iter()
+        .map(|chunk| padded_ct(pk, state, chunk))
+        .collect::<Result<Vec<_>, _>>()?;
+    sk.decrypt_batch(&cts)
+        .iter()
         .zip(pads.chunks(pad_w))
-        .map(|(chunk, pad)| unpad(pk, sk, state, chunk, pad))
+        .map(|(value, pad)| unpad(pk, value, pad))
         .collect()
 }
 
@@ -367,46 +372,47 @@ fn pad_ot_output(
     pad_ot: &ot_n::OtnAnswer,
     want: usize,
 ) -> Result<Vec<u8>, ProtocolError> {
-    let bad = |reason| ProtocolError::InvalidMessage {
-        label: "spir-answer",
-        reason,
-    };
     if pad_ot.bit_transfers.len() != ot_n::selection_bits(state.layout.cols)
         || pad_ot.ciphertexts.len() != state.layout.cols
     {
-        return Err(bad("pad OT answer mismatches layout"));
+        return Err(answer_error("pad OT answer mismatches layout"));
     }
     let pads = ot_n::receiver_output(&params.group, &state.ot_state, pad_ot);
     if pads.len() != want {
-        return Err(bad("OT pads do not match the answer"));
+        return Err(answer_error("OT pads do not match the answer"));
     }
     Ok(pads)
 }
 
-/// Decrypts the client's column of one padded chunk and removes `pad`.
-fn unpad<P: HomomorphicPk, S: HomomorphicSk<P>>(
+/// The client's column of one padded chunk, parsed.
+fn padded_ct<P: HomomorphicPk>(
     pk: &P,
-    sk: &S,
     state: &SpirClientState,
     chunk: &HomPirAnswer,
-    pad: &[u8],
-) -> Result<u64, ProtocolError> {
-    let bad = |reason| ProtocolError::InvalidMessage {
-        label: "spir-answer",
-        reason,
-    };
+) -> Result<P::Ciphertext, ProtocolError> {
     let (_, col) = state.layout.position(state.index);
     let ct_bytes = chunk
         .columns
         .get(col)
-        .ok_or(bad("answer has too few columns"))?;
-    let ct = pk
-        .ciphertext_from_bytes(ct_bytes)
-        .ok_or(bad("malformed answer ciphertext"))?;
+        .ok_or(answer_error("answer has too few columns"))?;
+    pk.ciphertext_from_bytes(ct_bytes)
+        .ok_or(answer_error("malformed answer ciphertext"))
+}
+
+/// The item in a decrypted padded column: `value − pad mod u`.
+fn unpad<P: HomomorphicPk>(pk: &P, value: &Nat, pad: &[u8]) -> Result<u64, ProtocolError> {
     let u = pk.plaintext_modulus();
-    mod_sub(&sk.decrypt(&ct), &Nat::from_le_bytes(pad).rem(u), u)
+    mod_sub(value, &Nat::from_le_bytes(pad).rem(u), u)
         .to_u64()
-        .ok_or(bad("unpadded item exceeds u64"))
+        .ok_or(answer_error("unpadded item exceeds u64"))
+}
+
+/// A malformed SPIR answer.
+fn answer_error(reason: &'static str) -> ProtocolError {
+    ProtocolError::InvalidMessage {
+        label: "spir-answer",
+        reason,
+    }
 }
 
 /// Runs the full 1-round SPIR over a metered channel: [`pump`] over a

@@ -195,3 +195,51 @@ fn pow_batch_heap_is_one_result_per_power_on_both_paths() {
         }
     }
 }
+
+/// A Straus fold allocates the same on the lane path (enough columns at
+/// the modulus width, on CPUs with AVX-512 IFMA) and on the scalar path
+/// (too few columns, and every fold elsewhere): one table sized by one
+/// formula on both paths — one slot for one plus one per entry, each as
+/// wide as the wider of `k` limbs and the lane digits — then the result
+/// vector and one `k`-limb residue per column. So the committed heap rows
+/// do not depend on the host CPU.
+#[test]
+fn multi_pow_fold_heap_is_the_same_on_both_paths() {
+    use spfe::math::{Montgomery, MultiPow, Nat, XorShiftRng};
+    let _g = lock();
+    let _t = ThreadsGuard::set(1);
+    let mut rng = XorShiftRng::new(0x57A5_F01D);
+    for k in [1, 2, 5, 16, 64] {
+        let mut n = Nat::random_exact_bits(&mut rng, 64 * k);
+        n.set_bit(0, true);
+        let bases: Vec<Nat> = (0..9).map(|_| Nat::random_below(&mut rng, &n)).collect();
+        let refs: Vec<&Nat> = bases.iter().collect();
+        let ctx = Montgomery::new(n);
+        // 0/1 exponents take width 1 whatever the column count, so the
+        // table has one size for every `uses`.
+        let column = |c: usize| -> Vec<Nat> {
+            (0..bases.len())
+                .map(|r| Nat::from(((r + c) % 3 == 0) as u64))
+                .collect()
+        };
+        let slot = k.max((64 * k + 2).div_ceil(52));
+        let table_bytes = ((1 + bases.len()) * slot * 8) as u64;
+        // A first fold builds the lane constants: paused, so it must
+        // tally the same as every later one.
+        for round in 0..2 {
+            for uses in [1, 8] {
+                let what = format!("k={k} uses={uses} round={round}");
+                let table = heap_of(|| MultiPow::new(&ctx, &refs, 1, uses));
+                assert_eq!(table, (1, table_bytes), "{what}");
+            }
+            for cols in [1, 8, 9] {
+                let exps: Vec<Vec<Nat>> = (0..cols).map(column).collect();
+                let table = MultiPow::new(&ctx, &refs, 1, cols);
+                let per_col = (8 * k + std::mem::size_of::<Nat>()) as u64;
+                let what = format!("k={k} cols={cols} round={round}");
+                let walk = heap_of(|| table.pow_batch(&exps));
+                assert_eq!(walk, (cols as u64 + 1, cols as u64 * per_col), "{what}");
+            }
+        }
+    }
+}
