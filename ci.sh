@@ -52,16 +52,19 @@ for seed in 1 77; do
   fi
 done
 
-echo "==> lane kernel tests (AVX-512 IFMA batch powers and column folds)"
-# Montgomery::pow_batch runs groups of eight same-exponent powers, and
-# MultiPow (the Paillier column fold) eight columns per Straus walk, on
-# the IFMA lane kernel when the CPU has it and on the scalar CIOS kernel
-# otherwise (DESIGN.md §8); both must match the scalar results bit for
-# bit. On an IFMA host the tests must say that the lane kernel ran, for
-# the batch powers and for the fold.
+echo "==> digit walk and lane kernel tests (powers, combs, batch powers, column folds)"
+# Every Montgomery power is one digit walk (straus_walk) over a kernel:
+# single powers and the FixedBasePow comb on scalar CIOS;
+# Montgomery::pow_batch (eight same-exponent powers) and MultiPow (the
+# Paillier column fold, eight columns per walk) on the IFMA lane kernels
+# when the CPU has them and on CIOS otherwise (DESIGN.md §8). All must
+# match the scalar results bit for bit, and the counting-walk test pins
+# the walk's product sequence. On an IFMA host the tests must say that
+# the lane kernel ran, for the batch powers and for the fold.
 LANE_LOG="$WORK/lanes.log"
 cargo test "${OFFLINE[@]}" --release -p spfe-math -p spfe-crypto -q -- --nocapture \
-  pow_batch lane_dispatch lane_fold crt_matches batch_apis decrypt_batch 2>&1 | tee "$LANE_LOG"
+  pow_batch lane_dispatch lane_fold crt_matches batch_apis decrypt_batch \
+  straus_walk fixed_base 2>&1 | tee "$LANE_LOG"
 if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   if ! grep -q "pow_batch[a-z_]*: lane kernel ran" "$LANE_LOG" \
     || ! grep -q "lane_fold[a-z_]*: lane kernel ran" "$LANE_LOG"; then

@@ -41,8 +41,11 @@ impl Bench {
     /// Standard setup: 96-bit Schnorr group, 160-bit Paillier moduli —
     /// small enough to sweep `n` quickly, large enough that every
     /// plaintext-capacity precondition of the protocols holds. Key sizes
-    /// scale all κ-terms together, so table *shapes* are unaffected
-    /// (DESIGN.md §4, substitution 4).
+    /// scale all κ-terms together, so the byte and half-round columns keep
+    /// their shape (DESIGN.md §4, substitution 4). Time does not: modexp
+    /// grows about cubically in κ while garbling and hashing do not grow,
+    /// so computation rankings measured at these keys understate the
+    /// Paillier and ElGamal protocols (ROADMAP: the κ-profile item).
     pub fn new() -> Self {
         let mut rng = ChaChaRng::from_u64_seed(0xBEAC);
         let group = SchnorrGroup::generate(96, &mut rng);

@@ -4,14 +4,16 @@
 //! fast repeated multiplication/exponentiation — the inner loop of Paillier,
 //! Goldwasser–Micali, ElGamal and the Naor–Pinkas oblivious transfer.
 //!
-//! Products go through one of two kernels. The scalar one is a fused CIOS
-//! multiply-and-reduce on limb-slice scratch: an exponentiation allocates
-//! its scratch once (on the stack up to the window table of a 4096-bit
-//! modulus) and touches the heap again only for its result. On CPUs with
-//! AVX-512 IFMA, batch powers ([`Montgomery::pow_batch`]) and Straus
-//! column folds ([`MultiPow`]) with enough work per group run eight
-//! numbers at a time on the lane kernel (`montgomery/lanes.rs`), with
-//! the same results and the same heap tallies.
+//! Every power is one digit walk, [`straus_walk`]: a single power is one
+//! row and one column, the fixed-base comb ([`FixedBasePow`]) one row per
+//! window at one position, a batch power ([`Montgomery::pow_batch`]) one
+//! row whose digit drives eight lanes, a Straus fold ([`MultiPow`]) one
+//! row per base. Its kernels are a fused CIOS multiply-and-reduce on
+//! limb-slice scratch ([`StrausCios`]) and, on CPUs with AVX-512 IFMA, a
+//! same-exponent and a gathering lane kernel (`montgomery/lanes.rs`), with
+//! the same results and heap tallies. A power allocates its scratch once
+//! (on the stack up to the window table of a 4096-bit modulus) and touches
+//! the heap again only for its result.
 
 use crate::nat::Nat;
 use std::cell::Cell;
@@ -247,11 +249,23 @@ impl Montgomery {
         });
     }
 
-    /// The plain residue in Montgomery-form slot `a` (`k` limbs), via the
-    /// product with 1 in `t`.
-    fn plain_residue(&self, a: &[u64], t: &mut [u64]) -> Nat {
-        self.cios_into(&[1], a, t);
-        Nat::from_limbs(t[..self.k].to_vec())
+    /// `a·R mod n` into the `k`-limb slot `out`, for a limb slice `a` of
+    /// any length; `t` is `k + 1` limbs of scratch.
+    fn to_mont(&self, a: &[u64], out: &mut [u64], t: &mut [u64]) {
+        self.load_reduced(a, out);
+        self.cios_into(out, &self.r2, t);
+        out.copy_from_slice(&t[..self.k]);
+    }
+
+    /// The table row builder: with `x·R` in the first slot of `row`, slot
+    /// `d < count` (slots `slot ≥ k` limbs apart) gets `x^(d+1)·R` as
+    /// `row[d] = row[d − 1]·row[0]`; `t` is `k + 1` limbs of scratch.
+    fn powers(&self, row: &mut [u64], slot: usize, count: usize, t: &mut [u64]) {
+        let k = self.k;
+        for d in 1..count {
+            self.cios_into(&row[(d - 1) * slot..][..k], &row[..k], t);
+            row[d * slot..][..k].copy_from_slice(&t[..k]);
+        }
     }
 
     /// `base^exp mod n` by fixed-window Montgomery exponentiation.
@@ -266,53 +280,25 @@ impl Montgomery {
     /// [`spfe_obs::Op::Modexp`], the same as the full-modulus power it
     /// replaces, so op counts do not depend on who computes.
     pub fn pow_uncounted(&self, base: &Nat, exp: &Nat) -> Nat {
-        if exp.is_zero() {
-            return Nat::one();
-        }
         let mut out = vec![0; self.k];
         self.pow_into(base.limbs(), exp, &mut out);
         Nat::from_limbs(out)
     }
 
     /// `base^exp mod n` into the `k`-limb slot `out`, for a limb slice
-    /// `base` of any length; the heap is touched only for a window table
-    /// too large for the stack.
+    /// `base` of any length, over a table of `base^d` in `k + 1`-limb
+    /// slots; the heap is touched only for a table too large for the stack.
     fn pow_into(&self, base: &[u64], exp: &Nat, out: &mut [u64]) {
-        if exp.is_zero() {
-            out.fill(0);
-            out[0] = 1;
-            return;
-        }
         let (k, w) = (self.k, self.k + 1);
-        let bits = exp.bit_len();
-        let win = window_bits(bits);
-        let entries = (1 << win) - 1;
-        with_scratch((entries + 2) * w, |s| {
-            // table[d - 1] = base^d in Montgomery form, one slot per digit.
-            let (table, work) = s.split_at_mut(entries * w);
-            let (mut acc, mut tmp) = work.split_at_mut(w);
-            self.load_reduced(base, &mut tmp[..k]);
-            self.cios_into(&tmp[..k], &self.r2, &mut table[..w]);
-            for d in 1..entries {
-                let (done, next) = table.split_at_mut(d * w);
-                self.cios_into(&done[(d - 1) * w..][..k], &done[..k], &mut next[..w]);
-            }
-            let entry = |d: usize| &table[(d - 1) * w..][..k];
-            let top = bits.div_ceil(win) - 1;
-            acc[..k].copy_from_slice(entry(digit(exp, top * win, win)));
-            for i in (0..top).rev() {
-                for _ in 0..win {
-                    self.cios_into(&acc[..k], &acc[..k], tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-                let d = digit(exp, i * win, win);
-                if d != 0 {
-                    self.cios_into(&acc[..k], entry(d), tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
-            self.cios_into(&[1], &acc[..k], tmp);
-            out.copy_from_slice(&tmp[..k]);
+        let win = window_bits(exp.bit_len());
+        let per_row = (1 << win) - 1;
+        with_scratch((per_row + 2) * w, |s| {
+            let (table, work) = s.split_at_mut(per_row * w);
+            self.to_mont(base, &mut table[..k], &mut work[..w]);
+            self.powers(table, w, per_row, &mut work[..w]);
+            let mut kernel = StrausCios::new(self, table, w, per_row, work);
+            pow_walk(&mut kernel, exp, win);
+            out.copy_from_slice(kernel.leave());
         })
     }
 
@@ -439,23 +425,17 @@ fn scalar_chain(base: &Nat, steps: &[(&Montgomery, &Nat)]) -> Nat {
 /// A group of at most eight bases through `steps` on the lane kernel,
 /// one base per lane; results are appended to `out` in order.
 fn lane_chain(group: &[&Nat], steps: &[(&Montgomery, &Nat)], out: &mut Vec<Nat>) {
-    let first = steps[0].0;
-    let d_max = steps.iter().map(|(m, _)| m.lane_consts().d).max();
-    let d_max = d_max.unwrap_or(1);
-    lanes::with_lanes(d_max, |x| {
+    let (first, last) = (steps[0].0, steps[steps.len() - 1].0);
+    lanes::with_lanes(last.lane_consts().d, |x| {
         load_lanes(first, group, x);
         // Each step leaves its residues below its modulus, a valid
         // (zero-extended) input of the next, wider step.
         for &(m, e) in steps {
             let c = m.lane_consts();
-            lanes::pow(c, &mut x[..c.d], e);
+            let win = c.window(e.bit_len()).expect("lane scratch fits");
+            lanes::same_exp(c, win, &mut x[..c.d], |kernel| pow_walk(kernel, e, win));
         }
-        let k_last = steps[steps.len() - 1].0.k;
-        for lane in 0..group.len() {
-            let mut res = vec![0; k_last];
-            lanes::limbs_from_digits(x.iter().map(|v| v.0[lane]), &mut res);
-            out.push(Nat::from_limbs(res));
-        }
+        lanes::push_lanes(x, group.len(), last.k, out);
     })
 }
 
@@ -482,18 +462,13 @@ const FB_DIGITS: usize = (1 << FB_WINDOW) - 1;
 ///
 /// The SPFE protocols exponentiate the *same* base over and over: ElGamal
 /// raises `g` and `y` once per encryption, the Naor–Pinkas OT raises the
-/// group generator per transfer, and a server scan multiplies thousands of
-/// such terms. [`Montgomery::pow`] pays `bit_len` squarings per call; this
-/// comb table pays them **once**, at construction:
-///
-/// for every 4-bit window `w` of a future exponent it stores
-/// `base^(d · 2^(4w))` (in Montgomery form) for each digit `d ∈ [1, 16)`,
-/// so [`FixedBasePow::pow`] is a pure product of at most
-/// `⌈max_exp_bits / 4⌉` precomputed factors — no squarings at all, a
-/// ~4–5× reduction in Montgomery multiplications for typical exponent
-/// sizes. Construction costs roughly three plain exponentiations, so the
-/// table amortizes after a handful of uses (one ElGamal encryption uses
-/// the `g`-table twice and the `y`-table once).
+/// group generator per transfer. [`Montgomery::pow`] pays `bit_len`
+/// squarings per call; this comb table pays them **once**: for every
+/// 4-bit window `w` of a future exponent it stores `base^(d · 2^(4w))` (in
+/// Montgomery form) for each digit `d ∈ [1, 16)`, so [`FixedBasePow::pow`]
+/// is a product of at most `⌈max_exp_bits / 4⌉` of them, no squarings, a
+/// ~4–5× saving in products. Construction costs about three plain powers,
+/// so the table amortizes after a handful of uses.
 ///
 /// The table is immutable after construction and `Send + Sync`, so pool
 /// workers (see [`crate::par`]) share one table by reference.
@@ -526,27 +501,17 @@ impl FixedBasePow {
     /// Larger exponents still work (see [`FixedBasePow::pow`]) but fall
     /// back to the generic square-and-multiply path.
     pub fn new(mont: std::sync::Arc<Montgomery>, base: &Nat, max_exp_bits: usize) -> Self {
-        let (k, w) = (mont.k, mont.k + 1);
+        let k = mont.k;
         let windows = max_exp_bits.max(1).div_ceil(FB_WINDOW);
         let base = base.rem(&mont.n);
         let mut table = vec![0u64; windows * FB_DIGITS * k];
-        with_scratch(2 * w, |s| {
-            let (mut cur, mut tmp) = s.split_at_mut(w);
-            // cur = base^(2^(FB_WINDOW * window)) in Montgomery form.
-            mont.load_reduced(base.limbs(), &mut tmp[..k]);
-            mont.cios_into(&tmp[..k], &mont.r2, cur);
-            for (window, row) in table.chunks_exact_mut(FB_DIGITS * k).enumerate() {
-                if window > 0 {
-                    for _ in 0..FB_WINDOW {
-                        mont.cios_into(&cur[..k], &cur[..k], tmp);
-                        std::mem::swap(&mut cur, &mut tmp);
-                    }
-                }
-                row[..k].copy_from_slice(&cur[..k]);
-                for d in 1..FB_DIGITS {
-                    mont.cios_into(&row[(d - 1) * k..][..k], &cur[..k], tmp);
-                    row[d * k..][..k].copy_from_slice(&tmp[..k]);
-                }
+        with_scratch(k + 1, |t| {
+            mont.to_mont(base.limbs(), &mut table[..k], t);
+            // Row w holds base^(d·16^w); the sixteenth power of its first
+            // entry is the first entry of row w + 1.
+            for w in 0..windows {
+                let count = FB_DIGITS + usize::from(w + 1 < windows);
+                mont.powers(&mut table[w * FB_DIGITS * k..], k, count, t);
             }
         });
         FixedBasePow {
@@ -567,7 +532,7 @@ impl FixedBasePow {
         self.windows * FB_WINDOW
     }
 
-    /// `base^exp mod n` — a product of precomputed window entries.
+    /// `base^exp mod n` by the comb walk ([`comb_walk`]).
     ///
     /// Exponents longer than [`FixedBasePow::capacity_bits`] are handled
     /// correctly via the generic path (at generic speed).
@@ -577,20 +542,11 @@ impl FixedBasePow {
             // The generic path also counts an `Op::Modexp`.
             return self.mont.pow(&self.base, exp);
         }
-        let mont = &self.mont;
-        let (k, w) = (mont.k, mont.k + 1);
-        with_scratch(2 * w, |s| {
-            let (mut acc, mut tmp) = s.split_at_mut(w);
-            acc[..k].copy_from_slice(&mont.one);
-            for window in 0..self.windows {
-                let d = digit(exp, window * FB_WINDOW, FB_WINDOW);
-                if d != 0 {
-                    let entry = &self.table[(window * FB_DIGITS + d - 1) * k..][..k];
-                    mont.cios_into(&acc[..k], entry, tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-            }
-            mont.plain_residue(&acc[..k], tmp)
+        let k = self.mont.k;
+        with_scratch(2 * (k + 1), |s| {
+            let mut kernel = StrausCios::new(&self.mont, &self.table, k, FB_DIGITS, s);
+            comb_walk(&mut kernel, exp, self.windows);
+            Nat::from_limbs(kernel.leave().to_vec())
         })
     }
 }
@@ -649,7 +605,7 @@ fn lane_min_cols(k: usize) -> usize {
 fn lane_fold_pays(mont: &Montgomery, uses: usize) -> bool {
     lanes::available()
         && uses.min(lanes::LANES) >= lane_min_cols(mont.k)
-        && mont.lane_consts().straus_fits()
+        && mont.lane_consts().fits(4)
 }
 
 /// Straus multi-exponentiation over a fixed list of bases:
@@ -658,22 +614,16 @@ fn lane_fold_pays(mont: &Montgomery, uses: usize) -> bool {
 /// A homomorphic PIR column is exactly this product over the query's
 /// encrypted row selectors. The table stores `base_r^d` in Montgomery
 /// form for every digit `d ∈ [1, 2^w)`, plus one entry for one, built once
-/// for all columns; [`MultiPow::pow_batch`] then walks the digit positions
-/// top down, sharing one chain of `w` squarings per position across every
-/// base, multiplying in the table entry of each non-zero digit, and
-/// leaving the Montgomery domain once at the end. Per product of `rows`
+/// for all columns; the walk ([`straus_walk`]) shares one chain of `w`
+/// squarings per digit position across every base. Per product of `rows`
 /// exponents of `b` bits that is at most `b + rows·⌈b/w⌉` products, where
 /// separate [`Montgomery::pow`] calls spend about `rows·b` on squarings
-/// alone.
-///
-/// On CPUs with AVX-512 IFMA, a job with enough columns at its modulus
-/// width builds the table eight bases at a time on the lane kernel and
+/// alone. On CPUs with AVX-512 IFMA, a job with enough columns at its
+/// modulus width builds the table eight bases at a time on the lanes and
 /// walks eight columns at a time, one per lane (DESIGN §8); otherwise
-/// the scalar kernel builds the table and walks column by column. One
-/// digit walk ([`straus_walk`]) drives both kernels. The window width
-/// `w` is derived from the shape of the job (see [`MultiPow::new`]).
-/// Nothing here is counted: callers count the logical operations a
-/// multi-exponentiation replaces.
+/// column by column on CIOS. The window width `w` is derived from the
+/// shape of the job (see [`MultiPow::new`]). Nothing here is counted:
+/// callers count the logical operations a multi-exponentiation replaces.
 #[derive(Debug)]
 pub struct MultiPow<'a> {
     mont: &'a Montgomery,
@@ -685,9 +635,10 @@ pub struct MultiPow<'a> {
     slot: usize,
     /// The lane constants when the table is in lane form.
     lanes: Option<&'a lanes::LaneConsts>,
-    /// Flat table of slots: slot 0 holds one and slot
-    /// `1 + r·(2^win − 1) + d − 1` holds `base_r^d`, in the kernel's
-    /// Montgomery form — `k` limbs below `n`, or lane digits below `2n`.
+    /// Flat table of slots: slot `1 + r·(2^win − 1) + d − 1` holds
+    /// `base_r^d` in the kernel's Montgomery form — `k` limbs below `n`,
+    /// or lane digits below `2n` with one in slot 0 (the scalar walk reads
+    /// one from the context; the slot stays so the size is the same).
     table: Vec<u64>,
 }
 
@@ -721,31 +672,24 @@ impl<'a> MultiPow<'a> {
                 let group_len = lanes::LANES * per_row * slot;
                 for (group, rows) in bases.chunks(lanes::LANES).zip(rows.chunks_mut(group_len)) {
                     let load = |x: &mut [lanes::Lane]| load_lanes(mont, group, x);
-                    lanes::powers(c, load, per_row, |e, v| {
-                        for (lane, row) in rows.chunks_exact_mut(per_row * slot).enumerate() {
-                            let entry = &mut row[(e - 1) * slot..][..c.d];
-                            for (w, dig) in entry.iter_mut().zip(v) {
-                                *w = dig.0[lane];
+                    lanes::frame(c, 4, |n, s| {
+                        lanes::powers(c, n, s, load, per_row, |e, v| {
+                            for (lane, row) in rows.chunks_exact_mut(per_row * slot).enumerate() {
+                                let entry = &mut row[(e - 1) * slot..][..c.d];
+                                for (w, dig) in entry.iter_mut().zip(v) {
+                                    *w = dig.0[lane];
+                                }
                             }
-                        }
+                        })
                     });
                 }
             }
-            None => {
-                one[..k].copy_from_slice(&mont.one);
-                with_scratch(k + 1, |t| {
-                    for (base, row) in bases.iter().zip(rows.chunks_exact_mut(per_row * slot)) {
-                        // row[0] = base·R; row[d] = row[d − 1]·row[0]·R⁻¹.
-                        mont.load_reduced(base.limbs(), &mut row[..k]);
-                        mont.cios_into(&row[..k], &mont.r2, t);
-                        row[..k].copy_from_slice(&t[..k]);
-                        for d in 1..per_row {
-                            mont.cios_into(&row[(d - 1) * slot..][..k], &row[..k], t);
-                            row[d * slot..][..k].copy_from_slice(&t[..k]);
-                        }
-                    }
-                });
-            }
+            None => with_scratch(k + 1, |t| {
+                for (base, row) in bases.iter().zip(rows.chunks_exact_mut(per_row * slot)) {
+                    mont.to_mont(base.limbs(), &mut row[..k], t);
+                    mont.powers(row, slot, per_row, t);
+                }
+            }),
         }
         MultiPow {
             mont,
@@ -775,40 +719,32 @@ impl<'a> MultiPow<'a> {
             Some(c) => {
                 for group in cols.chunks(lanes::LANES) {
                     lanes::straus(c, &self.table, self.slot, per_row, |kernel| {
-                        straus_walk(kernel, self.win, group);
-                        kernel.finish();
-                        for lane in 0..group.len() {
-                            let mut res = vec![0; k];
-                            lanes::limbs_from_digits(kernel.lane(lane), &mut res);
-                            out.push(Nat::from_limbs(res));
-                        }
+                        self.walk(kernel, group);
+                        lanes::push_lanes(kernel.finish(), group.len(), k, &mut out);
                     });
                 }
             }
             None => with_scratch(2 * (k + 1), |s| {
-                let (acc, tmp) = s.split_at_mut(k + 1);
-                let mut kernel = StrausCios {
-                    table: self,
-                    per_row,
-                    acc,
-                    tmp,
-                };
+                let table = &self.table[self.slot..];
+                let mut kernel = StrausCios::new(mont, table, self.slot, per_row, s);
                 for col in cols.chunks(1) {
-                    straus_walk(&mut kernel, self.win, col);
-                    out.push(mont.plain_residue(&kernel.acc[..k], kernel.tmp));
+                    self.walk(&mut kernel, col);
+                    out.push(Nat::from_limbs(kernel.leave().to_vec()));
                 }
             }),
         }
         out
     }
-}
 
-/// The [`MultiPow`] table slot of `base_row^d` with `per_row` entries a
-/// row: slot 0 holds one, the entry of a zero digit.
-fn entry_slot(per_row: usize, row: usize, d: usize) -> usize {
-    match d {
-        0 => 0,
-        d => 1 + row * per_row + d - 1,
+    /// The Straus walk: one row per base, one column per exponent vector
+    /// of `cols` (at most eight), the digit positions of the longest.
+    fn walk<C: AsRef<[Nat]>>(&self, kernel: &mut impl StrausKernel, cols: &[C]) {
+        let exps = cols.iter().flat_map(|c| c.as_ref());
+        let positions = exps.map(Nat::bit_len).max().unwrap_or(0).div_ceil(self.win);
+        let shape = [self.bases, cols.len(), positions];
+        straus_walk(kernel, self.win, shape, |c, r, lo| {
+            digit(&cols[c].as_ref()[r], lo, self.win)
+        });
     }
 }
 
@@ -822,63 +758,113 @@ trait StrausKernel {
     fn mul(&mut self, row: usize, digits: &[usize], load: bool);
 }
 
-/// The scalar [`StrausKernel`]: one column, CIOS products on `k`-limb
-/// slots, accumulator in `acc`.
-struct StrausCios<'t, 's> {
-    table: &'t MultiPow<'t>,
+/// The scalar [`StrausKernel`]: one column, CIOS products, `base_r^d` in
+/// the `slot`-limb slot `r·per_row + d − 1` of `table`, digit 0 `R mod n`.
+struct StrausCios<'a> {
+    mont: &'a Montgomery,
+    table: &'a [u64],
+    slot: usize,
     per_row: usize,
-    acc: &'s mut [u64],
-    tmp: &'s mut [u64],
+    acc: &'a mut [u64],
+    tmp: &'a mut [u64],
 }
 
-impl StrausKernel for StrausCios<'_, '_> {
+impl StrausKernel for StrausCios<'_> {
     fn square(&mut self) {
-        let k = self.table.mont.k;
-        self.table
-            .mont
+        let k = self.mont.k;
+        self.mont
             .cios_into(&self.acc[..k], &self.acc[..k], self.tmp);
         std::mem::swap(&mut self.acc, &mut self.tmp);
     }
 
     fn mul(&mut self, row: usize, digits: &[usize], load: bool) {
-        let (mp, k) = (self.table, self.table.mont.k);
-        let entry = &mp.table[entry_slot(self.per_row, row, digits[0]) * mp.slot..][..k];
+        let k = self.mont.k;
+        let entry = match digits[0] {
+            0 => &self.mont.one[..],
+            d => &self.table[(row * self.per_row + d - 1) * self.slot..][..k],
+        };
         if load {
             self.acc[..k].copy_from_slice(entry);
         } else {
-            mp.mont.cios_into(&self.acc[..k], entry, self.tmp);
+            self.mont.cios_into(&self.acc[..k], entry, self.tmp);
             std::mem::swap(&mut self.acc, &mut self.tmp);
         }
     }
 }
 
-/// The Straus digit walk of [`MultiPow::pow_batch`] over up to eight
-/// columns of exponents, once for both kernels: digit positions top down,
-/// `win` squarings per position shared by every base and column, then one
-/// product per row by each column's table entry, skipped where every
-/// column's digit is zero. The top position holds a non-zero digit, so
-/// the first product loads the accumulator and no squaring comes before
-/// it; columns of zeros alone load one.
-fn straus_walk<C: AsRef<[Nat]>>(kernel: &mut impl StrausKernel, win: usize, cols: &[C]) {
-    assert!(cols.len() <= lanes::LANES, "one column per lane");
-    let rows = cols.first().map_or(0, |c| c.as_ref().len());
-    let bits = cols
-        .iter()
-        .flat_map(|c| c.as_ref().iter().map(Nat::bit_len))
-        .max()
-        .unwrap_or(0);
+impl<'a> StrausCios<'a> {
+    /// The kernel over `table`, working in `s` (`2(k + 1)` limbs).
+    fn new(
+        mont: &'a Montgomery,
+        table: &'a [u64],
+        slot: usize,
+        per_row: usize,
+        s: &'a mut [u64],
+    ) -> Self {
+        let (acc, tmp) = s.split_at_mut(mont.k + 1);
+        StrausCios {
+            mont,
+            table,
+            slot,
+            per_row,
+            acc,
+            tmp,
+        }
+    }
+
+    /// Leaves the Montgomery domain: the plain residue, `k` limbs.
+    fn leave(&mut self) -> &[u64] {
+        let k = self.mont.k;
+        self.mont.cios_into(&[1], &self.acc[..k], self.tmp);
+        &self.tmp[..k]
+    }
+}
+
+/// The walk of one exponent, for one base or eight lanes: one row and
+/// column, `⌈bits/win⌉` positions.
+fn pow_walk(kernel: &mut impl StrausKernel, exp: &Nat, win: usize) {
+    let positions = exp.bit_len().div_ceil(win);
+    straus_walk(kernel, win, [1, 1, positions], |_, _, lo| {
+        digit(exp, lo, win)
+    });
+}
+
+/// The [`FixedBasePow`] comb walk: one row per 4-bit window of `exp`, all
+/// at one digit position, so no squarings.
+fn comb_walk(kernel: &mut impl StrausKernel, exp: &Nat, windows: usize) {
+    straus_walk(kernel, FB_WINDOW, [windows, 1, 1], |_, r, _| {
+        digit(exp, r * FB_WINDOW, FB_WINDOW)
+    });
+}
+
+/// The one digit walk of every power, over `[rows, cols, positions]`:
+/// rows of table entries, up to eight columns and digit positions of
+/// `win` bits, `digit(col, row, lo)` being the digit of a column and row
+/// at bit `lo`. Positions run top down: `win` squarings per position
+/// shared by every row and column, then one product per row by each
+/// column's table entry, skipped where every column's digit is zero. The
+/// first product loads the accumulator, so no squaring comes before it;
+/// an input of zeros alone loads one.
+fn straus_walk<K: StrausKernel>(
+    kernel: &mut K,
+    win: usize,
+    shape: [usize; 3],
+    digit: impl Fn(usize, usize, usize) -> usize,
+) {
+    let [rows, cols, positions] = shape;
+    assert!(cols <= lanes::LANES, "one column per lane");
     let mut digits = [0; lanes::LANES];
-    let digits = &mut digits[..cols.len()];
+    let digits = &mut digits[..cols];
     let mut loaded = false;
-    for i in (0..bits.div_ceil(win)).rev() {
+    for i in (0..positions).rev() {
         if loaded {
             for _ in 0..win {
                 kernel.square();
             }
         }
         for r in 0..rows {
-            for (d, col) in digits.iter_mut().zip(cols) {
-                *d = digit(&col.as_ref()[r], i * win, win);
+            for (c, d) in digits.iter_mut().enumerate() {
+                *d = digit(c, r, i * win);
             }
             if digits.iter().any(|&d| d != 0) {
                 kernel.mul(r, digits, !loaded);
@@ -992,6 +978,21 @@ mod tests {
             let e = Nat::from(e);
             assert_eq!(fb.pow(&e), ctx.pow(&base, &e), "e={}", e.to_dec());
         }
+        // At the table's edge: full capacity with every window digit
+        // non-zero, and one bit past it (the fallback).
+        let mut rng = XorShiftRng::new(0xFB_0022);
+        for k in [1, 2, 32, 64] {
+            let n = odd_modulus(&mut rng, k);
+            let a = Nat::random_below(&mut rng, &n);
+            let fb = FixedBasePow::new(Arc::new(Montgomery::new(n.clone())), &a, 96);
+            let full = Nat::one().shl(fb.capacity_bits()).sub(&Nat::one());
+            for e in [
+                full,
+                Nat::random_exact_bits(&mut rng, fb.capacity_bits() + 1),
+            ] {
+                assert_eq!(fb.pow(&e), naive_pow(&a, &e, &n), "k={k}");
+            }
+        }
     }
 
     #[test]
@@ -1044,6 +1045,76 @@ mod tests {
             let fb = FixedBasePow::new(Arc::clone(&ctx), &a, 128);
             let e = Nat::random_bits(&mut rng, 128);
             assert_eq!(fb.pow(&e), naive_pow(&a, &e, &n), "k={k}");
+            if k == 64 {
+                assert_eq!(ctx.pow(&a, &Nat::zero()), Nat::one());
+                assert_eq!(ctx.pow_uncounted(&b, &Nat::zero()), Nat::one());
+            }
+        }
+    }
+
+    /// Logs what the walk asks of its kernel: `s`quare, `l`oad, load of
+    /// `1` (every digit zero) and `p`roduct.
+    #[derive(Default)]
+    struct Log(String);
+
+    impl StrausKernel for Log {
+        fn square(&mut self) {
+            self.0.push('s');
+        }
+
+        fn mul(&mut self, _row: usize, digits: &[usize], load: bool) {
+            let zero = digits.iter().all(|&d| d == 0);
+            assert!(load || !zero, "a product by one");
+            self.0.push(if !load {
+                'p'
+            } else if zero {
+                '1'
+            } else {
+                'l'
+            });
+        }
+    }
+
+    /// The walk's product sequence for each shape: a single power of
+    /// `bits` bits at width `w` loads its top digit, then per lower digit
+    /// squares `w` times (`w·(⌈bits/w⌉ − 1)` in all) and multiplies if the
+    /// digit is non-zero; a comb loads its first non-zero window and
+    /// multiplies in the others, with no squaring; an input of zeros loads
+    /// one and does nothing else.
+    #[test]
+    fn straus_walk_issues_one_product_per_nonzero_digit() {
+        // Whether `e`'s `w`-bit digit `i` is non-zero, by shifts.
+        let nonzero = |e: u128, w: usize, i: usize| {
+            e.checked_shr((i * w) as u32).unwrap_or(0) & ((1 << w) - 1) != 0
+        };
+        let mut rng = XorShiftRng::new(0x5A1C_0022);
+        for bits in [1usize, 2, 5, 23, 24, 64, 100, 128] {
+            let top = 1u128 << (bits - 1);
+            let random =
+                top | (u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())) & (top - 1);
+            for e in [top, top | 1, random, u128::MAX >> (128 - bits)] {
+                for w in 1..=6 {
+                    let tail: String = (0..bits.div_ceil(w) - 1)
+                        .rev()
+                        .map(|i| "s".repeat(w) + if nonzero(e, w, i) { "p" } else { "" })
+                        .collect();
+                    let mut log = Log::default();
+                    pow_walk(&mut log, &Nat::from(e), w);
+                    assert_eq!(log.0, format!("l{tail}"), "e={e:#x} w={w}");
+                }
+                let windows = bits.div_ceil(4) + 2;
+                let products = (0..windows).filter(|&i| nonzero(e, 4, i)).count() - 1;
+                let mut log = Log::default();
+                comb_walk(&mut log, &Nat::from(e), windows);
+                assert_eq!(log.0, format!("l{}", "p".repeat(products)), "comb e={e:#x}");
+            }
+        }
+        for w in 1..=6 {
+            let mut log = Log::default();
+            pow_walk(&mut log, &Nat::zero(), w);
+            comb_walk(&mut log, &Nat::zero(), w);
+            straus_walk(&mut log, w, [5, lanes::LANES, 4], |_, _, _| 0);
+            assert_eq!(log.0, "111", "w={w}");
         }
     }
 

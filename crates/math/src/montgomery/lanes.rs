@@ -1,6 +1,6 @@
-//! Eight numbers at once: the AVX-512 IFMA lane kernel behind
-//! [`super::Montgomery::pow_batch`] (eight same-exponent powers) and the
-//! [`super::MultiPow`] column fold (eight columns of one Straus table).
+//! Eight numbers at once: the AVX-512 IFMA lane kernels of the digit walk
+//! for eight same-exponent powers ([`SameExpLanes`]) and for eight columns
+//! of one [`super::MultiPow`] table ([`StrausLanes`]).
 //!
 //! A lane vector holds one radix-2⁵² digit of eight numbers, one number
 //! per 64-bit lane, so a `d`-digit number set is `d` vectors. With
@@ -14,16 +14,14 @@
 //! 64-bit accumulators hold `d` rows without normalising until the end
 //! of the product (for `d` below 2¹⁰).
 //!
-//! A batch power walks one fixed-window chain over the shared exponent in
-//! all lanes. A Straus fold ([`StrausLanes`]) keeps one column per lane
-//! and multiplies each lane by the table entry of its own digit, gathered
-//! per digit vector. Either result leaves the domain as `AMM(x, 1) ≤ n`
-//! and takes one conditional subtraction.
+//! A batch power's lanes share each digit and one stack table of `x^e·R`.
+//! A fold keeps one column per lane and gathers each lane's entry per
+//! digit vector. One builder, [`powers`], fills both tables. Results leave
+//! the domain as `AMM(x, 1) ≤ n` and one conditional subtraction.
 //!
-//! Unsafe is confined to this module: the calls into the
-//! `#[target_feature]` code from [`pow`], [`powers`] and [`StrausLanes`],
-//! each made only after run-time detection, the aligned loads/stores
-//! between [`Lane`] and `__m512i`, and the bounds-checked table gathers.
+//! Unsafe is confined to this module: calls into `#[target_feature]` code
+//! after run-time detection, aligned loads/stores between [`Lane`] and
+//! `__m512i`, and the bounds-checked table gathers.
 #![allow(unsafe_code)]
 
 use super::on_stack;
@@ -112,23 +110,17 @@ impl LaneConsts {
     }
 
     /// The window width for an exponent of `bits` bits: the scalar
-    /// kernel's width, narrowed until the table and working rows fit the
-    /// large scratch tier; `None` when even width 1 does not.
+    /// kernel's width, narrowed until `n`, the table and the two working
+    /// rows fit the large scratch tier; `None` when even width 1 does not.
     pub(super) fn window(&self, bits: usize) -> Option<usize> {
         (1..=super::window_bits(bits))
             .rev()
-            .find(|&w| self.scratch_len(w) <= SCRATCH_LARGE)
+            .find(|&w| self.fits((1 << w) + 2))
     }
 
-    /// Lane vectors one power uses at window width `w`: `n`, the table,
-    /// the accumulator and the product output.
-    fn scratch_len(&self, w: usize) -> usize {
-        ((1 << w) + 2) * self.d
-    }
-
-    /// Whether a Straus walk's four working rows fit the scratch.
-    pub(super) fn straus_fits(&self) -> bool {
-        4 * self.d <= SCRATCH_LARGE
+    /// Whether `rows` numbers fit the scratch.
+    pub(super) fn fits(&self, rows: usize) -> bool {
+        rows * self.d <= SCRATCH_LARGE
     }
 }
 
@@ -143,112 +135,197 @@ pub(super) fn digits(limbs: &[u64]) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
-/// Packs 52-bit digits, low first, into the little-endian limbs `out`;
-/// `out` must hold every nonzero bit.
-pub(super) fn limbs_from_digits(digits: impl IntoIterator<Item = u64>, out: &mut [u64]) {
-    out.fill(0);
-    for (j, dig) in digits.into_iter().enumerate().filter(|&(_, g)| g != 0) {
-        let (pos, shift) = ((DIGIT_BITS * j) / 64, (DIGIT_BITS * j) % 64);
-        let bits = (dig as u128) << shift;
-        out[pos] |= bits as u64;
-        if (bits >> 64) != 0 {
-            out[pos + 1] |= (bits >> 64) as u64;
+/// Appends the first `count` lanes of `x` (digit vectors, low first) to
+/// `out` as numbers of `k` limbs, which must hold every nonzero bit.
+pub(super) fn push_lanes(x: &[Lane], count: usize, k: usize, out: &mut Vec<Nat>) {
+    for lane in 0..count {
+        let mut limbs = vec![0; k];
+        for (j, v) in x.iter().enumerate().filter(|(_, v)| v.0[lane] != 0) {
+            let (pos, shift) = ((DIGIT_BITS * j) / 64, (DIGIT_BITS * j) % 64);
+            let bits = (v.0[lane] as u128) << shift;
+            limbs[pos] |= bits as u64;
+            if (bits >> 64) != 0 {
+                limbs[pos + 1] |= (bits >> 64) as u64;
+            }
         }
+        out.push(Nat::from_limbs(limbs));
     }
 }
 
-/// Raises each lane of `x` (`c.d` digit vectors, every lane value below
-/// `R`) to `exp` modulo `n`, in place; each lane ends fully reduced.
-///
-/// # Panics
-///
-/// Panics unless this CPU has the kernel's features, `exp` is nonzero,
-/// `x` holds `c.d` vectors and `c.window(exp.bit_len())` is `Some`.
-pub(super) fn pow(c: &LaneConsts, x: &mut [Lane], exp: &Nat) {
+/// Writes the digits of `v` broadcast to every lane into `out`.
+fn broadcast(v: &[u64], out: &mut [Lane]) {
+    for (l, &dig) in out.iter_mut().zip(v) {
+        l.0 = [dig; LANES];
+    }
+}
+
+/// The frame of every lane job: runs `f(n, rest)` on `rows` numbers of
+/// zeroed stack lanes, the first holding `n` broadcast. Panics unless this
+/// CPU has the kernel's features and `c.fits(rows)`.
+pub(super) fn frame<T>(
+    c: &LaneConsts,
+    rows: usize,
+    f: impl FnOnce(&[Lane], &mut [Lane]) -> T,
+) -> T {
     assert!(available(), "lane kernel needs avx512f and avx512ifma");
-    assert!(!exp.is_zero() && x.len() == c.d, "lane power shape");
-    let win = c.window(exp.bit_len()).expect("lane scratch fits");
-    with_lanes(c.scratch_len(win), |s| {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available()` just confirmed avx512f and avx512ifma on
-        // this CPU, the only requirement of the target-feature function.
-        unsafe {
-            ifma::pow(c, x, exp, win, s);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        unreachable!("no lane kernel off x86_64: {:?}", s.len());
+    assert!(c.fits(rows), "lane scratch");
+    with_lanes(rows * c.d, |s| {
+        let (n, rest) = s.split_at_mut(c.d);
+        broadcast(&c.n, n);
+        f(n, rest)
     })
 }
 
-/// Calls `f(e, x^e·R)` for `e = 1..=count` in order, where `load` writes
-/// the numbers `x` (`c.d` digit vectors, every lane value below `R`) and
-/// each lane is raised on its own: the rows of a [`super::MultiPow`]
-/// table. The powers stay in the domain, below `2n`, as operands of later
-/// products.
-///
-/// # Panics
-///
-/// Panics unless this CPU has the kernel's features and
-/// `c.straus_fits()`.
+/// The lane table builder, in a [`frame`]: calls `f(e, x^e·R)` for
+/// `e = 1..=count` (`count ≥ 1`), each lane on its own, where `load`
+/// writes `x` (lanes below `R`). `s` holds at least three entries: `x·R`,
+/// then each later power in the next, `row[e] = row[e − 1]·row[0]`; past
+/// the end the last moves back to the second. The powers stay below `2n`.
 pub(super) fn powers(
     c: &LaneConsts,
+    n: &[Lane],
+    s: &mut [Lane],
     load: impl FnOnce(&mut [Lane]),
     count: usize,
     mut f: impl FnMut(usize, &[Lane]),
 ) {
     assert!(available(), "lane kernel needs avx512f and avx512ifma");
-    assert!(c.straus_fits(), "lane power shape");
-    let d = c.d;
-    with_lanes(4 * d, |s| {
-        let (n, rest) = s.split_at_mut(d);
-        let (first, rest) = rest.split_at_mut(d);
-        let (mut cur, mut next) = rest.split_at_mut(d);
-        load(next);
+    let (d, slots) = (c.d, s.len() / c.d);
+    assert!(slots >= 3, "lane power shape");
+    let (first, rest) = s.split_at_mut(d);
+    let (x, r2) = rest.split_at_mut(d);
+    load(x);
+    broadcast(&c.r2, r2);
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `available()` just confirmed avx512f and avx512ifma.
+    unsafe {
+        // x·R = AMM(x, R² mod n).
+        ifma::amm(x, r2, n, c.n0_inv, first);
+    }
+    f(1, first);
+    let mut at = 1;
+    for e in 2..=count {
+        if at == slots {
+            s.copy_within((slots - 1) * d..slots * d, d);
+            at = 2;
+        }
+        let (done, next) = s.split_at_mut(at * d);
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available()` just confirmed avx512f and avx512ifma.
+        // SAFETY: as above.
         unsafe {
-            ifma::broadcast(&c.n, n);
-            // x·R = AMM(x, R² mod n).
-            ifma::broadcast(&c.r2, cur);
-            ifma::amm_n0(next, cur, n, c.n0_inv, first);
+            ifma::amm(&done[(at - 1) * d..], done, n, c.n0_inv, &mut next[..d]);
         }
-        if count > 0 {
-            f(1, first);
-        }
-        cur.copy_from_slice(first);
-        for e in 2..=count {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            unsafe {
-                ifma::amm_n0(cur, first, n, c.n0_inv, next);
-            }
-            f(e, next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-    })
+        f(e, &next[..d]);
+        at += 1;
+    }
 }
 
-/// The [`super::MultiPow`] walk's lane kernel: one column per lane, each
-/// lane's accumulator in the domain below `2n`, over a table of
-/// [`LaneConsts::d`]-digit entries, one every `slot` words.
-pub(super) struct StrausLanes<'a> {
+/// Eight accumulators in the domain below `2n`, one per lane, and a
+/// scratch row: the product and the exit of both lane kernels.
+struct Acc<'a> {
     c: &'a LaneConsts,
-    table: &'a [u64],
-    slot: usize,
-    /// Table entries per row ([`super::entry_slot`]).
-    per_row: usize,
     n: &'a [Lane],
     acc: &'a mut [Lane],
     tmp: &'a mut [Lane],
+}
+
+impl<'a> Acc<'a> {
+    /// The accumulator and scratch rows at the front of `s`, in a
+    /// [`frame`] with `n`, and the rest of `s`.
+    fn split(c: &'a LaneConsts, n: &'a [Lane], s: &'a mut [Lane]) -> (Self, &'a mut [Lane]) {
+        let (acc, rest) = s.split_at_mut(c.d);
+        let (tmp, rest) = rest.split_at_mut(c.d);
+        (Acc { c, n, acc, tmp }, rest)
+    }
+
+    /// `acc ← AMM(acc, b)`, or `AMM(acc, acc)` for `None`.
+    fn mul(&mut self, b: Option<&[Lane]>) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Acc` exists only inside a `frame`, after
+        // `available()` confirmed avx512f and avx512ifma.
+        unsafe {
+            ifma::amm(
+                self.acc,
+                b.unwrap_or(self.acc),
+                self.n,
+                self.c.n0_inv,
+                self.tmp,
+            );
+        }
+        std::mem::swap(&mut self.acc, &mut self.tmp);
+    }
+
+    /// Leaves the domain into `x`, each lane fully reduced.
+    fn leave(&mut self, x: &mut [Lane]) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `mul`.
+        unsafe {
+            ifma::leave(self.acc, self.n, self.c.n0_inv, x, self.tmp);
+        }
+    }
+}
+
+/// Raises each lane of `x` (`c.d` digit vectors, lanes below `R`) in
+/// place, fully reduced, to the exponent that `walk` drives through a
+/// [`SameExpLanes`] kernel over `x^e·R` for every non-zero `win`-bit `e`.
+pub(super) fn same_exp(
+    c: &LaneConsts,
+    win: usize,
+    x: &mut [Lane],
+    walk: impl FnOnce(&mut SameExpLanes<'_>),
+) {
+    let count = (1 << win) - 1;
+    frame(c, count + 3, |n, s| {
+        // Entry e lands at (e − 1)·d: `s` holds them all.
+        powers(c, n, s, |v| v.copy_from_slice(x), count, |_, _| ());
+        let (table, rest) = s.split_at_mut(count * c.d);
+        let mut kernel = SameExpLanes {
+            a: Acc::split(c, n, rest).0,
+            table,
+        };
+        walk(&mut kernel);
+        kernel.a.leave(x);
+    })
+}
+
+/// The same-exponent lane kernel: every lane takes the entry of the shared
+/// digit `digits[0]`, `x^e·R` at `(e − 1)·d` of `table`.
+pub(super) struct SameExpLanes<'a> {
+    a: Acc<'a>,
+    table: &'a [Lane],
+}
+
+impl super::StrausKernel for SameExpLanes<'_> {
+    fn square(&mut self) {
+        self.a.mul(None);
+    }
+
+    /// The walk multiplies by non-zero digits only: digit 0 comes only as
+    /// the load of one for a zero exponent.
+    fn mul(&mut self, _row: usize, digits: &[usize], load: bool) {
+        let d = self.a.c.d;
+        let entry = |e: usize| &self.table[(e - 1) * d..][..d];
+        match (digits[0], load) {
+            (0, true) => broadcast(&self.a.c.one, self.a.acc),
+            (e, true) => self.a.acc.copy_from_slice(entry(e)),
+            (e, false) => self.a.mul(Some(entry(e))),
+        }
+    }
+}
+
+/// The gathering lane kernel: one column per lane, over a table of
+/// `c.d`-digit entries `slot` words apart, `per_row` a row after slot 0,
+/// which holds one for zero digits and idle lanes.
+pub(super) struct StrausLanes<'a> {
+    a: Acc<'a>,
+    table: &'a [u64],
+    slot: usize,
+    per_row: usize,
     op: &'a mut [Lane],
 }
 
-/// Runs `f` on a [`StrausLanes`] kernel over `table`.
-///
-/// # Panics
-///
-/// Panics unless this CPU has the kernel's features, `c.straus_fits()`
-/// and `slot ≥ c.d`.
+/// Runs `f` on a [`StrausLanes`] kernel over `table` in a four-row
+/// [`frame`]; panics unless `slot ≥ c.d`.
 pub(super) fn straus<T>(
     c: &LaneConsts,
     table: &[u64],
@@ -256,26 +333,14 @@ pub(super) fn straus<T>(
     per_row: usize,
     f: impl FnOnce(&mut StrausLanes<'_>) -> T,
 ) -> T {
-    assert!(available(), "lane kernel needs avx512f and avx512ifma");
-    assert!(c.straus_fits() && slot >= c.d, "lane Straus shape");
-    let d = c.d;
-    with_lanes(4 * d, |s| {
-        let (n, rest) = s.split_at_mut(d);
-        let (acc, rest) = rest.split_at_mut(d);
-        let (tmp, op) = rest.split_at_mut(d);
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available()` just confirmed avx512f and avx512ifma.
-        unsafe {
-            ifma::broadcast(&c.n, n);
-        }
+    assert!(slot >= c.d, "lane Straus shape");
+    frame(c, 4, |n, s| {
+        let (a, op) = Acc::split(c, n, s);
         f(&mut StrausLanes {
-            c,
+            a,
             table,
             slot,
             per_row,
-            n,
-            acc,
-            tmp,
             op,
         })
     })
@@ -283,62 +348,48 @@ pub(super) fn straus<T>(
 
 impl super::StrausKernel for StrausLanes<'_> {
     fn square(&mut self) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: a `StrausLanes` exists only inside `straus`, after
-        // `available()` confirmed avx512f and avx512ifma.
-        unsafe {
-            ifma::amm_n0(self.acc, self.acc, self.n, self.c.n0_inv, self.tmp);
-        }
-        std::mem::swap(&mut self.acc, &mut self.tmp);
+        self.a.mul(None);
     }
 
     /// Every lane past `digits` takes the one entry.
     fn mul(&mut self, row: usize, digits: &[usize], load: bool) {
-        let idx: [usize; LANES] = std::array::from_fn(|l| {
-            super::entry_slot(self.per_row, row, digits.get(l).copied().unwrap_or(0))
+        let idx: [usize; LANES] = std::array::from_fn(|l| match digits.get(l) {
+            Some(&e) if e != 0 => 1 + row * self.per_row + e - 1,
+            _ => 0,
         });
-        let last = idx.iter().max().map_or(0, |&i| i * self.slot + self.c.d);
+        let last = idx.iter().max().map_or(0, |&i| i * self.slot + self.a.c.d);
         assert!(last <= self.table.len(), "table entry out of range");
-        let dst = if load { &mut *self.acc } else { &mut *self.op };
+        let dst = if load {
+            &mut *self.a.acc
+        } else {
+            &mut *self.op
+        };
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: a `StrausLanes` exists only after `available()` confirmed
-        // avx512f and avx512ifma, and every gathered word lies below
-        // `last`, which is within the table.
+        // SAFETY: a `StrausLanes` exists only inside a `frame`, after
+        // `available()` confirmed avx512f, and every gathered word lies
+        // below `last`, which is within the table.
         unsafe {
             ifma::gather(self.table, self.slot, &idx, dst);
-            if !load {
-                ifma::amm_n0(self.acc, self.op, self.n, self.c.n0_inv, self.tmp);
-            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         unreachable!("no lane kernel off x86_64: {}", dst.len());
         if !load {
-            std::mem::swap(&mut self.acc, &mut self.tmp);
+            self.a.mul(Some(self.op));
         }
     }
 }
 
 impl StrausLanes<'_> {
-    /// Leaves the domain; [`StrausLanes::lane`] then reads each lane's
-    /// result, fully reduced.
-    pub(super) fn finish(&mut self) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `square`.
-        unsafe {
-            ifma::leave(self.acc, self.n, self.c.n0_inv, self.op, self.tmp);
-        }
-    }
-
-    /// The digits of lane `l` after [`StrausLanes::finish`], low first.
-    pub(super) fn lane(&self, l: usize) -> impl Iterator<Item = u64> + '_ {
-        self.op.iter().map(move |v| v.0[l])
+    /// Leaves the domain: each lane's result, fully reduced.
+    pub(super) fn finish(&mut self) -> &[Lane] {
+        self.a.leave(self.op);
+        self.op
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod ifma {
-    use super::{Lane, LaneConsts, DIGIT_MASK};
-    use crate::nat::Nat;
+    use super::{Lane, DIGIT_MASK};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -356,10 +407,11 @@ mod ifma {
     }
 
     /// `out = AMM(a, b)` with normalised digits; `n` holds the modulus
-    /// digits broadcast. `out` must not alias `a` or `b`.
-    #[inline]
+    /// digits broadcast, `n0_inv` is `−n⁻¹ mod 2⁵²`. `out` must not alias
+    /// `a` or `b`.
     #[target_feature(enable = "avx512f,avx512ifma")]
-    fn amm(a: &[Lane], b: &[Lane], n: &[Lane], n0_inv: __m512i, out: &mut [Lane]) {
+    pub(super) fn amm(a: &[Lane], b: &[Lane], n: &[Lane], n0_inv: u64, out: &mut [Lane]) {
+        let n0_inv = _mm512_set1_epi64(n0_inv as i64);
         let d = out.len();
         let (a, b, n) = (&a[..d], &b[..d], &n[..d]);
         let zero = _mm512_setzero_si512();
@@ -402,12 +454,6 @@ mod ifma {
         }
     }
 
-    /// [`amm`] with `−n⁻¹ mod 2⁵²` given as a word.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn amm_n0(a: &[Lane], b: &[Lane], n: &[Lane], n0_inv: u64, out: &mut [Lane]) {
-        amm(a, b, n, _mm512_set1_epi64(n0_inv as i64), out);
-    }
-
     /// `out[j]` = word `idx[l]·slot + j` of `table` in lane `l`, for every
     /// digit vector `j` of `out`.
     ///
@@ -426,57 +472,13 @@ mod ifma {
         }
     }
 
-    /// Writes the digits of `v` broadcast to every lane into `out`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn broadcast(v: &[u64], out: &mut [Lane]) {
-        for (l, &dig) in out.iter_mut().zip(v) {
-            st(l, _mm512_set1_epi64(dig as i64));
-        }
-    }
-
-    /// The fixed-window power of the module docs; `s` holds
-    /// `c.scratch_len(win)` vectors.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    pub(super) fn pow(c: &LaneConsts, x: &mut [Lane], exp: &Nat, win: usize, s: &mut [Lane]) {
-        let d = c.d;
-        let entries = (1 << win) - 1;
-        let (n, rest) = s.split_at_mut(d);
-        let (table, work) = rest.split_at_mut(entries * d);
-        let (mut acc, mut tmp) = work.split_at_mut(d);
-        broadcast(&c.n, n);
-        let n0_inv = _mm512_set1_epi64(c.n0_inv as i64);
-        // table[e − 1] = x^e·R: x·R = AMM(x, R² mod n).
-        broadcast(&c.r2, acc);
-        amm(x, acc, n, n0_inv, &mut table[..d]);
-        for e in 1..entries {
-            let (done, next) = table.split_at_mut(e * d);
-            amm(&done[(e - 1) * d..], &done[..d], n, n0_inv, &mut next[..d]);
-        }
-        let entry = |e: usize| &table[(e - 1) * d..][..d];
-        let bits = exp.bit_len();
-        let top = bits.div_ceil(win) - 1;
-        acc.copy_from_slice(entry(super::super::digit(exp, top * win, win)));
-        for i in (0..top).rev() {
-            for _ in 0..win {
-                amm(acc, acc, n, n0_inv, tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            let e = super::super::digit(exp, i * win, win);
-            if e != 0 {
-                amm(acc, entry(e), n, n0_inv, tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-        }
-        leave(acc, n, c.n0_inv, x, tmp);
-    }
-
     /// Leaves the domain into `x`: `AMM(acc, 1) ≤ n`, then `n` subtracted
     /// where the result is at least `n`. `tmp` is scratch.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) fn leave(acc: &[Lane], n: &[Lane], n0_inv: u64, x: &mut [Lane], tmp: &mut [Lane]) {
         x.fill(Lane::default());
         st(&mut x[0], _mm512_set1_epi64(1));
-        amm_n0(acc, x, n, n0_inv, tmp);
+        amm(acc, x, n, n0_inv, tmp);
         let mut borrow = _mm512_setzero_si512();
         for ((l, t), nl) in x.iter_mut().zip(tmp.iter()).zip(n.iter()) {
             let diff = _mm512_sub_epi64(_mm512_sub_epi64(ld(t), ld(nl)), borrow);
