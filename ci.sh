@@ -22,6 +22,12 @@ cargo build "${OFFLINE[@]}" --release --workspace --all-targets
 echo "==> cargo test"
 cargo test "${OFFLINE[@]}" --release --workspace -q
 
+echo "==> overflow-checked kernel tests (test profile)"
+# Every other test step runs --release, where integer overflow wraps
+# silently. selector_eval's narrow u64 block sums rely on a bound that
+# the test profile's overflow checks would catch with a panic.
+cargo test "${OFFLINE[@]}" -q -p spfe-circuits -p spfe-pir
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${OFFLINE[@]}" --release --workspace --all-targets -- -D warnings
 

@@ -16,9 +16,10 @@
 //! `P` is *evaluated implicitly* (gate by gate over field values). Each
 //! leaf costs `n` word multiply-adds plus about `1024 + 3n/1024` field
 //! multiplications ([`selector_eval`]: an eq-table inner product over
-//! 2¹⁰-entry blocks, reduced mod `p` only every `⌊(2¹²⁸−1)/(p−1)²⌋`
-//! terms); the explicit expansion to an `MPoly` is provided for
-//! validation on small instances.
+//! 2¹⁰-entry blocks, each summed in one `u64` when `p ≤ 4 194 301` and
+//! its words are below 2³², in `u128` reduced every
+//! `⌊(2¹²⁸−1)/(p−1)²⌋` terms otherwise); the explicit expansion to an
+//! `MPoly` is provided for validation on small instances.
 
 use spfe_math::{Fp64, MPoly};
 
@@ -208,13 +209,22 @@ const BLOCK_BITS: usize = 10;
 /// `χ_i(y)` factors over the low `lo = min(index_bits(n), 10)` and the
 /// high index bits, so `P₀(y) = Σ_b eq_hi[b] · Σ_j x_{b·2^lo + j} · eq_lo[j]`
 /// with two eq tables of `2^lo ≤ 1024` and `2^(index_bits(n)−lo) < 2n/2^lo`
-/// entries. Each block's inner sum accumulates raw `u128` products of
-/// reduced words and reduces only every `⌊(2¹²⁸−1)/(p−1)²⌋` terms (4 at
-/// `p ≈ 2⁶³`, never within a block for `p < 2⁵⁹`). Cost: `n`
-/// multiply-adds plus fewer than `2^lo + 3n/2^lo + ℓ` field
-/// multiplications, against `n·ℓ` for the per-entry product. The result
-/// is the canonical residue of the same value, so it is bit-identical to
-/// the per-entry form, and the scratch depends only on `n`.
+/// entries. Each block's inner sum is reduced mod `p` once, on one of two
+/// paths chosen by `p` and the block's words alone:
+///
+/// * **narrow**, when `(p−1)·(2³²−1)·2^lo ≤ 2⁶⁴−1` (every `p ≤ 4 194 301`
+///   at `lo = 10`) and every word of the block is below `2³²`: the
+///   products of the words, unreduced, and the eq entries, each below
+///   `(2³²−1)·(p−1)`, add up in one `u64`;
+/// * **wide** otherwise: raw `u128` products of reduced words, reduced
+///   every `⌊(2¹²⁸−1)/(p−1)²⌋` terms (4 at `p ≈ 2⁶³`, never within a
+///   block for `p < 2⁵⁹`).
+///
+/// Cost: `n` multiply-adds plus fewer than `2^lo + 3n/2^lo + ℓ` field
+/// multiplications, against `n·ℓ` for the per-entry product. Both paths
+/// give the canonical residue of the same value, so the result is
+/// bit-identical to the per-entry form, and the scratch depends only on
+/// `n`.
 ///
 /// # Panics
 ///
@@ -229,23 +239,48 @@ pub fn selector_eval(db: &[u64], y: &[u64], f: Fp64) -> u64 {
     let pm1 = (p - 1) as u128;
     // Terms of at most (p−1)² each that a u128 holds without overflow.
     let run = (u128::MAX / (pm1 * pm1)).min(eq_lo.len() as u128) as usize;
+    // A whole block of products of a word below 2³² and an eq entry fits
+    // in a u64.
+    let narrow = pm1 * u32::MAX as u128 * eq_lo.len() as u128 <= u64::MAX as u128;
     let mut acc = 0u64;
     for (block, &w) in db.chunks(eq_lo.len()).zip(&eq_hi) {
-        let mut block_sum = 0u64;
-        for (xs, eqs) in block.chunks(run).zip(eq_lo.chunks(run)) {
-            let mut lazy = 0u128;
-            for (&x, &e) in xs.iter().zip(eqs) {
-                let x = if x >= p { x % p } else { x };
-                lazy += x as u128 * e as u128;
-            }
-            block_sum = f.add(block_sum, (lazy % p as u128) as u64);
-        }
+        let block_sum = narrow
+            .then(|| narrow_block_sum(block, &eq_lo, p))
+            .flatten()
+            .unwrap_or_else(|| wide_block_sum(block, &eq_lo, run, f));
         acc = f.add(acc, f.mul(block_sum, w));
     }
     // Index bits beyond index_bits(n) are 0 for every entry.
     y[bits..]
         .iter()
         .fold(acc, |acc, &v| f.mul(acc, f.sub(1, f.from_u64(v))))
+}
+
+/// `Σ_j xs_j · eqs_j mod p` in one `u64`, or `None` if a word is ≥ 2³².
+/// The caller checks that `(p−1)·(2³²−1)·eqs.len()` fits in a `u64`.
+fn narrow_block_sum(xs: &[u64], eqs: &[u64], p: u64) -> Option<u64> {
+    let (mut sum, mut high) = (0u64, 0u64);
+    for (&x, &e) in xs.iter().zip(eqs) {
+        sum += (x as u32 as u64) * (e as u32 as u64);
+        high |= x >> 32;
+    }
+    (high == 0).then_some(sum % p)
+}
+
+/// `Σ_j xs_j · eqs_j` in the field: raw `u128` products of reduced
+/// words, reduced every `run` terms.
+fn wide_block_sum(xs: &[u64], eqs: &[u64], run: usize, f: Fp64) -> u64 {
+    let p = f.modulus();
+    xs.chunks(run)
+        .zip(eqs.chunks(run))
+        .fold(0, |sum, (xs, eqs)| {
+            let mut lazy = 0u128;
+            for (&x, &e) in xs.iter().zip(eqs) {
+                let x = if x >= p { x % p } else { x };
+                lazy += x as u128 * e as u128;
+            }
+            f.add(sum, (lazy % p as u128) as u64)
+        })
 }
 
 /// The eq table of `ys`: entry `i` is `Π_k (ys_k if i(k)=1 else 1−ys_k)`,
@@ -383,6 +418,8 @@ mod tests {
             13,
             65_537,
             1_000_003,
+            4_194_301, // largest prime with narrow 2¹⁰-entry blocks
+            4_194_319, // the next prime: every block wide
             (1 << 61) - 1,
             9_223_372_036_854_775_783, // largest prime below 2⁶³
         ];
@@ -391,7 +428,7 @@ mod tests {
             let f = Fp64::new(p).unwrap();
             for n in [1usize, 2, 3, 1023, 1024, 1025, 3000, 65_536] {
                 // Unreduced words (≥ p, up to u64::MAX) and a run of zeros.
-                let mut db: Vec<u64> = (0..n)
+                let mut wide: Vec<u64> = (0..n)
                     .map(|i| match i % 7 {
                         0 => u64::MAX - i as u64,
                         1 => p + i as u64,
@@ -399,22 +436,29 @@ mod tests {
                     })
                     .collect();
                 let zeros = n / 3..(n / 3 + n / 4).min(n);
-                db[zeros].fill(0);
+                wide[zeros].fill(0);
+                // Words below 2³², unreduced ones in [p, 2³²) among them.
+                let low: Vec<u64> = wide.iter().map(|&x| x >> 32).collect();
+                // The same with one word ≥ 2³² in a single block.
+                let mut one_high = low.clone();
+                one_high[n / 2] = 1 << 32;
                 let bits = index_bits(n);
-                for ell in bits..=bits + 2 {
-                    // Client coordinates may be unreduced too.
-                    let y: Vec<u64> = (0..ell)
-                        .map(|k| match k % 3 {
-                            0 => u64::MAX - k as u64,
-                            1 => p + rng.next_below(p),
-                            _ => rng.next_u64(),
-                        })
-                        .collect();
-                    assert_eq!(
-                        selector_eval(&db, &y, f),
-                        selector_per_entry(&db, &y, f),
-                        "p={p} n={n} ell={ell}"
-                    );
+                for (words, db) in [("wide", wide), ("low", low), ("one_high", one_high)] {
+                    for ell in bits..=bits + 2 {
+                        // Client coordinates may be unreduced too.
+                        let y: Vec<u64> = (0..ell)
+                            .map(|k| match k % 3 {
+                                0 => u64::MAX - k as u64,
+                                1 => p + rng.next_below(p),
+                                _ => rng.next_u64(),
+                            })
+                            .collect();
+                        assert_eq!(
+                            selector_eval(&db, &y, f),
+                            selector_per_entry(&db, &y, f),
+                            "p={p} n={n} ell={ell} words={words}"
+                        );
+                    }
                 }
             }
         }

@@ -26,6 +26,12 @@
 //!   `L_p(x) = (x−1)/p` and `h_p = L_p(g^(p−1) mod p²)^{-1} = (−q)^{-1}
 //!   mod p`, likewise `m_q`, and recombines `m mod n` with Garner's method.
 //!
+//! A batch encryption checks its random `r`s for units with one gcd: the
+//! draws' product mod `n` is a unit iff every draw is. Only when it is not
+//! does it check each draw and draw replacements one at a time, so the
+//! `r`s, the ciphertexts and the rng's end state are those of encrypting
+//! one message at a time.
+//!
 //! Each encryption's or decryption's set of half-width powers counts as
 //! one [`Op::Modexp`], like the full-width power it replaces, so op
 //! counts do not depend on who encrypts. Only the key holder may take
@@ -224,13 +230,37 @@ impl PaillierPk {
         }
     }
 
+    fn is_unit(&self, r: &Nat) -> bool {
+        !r.is_zero() && gcd(r, &self.n).is_one()
+    }
+
     fn random_unit<R: RandomSource + ?Sized>(&self, rng: &mut R) -> Nat {
         loop {
             let r = Nat::random_below(rng, &self.n);
-            if !r.is_zero() && gcd(&r, &self.n).is_one() {
+            if self.is_unit(&r) {
                 return r;
             }
         }
+    }
+
+    /// `m` units drawn exactly as `m` calls of
+    /// [`PaillierPk::random_unit`] draw them, with one gcd for the batch:
+    /// the `m` draws' product mod `n` is a unit iff every draw is (a zero
+    /// draw makes it zero). Only if it is not are the draws checked one by
+    /// one, the units kept in draw order and the rest drawn one at a time.
+    fn random_units<R: RandomSource + ?Sized>(&self, m: usize, rng: &mut R) -> Vec<Nat> {
+        let draws: Vec<Nat> = (0..m).map(|_| Nat::random_below(rng, &self.n)).collect();
+        let product = draws
+            .iter()
+            .fold(Nat::one(), |acc, r| mod_mul(&acc, r, &self.n));
+        if gcd(&product, &self.n).is_one() {
+            return draws;
+        }
+        let mut units: Vec<Nat> = draws.into_iter().filter(|r| self.is_unit(r)).collect();
+        while units.len() < m {
+            units.push(self.random_unit(rng));
+        }
+        units
     }
 
     /// `(1 + m·n) · rn mod n²` for `rn = r^n mod n²`, counted as one
@@ -243,17 +273,18 @@ impl PaillierPk {
     }
 
     /// Batch encryption on the worker pool: the per-ciphertext randomness
-    /// is drawn serially first (exactly the stream the serial loop would
-    /// draw), then each group of [`POW_BATCH_GROUP`] goes to
-    /// [`spfe_math::par`] as one batch power `r_pow_n` — the actual cost,
-    /// counted by it — and its encryptions; two groups already split.
+    /// is drawn serially first by [`PaillierPk::random_units`] (exactly
+    /// the stream the serial loop would draw), then each group of
+    /// [`POW_BATCH_GROUP`] goes to [`spfe_math::par`] as one batch power
+    /// `r_pow_n` — the actual cost, counted by it — and its encryptions;
+    /// two groups already split.
     fn encrypt_batch_with<R: RandomSource + ?Sized>(
         &self,
         ms: &[Nat],
         rng: &mut R,
         r_pow_n: impl Fn(&[&Nat]) -> Vec<Nat> + Sync,
     ) -> Vec<PaillierCt> {
-        let rs: Vec<Nat> = ms.iter().map(|_| self.random_unit(rng)).collect();
+        let rs = self.random_units(ms.len(), rng);
         let rs: Vec<&Nat> = rs.iter().collect();
         let groups: Vec<(&[Nat], &[&Nat])> = ms
             .chunks(POW_BATCH_GROUP)
@@ -576,6 +607,33 @@ mod tests {
         spfe_math::par::set_threads(None);
         assert_eq!(serial_sm, batch_sm);
         let _ = rng.next_u64();
+
+        // A 16-bit key draws a non-unit about once in a hundred draws, so
+        // over these seeds some batches hold one and take the per-draw
+        // fallback of the unit check.
+        let mut fallbacks = 0;
+        for seed in 0..24 {
+            let mut rng = ChaChaRng::from_u64_seed(seed);
+            let (pk, sk) = Paillier::keygen(16, &mut rng);
+            let ms: Vec<Nat> = (0..17u64).map(Nat::from).collect();
+            let mut probe = rng.clone();
+            if (0..ms.len()).any(|_| !pk.is_unit(&Nat::random_below(&mut probe, pk.n()))) {
+                fallbacks += 1;
+            }
+            let mut rng_a = rng.clone();
+            let serial: Vec<PaillierCt> = ms.iter().map(|m| pk.encrypt(m, &mut rng_a)).collect();
+            let (mut rng_pk, mut rng_sk) = (rng.clone(), rng.clone());
+            assert_eq!(serial, pk.encrypt_batch(&ms, &mut rng_pk), "seed={seed}");
+            assert_eq!(
+                serial,
+                sk.encrypt_batch(&pk, &ms, &mut rng_sk),
+                "seed={seed}"
+            );
+            let next = rng_a.next_u64();
+            assert_eq!(next, rng_pk.next_u64(), "seed={seed}");
+            assert_eq!(next, rng_sk.next_u64(), "seed={seed}");
+        }
+        assert!(fallbacks > 0, "no batch took the per-draw fallback");
     }
 
     #[test]
