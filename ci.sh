@@ -24,9 +24,12 @@ cargo test "${OFFLINE[@]}" --release --workspace -q
 
 echo "==> overflow-checked kernel tests (test profile)"
 # Every other test step runs --release, where integer overflow wraps
-# silently. selector_eval's narrow u64 block sums rely on a bound that
-# the test profile's overflow checks would catch with a panic.
+# silently. The selector's narrow u64 block sums rely on a bound that
+# the test profile's overflow checks would catch with a panic; the
+# multiserver tests reach them through Sum and Formula servers, several
+# points per pass.
 cargo test "${OFFLINE[@]}" -q -p spfe-circuits -p spfe-pir
+cargo test "${OFFLINE[@]}" -q -p spfe-core multiserver
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${OFFLINE[@]}" --release --workspace --all-targets -- -D warnings

@@ -15,11 +15,12 @@
 //!
 //! `P` is *evaluated implicitly* (gate by gate over field values). Each
 //! leaf costs `n` word multiply-adds plus about `1024 + 3n/1024` field
-//! multiplications ([`selector_eval`]: an eq-table inner product over
-//! 2¹⁰-entry blocks, each summed in one `u64` when `p ≤ 4 194 301` and
-//! its words are below 2³², in `u128` reduced every
-//! `⌊(2¹²⁸−1)/(p−1)²⌋` terms otherwise); the explicit expansion to an
-//! `MPoly` is provided for validation on small instances.
+//! multiplications ([`selector_evals`]: an eq-table inner product over
+//! 2¹⁰-entry blocks, each read once for up to four leaves and summed in
+//! one `u64` per leaf when `p ≤ 4 194 301` and its words are below 2³²,
+//! in `u128` reduced every `⌊(2¹²⁸−1)/(p−1)²⌋` terms otherwise); the
+//! explicit expansion to an `MPoly` is provided for validation on small
+//! instances.
 
 use spfe_math::{Fp64, MPoly};
 
@@ -198,73 +199,150 @@ pub fn encode_index(i: usize, ell: usize) -> Vec<u64> {
     (0..ell).map(|k| ((i >> k) & 1) as u64).collect()
 }
 
-/// Index bits covered by one block of [`selector_eval`]'s inner product.
+/// Index bits covered by one block of [`selector_evals`]' inner products.
 const BLOCK_BITS: usize = 10;
+
+/// Points whose block sums [`selector_evals`] forms in one pass over each
+/// block (measured in DESIGN.md §8).
+const GROUP: usize = 4;
 
 /// Evaluates the database selector polynomial
 /// `P₀(y) = Σ_i x_i · Π_k (y_k if i(k)=1 else 1-y_k)`
-/// at an arbitrary field point `y ∈ F^ℓ` — the implicit leaf evaluation of
-/// §3.1.
+/// at one field point `y ∈ F^ℓ` — the implicit leaf evaluation of §3.1.
 ///
-/// `χ_i(y)` factors over the low `lo = min(index_bits(n), 10)` and the
-/// high index bits, so `P₀(y) = Σ_b eq_hi[b] · Σ_j x_{b·2^lo + j} · eq_lo[j]`
-/// with two eq tables of `2^lo ≤ 1024` and `2^(index_bits(n)−lo) < 2n/2^lo`
-/// entries. Each block's inner sum is reduced mod `p` once, on one of two
-/// paths chosen by `p` and the block's words alone:
-///
-/// * **narrow**, when `(p−1)·(2³²−1)·2^lo ≤ 2⁶⁴−1` (every `p ≤ 4 194 301`
-///   at `lo = 10`) and every word of the block is below `2³²`: the
-///   products of the words, unreduced, and the eq entries, each below
-///   `(2³²−1)·(p−1)`, add up in one `u64`;
-/// * **wide** otherwise: raw `u128` products of reduced words, reduced
-///   every `⌊(2¹²⁸−1)/(p−1)²⌋` terms (4 at `p ≈ 2⁶³`, never within a
-///   block for `p < 2⁵⁹`).
-///
-/// Cost: `n` multiply-adds plus fewer than `2^lo + 3n/2^lo + ℓ` field
-/// multiplications, against `n·ℓ` for the per-entry product. Both paths
-/// give the canonical residue of the same value, so the result is
-/// bit-identical to the per-entry form, and the scratch depends only on
-/// `n`.
+/// The one-point call of [`selector_evals`]: the same result, with two
+/// eq tables of scratch and no result vector.
 ///
 /// # Panics
 ///
 /// Panics if `2^{y.len()} < db.len()`.
 pub fn selector_eval(db: &[u64], y: &[u64], f: Fp64) -> u64 {
+    let mut out = [0];
+    selector_evals_into(db, &[y], f, &mut out);
+    out[0]
+}
+
+/// Evaluates `P₀` at every point of `ys`, reading each database block once
+/// per group of up to four points rather than once per point.
+///
+/// `χ_i(y)` factors over the low `lo = min(index_bits(n), 10)` and the
+/// high index bits, so `P₀(y) = Σ_b eq_hi[b] · Σ_j x_{b·2^lo + j} · eq_lo[j]`
+/// with two eq tables of `2^lo ≤ 1024` and `2^(index_bits(n)−lo) < 2n/2^lo`
+/// entries per point. A group's tables are built once; then one pass over
+/// each block forms the inner sum of every point of the group, each
+/// reduced mod `p` once, on one of two paths chosen by `p` and the block's
+/// words alone:
+///
+/// * **narrow**, when `(p−1)·(2³²−1)·2^lo ≤ 2⁶⁴−1` (every `p ≤ 4 194 301`
+///   at `lo = 10`) and every word of the block is below `2³²`: the
+///   products of the words, unreduced, and the eq entries, each below
+///   `(2³²−1)·(p−1)`, add up in one `u64` per point;
+/// * **wide** otherwise, for every point of the group: raw `u128`
+///   products of reduced words, reduced every `⌊(2¹²⁸−1)/(p−1)²⌋` terms
+///   (4 at `p ≈ 2⁶³`, never within a block for `p < 2⁵⁹`).
+///
+/// Cost for `m` points: `n·⌈m/4⌉` word reads and `n·m` multiply-adds,
+/// plus fewer than `m·(2^lo + 3n/2^lo + ℓ)` field multiplications, against
+/// `n·ℓ·m` for the per-entry products. Both paths give the canonical
+/// residue of the same value, so every result is bit-identical to the
+/// per-entry form, and the scratch depends only on `n` and `m`.
+///
+/// # Panics
+///
+/// Panics if `2^{y.len()} < db.len()` for a point `y` of `ys`.
+pub fn selector_evals<Y: AsRef<[u64]>>(db: &[u64], ys: &[Y], f: Fp64) -> Vec<u64> {
+    let mut out = vec![0; ys.len()];
+    selector_evals_into(db, ys, f, &mut out);
+    out
+}
+
+/// [`selector_evals`] into `out`, one slot per point.
+fn selector_evals_into<Y: AsRef<[u64]>>(db: &[u64], ys: &[Y], f: Fp64, out: &mut [u64]) {
     let bits = index_bits(db.len().max(1));
-    assert!(y.len() >= bits, "too few index bits for the database");
     let lo = bits.min(BLOCK_BITS);
-    let eq_lo = eq_table(&y[..lo], f);
-    let eq_hi = eq_table(&y[lo..bits], f);
+    let (lo_len, hi_len) = (1 << lo, 1 << (bits - lo));
+    let width = ys.len().min(GROUP);
+    let mut eq_lo = vec![0; width * lo_len];
+    let mut eq_hi = vec![0; width * hi_len];
+    for (group, out) in ys.chunks(GROUP).zip(out.chunks_mut(GROUP)) {
+        let tables = eq_lo
+            .chunks_exact_mut(lo_len)
+            .zip(eq_hi.chunks_exact_mut(hi_len));
+        for (y, (eq_lo, eq_hi)) in group.iter().zip(tables) {
+            let y = y.as_ref();
+            assert!(y.len() >= bits, "too few index bits for the database");
+            eq_table(&y[..lo], f, eq_lo);
+            eq_table(&y[lo..bits], f, eq_hi);
+        }
+        let eq_lo = &eq_lo[..group.len() * lo_len];
+        let eq_hi = &eq_hi[..group.len() * hi_len];
+        group_sums(db, eq_lo, eq_hi, f, out);
+        // Index bits beyond index_bits(n) are 0 for every entry.
+        for (y, acc) in group.iter().zip(out) {
+            let tail = &y.as_ref()[bits..];
+            *acc = tail
+                .iter()
+                .fold(*acc, |acc, &v| f.mul(acc, f.sub(1, f.from_u64(v))));
+        }
+    }
+}
+
+/// `out[g] = Σ_b eq_hi_g[b] · Σ_j x_{b·2^lo + j} · eq_lo_g[j]` for the
+/// `out.len() ≤ GROUP` points whose `2^lo`-entry low tables make up
+/// `eq_lo` and high tables `eq_hi`: one read of each block serves every
+/// point. Not generic, so each width's pass is compiled once.
+fn group_sums(db: &[u64], eq_lo: &[u64], eq_hi: &[u64], f: Fp64, out: &mut [u64]) {
+    // One arm per group width up to GROUP.
+    match out.len() {
+        1 => out.copy_from_slice(&block_pass::<1>(db, eq_lo, eq_hi, f)),
+        2 => out.copy_from_slice(&block_pass::<2>(db, eq_lo, eq_hi, f)),
+        3 => out.copy_from_slice(&block_pass::<3>(db, eq_lo, eq_hi, f)),
+        _ => out.copy_from_slice(&block_pass::<GROUP>(db, eq_lo, eq_hi, f)),
+    }
+}
+
+/// [`group_sums`] for a group of `G` points.
+fn block_pass<const G: usize>(db: &[u64], eq_lo: &[u64], eq_hi: &[u64], f: Fp64) -> [u64; G] {
+    let (block_len, hi_len) = (eq_lo.len() / G, eq_hi.len() / G);
+    let lo: [&[u64]; G] = std::array::from_fn(|g| &eq_lo[g * block_len..][..block_len]);
+    let hi: [&[u64]; G] = std::array::from_fn(|g| &eq_hi[g * hi_len..][..hi_len]);
     let p = f.modulus();
     let pm1 = (p - 1) as u128;
     // Terms of at most (p−1)² each that a u128 holds without overflow.
-    let run = (u128::MAX / (pm1 * pm1)).min(eq_lo.len() as u128) as usize;
-    // A whole block of products of a word below 2³² and an eq entry fits
-    // in a u64.
-    let narrow = pm1 * u32::MAX as u128 * eq_lo.len() as u128 <= u64::MAX as u128;
-    let mut acc = 0u64;
-    for (block, &w) in db.chunks(eq_lo.len()).zip(&eq_hi) {
-        let block_sum = narrow
-            .then(|| narrow_block_sum(block, &eq_lo, p))
+    let run = (u128::MAX / (pm1 * pm1)).min(block_len as u128) as usize;
+    let narrow = narrow(p, block_len);
+    let mut acc = [0; G];
+    for (b, block) in db.chunks(block_len).enumerate() {
+        let sums = narrow
+            .then(|| narrow_block_sums(block, lo, p))
             .flatten()
-            .unwrap_or_else(|| wide_block_sum(block, &eq_lo, run, f));
-        acc = f.add(acc, f.mul(block_sum, w));
+            .unwrap_or_else(|| lo.map(|eqs| wide_block_sum(block, eqs, run, f)));
+        for ((acc, sum), hi) in acc.iter_mut().zip(sums).zip(hi) {
+            *acc = f.add(*acc, f.mul(sum, hi[b]));
+        }
     }
-    // Index bits beyond index_bits(n) are 0 for every entry.
-    y[bits..]
-        .iter()
-        .fold(acc, |acc, &v| f.mul(acc, f.sub(1, f.from_u64(v))))
+    acc
 }
 
-/// `Σ_j xs_j · eqs_j mod p` in one `u64`, or `None` if a word is ≥ 2³².
-/// The caller checks that `(p−1)·(2³²−1)·eqs.len()` fits in a `u64`.
-fn narrow_block_sum(xs: &[u64], eqs: &[u64], p: u64) -> Option<u64> {
-    let (mut sum, mut high) = (0u64, 0u64);
-    for (&x, &e) in xs.iter().zip(eqs) {
-        sum += (x as u32 as u64) * (e as u32 as u64);
+/// Whether a block of `len` products of a word below 2³² and an eq entry
+/// below `p` always fits in a `u64`: `(p−1)·(2³²−1)·len ≤ 2⁶⁴−1`.
+fn narrow(p: u64, len: usize) -> bool {
+    (p - 1) as u128 * u32::MAX as u128 * len as u128 <= u64::MAX as u128
+}
+
+/// `Σ_j xs_j · eqs_g[j] mod p` for every `g`, each in one `u64`, from one
+/// pass over `xs`; `None` if a word is ≥ 2³². The caller checks
+/// [`narrow`] for `p` and the tables' length.
+fn narrow_block_sums<const G: usize>(xs: &[u64], eqs: [&[u64]; G], p: u64) -> Option<[u64; G]> {
+    let eqs = eqs.map(|eqs| &eqs[..xs.len()]);
+    let (mut sums, mut high) = ([0u64; G], 0u64);
+    for (j, &x) in xs.iter().enumerate() {
+        for (sum, eqs) in sums.iter_mut().zip(eqs) {
+            *sum += (x as u32 as u64) * (eqs[j] as u32 as u64);
+        }
         high |= x >> 32;
     }
-    (high == 0).then_some(sum % p)
+    (high == 0).then(|| sums.map(|sum| sum % p))
 }
 
 /// `Σ_j xs_j · eqs_j` in the field: raw `u128` products of reduced
@@ -283,20 +361,19 @@ fn wide_block_sum(xs: &[u64], eqs: &[u64], run: usize, f: Fp64) -> u64 {
         })
 }
 
-/// The eq table of `ys`: entry `i` is `Π_k (ys_k if i(k)=1 else 1−ys_k)`,
-/// one field multiplication per entry (`v·(1−y) = v − v·y`).
-fn eq_table(ys: &[u64], f: Fp64) -> Vec<u64> {
-    let mut table = Vec::with_capacity(1 << ys.len());
-    table.push(1);
-    for &yk in ys {
+/// Fills `table` (`2^ys.len()` entries) with the eq table of `ys`: entry
+/// `i` is `Π_k (ys_k if i(k)=1 else 1−ys_k)`, one field multiplication per
+/// entry (`v·(1−y) = v − v·y`).
+fn eq_table(ys: &[u64], f: Fp64, table: &mut [u64]) {
+    table[0] = 1;
+    for (k, &yk) in ys.iter().enumerate() {
         let yk = f.from_u64(yk);
-        for j in 0..table.len() {
-            let vy = f.mul(table[j], yk);
-            table[j] = f.sub(table[j], vy);
-            table.push(vy);
+        let (low, high) = table[..2 << k].split_at_mut(1 << k);
+        for (v, vy) in low.iter_mut().zip(high) {
+            *vy = f.mul(*v, yk);
+            *v = f.sub(*v, *vy);
         }
     }
-    table
 }
 
 /// Explicitly expands the selector polynomial `P₀` for slot variables
@@ -353,20 +430,17 @@ pub fn compile_formula_mpoly(formula: &Formula, db: &[u64], ell: usize, f: Fp64)
 }
 
 /// Evaluates the §3.1 polynomial `P` implicitly at a point
-/// `y = (y_1 … y_m) ∈ (F^ℓ)^m` (one ℓ-vector per slot): each slot's selector
-/// is evaluated by [`selector_eval`], then combined through the gate
-/// polynomials.
+/// `y = (y_1 … y_m) ∈ (F^ℓ)^m` (one ℓ-vector per slot): every slot's
+/// selector is evaluated by one [`selector_evals`] call, which reads each
+/// database block once per four slots, then the values are combined
+/// through the gate polynomials.
 ///
 /// # Panics
 ///
 /// Panics if `slot_points.len()` is smaller than the formula's arity.
 pub fn eval_formula_poly(formula: &Formula, db: &[u64], slot_points: &[Vec<u64>], f: Fp64) -> u64 {
     assert!(slot_points.len() >= formula.arity());
-    let leaf_values: Vec<u64> = slot_points
-        .iter()
-        .map(|y| selector_eval(db, y, f))
-        .collect();
-    formula.arithmetized_eval(f, &leaf_values)
+    formula.arithmetized_eval(f, &selector_evals(db, slot_points, f))
 }
 
 #[cfg(test)]
@@ -426,7 +500,7 @@ mod tests {
         let mut rng = XorShiftRng::new(13);
         for p in primes {
             let f = Fp64::new(p).unwrap();
-            for n in [1usize, 2, 3, 1023, 1024, 1025, 3000, 65_536] {
+            for n in [1usize, 2, 3, 5, 1023, 1024, 1025, 3000, 65_536] {
                 // Unreduced words (≥ p, up to u64::MAX) and a run of zeros.
                 let mut wide: Vec<u64> = (0..n)
                     .map(|i| match i % 7 {
@@ -444,20 +518,29 @@ mod tests {
                 one_high[n / 2] = 1 << 32;
                 let bits = index_bits(n);
                 for (words, db) in [("wide", wide), ("low", low), ("one_high", one_high)] {
-                    for ell in bits..=bits + 2 {
-                        // Client coordinates may be unreduced too.
-                        let y: Vec<u64> = (0..ell)
-                            .map(|k| match k % 3 {
-                                0 => u64::MAX - k as u64,
-                                1 => p + rng.next_below(p),
-                                _ => rng.next_u64(),
-                            })
-                            .collect();
-                        assert_eq!(
-                            selector_eval(&db, &y, f),
-                            selector_per_entry(&db, &y, f),
-                            "p={p} n={n} ell={ell} words={words}"
-                        );
+                    // Nine points with 0 to 2 index bits past index_bits(n):
+                    // groups of one to four points, and more than one group.
+                    // Client coordinates may be unreduced too.
+                    let ys: Vec<Vec<u64>> = (0..9)
+                        .map(|i| {
+                            (0..bits + i % 3)
+                                .map(|k| match k % 3 {
+                                    0 => u64::MAX - k as u64,
+                                    1 => p + rng.next_below(p),
+                                    _ => rng.next_u64(),
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let want: Vec<u64> = ys.iter().map(|y| selector_per_entry(&db, y, f)).collect();
+                    for (y, &want) in ys.iter().zip(&want) {
+                        let ell = y.len();
+                        let got = selector_eval(&db, y, f);
+                        assert_eq!(got, want, "p={p} n={n} ell={ell} words={words}");
+                    }
+                    for m in 1..=ys.len() {
+                        let got = selector_evals(&db, &ys[..m], f);
+                        assert_eq!(got, want[..m], "p={p} n={n} m={m} words={words}");
                     }
                 }
             }
@@ -467,6 +550,26 @@ mod tests {
     #[test]
     fn selector_eval_of_an_empty_database_is_zero() {
         assert_eq!(selector_eval(&[], &[5, 7], field()), 0);
+        assert_eq!(selector_evals(&[], &[[5, 7]; 9], field()), [0; 9]);
+        assert!(selector_evals::<&[u64]>(&[1, 2], &[], field()).is_empty());
+    }
+
+    #[test]
+    fn narrow_block_sums_hold_a_worst_case_block() {
+        let len = 1 << BLOCK_BITS;
+        assert!(narrow(4_194_301, len), "the largest narrow prime");
+        assert!(!narrow(4_194_319, len), "the next prime");
+        // Every product at its largest, (2³²−1)·(p−1), in every
+        // accumulator of a full group.
+        let xs = vec![u32::MAX as u64; len];
+        for p in [65_537, 4_194_301, 4_194_319] {
+            if narrow(p, len) {
+                let eqs = vec![p - 1; len];
+                let want = len as u128 * u32::MAX as u128 * (p - 1) as u128 % p as u128;
+                let sums = narrow_block_sums::<GROUP>(&xs, [&eqs[..]; GROUP], p);
+                assert_eq!(sums, Some([want as u64; GROUP]), "p={p}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! both parties over the channel, fanning the server evaluations out on
 //! the worker pool.
 
-use spfe_circuits::formula::{encode_index, eval_formula_poly, index_bits, selector_eval, Formula};
+use spfe_circuits::formula::{
+    encode_index, eval_formula_poly, index_bits, selector_evals, Formula,
+};
 use spfe_math::par::{par_map_cost, CostClass};
 use spfe_math::{Fp64, Poly, RandomSource};
 use spfe_transport::{
@@ -78,11 +80,9 @@ impl MsFunction {
             MsFunction::Formula(phi) => eval_formula_poly(phi, db, slot_points, field),
             MsFunction::Sum { m } => {
                 assert!(slot_points.len() >= *m);
-                let mut acc = 0u64;
-                for y in &slot_points[..*m] {
-                    acc = field.add(acc, selector_eval(db, y, field));
-                }
-                acc
+                selector_evals(db, &slot_points[..*m], field)
+                    .into_iter()
+                    .fold(0, |acc, v| field.add(acc, v))
             }
         }
     }
