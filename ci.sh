@@ -31,6 +31,13 @@ echo "==> overflow-checked kernel tests (test profile)"
 cargo test "${OFFLINE[@]}" -q -p spfe-circuits -p spfe-pir
 cargo test "${OFFLINE[@]}" -q -p spfe-core multiserver
 
+echo "==> multi-database and robust examples"
+# The two examples assert their results, and outside the tests they are
+# the only users of multiserver's many-database and fault-budget
+# parameters.
+cargo run "${OFFLINE[@]}" --release -q --example multiserver_sum
+cargo run "${OFFLINE[@]}" --release -q --example robust_and_hidden
+
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${OFFLINE[@]}" --release --workspace --all-targets -- -D warnings
 

@@ -1359,7 +1359,7 @@ fn e2_theorem2() {
             let truth: u64 = indices.iter().map(|&i| db[i]).sum();
             let meas = measure_as("e2", &format!("multiserver n={n} t={t_priv}"), k, |t| {
                 let got = multiserver::run(t, &params, &db, &indices, Some(7), &mut b.rng).unwrap();
-                assert_eq!(got, truth % field.modulus());
+                assert_eq!(got, [truth % field.modulus()]);
             });
             let ell = index_bits(n);
             rows.push(vec![
@@ -1511,10 +1511,18 @@ fn e6_weighted_sum() {
         let truth: u64 = indices.iter().zip(&weights).map(|(&i, &w)| db[i] * w).sum();
         let meas = measure_as("e6", &format!("weighted-sum n={n}"), 1, |t| {
             let got = stats::weighted_sum(
-                t, &b.group, &b.pk, &b.sk, &db, &indices, &weights, field, &mut b.rng,
+                t,
+                &b.group,
+                &b.pk,
+                &b.sk,
+                &[&db],
+                &indices,
+                &weights,
+                field,
+                &mut b.rng,
             )
             .unwrap();
-            assert_eq!(got, truth % field.modulus());
+            assert_eq!(got, [truth % field.modulus()]);
         });
         let buy = baseline::buy_cost_bytes(n, 64);
         rows.push(vec![
@@ -1551,22 +1559,47 @@ fn e7_package() {
     let field = field_for(n, m, 90_000);
 
     let pkg = measure_as("e7", "avg-var package", 1, |t| {
-        let (s, ss) = stats::average_and_variance(
-            t, &b.group, &b.pk, &b.sk, &db, &sq, &indices, field, &mut b.rng,
+        let w = vec![1u64; m];
+        let got = stats::weighted_sum(
+            t,
+            &b.group,
+            &b.pk,
+            &b.sk,
+            &[&db, &sq],
+            &indices,
+            &w,
+            field,
+            &mut b.rng,
         )
         .unwrap();
         let es: u64 = indices.iter().map(|&i| db[i]).sum();
         let ess: u64 = indices.iter().map(|&i| sq[i]).sum();
-        assert_eq!((s, ss), (es, ess));
+        assert_eq!(got, [es, ess]);
     });
     let two = measure_as("e7", "two weighted-sum runs", 1, |t| {
         let w = vec![1u64; m];
         stats::weighted_sum(
-            t, &b.group, &b.pk, &b.sk, &db, &indices, &w, field, &mut b.rng,
+            t,
+            &b.group,
+            &b.pk,
+            &b.sk,
+            &[&db],
+            &indices,
+            &w,
+            field,
+            &mut b.rng,
         )
         .unwrap();
         stats::weighted_sum(
-            t, &b.group, &b.pk, &b.sk, &sq, &indices, &w, field, &mut b.rng,
+            t,
+            &b.group,
+            &b.pk,
+            &b.sk,
+            &[&sq],
+            &indices,
+            &w,
+            field,
+            &mut b.rng,
         )
         .unwrap();
     });
@@ -1609,7 +1642,8 @@ fn e8_frequency() {
             let shares =
                 input_select::select1(t, &b.group, &b.pk, &b.sk, &db, &indices, field, &mut b.rng)
                     .unwrap();
-            let got = stats::frequency(t, &b.pk, &b.sk, &shares, keyword, &mut b.rng).unwrap();
+            let keywords = vec![keyword; m];
+            let got = stats::frequency(t, &b.pk, &b.sk, &shares, &keywords, &mut b.rng).unwrap();
             assert_eq!(got, truth);
         });
         let generic = measure_as("e8", &format!("frequency-generic m={m}"), 1, |t| {
@@ -1673,14 +1707,14 @@ fn e9_crossover() {
                 &b.group,
                 &b.pk,
                 &b.sk,
-                &db,
+                &[&db],
                 &indices,
                 &[1, 1, 1, 1],
                 field,
                 &mut b.rng,
             )
             .unwrap();
-            assert_eq!(got, truth);
+            assert_eq!(got, [truth]);
         });
         let buy = baseline::buy_cost_bytes(n, 64);
         let yao = baseline::generic_yao_cost_estimate(n, m, 6);

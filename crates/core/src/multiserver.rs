@@ -12,25 +12,26 @@
 //! (`= t·s·log₂ n + 1` for a size-`s` formula — Theorem 2).
 //!
 //! The tiny per-server replies are the protocol's signature feature: the
-//! same query can be answered against several databases (e.g. `x` and the
-//! squared `x'` for average+variance, §4) at one extra field element each.
+//! same query can be answered against several databases (one per time
+//! period, or `x` and the squared `x'` for average+variance, §4) at one
+//! extra field element each — [`MultiServerParams::with_databases`]. The
+//! remark after Theorem 2, "t′ malicious servers can be tolerated by
+//! adding 2t′ additional servers", is [`MultiServerParams::with_faults`]:
+//! the client decodes around up to `e` wrong answers with Berlekamp–Welch.
 //!
-//! The basic protocol is written once, as sans-io cores (DESIGN.md §15):
-//! [`run`] pumps [`MsClientCore`] against [`server_cores`] in process, and
-//! the networked server hosts the same server cores. The robust and
-//! multi-database variants ([`run_robust`], [`run_sum_and_squares`],
-//! [`run_many_databases`]) have their own answer formats and still play
-//! both parties over the channel, fanning the server evaluations out on
-//! the worker pool.
+//! The protocol is written once, as sans-io cores (DESIGN.md §15): [`run`]
+//! pumps [`MsClientCore`] against [`server_cores`] in process, and the
+//! networked server hosts the same server cores.
 
 use spfe_circuits::formula::{
     encode_index, eval_formula_poly, index_bits, selector_evals, Formula,
 };
 use spfe_math::par::{par_map_cost, CostClass};
+use spfe_math::rs::berlekamp_welch;
 use spfe_math::{Fp64, Poly, RandomSource};
 use spfe_transport::{
-    pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError, Reader,
-    SessionCore, SessionState, Wire, WireError,
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -138,10 +139,17 @@ pub struct MultiServerParams {
     pub field: Fp64,
     /// The function.
     pub function: MsFunction,
+    /// Fault budget `e`: wrong answers the client decodes around, at two
+    /// extra servers each (0: plain interpolation).
+    faults: usize,
+    /// Number of databases `D` each server answers the one query against
+    /// (at least 1).
+    databases: usize,
 }
 
 impl MultiServerParams {
-    /// Builds parameters for a database of `n` items.
+    /// Builds parameters for one database of `n` items and no fault
+    /// budget.
     ///
     /// # Panics
     ///
@@ -149,24 +157,58 @@ impl MultiServerParams {
     /// required number of evaluation points.
     pub fn new(n: usize, t: usize, field: Fp64, function: MsFunction) -> Self {
         assert!(t >= 1 && n >= 1);
-        let ell = index_bits(n);
-        let params = MultiServerParams {
+        MultiServerParams {
             t,
-            ell,
+            ell: index_bits(n),
             field,
             function,
-        };
-        assert!(
-            (params.num_servers() as u64) < field.modulus(),
-            "field too small for {} servers",
-            params.num_servers()
-        );
-        params
+            faults: 0,
+            databases: 1,
+        }
+        .checked()
     }
 
-    /// Theorem 2's server count: `k = deg(P)·t + 1`.
+    /// With a fault budget of `e`: `2e` more servers, and a client that
+    /// decodes around up to `e` wrong answers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field is smaller than the new server count.
+    #[must_use]
+    pub fn with_faults(mut self, e: usize) -> Self {
+        self.faults = e;
+        self.checked()
+    }
+
+    /// With `d` databases of one length, all answered against one query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    #[must_use]
+    pub fn with_databases(mut self, d: usize) -> Self {
+        assert!(d >= 1, "need at least one database");
+        self.databases = d;
+        self
+    }
+
+    fn checked(self) -> Self {
+        assert!(
+            (self.num_servers() as u64) < self.field.modulus(),
+            "field too small for {} servers",
+            self.num_servers()
+        );
+        self
+    }
+
+    /// Degree `deg(P)·t` of the univariate polynomial the answers lie on.
+    fn degree(&self) -> usize {
+        self.function.poly_degree(self.ell) * self.t
+    }
+
+    /// Theorem 2's server count `k = deg(P)·t + 1`, plus `2e`.
     pub fn num_servers(&self) -> usize {
-        self.function.poly_degree(self.ell) * self.t + 1
+        self.degree() + 1 + 2 * self.faults
     }
 
     /// Evaluation point of server `h`.
@@ -190,6 +232,24 @@ impl Wire for MsQuery {
         Ok(MsQuery {
             slot_points: Vec::<Vec<u64>>::decode(r)?,
         })
+    }
+}
+
+/// One server's reply: a field element per database, back to back with no
+/// length prefix, so a one-database reply is a bare `u64`.
+#[derive(Debug)]
+struct MsAnswer(Vec<u64>);
+
+impl Wire for MsAnswer {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.iter().for_each(|v| v.encode(out));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut values = Vec::with_capacity(r.remaining() / 8);
+        while !r.is_exhausted() {
+            values.push(u64::decode(r)?);
+        }
+        Ok(MsAnswer(values))
     }
 }
 
@@ -217,19 +277,11 @@ pub fn client_queries<R: RandomSource + ?Sized>(
                 .collect()
         })
         .collect();
-    eval_curves_at_servers(params, &curves, params.num_servers())
-}
-
-/// Evaluates every coordinate curve at each server's point — rng-free, so
-/// the per-server work may shard across the worker pool (ordered by `h`).
-/// One item is `m·ℓ` degree-`t` evaluations, about a microsecond: `Light`,
-/// since waking the pool would cost more than the work.
-fn eval_curves_at_servers(
-    params: &MultiServerParams,
-    curves: &[Vec<Poly>],
-    k: usize,
-) -> Vec<MsQuery> {
-    let hs: Vec<usize> = (0..k).collect();
+    // Evaluating the curves at each server's point is rng-free, so it may
+    // shard across the worker pool (ordered by `h`). One item is `m·ℓ`
+    // degree-t evaluations, about a microsecond: `Light`, since waking the
+    // pool would cost more than the work.
+    let hs: Vec<usize> = (0..params.num_servers()).collect();
     par_map_cost(CostClass::Light, &hs, |&h| {
         let tau = params.alpha(h);
         MsQuery {
@@ -241,8 +293,9 @@ fn eval_curves_at_servers(
     })
 }
 
-/// Server `h`: evaluates `P` at the received point, optionally adding the
-/// shared blinding polynomial for symmetric privacy.
+/// Server `h`: evaluates `P` at the received point over one database,
+/// optionally adding that database's blinding polynomial for symmetric
+/// privacy.
 ///
 /// # Errors
 ///
@@ -273,157 +326,59 @@ pub fn server_answer(
     })
 }
 
-/// The shared blinding polynomial `R` (degree `deg(P)·t`, `R(0) = 0`),
+/// A shared blinding polynomial `R` (degree `deg(P)·t`, `R(0) = 0`),
 /// derived from the servers' common randomness.
 pub fn blinding_poly<R: RandomSource + ?Sized>(params: &MultiServerParams, rng: &mut R) -> Poly {
-    Poly::random_with_constant(
-        0,
-        params.function.poly_degree(params.ell) * params.t,
-        params.field,
-        rng,
-    )
+    Poly::random_with_constant(0, params.degree(), params.field, rng)
 }
 
-/// Client: interpolates the `k` answers at `τ = 0`.
-pub fn client_reconstruct(params: &MultiServerParams, answers: &[u64]) -> u64 {
+/// Client: the value at `τ = 0` of the polynomial through one database's
+/// answers, in server order. With `e = 0` it interpolates them; otherwise
+/// Berlekamp–Welch decodes around up to `e` wrong answers.
+///
+/// # Errors
+///
+/// [`ProtocolError::TooManyFaulty`] when more than `e` answers are
+/// inconsistent. With exactly `k + 2e` answers no larger budget can
+/// decode, so every answer is reported suspect.
+///
+/// # Panics
+///
+/// Panics if fewer than `k + 2e` answers are supplied.
+pub fn client_reconstruct(
+    params: &MultiServerParams,
+    answers: &[u64],
+) -> Result<u64, ProtocolError> {
     let k = params.num_servers();
-    assert!(answers.len() >= k, "need all k answers");
+    assert!(answers.len() >= k, "need all k + 2e answers");
     let xs: Vec<u64> = (0..k).map(|h| params.alpha(h)).collect();
-    Poly::interpolate_at(&xs, &answers[..k], 0, params.field)
-}
-
-/// Fault-tolerant reconstruction (the remark after Theorem 2: "t′ malicious
-/// servers can be tolerated by adding 2t′ additional servers"). Requires
-/// `answers.len() ≥ deg + 2·max_faults + 1` points at `α_0 … α_{len−1}`;
-/// decodes through up to `max_faults` corrupted answers via
-/// Berlekamp–Welch.
-///
-/// # Errors
-///
-/// Returns `None` if more than `max_faults` answers are inconsistent.
-///
-/// # Panics
-///
-/// Panics if too few answers are supplied for the requested fault budget.
-pub fn client_reconstruct_robust(
-    params: &MultiServerParams,
-    answers: &[u64],
-    max_faults: usize,
-) -> Option<u64> {
-    let deg = params.function.poly_degree(params.ell) * params.t;
-    let xs: Vec<u64> = (0..answers.len()).map(|h| params.alpha(h)).collect();
-    let p = spfe_math::rs::berlekamp_welch(&xs, answers, deg, max_faults, params.field)?;
-    Some(p.eval(0))
-}
-
-/// Post-mortem for a failed robust reconstruction: retries decoding with
-/// progressively larger fault budgets to count how many answers actually
-/// sit off the consensus polynomial; if no budget decodes, every answer is
-/// suspect.
-fn diagnose_faults(
-    params: &MultiServerParams,
-    answers: &[u64],
-    max_faults: usize,
-) -> ProtocolError {
-    let deg = params.function.poly_degree(params.ell) * params.t;
-    let xs: Vec<u64> = (0..answers.len()).map(|h| params.alpha(h)).collect();
-    let max_budget = answers.len().saturating_sub(deg + 1) / 2;
-    let observed = (max_faults + 1..=max_budget)
-        .find_map(|budget| {
-            spfe_math::rs::berlekamp_welch(&xs, answers, deg, budget, params.field).map(|p| {
-                xs.iter()
-                    .zip(answers)
-                    .filter(|&(&x, &a)| p.eval(x) != a)
-                    .count()
-            })
-        })
-        .unwrap_or(answers.len());
-    ProtocolError::TooManyFaulty {
-        tolerated: max_faults,
-        observed,
+    let (answers, field) = (&answers[..k], params.field);
+    if params.faults == 0 {
+        return Ok(Poly::interpolate_at(&xs, answers, 0, field));
     }
-}
-
-/// Runs the protocol with `2·max_faults` extra servers and robust
-/// reconstruction: up to `max_faults` servers may answer arbitrarily
-/// (simulated by `corrupt`, which may tamper with any answer it is given).
-///
-/// # Errors
-///
-/// [`ProtocolError::TooManyFaulty`] with a fault diagnosis when more than
-/// `max_faults` answers are inconsistent; any [`ProtocolError`] surfaced
-/// by the channel.
-///
-/// # Panics
-///
-/// Panics if the channel has fewer than `k + 2·max_faults` servers.
-pub fn run_robust<R, C>(
-    t: &mut dyn Channel,
-    params: &MultiServerParams,
-    db: &[u64],
-    indices: &[usize],
-    max_faults: usize,
-    mut corrupt: C,
-    rng: &mut R,
-) -> Result<u64, ProtocolError>
-where
-    R: RandomSource + ?Sized,
-    C: FnMut(usize, u64) -> u64,
-{
-    let k = params.num_servers() + 2 * max_faults;
-    assert_eq!(t.num_servers(), k, "need k + 2t' servers");
-    let _proto = spfe_obs::span("multiserver-robust");
-    let m = params.function.arity();
-    assert_eq!(indices.len(), m);
-    // Queries for all k servers (same curves, more evaluation points).
-    let curves: Vec<Vec<Poly>> = indices
-        .iter()
-        .map(|&i| {
-            encode_index(i, params.ell)
-                .into_iter()
-                .map(|bit| Poly::random_with_constant(bit, params.t, params.field, rng))
-                .collect()
+    berlekamp_welch(&xs, answers, params.degree(), params.faults, field)
+        .map(|p| p.eval(0))
+        .ok_or(ProtocolError::TooManyFaulty {
+            tolerated: params.faults,
+            observed: k,
         })
-        .collect();
-    let queries = eval_curves_at_servers(params, &curves, k);
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    // Honest evaluation is rng-free → pool (one item = a full Ω(n)
-    // server evaluation, so Heavy); corruption and metering stay serial
-    // (the corruptor is FnMut and may be stateful).
-    let honest: Vec<u64> = par_map_cost(CostClass::Heavy, &received, |q| {
-        server_answer(params, db, q, None)
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let answers: Vec<u64> = honest
-        .iter()
-        .enumerate()
-        .map(|(h, &a)| t.server_to_client(h, "ms-answer", &corrupt(h, a)))
-        .collect::<Result<_, _>>()?;
-    match client_reconstruct_robust(params, &answers, max_faults) {
-        Some(v) => Ok(v),
-        None => Err(diagnose_faults(params, &answers, max_faults)),
-    }
 }
 
-/// Runs the full 1-round protocol over a metered transcript: [`pump`]
-/// over a client core and the `k` server cores, which borrow `db` and
-/// answer one after another. With `shared_seed = Some(s)` the servers add
-/// the \[25\]-style blinding (the client then learns *only* `f(x_I)` —
+/// Runs the 1-round protocol over a metered transcript: [`pump`] over a
+/// client core and the `k + 2e` server cores, which borrow `db` (the `D`
+/// databases back to back) and answer one after another. Returns one
+/// value per database. With `shared_seed = Some(s)` the servers add the
+/// \[25\]-style blinding (the client then learns *only* `f(x_I)` —
 /// symmetric privacy).
 ///
 /// # Errors
 ///
 /// [`ProtocolError`] on any transport fault or malformed counterparty
-/// message.
+/// message; [`ProtocolError::TooManyFaulty`] past the fault budget.
 ///
 /// # Panics
 ///
-/// Panics if the channel's server count differs from `k`.
+/// Panics if the channel's server count differs from `k + 2e`.
 pub fn run<R: RandomSource + ?Sized>(
     t: &mut dyn Channel,
     params: &MultiServerParams,
@@ -431,122 +386,15 @@ pub fn run<R: RandomSource + ?Sized>(
     indices: &[usize],
     shared_seed: Option<u64>,
     rng: &mut R,
-) -> Result<u64, ProtocolError> {
+) -> Result<Vec<u64>, ProtocolError> {
     assert_eq!(t.num_servers(), params.num_servers(), "server count");
     let _proto = spfe_obs::span("multiserver");
     let mut client = MsClientCore::new(params.clone(), indices, rng);
-    pump(t, &mut client, &mut server_cores(params, db, shared_seed))
+    pump(t, &mut client, &mut server_cores(params, db, shared_seed))?;
+    Ok(client.results)
 }
 
-/// The §4 "package": answers the *same* queries against both `x` and the
-/// squared database `x'`, returning `(Σ x_i, Σ x_i²)` — two field elements
-/// of extra downstream communication total.
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed counterparty
-/// message.
-///
-/// # Panics
-///
-/// Panics if the function is not `Sum` or server counts mismatch.
-pub fn run_sum_and_squares<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
-    params: &MultiServerParams,
-    db: &[u64],
-    db_squared: &[u64],
-    indices: &[usize],
-    rng: &mut R,
-) -> Result<(u64, u64), ProtocolError> {
-    assert!(matches!(params.function, MsFunction::Sum { .. }));
-    assert_eq!(t.num_servers(), params.num_servers());
-    let _proto = spfe_obs::span("multiserver-sumsq");
-    let queries = client_queries(params, indices, rng);
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    let computed: Vec<(u64, u64)> = par_map_cost(CostClass::Heavy, &received, |q| {
-        Ok::<_, ProtocolError>((
-            server_answer(params, db, q, None)?,
-            server_answer(params, db_squared, q, None)?,
-        ))
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let mut sum_answers = Vec::with_capacity(received.len());
-    let mut sq_answers = Vec::with_capacity(received.len());
-    for (h, pair) in computed.iter().enumerate() {
-        let (a, b) = t.server_to_client(h, "ms-answer-pair", pair)?;
-        sum_answers.push(a);
-        sq_answers.push(b);
-    }
-    Ok((
-        client_reconstruct(params, &sum_answers),
-        client_reconstruct(params, &sq_answers),
-    ))
-}
-
-/// §3.1's amortization claim, generalized: "this protocol can be used to
-/// compute several statistics on the same data set, or the same statistic
-/// over different periods of time, with little additional cost." One query
-/// set is answered against every database in `dbs` (e.g. one per time
-/// period, or `x` and `x'`), for one extra field element per (server,
-/// database).
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed counterparty
-/// message.
-///
-/// # Panics
-///
-/// Panics on server-count mismatch or ragged database sizes.
-pub fn run_many_databases<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
-    params: &MultiServerParams,
-    dbs: &[&[u64]],
-    indices: &[usize],
-    rng: &mut R,
-) -> Result<Vec<u64>, ProtocolError> {
-    assert!(!dbs.is_empty());
-    assert!(dbs.iter().all(|d| d.len() == dbs[0].len()), "ragged dbs");
-    assert_eq!(t.num_servers(), params.num_servers());
-    let _proto = spfe_obs::span("multiserver-multidb");
-    let queries = client_queries(params, indices, rng);
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    let computed: Vec<Vec<u64>> = par_map_cost(CostClass::Heavy, &received, |q| {
-        dbs.iter()
-            .map(|db| server_answer(params, db, q, None))
-            .collect::<Result<_, _>>()
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let mut per_db_answers: Vec<Vec<u64>> = vec![Vec::with_capacity(received.len()); dbs.len()];
-    for (h, answers) in computed.iter().enumerate() {
-        let answers = t.server_to_client(h, "ms-answer-multi", answers)?;
-        if answers.len() != dbs.len() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "ms-answer-multi",
-                reason: "answer count does not match database count",
-            });
-        }
-        for (d, a) in answers.into_iter().enumerate() {
-            per_db_answers[d].push(a);
-        }
-    }
-    Ok(per_db_answers
-        .iter()
-        .map(|answers| client_reconstruct(params, answers))
-        .collect())
-}
-
-/// The `k` server cores over `db` (borrowed in process, owned when a
+/// The `k + 2e` server cores over `db` (borrowed in process, owned when a
 /// networked server hosts them), blinded from `shared_seed` if given.
 pub fn server_cores<'a>(
     params: &MultiServerParams,
@@ -567,32 +415,42 @@ pub fn server_cores<'a>(
 pub struct MsServerCore<'a> {
     once: AnswerOnce,
     params: MultiServerParams,
+    /// The `D` databases, back to back.
     db: Cow<'a, [u64]>,
-    blind: Option<Poly>,
+    /// One blinding polynomial per database, or none.
+    blinds: Vec<Poly>,
 }
 
 impl<'a> MsServerCore<'a> {
     /// A core for server `index` holding (or borrowing) `db` under
-    /// `params`.
+    /// `params`: the `D` databases back to back, all of one length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `db` does not split into `D` equal databases.
     pub fn new(index: usize, params: MultiServerParams, db: impl Into<Cow<'a, [u64]>>) -> Self {
+        let db = db.into();
+        assert_eq!(db.len() % params.databases, 0, "ragged databases");
         MsServerCore {
             once: AnswerOnce::new(index, "ms-query", "ms-answer"),
             params,
-            db: db.into(),
-            blind: None,
+            db,
+            blinds: Vec::new(),
         }
     }
 
-    /// With `Some(seed)`, adds the servers' shared blinding polynomial,
-    /// re-derived from their common random input (symmetric privacy,
-    /// \[25\]); `None` leaves the core unblinded.
+    /// With `Some(seed)`, adds the servers' shared blinding polynomials,
+    /// one per database, drawn in order from their common random input
+    /// (symmetric privacy, \[25\]); `None` leaves the core unblinded. One
+    /// polynomial shared by all databases would let the client subtract
+    /// two answers and learn the difference of the unblinded values.
     #[must_use]
     pub fn with_blind(mut self, shared_seed: Option<u64>) -> Self {
-        self.blind = shared_seed.map(|seed| {
-            blinding_poly(
-                &self.params,
-                &mut spfe_crypto::ChaChaRng::from_u64_seed(seed),
-            )
+        self.blinds = shared_seed.map_or_else(Vec::new, |seed| {
+            let mut rng = spfe_crypto::ChaChaRng::from_u64_seed(seed);
+            (0..self.params.databases)
+                .map(|_| blinding_poly(&self.params, &mut rng))
+                .collect()
         });
         self
     }
@@ -609,19 +467,26 @@ impl SessionCore for MsServerCore<'_> {
         self.once.answer(label, || {
             let query = MsQuery::from_bytes(payload)?;
             let _s = spfe_obs::span("server-eval");
-            let blind = self.blind.as_ref().map(|r| (r, server));
-            Ok(server_answer(&self.params, &self.db, &query, blind)?.to_bytes())
+            let n = self.db.len() / self.params.databases;
+            let mut out = Vec::with_capacity(8 * self.params.databases);
+            for d in 0..self.params.databases {
+                let blind = self.blinds.get(d).map(|r| (r, server));
+                let db = &self.db[d * n..(d + 1) * n];
+                server_answer(&self.params, db, &query, blind)?.encode(&mut out);
+            }
+            Ok(out)
         })
     }
 }
 
-/// Client half of the Theorem 2 protocol: all `k` queries at start,
-/// interpolation once every answer arrived.
+/// Client half of the Theorem 2 protocol: all `k + 2e` queries at start,
+/// one reconstruction per database once every answer arrived.
 #[derive(Debug)]
 pub struct MsClientCore {
     params: MultiServerParams,
-    round: OneRound<MsQuery, u64>,
-    result: Option<u64>,
+    round: OneRound<MsQuery, MsAnswer>,
+    /// One value per database, once done.
+    results: Vec<u64>,
 }
 
 impl MsClientCore {
@@ -642,7 +507,7 @@ impl MsClientCore {
         MsClientCore {
             params,
             round: OneRound::new("ms-query", "ms-answer", queries),
-            result: None,
+            results: Vec::new(),
         }
     }
 }
@@ -659,18 +524,34 @@ impl SessionCore for MsClientCore {
         label: &str,
         payload: &[u8],
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        // A reply of any other length is malformed bytes, like a
+        // truncated `u64`: a codec error.
+        if label == "ms-answer" && payload.len() != 8 * self.params.databases {
+            return Err(WireError {
+                context: "answer is not one field element per database",
+            }
+            .into());
+        }
         let Some(answers) = self.round.receive(server, label, payload)? else {
             return Ok((SessionState::Running, Vec::new()));
         };
         let _s = spfe_obs::span("reconstruct");
-        self.result = Some(client_reconstruct(&self.params, &answers));
+        self.results = (0..self.params.databases)
+            .map(|d| {
+                let column: Vec<u64> = answers.iter().map(|a| a.0[d]).collect();
+                client_reconstruct(&self.params, &column)
+            })
+            .collect::<Result<_, _>>()?;
         Ok((SessionState::Done, Vec::new()))
     }
 }
 
 impl ClientCore for MsClientCore {
+    /// The wrapping sum of the per-database values: with one database,
+    /// the value itself.
     fn digest(&self) -> Option<u64> {
-        self.result
+        (!self.results.is_empty())
+            .then(|| self.results.iter().fold(0u64, |a, &v| a.wrapping_add(v)))
     }
 
     fn static_label(&self, label: &str) -> Option<&'static str> {
@@ -683,10 +564,44 @@ mod tests {
     use super::*;
     use spfe_circuits::formula::BinOp;
     use spfe_math::XorShiftRng;
-    use spfe_transport::Transcript;
+    use spfe_transport::{FaultAction, FaultPlan, FaultyChannel, Transcript};
 
     fn field() -> Fp64 {
         Fp64::new(1_000_003).unwrap()
+    }
+
+    /// Server `h`'s reply payload to `query`, from a fresh core.
+    fn reply(
+        params: &MultiServerParams,
+        db: &[u64],
+        seed: Option<u64>,
+        h: usize,
+        query: &MsQuery,
+    ) -> Vec<u8> {
+        let (_, out) = server_cores(params, db, seed)[h]
+            .on_message(1, h, "ms-query", &query.to_bytes())
+            .unwrap();
+        out[0].payload.clone()
+    }
+
+    /// A channel whose answers from servers `liars` (first answer message:
+    /// index `k`, since [`pump`] sends every query before any reply) get
+    /// `lie` added.
+    fn lying_channel(
+        params: &MultiServerParams,
+        liars: std::ops::Range<u64>,
+        lie: u64,
+    ) -> FaultyChannel {
+        let k = params.num_servers() as u64;
+        let script = liars.map(|h| (k + h, FaultAction::Byzantine)).collect();
+        let mut ch = FaultyChannel::new(k as usize, FaultPlan::scripted(script), 0);
+        let field = params.field;
+        ch.set_tamper(Box::new(move |label, bytes| {
+            assert_eq!(label, "ms-answer");
+            let honest = u64::from_bytes(bytes).expect("one-database answers are u64");
+            *bytes = field.add(honest, lie).to_bytes();
+        }));
+        ch
     }
 
     #[test]
@@ -698,7 +613,7 @@ mod tests {
             let mut tr = Transcript::new(params.num_servers());
             let got = run(&mut tr, &params, &db, &idx, None, &mut rng).unwrap();
             let expect = params.function.eval_clear(&db, &idx, field()).unwrap();
-            assert_eq!(got, expect, "{idx:?}");
+            assert_eq!(got, [expect], "{idx:?}");
         }
     }
 
@@ -716,7 +631,7 @@ mod tests {
             let mut tr = Transcript::new(params.num_servers());
             let got = run(&mut tr, &params, &db, &idx, None, &mut rng).unwrap();
             let expect = params.function.eval_clear(&db, &idx, field()).unwrap();
-            assert_eq!(got, expect, "{idx:?}");
+            assert_eq!(got, [expect], "{idx:?}");
         }
     }
 
@@ -728,6 +643,9 @@ mod tests {
         assert_eq!(params.num_servers(), 2 * 4 * 10 + 1);
         let sum_params = MultiServerParams::new(1024, 3, field(), MsFunction::Sum { m: 5 });
         assert_eq!(sum_params.num_servers(), 3 * 10 + 1); // s = 1
+                                                          // Two more servers per tolerated liar; databases add none.
+        let robust = sum_params.with_faults(2).with_databases(3);
+        assert_eq!(robust.num_servers(), 3 * 10 + 1 + 4);
     }
 
     #[test]
@@ -745,6 +663,10 @@ mod tests {
             8 * params.num_servers() as u64,
             "answers must be single field elements"
         );
+        // A one-database reply is exactly the bare u64's encoding.
+        let query = &client_queries(&params, &[1, 2, 3, 4], &mut rng)[2];
+        let value = server_answer(&params, &db, query, None).unwrap();
+        assert_eq!(reply(&params, &db, None, 2, query), value.to_bytes());
     }
 
     #[test]
@@ -754,7 +676,7 @@ mod tests {
         let params = MultiServerParams::new(db.len(), 2, field(), MsFunction::Sum { m: 2 });
         let mut tr = Transcript::new(params.num_servers());
         let got = run(&mut tr, &params, &db, &[3, 30], Some(0xB11D), &mut rng).unwrap();
-        assert_eq!(got, field().from_u64(db[3] + db[30]));
+        assert_eq!(got, [field().from_u64(db[3] + db[30])]);
     }
 
     #[test]
@@ -770,6 +692,8 @@ mod tests {
             let raw = server_answer(&params, &db, q, None).unwrap();
             let blinded = server_answer(&params, &db, q, Some((&blind, h))).unwrap();
             diffs += (raw != blinded) as usize;
+            // The core's database-0 blinding is the seed's first draw.
+            assert_eq!(reply(&params, &db, Some(7), h, q), blinded.to_bytes());
         }
         assert!(diffs > 0);
     }
@@ -783,12 +707,7 @@ mod tests {
         let mut hist = [[0u32; 13]; 2];
         for (slot, idx) in [[0usize, 1], [2usize, 3]].iter().enumerate() {
             let mut rng = XorShiftRng::new(slot as u64 + 10);
-            let params = MultiServerParams {
-                t: 1,
-                ell: 2,
-                field: f,
-                function: MsFunction::Sum { m: 2 },
-            };
+            let params = MultiServerParams::new(4, 1, f, MsFunction::Sum { m: 2 });
             for _ in 0..2600 {
                 let qs = client_queries(&params, idx, &mut rng);
                 hist[slot][qs[0].slot_points[0][0] as usize] += 1;
@@ -805,37 +724,55 @@ mod tests {
         let mut rng = XorShiftRng::new(6);
         let db: Vec<u64> = (1..=32u64).collect();
         let sq: Vec<u64> = db.iter().map(|&v| v * v).collect();
-        let params = MultiServerParams::new(db.len(), 1, field(), MsFunction::Sum { m: 3 });
+        let params = MultiServerParams::new(db.len(), 1, field(), MsFunction::Sum { m: 3 })
+            .with_databases(2);
         let idx = [2usize, 7, 30];
-        let mut tr = Transcript::new(params.num_servers());
-        let (s, ss) = run_sum_and_squares(&mut tr, &params, &db, &sq, &idx, &mut rng).unwrap();
-        assert_eq!(s, db[2] + db[7] + db[30]);
-        assert_eq!(ss, sq[2] + sq[7] + sq[30]);
-        // Still one round, and downstream exactly 2 field elements/server.
-        let rep = tr.report();
-        assert_eq!(rep.half_rounds, 2);
-        assert_eq!(rep.server_to_client, 16 * params.num_servers() as u64);
+        for seed in [None, Some(0x5EED)] {
+            let mut tr = Transcript::new(params.num_servers());
+            let got = run(
+                &mut tr,
+                &params,
+                &[&db[..], &sq].concat(),
+                &idx,
+                seed,
+                &mut rng,
+            );
+            assert_eq!(
+                got.unwrap(),
+                [db[2] + db[7] + db[30], sq[2] + sq[7] + sq[30]]
+            );
+            // Still one round, and downstream exactly 2 field elements/server.
+            let rep = tr.report();
+            assert_eq!(rep.half_rounds, 2);
+            assert_eq!(rep.server_to_client, 16 * params.num_servers() as u64);
+        }
+        // Each database gets its own blinding: over two copies of one
+        // database, the two blinded words of a reply differ (one shared
+        // polynomial would make them equal, and their difference would
+        // leak the unblinded one).
+        let query = &client_queries(&params, &idx, &mut rng)[0];
+        let bytes = reply(&params, &[&db[..], &db].concat(), Some(0x5EED), 0, query);
+        assert_ne!(bytes[..8], bytes[8..]);
     }
 
     #[test]
     fn many_databases_share_one_query() {
         // §3.1 amortization: T time periods answered by one query set.
         let mut rng = XorShiftRng::new(21);
-        let periods: Vec<Vec<u64>> = (0..4u64)
-            .map(|t| (0..16u64).map(|i| i * 3 + t * 100).collect())
+        let periods: Vec<u64> = (0..4u64)
+            .flat_map(|t| (0..16u64).map(move |i| i * 3 + t * 100))
             .collect();
-        let refs: Vec<&[u64]> = periods.iter().map(|p| p.as_slice()).collect();
-        let params = MultiServerParams::new(16, 1, field(), MsFunction::Sum { m: 2 });
+        let one = MultiServerParams::new(16, 1, field(), MsFunction::Sum { m: 2 });
+        let params = one.clone().with_databases(4);
         let idx = [3usize, 9];
         let mut tr = Transcript::new(params.num_servers());
-        let sums = run_many_databases(&mut tr, &params, &refs, &idx, &mut rng).unwrap();
-        for (s, p) in sums.iter().zip(&periods) {
-            assert_eq!(*s, p[3] + p[9]);
-        }
+        let sums = run(&mut tr, &params, &periods, &idx, None, &mut rng).unwrap();
+        let expect: Vec<u64> = periods.chunks(16).map(|p| p[3] + p[9]).collect();
+        assert_eq!(sums, expect);
         // One round; upstream identical to a single-db run.
         assert_eq!(tr.report().half_rounds, 2);
-        let mut tr_single = Transcript::new(params.num_servers());
-        run(&mut tr_single, &params, &periods[0], &idx, None, &mut rng).unwrap();
+        let mut tr_single = Transcript::new(one.num_servers());
+        run(&mut tr_single, &one, &periods[..16], &idx, None, &mut rng).unwrap();
         assert_eq!(
             tr.report().client_to_server,
             tr_single.report().client_to_server,
@@ -865,7 +802,7 @@ mod tests {
             .iter()
             .map(|q| server_answer(&params, &db, q, None).unwrap())
             .collect();
-        assert_eq!(client_reconstruct(&params, &answers), expect);
+        assert_eq!(client_reconstruct(&params, &answers), Ok(expect));
     }
 
     #[test]
@@ -873,23 +810,15 @@ mod tests {
         // The remark after Theorem 2: +2t′ servers tolerate t′ malicious.
         let mut rng = XorShiftRng::new(7);
         let db: Vec<u64> = (0..32u64).map(|i| i * 5 + 3).collect();
-        let params = MultiServerParams::new(db.len(), 1, field(), MsFunction::Sum { m: 2 });
         let idx = [4usize, 20];
         let expect = field().from_u64(db[4] + db[20]);
-        for faults in [0usize, 1, 2] {
-            let k = params.num_servers() + 2 * faults;
-            let mut tr = Transcript::new(k);
-            // Servers 0..faults lie with garbage.
-            let got = run_robust(
-                &mut tr,
-                &params,
-                &db,
-                &idx,
-                faults,
-                |h, honest| if h < faults { honest ^ 0xDEAD } else { honest },
-                &mut rng,
-            );
-            assert_eq!(got, Ok(expect), "faults={faults}");
+        for faults in [0u64, 1, 2] {
+            let params = MultiServerParams::new(db.len(), 1, field(), MsFunction::Sum { m: 2 })
+                .with_faults(faults as usize);
+            // Servers 0..faults lie.
+            let mut ch = lying_channel(&params, 0..faults, 0xDEAD);
+            let got = run(&mut ch, &params, &db, &idx, Some(0xB11D), &mut rng);
+            assert_eq!(got, Ok(vec![expect]), "faults={faults}");
         }
     }
 
@@ -897,42 +826,49 @@ mod tests {
     fn robust_reconstruction_detects_excess_faults() {
         let mut rng = XorShiftRng::new(8);
         let db: Vec<u64> = (0..16u64).collect();
-        let params = MultiServerParams::new(db.len(), 1, field(), MsFunction::Sum { m: 1 });
-        let max_faults = 1;
-        let k = params.num_servers() + 2 * max_faults;
-        let mut tr = Transcript::new(k);
-        // 3 > max_faults liars with random garbage: decoding either
-        // succeeds with the true value or aborts with a fault diagnosis
-        // (never silently garbage that passes the agreement check).
-        let got = run_robust(
-            &mut tr,
-            &params,
-            &db,
-            &[3],
-            max_faults,
-            |h, honest| {
-                if h < 3 {
-                    honest.wrapping_mul(31).wrapping_add(h as u64 + 1) % 1_000_003
-                } else {
-                    honest
-                }
-            },
-            &mut rng,
-        );
-        match got {
-            Ok(v) => {
-                // If decoding claims success it must agree with the honest
-                // majority, i.e. equal the true value.
-                assert_eq!(v, field().from_u64(db[3]));
+        let params =
+            MultiServerParams::new(db.len(), 1, field(), MsFunction::Sum { m: 1 }).with_faults(1);
+        // e + 1 and 2e + 1 liars exceed the budget: a typed abort with the
+        // fault diagnosis, never a silently wrong value.
+        for liars in [2, 3] {
+            let mut ch = lying_channel(&params, 0..liars, 31 * liars + 1);
+            let got = run(&mut ch, &params, &db, &[3], None, &mut rng);
+            assert_eq!(
+                got,
+                Err(ProtocolError::TooManyFaulty {
+                    tolerated: 1,
+                    observed: params.num_servers(),
+                }),
+                "liars={liars}"
+            );
+        }
+    }
+
+    #[test]
+    fn answers_of_the_wrong_length_are_typed_errors() {
+        let mut rng = XorShiftRng::new(9);
+        for databases in [1, 2] {
+            let params = MultiServerParams::new(16, 1, field(), MsFunction::Sum { m: 2 })
+                .with_databases(databases);
+            for len in [
+                0,
+                7,
+                8 * databases - 1,
+                8 * databases + 1,
+                8 * databases + 8,
+            ] {
+                let mut client = MsClientCore::new(params.clone(), &[3, 10], &mut rng);
+                client.start().unwrap();
+                assert_eq!(
+                    client
+                        .on_message(2, 0, "ms-answer", &vec![0; len])
+                        .unwrap_err(),
+                    ProtocolError::Codec(WireError {
+                        context: "answer is not one field element per database",
+                    }),
+                    "databases={databases} len={len}"
+                );
             }
-            Err(ProtocolError::TooManyFaulty {
-                tolerated,
-                observed,
-            }) => {
-                assert_eq!(tolerated, max_faults);
-                assert!(observed > tolerated, "diagnosis must exceed budget");
-            }
-            Err(other) => panic!("unexpected error: {other}"),
         }
     }
 

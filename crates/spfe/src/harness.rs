@@ -300,7 +300,7 @@ fn ms_inputs(v: usize) -> Inputs<Vec<u64>, [usize; 2]> {
 /// multiserver variant `v`: Theorem 2 multi-server SPFE, f = sum.
 pub fn drv_multiserver_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
     let (mut rng, db, index) = ms_inputs(v);
-    multiserver::run(t, &ms_params(), &db, &index, None, &mut rng)
+    multiserver::run(t, &ms_params(), &db, &index, None, &mut rng).map(|sums| sums[0])
 }
 
 fn expect_multiserver(v: usize) -> u64 {
@@ -467,12 +467,13 @@ pub fn drv_weighted_sum_v(t: &mut dyn Channel, v: usize) -> Result<u64, Protocol
         &f.group,
         &f.pk,
         &f.sk,
-        &db16_v(v),
+        &[&db16_v(v)],
         &WS_INDICES[v],
         &WS_WEIGHTS[v],
         field(),
         &mut rng,
     )
+    .map(|sums| sums[0])
 }
 
 fn expect_weighted_sum(v: usize) -> u64 {
@@ -505,7 +506,8 @@ pub fn drv_frequency_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolErr
         field(),
         &mut rng,
     )?;
-    stats::frequency(t, &f.pk, &f.sk, &shares, keyword, &mut rng)
+    let keywords = vec![keyword; FREQ_INDICES[v].len()];
+    stats::frequency(t, &f.pk, &f.sk, &shares, &keywords, &mut rng)
 }
 
 fn expect_frequency(v: usize) -> u64 {

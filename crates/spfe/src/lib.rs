@@ -41,9 +41,9 @@
 //! let field = Fp64::at_least(50 * 4 + 200_000);
 //! let mut t = Transcript::new(1);
 //! let sum = weighted_sum(
-//!     &mut t, &group, &pk, &sk, &salaries, &sample, &[1, 1, 1, 1], field, &mut rng,
+//!     &mut t, &group, &pk, &sk, &[&salaries], &sample, &[1, 1, 1, 1], field, &mut rng,
 //! )
-//! .expect("honest in-memory transport");
+//! .expect("honest in-memory transport")[0];
 //! let expect: u64 = sample.iter().map(|&i| salaries[i]).sum();
 //! assert_eq!(sum, expect);
 //! assert!(t.report().total_bytes() < 8 * salaries.len() as u64 * 100);

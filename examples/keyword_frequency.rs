@@ -36,7 +36,9 @@ fn main() {
     let mut t1 = Transcript::new(1);
     let shares = select1(&mut t1, &group, &pk, &sk, &codes, &sample, field, &mut rng)
         .expect("honest transport");
-    let freq1 = frequency(&mut t1, &pk, &sk, &shares, keyword, &mut rng).expect("honest transport");
+    let keywords = vec![keyword; sample.len()];
+    let freq1 =
+        frequency(&mut t1, &pk, &sk, &shares, &keywords, &mut rng).expect("honest transport");
     println!(
         "§4 tailored protocol : frequency = {freq1} | {} rounds, {} bytes",
         t1.report().rounds(),

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example multiserver_sum`
 
-use spfe::core::multiserver::{run_sum_and_squares, MsFunction, MultiServerParams};
+use spfe::core::multiserver::{run, MsFunction, MultiServerParams};
 use spfe::crypto::ChaChaRng;
 use spfe::math::Fp64;
 use spfe::transport::Transcript;
@@ -20,23 +20,20 @@ fn main() {
     let n = 4_096;
     let purchases: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 500).collect();
     let squares: Vec<u64> = purchases.iter().map(|&v| v * v).collect();
+    // Each server holds both databases, back to back.
+    let both = [&purchases[..], &squares].concat();
     let sample = [17usize, 250, 3_000, 4_095];
 
     for t_priv in [1usize, 2, 3] {
         let field = Fp64::at_least(260_000 * sample.len() as u64 + n as u64);
-        let params = MultiServerParams::new(n, t_priv, field, MsFunction::Sum { m: sample.len() });
+        let params = MultiServerParams::new(n, t_priv, field, MsFunction::Sum { m: sample.len() })
+            .with_databases(2);
         let k = params.num_servers();
 
         let mut transcript = Transcript::new(k);
-        let (sum, sum_sq) = run_sum_and_squares(
-            &mut transcript,
-            &params,
-            &purchases,
-            &squares,
-            &sample,
-            &mut rng,
-        )
-        .expect("honest transport");
+        let sums = run(&mut transcript, &params, &both, &sample, None, &mut rng)
+            .expect("honest transport");
+        let (sum, sum_sq) = (sums[0], sums[1]);
 
         let expect: u64 = sample.iter().map(|&i| purchases[i]).sum();
         let expect_sq: u64 = sample.iter().map(|&i| squares[i]).sum();

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example private_statistics`
 
 use spfe::core::database::Database;
-use spfe::core::stats::average_and_variance;
+use spfe::core::stats::weighted_sum;
 use spfe::crypto::{ChaChaRng, HomomorphicScheme, Paillier, SchnorrGroup};
 use spfe::math::Fp64;
 use spfe::transport::Transcript;
@@ -34,24 +34,26 @@ fn main() {
         sample.len()
     );
 
-    // The server keeps x and x' = x² side by side (the §4 package).
+    // The server keeps x and x' = x² side by side (the §4 package): one
+    // unit-weight query, answered against both.
     let squared = db.squared();
     let max_sq = squared.iter().copied().max().unwrap();
     let field = Fp64::at_least(max_sq * sample.len() as u64 + db.len() as u64 + 1);
 
     let mut t = Transcript::new(1);
-    let (sum, sum_sq) = average_and_variance(
+    let sums = weighted_sum(
         &mut t,
         &group,
         &pk,
         &sk,
-        db.values(),
-        &squared,
+        &[db.values(), &squared],
         &sample,
+        &vec![1; sample.len()],
         field,
         &mut rng,
     )
     .expect("honest transport");
+    let (sum, sum_sq) = (sums[0], sums[1]);
 
     let m = sample.len() as u64;
     let mean = sum / m;

@@ -40,13 +40,13 @@ fn main() {
         &group,
         &pk,
         &sk,
-        &salaries,
+        &[&salaries],
         &sample,
         &weights,
         field,
         &mut rng,
     )
-    .expect("honest transport");
+    .expect("honest transport")[0];
 
     let expected: u64 = sample.iter().map(|&i| salaries[i]).sum();
     assert_eq!(sum, expected);

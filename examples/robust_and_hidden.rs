@@ -9,12 +9,12 @@
 //! Run with: `cargo run --release --example robust_and_hidden`
 
 use spfe::core::input_select::select1;
-use spfe::core::multiserver::{run_robust, MsFunction, MultiServerParams};
+use spfe::core::multiserver::{run, MsFunction, MultiServerParams};
 use spfe::core::universal::universal_yao_phase;
 use spfe::core::Statistic;
 use spfe::crypto::{ChaChaRng, HomomorphicScheme, Paillier, SchnorrGroup};
 use spfe::math::Fp64;
-use spfe::transport::Transcript;
+use spfe::transport::{FaultAction, FaultPlan, FaultyChannel, Transcript, Wire};
 
 fn main() {
     let mut rng = ChaChaRng::from_os_entropy();
@@ -24,33 +24,27 @@ fn main() {
     let readings: Vec<u64> = (0..n as u64).map(|i| 50 + (i * 13) % 900).collect();
     let sample = [3usize, 500, 1_023];
     let field = Fp64::at_least(n as u64 + 1_000 * 3);
-    let params = MultiServerParams::new(n, 1, field, MsFunction::Sum { m: 3 });
     let expect: u64 = sample.iter().map(|&i| readings[i]).sum();
 
     for liars in [0usize, 1, 2] {
-        let k = params.num_servers() + 2 * liars;
-        let mut t = Transcript::new(k);
-        let got = run_robust(
-            &mut t,
-            &params,
-            &readings,
-            &sample,
-            liars,
-            |h, honest| {
-                if h < liars {
-                    honest.wrapping_mul(977).wrapping_add(1) % field.modulus()
-                } else {
-                    honest
-                }
-            },
-            &mut rng,
-        )
-        .expect("decodable");
+        // A fault budget of `liars`: 2·liars extra servers.
+        let params =
+            MultiServerParams::new(n, 1, field, MsFunction::Sum { m: 3 }).with_faults(liars);
+        let k = params.num_servers();
+        // Servers 0..liars replace their answers with garbage. Every query
+        // goes out before any answer, so server h's answer is message k + h.
+        let lies = (0..liars).map(|h| ((k + h) as u64, FaultAction::Byzantine));
+        let mut t = FaultyChannel::new(k, FaultPlan::scripted(lies.collect()), 0);
+        t.set_tamper(Box::new(move |_, bytes| {
+            let honest = u64::from_bytes(bytes).expect("one field element");
+            *bytes = (honest.wrapping_mul(977).wrapping_add(1) % field.modulus()).to_bytes();
+        }));
+        let got = run(&mut t, &params, &readings, &sample, None, &mut rng).expect("decodable")[0];
         assert_eq!(got, expect);
         println!(
             "{k:>2} servers, {liars} Byzantine: private sum still = {got} \
              ({} bytes, 1 round)",
-            t.report().total_bytes()
+            t.inner().report().total_bytes()
         );
     }
 

@@ -389,8 +389,8 @@ fn weighted_sum_functional_reply_tamper_is_detected_or_wrong_never_panic() {
 
 #[test]
 fn robust_multiserver_corrects_byzantine_answers_within_budget() {
-    let params = ms_params();
-    let k = params.num_servers() + 2; // max_faults = 1
+    let params = ms_params().with_faults(1);
+    let k = params.num_servers(); // k + 2e
     let db = db16();
     let expect = db[3] + db[10];
     let field = field();
@@ -405,8 +405,8 @@ fn robust_multiserver_corrects_byzantine_answers_within_budget() {
         *bytes = field.add(v, 3).to_bytes();
     }));
     let mut rng = ChaChaRng::from_u64_seed(0xB0B);
-    let got = multiserver::run_robust(&mut ch, &params, &db, &[3, 10], 1, |_, a| a, &mut rng);
-    assert_eq!(got, Ok(expect), "one fault is within the budget");
+    let got = multiserver::run(&mut ch, &params, &db, &[3, 10], None, &mut rng);
+    assert_eq!(got, Ok(vec![expect]), "one fault is within the budget");
 
     // Three tampered answers exceed max_faults = 1: typed abort with the
     // fault diagnosis, never a silent wrong answer.
@@ -419,7 +419,7 @@ fn robust_multiserver_corrects_byzantine_answers_within_budget() {
         *bytes = field.add(v, 7).to_bytes();
     }));
     let mut rng = ChaChaRng::from_u64_seed(0xB0C);
-    let got = multiserver::run_robust(&mut ch, &params, &db, &[3, 10], 1, |_, a| a, &mut rng);
+    let got = multiserver::run(&mut ch, &params, &db, &[3, 10], None, &mut rng);
     assert!(
         matches!(got, Err(ProtocolError::TooManyFaulty { tolerated: 1, .. })),
         "expected TooManyFaulty, got {got:?}"

@@ -136,7 +136,7 @@ fn multi_server_and_single_server_agree() {
     let params = MultiServerParams::new(db.len(), 2, field, MsFunction::Sum { m: 3 });
     let mut t = Transcript::new(params.num_servers());
     let ms = multiserver::run(&mut t, &params, &db, &indices, Some(42), &mut s.rng).unwrap();
-    assert_eq!(ms, truth);
+    assert_eq!(ms, [truth]);
 
     let mut t = Transcript::new(1);
     let ws = stats::weighted_sum(
@@ -144,14 +144,14 @@ fn multi_server_and_single_server_agree() {
         &s.group,
         &s.pk,
         &s.sk,
-        &db,
+        &[&db],
         &indices,
         &[1, 1, 1],
         field,
         &mut s.rng,
     )
     .unwrap();
-    assert_eq!(ws, truth);
+    assert_eq!(ws, [truth]);
 }
 
 #[test]
@@ -171,14 +171,14 @@ fn census_workload_full_pipeline() {
         &s.group,
         &s.pk,
         &s.sk,
-        db.values(),
+        &[db.values()],
         &sample,
         &vec![1; sample.len()],
         field,
         &mut s.rng,
     )
     .unwrap();
-    assert_eq!(got, reference::sum(db.values(), &sample));
+    assert_eq!(got, [reference::sum(db.values(), &sample)]);
 }
 
 #[test]
@@ -201,7 +201,7 @@ fn boolean_formula_spfe_multiserver() {
             db[indices[1]] == 1,
             db[indices[2]] == 1,
         ]);
-        assert_eq!(got, expect as u64, "{indices:?}");
+        assert_eq!(got, [expect as u64], "{indices:?}");
     }
 }
 
@@ -236,7 +236,15 @@ fn frequency_both_routes_agree_on_census_data() {
         &mut t, &s.group, &s.pk, &s.sk, &db, &indices, field, &mut s.rng,
     )
     .unwrap();
-    let f1 = stats::frequency(&mut t, &s.pk, &s.sk, &shares, keyword, &mut s.rng).unwrap();
+    let f1 = stats::frequency(
+        &mut t,
+        &s.pk,
+        &s.sk,
+        &shares,
+        &vec![keyword; indices.len()],
+        &mut s.rng,
+    )
+    .unwrap();
 
     let mut t2 = Transcript::new(1);
     let f2 = two_phase::run_select1_yao(

@@ -48,9 +48,17 @@ fn wsum_under(plan: FaultPlan) -> (u64, OpsSnapshot, u64, u64) {
     spfe_obs::reset_ops();
     let mut ch = FaultyChannel::new(1, plan, 2);
     let got = stats::weighted_sum(
-        &mut ch, &f.group, &f.pk, &f.sk, &db, &indices, &weights, field, &mut rng,
+        &mut ch,
+        &f.group,
+        &f.pk,
+        &f.sk,
+        &[&db],
+        &indices,
+        &weights,
+        field,
+        &mut rng,
     )
-    .expect("masked faults must not change the outcome");
+    .expect("masked faults must not change the outcome")[0];
     let snap = spfe_obs::ops_snapshot();
     let faults = snap.get(Op::FaultsInjected);
     let retries = snap.get(Op::Retries);

@@ -96,7 +96,7 @@ proptest! {
         let weights: Vec<u64> = (0..indices.len() as u64).map(|k| (seed >> (k % 8)) % 16).collect();
         let mut t = Transcript::new(1);
         let got = stats::weighted_sum(
-            &mut t, &f.group, &f.pk, &f.sk, &db, &indices, &weights, field, &mut *r,
+            &mut t, &f.group, &f.pk, &f.sk, &[&db], &indices, &weights, field, &mut *r,
         )
         .unwrap();
         let expect = indices
@@ -105,7 +105,7 @@ proptest! {
             .fold(0u64, |acc, (&i, &w)| {
                 field.add(acc, field.mul(field.from_u64(w), field.from_u64(db[i])))
             });
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got, vec![expect]);
     }
 }
 
@@ -126,7 +126,7 @@ proptest! {
         let mut t = Transcript::new(params.num_servers());
         let got = multiserver::run(&mut t, &params, &db, &indices, None, &mut *r).unwrap();
         let expect = indices.iter().fold(0u64, |a, &i| field.add(a, db[i]));
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got, vec![expect]);
     }
 
     #[test]

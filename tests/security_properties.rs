@@ -20,12 +20,7 @@ use std::collections::HashMap;
 #[test]
 fn multiserver_t_collusion_view_is_index_independent() {
     let f = Fp64::new(17).unwrap();
-    let params = MultiServerParams {
-        t: 2,
-        ell: 2,
-        field: f,
-        function: MsFunction::Sum { m: 1 },
-    };
+    let params = MultiServerParams::new(4, 2, f, MsFunction::Sum { m: 1 }); // ℓ = 2
     let runs = 4000;
     // Collusion = servers 0 and 1; joint view = their two query vectors.
     let mut hists: Vec<HashMap<Vec<u64>, u32>> = vec![HashMap::new(), HashMap::new()];
@@ -138,13 +133,21 @@ fn weighted_sum_counting_argument() {
         let weights: Vec<u64> = (0..3).map(|k| (trial * 7 + k + 1) % 100).collect();
         let mut t = Transcript::new(1);
         let got = stats::weighted_sum(
-            &mut t, &group, &pk, &sk, &db, &indices, &weights, field, &mut rng,
+            &mut t,
+            &group,
+            &pk,
+            &sk,
+            &[&db],
+            &indices,
+            &weights,
+            field,
+            &mut rng,
         )
         .unwrap();
         let expect = indices.iter().zip(&weights).fold(0u64, |acc, (&i, &w)| {
             field.add(acc, field.mul(field.from_u64(w), field.from_u64(db[i])))
         });
-        assert_eq!(got, expect, "weights {weights:?}");
+        assert_eq!(got, [expect], "weights {weights:?}");
     }
 }
 
@@ -163,7 +166,7 @@ fn frequency_hides_match_positions() {
     for db in [&db_a, &db_b] {
         let mut t = Transcript::new(1);
         let shares = select1(&mut t, &group, &pk, &sk, db, &[0, 1, 2], field, &mut rng).unwrap();
-        counts.push(stats::frequency(&mut t, &pk, &sk, &shares, 9, &mut rng).unwrap());
+        counts.push(stats::frequency(&mut t, &pk, &sk, &shares, &[9; 3], &mut rng).unwrap());
     }
     assert_eq!(counts, vec![1, 1], "same count regardless of position");
 }
