@@ -70,20 +70,23 @@ done
 
 echo "==> digit walk and lane kernel tests (powers, combs, batch powers, column folds)"
 # Every Montgomery power is one digit walk (straus_walk) over a kernel:
-# single powers and the FixedBasePow comb on scalar CIOS;
-# Montgomery::pow_batch (eight same-exponent powers) and MultiPow (the
-# Paillier column fold, eight columns per walk) on the IFMA lane kernels
-# when the CPU has them and on CIOS otherwise (DESIGN.md §8). All must
-# match the scalar results bit for bit, and the counting-walk test pins
-# the walk's product sequence. On an IFMA host the tests must say that
-# the lane kernel ran, for the batch powers and for the fold.
+# single powers and the FixedBasePow comb on scalar CIOS; pow_chains
+# (eight powers per walk, each lane with its own modulus and exponent:
+# batch powers, the CRT lift and both halves of a Paillier decryption)
+# and MultiPow (the Paillier column fold, eight columns per walk) on the
+# IFMA lane kernels when the CPU has them and on CIOS otherwise
+# (DESIGN.md §8). All must match the scalar results bit for bit, and the
+# counting-walk test pins the walk's product sequence. On an IFMA host
+# the tests must say that the lane kernel ran, for the batch powers, for
+# the fold and for the CRT decryption.
 LANE_LOG="$WORK/lanes.log"
 cargo test "${OFFLINE[@]}" --release -p spfe-math -p spfe-crypto -q -- --nocapture \
-  pow_batch lane_dispatch lane_fold crt_matches batch_apis decrypt_batch \
-  straus_walk fixed_base 2>&1 | tee "$LANE_LOG"
+  pow_batch pow_chains lane_dispatch lane_fold crt_matches crt_decrypt \
+  batch_apis decrypt_batch straus_walk fixed_base 2>&1 | tee "$LANE_LOG"
 if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then
   if ! grep -q "pow_batch[a-z_]*: lane kernel ran" "$LANE_LOG" \
-    || ! grep -q "lane_fold[a-z_]*: lane kernel ran" "$LANE_LOG"; then
+    || ! grep -q "lane_fold[a-z_]*: lane kernel ran" "$LANE_LOG" \
+    || ! grep -q "crt_decrypt[a-z_]*: lane kernel ran" "$LANE_LOG"; then
     echo "FAIL: avx512ifma host, but the lane kernel did not run" >&2
     exit 1
   fi

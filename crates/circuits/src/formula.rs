@@ -363,14 +363,26 @@ fn wide_block_sum(xs: &[u64], eqs: &[u64], run: usize, f: Fp64) -> u64 {
 
 /// Fills `table` (`2^ys.len()` entries) with the eq table of `ys`: entry
 /// `i` is `Π_k (ys_k if i(k)=1 else 1−ys_k)`, one field multiplication per
-/// entry (`v·(1−y) = v − v·y`).
+/// entry (`v·(1−y) = v − v·y`). Below `p = 2³²` two residues multiply
+/// within a `u64`, so a `u64 %` gives the residue of `Fp64::mul`'s
+/// `u128 %` at a fraction of its cost.
 fn eq_table(ys: &[u64], f: Fp64, table: &mut [u64]) {
+    let p = f.modulus();
+    if p >> 32 == 0 {
+        eq_rows(ys, f, table, |v, y| v * y % p);
+    } else {
+        eq_rows(ys, f, table, |v, y| f.mul(v, y));
+    }
+}
+
+/// [`eq_table`] with the field product `mul`.
+fn eq_rows(ys: &[u64], f: Fp64, table: &mut [u64], mul: impl Fn(u64, u64) -> u64) {
     table[0] = 1;
     for (k, &yk) in ys.iter().enumerate() {
         let yk = f.from_u64(yk);
         let (low, high) = table[..2 << k].split_at_mut(1 << k);
         for (v, vy) in low.iter_mut().zip(high) {
-            *vy = f.mul(*v, yk);
+            *vy = mul(*v, yk);
             *v = f.sub(*v, *vy);
         }
     }
@@ -568,6 +580,27 @@ mod tests {
                 let want = len as u128 * u32::MAX as u128 * (p - 1) as u128 % p as u128;
                 let sums = narrow_block_sums::<GROUP>(&xs, [&eqs[..]; GROUP], p);
                 assert_eq!(sums, Some([want as u64; GROUP]), "p={p}");
+            }
+        }
+    }
+
+    /// The eq table's `u64` reduction below 2³² and its `u128` one above
+    /// give every entry of the `Fp64::mul` definition, at the largest
+    /// prime below 2³² and the smallest above it, with `y`s near `p − 1`
+    /// (and one unreduced).
+    #[test]
+    fn eq_table_matches_field_products_either_side_of_2_32() {
+        for p in [4_294_967_291u64, 4_294_967_311] {
+            let f = Fp64::new(p).expect("prime");
+            let ys = [p - 1, p - 2, 1, p - 1, 0, p - 3, u64::MAX, p - 1];
+            let mut table = vec![0; 1 << ys.len()];
+            eq_table(&ys, f, &mut table);
+            for (i, &got) in table.iter().enumerate() {
+                let want = ys.iter().enumerate().fold(1, |acc, (k, &y)| {
+                    let y = f.from_u64(y);
+                    f.mul(acc, if (i >> k) & 1 == 1 { y } else { f.sub(1, y) })
+                });
+                assert_eq!(got, want, "p={p} i={i}");
             }
         }
     }

@@ -26,6 +26,18 @@
 //!   `L_p(x) = (x−1)/p` and `h_p = L_p(g^(p−1) mod p²)^{-1} = (−q)^{-1}
 //!   mod p`, likewise `m_q`, and recombines `m mod n` with Garner's method.
 //!
+//! The two halves of a decryption share one batch power
+//! ([`spfe_math::montgomery::pow_chains`]): on CPUs with AVX-512 IFMA its
+//! lanes each take their own modulus and exponent, so one lane walk
+//! carries both, and a batch of `m` decryptions packs its `2m` halves
+//! into `⌈2m/8⌉` walks. Encryption packs its two halves into one group
+//! only where that saves a walk: four encryptions or fewer.
+//!
+//! Public-key encryption forms `(1 + m·n)·r^n mod n²` as
+//! `r^n + n·((m·(r^n mod n)) mod n)`, less `n²` if that reaches it: the
+//! same residue, with one product modulo `n` in place of one modulo
+//! `n²`.
+//!
 //! A batch encryption checks its random `r`s for units with one gcd: the
 //! draws' product mod `n` is a unit iff every draw is. Only when it is not
 //! does it check each draw and draw replacements one at a time, so the
@@ -41,6 +53,7 @@
 
 use crate::hom::{HomomorphicPk, HomomorphicScheme, HomomorphicSk};
 use spfe_math::modular::{garner, gcd, mod_inv, mod_mul};
+use spfe_math::montgomery::{pow_chains, PowStep};
 use spfe_math::prime::gen_prime;
 use spfe_math::{Montgomery, MultiPow, Nat, RandomSource, POW_BATCH_GROUP};
 use spfe_obs::{count, Op};
@@ -58,8 +71,10 @@ pub struct PaillierCt(pub(crate) Nat);
 pub struct PaillierPk {
     n: Nat,
     n_sq: Nat,
-    /// Montgomery context for `n²` (shared with clones; keygen is per-session).
+    /// Montgomery contexts for `n²` and `n` (shared with clones; keygen is
+    /// per-session).
     mont: Arc<Montgomery>,
+    mont_n: Arc<Montgomery>,
     ct_bytes: usize,
 }
 
@@ -83,10 +98,11 @@ pub struct PaillierSk {
 /// The key holder's precomputation for working modulo `p²` and `q²`.
 struct Crt {
     /// Montgomery contexts for `p` and `q`: the half-width step of the
-    /// lift, and the moduli of decryption's recombination.
+    /// lift, and the moduli of decryption's recombination. One set, so
+    /// their powers share lane walks.
     p: Montgomery,
     q: Montgomery,
-    /// Montgomery contexts for `p²` and `q²`.
+    /// Montgomery contexts for `p²` and `q²`, one set likewise.
     p_sq: Montgomery,
     q_sq: Montgomery,
     /// `(p²)⁻¹ mod q²`: Garner's constant for recombining mod `n²`.
@@ -111,30 +127,51 @@ impl Crt {
         let h_p = mod_inv(&p.sub(&q.rem(&p)), &p)?;
         let h_q = mod_inv(&q.sub(&p.rem(&q)), &q)?;
         let (p_sq, q_sq) = (p.square(), q.square());
+        let (p_sq_inv, p_inv) = (mod_inv(&p_sq, &q_sq)?, mod_inv(&p, &q)?);
+        let [p_sq, q_sq] = Montgomery::new_set([p_sq, q_sq]);
+        let [p, q] = Montgomery::new_set([p, q]);
         Some(Crt {
-            p_sq_inv: mod_inv(&p_sq, &q_sq)?,
-            p_inv: mod_inv(&p, &q)?,
-            p_sq: Montgomery::new(p_sq),
-            q_sq: Montgomery::new(q_sq),
+            p_sq_inv,
+            p_inv,
+            p_sq,
+            q_sq,
             dec_exp_p: p1,
             dec_exp_q: q1,
             h_p,
             h_q,
-            p: Montgomery::new(p),
-            q: Montgomery::new(q),
+            p,
+            q,
         })
+    }
+
+    /// `halves[0]` applied to every `x`, then `halves[1]`, as one batch
+    /// power: the `2m` results pack into `⌈2m/8⌉` lane groups, the `p`
+    /// halves first.
+    fn both_halves(xs: &[&Nat], halves: &[&[PowStep<'_>]; 2]) -> Vec<Nat> {
+        let both: Vec<&Nat> = xs.iter().chain(xs).copied().collect();
+        pow_chains(&both, |i| halves[usize::from(i >= xs.len())])
     }
 
     /// `r^n mod n²` for every `r` by the p-adic lift of the module docs —
     /// one counted [`Op::Modexp`] per `r`. Both steps of each half run
-    /// as one chained batch power, so `(r mod p)^q mod p` never leaves the
-    /// kernel's form before it is raised to `p` mod `p²`.
+    /// as one chain, so `(r mod p)^q mod p` never leaves the kernel's form
+    /// before it is raised to `p` mod `p²`. The halves share lane groups
+    /// where that saves a walk: up to four `r`s. Five to eight fill two
+    /// groups either way, and separate halves keep each group's lanes on
+    /// one exponent.
     fn r_pow_n_batch(&self, rs: &[&Nat]) -> Vec<Nat> {
         count(Op::Modexp, rs.len() as u64);
         let (p, q) = (self.p.modulus(), self.q.modulus());
         // r^n ≡ ((r mod p)^q mod p)^p (mod p²), and symmetrically mod q².
-        let xp = self.p.pow_batch_then(rs, q, &self.p_sq, p);
-        let xq = self.q.pow_batch_then(rs, p, &self.q_sq, q);
+        let lift_p = [(&self.p, q), (&self.p_sq, p)];
+        let lift_q = [(&self.q, p), (&self.q_sq, q)];
+        let (xp, xq) = if 2 * rs.len() <= POW_BATCH_GROUP {
+            let mut x = Self::both_halves(rs, &[&lift_p, &lift_q]);
+            let xq = x.split_off(rs.len());
+            (x, xq)
+        } else {
+            (pow_chains(rs, |_| &lift_p), pow_chains(rs, |_| &lift_q))
+        };
         xp.iter()
             .zip(&xq)
             .map(|(xp, xq)| {
@@ -149,22 +186,32 @@ impl Crt {
             .collect()
     }
 
-    /// The plaintext of `c` — one counted [`Op::Modexp`].
+    /// The decryption powers: `c^(p−1) mod p²` and `c^(q−1) mod q²`.
+    fn dec_halves(&self) -> [[PowStep<'_>; 1]; 2] {
+        [
+            [(&self.p_sq, &self.dec_exp_p)],
+            [(&self.q_sq, &self.dec_exp_q)],
+        ]
+    }
+
+    /// The plaintext of `c` — one counted [`Op::Modexp`]. Both halves run
+    /// as one batch power, so on one lane walk where the lanes pay.
     fn decrypt(&self, c: &Nat) -> Nat {
         count(Op::Modexp, 1);
-        let xp = self.p_sq.pow_uncounted(c, &self.dec_exp_p);
-        let xq = self.q_sq.pow_uncounted(c, &self.dec_exp_q);
-        self.recombine(&xp, &xq)
+        let halves = self.dec_halves();
+        let x = pow_chains(&[c, c], |i| &halves[i]);
+        self.recombine(&x[0], &x[1])
     }
 
     /// The plaintexts of `cs`, in order — one counted [`Op::Modexp`]
-    /// each. The powers mod `p²` and mod `q²` run as two batch powers.
+    /// each. All `2·cs.len()` halves run as one batch power.
     fn decrypt_batch(&self, cs: &[&Nat]) -> Vec<Nat> {
         count(Op::Modexp, cs.len() as u64);
-        let xp = self.p_sq.pow_batch(cs, &self.dec_exp_p);
-        let xq = self.q_sq.pow_batch(cs, &self.dec_exp_q);
+        let halves = self.dec_halves();
+        let x = Self::both_halves(cs, &[&halves[0], &halves[1]]);
+        let (xp, xq) = x.split_at(cs.len());
         xp.iter()
-            .zip(&xq)
+            .zip(xq)
             .map(|(xp, xq)| self.recombine(xp, xq))
             .collect()
     }
@@ -194,10 +241,12 @@ impl PaillierPk {
         let n_sq = n.square();
         let ct_bytes = n_sq.bit_len().div_ceil(8);
         let mont = Arc::new(Montgomery::new(n_sq.clone()));
+        let mont_n = Arc::new(Montgomery::new(n.clone()));
         PaillierPk {
             n,
             n_sq,
             mont,
+            mont_n,
             ct_bytes,
         }
     }
@@ -264,12 +313,13 @@ impl PaillierPk {
     }
 
     /// `(1 + m·n) · rn mod n²` for `rn = r^n mod n²`, counted as one
-    /// encryption.
+    /// encryption. With `rn = a + b·n`, `(1 + m·n)·rn ≡ rn + n·(m·a)
+    /// (mod n²)`, and `rn + n·((m·a) mod n) < 2n²`: one product mod `n`
+    /// and one conditional subtraction, with no branch on `m`.
     fn encrypt_with(&self, m: &Nat, rn: &Nat) -> PaillierCt {
         count(Op::PaillierEncrypt, 1);
-        // 1 + m·n < n² for m < n: no reduction.
-        let gm = self.reduce_scalar(m).mul(&self.n).add(&Nat::one());
-        PaillierCt(self.mont.mul_mod(&gm, rn))
+        let c = rn.add(&self.n.mul(&self.mont_n.mul_mod(m, rn)));
+        PaillierCt(if c >= self.n_sq { c.sub(&self.n_sq) } else { c })
     }
 
     /// Batch encryption on the worker pool: the per-ciphertext randomness
@@ -417,9 +467,9 @@ impl HomomorphicSk<PaillierPk> for PaillierSk {
         self.crt.decrypt(&ct.0)
     }
 
-    /// CRT decryption with each half's powers as one batch power, so
-    /// groups of ciphertexts run on the lane kernel where it pays; the
-    /// plaintexts and counts of mapping [`PaillierSk::decrypt`].
+    /// CRT decryption with every half of every ciphertext in one batch
+    /// power, so groups of halves run on the lane kernel where it pays;
+    /// the plaintexts and counts of mapping [`PaillierSk::decrypt`].
     fn decrypt_batch(&self, cts: &[PaillierCt]) -> Vec<Nat> {
         count(Op::PaillierDecrypt, cts.len() as u64);
         let cs: Vec<&Nat> = cts.iter().map(|ct| &ct.0).collect();
@@ -564,8 +614,9 @@ mod tests {
         assert_eq!(sk.decrypt(&ct), m);
     }
 
-    /// Batch lengths that split into full and partial lane groups.
-    const BATCH_LENS: [usize; 5] = [1, 7, 8, 9, 17];
+    /// Batch lengths that split into full and partial lane groups, and
+    /// whose two CRT halves fill one group (up to 4) or two (5 to 8).
+    const BATCH_LENS: [usize; 9] = [1, 3, 4, 5, 7, 8, 9, 12, 17];
 
     #[test]
     fn batch_apis_bit_identical_to_serial() {
@@ -727,6 +778,86 @@ mod tests {
         }
     }
 
+    /// Says on stderr whether this host ran the lane kernel, so a run
+    /// with `--nocapture` shows which path the CRT tests covered.
+    fn report_lane_path(test: &str) {
+        if spfe_math::montgomery::lanes_available() {
+            eprintln!("{test}: lane kernel ran (avx512ifma)");
+        } else {
+            eprintln!("{test}: no avx512ifma, only the scalar fallback ran");
+        }
+    }
+
+    /// CRT decryption by the scalar kernel: each half by `pow_uncounted`,
+    /// then `recombine`.
+    fn scalar_decrypt(sk: &PaillierSk, ct: &PaillierCt) -> Nat {
+        let crt = &sk.crt;
+        let xp = crt.p_sq.pow_uncounted(&ct.0, &crt.dec_exp_p);
+        let xq = crt.q_sq.pow_uncounted(&ct.0, &crt.dec_exp_q);
+        crt.recombine(&xp, &xq)
+    }
+
+    /// Lane digits of a modulus of `bits` bits, as the lane kernel counts.
+    fn lane_digits(bits: usize) -> usize {
+        (bits + 2).div_ceil(52)
+    }
+
+    /// `decrypt` and `decrypt_batch`, whose halves share lane walks, bit
+    /// for bit against the scalar halves and `recombine`: at 128, 512 and
+    /// 2048 bits and at a 155-bit key whose `p²` and `q²` take 3 and 4 lane
+    /// digits; on fresh ciphertexts and on non-units (0, 1, multiples of
+    /// `p` and of `q`, `n² − 1`); batches at 1 and 4 pool threads.
+    #[test]
+    fn crt_decrypt_matches_scalar_halves() {
+        report_lane_path("crt_decrypt_matches_scalar_halves");
+        for (bits, seed) in [
+            (128, 0xC7D1u64),
+            (155, 0xC7D2),
+            (512, 0xC7D3),
+            (2048, 0xC7D4),
+        ] {
+            let mut rng = ChaChaRng::from_u64_seed(seed);
+            let (pk, sk) = Paillier::keygen(bits, &mut rng);
+            let (p, q) = (sk.crt.p.modulus(), sk.crt.q.modulus());
+            if bits == 155 {
+                let [dp, dq] =
+                    [&sk.crt.p_sq, &sk.crt.q_sq].map(|m| lane_digits(m.modulus().bit_len()));
+                assert_eq!((dp, dq), (3, 4), "the key must split the digit counts");
+            }
+            let ms: Vec<Nat> = (0..9)
+                .map(|_| Nat::random_below(&mut rng, pk.n()))
+                .collect();
+            let mut cts = sk.encrypt_batch(&pk, &ms, &mut rng);
+            let x = Nat::random_below(&mut rng, pk.n());
+            for v in [
+                Nat::zero(),
+                Nat::one(),
+                p.clone(),
+                q.clone(),
+                p.mul(&x),
+                q.mul(&x),
+                pk.n_squared().sub(&Nat::one()),
+            ] {
+                cts.push(PaillierCt(v.rem(pk.n_squared())));
+            }
+            cts.push(cts[0].clone());
+            let want: Vec<Nat> = cts.iter().map(|ct| scalar_decrypt(&sk, ct)).collect();
+            for (ct, want) in cts.iter().zip(&want) {
+                assert_eq!(&sk.decrypt(ct), want, "bits={bits} ct={:?}", ct.0);
+            }
+            assert_eq!(want[..ms.len()], ms[..], "bits={bits}");
+            for len in [1, 3, 4, 5, 8, 9, 17] {
+                for threads in [1, 4] {
+                    spfe_math::par::set_threads(Some(threads));
+                    let got = sk.decrypt_batch(&cts[cts.len() - len..]);
+                    spfe_math::par::set_threads(None);
+                    let what = format!("bits={bits} len={len} threads={threads}");
+                    assert_eq!(got, want[cts.len() - len..], "{what}");
+                }
+            }
+        }
+    }
+
     /// `decrypt_batch` against mapping `decrypt`, at batch lengths that
     /// split into full and partial lane groups, on fresh ciphertexts and
     /// on residues that are not encryptions (zero, one, `n² − 1`).
@@ -754,6 +885,13 @@ mod tests {
     #[test]
     fn crt_matches_public_path_at_2048_bits() {
         check_crt_equivalence(2048, 0x2048);
+    }
+
+    /// The lift's chains at a key whose `p²` and `q²` take 3 and 4 lane
+    /// digits (and `p`, `q` 2 each).
+    #[test]
+    fn crt_matches_public_path_across_lane_digit_counts() {
+        check_crt_equivalence(155, 0xC7D2);
     }
 
     proptest! {

@@ -35,11 +35,12 @@
 // Unsafe is denied crate-wide, not forbidden. There are three audited
 // exceptions, each site with a SAFETY comment: the [`par`] engine's slab
 // placement and its persistent-worker job handoff (both covered by the
-// serial-equivalence proptests), and the AVX-512 IFMA lane kernel under
-// [`Montgomery::pow_batch`] (`montgomery/lanes.rs`: one target-feature
-// call after run-time detection, and its aligned vector loads/stores;
-// covered by the batch-vs-scalar tests). Everything else in the crate
-// remains unsafe-free.
+// serial-equivalence proptests), and the AVX-512 IFMA lane kernels under
+// [`montgomery::pow_chains`] and [`MultiPow`] (`montgomery/lanes.rs`:
+// target-feature calls after run-time detection, aligned vector
+// loads/stores, bounds-checked table gathers and the word view of a lane
+// table; covered by the batch-vs-scalar tests). Everything else in the
+// crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -6,12 +6,12 @@
 //!
 //! Every power is one digit walk, [`straus_walk`]: a single power is one
 //! row and one column, the fixed-base comb ([`FixedBasePow`]) one row per
-//! window at one position, a batch power ([`Montgomery::pow_batch`]) one
-//! row whose digit drives eight lanes, a Straus fold ([`MultiPow`]) one
-//! row per base. Its kernels are a fused CIOS multiply-and-reduce on
-//! limb-slice scratch ([`StrausCios`]) and, on CPUs with AVX-512 IFMA, a
-//! same-exponent and a gathering lane kernel (`montgomery/lanes.rs`), with
-//! the same results and heap tallies. A power allocates its scratch once
+//! window at one position, a batch power ([`pow_chains`]) one row with a
+//! column per lane, each lane with its own modulus and exponent, a Straus
+//! fold ([`MultiPow`]) one row per base. Its kernels are a fused CIOS
+//! multiply-and-reduce on limb-slice scratch ([`StrausCios`]) and, on CPUs
+//! with AVX-512 IFMA, a power and a gathering lane kernel
+//! (`montgomery/lanes.rs`), with the same results and heap tallies. A power allocates its scratch once
 //! (on the stack up to the window table of a 4096-bit modulus) and touches
 //! the heap again only for its result.
 
@@ -131,8 +131,11 @@ pub struct Montgomery {
     one: Vec<u64>,
     /// `R^2 mod n` as exactly `k` limbs — converts into Montgomery form.
     r2: Vec<u64>,
-    /// The [`Montgomery::pow_batch`] lane kernel's constants, built the
-    /// first time a group of bases runs on it.
+    /// Digits per number on the lane kernel: this modulus's own count, or
+    /// the widest of a [`Montgomery::new_set`].
+    lane_digits: usize,
+    /// The lane kernel's constants, built the first time a group of bases
+    /// runs on it.
     lanes: OnceLock<lanes::LaneConsts>,
 }
 
@@ -161,6 +164,7 @@ impl Montgomery {
         let one = padded(Nat::one().shl(64 * k).rem(&n));
         let r2 = padded(Nat::one().shl(128 * k).rem(&n));
         Montgomery {
+            lane_digits: lanes::digits_for(n.bit_len()),
             n,
             k,
             n0_inv,
@@ -168,6 +172,22 @@ impl Montgomery {
             r2,
             lanes: OnceLock::new(),
         }
+    }
+
+    /// Contexts for moduli whose powers share lane walks
+    /// ([`pow_chains`]). A lane walk runs at one digit count, so each
+    /// context's lane constants are built at the count of the widest
+    /// modulus of the set; otherwise each is [`Montgomery::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a modulus is even or at most 1.
+    pub fn new_set<const N: usize>(ns: [Nat; N]) -> [Montgomery; N] {
+        let d = ns.iter().map(|n| lanes::digits_for(n.bit_len())).max();
+        ns.map(|n| Montgomery {
+            lane_digits: d.unwrap_or(0),
+            ..Montgomery::new(n)
+        })
     }
 
     /// The modulus.
@@ -297,40 +317,17 @@ impl Montgomery {
             self.to_mont(base, &mut table[..k], &mut work[..w]);
             self.powers(table, w, per_row, &mut work[..w]);
             let mut kernel = StrausCios::new(self, table, w, per_row, work);
-            pow_walk(&mut kernel, exp, win);
+            pow_walk(&mut kernel, &[exp], win);
             out.copy_from_slice(kernel.leave());
         })
     }
 
-    /// `base^exp mod n` for every base, in order: bit-identical to mapping
-    /// [`Montgomery::pow_uncounted`] over `bases`, and likewise uncounted.
-    ///
-    /// Groups of up to eight bases run as one lane exponentiation on
-    /// CPUs with AVX-512 IFMA when the group is full enough to beat
-    /// separate powers at this modulus width (DESIGN §8); every other
-    /// group, and every group on other CPUs, runs the scalar kernel base by
-    /// base. Either way each result is one heap allocation.
+    /// `base^exp mod n` for every base, in order: [`pow_chains`] with one
+    /// step, so bit-identical to mapping [`Montgomery::pow_uncounted`] over
+    /// `bases`, and likewise uncounted.
     pub fn pow_batch(&self, bases: &[&Nat], exp: &Nat) -> Vec<Nat> {
-        pow_chain(bases, &[(self, exp)])
-    }
-
-    /// `(base^exp mod n)^outer_exp mod m` for every base, where `m` is the
-    /// modulus of `outer`: [`Montgomery::pow_batch`] for two powers in a
-    /// row, with the intermediate residues kept in the kernel's own form
-    /// (limb slices, or lane digits) rather than as [`Nat`]s. Uncounted.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n ≤ m`.
-    pub fn pow_batch_then(
-        &self,
-        bases: &[&Nat],
-        exp: &Nat,
-        outer: &Montgomery,
-        outer_exp: &Nat,
-    ) -> Vec<Nat> {
-        assert!(self.n <= outer.n, "the outer modulus must not be smaller");
-        pow_chain(bases, &[(self, exp), (outer, outer_exp)])
+        let step = [(self, exp)];
+        pow_chains(bases, |_| &step)
     }
 
     /// The lane kernel's constants, built on first use. Only CPUs with
@@ -339,7 +336,7 @@ impl Montgomery {
     fn lane_consts(&self) -> &lanes::LaneConsts {
         self.lanes.get_or_init(|| {
             let _host_dependent = spfe_obs::mem::pause();
-            lanes::LaneConsts::new(&self.n, self.n0_inv)
+            lanes::LaneConsts::new(&self.n, self.n0_inv, self.lane_digits)
         })
     }
 
@@ -378,36 +375,69 @@ fn lane_min_group(k: usize) -> usize {
     }
 }
 
-/// Whether a group of `fill` bases runs the chain `steps` on the lane
-/// kernel: the CPU has it, the group is full enough for the first (the
-/// narrowest) modulus, and every power fits the lane scratch.
-fn lanes_pay(steps: &[(&Montgomery, &Nat)], fill: usize) -> bool {
+/// Whether this CPU runs the lane kernels of [`pow_chains`] and
+/// [`MultiPow`]: AVX-512 IFMA, detected at run time.
+pub fn lanes_available() -> bool {
     lanes::available()
-        && fill >= lane_min_group(steps[0].0.k)
-        && steps
-            .iter()
-            .all(|(m, e)| !e.is_zero() && m.lane_consts().window(e.bit_len()).is_some())
 }
 
-/// The powers `steps` applied in order to every base — the engine of
-/// [`Montgomery::pow_batch`] and [`Montgomery::pow_batch_then`]. The
-/// moduli must not decrease, so each intermediate residue is a valid
-/// input of the next step without reduction.
-fn pow_chain(bases: &[&Nat], steps: &[(&Montgomery, &Nat)]) -> Vec<Nat> {
+/// One power of a chain ([`pow_chains`]): the context of its modulus and
+/// its exponent.
+pub type PowStep<'a> = (&'a Montgomery, &'a Nat);
+
+/// `bases[i]` raised to the exponent of each step of `chain(i)` in turn,
+/// modulo that step's modulus, for every `i`, in order: bit-identical to
+/// mapping [`Montgomery::pow_uncounted`] step by step, and likewise
+/// uncounted. The moduli of a chain must not decrease, so each
+/// intermediate residue is a valid input of the next step; it stays in
+/// the kernel's own form (limb slices, or lane digits), not a [`Nat`].
+///
+/// Groups of up to eight consecutive bases run as one lane walk per step
+/// on CPUs with AVX-512 IFMA, one base per lane, each lane with its own
+/// modulus and exponent, when the group fills enough lanes to beat
+/// separate powers at its modulus width (DESIGN §8), its chains have one
+/// length and each step's moduli share a lane digit count (one width, or
+/// one [`Montgomery::new_set`]). Every other group, and every group on
+/// other CPUs, runs the scalar kernel base by base. Either way each
+/// result is one heap allocation.
+pub fn pow_chains<'a>(bases: &[&Nat], chain: impl Fn(usize) -> &'a [PowStep<'a>]) -> Vec<Nat> {
     let mut out = Vec::with_capacity(bases.len());
-    for group in bases.chunks(lanes::LANES) {
-        if lanes_pay(steps, group.len()) {
-            lane_chain(group, steps, &mut out);
+    for (g, group) in bases.chunks(lanes::LANES).enumerate() {
+        let chains: [&[PowStep<'a>]; lanes::LANES] =
+            std::array::from_fn(|l| chain(g * lanes::LANES + l.min(group.len() - 1)));
+        let chains = &chains[..group.len()];
+        if lanes_pay(chains) {
+            lane_chain(group, chains, &mut out);
         } else {
-            out.extend(group.iter().map(|b| scalar_chain(b, steps)));
+            out.extend(group.iter().zip(chains).map(|(b, c)| scalar_chain(b, c)));
         }
     }
     out
 }
 
+/// Whether a group runs `chains`, one per filled lane, on the lane
+/// kernel: the CPU has it, the lanes filled reach the crossover for the
+/// narrowest first modulus, the chains have one length, and at each step
+/// the exponents are non-zero, the moduli share a digit count and the
+/// power fits the lane scratch.
+fn lanes_pay(chains: &[&[PowStep<'_>]]) -> bool {
+    let first = chains[0];
+    let k = chains.iter().map(|c| c[0].0.k).min().unwrap_or(1);
+    lanes::available()
+        && chains.len() >= lane_min_group(k)
+        && chains.iter().all(|c| c.len() == first.len())
+        && (0..first.len()).all(|s| {
+            let bits = chains.iter().map(|c| c[s].1.bit_len()).max().unwrap_or(0);
+            chains
+                .iter()
+                .all(|c| !c[s].1.is_zero() && c[s].0.lane_digits == first[s].0.lane_digits)
+                && first[s].0.lane_consts().window(bits).is_some()
+        })
+}
+
 /// One base through `steps` on the scalar kernel, intermediates in stack
 /// limbs.
-fn scalar_chain(base: &Nat, steps: &[(&Montgomery, &Nat)]) -> Nat {
+fn scalar_chain(base: &Nat, steps: &[PowStep<'_>]) -> Nat {
     let k_max = steps.iter().map(|(m, _)| m.k).max().unwrap_or(1);
     with_scratch(2 * k_max, |s| {
         let (mut cur, mut next) = s.split_at_mut(k_max);
@@ -422,30 +452,46 @@ fn scalar_chain(base: &Nat, steps: &[(&Montgomery, &Nat)]) -> Nat {
     })
 }
 
-/// A group of at most eight bases through `steps` on the lane kernel,
-/// one base per lane; results are appended to `out` in order.
-fn lane_chain(group: &[&Nat], steps: &[(&Montgomery, &Nat)], out: &mut Vec<Nat>) {
-    let (first, last) = (steps[0].0, steps[steps.len() - 1].0);
-    lanes::with_lanes(last.lane_consts().d, |x| {
-        load_lanes(first, group, x);
-        // Each step leaves its residues below its modulus, a valid
-        // (zero-extended) input of the next, wider step.
-        for &(m, e) in steps {
-            let c = m.lane_consts();
-            let win = c.window(e.bit_len()).expect("lane scratch fits");
-            lanes::same_exp(c, win, &mut x[..c.d], |kernel| pow_walk(kernel, e, win));
+/// A group of at most eight bases through their `chains` on the lane
+/// kernel, one base per lane; results are appended to `out` in order.
+fn lane_chain(group: &[&Nat], chains: &[&[PowStep<'_>]], out: &mut Vec<Nat>) {
+    let at = |s: usize, l: usize| chains[l.min(chains.len() - 1)][s];
+    let steps = chains[0].len();
+    lanes::with_lanes(at(steps - 1, 0).0.lane_digits, |x| {
+        load_lanes(group, |l| at(0, l).0, x);
+        // Each step leaves its residues below its moduli, valid
+        // (zero-extended) inputs of the next, no narrower step.
+        for s in 0..steps {
+            let consts: [&lanes::LaneConsts; lanes::LANES] =
+                std::array::from_fn(|l| at(s, l).0.lane_consts());
+            let m = lanes::Moduli::new(consts);
+            let exps: [&Nat; lanes::LANES] = std::array::from_fn(|l| at(s, l).1);
+            let exps = &exps[..group.len()];
+            let bits = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
+            let win = consts[0].window(bits).expect("lane scratch fits");
+            // Lanes that share one exponent walk it as one column.
+            let cols = if exps.iter().all(|e| *e == exps[0]) {
+                1
+            } else {
+                exps.len()
+            };
+            lanes::pow(&m, win, &mut x[..m.d()], |kernel| {
+                pow_walk(kernel, &exps[..cols], win)
+            });
         }
-        lanes::push_lanes(x, group.len(), last.k, out);
+        out.extend((0..group.len()).map(|l| lanes::lane_nat(x, l, at(steps - 1, l).0.k)));
     })
 }
 
-/// Loads at most eight bases, reduced mod `mont`'s modulus, into the
-/// lanes of `x`, one base per lane.
-fn load_lanes(mont: &Montgomery, group: &[&Nat], x: &mut [lanes::Lane]) {
-    with_scratch(mont.k, |limbs| {
+/// Loads at most eight bases, each reduced mod the modulus of its lane's
+/// context `ctx(lane)`, into the lanes of `x`, one base per lane.
+fn load_lanes<'a>(group: &[&Nat], ctx: impl Fn(usize) -> &'a Montgomery, x: &mut [lanes::Lane]) {
+    let k = (0..group.len()).map(|l| ctx(l).k).max().unwrap_or(1);
+    with_scratch(k, |limbs| {
         for (lane, base) in group.iter().enumerate() {
-            mont.load_reduced(base.limbs(), limbs);
-            for (v, dig) in x.iter_mut().zip(lanes::digits(limbs)) {
+            let m = ctx(lane);
+            m.load_reduced(base.limbs(), &mut limbs[..m.k]);
+            for (v, dig) in x.iter_mut().zip(lanes::digits(&limbs[..m.k])) {
                 v.0[lane] = dig;
             }
         }
@@ -564,7 +610,7 @@ const MULTI_POW_MAX_WINDOW: usize = 8;
 /// scalar kernel's `k` limbs and the lane kernel's digits, so the table's
 /// size, and with it the heap tallies, does not depend on the CPU.
 fn multi_pow_slot(mont: &Montgomery) -> usize {
-    mont.k.max(lanes::digits_for(mont.n.bit_len()))
+    mont.k.max(mont.lane_digits)
 }
 
 /// The [`MultiPow`] window width for `bases` bases in slots of `slot`
@@ -671,9 +717,9 @@ impl<'a> MultiPow<'a> {
                 one[..c.d].copy_from_slice(&c.one);
                 let group_len = lanes::LANES * per_row * slot;
                 for (group, rows) in bases.chunks(lanes::LANES).zip(rows.chunks_mut(group_len)) {
-                    let load = |x: &mut [lanes::Lane]| load_lanes(mont, group, x);
-                    lanes::frame(c, 4, |n, s| {
-                        lanes::powers(c, n, s, load, per_row, |e, v| {
+                    let load = |x: &mut [lanes::Lane]| load_lanes(group, |_| mont, x);
+                    lanes::frame(&lanes::Moduli::new([c; lanes::LANES]), 4, |fr, s| {
+                        lanes::powers(fr, s, load, per_row, |e, v| {
                             for (lane, row) in rows.chunks_exact_mut(per_row * slot).enumerate() {
                                 let entry = &mut row[(e - 1) * slot..][..c.d];
                                 for (w, dig) in entry.iter_mut().zip(v) {
@@ -720,7 +766,8 @@ impl<'a> MultiPow<'a> {
                 for group in cols.chunks(lanes::LANES) {
                     lanes::straus(c, &self.table, self.slot, per_row, |kernel| {
                         self.walk(kernel, group);
-                        lanes::push_lanes(kernel.finish(), group.len(), k, &mut out);
+                        let v = kernel.finish();
+                        out.extend((0..group.len()).map(|l| lanes::lane_nat(v, l, k)));
                     });
                 }
             }
@@ -820,13 +867,16 @@ impl<'a> StrausCios<'a> {
     }
 }
 
-/// The walk of one exponent, for one base or eight lanes: one row and
-/// column, `⌈bits/win⌉` positions.
-fn pow_walk(kernel: &mut impl StrausKernel, exp: &Nat, win: usize) {
-    let positions = exp.bit_len().div_ceil(win);
-    straus_walk(kernel, win, [1, 1, positions], |_, _, lo| {
-        digit(exp, lo, win)
-    });
+/// The walk of one exponent per column, for one base or up to eight
+/// lanes: one row, `⌈bits/win⌉` positions of the longest exponent.
+fn pow_walk(kernel: &mut impl StrausKernel, exps: &[&Nat], win: usize) {
+    let positions = exps.iter().map(|e| e.bit_len()).max().unwrap_or(0);
+    straus_walk(
+        kernel,
+        win,
+        [1, exps.len(), positions.div_ceil(win)],
+        |c, _, lo| digit(exps[c], lo, win),
+    );
 }
 
 /// The [`FixedBasePow`] comb walk: one row per 4-bit window of `exp`, all
@@ -1099,7 +1149,7 @@ mod tests {
                         .map(|i| "s".repeat(w) + if nonzero(e, w, i) { "p" } else { "" })
                         .collect();
                     let mut log = Log::default();
-                    pow_walk(&mut log, &Nat::from(e), w);
+                    pow_walk(&mut log, &[&Nat::from(e)], w);
                     assert_eq!(log.0, format!("l{tail}"), "e={e:#x} w={w}");
                 }
                 let windows = bits.div_ceil(4) + 2;
@@ -1111,7 +1161,7 @@ mod tests {
         }
         for w in 1..=6 {
             let mut log = Log::default();
-            pow_walk(&mut log, &Nat::zero(), w);
+            pow_walk(&mut log, &[&Nat::zero()], w);
             comb_walk(&mut log, &Nat::zero(), w);
             straus_walk(&mut log, w, [5, lanes::LANES, 4], |_, _, _| 0);
             assert_eq!(log.0, "111", "w={w}");
@@ -1278,40 +1328,87 @@ mod tests {
         }
     }
 
-    /// The chained batch is the two powers in a row, at a tiny and a
-    /// 2048-bit-key-sized pair of moduli.
+    /// `pow_chains` against the scalar powers step by step: the two-step
+    /// lift chain (`·^e mod p`, then `·^p mod p²`) of one modulus, and the
+    /// chains of `p` and of `q` in the lanes of one group, as the CRT
+    /// halves of a Paillier key hold them, on `Montgomery::new` contexts
+    /// (each at its own digit count, scalar where those differ) and on
+    /// `new_set` ones (one digit count).
     #[test]
-    fn pow_batch_then_matches_two_powers() {
-        report_lane_path("pow_batch_then_matches_two_powers");
+    fn pow_chains_match_powers_in_turn() {
+        report_lane_path("pow_chains_match_powers_in_turn");
         let mut rng = XorShiftRng::new(0x7E4_0002);
-        for k in [1, 2, 16] {
-            let p = odd_modulus(&mut rng, k);
-            let (inner, outer) = (Montgomery::new(p.clone()), Montgomery::new(p.square()));
-            let (e1, e2) = (Nat::random_exact_bits(&mut rng, 64 * k), p.clone());
+        // (64, 79): p² and q² take 3 and 4 lane digits; (100, 103): p
+        // and q take 2 and 3.
+        for (bits_p, bits_q) in [(40, 41), (64, 79), (100, 103), (1023, 1024)] {
+            let odd = |rng: &mut XorShiftRng, bits: usize| {
+                let mut n = Nat::random_exact_bits(rng, bits);
+                n.set_bit(0, true);
+                n
+            };
+            let (p, q) = (odd(&mut rng, bits_p), odd(&mut rng, bits_q));
+            let (e_p, e_q) = (Nat::random_exact_bits(&mut rng, bits_p), q.clone());
             let bases = batch_bases(&mut rng, &p.square());
-            for len in [1, 7, 8, 9, 17] {
-                let batch: Vec<&Nat> = bases.iter().cycle().take(len).collect();
-                let want: Vec<Nat> = batch
-                    .iter()
-                    .map(|b| outer.pow_uncounted(&inner.pow_uncounted(b, &e1), &e2))
-                    .collect();
-                let got = inner.pow_batch_then(&batch, &e1, &outer, &e2);
-                assert_eq!(got, want, "k={k} len={len}");
+            let plain = [p.clone(), q.clone()].map(Montgomery::new);
+            let squares = [p.square(), q.square()].map(Montgomery::new);
+            let set = Montgomery::new_set([p.clone(), q.clone()]);
+            let set_sq = Montgomery::new_set([p.square(), q.square()]);
+            for (ctx, sq) in [(&plain, &squares), (&set, &set_sq)] {
+                let halves = [
+                    [(&ctx[0], &e_p), (&sq[0], &p)],
+                    [(&ctx[1], &e_q), (&sq[1], &q)],
+                ];
+                let scalar = |b: &Nat, h: &[PowStep<'_>]| {
+                    h.iter().fold(b.clone(), |x, (m, e)| m.pow_uncounted(&x, e))
+                };
+                for len in [1, 3, 4, 5, 7, 8, 9, 17] {
+                    let batch: Vec<&Nat> = bases.iter().cycle().take(len).collect();
+                    let what = format!("bits={bits_p},{bits_q} len={len}");
+                    let want: Vec<Nat> = batch.iter().map(|b| scalar(b, &halves[0])).collect();
+                    assert_eq!(pow_chains(&batch, |_| &halves[0]), want, "{what}");
+                    // Both halves of every base, packed p first, then q.
+                    let both: Vec<&Nat> = batch.iter().chain(&batch).copied().collect();
+                    let want: Vec<Nat> = both
+                        .iter()
+                        .enumerate()
+                        .map(|(i, b)| scalar(b, &halves[usize::from(i >= len)]))
+                        .collect();
+                    let got = pow_chains(&both, |i| &halves[usize::from(i >= len)]);
+                    assert_eq!(got, want, "both halves, {what}");
+                }
             }
         }
     }
 
     /// The crossover table sends full groups to the lane kernel wherever
-    /// the CPU has it, and singles never.
+    /// the CPU has it, and singles never. It counts filled lanes, whatever
+    /// their moduli, and lanes share a walk only at one digit count.
     #[test]
     fn lane_dispatch_follows_the_crossover_table() {
         let mut rng = XorShiftRng::new(3);
+        let e = Nat::from(65_537u64);
         for k in [1, 2, 3, 32] {
             let ctx = Montgomery::new(odd_modulus(&mut rng, k));
-            let e = Nat::from(65_537u64);
-            assert_eq!(lanes_pay(&[(&ctx, &e)], 8), lanes::available(), "k={k}");
-            assert!(!lanes_pay(&[(&ctx, &e)], 1), "k={k}");
-            assert!(!lanes_pay(&[(&ctx, &Nat::zero())], 8), "k={k}");
+            let one = [(&ctx, &e)];
+            assert_eq!(lanes_pay(&[&one[..]; 8]), lanes::available(), "k={k}");
+            assert!(!lanes_pay(&[&one[..]]), "k={k}");
+            assert!(!lanes_pay(&[&[(&ctx, &Nat::zero())][..]; 8]), "k={k}");
+            // Two lanes, each with its own modulus and exponent: on the
+            // lanes from 3 limbs, as two bases of one modulus are.
+            let (other, three) = (Montgomery::new(odd_modulus(&mut rng, k)), Nat::from(3u64));
+            let two = [&one[..], &[(&other, &three)][..]];
+            assert_eq!(lanes_pay(&two), k >= 3 && lanes::available(), "k={k}");
+            assert_eq!(lanes_pay(&[&one[..]; 2]), k >= 3 && lanes::available());
+        }
+        // 1038 and 1039 bits: 20 and 21 lane digits.
+        let [mut n, mut wide] = [1038, 1039].map(|b| Nat::random_exact_bits(&mut rng, b));
+        n.set_bit(0, true);
+        wide.set_bit(0, true);
+        let mixed = [Montgomery::new(n.clone()), Montgomery::new(wide.clone())];
+        let set = Montgomery::new_set([n, wide]);
+        for (ctx, shares) in [(&mixed, false), (&set, true)] {
+            let (a, b) = ([(&ctx[0], &e)], [(&ctx[1], &e)]);
+            assert_eq!(lanes_pay(&[&a[..], &b[..]]), shares && lanes::available());
         }
     }
 

@@ -196,6 +196,43 @@ fn pow_batch_heap_is_one_result_per_power_on_both_paths() {
     }
 }
 
+/// Paillier decryption allocates the same whether its CRT halves run on
+/// the lane kernel or the scalar one, so the committed heap rows do not
+/// depend on the host CPU. At 128 bits `decrypt`'s two halves are too few
+/// lanes for the lane kernel at `p²`'s width, while a batch of two or
+/// more fills enough; at 512 bits both run on it (on CPUs with AVX-512
+/// IFMA). A batch of `m` copies of one ciphertext allocates `m` times
+/// what `decrypt` does beside its two-result vector, plus its own four
+/// vectors: the ciphertext and the `2m` base references, the `2m` halves
+/// and the `m` plaintexts.
+#[test]
+fn crt_decrypt_heap_is_the_same_on_both_paths() {
+    use spfe::crypto::{ChaChaRng, HomomorphicPk, HomomorphicScheme, HomomorphicSk, Paillier};
+    use spfe::math::Nat;
+    let _g = lock();
+    let _t = ThreadsGuard::set(1);
+    let (nat, ptr) = (std::mem::size_of::<Nat>(), std::mem::size_of::<&Nat>());
+    for bits in [128, 512] {
+        let mut rng = ChaChaRng::from_u64_seed(bits as u64);
+        let (pk, sk) = Paillier::keygen(bits, &mut rng);
+        let ct = pk.encrypt(&Nat::from(0xDEC0_u64), &mut rng);
+        // A first decryption builds the lane constants: paused, so it must
+        // tally the same as every later one.
+        let first = heap_of(|| sk.decrypt(&ct));
+        let (allocs, bytes) = heap_of(|| sk.decrypt(&ct));
+        assert_eq!(first, (allocs, bytes), "bits={bits}");
+        for m in [1, 2, 4, 5, 9] {
+            let batch = vec![ct.clone(); m];
+            let want = (
+                m as u64 * (allocs - 1) + 4,
+                (m as u64 * (bytes - 2 * nat as u64)) + (3 * m * ptr + 3 * m * nat) as u64,
+            );
+            let got = heap_of(|| sk.decrypt_batch(&batch));
+            assert_eq!(got, want, "bits={bits} m={m}");
+        }
+    }
+}
+
 /// A Straus fold allocates the same on the lane path (enough columns at
 /// the modulus width, on CPUs with AVX-512 IFMA) and on the scalar path
 /// (too few columns, and every fold elsewhere): one table sized by one
