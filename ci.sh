@@ -31,12 +31,14 @@ echo "==> overflow-checked kernel tests (test profile)"
 cargo test "${OFFLINE[@]}" -q -p spfe-circuits -p spfe-pir
 cargo test "${OFFLINE[@]}" -q -p spfe-core multiserver
 
-echo "==> multi-database and robust examples"
-# The two examples assert their results, and outside the tests they are
-# the only users of multiserver's many-database and fault-budget
-# parameters.
+echo "==> multi-database, robust and Table 1 examples"
+# The examples assert their results. Outside the tests, multiserver_sum
+# and robust_and_hidden are the only users of multiserver's many-database
+# and fault-budget parameters, and table1_tour runs every Table 1
+# construction at n = 256.
 cargo run "${OFFLINE[@]}" --release -q --example multiserver_sum
 cargo run "${OFFLINE[@]}" --release -q --example robust_and_hidden
+cargo run "${OFFLINE[@]}" --release -q --example table1_tour
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy "${OFFLINE[@]}" --release --workspace --all-targets -- -D warnings
@@ -184,9 +186,9 @@ for _ in $(seq 1 50); do
 done
 ADDR=$(awk '/^listening on /{print $3; exit}' "$SRV_LOG")
 test -n "$ADDR"
-# e1's psm_spfe and two_phase run in relay mode; every driver with
-# extracted sans-io cores (e1's hom_pir and spir, all of e2 and e11, xor2)
-# runs in compute mode, so both session kinds land in the trace journals.
+# e1's two_phase runs in relay mode; every driver with extracted sans-io
+# cores (e1's hom_pir, spir and psm_spfe, all of e2 and e11, xor2) runs in
+# compute mode, so both session kinds land in the trace journals.
 target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" e1 e2 e11 xor2
 # Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
 # Prometheus text exposition, both while sessions are being served.

@@ -210,9 +210,12 @@ pub fn select1_with_oracle<R: RandomSource + ?Sized>(
     })
 }
 
-/// Checks the §3.3.2 no-overflow precondition: homomorphic sums
-/// `m·p² + p·2^{σ+1}` must stay below the plaintext modulus.
-fn check_hom_capacity<P: HomomorphicPk>(pk: &P, p: u64, m: usize) {
+/// Asserts the no-overflow precondition of a homomorphic reply that sums
+/// `m` products of two field elements and adds a blind `p·R` with
+/// `R ≤ 2^{σ+1}` (§3.3.2's server step, §4's weighted-sum functional and
+/// frequency comparisons): `m·p² + p·2^{σ+1}` must stay below the
+/// plaintext modulus, so the decrypted integer reduced mod `p` is exact.
+pub(crate) fn check_hom_capacity<P: HomomorphicPk>(pk: &P, p: u64, m: usize) {
     let bound = Nat::from(p)
         .square()
         .mul_u64(m as u64)

@@ -15,11 +15,15 @@
 //! Three instantiations:
 //!
 //! * [`run_yao_psm`] — single-server, computational: Corollary 4(1),
-//!   communication `m·SPIR(n,1,κ) + O(κ·C_f)`;
+//!   communication `m·SPIR(n,1,κ) + O(κ·C_f)`; written once, as sans-io
+//!   cores (DESIGN.md §15) that the networked server hosts too;
 //! * [`run_sum_psm`] — `k`-server, perfectly secure for the sum function
 //!   (Example 1): communication `m·PSPIR_k(n,1,ℓ)`, `β = 0`;
 //! * [`run_bp_psm`] — `k`-server, perfectly secure for branching programs:
 //!   Corollary 4(2), communication `m·PSPIR_k(n,1,O(B_f²))`.
+//!
+//! The two `k`-server instantiations share one body and differ only in
+//! their virtual-database entries and referee.
 
 use spfe_circuits::boolean::Circuit;
 use spfe_circuits::bp::BranchingProgram;
@@ -27,12 +31,16 @@ use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::{ChaChaRng, SchnorrGroup};
 #[cfg(test)]
 use spfe_math::Fp64;
-use spfe_math::RandomSource;
-use spfe_mpc::garble::{self, Label};
+use spfe_math::{Mat, Poly, RandomSource};
+use spfe_mpc::garble::{self, GarbledCircuit, Label};
 use spfe_mpc::psm;
-use spfe_pir::poly_it::{self, PolyItParams};
-use spfe_pir::spir::{self, SpirParams, SpirQuery, SpirWordsAnswer};
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_pir::poly_it::{self, PolyItParams, PolyItQuery};
+use spfe_pir::spir::{self, SpirClientState, SpirParams, SpirQuery, SpirWordsAnswer};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError,
+    SessionCore, SessionState, Wire,
+};
+use std::borrow::Cow;
 
 /// Packs a label into two little-endian u64 words.
 fn label_to_words(l: &Label) -> [u64; 2] {
@@ -50,7 +58,9 @@ fn words_to_label(w: &[u64]) -> Label {
     out
 }
 
-/// Single-server, computationally secure PSM-SPFE (Corollary 4(1)).
+/// Single-server, computationally secure PSM-SPFE (Corollary 4(1)):
+/// [`pump`] over a [`YaoPsmClientCore`] and one [`YaoPsmServerCore`],
+/// which borrows `db`, `circuit` and `rng`.
 ///
 /// `circuit` computes `f` over `m` items of `item_bits` bits each (input
 /// bit `j·item_bits + b` = bit `b` of the `j`-th selected item). Returns
@@ -82,86 +92,358 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let m = indices.len();
-    assert!(m > 0 && item_bits > 0);
-    assert_eq!(circuit.num_inputs(), m * item_bits, "circuit arity");
-    assert!(indices.iter().all(|&i| i < db.len()), "index out of range");
-    assert!(
-        db.iter().all(|&v| v < (1u64 << item_bits)),
-        "database value exceeds item width"
-    );
-
     let _proto = spfe_obs::span("psm-yao");
-
-    // Round 1, client → server: one SPIR query per slot.
     let params = SpirParams::new(group.clone(), db.len());
-    let (queries, states) = {
-        let _s = spfe_obs::span("query-gen");
-        let mut queries = Vec::with_capacity(m);
-        let mut states = Vec::with_capacity(m);
-        for &i in indices {
-            let (q, st) = spir::client_query(&params, pk, sk, i, rng);
-            queries.push(q);
-            states.push(st);
+    let mut client = YaoPsmClientCore::new(
+        params.clone(),
+        pk.clone(),
+        sk.clone(),
+        Cow::Borrowed(circuit),
+        item_bits,
+        indices,
+        rng,
+    );
+    let server = YaoPsmServerCore::new(
+        params,
+        pk.clone(),
+        db,
+        Cow::Borrowed(circuit),
+        item_bits,
+        rng,
+    );
+    pump(t, &mut client, &mut [Box::new(server)])
+}
+
+/// The server half of [`run_yao_psm`] as a sans-io machine. On the `m`
+/// SPIR queries it garbles `f` from fresh randomness (the PSM common
+/// random input), builds each slot's virtual database of input-label
+/// bundles, answers the queries and attaches `p₀` = the garbled circuit.
+/// It draws the garbling seed, then the pads, from `rng`.
+#[derive(Debug)]
+pub struct YaoPsmServerCore<'a, P: HomomorphicPk, G> {
+    once: AnswerOnce,
+    params: SpirParams,
+    pk: P,
+    db: Cow<'a, [u64]>,
+    circuit: Cow<'a, Circuit>,
+    item_bits: usize,
+    rng: G,
+}
+
+impl<'a, P: HomomorphicPk, G: RandomSource> YaoPsmServerCore<'a, P, G> {
+    /// A core holding (or borrowing) `db` of `params.n` items of
+    /// `item_bits` bits and the circuit `f`, whose input count fixes the
+    /// slot count `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `db` does not have `params.n` items, a value needs more
+    /// than `item_bits` bits, or the circuit inputs are not whole items.
+    pub fn new(
+        params: SpirParams,
+        pk: P,
+        db: impl Into<Cow<'a, [u64]>>,
+        circuit: Cow<'a, Circuit>,
+        item_bits: usize,
+        rng: G,
+    ) -> Self {
+        let db = db.into();
+        assert_eq!(db.len(), params.n, "db size mismatch");
+        assert!(
+            item_bits > 0 && circuit.num_inputs().is_multiple_of(item_bits),
+            "circuit arity"
+        );
+        assert!(
+            db.iter().all(|&v| v < (1u64 << item_bits)),
+            "database value exceeds item width"
+        );
+        YaoPsmServerCore {
+            once: AnswerOnce::new(0, "psm-spir-queries", "psm-p0-and-answers"),
+            params,
+            pk,
+            db,
+            circuit,
+            item_bits,
+            rng,
         }
-        (queries, states)
-    };
-    let queries: Vec<SpirQuery> = t.client_to_server(0, "psm-spir-queries", &queries)?;
-
-    // Server: garble f from fresh randomness (the PSM common random input),
-    // build each player's virtual database of input-label bundles, answer
-    // the SPIR queries, and attach p₀ = the garbled circuit.
-    let _se = spfe_obs::span("server-eval");
-    let mut seed = [0u8; 32];
-    rng.fill_bytes(&mut seed);
-    let (garbled, secrets) = garble::garble(circuit, seed);
-    let answers: Vec<SpirWordsAnswer> = queries
-        .iter()
-        .enumerate()
-        .map(|(j, q)| {
-            let vdb: Vec<Vec<u64>> = (0..db.len())
-                .map(|i| {
-                    let mut words = Vec::with_capacity(2 * item_bits);
-                    for b in 0..item_bits {
-                        let bit = (db[i] >> b) & 1 == 1;
-                        let label = secrets.input_label(j * item_bits + b, bit);
-                        words.extend(label_to_words(&label));
-                    }
-                    words
-                })
-                .collect();
-            let scanned = {
-                let _s = spfe_obs::span("scan");
-                spir::scan_words(&params, pk, &vdb, q)?
-            };
-            let _s = spfe_obs::span("pad");
-            spir::pad_answer_words(&params, pk, &scanned, q, rng)
-        })
-        .collect::<Result<_, _>>()?;
-    drop(_se);
-    let (garbled, answers) = t.server_to_client(0, "psm-p0-and-answers", &(garbled, answers))?;
-
-    // Client (referee): decode labels, evaluate the garbled circuit.
-    const BAD: ProtocolError = ProtocolError::InvalidMessage {
-        label: "psm-p0-and-answers",
-        reason: "reply inconsistent with circuit",
-    };
-    let _s = spfe_obs::span("reconstruct");
-    if answers.len() != states.len() || !garble::is_well_formed(circuit, &garbled) {
-        return Err(BAD);
     }
-    let mut labels = Vec::with_capacity(m * item_bits);
-    for (st, a) in states.iter().zip(&answers) {
-        let words = spir::client_decode_words(&params, pk, sk, st, a)?;
-        if words.len() != 2 * item_bits {
+}
+
+impl<P: HomomorphicPk, G: RandomSource> SessionCore for YaoPsmServerCore<'_, P, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            let queries = Vec::<SpirQuery>::from_bytes(payload)?;
+            let bits = self.item_bits;
+            if queries.len() != self.circuit.num_inputs() / bits {
+                return Err(ProtocolError::InvalidMessage {
+                    label: "psm-spir-queries",
+                    reason: "query count does not match the circuit's slots",
+                });
+            }
+            let se = spfe_obs::span("server-eval");
+            let mut seed = [0u8; 32];
+            self.rng.fill_bytes(&mut seed);
+            let (garbled, secrets) = garble::garble(&self.circuit, seed);
+            let answers: Vec<SpirWordsAnswer> = queries
+                .iter()
+                .enumerate()
+                .map(|(j, q)| {
+                    let vdb: Vec<Vec<u64>> = self
+                        .db
+                        .iter()
+                        .map(|&x| {
+                            let mut words = Vec::with_capacity(2 * bits);
+                            for b in 0..bits {
+                                let bit = (x >> b) & 1 == 1;
+                                words.extend(label_to_words(
+                                    &secrets.input_label(j * bits + b, bit),
+                                ));
+                            }
+                            words
+                        })
+                        .collect();
+                    let scanned = {
+                        let _s = spfe_obs::span("scan");
+                        spir::scan_words(&self.params, &self.pk, &vdb, q)?
+                    };
+                    let _s = spfe_obs::span("pad");
+                    spir::pad_answer_words(&self.params, &self.pk, &scanned, q, &mut self.rng)
+                })
+                .collect::<Result<_, _>>()?;
+            drop(se);
+            Ok((garbled, answers).to_bytes())
+        })
+    }
+}
+
+/// The client (referee) half of [`run_yao_psm`]: one SPIR query per
+/// slot, drawn at construction; on the reply, the input labels they open
+/// and the garbled circuit evaluated on them.
+#[derive(Debug)]
+pub struct YaoPsmClientCore<'a, P: HomomorphicPk, S: HomomorphicSk<P>> {
+    params: SpirParams,
+    pk: P,
+    sk: S,
+    circuit: Cow<'a, Circuit>,
+    item_bits: usize,
+    states: Vec<SpirClientState>,
+    round: OneRound<Vec<SpirQuery>, (GarbledCircuit, Vec<SpirWordsAnswer>)>,
+    result: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>> YaoPsmClientCore<'a, P, S> {
+    /// A client core evaluating `circuit` on the items at `indices` of a
+    /// `params.n`-item database; the SPIR queries are drawn here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` is empty, `item_bits == 0`, the circuit input
+    /// count is not `indices.len() · item_bits`, or an index is out of
+    /// range.
+    pub fn new<R: RandomSource + ?Sized>(
+        params: SpirParams,
+        pk: P,
+        sk: S,
+        circuit: Cow<'a, Circuit>,
+        item_bits: usize,
+        indices: &[usize],
+        rng: &mut R,
+    ) -> Self {
+        let m = indices.len();
+        assert!(m > 0 && item_bits > 0);
+        assert_eq!(circuit.num_inputs(), m * item_bits, "circuit arity");
+        assert!(indices.iter().all(|&i| i < params.n), "index out of range");
+        let _s = spfe_obs::span("query-gen");
+        let (queries, states) = indices
+            .iter()
+            .map(|&i| spir::client_query(&params, &pk, &sk, i, rng))
+            .unzip();
+        YaoPsmClientCore {
+            params,
+            pk,
+            sk,
+            circuit,
+            item_bits,
+            states,
+            round: OneRound::new("psm-spir-queries", "psm-p0-and-answers", vec![queries]),
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for YaoPsmClientCore<'_, P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(mut replies) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let (garbled, answers) = replies.remove(0);
+        const BAD: ProtocolError = ProtocolError::InvalidMessage {
+            label: "psm-p0-and-answers",
+            reason: "reply inconsistent with circuit",
+        };
+        let _s = spfe_obs::span("reconstruct");
+        if answers.len() != self.states.len() || !garble::is_well_formed(&self.circuit, &garbled) {
             return Err(BAD);
         }
-        for b in 0..item_bits {
-            labels.push(words_to_label(&words[2 * b..2 * b + 2]));
+        let bits = self.item_bits;
+        let mut labels = Vec::with_capacity(self.states.len() * bits);
+        for (st, a) in self.states.iter().zip(&answers) {
+            let words = spir::client_decode_words(&self.params, &self.pk, &self.sk, st, a)?;
+            if words.len() != 2 * bits {
+                return Err(BAD);
+            }
+            labels.extend(words.chunks(2).map(words_to_label));
+        }
+        let out = psm::yao::referee(&self.circuit, &garbled, &labels);
+        self.result = Some(spfe_mpc::yao2pc::from_bits(&out));
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for YaoPsmClientCore<'_, P, S> {
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
+}
+
+/// A server's per-slot answer on the wire: one field element for the sum
+/// PSM, a matrix's entries for the branching-program PSM.
+trait SlotAnswer: Wire {
+    fn from_entries(entries: Vec<u64>) -> Self;
+    fn into_entries(self) -> Vec<u64>;
+}
+
+impl SlotAnswer for u64 {
+    fn from_entries(entries: Vec<u64>) -> Self {
+        entries[0]
+    }
+    fn into_entries(self) -> Vec<u64> {
+        vec![self]
+    }
+}
+
+impl SlotAnswer for Vec<u64> {
+    fn from_entries(entries: Vec<u64>) -> Self {
+        entries
+    }
+    fn into_entries(self) -> Vec<u64> {
+        self
+    }
+}
+
+/// The one-round `k`-server body of [`run_sum_psm`] and [`run_bp_psm`]
+/// (Theorem 3 over symmetric poly-IT PIR). The client sends each server
+/// one poly-IT query per slot (`labels[0]`); server 0 sends the in-clear
+/// `p0`, if any; then every server answers (`labels[1]`) each slot `j`'s
+/// `width` virtual databases `vdb(j, c)`, blinded by `blinds[j][c]`.
+/// Returns the messages the referee holds, `width` entries each: the
+/// delivered `p0`, if any, then the `m` reconstructed player messages.
+#[allow(clippy::too_many_arguments)]
+fn run_k_server<A: SlotAnswer, R: RandomSource + ?Sized>(
+    t: &mut dyn Channel,
+    params: &PolyItParams,
+    indices: &[usize],
+    labels: [&'static str; 2],
+    p0: Option<(&'static str, Vec<u64>)>,
+    width: usize,
+    vdb: impl Fn(usize, usize) -> Vec<u64>,
+    blinds: &[Vec<Poly>],
+    rng: &mut R,
+) -> Result<Vec<Vec<u64>>, ProtocolError> {
+    let m = indices.len();
+    let k = params.num_servers();
+    assert_eq!(t.num_servers(), k, "server count");
+    let [query_label, answer_label] = labels;
+
+    // Client → servers: m queries per server.
+    let mut per_server: Vec<Vec<PolyItQuery>> = vec![Vec::with_capacity(m); k];
+    for &i in indices {
+        for (h, q) in poly_it::client_queries(params, i, rng)
+            .into_iter()
+            .enumerate()
+        {
+            per_server[h].push(q);
         }
     }
-    let out = psm::yao::referee(circuit, &garbled, &labels);
-    Ok(spfe_mpc::yao2pc::from_bits(&out))
+    let received: Vec<Vec<PolyItQuery>> = per_server
+        .iter()
+        .enumerate()
+        .map(|(h, qs)| t.client_to_server(h, query_label, qs))
+        .collect::<Result<_, _>>()?;
+
+    let mut messages = Vec::with_capacity(m + 1);
+    if let Some((label, entries)) = p0 {
+        let delivered: Vec<u64> = t.server_to_client(0, label, &entries)?;
+        if delivered.len() != width {
+            return Err(ProtocolError::InvalidMessage {
+                label,
+                reason: "wrong p0 matrix size",
+            });
+        }
+        messages.push(delivered);
+    }
+
+    let mut per_server_answers: Vec<Vec<Vec<u64>>> = Vec::with_capacity(k);
+    for (h, qs) in received.iter().enumerate() {
+        if qs.len() != m {
+            return Err(ProtocolError::InvalidMessage {
+                label: query_label,
+                reason: "wrong number of slot queries",
+            });
+        }
+        let answers: Vec<A> = qs
+            .iter()
+            .enumerate()
+            .map(|(j, q)| {
+                (0..width)
+                    .map(|c| {
+                        poly_it::server_answer_blinded(params, &vdb(j, c), q, &blinds[j][c], h)
+                    })
+                    .collect::<Result<_, _>>()
+                    .map(A::from_entries)
+            })
+            .collect::<Result<_, _>>()?;
+        let delivered: Vec<A> = t.server_to_client(h, answer_label, &answers)?;
+        let delivered: Vec<Vec<u64>> = delivered.into_iter().map(A::into_entries).collect();
+        if delivered.len() != m || delivered.iter().any(|slot| slot.len() != width) {
+            return Err(ProtocolError::InvalidMessage {
+                label: answer_label,
+                reason: "answers do not match the slots",
+            });
+        }
+        per_server_answers.push(delivered);
+    }
+
+    // Client: reconstruct every entry of every player's message.
+    messages.extend((0..m).map(|j| {
+        (0..width)
+            .map(|c| {
+                let answers: Vec<u64> = per_server_answers.iter().map(|a| a[j][c]).collect();
+                poly_it::client_reconstruct(params, &answers)
+            })
+            .collect()
+    }));
+    Ok(messages)
 }
 
 /// `k`-server perfectly secure PSM-SPFE for the **sum** function
@@ -189,72 +471,25 @@ pub fn run_sum_psm<R: RandomSource + ?Sized>(
 ) -> Result<u64, ProtocolError> {
     let m = indices.len();
     assert!(m > 0);
-    let p = params.field.modulus();
-    assert!(db.iter().all(|&v| v < p), "db value exceeds field");
-    assert_eq!(t.num_servers(), params.num_servers());
+    let field = params.field;
+    assert!(
+        db.iter().all(|&v| v < field.modulus()),
+        "db value exceeds field"
+    );
     let _proto = spfe_obs::span("psm-sum");
 
-    // Client → servers: m poly-IT PIR queries per server.
-    let mut per_server: Vec<Vec<poly_it::PolyItQuery>> =
-        vec![Vec::with_capacity(m); params.num_servers()];
-    for &i in indices {
-        let qs = poly_it::client_queries(params, i, rng);
-        for (h, q) in qs.into_iter().enumerate() {
-            per_server[h].push(q);
-        }
-    }
-    let received: Vec<Vec<poly_it::PolyItQuery>> = per_server
-        .iter()
-        .enumerate()
-        .map(|(h, qs)| t.client_to_server(h, "sumpsm-queries", qs))
-        .collect::<Result<_, _>>()?;
-
-    // Servers: virtual database vdb_j[i] = x_i + r_j (mod p), blinded.
-    let derive = |seed: u64| -> (Vec<u64>, Vec<spfe_math::Poly>) {
-        let mut srng = ChaChaRng::from_u64_seed(seed);
-        let mut pads: Vec<u64> = (0..m - 1).map(|_| params.field.random(&mut srng)).collect();
-        let total = params.field.sum(&pads);
-        pads.push(params.field.neg(total));
-        let blinds = (0..m)
-            .map(|_| poly_it::blinding_poly(params, &mut srng))
-            .collect();
-        (pads, blinds)
-    };
-    let mut per_server_answers: Vec<Vec<u64>> = Vec::with_capacity(params.num_servers());
-    for (h, qs) in received.iter().enumerate() {
-        if qs.len() != m {
-            return Err(ProtocolError::InvalidMessage {
-                label: "sumpsm-queries",
-                reason: "wrong number of slot queries",
-            });
-        }
-        let (pads, blinds) = derive(shared_seed); // every server re-derives
-        let answers: Vec<u64> = qs
-            .iter()
-            .enumerate()
-            .map(|(j, q)| {
-                let vdb: Vec<u64> = db.iter().map(|&x| params.field.add(x, pads[j])).collect();
-                poly_it::server_answer_blinded(params, &vdb, q, &blinds[j], h)
-            })
-            .collect::<Result<_, _>>()?;
-        let delivered: Vec<u64> = t.server_to_client(h, "sumpsm-answers", &answers)?;
-        if delivered.len() != m {
-            return Err(ProtocolError::InvalidMessage {
-                label: "sumpsm-answers",
-                reason: "wrong number of slot answers",
-            });
-        }
-        per_server_answers.push(delivered);
-    }
-
-    // Client (referee): reconstruct each PSM message, then sum.
-    let mut acc = 0u64;
-    for j in 0..m {
-        let answers: Vec<u64> = per_server_answers.iter().map(|a| a[j]).collect();
-        let msg = poly_it::client_reconstruct(params, &answers);
-        acc = params.field.add(acc, msg);
-    }
-    Ok(acc)
+    // Virtual database vdb_j[i] = x_i + r_j (mod p), blinded.
+    let mut srng = ChaChaRng::from_u64_seed(shared_seed);
+    let mut pads: Vec<u64> = (0..m - 1).map(|_| field.random(&mut srng)).collect();
+    pads.push(field.neg(field.sum(&pads)));
+    let blinds: Vec<Vec<Poly>> = (0..m)
+        .map(|_| vec![poly_it::blinding_poly(params, &mut srng)])
+        .collect();
+    let vdb = |j: usize, _| db.iter().map(|&x| field.add(x, pads[j])).collect();
+    let labels = ["sumpsm-queries", "sumpsm-answers"];
+    let messages = run_k_server::<u64, _>(t, params, indices, labels, None, 1, vdb, &blinds, rng)?;
+    let messages: Vec<u64> = messages.iter().map(|entries| entries[0]).collect();
+    Ok(psm::sum::referee(&messages, field.modulus()))
 }
 
 /// `k`-server perfectly secure PSM-SPFE for a **branching program** over a
@@ -289,120 +524,53 @@ pub fn run_bp_psm<R: RandomSource + ?Sized>(
         db.iter().all(|&v| v <= 1),
         "BP SPFE needs a Boolean database"
     );
-    assert_eq!(t.num_servers(), params.num_servers());
     let _proto = spfe_obs::span("psm-bp");
     let field = params.field;
     let d = bp.size() - 1;
-    let width = d * d;
-
-    // Client → servers: m queries per server (same as the sum variant).
-    let mut per_server: Vec<Vec<poly_it::PolyItQuery>> =
-        vec![Vec::with_capacity(m); params.num_servers()];
-    for &i in indices {
-        let qs = poly_it::client_queries(params, i, rng);
-        for (h, q) in qs.into_iter().enumerate() {
-            per_server[h].push(q);
-        }
-    }
-    let received: Vec<Vec<poly_it::PolyItQuery>> = per_server
-        .iter()
-        .enumerate()
-        .map(|(h, qs)| t.client_to_server(h, "bppsm-queries", qs))
-        .collect::<Result<_, _>>()?;
 
     // Common randomness: the IK-PSM randomizers + per-(slot, matrix-entry)
     // blinding polynomials.
-    let derive = |seed: u64| {
-        let mut srng = ChaChaRng::from_u64_seed(seed);
-        let mut psm_seed = [0u8; 32];
-        srng.fill_bytes(&mut psm_seed);
-        let rand = psm::bp::common_randomness(bp, m, field, psm_seed);
-        let blinds: Vec<Vec<spfe_math::Poly>> = (0..m)
-            .map(|_| {
-                (0..width)
-                    .map(|_| poly_it::blinding_poly(params, &mut srng))
-                    .collect()
+    let mut srng = ChaChaRng::from_u64_seed(shared_seed);
+    let mut psm_seed = [0u8; 32];
+    srng.fill_bytes(&mut psm_seed);
+    let rand = psm::bp::common_randomness(bp, m, field, psm_seed);
+    let blinds: Vec<Vec<Poly>> = (0..m)
+        .map(|_| {
+            (0..d * d)
+                .map(|_| poly_it::blinding_poly(params, &mut srng))
+                .collect()
+        })
+        .collect();
+    // Virtual database (j, c): entry c of player j's message per item value.
+    let msgs: Vec<[Vec<u64>; 2]> = (0..m)
+        .map(|j| {
+            [false, true].map(|bit| {
+                psm::bp::player_message(bp, field, &rand, j, &[(j, bit)])
+                    .entries()
+                    .to_vec()
             })
-            .collect();
-        (rand, blinds)
-    };
+        })
+        .collect();
+    let vdb = |j: usize, c: usize| db.iter().map(|&x| msgs[j][x as usize][c]).collect();
+    let p0 = psm::bp::p0_message(bp, field, &rand).entries().to_vec();
+    let labels = ["bppsm-queries", "bppsm-answers"];
+    let messages = run_k_server::<Vec<u64>, _>(
+        t,
+        params,
+        indices,
+        labels,
+        Some(("bppsm-p0", p0)),
+        d * d,
+        vdb,
+        &blinds,
+        rng,
+    )?;
 
-    // Servers answer; server 0 additionally sends p₀ in the clear.
-    let (rand0, _) = derive(shared_seed);
-    let p0 = psm::bp::p0_message(bp, field, &rand0);
-    let p0_entries: Vec<u64> = t.server_to_client(0, "bppsm-p0", &p0.entries().to_vec())?;
-    if p0_entries.len() != width {
-        return Err(ProtocolError::InvalidMessage {
-            label: "bppsm-p0",
-            reason: "wrong p0 matrix size",
-        });
-    }
-
-    let mut per_server_answers: Vec<Vec<Vec<u64>>> = Vec::with_capacity(params.num_servers());
-    for (h, qs) in received.iter().enumerate() {
-        if qs.len() != m {
-            return Err(ProtocolError::InvalidMessage {
-                label: "bppsm-queries",
-                reason: "wrong number of slot queries",
-            });
-        }
-        let (rand, blinds) = derive(shared_seed);
-        let answers: Vec<Vec<u64>> = qs
-            .iter()
-            .enumerate()
-            .map(|(j, q)| {
-                // Virtual database: player j's message matrix per item value.
-                let msg_for = |bit: bool| {
-                    psm::bp::player_message(bp, field, &rand, j, &[(j, bit)])
-                        .entries()
-                        .to_vec()
-                };
-                let (msg0, msg1) = (msg_for(false), msg_for(true));
-                (0..width)
-                    .map(|c| {
-                        let vdb: Vec<u64> = db
-                            .iter()
-                            .map(|&x| if x == 1 { msg1[c] } else { msg0[c] })
-                            .collect();
-                        poly_it::server_answer_blinded(params, &vdb, q, &blinds[j][c], h)
-                    })
-                    .collect()
-            })
-            .collect::<Result<_, _>>()?;
-        let delivered: Vec<Vec<u64>> = t.server_to_client(h, "bppsm-answers", &answers)?;
-        if delivered.len() != m || delivered.iter().any(|row| row.len() != width) {
-            return Err(ProtocolError::InvalidMessage {
-                label: "bppsm-answers",
-                reason: "wrong answer matrix shape",
-            });
-        }
-        per_server_answers.push(delivered);
-    }
-
-    // Client (referee): reconstruct each player's matrix, sum with p₀, det.
-    let mut total = spfe_math::Mat::from_rows(
-        (0..d)
-            .map(|r| p0_entries[r * d..(r + 1) * d].to_vec())
-            .collect(),
-        field,
-    );
-    for j in 0..m {
-        let entries: Vec<u64> = (0..width)
-            .map(|c| {
-                let answers: Vec<u64> = per_server_answers.iter().map(|a| a[j][c]).collect();
-                poly_it::client_reconstruct(params, &answers)
-            })
-            .collect();
-        let mat = spfe_math::Mat::from_rows(
-            (0..d)
-                .map(|r| entries[r * d..(r + 1) * d].to_vec())
-                .collect(),
-            field,
-        );
-        total = total.add(&mat);
-    }
-    let det = total.det();
-    Ok(if d % 2 == 1 { field.neg(det) } else { det })
+    // Client (referee): p₀ and every player's matrix, summed, read off.
+    let as_mat =
+        |entries: Vec<u64>| Mat::from_rows(entries.chunks(d).map(<[u64]>::to_vec).collect(), field);
+    let matrices: Vec<Mat> = messages.into_iter().map(as_mat).collect();
+    Ok(psm::bp::referee(bp, field, &matrices))
 }
 
 #[cfg(test)]

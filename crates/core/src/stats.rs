@@ -11,30 +11,25 @@
 //!   paper's counting argument. One query serves a list of databases,
 //!   each under its own mask: over `[x, x']` (the squared database) with
 //!   unit weights it is the average+variance "package", still one round.
+//!   It is written once, as sans-io cores (DESIGN.md §15): the function
+//!   pumps [`WsumClientCore`] against a [`WsumServerCore`], and the
+//!   networked server hosts the same server core.
 //! * [`frequency`] — the keyword-counting protocol: after any input
 //!   selection, one extra round of blinded, permuted comparisons; the
 //!   client counts decryptions ≡ 0. The keyword may differ per selected
 //!   item.
 
-use crate::input_select::{SharesModP, STAT_SECURITY_BITS};
+use crate::input_select::{check_hom_capacity, SharesModP, STAT_SECURITY_BITS};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Fp64, Nat, Poly, RandomSource};
-use spfe_pir::batched;
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
-
-/// Encrypts the blinded functional value `Σ-term + p·(R+1)` so the client
-/// learns exactly the mod-`p` value.
-fn check_capacity<P: HomomorphicPk>(pk: &P, p: u64, m: usize) {
-    let bound = Nat::from(p)
-        .square()
-        .mul_u64(m as u64)
-        .add(&Nat::from(p).shl(STAT_SECURITY_BITS + 1));
-    assert!(
-        &bound < pk.plaintext_modulus(),
-        "plaintext modulus too small for field {p} and m={m}"
-    );
-}
+use spfe_pir::batched::{self, BatchedClientState, BatchedQuery};
+use spfe_pir::spir::{self, SpirAnswer, SpirClientState, SpirParams, SpirQuery, SpirWordsAnswer};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError,
+    SessionCore, SessionState, Wire,
+};
+use std::borrow::Cow;
 
 /// Computes the client's functional coefficients `c_k = Σ_j w_j · i_j^k`.
 fn functional_coeffs(field: Fp64, indices: &[usize], weights: &[u64]) -> Vec<u64> {
@@ -50,22 +45,28 @@ fn functional_coeffs(field: Fp64, indices: &[usize], weights: &[u64]) -> Vec<u64
 }
 
 /// Server-side: the homomorphic functional reply
-/// `E(Σ_k s_k·c_k + p·(R+1))` from the (client-controlled) encrypted
-/// coefficients of the `wsum-query` message.
+/// `E(Σ_k s_k·c_k + p·(R+1))` from the `m` (client-controlled) encrypted
+/// coefficients of the `wsum-query` message. Every coefficient is
+/// multiplied, a zero `s_k` too, so the op count does not depend on the
+/// mask.
 fn functional_reply<P: HomomorphicPk, R: RandomSource + ?Sized>(
     pk: &P,
     field: Fp64,
     s_poly: &Poly,
+    m: usize,
     coeff_cts: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<Vec<u8>, ProtocolError> {
+    if coeff_cts.len() != m {
+        return Err(ProtocolError::InvalidMessage {
+            label: "wsum-query",
+            reason: "coefficient count does not match the selection size",
+        });
+    }
     let p = field.modulus();
     let mut acc: Option<P::Ciphertext> = None;
     for (k, ct_bytes) in coeff_cts.iter().enumerate() {
         let s_k = s_poly.coeffs().get(k).copied().unwrap_or(0);
-        if s_k == 0 {
-            continue;
-        }
         let ct = pk
             .ciphertext_from_bytes(ct_bytes)
             .ok_or(ProtocolError::InvalidMessage {
@@ -87,12 +88,21 @@ fn functional_reply<P: HomomorphicPk, R: RandomSource + ?Sized>(
     Ok(pk.ciphertext_to_bytes(&total))
 }
 
+/// The client's `wsum-query`: the batched SPIR queries and the encrypted
+/// functional coefficients.
+type WsumQuery = (BatchedQuery, Vec<Vec<u8>>);
+
+/// One database's `wsum-answer`: the batched SPIR answers over the masked
+/// database and the functional reply.
+type WsumAnswer = (Vec<SpirWordsAnswer>, Vec<u8>);
+
 /// The §4 one-round weighted-sum protocol: returns
 /// `Σ_j weights[j] · x_{indices[j]} mod p` for every database `x` in
 /// `dbs`. One query message serves them all; each database gets its own
 /// mask `s_d`, its own `wsum-answer` message and its share of the
 /// fallback round. `dbs = [x, x']` with unit weights is the §4
-/// average+variance package.
+/// average+variance package. It is [`pump`] over a [`WsumClientCore`]
+/// and one [`WsumServerCore`], which borrows `dbs` and `rng`.
 ///
 /// # Errors
 ///
@@ -121,142 +131,324 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let p = field.modulus();
-    let m = indices.len();
     let n = dbs.first().expect("at least one database").len();
-    assert!(m > 0 && weights.len() == m, "weights/indices mismatch");
-    assert!(dbs.iter().all(|db| db.len() == n), "ragged databases");
-    assert!(p > n as u64, "field must exceed n");
-    assert!(
-        dbs.iter().all(|db| db.iter().all(|&v| v < p)),
-        "db value exceeds field"
-    );
-    check_capacity(pk, p, m);
     let _proto = spfe_obs::span("weighted-sum");
-
-    // Client message: batched SPIR queries + encrypted coefficients.
-    let _qg = spfe_obs::span("query-gen");
-    let (queries, state) = batched::client_query(group, pk, sk, n, indices, rng);
-    let coeffs = functional_coeffs(field, indices, weights);
-    let coeff_plains: Vec<Nat> = coeffs.iter().map(|&c| Nat::from(c)).collect();
-    let coeff_cts: Vec<Vec<u8>> = sk
-        .encrypt_batch(pk, &coeff_plains, rng)
-        .iter()
-        .map(|ct| pk.ciphertext_to_bytes(ct))
-        .collect();
-    let (queries, coeff_cts) = t.client_to_server(0, "wsum-query", &(queries, coeff_cts))?;
-    drop(_qg);
-
-    // Server, per database: mask it, answer SPIR + the functional.
-    let _se = spfe_obs::span("server-eval");
-    let mut masked_dbs = Vec::with_capacity(dbs.len());
-    let mut replies = Vec::with_capacity(dbs.len());
-    for db in dbs {
-        let s_poly = Poly::random(m.saturating_sub(1), field, rng);
-        let masked: Vec<u64> = db
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| field.add(x, s_poly.eval(i as u64)))
-            .collect();
-        let words: Vec<Vec<u64>> = masked.iter().map(|&v| vec![v]).collect();
-        let answers = batched::server_answer_words(group, pk, &words, &queries, rng)?;
-        let func = functional_reply(pk, field, &s_poly, &coeff_cts, rng)?;
-        replies.push(t.server_to_client(0, "wsum-answer", &(answers, func))?);
-        masked_dbs.push(masked);
-    }
-    drop(_se);
-
-    // Client, per database: Σ w_j·x'_{i_j} − Σ w_j·P_s(i_j).
-    let _s = spfe_obs::span("reconstruct");
-    let mut retrieved: Vec<Vec<Vec<u64>>> = replies
-        .iter()
-        .map(|(answers, _)| batched::client_decode_words(pk, sk, &state, answers, 1))
-        .collect::<Result<_, _>>()?;
-    // Fallback leftovers (rare): a second plain exchange.
-    if !state.leftovers.is_empty() {
-        let fallback = masked_fallback(
-            t,
-            group,
-            pk,
-            sk,
-            &masked_dbs,
-            indices,
-            &state.leftovers,
-            rng,
-        )?;
-        for (retrieved, values) in retrieved.iter_mut().zip(fallback) {
-            for (&q, v) in state.leftovers.iter().zip(values) {
-                retrieved[q] = vec![v];
-            }
-        }
-    }
-    const BAD_FUNC: ProtocolError = ProtocolError::InvalidMessage {
-        label: "wsum-answer",
-        reason: "malformed functional reply",
-    };
-    retrieved
-        .iter()
-        .zip(&replies)
-        .map(|(retrieved, (_, func))| {
-            let masked_sum = retrieved.iter().zip(weights).fold(0u64, |acc, (v, &w)| {
-                field.add(acc, field.mul(field.from_u64(w), v[0]))
-            });
-            let func_val = sk.decrypt(&pk.ciphertext_from_bytes(func).ok_or(BAD_FUNC)?);
-            let mask_sum = func_val.rem(&Nat::from(p)).to_u64().ok_or(BAD_FUNC)?;
-            Ok(field.sub(masked_sum, mask_sum))
-        })
-        .collect()
+    let mut client = WsumClientCore::new(
+        group.clone(),
+        pk.clone(),
+        sk.clone(),
+        field,
+        n,
+        dbs.len(),
+        indices,
+        weights,
+        rng,
+    );
+    let dbs = dbs.iter().map(|&db| Cow::Borrowed(db)).collect();
+    let server = WsumServerCore::new(group.clone(), pk.clone(), field, indices.len(), dbs, rng);
+    pump(t, &mut client, &mut [Box::new(server)])?;
+    Ok(client.results)
 }
 
-/// Fallback retrievals of the `leftovers` queries: one query message, then
-/// one answer message per masked database.
-#[allow(clippy::too_many_arguments)]
-fn masked_fallback<P, S, R>(
-    t: &mut dyn Channel,
-    group: &SchnorrGroup,
-    pk: &P,
-    sk: &S,
-    masked_dbs: &[Vec<u64>],
-    indices: &[usize],
-    leftovers: &[usize],
-    rng: &mut R,
-) -> Result<Vec<Vec<u64>>, ProtocolError>
-where
-    P: HomomorphicPk,
-    S: HomomorphicSk<P>,
-    R: RandomSource + ?Sized,
-{
-    use spfe_pir::spir;
-    let params = spfe_pir::SpirParams::new(group.clone(), masked_dbs[0].len());
-    let (queries, states): (Vec<_>, Vec<_>) = leftovers
-        .iter()
-        .map(|&q| spir::client_query(&params, pk, sk, indices[q], rng))
-        .unzip();
-    let queries = t.client_to_server(0, "wsum-fallback-q", &queries)?;
-    let mut replies = Vec::with_capacity(masked_dbs.len());
-    for masked in masked_dbs {
-        let answers: Vec<spfe_pir::SpirAnswer> = queries
-            .iter()
-            .map(|fq| spir::server_answer(&params, pk, masked, fq, rng))
-            .collect::<Result<_, _>>()?;
-        replies.push(t.server_to_client(0, "wsum-fallback-a", &answers)?);
+/// The server half of [`weighted_sum`] as a sans-io machine. Per
+/// database, in order, it draws a mask `P_s` of degree `m − 1`, answers
+/// the batched SPIR queries over the masked database and replies with the
+/// functional; then it answers the client's fallback queries, if any,
+/// over the same masked databases. It draws from `rng`.
+#[derive(Debug)]
+pub struct WsumServerCore<'a, P: HomomorphicPk, G> {
+    query: AnswerOnce,
+    fallbacks: AnswerOnce,
+    group: SchnorrGroup,
+    pk: P,
+    field: Fp64,
+    m: usize,
+    dbs: Vec<Cow<'a, [u64]>>,
+    /// Each database under its mask, for the fallback round.
+    masked: Vec<Vec<u64>>,
+    rng: G,
+}
+
+impl<'a, P: HomomorphicPk, G: RandomSource> WsumServerCore<'a, P, G> {
+    /// A core holding (or borrowing) `dbs` for selections of `m` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m == 0`, `dbs` is empty or ragged, a value exceeds the
+    /// field, the field is not larger than `n`, or the plaintext space is
+    /// too small for `m` and the field.
+    pub fn new(
+        group: SchnorrGroup,
+        pk: P,
+        field: Fp64,
+        m: usize,
+        dbs: Vec<Cow<'a, [u64]>>,
+        rng: G,
+    ) -> Self {
+        let p = field.modulus();
+        let n = dbs.first().expect("at least one database").len();
+        assert!(m > 0, "empty selection");
+        assert!(dbs.iter().all(|db| db.len() == n), "ragged databases");
+        assert!(p > n as u64, "field must exceed n");
+        assert!(
+            dbs.iter().all(|db| db.iter().all(|&v| v < p)),
+            "db value exceeds field"
+        );
+        check_hom_capacity(&pk, p, m);
+        WsumServerCore {
+            query: AnswerOnce::new(0, "wsum-query", "wsum-answer"),
+            fallbacks: AnswerOnce::new(0, "wsum-fallback-q", "wsum-fallback-a"),
+            group,
+            pk,
+            field,
+            m,
+            dbs,
+            masked: Vec::new(),
+            rng,
+        }
     }
-    replies
-        .iter()
-        .map(|answers| {
-            if answers.len() != states.len() {
-                return Err(ProtocolError::InvalidMessage {
-                    label: "wsum-fallback-a",
-                    reason: "answer count does not match query count",
-                });
+}
+
+impl<P: HomomorphicPk, G: RandomSource> SessionCore for WsumServerCore<'_, P, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if label == "wsum-fallback-q" {
+            return self.fallbacks.answer_each(label, || {
+                let queries = Vec::<SpirQuery>::from_bytes(payload)?;
+                if self.masked.is_empty() {
+                    return Err(ProtocolError::InvalidMessage {
+                        label: "wsum-fallback-q",
+                        reason: "fallback queries before the query",
+                    });
+                }
+                let params = SpirParams::new(self.group.clone(), self.masked[0].len());
+                let (pk, rng) = (&self.pk, &mut self.rng);
+                self.masked
+                    .iter()
+                    .map(|masked| {
+                        let answers: Vec<SpirAnswer> = queries
+                            .iter()
+                            .map(|fq| spir::server_answer(&params, pk, masked, fq, rng))
+                            .collect::<Result<_, _>>()?;
+                        Ok(answers.to_bytes())
+                    })
+                    .collect()
+            });
+        }
+        self.query.answer_each(label, || {
+            let (queries, coeff_cts) = WsumQuery::from_bytes(payload)?;
+            let _se = spfe_obs::span("server-eval");
+            let field = self.field;
+            let mut replies = Vec::with_capacity(self.dbs.len());
+            for db in &self.dbs {
+                // A masked item is stored in 1..=p (0 as p): the scan skips
+                // zero cells, so a zero would make its cost depend on the
+                // mask.
+                let s_poly = Poly::random(self.m - 1, field, &mut self.rng);
+                let masked: Vec<u64> = db
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| match field.add(x, s_poly.eval(i as u64)) {
+                        0 => field.modulus(),
+                        v => v,
+                    })
+                    .collect();
+                let words: Vec<Vec<u64>> = masked.iter().map(|&v| vec![v]).collect();
+                let answers = batched::server_answer_words(
+                    &self.group,
+                    &self.pk,
+                    &words,
+                    &queries,
+                    &mut self.rng,
+                )?;
+                let func =
+                    functional_reply(&self.pk, field, &s_poly, self.m, &coeff_cts, &mut self.rng)?;
+                replies.push((answers, func).to_bytes());
+                self.masked.push(masked);
             }
-            states
-                .iter()
-                .zip(answers)
-                .map(|(st, a)| spir::client_decode(&params, pk, sk, st, a))
-                .collect()
+            Ok(replies)
         })
-        .collect()
+    }
+}
+
+/// The client half of [`weighted_sum`]: the `wsum-query` (batched SPIR
+/// queries and encrypted functional coefficients) and the fallback
+/// queries for the indices cuckoo left unplaced, all drawn at
+/// construction; one `wsum-answer` per database; then, only if there are
+/// leftovers, one round of fallbacks.
+#[derive(Debug)]
+pub struct WsumClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
+    pk: P,
+    sk: S,
+    field: Fp64,
+    weights: Vec<u64>,
+    state: BatchedClientState,
+    round: OneRound<WsumQuery, WsumAnswer>,
+    fallbacks: OneRound<Vec<SpirQuery>, Vec<SpirAnswer>>,
+    fallback_params: SpirParams,
+    fallback_states: Vec<SpirClientState>,
+    /// Per database: the retrieved masked items and the functional reply.
+    pending: Vec<(Vec<Vec<u64>>, Vec<u8>)>,
+    /// One weighted sum per database, once done.
+    results: Vec<u64>,
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> WsumClientCore<P, S> {
+    /// A client core for `Σ_j weights[j] · x_{indices[j]}` over
+    /// `databases` databases of `n` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` is empty, out of range or not matched by
+    /// `weights`, there is no database, or the field is not larger than
+    /// `n`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new<R: RandomSource + ?Sized>(
+        group: SchnorrGroup,
+        pk: P,
+        sk: S,
+        field: Fp64,
+        n: usize,
+        databases: usize,
+        indices: &[usize],
+        weights: &[u64],
+        rng: &mut R,
+    ) -> Self {
+        let m = indices.len();
+        assert!(m > 0 && weights.len() == m, "weights/indices mismatch");
+        assert!(databases > 0, "at least one database");
+        assert!(field.modulus() > n as u64, "field must exceed n");
+        let _qg = spfe_obs::span("query-gen");
+        let (queries, state) = batched::client_query(&group, &pk, &sk, n, indices, rng);
+        let coeffs = functional_coeffs(field, indices, weights);
+        let coeff_plains: Vec<Nat> = coeffs.iter().map(|&c| Nat::from(c)).collect();
+        let coeff_cts: Vec<Vec<u8>> = sk
+            .encrypt_batch(&pk, &coeff_plains, rng)
+            .iter()
+            .map(|ct| pk.ciphertext_to_bytes(ct))
+            .collect();
+        let fallback_params = SpirParams::new(group, n);
+        let (fqueries, fallback_states) = state
+            .leftovers
+            .iter()
+            .map(|&q| spir::client_query(&fallback_params, &pk, &sk, indices[q], rng))
+            .unzip();
+        WsumClientCore {
+            pk,
+            sk,
+            field,
+            weights: weights.to_vec(),
+            state,
+            round: OneRound::new("wsum-query", "wsum-answer", vec![(queries, coeff_cts)])
+                .with_replies(databases),
+            fallbacks: OneRound::new("wsum-fallback-q", "wsum-fallback-a", vec![fqueries])
+                .with_replies(databases),
+            fallback_params,
+            fallback_states,
+            pending: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// Per database: `Σ w_j·x'_{i_j} − Σ w_j·P_s(i_j)`.
+    fn finish(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        const BAD_FUNC: ProtocolError = ProtocolError::InvalidMessage {
+            label: "wsum-answer",
+            reason: "malformed functional reply",
+        };
+        let field = self.field;
+        self.results = self
+            .pending
+            .iter()
+            .map(|(retrieved, func)| {
+                let masked_sum = retrieved.iter().zip(&self.weights).try_fold(
+                    0u64,
+                    |acc, (item, &w)| match item[..] {
+                        [v] => Ok(field.add(acc, field.mul(field.from_u64(w), field.from_u64(v)))),
+                        _ => Err(ProtocolError::InvalidMessage {
+                            label: "wsum-answer",
+                            reason: "retrieved item is not one word",
+                        }),
+                    },
+                )?;
+                let ct = self.pk.ciphertext_from_bytes(func).ok_or(BAD_FUNC)?;
+                let mask_sum = self.sk.decrypt(&ct).rem(&Nat::from(field.modulus()));
+                Ok(field.sub(masked_sum, mask_sum.to_u64().ok_or(BAD_FUNC)?))
+            })
+            .collect::<Result<_, ProtocolError>>()?;
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for WsumClientCore<P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if label == "wsum-fallback-a" {
+            let Some(replies) = self.fallbacks.receive(server, label, payload)? else {
+                return Ok((SessionState::Running, Vec::new()));
+            };
+            let _s = spfe_obs::span("reconstruct");
+            for ((retrieved, _), answers) in self.pending.iter_mut().zip(&replies) {
+                if answers.len() != self.fallback_states.len() {
+                    return Err(ProtocolError::InvalidMessage {
+                        label: "wsum-fallback-a",
+                        reason: "answer count does not match query count",
+                    });
+                }
+                let fetched = self.state.leftovers.iter().zip(&self.fallback_states);
+                for ((&q, st), a) in fetched.zip(answers) {
+                    let v = spir::client_decode(&self.fallback_params, &self.pk, &self.sk, st, a)?;
+                    retrieved[q] = vec![v];
+                }
+            }
+            return self.finish();
+        }
+        let Some(replies) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        self.pending = replies
+            .into_iter()
+            .map(|(answers, func)| {
+                let retrieved =
+                    batched::client_decode_words(&self.pk, &self.sk, &self.state, &answers, 1)?;
+                Ok((retrieved, func))
+            })
+            .collect::<Result<_, ProtocolError>>()?;
+        if self.state.leftovers.is_empty() {
+            return self.finish();
+        }
+        self.fallbacks.start()
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for WsumClientCore<P, S> {
+    /// The wrapping sum of the per-database sums: with one database, the
+    /// sum itself.
+    fn digest(&self) -> Option<u64> {
+        (!self.results.is_empty())
+            .then(|| self.results.iter().fold(0u64, |a, &v| a.wrapping_add(v)))
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round
+            .static_label(label)
+            .or_else(|| self.fallbacks.static_label(label))
+    }
 }
 
 /// The §4 frequency protocol: given additive shares of the selected items
@@ -296,7 +488,7 @@ where
     assert!(m > 0 && shares.client.len() == m && keywords.len() == m);
     let p = shares.p;
     let field = Fp64::new(p).expect("share modulus must be prime");
-    check_capacity(pk, p, m);
+    check_hom_capacity(pk, p, m);
     let _proto = spfe_obs::span("frequency");
 
     // Client: E((b_j − w_j) mod p).
@@ -506,6 +698,85 @@ mod tests {
             assert_eq!(count("wsum-fallback-a"), dbs.len());
             assert_eq!(t.report().half_rounds, 4, "the fallback is a second round");
         }
+    }
+
+    #[test]
+    fn server_core_rejects_early_fallbacks_and_a_foreign_selection_size() {
+        let (group, pk, sk, mut rng) = crypto();
+        let field = Fp64::new(65_537).unwrap();
+        let db: Vec<u64> = (0..20u64).collect();
+        let server = || {
+            let dbs = vec![Cow::Borrowed(&db[..])];
+            let rng = ChaChaRng::from_u64_seed(1);
+            WsumServerCore::new(group.clone(), pk.clone(), field, 2, dbs, rng)
+        };
+        let early = Vec::<SpirQuery>::new().to_bytes();
+        assert_eq!(
+            server().on_message(1, 0, "wsum-fallback-q", &early),
+            Err(ProtocolError::InvalidMessage {
+                label: "wsum-fallback-q",
+                reason: "fallback queries before the query",
+            })
+        );
+        // Three encrypted coefficients for a server whose m is 2.
+        let mut client = WsumClientCore::new(
+            group.clone(),
+            pk.clone(),
+            sk.clone(),
+            field,
+            db.len(),
+            1,
+            &[1, 5, 9],
+            &[1, 1, 1],
+            &mut rng,
+        );
+        let (_, outs) = client.start().unwrap();
+        assert_eq!(
+            server().on_message(1, 0, outs[0].label, &outs[0].payload),
+            Err(ProtocolError::InvalidMessage {
+                label: "wsum-query",
+                reason: "coefficient count does not match the selection size",
+            })
+        );
+    }
+
+    #[test]
+    fn answers_that_open_no_word_are_typed_errors() {
+        // Bucket answers with no padded chunk and empty OT items decode to
+        // zero words per item: a typed error, not an index panic.
+        let (group, pk, sk, mut rng) = crypto();
+        let field = Fp64::new(65_537).unwrap();
+        let db: Vec<u64> = (0..20u64).collect();
+        let (indices, weights) = ([1usize, 5], [1u64, 1]);
+        let mut client = WsumClientCore::new(
+            group.clone(),
+            pk.clone(),
+            sk.clone(),
+            field,
+            db.len(),
+            1,
+            &indices,
+            &weights,
+            &mut rng,
+        );
+        let (_, queries) = client.start().unwrap();
+        let dbs = vec![Cow::Borrowed(&db[..])];
+        let mut server = WsumServerCore::new(group, pk, field, 2, dbs, &mut rng);
+        let (_, replies) = server
+            .on_message(1, 0, queries[0].label, &queries[0].payload)
+            .unwrap();
+        let (mut answers, func) = WsumAnswer::from_bytes(&replies[0].payload).unwrap();
+        for a in &mut answers {
+            a.padded.clear();
+            a.pad_ot.ciphertexts.iter_mut().for_each(Vec::clear);
+        }
+        assert_eq!(
+            client.on_message(2, 0, "wsum-answer", &(answers, func).to_bytes()),
+            Err(ProtocolError::InvalidMessage {
+                label: "wsum-answer",
+                reason: "retrieved item is not one word",
+            })
+        );
     }
 
     #[test]

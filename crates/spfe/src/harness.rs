@@ -23,6 +23,7 @@
 //! all variants: the wire shape must not depend on what the protocol is
 //! hiding.
 
+use spfe_circuits::boolean::Circuit;
 use spfe_circuits::builders::sum_circuit;
 use spfe_core::database::reference;
 use spfe_core::input_select::select1;
@@ -37,6 +38,7 @@ use spfe_pir::poly_it::{self, PolyItParams};
 use spfe_pir::spir::{self, SpirParams};
 use spfe_pir::{batched, hom_pir, recursive, xor2};
 use spfe_transport::{Channel, ClientCore, FaultPlan, FaultyChannel, ProtocolError, SessionCore};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// How many secret-input variants every driver supports (variant 0 is the
@@ -348,28 +350,39 @@ pub fn drv_select1(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
 }
 
 const PSM_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 11], [5, 6], [0, 13]];
+/// Bits per item of the psm_spfe circuit (public).
+const PSM_ITEM_BITS: usize = 8;
+
+fn psm_inputs(v: usize) -> Inputs<Vec<u64>, [usize; 2]> {
+    let rng = ChaChaRng::from_u64_seed(0xA8);
+    (rng, db16_v(v), PSM_INDICES[v])
+}
+
+/// The psm_spfe circuit: the sum of two 8-bit items (public).
+fn psm_circuit() -> Circuit {
+    sum_circuit(2, PSM_ITEM_BITS)
+}
 
 /// psm_spfe variant `v`: PSM-based SPFE over the 2-input sum circuit.
 pub fn drv_psm_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA8);
+    let (mut rng, db, indices) = psm_inputs(v);
     let f = fx();
-    let circuit = sum_circuit(2, 8);
     psm_spfe::run_yao_psm(
         t,
         &f.group,
         &f.pk,
         &f.sk,
-        &db16_v(v),
-        &PSM_INDICES[v],
-        &circuit,
-        8,
+        &db,
+        &indices,
+        &psm_circuit(),
+        PSM_ITEM_BITS,
         &mut rng,
     )
 }
 
 fn expect_psm(v: usize) -> u64 {
-    let db = db16_v(v);
-    PSM_INDICES[v].iter().map(|&i| db[i]).sum()
+    let (_, db, indices) = psm_inputs(v);
+    indices.iter().map(|&i| db[i]).sum()
 }
 
 /// The canonical psm_spfe run.
@@ -457,19 +470,24 @@ pub fn drv_universal(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
 const WS_INDICES: [[usize; 3]; NUM_VARIANTS] = [[1, 4, 9], [0, 2, 3], [5, 10, 15]];
 const WS_WEIGHTS: [[u64; 3]; NUM_VARIANTS] = [[2, 3, 1], [1, 1, 4], [3, 2, 2]];
 
+fn ws_inputs(v: usize) -> Inputs<Vec<u64>, ([usize; 3], [u64; 3])> {
+    let rng = ChaChaRng::from_u64_seed(0xAB);
+    (rng, db16_v(v), (WS_INDICES[v], WS_WEIGHTS[v]))
+}
+
 /// weighted_sum variant `v`: §4 weighted sum — indices *and* the weight
 /// vector are secrets.
 pub fn drv_weighted_sum_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xAB);
+    let (mut rng, db, (indices, weights)) = ws_inputs(v);
     let f = fx();
     stats::weighted_sum(
         t,
         &f.group,
         &f.pk,
         &f.sk,
-        &[&db16_v(v)],
-        &WS_INDICES[v],
-        &WS_WEIGHTS[v],
+        &[&db],
+        &indices,
+        &weights,
         field(),
         &mut rng,
     )
@@ -477,7 +495,8 @@ pub fn drv_weighted_sum_v(t: &mut dyn Channel, v: usize) -> Result<u64, Protocol
 }
 
 fn expect_weighted_sum(v: usize) -> u64 {
-    reference::weighted_sum(&db16_v(v), &WS_INDICES[v], &WS_WEIGHTS[v])
+    let (_, db, (indices, weights)) = ws_inputs(v);
+    reference::weighted_sum(&db, &indices, &weights)
 }
 
 /// The canonical weighted_sum run.
@@ -618,9 +637,9 @@ pub const NET_CORE_DRIVERS: &[&str] = &["xor2", "hom_pir", "poly_it", "multiserv
 
 /// The server state machines hosting driver `name`'s canonical database,
 /// one per logical server; `None` for drivers without an extracted core.
-/// A server that draws while answering (spir, batched) gets a fresh
-/// OS-seeded rng per session: a fixed seed would let a client predict,
-/// and strip, every pad.
+/// A server that draws while answering (spir, batched, psm_spfe,
+/// weighted_sum) gets a fresh OS-seeded rng per session: a fixed seed
+/// would let a client predict, and strip, every pad, mask and garbling.
 pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> {
     Some(match name {
         "xor2" => xor2::server_cores(xor2_inputs(0).1),
@@ -649,6 +668,28 @@ pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> 
         }
         "poly_it" => poly_it::server_cores(&poly_params(), poly_it_inputs(0).1, None),
         "multiserver" => multiserver::server_cores(&ms_params(), ms_inputs(0).1, None),
+        "psm_spfe" => {
+            let (_, db, _) = psm_inputs(0);
+            vec![Box::new(psm_spfe::YaoPsmServerCore::new(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                db,
+                Cow::Owned(psm_circuit()),
+                PSM_ITEM_BITS,
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
+        "weighted_sum" => {
+            let (_, db, (indices, _)) = ws_inputs(0);
+            vec![Box::new(stats::WsumServerCore::new(
+                fx().group.clone(),
+                fx().pk.clone(),
+                field(),
+                indices.len(),
+                vec![Cow::Owned(db)],
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
         _ => return None,
     })
 }
@@ -717,6 +758,32 @@ pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
             Box::new(multiserver::MsClientCore::new(
                 ms_params(),
                 &index,
+                &mut rng,
+            ))
+        }
+        "psm_spfe" => {
+            let (mut rng, db, indices) = psm_inputs(0);
+            Box::new(psm_spfe::YaoPsmClientCore::new(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                fx().sk.clone(),
+                Cow::Owned(psm_circuit()),
+                PSM_ITEM_BITS,
+                &indices,
+                &mut rng,
+            ))
+        }
+        "weighted_sum" => {
+            let (mut rng, db, (indices, weights)) = ws_inputs(0);
+            Box::new(stats::WsumClientCore::new(
+                fx().group.clone(),
+                fx().pk.clone(),
+                fx().sk.clone(),
+                field(),
+                db.len(),
+                1,
+                &indices,
+                &weights,
                 &mut rng,
             ))
         }

@@ -136,28 +136,56 @@ impl AnswerOnce {
         label: &str,
         answer: impl FnOnce() -> Result<Vec<u8>, ProtocolError>,
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.accept(label)?;
+        let payload = answer()?;
+        self.answered = true;
+        let reply = OutMsg::to_client(self.server, self.reply, payload);
+        Ok((SessionState::Done, vec![reply]))
+    }
+
+    /// Answers the one query with one `reply`-labelled message per payload
+    /// `answer` produces, in order (one per database, say).
+    ///
+    /// # Errors
+    ///
+    /// As [`AnswerOnce::answer`].
+    pub fn answer_each(
+        &mut self,
+        label: &str,
+        answer: impl FnOnce() -> Result<Vec<Vec<u8>>, ProtocolError>,
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.accept(label)?;
+        let payloads = answer()?;
+        self.answered = true;
+        let replies = payloads
+            .into_iter()
+            .map(|payload| OutMsg::to_client(self.server, self.reply, payload))
+            .collect();
+        Ok((SessionState::Done, replies))
+    }
+
+    fn accept(&self, label: &str) -> Result<(), ProtocolError> {
         if label != self.query || self.answered {
             return Err(ProtocolError::InvalidMessage {
                 label: self.query,
                 reason: "unexpected message for a one-round server",
             });
         }
-        let payload = answer()?;
-        self.answered = true;
-        let reply = OutMsg::to_client(self.server, self.reply, payload);
-        Ok((SessionState::Done, vec![reply]))
+        Ok(())
     }
 }
 
 /// The message discipline of a one-round client core: one `query`
 /// message `Q` to each server at start, then one `reply` from each
-/// server, decoded as `A`.
+/// server (or [`OneRound::with_replies`] of them), decoded as `A`.
 #[derive(Debug)]
 pub struct OneRound<Q, A> {
     query: &'static str,
     reply: &'static str,
     queries: Option<Vec<Q>>,
+    /// Server `h`'s replies fill the `h`-th chunk of `replies` slots.
     answers: Vec<Option<A>>,
+    replies: usize,
 }
 
 impl<Q: Wire, A: Wire> OneRound<Q, A> {
@@ -169,7 +197,21 @@ impl<Q: Wire, A: Wire> OneRound<Q, A> {
             reply,
             queries: Some(queries),
             answers,
+            replies: 1,
         }
+    }
+
+    /// A round in which every server sends `replies` replies to its query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replies == 0`.
+    #[must_use]
+    pub fn with_replies(mut self, replies: usize) -> Self {
+        assert!(replies >= 1, "a round needs a reply");
+        self.answers = (0..self.answers.len() * replies).map(|_| None).collect();
+        self.replies = replies;
+        self
     }
 
     /// The opening burst: every query, encoded.
@@ -190,30 +232,35 @@ impl<Q: Wire, A: Wire> OneRound<Q, A> {
         Ok((SessionState::Running, outs))
     }
 
-    /// Records server `server`'s reply; once every server has replied,
-    /// returns all answers in server order.
+    /// Records a reply of server `server`; once every server has sent all
+    /// its replies, returns them in server order (each server's in
+    /// arrival order).
     ///
     /// # Errors
     ///
     /// [`ProtocolError::InvalidMessage`] for a foreign label, a reply
-    /// before the round started, an unknown server or a second reply; a
-    /// decode error for malformed bytes.
+    /// before the round started, an unknown server or a reply past its
+    /// count; a decode error for malformed bytes.
     pub fn receive(
         &mut self,
         server: usize,
         label: &str,
         payload: &[u8],
     ) -> Result<Option<Vec<A>>, ProtocolError> {
-        if label != self.reply
-            || self.queries.is_some()
-            || self.answers.get(server).is_none_or(Option::is_some)
-        {
-            return Err(ProtocolError::InvalidMessage {
-                label: self.reply,
-                reason: "unexpected message for a one-round client",
-            });
+        let unexpected = ProtocolError::InvalidMessage {
+            label: self.reply,
+            reason: "unexpected message for a one-round client",
+        };
+        if label != self.reply || self.queries.is_some() {
+            return Err(unexpected);
         }
-        self.answers[server] = Some(A::from_bytes(payload)?);
+        let slot = self
+            .answers
+            .chunks_mut(self.replies)
+            .nth(server)
+            .and_then(|chunk| chunk.iter_mut().find(|a| a.is_none()))
+            .ok_or(unexpected)?;
+        *slot = Some(A::from_bytes(payload)?);
         if !self.answers.iter().all(Option::is_some) {
             return Ok(None);
         }
@@ -413,6 +460,34 @@ mod tests {
         assert!(round.receive(0, "toy-a", &one).is_err(), "second reply");
         assert_eq!(round.receive(1, "toy-a", &one), Ok(Some(vec![1, 1])));
         assert!(round.receive(1, "toy-a", &one).is_err(), "after completion");
+
+        // Two replies per server, returned in server order.
+        let mut round = OneRound::<u64, u64>::new("toy-q", "toy-a", vec![1, 2]).with_replies(2);
+        round.start().unwrap();
+        let (two, three) = (2u64.to_bytes(), 3u64.to_bytes());
+        assert_eq!(round.receive(1, "toy-a", &two), Ok(None));
+        assert_eq!(round.receive(0, "toy-a", &one), Ok(None));
+        assert_eq!(round.receive(1, "toy-a", &three), Ok(None));
+        assert!(round.receive(1, "toy-a", &one).is_err(), "third reply");
+        assert_eq!(round.receive(0, "toy-a", &one), Ok(Some(vec![1, 1, 2, 3])));
+
+        let mut server = AnswerOnce::new(1, "toy-q", "toy-a");
+        let (state, outs) = server
+            .answer_each("toy-q", || Ok(vec![vec![1], vec![2]]))
+            .unwrap();
+        assert_eq!(state, SessionState::Done);
+        let payloads: Vec<_> = outs
+            .iter()
+            .map(|m| (m.server, m.label, &m.payload[..]))
+            .collect();
+        assert_eq!(
+            payloads,
+            [(1, "toy-a", &[1u8][..]), (1, "toy-a", &[2u8][..])]
+        );
+        assert!(
+            server.answer_each("toy-q", || Ok(vec![])).is_err(),
+            "second query"
+        );
     }
 
     #[test]

@@ -367,6 +367,29 @@ fn xor2_answer_length_mismatch_is_detected() {
 }
 
 #[test]
+fn psm_server_rejects_a_query_count_other_than_m() {
+    // The hosted psm_spfe server takes m from its circuit, not from the
+    // message: one SPIR query more or fewer than m (copies of a recorded
+    // one) is a typed error, never an out-of-range label lookup.
+    let mut client = net_client_core("psm_spfe").expect("client core");
+    let (_, outs) = client.start().unwrap();
+    let queries = Vec::<spfe::pir::SpirQuery>::from_bytes(&outs[0].payload).unwrap();
+    let m = queries.len();
+    for count in [m + 1, m - 1] {
+        let forged = vec![queries[0].clone(); count].to_bytes();
+        let mut servers = net_server_cores("psm_spfe").expect("server cores");
+        assert_eq!(
+            servers[0].on_message(1, 0, "psm-spir-queries", &forged),
+            Err(ProtocolError::InvalidMessage {
+                label: "psm-spir-queries",
+                reason: "query count does not match the circuit's slots",
+            }),
+            "[{count} queries]"
+        );
+    }
+}
+
+#[test]
 fn weighted_sum_functional_reply_tamper_is_detected_or_wrong_never_panic() {
     // Truncating the functional reply inside the (answers, func) pair to
     // an empty ciphertext must surface as a typed error.

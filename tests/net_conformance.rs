@@ -169,6 +169,59 @@ fn compute_mode_tcp_matches_the_in_process_run() {
     spfe::math::par::set_threads(None);
 }
 
+/// A hosted server draws from a fresh rng, so its op counts must not
+/// depend on what it draws, or a compute-mode session's counters would
+/// differ from the in-process run's. Over F₁₇, a weighted sum meets a
+/// zero masked item or a zero mask coefficient under most server seeds.
+#[test]
+fn weighted_sum_op_counts_do_not_depend_on_the_server_rng() {
+    use spfe::core::stats::{WsumClientCore, WsumServerCore};
+    use std::borrow::Cow;
+    let _g = LOCK.lock().unwrap();
+    let f = fx();
+    let field = spfe::math::Fp64::new(17).unwrap();
+    let db: Vec<u64> = (0..16u64).map(|i| (i * 5 + 3) % 17).collect();
+    let (indices, weights) = ([1usize, 4, 9], [2u64, 3, 1]);
+    let expect = indices
+        .iter()
+        .zip(weights)
+        .map(|(&i, w)| db[i] * w)
+        .sum::<u64>()
+        % 17;
+    let mut counts = Vec::new();
+    for seed in 0..8 {
+        arm(1);
+        let mut client = WsumClientCore::new(
+            f.group.clone(),
+            f.pk.clone(),
+            f.sk.clone(),
+            field,
+            db.len(),
+            1,
+            &indices,
+            &weights,
+            &mut spfe::crypto::ChaChaRng::from_u64_seed(0xAB),
+        );
+        let server = WsumServerCore::new(
+            f.group.clone(),
+            f.pk.clone(),
+            field,
+            indices.len(),
+            vec![Cow::Borrowed(&db[..])],
+            spfe::crypto::ChaChaRng::from_u64_seed(seed),
+        );
+        let mut t = Transcript::new(1);
+        let got = spfe::transport::pump(&mut t, &mut client, &mut [Box::new(server)]);
+        assert_eq!(got, Ok(expect), "server seed {seed}");
+        counts.push(deterministic_ops(&spfe::obs::ops_snapshot()));
+    }
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "op counts moved with the server seed: {counts:?}"
+    );
+    spfe::math::par::set_threads(None);
+}
+
 /// Concurrent sessions multiplex on one listener without interference:
 /// several drivers at once, every digest right, every session completed.
 #[test]

@@ -259,6 +259,8 @@ fn cored_runs_keep_their_phase_spans() {
         ("batched", "batched", "server-scan"),
         ("poly_it", "polyit", "server-scan"),
         ("multiserver", "multiserver", "server-eval"),
+        ("psm_spfe", "psm-yao", "server-eval"),
+        ("weighted_sum", "weighted-sum", "server-eval"),
     ] {
         let d = drivers().into_iter().find(|d| d.name == name).unwrap();
         spfe::obs::reset();
