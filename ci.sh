@@ -186,10 +186,11 @@ for _ in $(seq 1 50); do
 done
 ADDR=$(awk '/^listening on /{print $3; exit}' "$SRV_LOG")
 test -n "$ADDR"
-# e1's two_phase runs in relay mode; every driver with extracted sans-io
-# cores (e1's hom_pir, spir and psm_spfe, all of e2 and e11, xor2) runs in
-# compute mode, so both session kinds land in the trace journals.
-target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" e1 e2 e11 xor2
+# e4's input_select runs in relay mode (its digest sums both parties'
+# shares); every other driver here has sans-io cores and runs in compute
+# mode (all of e1, e2 and e11, xor2), so both session kinds land in the
+# trace journals and net-trace reconciles both.
+target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" e1 e2 e4 e11 xor2
 # Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
 # Prometheus text exposition, both while sessions are being served.
 target/release/spfe-client stats --addr "$ADDR" > "$SNAP_MID"

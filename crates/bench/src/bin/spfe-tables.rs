@@ -1090,66 +1090,54 @@ fn pir_scan() {
     println!("\nwrote BENCH_pir_scan.json ({} entries)", json.len());
 }
 
-/// E12 — the SPIR black box (§1.2): the same SPFE protocol costed under
-/// the real SPIR instantiation vs the idealized information-flow model,
-/// decomposing the cost into "the SPIR term" vs protocol overhead.
+/// E12 — the SPIR black box (§1.2): §3.3.1+Yao costed under the real
+/// SPIR and under the ideal one, decomposing the cost into "the SPIR term"
+/// vs protocol overhead. The ideal column is arithmetic on the real run's
+/// per-label bytes: its `sel1-queries` and `sel1-answers` bytes are
+/// replaced by `2·κ·m` — one κ-byte encrypted index up and one κ-byte
+/// padded item down per selected item, the least a 1-round SPIR sends
+/// (κ = 16 bytes).
 fn e12_spir_blackbox() {
-    use spfe::math::RandomSource;
-    use spfe::pir::{HomSpir, IdealSpir, SpirOracle};
-    let mut b = Bench::new();
+    const KAPPA_BYTES: u64 = 16;
+    let b = Bench::new();
     let n = 1_024;
     let db = make_db(n, 500);
     let field = field_for(n, 8, 500);
-    let real = HomSpir::with_keys(b.group.clone(), b.pk.clone(), b.sk.clone());
-    let ideal = IdealSpir::default();
     let mut rows = Vec::new();
     for m in [2usize, 4, 8] {
         let indices = make_indices(n, m);
-        let mut cells = vec![m.to_string()];
-        for (oname, oracle) in [
-            ("real", &real as &dyn SpirOracle),
-            ("ideal", &ideal as &dyn SpirOracle),
-        ] {
-            let mut rng = spfe::crypto::ChaChaRng::from_u64_seed(0xE12);
-            let meas = measure_as("e12", &format!("select1-{oname}+yao m={m}"), 1, |t| {
-                let shares = spfe::core::input_select::select1_with_oracle(
-                    t, oracle, &db, &indices, field, &mut rng,
-                )
-                .unwrap();
-                let got =
-                    two_phase::yao_phase(t, &b.group, &shares, &Statistic::Sum, &mut rng).unwrap();
-                let expect = indices
-                    .iter()
-                    .fold(0u64, |a, &i| (a + db[i]) % field.modulus());
-                assert_eq!(got[0], expect);
-            });
-            let _ = &mut b.rng as &mut dyn RandomSource;
-            cells.push(fmt_bytes(meas.comm.total_bytes()));
-        }
-        let spir_share = {
-            // Fraction of the real run attributable to the SPIR black box.
-            let mut rng = spfe::crypto::ChaChaRng::from_u64_seed(0xE12);
-            let real_m = measure_as("e12", &format!("select-only-real m={m}"), 1, |t| {
-                spfe::core::input_select::select1_with_oracle(
-                    t, &real, &db, &indices, field, &mut rng,
-                )
-                .unwrap();
-            });
-            let mut rng = spfe::crypto::ChaChaRng::from_u64_seed(0xE12);
-            let ideal_m = measure_as("e12", &format!("select-only-ideal m={m}"), 1, |t| {
-                spfe::core::input_select::select1_with_oracle(
-                    t, &ideal, &db, &indices, field, &mut rng,
-                )
-                .unwrap();
-            });
+        let mut rng = spfe::crypto::ChaChaRng::from_u64_seed(0xE12);
+        let mut spir_bytes = 0;
+        let meas = measure_as("e12", &format!("select1+yao m={m}"), 1, |t| {
+            let got = two_phase::run_select1_yao(
+                t,
+                &b.group,
+                &b.pk,
+                &b.sk,
+                &db,
+                &indices,
+                &Statistic::Sum,
+                field,
+                &mut rng,
+            )
+            .unwrap();
+            let expect = indices
+                .iter()
+                .fold(0u64, |a, &i| (a + db[i]) % field.modulus());
+            assert_eq!(got[0], expect);
+            spir_bytes = t.bytes_for_label("sel1-queries") + t.bytes_for_label("sel1-answers");
+        });
+        let real = meas.comm.total_bytes();
+        let ideal_spir = 2 * KAPPA_BYTES * m as u64;
+        rows.push(vec![
+            m.to_string(),
+            fmt_bytes(real),
+            fmt_bytes(real - spir_bytes + ideal_spir),
             format!(
                 "{:.0}%",
-                100.0 * (real_m.comm.total_bytes() - ideal_m.comm.total_bytes()) as f64
-                    / real_m.comm.total_bytes() as f64
-            )
-        };
-        cells.push(spir_share);
-        rows.push(cells);
+                100.0 * (spir_bytes - ideal_spir) as f64 / spir_bytes as f64
+            ),
+        ]);
     }
     print_table(
         &format!("E12 / SPIR as a black box — §3.3.1+Yao sum, n = {n}"),

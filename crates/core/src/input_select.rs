@@ -4,7 +4,9 @@
 //! Three protocols, one per subsection:
 //!
 //! * [`select1`] (§3.3.1): `m` independent `SPIR(n,1,ℓ)` calls against
-//!   per-slot shifted virtual databases `v_i = x_i − a_j`;
+//!   per-slot shifted virtual databases `v_i = x_i − a_j`, written once as
+//!   sans-io cores ([`Select1ClientCore`], [`Select1ServerCore`]) that the
+//!   two-phase drivers sequence with their second phase;
 //! * [`select2_v1`] / [`select2_v2`] (§3.3.2): one batched `SPIR(n,m,ℓ)`
 //!   against a database masked by an `m`-wise independent polynomial
 //!   family `{P_s}` (degree-`(m−1)` polynomials), plus a homomorphic
@@ -22,9 +24,13 @@
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Fp64, Nat, Poly, RandomSource};
-use spfe_pir::spir::{self, SpirParams, SpirQuery};
+use spfe_pir::spir::{self, SpirAnswer, SpirClientState, SpirParams, SpirQuery};
 use spfe_pir::{batched, words};
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError,
+    SessionCore, SessionState, Wire,
+};
+use std::borrow::Cow;
 
 /// Statistical blinding bits for integer masking (2⁻⁴⁰ distance).
 pub const STAT_SECURITY_BITS: usize = 40;
@@ -73,7 +79,9 @@ impl IntShares {
     }
 }
 
-/// §3.3.1 — `m` independent single-item SPIRs against shifted databases.
+/// §3.3.1 — `m` independent single-item SPIRs against shifted databases:
+/// [`pump`] over a [`Select1ClientCore`] and a [`Select1ServerCore`],
+/// which borrows `db` and `rng`; the shares are read off both cores.
 ///
 /// One round; cost `m × SPIR(n, 1, ℓ)` (the first reduction of Table 1).
 ///
@@ -102,112 +110,217 @@ where
     R: RandomSource + ?Sized,
 {
     let _proto = spfe_obs::span("select1");
-    let p = field.modulus();
-    assert!(db.iter().all(|&v| v < p), "db value exceeds field");
-    assert!(indices.iter().all(|&i| i < db.len()), "index out of range");
     let params = SpirParams::new(group.clone(), db.len());
-
-    // Client: all m queries in one message.
-    let (queries, states) = {
-        let _s = spfe_obs::span("query-gen");
-        let mut queries = Vec::with_capacity(indices.len());
-        let mut states = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let (q, st) = spir::client_query(&params, pk, sk, i, rng);
-            queries.push(q);
-            states.push(st);
-        }
-        (queries, states)
-    };
-    let queries: Vec<SpirQuery> = t.client_to_server(0, "sel1-queries", &queries)?;
-
-    // Server: per slot, pick a_j and answer against v_i = x_i − a_j.
-    let mut server_shares = Vec::with_capacity(indices.len());
-    let answers: Vec<spfe_pir::SpirAnswer> = {
-        let _s = spfe_obs::span("server-scan");
-        queries
-            .iter()
-            .map(|q| {
-                let a_j = field.random(rng);
-                server_shares.push(a_j);
-                let vdb: Vec<u64> = db.iter().map(|&x| field.sub(x, a_j)).collect();
-                spir::server_answer(&params, pk, &vdb, q, rng)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let answers: Vec<spfe_pir::SpirAnswer> = t.server_to_client(0, "sel1-answers", &answers)?;
-    if answers.len() != states.len() {
-        return Err(ProtocolError::InvalidMessage {
-            label: "sel1-answers",
-            reason: "wrong number of answers",
-        });
-    }
-
-    // Client: decode b_j.
-    let _s = spfe_obs::span("reconstruct");
-    let client_shares: Vec<u64> = states
-        .iter()
-        .zip(&answers)
-        .map(|(st, a)| spir::client_decode(&params, pk, sk, st, a))
-        .collect::<Result<_, _>>()?;
-
+    let m = indices.len();
+    let mut client =
+        Select1ClientCore::new(params.clone(), pk.clone(), sk.clone(), field, indices, rng);
+    let server = Select1ServerCore::new(params, pk.clone(), field, m, db, rng);
+    let mut servers = [Box::new(server)];
+    pump(t, &mut client, &mut servers)?;
+    let [server] = servers;
     Ok(SharesModP {
-        p,
-        server: server_shares,
-        client: client_shares,
+        p: field.modulus(),
+        server: server.into_parts().0,
+        client: client.into_shares().unwrap_or_default(),
     })
 }
 
-/// §3.3.1 written against the paper's SPIR *black box* ([`SpirOracle`]):
-/// the same protocol costed under any SPIR instantiation — including the
-/// idealized one — which decomposes the SPFE cost into "the SPIR term"
-/// and "everything else", as Table 1 does symbolically.
-///
-/// # Errors
-///
-/// [`ProtocolError`] on any transport fault or malformed message.
-///
-/// # Panics
-///
-/// Panics if an index is out of range or a database value ≥ `p` (local
-/// setup bugs, not attacks).
-pub fn select1_with_oracle<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
-    oracle: &dyn spfe_pir::SpirOracle,
-    db: &[u64],
-    indices: &[usize],
+/// The server half of [`select1`] as a sans-io machine. On the `m` SPIR
+/// queries it draws, per slot, a share `a_j` and the SPIR pads, and
+/// answers against the shifted database `v_i = x_i − a_j`. A shifted cell
+/// is stored in `1..=p` (0 as `p`): the PIR scan skips zero cells, so a
+/// zero would make its cost depend on `a_j`.
+#[derive(Debug)]
+pub struct Select1ServerCore<'a, P: HomomorphicPk, G> {
+    once: AnswerOnce,
+    params: SpirParams,
+    pk: P,
     field: Fp64,
-    rng: &mut R,
-) -> Result<SharesModP, ProtocolError> {
-    let _proto = spfe_obs::span("select1-oracle");
-    let p = field.modulus();
-    assert!(db.iter().all(|&v| v < p), "db value exceeds field");
-    assert!(indices.iter().all(|&i| i < db.len()), "index out of range");
-    let mut server_shares = Vec::with_capacity(indices.len());
-    let mut client_shares = Vec::with_capacity(indices.len());
-    let mut entropy = || rng.next_u64();
-    for &i in indices {
-        let a_j = {
-            // Field-uniform share from the entropy tap.
-            let mut v = entropy();
-            loop {
-                let zone = u64::MAX - u64::MAX % p;
-                if v < zone {
-                    break v % p;
-                }
-                v = entropy();
-            }
-        };
-        let vdb: Vec<u64> = db.iter().map(|&x| field.sub(x, a_j)).collect();
-        let b_j = oracle.retrieve_one(t, &vdb, i, &mut entropy)?;
-        server_shares.push(a_j);
-        client_shares.push(b_j);
+    m: usize,
+    db: Cow<'a, [u64]>,
+    rng: G,
+    shares: Vec<u64>,
+}
+
+impl<'a, P: HomomorphicPk, G: RandomSource> Select1ServerCore<'a, P, G> {
+    /// A core holding (or borrowing) `db` of `params.n` items, serving
+    /// selections of exactly `m` items.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `db` does not have `params.n` items or a value is not
+    /// below `p`.
+    pub fn new(
+        params: SpirParams,
+        pk: P,
+        field: Fp64,
+        m: usize,
+        db: impl Into<Cow<'a, [u64]>>,
+        rng: G,
+    ) -> Self {
+        let db = db.into();
+        assert_eq!(db.len(), params.n, "db size mismatch");
+        assert!(
+            db.iter().all(|&v| v < field.modulus()),
+            "db value exceeds field"
+        );
+        Select1ServerCore {
+            once: AnswerOnce::new(0, "sel1-queries", "sel1-answers"),
+            params,
+            pk,
+            field,
+            m,
+            db,
+            rng,
+            shares: Vec::new(),
+        }
     }
-    Ok(SharesModP {
-        p,
-        server: server_shares,
-        client: client_shares,
-    })
+
+    /// The server's shares `a_j` (empty before the queries arrive) and
+    /// its rng, for the phase that runs on the shares.
+    pub fn into_parts(self) -> (Vec<u64>, G) {
+        (self.shares, self.rng)
+    }
+}
+
+impl<P: HomomorphicPk, G: RandomSource> SessionCore for Select1ServerCore<'_, P, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            let queries = Vec::<SpirQuery>::from_bytes(payload)?;
+            if queries.len() != self.m {
+                return Err(ProtocolError::InvalidMessage {
+                    label: "sel1-queries",
+                    reason: "query count does not match the selection size",
+                });
+            }
+            let _s = spfe_obs::span("server-scan");
+            let (field, p) = (self.field, self.field.modulus());
+            let answers: Vec<SpirAnswer> = queries
+                .iter()
+                .map(|q| {
+                    let a_j = field.random(&mut self.rng);
+                    self.shares.push(a_j);
+                    let vdb: Vec<u64> = self
+                        .db
+                        .iter()
+                        .map(|&x| match field.sub(x, a_j) {
+                            0 => p,
+                            v => v,
+                        })
+                        .collect();
+                    spir::server_answer(&self.params, &self.pk, &vdb, q, &mut self.rng)
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(answers.to_bytes())
+        })
+    }
+}
+
+/// The client half of [`select1`]: one SPIR query per selected index,
+/// drawn at construction; on the answers, its shares `b_j`, each
+/// retrieved cell reduced mod `p`.
+#[derive(Debug)]
+pub struct Select1ClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
+    params: SpirParams,
+    pk: P,
+    sk: S,
+    p: u64,
+    states: Vec<SpirClientState>,
+    round: OneRound<Vec<SpirQuery>, Vec<SpirAnswer>>,
+    shares: Option<Vec<u64>>,
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> Select1ClientCore<P, S> {
+    /// A client core selecting the items at `indices` of a `params.n`-item
+    /// database into shares mod `field`'s `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn new<R: RandomSource + ?Sized>(
+        params: SpirParams,
+        pk: P,
+        sk: S,
+        field: Fp64,
+        indices: &[usize],
+        rng: &mut R,
+    ) -> Self {
+        assert!(indices.iter().all(|&i| i < params.n), "index out of range");
+        let _s = spfe_obs::span("query-gen");
+        let (queries, states) = indices
+            .iter()
+            .map(|&i| spir::client_query(&params, &pk, &sk, i, rng))
+            .unzip();
+        Select1ClientCore {
+            params,
+            pk,
+            sk,
+            p: field.modulus(),
+            states,
+            round: OneRound::new("sel1-queries", "sel1-answers", vec![queries]),
+            shares: None,
+        }
+    }
+
+    /// The client's shares `b_j`, once the answers are decoded.
+    pub fn into_shares(self) -> Option<Vec<u64>> {
+        self.shares
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for Select1ClientCore<P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(mut replies) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let answers = replies.remove(0);
+        if answers.len() != self.states.len() {
+            return Err(ProtocolError::InvalidMessage {
+                label: "sel1-answers",
+                reason: "wrong number of answers",
+            });
+        }
+        let _s = spfe_obs::span("reconstruct");
+        let shares = self
+            .states
+            .iter()
+            .zip(&answers)
+            .map(|(st, a)| {
+                Ok(spir::client_decode(&self.params, &self.pk, &self.sk, st, a)? % self.p)
+            })
+            .collect::<Result<_, ProtocolError>>()?;
+        self.shares = Some(shares);
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for Select1ClientCore<P, S> {
+    /// The wrapping sum of the client's shares: alone, a uniformly random
+    /// value, since each share is masked by the server's `a_j`.
+    fn digest(&self) -> Option<u64> {
+        let shares = self.shares.as_ref()?;
+        Some(shares.iter().fold(0u64, |a, &b| a.wrapping_add(b)))
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
 }
 
 /// Asserts the no-overflow precondition of a homomorphic reply that sums
@@ -798,33 +911,6 @@ mod tests {
         .unwrap();
         // The mask has full entropy width.
         assert!(shares.server[0].bit_len() > 8, "share must be blinded");
-    }
-
-    #[test]
-    fn select1_oracle_real_and_ideal_agree() {
-        use spfe_pir::{HomSpir, IdealSpir, SpirOracle};
-        let field = Fp64::new(257).unwrap();
-        let database: Vec<u64> = (0..30u64).map(|i| i * 7 % 257).collect();
-        let indices = [1usize, 15, 29];
-        let mut rng = ChaChaRng::from_u64_seed(0x0E);
-        let oracles: Vec<Box<dyn SpirOracle>> = vec![
-            Box::new(HomSpir::new(3, 128)),
-            Box::new(IdealSpir::default()),
-        ];
-        for oracle in &oracles {
-            let mut t = Transcript::new(1);
-            let shares = select1_with_oracle(
-                &mut t,
-                oracle.as_ref(),
-                &database,
-                &indices,
-                field,
-                &mut rng,
-            )
-            .unwrap();
-            let expect: Vec<u64> = indices.iter().map(|&i| database[i]).collect();
-            assert_eq!(shares.reconstruct(), expect, "{}", oracle.name());
-        }
     }
 
     #[test]

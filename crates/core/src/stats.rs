@@ -17,17 +17,21 @@
 //! * [`frequency`] — the keyword-counting protocol: after any input
 //!   selection, one extra round of blinded, permuted comparisons; the
 //!   client counts decryptions ≡ 0. The keyword may differ per selected
-//!   item.
+//!   item. It is `pump` over [`FreqClientCore`] and [`FreqServerCore`];
+//!   after select1 the two phases are one sequenced core per party
+//!   ([`select1_frequency_client`], [`select1_frequency_server`]).
 
-use crate::input_select::{check_hom_capacity, SharesModP, STAT_SECURITY_BITS};
+use crate::input_select::{
+    check_hom_capacity, Select1ClientCore, Select1ServerCore, SharesModP, STAT_SECURITY_BITS,
+};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
-use spfe_crypto::SchnorrGroup;
+use spfe_crypto::{ChaChaRng, SchnorrGroup};
 use spfe_math::{Fp64, Nat, Poly, RandomSource};
 use spfe_pir::batched::{self, BatchedClientState, BatchedQuery};
 use spfe_pir::spir::{self, SpirAnswer, SpirClientState, SpirParams, SpirQuery, SpirWordsAnswer};
 use spfe_transport::{
-    pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError,
-    SessionCore, SessionState, Wire,
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, SessionCore,
+    SessionState, Then, Wire,
 };
 use std::borrow::Cow;
 
@@ -460,7 +464,8 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for WsumClientCore<P, S> 
 ///
 /// The client sends `E(b_j − w_j)`; the server replies with a random
 /// permutation of `E(ρ_j·(a_j + b_j − w_j) + p·R_j)`; the client counts
-/// decryptions divisible by `p`.
+/// decryptions divisible by `p`. It is [`pump`] over a
+/// [`FreqClientCore`] and a [`FreqServerCore`], which borrows `rng`.
 ///
 /// # Errors
 ///
@@ -484,81 +489,262 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let m = shares.server.len();
-    assert!(m > 0 && shares.client.len() == m && keywords.len() == m);
-    let p = shares.p;
-    let field = Fp64::new(p).expect("share modulus must be prime");
-    check_hom_capacity(pk, p, m);
+    assert_eq!(shares.client.len(), shares.server.len(), "share count");
+    let field = Fp64::new(shares.p).expect("share modulus must be prime");
     let _proto = spfe_obs::span("frequency");
+    let mut client =
+        FreqClientCore::new(pk.clone(), sk.clone(), field, &shares.client, keywords, rng);
+    let server = FreqServerCore::new(pk.clone(), field, shares.server.clone(), rng);
+    pump(t, &mut client, &mut [Box::new(server)])
+}
 
-    // Client: E((b_j − w_j) mod p).
-    let blinded: Vec<Nat> = shares
-        .client
-        .iter()
-        .zip(keywords)
-        .map(|(&b, &w)| Nat::from(field.sub(b, field.from_u64(w))))
-        .collect();
-    let client_cts: Vec<Vec<u8>> = sk
-        .encrypt_batch(pk, &blinded, rng)
-        .iter()
-        .map(|ct| pk.ciphertext_to_bytes(ct))
-        .collect();
-    let client_cts = t.client_to_server(0, "freq-blinded-shares", &client_cts)?;
+/// The server half of [`frequency`] on its shares `a_j`: on the client's
+/// `m` ciphertexts it adds `a_j`, scales by a random nonzero `ρ_j`,
+/// blinds by `p·R_j`, rerandomizes and permutes, drawing from `rng`.
+#[derive(Debug)]
+pub struct FreqServerCore<P: HomomorphicPk, G> {
+    once: AnswerOnce,
+    pk: P,
+    field: Fp64,
+    shares: Vec<u64>,
+    rng: G,
+}
 
-    // Server: ρ_j·(a_j + (b_j − w_j)) + p·R_j, permuted. Every input
-    // ciphertext is client-controlled.
-    const SHARES: &str = "freq-blinded-shares";
-    if client_cts.len() != m {
-        return Err(ProtocolError::InvalidMessage {
-            label: SHARES,
-            reason: "share count does not match selection size",
-        });
-    }
-    let mut replies: Vec<Vec<u8>> = client_cts
-        .iter()
-        .zip(&shares.server)
-        .map(|(ct_bytes, &a_j)| {
-            let ct = pk
-                .ciphertext_from_bytes(ct_bytes)
-                .ok_or(ProtocolError::InvalidMessage {
-                    label: SHARES,
-                    reason: "share is not a ciphertext",
-                })?;
-            let sum = pk.add(&ct, &pk.encrypt(&Nat::from(a_j), rng));
-            let rho = field.random_nonzero(rng);
-            let scaled = pk.mul_const(&sum, &Nat::from(rho));
-            let blind = Nat::from(p).mul(&Nat::random_bits(rng, STAT_SECURITY_BITS));
-            let out = pk.add(&scaled, &pk.encrypt(&blind, rng));
-            Ok::<_, ProtocolError>(pk.ciphertext_to_bytes(&pk.rerandomize(&out, rng)))
-        })
-        .collect::<Result<_, _>>()?;
-    // Fisher–Yates permutation from server randomness.
-    for i in (1..replies.len()).rev() {
-        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-        replies.swap(i, j);
-    }
-    let replies = t.server_to_client(0, "freq-replies", &replies)?;
-
-    // Client: count decryptions ≡ 0 (mod p).
-    if replies.len() != m {
-        return Err(ProtocolError::InvalidMessage {
-            label: "freq-replies",
-            reason: "reply count does not match selection size",
-        });
-    }
-    let mut count = 0u64;
-    for ct_bytes in &replies {
-        let ct = pk
-            .ciphertext_from_bytes(ct_bytes)
-            .ok_or(ProtocolError::InvalidMessage {
-                label: "freq-replies",
-                reason: "reply is not a ciphertext",
-            })?;
-        if sk.decrypt(&ct).rem(&Nat::from(p)).is_zero() {
-            count += 1;
+impl<P: HomomorphicPk, G: RandomSource> FreqServerCore<P, G> {
+    /// A core holding the server's shares mod `field`'s `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shares` is empty or the plaintext space cannot hold the
+    /// blinded comparisons.
+    pub fn new(pk: P, field: Fp64, shares: Vec<u64>, rng: G) -> Self {
+        assert!(!shares.is_empty(), "empty selection");
+        check_hom_capacity(&pk, field.modulus(), shares.len());
+        FreqServerCore {
+            once: AnswerOnce::new(0, "freq-blinded-shares", "freq-replies"),
+            pk,
+            field,
+            shares,
+            rng,
         }
     }
-    Ok(count)
+}
+
+impl<P: HomomorphicPk, G: RandomSource> SessionCore for FreqServerCore<P, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            // Every input ciphertext is client-controlled.
+            const SHARES: &str = "freq-blinded-shares";
+            let client_cts = Vec::<Vec<u8>>::from_bytes(payload)?;
+            if client_cts.len() != self.shares.len() {
+                return Err(ProtocolError::InvalidMessage {
+                    label: SHARES,
+                    reason: "share count does not match selection size",
+                });
+            }
+            let (pk, field, rng) = (&self.pk, self.field, &mut self.rng);
+            let p = field.modulus();
+            let mut replies: Vec<Vec<u8>> = client_cts
+                .iter()
+                .zip(&self.shares)
+                .map(|(ct_bytes, &a_j)| {
+                    let ct = pk.ciphertext_from_bytes(ct_bytes).ok_or(
+                        ProtocolError::InvalidMessage {
+                            label: SHARES,
+                            reason: "share is not a ciphertext",
+                        },
+                    )?;
+                    let sum = pk.add(&ct, &pk.encrypt(&Nat::from(a_j), rng));
+                    let rho = field.random_nonzero(rng);
+                    let scaled = pk.mul_const(&sum, &Nat::from(rho));
+                    let blind = Nat::from(p).mul(&Nat::random_bits(rng, STAT_SECURITY_BITS));
+                    let out = pk.add(&scaled, &pk.encrypt(&blind, rng));
+                    Ok::<_, ProtocolError>(pk.ciphertext_to_bytes(&pk.rerandomize(&out, rng)))
+                })
+                .collect::<Result<_, _>>()?;
+            // Fisher–Yates permutation from server randomness.
+            for i in (1..replies.len()).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                replies.swap(i, j);
+            }
+            Ok(replies.to_bytes())
+        })
+    }
+}
+
+/// The client half of [`frequency`]: `E((b_j − w_j) mod p)` per share,
+/// encrypted at construction; on the replies, the count of decryptions
+/// divisible by `p`.
+#[derive(Debug)]
+pub struct FreqClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
+    pk: P,
+    sk: S,
+    p: u64,
+    m: usize,
+    round: OneRound<Vec<Vec<u8>>, Vec<Vec<u8>>>,
+    count: Option<u64>,
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> FreqClientCore<P, S> {
+    /// A client core counting how many of the shared items equal their
+    /// keyword, from its shares `b_j` mod `field`'s `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shares` is empty or there is not one keyword per share.
+    pub fn new<R: RandomSource + ?Sized>(
+        pk: P,
+        sk: S,
+        field: Fp64,
+        shares: &[u64],
+        keywords: &[u64],
+        rng: &mut R,
+    ) -> Self {
+        assert!(!shares.is_empty() && keywords.len() == shares.len());
+        let blinded: Vec<Nat> = shares
+            .iter()
+            .zip(keywords)
+            .map(|(&b, &w)| Nat::from(field.sub(b, field.from_u64(w))))
+            .collect();
+        let cts: Vec<Vec<u8>> = sk
+            .encrypt_batch(&pk, &blinded, rng)
+            .iter()
+            .map(|ct| pk.ciphertext_to_bytes(ct))
+            .collect();
+        FreqClientCore {
+            pk,
+            sk,
+            p: field.modulus(),
+            m: shares.len(),
+            round: OneRound::new("freq-blinded-shares", "freq-replies", vec![cts]),
+            count: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for FreqClientCore<P, S> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(mut replies) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let replies = replies.remove(0);
+        const REPLIES: &str = "freq-replies";
+        if replies.len() != self.m {
+            return Err(ProtocolError::InvalidMessage {
+                label: REPLIES,
+                reason: "reply count does not match selection size",
+            });
+        }
+        let mut count = 0u64;
+        for ct_bytes in &replies {
+            let ct =
+                self.pk
+                    .ciphertext_from_bytes(ct_bytes)
+                    .ok_or(ProtocolError::InvalidMessage {
+                        label: REPLIES,
+                        reason: "reply is not a ciphertext",
+                    })?;
+            if self.sk.decrypt(&ct).rem(&Nat::from(self.p)).is_zero() {
+                count += 1;
+            }
+        }
+        self.count = Some(count);
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for FreqClientCore<P, S> {
+    fn digest(&self) -> Option<u64> {
+        self.count
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
+}
+
+/// The client of §3.3.1 + the frequency round, as one sequenced core:
+/// select1's queries, drawn here from `rng`; then, on the shares, the
+/// [`FreqClientCore`] for `keywords`, whose encryptions come from a
+/// stream seeded here from `rng`, after the queries.
+///
+/// # Panics
+///
+/// Panics if an index is out of range or there is not one keyword per
+/// index.
+#[allow(clippy::type_complexity)]
+pub fn select1_frequency_client<P, S, R>(
+    params: SpirParams,
+    pk: P,
+    sk: S,
+    field: Fp64,
+    indices: &[usize],
+    keywords: Vec<u64>,
+    rng: &mut R,
+) -> Then<
+    Select1ClientCore<P, S>,
+    FreqClientCore<P, S>,
+    impl FnOnce(Select1ClientCore<P, S>) -> Result<FreqClientCore<P, S>, ProtocolError>,
+>
+where
+    P: HomomorphicPk,
+    S: HomomorphicSk<P>,
+    R: RandomSource + ?Sized,
+{
+    assert_eq!(keywords.len(), indices.len(), "one keyword per index");
+    let phase = spfe_obs::span("select1");
+    let select = Select1ClientCore::new(params, pk.clone(), sk.clone(), field, indices, rng);
+    let mut later = ChaChaRng::from_rng(rng);
+    Then::new(select, move |select| {
+        let shares = select.into_shares().unwrap_or_default();
+        Ok(FreqClientCore::new(
+            pk, sk, field, &shares, &keywords, &mut later,
+        ))
+    })
+    .in_spans(phase, "frequency")
+}
+
+/// The server of §3.3.1 + the frequency round, as one sequenced core:
+/// select1 over `db` for selections of `m` items, then the
+/// [`FreqServerCore`] on its shares. Both phases draw from `rng`.
+///
+/// # Panics
+///
+/// As [`Select1ServerCore::new`] and [`FreqServerCore::new`].
+pub fn select1_frequency_server<'a, P, G>(
+    params: SpirParams,
+    pk: P,
+    field: Fp64,
+    m: usize,
+    db: impl Into<Cow<'a, [u64]>>,
+    rng: G,
+) -> impl SessionCore + 'a
+where
+    P: HomomorphicPk + 'a,
+    G: RandomSource + 'a,
+{
+    check_hom_capacity(&pk, field.modulus(), m);
+    let select = Select1ServerCore::new(params, pk.clone(), field, m, db, rng);
+    Then::new(select, move |select| {
+        let (shares, rng) = select.into_parts();
+        Ok(FreqServerCore::new(pk, field, shares, rng))
+    })
 }
 
 #[cfg(test)]

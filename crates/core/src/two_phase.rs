@@ -13,18 +13,24 @@
 //!   shares of `select3`.
 //!
 //! The end-to-end runners ([`run_select1_yao`] etc.) reproduce the four
-//! single-server Table 1 rows together with `psm_spfe`.
+//! single-server Table 1 rows together with `psm_spfe`. §3.3.1 + Yao is
+//! written once, as one sequenced core per party ([`select1_yao_client`],
+//! [`select1_yao_server`]) that the networked server hosts too.
 
-use crate::input_select::{self, IntShares, SharesModP};
+use crate::input_select::{self, IntShares, Select1ClientCore, Select1ServerCore, SharesModP};
 use crate::statistic::Statistic;
+use spfe_circuits::boolean::Circuit;
 use spfe_circuits::builders::bits_for;
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
-use spfe_crypto::SchnorrGroup;
+use spfe_crypto::{ChaChaRng, SchnorrGroup};
 use spfe_math::{Fp64, Nat, RandomSource};
-use spfe_mpc::yao2pc::{self, to_bits};
-use spfe_transport::{Channel, ProtocolError};
+use spfe_mpc::yao2pc::{self, to_bits, YaoClientCore, YaoServerCore};
+use spfe_pir::spir::SpirParams;
+use spfe_transport::{pump, Channel, ProtocolError, SessionCore, Then};
+use std::borrow::Cow;
 
-/// Yao MPC phase: evaluates the statistic on mod-`p` shares.
+/// Yao MPC phase: evaluates the statistic on mod-`p` shares, by
+/// [`yao2pc::run`].
 ///
 /// # Errors
 ///
@@ -44,11 +50,92 @@ pub fn yao_phase<R: RandomSource + ?Sized>(
     assert!(m > 0 && shares.client.len() == m);
     let _s = spfe_obs::span("yao-phase");
     let circuit = stat.share_circuit(m, shares.p);
-    let w = bits_for(shares.p - 1);
-    let server_bits: Vec<bool> = shares.server.iter().flat_map(|&a| to_bits(a, w)).collect();
-    let client_bits: Vec<bool> = shares.client.iter().flat_map(|&b| to_bits(b, w)).collect();
+    let server_bits = share_bits(&shares.server, shares.p);
+    let client_bits = share_bits(&shares.client, shares.p);
     let out = yao2pc::run(t, group, &circuit, &server_bits, &client_bits, rng)?;
     Ok(stat.decode_bits(&out, m, shares.p))
+}
+
+/// Shares mod `p` as the little-endian bit words a share circuit reads.
+pub(crate) fn share_bits(shares: &[u64], p: u64) -> Vec<bool> {
+    let w = bits_for(p - 1);
+    shares.iter().flat_map(|&v| to_bits(v, w)).collect()
+}
+
+/// The client of §3.3.1 + Yao, as one sequenced core: select1's queries,
+/// drawn here from `rng`; then, on the shares, the Yao evaluator of
+/// `circuit` on the client's share bits followed by `extra` private
+/// bits. The Yao phase draws from a stream seeded here from `rng`, after
+/// the queries.
+///
+/// # Panics
+///
+/// Panics if an index is out of range.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub fn select1_yao_client<'a, P, S, R>(
+    params: SpirParams,
+    pk: P,
+    sk: S,
+    field: Fp64,
+    indices: &[usize],
+    circuit: Cow<'a, Circuit>,
+    extra: Vec<bool>,
+    rng: &mut R,
+) -> Then<
+    Select1ClientCore<P, S>,
+    YaoClientCore<'a>,
+    impl FnOnce(Select1ClientCore<P, S>) -> Result<YaoClientCore<'a>, ProtocolError> + 'a,
+>
+where
+    P: HomomorphicPk + 'a,
+    S: HomomorphicSk<P> + 'a,
+    R: RandomSource + ?Sized,
+{
+    let group = params.group.clone();
+    let phase = spfe_obs::span("select1");
+    let select = Select1ClientCore::new(params, pk, sk, field, indices, rng);
+    let mut later = ChaChaRng::from_rng(rng);
+    let p = field.modulus();
+    Then::new(select, move |select| {
+        let mut bits = share_bits(&select.into_shares().unwrap_or_default(), p);
+        bits.extend(extra);
+        Ok(YaoClientCore::new(group, circuit, &bits, &mut later))
+    })
+    .in_spans(phase, "yao-phase")
+}
+
+/// The server of §3.3.1 + Yao, as one sequenced core: select1 over `db`
+/// for selections of `m` items, then the Yao garbler of `circuit` on its
+/// share bits. Both phases draw from `rng`.
+///
+/// # Panics
+///
+/// As [`Select1ServerCore::new`].
+pub fn select1_yao_server<'a, P, G>(
+    params: SpirParams,
+    pk: P,
+    field: Fp64,
+    m: usize,
+    db: impl Into<Cow<'a, [u64]>>,
+    circuit: Cow<'a, Circuit>,
+    rng: G,
+) -> impl SessionCore + 'a
+where
+    P: HomomorphicPk + 'a,
+    G: RandomSource + 'a,
+{
+    let group = params.group.clone();
+    let p = field.modulus();
+    let select = Select1ServerCore::new(params, pk, field, m, db, rng);
+    Then::new(select, move |select| {
+        let (shares, rng) = select.into_parts();
+        Ok(YaoServerCore::new(
+            group,
+            circuit,
+            share_bits(&shares, p),
+            rng,
+        ))
+    })
 }
 
 /// §3.3.4 arithmetic MPC phase on integer shares: evaluates the statistic
@@ -90,11 +177,18 @@ where
     spfe_mpc::arith_mpc::run(t, pk, sk, &circuit, &client_inputs, &server_inputs, rng)
 }
 
-/// §3.3.1 + Yao: the Table 1 "2 rounds / Weak" row.
+/// §3.3.1 + Yao: the Table 1 "2 rounds / Weak" row, [`pump`] over
+/// [`select1_yao_client`] and [`select1_yao_server`], which borrows `db`
+/// and `rng`.
 ///
 /// # Errors
 ///
 /// [`ProtocolError`] on any transport fault or malformed message.
+///
+/// # Panics
+///
+/// Panics if an index is out of range or a database value ≥ `p` (local
+/// setup bugs, not attacks).
 #[allow(clippy::too_many_arguments)]
 pub fn run_select1_yao<P, S, R>(
     t: &mut dyn Channel,
@@ -112,8 +206,34 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let shares = input_select::select1(t, group, pk, sk, db, indices, field, rng)?;
-    yao_phase(t, group, &shares, stat, rng)
+    let (m, p) = (indices.len(), field.modulus());
+    let circuit = {
+        let _s = spfe_obs::span("yao-phase");
+        stat.share_circuit(m, p)
+    };
+    let params = SpirParams::new(group.clone(), db.len());
+    let mut client = select1_yao_client(
+        params.clone(),
+        pk.clone(),
+        sk.clone(),
+        field,
+        indices,
+        Cow::Borrowed(&circuit),
+        Vec::new(),
+        rng,
+    );
+    let server = select1_yao_server(
+        params,
+        pk.clone(),
+        field,
+        m,
+        db,
+        Cow::Borrowed(&circuit),
+        rng,
+    );
+    pump(t, &mut client, &mut [Box::new(server)])?;
+    let out = client.second().and_then(YaoClientCore::output);
+    Ok(stat.decode_bits(out.unwrap_or_default(), m, p))
 }
 
 /// §3.3.2 (variant 1) + Yao: "2 rounds / Weak, κm² overhead".

@@ -10,9 +10,14 @@
 //! multiplexing the outputs by private client selector bits. The server
 //! learns the menu (that is the public `f`); which entry the client
 //! actually evaluates stays hidden inside its garbled-circuit inputs.
+//! After §3.3.1 input selection, the universal phase is the select1 + Yao
+//! pair of sequenced cores (`two_phase::select1_yao_client` and
+//! `select1_yao_server`) over [`universal_circuit`], the client's extra
+//! input being [`menu_choice_bits`].
 
 use crate::input_select::SharesModP;
 use crate::statistic::Statistic;
+use crate::two_phase::share_bits;
 use spfe_circuits::boolean::{Circuit, CircuitBuilder, WireId};
 use spfe_circuits::builders::bits_for;
 use spfe_crypto::SchnorrGroup;
@@ -162,19 +167,27 @@ pub fn universal_yao_phase<R: RandomSource + ?Sized>(
     choice: usize,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
-    assert!(choice < menu.len(), "choice out of menu");
+    let choice_bits = menu_choice_bits(menu, choice);
     let _s = spfe_obs::span("universal-yao-phase");
-    let m = shares.server.len();
-    let w = bits_for(shares.p - 1);
-    let circuit = universal_circuit(menu, m, shares.p);
-    let server_bits: Vec<bool> = shares.server.iter().flat_map(|&a| to_bits(a, w)).collect();
-    let sel_bits = bits_for(menu.len() as u64 - 1).max(1);
-    let mut client_bits: Vec<bool> = shares.client.iter().flat_map(|&b| to_bits(b, w)).collect();
-    // The mux tree consumes selector bits LSB-first over chunked pairs:
-    // entry index bit i selects within level i. Encode `choice` directly.
-    client_bits.extend(to_bits(choice as u64, sel_bits));
+    let circuit = universal_circuit(menu, shares.server.len(), shares.p);
+    let server_bits = share_bits(&shares.server, shares.p);
+    let mut client_bits = share_bits(&shares.client, shares.p);
+    client_bits.extend(choice_bits);
     let out = yao2pc::run(t, group, &circuit, &server_bits, &client_bits, rng)?;
     Ok(yao2pc::from_bits(&out))
+}
+
+/// The client's private selector input to [`universal_circuit`]: entry
+/// `choice` of `menu`, LSB first (the mux tree consumes selector bit `i`
+/// at level `i`). Appended to the client's share bits, it makes
+/// `two_phase::select1_yao_client` the universal client.
+///
+/// # Panics
+///
+/// Panics if `choice >= menu.len()`.
+pub fn menu_choice_bits(menu: &[Statistic], choice: usize) -> Vec<bool> {
+    assert!(choice < menu.len(), "choice out of menu");
+    to_bits(choice as u64, bits_for(menu.len() as u64 - 1).max(1))
 }
 
 #[cfg(test)]

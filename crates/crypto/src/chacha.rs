@@ -116,6 +116,14 @@ impl ChaChaRng {
         Self::from_seed(key)
     }
 
+    /// Generator seeded with 32 bytes drawn from `rng`: a stream of its
+    /// own that later draws take, so they leave `rng` where it is.
+    pub fn from_rng<R: RandomSource + ?Sized>(rng: &mut R) -> Self {
+        let mut seed = [0u8; 32];
+        rng.fill_bytes(&mut seed);
+        Self::from_seed(seed)
+    }
+
     /// Generator seeded from the operating system (`/dev/urandom`).
     ///
     /// # Panics

@@ -9,14 +9,19 @@
 //! the client's labels. The client evaluates and learns the output — and
 //! only the output (weak-security discussion of §3.3: a malicious client
 //! can substitute its *own* share bits, which changes only which function
-//! of ≤ m positions it learns).
+//! of ≤ m positions it learns). [`run`] is `pump` over the two sans-io
+//! cores, [`YaoClientCore`] and [`YaoServerCore`].
 
 use crate::garble::{self, GarbledCircuit, Label};
 use spfe_circuits::boolean::Circuit;
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
 use spfe_ot::ot2;
-use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
+use spfe_transport::{
+    pump, AnswerOnce, Channel, ClientCore, OneRound, OutMsg, ProtocolError, Reader, SessionCore,
+    SessionState, Wire, WireError,
+};
+use std::borrow::Cow;
 
 /// Domain label for the deterministic OT setup.
 const OT_LABEL: &[u8] = b"spfe-yao2pc-input-ot";
@@ -165,8 +170,9 @@ pub fn client_evaluate(
     Ok(garble::evaluate(circuit, &reply.garbled, &labels))
 }
 
-/// Runs the full 1-round protocol over a metered channel; returns the
-/// output bits (known to the client).
+/// Runs the full 1-round protocol over a metered channel: [`pump`] over
+/// a [`YaoClientCore`] and a [`YaoServerCore`], which borrow `circuit`
+/// and `rng`. Returns the output bits (known to the client).
 ///
 /// # Errors
 ///
@@ -179,11 +185,146 @@ pub fn run<R: RandomSource + ?Sized>(
     client_bits: &[bool],
     rng: &mut R,
 ) -> Result<Vec<bool>, ProtocolError> {
-    let (q, st) = client_query(group, client_bits, rng);
-    let q = t.client_to_server(0, "yao-query", &q)?;
-    let reply = server_reply(group, circuit, server_bits, &q, rng)?;
-    let reply = t.server_to_client(0, "yao-reply", &reply)?;
-    client_evaluate(group, circuit, &st, &reply)
+    let mut client = YaoClientCore::new(group.clone(), Cow::Borrowed(circuit), client_bits, rng);
+    let server = YaoServerCore::new(
+        group.clone(),
+        Cow::Borrowed(circuit),
+        server_bits.to_vec(),
+        rng,
+    );
+    pump(t, &mut client, &mut [Box::new(server)])?;
+    Ok(client.output.unwrap_or_default())
+}
+
+/// The garbler's half of [`run`] as a sans-io machine: on the client's
+/// OT queries it garbles `circuit` and replies with its own input labels
+/// and the label transfers, drawing the garbling seed and the OT
+/// randomness from `rng`.
+#[derive(Debug)]
+pub struct YaoServerCore<'a, G> {
+    once: AnswerOnce,
+    group: SchnorrGroup,
+    circuit: Cow<'a, Circuit>,
+    server_bits: Vec<bool>,
+    rng: G,
+}
+
+impl<'a, G: RandomSource> YaoServerCore<'a, G> {
+    /// A garbler holding its input bits `server_bits`, the circuit's
+    /// first inputs.
+    pub fn new(
+        group: SchnorrGroup,
+        circuit: Cow<'a, Circuit>,
+        server_bits: Vec<bool>,
+        rng: G,
+    ) -> Self {
+        YaoServerCore {
+            once: AnswerOnce::new(0, "yao-query", "yao-reply"),
+            group,
+            circuit,
+            server_bits,
+            rng,
+        }
+    }
+}
+
+impl<G: RandomSource> SessionCore for YaoServerCore<'_, G> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            let query = YaoQuery::from_bytes(payload)?;
+            let reply = server_reply(
+                &self.group,
+                &self.circuit,
+                &self.server_bits,
+                &query,
+                &mut self.rng,
+            )?;
+            Ok(reply.to_bytes())
+        })
+    }
+}
+
+/// The evaluator's half of [`run`]: one OT query per input bit, drawn at
+/// construction; on the reply, the circuit's output bits.
+#[derive(Debug)]
+pub struct YaoClientCore<'a> {
+    group: SchnorrGroup,
+    circuit: Cow<'a, Circuit>,
+    state: YaoClientState,
+    round: OneRound<YaoQuery, YaoReply>,
+    output: Option<Vec<bool>>,
+}
+
+impl<'a> YaoClientCore<'a> {
+    /// An evaluator holding `client_bits`, the circuit's last inputs.
+    pub fn new<R: RandomSource + ?Sized>(
+        group: SchnorrGroup,
+        circuit: Cow<'a, Circuit>,
+        client_bits: &[bool],
+        rng: &mut R,
+    ) -> Self {
+        let (query, state) = client_query(&group, client_bits, rng);
+        YaoClientCore {
+            group,
+            circuit,
+            state,
+            round: OneRound::new("yao-query", "yao-reply", vec![query]),
+            output: None,
+        }
+    }
+
+    /// The circuit's output bits, once evaluated.
+    pub fn output(&self) -> Option<&[bool]> {
+        self.output.as_deref()
+    }
+}
+
+impl SessionCore for YaoClientCore<'_> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(replies) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        self.output = Some(client_evaluate(
+            &self.group,
+            &self.circuit,
+            &self.state,
+            &replies[0],
+        )?);
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl ClientCore for YaoClientCore<'_> {
+    /// The output bits, little-endian, folded into 64 bits by XOR: the
+    /// output value itself when it fits.
+    fn digest(&self) -> Option<u64> {
+        let bits = self.output.as_ref()?;
+        Some(
+            bits.iter()
+                .enumerate()
+                .fold(0, |acc, (i, &b)| acc ^ (u64::from(b) << (i % 64))),
+        )
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
 }
 
 /// Packs a `u64` into `width` little-endian bits.

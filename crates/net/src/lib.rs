@@ -16,9 +16,9 @@
 //!   blanket adapter that runs every harness driver, both parties in
 //!   process, over TCP unchanged) and **compute** (host the genuine
 //!   server state machines from `spfe::harness::net_server_cores`: the
-//!   nine cored drivers, among them the §3.2 PSM-SPFE and the §4
-//!   weighted sum; input_select, two_phase, universal and frequency run
-//!   relay only).
+//!   twelve cored drivers, among them the §3.2 PSM-SPFE, the §4
+//!   statistics and the two-phase §3.3 SPFE; input_select, whose digest
+//!   sums both parties' shares, runs relay only).
 //! * [`run_core`] / [`run_driver`] — the client side: drive a
 //!   [`spfe_transport::ClientCore`] over a connected stream in the same
 //!   phase order as [`spfe_transport::pump`], metering every frame on a

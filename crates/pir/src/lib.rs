@@ -19,7 +19,6 @@
 
 pub mod batched;
 pub mod hom_pir;
-pub mod oracle;
 pub mod poly_it;
 pub mod recursive;
 pub mod spir;
@@ -28,7 +27,6 @@ pub mod xor2;
 
 pub use batched::{BatchLayout, BatchedStats};
 pub use hom_pir::Layout;
-pub use oracle::{HomSpir, IdealSpir, SpirOracle};
 pub use poly_it::PolyItParams;
 pub use recursive::RecursiveLayout;
 pub use spir::{SpirAnswer, SpirParams, SpirQuery};

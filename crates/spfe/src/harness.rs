@@ -28,16 +28,15 @@ use spfe_circuits::builders::sum_circuit;
 use spfe_core::database::reference;
 use spfe_core::input_select::select1;
 use spfe_core::multiserver::{self, MsFunction, MultiServerParams};
-use spfe_core::stats;
-use spfe_core::two_phase;
-use spfe_core::universal::universal_yao_phase;
-use spfe_core::{psm_spfe, Statistic};
+use spfe_core::{psm_spfe, stats, two_phase, universal, Statistic};
 use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier, PaillierPk, PaillierSk, SchnorrGroup};
 use spfe_math::Fp64;
 use spfe_pir::poly_it::{self, PolyItParams};
 use spfe_pir::spir::{self, SpirParams};
 use spfe_pir::{batched, hom_pir, recursive, xor2};
-use spfe_transport::{Channel, ClientCore, FaultPlan, FaultyChannel, ProtocolError, SessionCore};
+use spfe_transport::{
+    pump, Channel, ClientCore, FaultPlan, FaultyChannel, ProtocolError, SessionCore,
+};
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
@@ -392,17 +391,27 @@ pub fn drv_psm(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
 
 const TWO_PHASE_INDICES: [[usize; 3]; NUM_VARIANTS] = [[1, 6, 12], [0, 3, 5], [2, 9, 15]];
 
+fn two_phase_inputs(v: usize) -> Inputs<Vec<u64>, [usize; 3]> {
+    let rng = ChaChaRng::from_u64_seed(0xA9);
+    (rng, db16_v(v), TWO_PHASE_INDICES[v])
+}
+
+/// The two_phase circuit: the sum statistic on three shares (public).
+fn two_phase_circuit() -> Circuit {
+    Statistic::Sum.share_circuit(3, field().modulus())
+}
+
 /// two_phase variant `v`: select1 + Yao evaluation of the sum statistic.
 pub fn drv_two_phase_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA9);
+    let (mut rng, db, indices) = two_phase_inputs(v);
     let f = fx();
     let got = two_phase::run_select1_yao(
         t,
         &f.group,
         &f.pk,
         &f.sk,
-        &db16_v(v),
-        &TWO_PHASE_INDICES[v],
+        &db,
+        &indices,
         &Statistic::Sum,
         field(),
         &mut rng,
@@ -411,7 +420,8 @@ pub fn drv_two_phase_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolErr
 }
 
 fn expect_two_phase(v: usize) -> u64 {
-    reference::sum(&db16_v(v), &TWO_PHASE_INDICES[v])
+    let (_, db, indices) = two_phase_inputs(v);
+    reference::sum(&db, &indices)
 }
 
 /// The canonical two_phase run.
@@ -427,35 +437,63 @@ fn universal_menu() -> [Statistic; 2] {
     [Statistic::Sum, Statistic::Frequency { keyword: 9 }]
 }
 
-/// universal variant `v`: the function-hiding phase — indices *and* the
-/// selected menu entry are secrets.
-pub fn drv_universal_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xAA);
-    let f = fx();
-    let shares = select1(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &UNIVERSAL_INDICES[v],
-        field(),
-        &mut rng,
-    )?;
-    universal_yao_phase(
-        t,
-        &f.group,
-        &shares,
-        &universal_menu(),
-        UNIVERSAL_SELECTION[v],
-        &mut rng,
+fn universal_inputs(v: usize) -> Inputs<Vec<u64>, ([usize; 2], usize)> {
+    let rng = ChaChaRng::from_u64_seed(0xAA);
+    (
+        rng,
+        db16_v(v),
+        (UNIVERSAL_INDICES[v], UNIVERSAL_SELECTION[v]),
     )
 }
 
+/// The universal circuit: the menu over two shares (public).
+fn universal_circuit() -> Circuit {
+    universal::universal_circuit(&universal_menu(), 2, field().modulus())
+}
+
+/// The universal client: select1, then Yao on the shares and the
+/// secretly chosen menu entry.
+fn universal_client(
+    circuit: Cow<'_, Circuit>,
+    v: usize,
+) -> (Vec<u64>, impl ClientCore + '_, ChaChaRng) {
+    let (mut rng, db, (indices, choice)) = universal_inputs(v);
+    let f = fx();
+    let client = two_phase::select1_yao_client(
+        SpirParams::new(f.group.clone(), db.len()),
+        f.pk.clone(),
+        f.sk.clone(),
+        field(),
+        &indices,
+        circuit,
+        universal::menu_choice_bits(&universal_menu(), choice),
+        &mut rng,
+    );
+    (db, client, rng)
+}
+
+/// universal variant `v`: the function-hiding phase — indices *and* the
+/// selected menu entry are secrets.
+pub fn drv_universal_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
+    let circuit = universal_circuit();
+    let (db, mut client, mut rng) = universal_client(Cow::Borrowed(&circuit), v);
+    let f = fx();
+    let server = two_phase::select1_yao_server(
+        SpirParams::new(f.group.clone(), db.len()),
+        f.pk.clone(),
+        field(),
+        2,
+        db,
+        Cow::Borrowed(&circuit),
+        &mut rng,
+    );
+    let mut servers = [Box::new(server)];
+    pump(t, &mut client, &mut servers)
+}
+
 fn expect_universal(v: usize) -> u64 {
-    let db = db16_v(v);
-    let indices = UNIVERSAL_INDICES[v];
-    match universal_menu()[UNIVERSAL_SELECTION[v]] {
+    let (_, db, (indices, choice)) = universal_inputs(v);
+    match universal_menu()[choice] {
         Statistic::Sum => reference::sum(&db, &indices),
         Statistic::Frequency { keyword } => reference::frequency(&db, &indices, keyword),
         _ => unreachable!("menu holds only sum and frequency"),
@@ -508,30 +546,50 @@ const FREQ_INDICES: [[usize; 3]; NUM_VARIANTS] = [[0, 5, 10], [1, 2, 3], [4, 8, 
 /// Which database slot's value the client secretly counts.
 const FREQ_KEYWORD_SLOT: [usize; NUM_VARIANTS] = [5, 2, 9];
 
+fn freq_inputs(v: usize) -> Inputs<Vec<u64>, ([usize; 3], u64)> {
+    let rng = ChaChaRng::from_u64_seed(0xAC);
+    let db = db16_v(v);
+    let keyword = db[FREQ_KEYWORD_SLOT[v]];
+    (rng, db, (FREQ_INDICES[v], keyword))
+}
+
+/// The frequency client: select1, then the frequency round for the
+/// secret keyword.
+fn freq_client(v: usize) -> (Vec<u64>, impl ClientCore, ChaChaRng) {
+    let (mut rng, db, (indices, keyword)) = freq_inputs(v);
+    let f = fx();
+    let client = stats::select1_frequency_client(
+        SpirParams::new(f.group.clone(), db.len()),
+        f.pk.clone(),
+        f.sk.clone(),
+        field(),
+        &indices,
+        vec![keyword; indices.len()],
+        &mut rng,
+    );
+    (db, client, rng)
+}
+
 /// frequency variant `v`: §4 frequency counting — indices *and* the
 /// keyword are secrets.
 pub fn drv_frequency_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xAC);
+    let (db, mut client, mut rng) = freq_client(v);
     let f = fx();
-    let db = db16_v(v);
-    let keyword = db[FREQ_KEYWORD_SLOT[v]];
-    let shares = select1(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db,
-        &FREQ_INDICES[v],
+    let server = stats::select1_frequency_server(
+        SpirParams::new(f.group.clone(), db.len()),
+        f.pk.clone(),
         field(),
+        3,
+        db,
         &mut rng,
-    )?;
-    let keywords = vec![keyword; FREQ_INDICES[v].len()];
-    stats::frequency(t, &f.pk, &f.sk, &shares, &keywords, &mut rng)
+    );
+    let mut servers = [Box::new(server)];
+    pump(t, &mut client, &mut servers)
 }
 
 fn expect_frequency(v: usize) -> u64 {
-    let db = db16_v(v);
-    reference::frequency(&db, &FREQ_INDICES[v], db[FREQ_KEYWORD_SLOT[v]])
+    let (_, db, (indices, keyword)) = freq_inputs(v);
+    reference::frequency(&db, &indices, keyword)
 }
 
 /// The canonical frequency run.
@@ -638,8 +696,10 @@ pub const NET_CORE_DRIVERS: &[&str] = &["xor2", "hom_pir", "poly_it", "multiserv
 /// The server state machines hosting driver `name`'s canonical database,
 /// one per logical server; `None` for drivers without an extracted core.
 /// A server that draws while answering (spir, batched, psm_spfe,
-/// weighted_sum) gets a fresh OS-seeded rng per session: a fixed seed
-/// would let a client predict, and strip, every pad, mask and garbling.
+/// two_phase, universal, weighted_sum, frequency) gets a fresh OS-seeded
+/// rng per session: a fixed seed would let a client predict, and strip,
+/// every pad, mask, share and garbling. input_select has no entry: its
+/// digest needs the server's shares, so it runs in relay mode.
 pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> {
     Some(match name {
         "xor2" => xor2::server_cores(xor2_inputs(0).1),
@@ -687,6 +747,41 @@ pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> 
                 field(),
                 indices.len(),
                 vec![Cow::Owned(db)],
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
+        "two_phase" => {
+            let (_, db, indices) = two_phase_inputs(0);
+            vec![Box::new(two_phase::select1_yao_server(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                field(),
+                indices.len(),
+                db,
+                Cow::Owned(two_phase_circuit()),
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
+        "universal" => {
+            let (_, db, (indices, _)) = universal_inputs(0);
+            vec![Box::new(two_phase::select1_yao_server(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                field(),
+                indices.len(),
+                db,
+                Cow::Owned(universal_circuit()),
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
+        "frequency" => {
+            let (_, db, (indices, _)) = freq_inputs(0);
+            vec![Box::new(stats::select1_frequency_server(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                field(),
+                indices.len(),
+                db,
                 ChaChaRng::from_os_entropy(),
             ))]
         }
@@ -787,6 +882,21 @@ pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
                 &mut rng,
             ))
         }
+        "two_phase" => {
+            let (mut rng, db, indices) = two_phase_inputs(0);
+            Box::new(two_phase::select1_yao_client(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                fx().sk.clone(),
+                field(),
+                &indices,
+                Cow::Owned(two_phase_circuit()),
+                Vec::new(),
+                &mut rng,
+            ))
+        }
+        "universal" => Box::new(universal_client(Cow::Owned(universal_circuit()), 0).1),
+        "frequency" => Box::new(freq_client(0).1),
         _ => return None,
     })
 }

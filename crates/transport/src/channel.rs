@@ -65,6 +65,13 @@ pub trait Channel {
         Ok(())
     }
 
+    /// Whether the channel records a trace-journal event for every frame
+    /// it carries (a socket does). [`crate::pump`] journals each logical
+    /// delivery itself only over channels that do not.
+    fn journals_frames(&self) -> bool {
+        false
+    }
+
     /// Current value of the deterministic tick clock (0 on honest
     /// channels, which never delay).
     fn clock(&self) -> u64 {

@@ -23,6 +23,7 @@ use crate::error::ProtocolError;
 use crate::lamport::Lamport;
 use crate::meter::Direction;
 use crate::wire::Wire;
+use spfe_obs::SpanGuard;
 
 /// Where a session core stands after processing a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,9 +74,13 @@ impl OutMsg {
 /// Object-safe; implementations live next to the protocol code they
 /// extract (e.g. `spfe_pir::xor2::Xor2ServerCore`). A client core
 /// consumes all its randomness at construction, so its behaviour is a
-/// pure function of the messages fed to it. A server core that draws
-/// while answering (pads, OT keys) holds its rng: the caller's, borrowed,
-/// in process, or its own when a networked server hosts it.
+/// pure function of the messages fed to it. A client core that draws
+/// again after the server has answered (a [`Then`] whose second phase
+/// encrypts or picks OT choices) seeds one generator from the caller's
+/// rng at construction, after its opening draws, and takes every later
+/// draw from that stream. A server core that draws while answering
+/// (pads, OT keys, masks) holds its rng: the caller's, borrowed, in
+/// process, or its own fresh one when a networked server hosts it.
 pub trait SessionCore {
     /// Messages to send before anything is received (client cores emit
     /// their opening queries here; server cores usually emit nothing).
@@ -286,6 +291,140 @@ pub trait ClientCore: SessionCore {
     fn static_label(&self, label: &str) -> Option<&'static str>;
 }
 
+/// Two cores run back to back as one: `A` until it is done, then `B`,
+/// built from `A` by `build` (which consumes `A`: its results and, on a
+/// server, its rng). The client side emits `B`'s opening burst in the
+/// step that finishes `A`, so the phase switch costs no extra half-round;
+/// the server side builds `B` as soon as `A` has answered.
+pub struct Then<A, B, F> {
+    first: Option<A>,
+    second: Option<B>,
+    build: Option<F>,
+    /// A client's open phase span, and the name of the second phase's.
+    span: Option<SpanGuard>,
+    next_span: &'static str,
+}
+
+impl<A, B, F> Then<A, B, F>
+where
+    A: SessionCore,
+    B: SessionCore,
+    F: FnOnce(A) -> Result<B, ProtocolError>,
+{
+    /// Runs `first`, then the core `build` makes from it.
+    pub fn new(first: A, build: F) -> Self {
+        Then {
+            first: Some(first),
+            second: None,
+            build: Some(build),
+            span: None,
+            next_span: "",
+        }
+    }
+
+    /// Runs the phases inside spans, for the client: `open` (opened
+    /// around the construction of `first`) until `first` is done, then a
+    /// span named `next` until the second phase is done. Held across
+    /// steps, each span also covers the deliveries of its phase, as the
+    /// span of a phase run alone does. Server cores run unspanned, so in
+    /// process their phase spans nest under the client's.
+    #[must_use]
+    pub fn in_spans(mut self, open: SpanGuard, next: &'static str) -> Self {
+        self.span = Some(open);
+        self.next_span = next;
+        self
+    }
+
+    /// The second phase's core, once the first is done.
+    pub fn second(&self) -> Option<&B> {
+        self.second.as_ref()
+    }
+
+    /// Moves on to `B` once `A` reports [`SessionState::Done`].
+    fn advance(
+        &mut self,
+        state: SessionState,
+        mut outs: Vec<OutMsg>,
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if state == SessionState::Running {
+            return Ok((state, outs));
+        }
+        let (Some(first), Some(build)) = (self.first.take(), self.build.take()) else {
+            return Err(ended());
+        };
+        if self.span.take().is_some() {
+            self.span = Some(spfe_obs::span(self.next_span));
+        }
+        let mut second = build(first)?;
+        let (state, opening) = second.start()?;
+        outs.extend(opening);
+        self.second = Some(second);
+        Ok((self.close_when_done(state), outs))
+    }
+
+    fn close_when_done(&mut self, state: SessionState) -> SessionState {
+        if state == SessionState::Done {
+            self.span = None;
+        }
+        state
+    }
+}
+
+fn ended() -> ProtocolError {
+    ProtocolError::InvalidMessage {
+        label: "session",
+        reason: "message after the sequenced session ended",
+    }
+}
+
+impl<A, B, F> SessionCore for Then<A, B, F>
+where
+    A: SessionCore,
+    B: SessionCore,
+    F: FnOnce(A) -> Result<B, ProtocolError>,
+{
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let (state, outs) = self.first.as_mut().ok_or_else(ended)?.start()?;
+        self.advance(state, outs)
+    }
+
+    fn on_message(
+        &mut self,
+        half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if let Some(second) = self.second.as_mut() {
+            let (state, outs) = second.on_message(half_round, server, label, payload)?;
+            return Ok((self.close_when_done(state), outs));
+        }
+        let first = self.first.as_mut().ok_or_else(ended)?;
+        let (state, outs) = first.on_message(half_round, server, label, payload)?;
+        self.advance(state, outs)
+    }
+}
+
+impl<A, B, F> ClientCore for Then<A, B, F>
+where
+    A: ClientCore,
+    B: ClientCore,
+    F: FnOnce(A) -> Result<B, ProtocolError>,
+{
+    /// The second phase's digest.
+    fn digest(&self) -> Option<u64> {
+        self.second.as_ref().and_then(B::digest)
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        match (&self.first, &self.second) {
+            (Some(first), _) => first.static_label(label),
+            (None, Some(second)) => second.static_label(label),
+            (None, None) => None,
+        }
+    }
+}
+
 /// Runs a client core against its server cores over any [`Channel`],
 /// phase-synchronized: each burst delivers every client → server message
 /// (feeding the server cores), then every server reply in server order.
@@ -321,42 +460,64 @@ pub fn pump<S: SessionCore + ?Sized>(
     // stamps stay strictly monotone per party under masked faults.
     let mut client_clock = Lamport::new();
     let mut server_clocks = vec![Lamport::new(); servers.len()];
+    // A channel that journals the frames it carries (a relay socket) is
+    // not journalled twice.
+    let journal = !ch.journals_frames();
+    let frame_event = |send, label, bytes: usize, half_round, stamp| {
+        if journal {
+            spfe_obs::net_frame_event(send, label, bytes as u64, half_round, stamp);
+        }
+    };
     while !outbox.is_empty() {
         let mut replies: Vec<OutMsg> = Vec::new();
         half_round += 1;
         for m in outbox.drain(..) {
-            if !m.client_to_server || m.server >= servers.len() {
+            let OutMsg {
+                server,
+                client_to_server,
+                label,
+                payload,
+            } = m;
+            if !client_to_server || server >= servers.len() {
                 return Err(ProtocolError::InvalidMessage {
-                    label: m.label,
+                    label,
                     reason: "client core emitted a misdirected message",
                 });
             }
             let stamp = client_clock.tick();
-            spfe_obs::net_frame_event(true, m.label, m.payload.len() as u64, half_round, stamp);
+            frame_event(true, label, payload.len(), half_round, stamp);
             let delivered =
-                deliver_with_retry(ch, Direction::ClientToServer(m.server), m.label, &m.payload)?;
-            let recv = server_clocks[m.server].observe(stamp);
-            spfe_obs::net_frame_event(false, m.label, delivered.len() as u64, half_round, recv);
-            let (_, outs) =
-                servers[m.server].on_message(half_round, m.server, m.label, &delivered)?;
+                deliver_with_retry(ch, Direction::ClientToServer(server), label, &payload)?;
+            // Only the delivered copy stays alive while the receiver runs.
+            drop(payload);
+            let recv = server_clocks[server].observe(stamp);
+            frame_event(false, label, delivered.len(), half_round, recv);
+            let (_, outs) = servers[server].on_message(half_round, server, label, &delivered)?;
             replies.extend(outs);
         }
         half_round += 1;
         let mut next: Vec<OutMsg> = Vec::new();
         for m in replies {
-            if m.client_to_server || m.server >= servers.len() {
+            let OutMsg {
+                server,
+                client_to_server,
+                label,
+                payload,
+            } = m;
+            if client_to_server || server >= servers.len() {
                 return Err(ProtocolError::InvalidMessage {
-                    label: m.label,
+                    label,
                     reason: "server core emitted a misdirected message",
                 });
             }
-            let stamp = server_clocks[m.server].tick();
-            spfe_obs::net_frame_event(true, m.label, m.payload.len() as u64, half_round, stamp);
+            let stamp = server_clocks[server].tick();
+            frame_event(true, label, payload.len(), half_round, stamp);
             let delivered =
-                deliver_with_retry(ch, Direction::ServerToClient(m.server), m.label, &m.payload)?;
+                deliver_with_retry(ch, Direction::ServerToClient(server), label, &payload)?;
+            drop(payload);
             let recv = client_clock.observe(stamp);
-            spfe_obs::net_frame_event(false, m.label, delivered.len() as u64, half_round, recv);
-            let (s, outs) = client.on_message(half_round, m.server, m.label, &delivered)?;
+            frame_event(false, label, delivered.len(), half_round, recv);
+            let (s, outs) = client.on_message(half_round, server, label, &delivered)?;
             state = s;
             next.extend(outs);
         }

@@ -196,6 +196,10 @@ impl<S: Read + Write> SocketChannel<S> {
 }
 
 impl<S: Read + Write> Channel for SocketChannel<S> {
+    fn journals_frames(&self) -> bool {
+        true
+    }
+
     fn num_servers(&self) -> usize {
         self.transcript.num_servers()
     }

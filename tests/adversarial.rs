@@ -368,24 +368,46 @@ fn xor2_answer_length_mismatch_is_detected() {
 
 #[test]
 fn psm_server_rejects_a_query_count_other_than_m() {
-    // The hosted psm_spfe server takes m from its circuit, not from the
-    // message: one SPIR query more or fewer than m (copies of a recorded
-    // one) is a typed error, never an out-of-range label lookup.
-    let mut client = net_client_core("psm_spfe").expect("client core");
-    let (_, outs) = client.start().unwrap();
-    let queries = Vec::<spfe::pir::SpirQuery>::from_bytes(&outs[0].payload).unwrap();
-    let m = queries.len();
-    for count in [m + 1, m - 1] {
-        let forged = vec![queries[0].clone(); count].to_bytes();
-        let mut servers = net_server_cores("psm_spfe").expect("server cores");
-        assert_eq!(
-            servers[0].on_message(1, 0, "psm-spir-queries", &forged),
-            Err(ProtocolError::InvalidMessage {
-                label: "psm-spir-queries",
-                reason: "query count does not match the circuit's slots",
-            }),
-            "[{count} queries]"
-        );
+    // A hosted server takes m from its own parameters (the psm_spfe
+    // circuit, the select1 selection size), not from the message: one
+    // SPIR query more or fewer than m (copies of a recorded one) is a
+    // typed error, never an out-of-range lookup or an extra scan.
+    for (name, label, reason) in [
+        (
+            "psm_spfe",
+            "psm-spir-queries",
+            "query count does not match the circuit's slots",
+        ),
+        (
+            "two_phase",
+            "sel1-queries",
+            "query count does not match the selection size",
+        ),
+        (
+            "universal",
+            "sel1-queries",
+            "query count does not match the selection size",
+        ),
+        (
+            "frequency",
+            "sel1-queries",
+            "query count does not match the selection size",
+        ),
+    ] {
+        let mut client = net_client_core(name).expect("client core");
+        let (_, outs) = client.start().unwrap();
+        assert_eq!(outs[0].label, label, "[{name}] first query");
+        let queries = Vec::<spfe::pir::SpirQuery>::from_bytes(&outs[0].payload).unwrap();
+        let m = queries.len();
+        for count in [m + 1, m - 1] {
+            let forged = vec![queries[0].clone(); count].to_bytes();
+            let mut servers = net_server_cores(name).expect("server cores");
+            assert_eq!(
+                servers[0].on_message(1, 0, label, &forged),
+                Err(ProtocolError::InvalidMessage { label, reason }),
+                "[{name}, {count} queries]"
+            );
+        }
     }
 }
 

@@ -19,7 +19,7 @@ mod common;
 use common::*;
 
 use spfe::obs::audit::deterministic_ops;
-use spfe::transport::{FaultAction, FaultPlan, FaultyChannel, Transcript};
+use spfe::transport::{ClientCore, FaultAction, FaultPlan, FaultyChannel, SessionCore, Transcript};
 use spfe_net::{run_driver, run_driver_relay, Server, ServerConfig};
 use std::sync::Mutex;
 
@@ -169,56 +169,128 @@ fn compute_mode_tcp_matches_the_in_process_run() {
     spfe::math::par::set_threads(None);
 }
 
-/// A hosted server draws from a fresh rng, so its op counts must not
-/// depend on what it draws, or a compute-mode session's counters would
-/// differ from the in-process run's. Over F₁₇, a weighted sum meets a
-/// zero masked item or a zero mask coefficient under most server seeds.
-#[test]
-fn weighted_sum_op_counts_do_not_depend_on_the_server_rng() {
-    use spfe::core::stats::{WsumClientCore, WsumServerCore};
+/// A driver's cores over F₁₇ with the server drawing from `server_seed`,
+/// and the expected digest.
+type F17Cores = (Box<dyn ClientCore>, Box<dyn SessionCore>, u64);
+
+/// Cores of driver `name` over F₁₇: the weighted sum and the three
+/// drivers that start with select1.
+fn f17_cores(name: &str, server_seed: u64) -> F17Cores {
+    use spfe::core::{stats, two_phase, universal, Statistic};
+    use spfe::pir::SpirParams;
     use std::borrow::Cow;
-    let _g = LOCK.lock().unwrap();
     let f = fx();
     let field = spfe::math::Fp64::new(17).unwrap();
     let db: Vec<u64> = (0..16u64).map(|i| (i * 5 + 3) % 17).collect();
-    let (indices, weights) = ([1usize, 4, 9], [2u64, 3, 1]);
-    let expect = indices
-        .iter()
-        .zip(weights)
-        .map(|(&i, w)| db[i] * w)
-        .sum::<u64>()
-        % 17;
-    let mut counts = Vec::new();
-    for seed in 0..8 {
-        arm(1);
-        let mut client = WsumClientCore::new(
-            f.group.clone(),
-            f.pk.clone(),
-            f.sk.clone(),
-            field,
-            db.len(),
-            1,
-            &indices,
-            &weights,
-            &mut spfe::crypto::ChaChaRng::from_u64_seed(0xAB),
-        );
-        let server = WsumServerCore::new(
-            f.group.clone(),
-            f.pk.clone(),
-            field,
-            indices.len(),
-            vec![Cow::Borrowed(&db[..])],
-            spfe::crypto::ChaChaRng::from_u64_seed(seed),
-        );
-        let mut t = Transcript::new(1);
-        let got = spfe::transport::pump(&mut t, &mut client, &mut [Box::new(server)]);
-        assert_eq!(got, Ok(expect), "server seed {seed}");
-        counts.push(deterministic_ops(&spfe::obs::ops_snapshot()));
+    let params = SpirParams::new(f.group.clone(), db.len());
+    let mut rng = spfe::crypto::ChaChaRng::from_u64_seed(0xAB);
+    let server_rng = spfe::crypto::ChaChaRng::from_u64_seed(server_seed);
+    let indices = [1usize, 4, 9];
+    let sum = indices.iter().map(|&i| db[i]).sum::<u64>() % 17;
+    let (pk, sk) = (f.pk.clone(), f.sk.clone());
+    match name {
+        "weighted_sum" => {
+            let weights = [2u64, 3, 1];
+            let expect = indices
+                .iter()
+                .zip(weights)
+                .map(|(&i, w)| db[i] * w)
+                .sum::<u64>()
+                % 17;
+            let client = stats::WsumClientCore::new(
+                f.group.clone(),
+                pk.clone(),
+                sk,
+                field,
+                db.len(),
+                1,
+                &indices,
+                &weights,
+                &mut rng,
+            );
+            let server = stats::WsumServerCore::new(
+                f.group.clone(),
+                pk,
+                field,
+                indices.len(),
+                vec![Cow::Owned(db)],
+                server_rng,
+            );
+            (Box::new(client), Box::new(server), expect)
+        }
+        "two_phase" | "universal" => {
+            // The universal menu's second entry counts 3s: choose it.
+            let (circuit, extra, expect) = if name == "two_phase" {
+                (Statistic::Sum.share_circuit(3, 17), Vec::new(), sum)
+            } else {
+                let menu = [Statistic::Sum, Statistic::Frequency { keyword: 3 }];
+                let count = indices.iter().filter(|&&i| db[i] == 3).count() as u64;
+                let circuit = universal::universal_circuit(&menu, 3, 17);
+                (circuit, universal::menu_choice_bits(&menu, 1), count)
+            };
+            let client = two_phase::select1_yao_client(
+                params.clone(),
+                pk.clone(),
+                sk,
+                field,
+                &indices,
+                Cow::Owned(circuit.clone()),
+                extra,
+                &mut rng,
+            );
+            let server = two_phase::select1_yao_server(
+                params,
+                pk,
+                field,
+                3,
+                db,
+                Cow::Owned(circuit),
+                server_rng,
+            );
+            (Box::new(client), Box::new(server), expect)
+        }
+        "frequency" => {
+            let keyword = db[4];
+            let expect = indices.iter().filter(|&&i| db[i] == keyword).count() as u64;
+            let client = stats::select1_frequency_client(
+                params.clone(),
+                pk.clone(),
+                sk,
+                field,
+                &indices,
+                vec![keyword; 3],
+                &mut rng,
+            );
+            let server = stats::select1_frequency_server(params, pk, field, 3, db, server_rng);
+            (Box::new(client), Box::new(server), expect)
+        }
+        _ => unreachable!("no F17 cores for {name}"),
     }
-    assert!(
-        counts.windows(2).all(|w| w[0] == w[1]),
-        "op counts moved with the server seed: {counts:?}"
-    );
+}
+
+/// A hosted server draws from a fresh rng, so its op counts must not
+/// depend on what it draws, or a compute-mode session's counters would
+/// differ from the in-process run's. Over F₁₇, a weighted sum meets a
+/// zero masked item or a zero mask coefficient, and a select1 scan a zero
+/// shifted cell, under most server seeds.
+#[test]
+fn weighted_sum_op_counts_do_not_depend_on_the_server_rng() {
+    let _g = LOCK.lock().unwrap();
+    for name in ["weighted_sum", "two_phase", "universal", "frequency"] {
+        let mut counts = Vec::new();
+        for seed in 0..8 {
+            arm(1);
+            let (mut client, server, expect) = f17_cores(name, seed);
+            let mut t = Transcript::new(1);
+            let got = spfe::transport::pump(&mut t, client.as_mut(), &mut [server]);
+            assert_eq!(got, Ok(expect), "[{name}] server seed {seed}");
+            counts.push(deterministic_ops(&spfe::obs::ops_snapshot()));
+        }
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "[{name}] op counts moved with the server seed: {counts:?}"
+        );
+    }
     spfe::math::par::set_threads(None);
 }
 
@@ -241,6 +313,9 @@ fn concurrent_sessions_multiplex_on_one_listener() {
         "recursive",
         "xor2",
         "poly_it",
+        "two_phase",
+        "universal",
+        "frequency",
     ];
     let handles: Vec<_> = names
         .iter()
@@ -263,34 +338,46 @@ fn concurrent_sessions_multiplex_on_one_listener() {
     spfe::math::par::set_threads(None);
 }
 
-/// Hosted servers that draw while answering (spir, batched) get a fresh
-/// rng per session: the same client query, answered by two sessions'
-/// cores, yields different bytes, and each answer still decodes right.
+/// Hosted servers that draw while answering (spir, batched, two_phase)
+/// get a fresh rng per session: the same client query, answered by two
+/// sessions' cores, yields different bytes, and each session still runs
+/// to the right digest. two_phase's first reply carries select1's
+/// answers; a fixed hosted seed would let a client strip every `a_j`.
 #[test]
 fn hosted_pads_are_fresh_per_session() {
     let _g = LOCK.lock().unwrap();
-    for name in ["spir", "batched"] {
+    for name in ["spir", "batched", "two_phase"] {
         let d = drivers().into_iter().find(|d| d.name == name).unwrap();
         let query = {
             let mut client = net_client_core(name).unwrap();
             client.start().unwrap().1.remove(0)
         };
-        let answer = || {
+        let session = || {
             let mut cores = net_server_cores(name).unwrap();
             let (_, mut outs) = cores[0]
                 .on_message(1, 0, query.label, &query.payload)
                 .unwrap();
-            outs.remove(0)
+            (outs.remove(0), cores)
         };
-        let (a, b) = (answer(), answer());
-        assert_eq!(a.payload.len(), b.payload.len(), "[{name}] same shape");
-        assert_ne!(a.payload, b.payload, "[{name}] pads repeat across sessions");
-        for reply in [a, b] {
+        let (a, b) = (session(), session());
+        assert_eq!(a.0.payload.len(), b.0.payload.len(), "[{name}] same shape");
+        assert_ne!(
+            a.0.payload, b.0.payload,
+            "[{name}] pads repeat across sessions"
+        );
+        for (reply, mut cores) in [a, b] {
             let mut client = net_client_core(name).unwrap();
             client.start().unwrap();
-            client
-                .on_message(2, 0, reply.label, &reply.payload)
-                .unwrap();
+            let mut inbox = vec![reply];
+            while let Some(m) = inbox.pop() {
+                let (_, outs) = client.on_message(2, 0, m.label, &m.payload).unwrap();
+                for q in outs {
+                    let (_, replies) = cores[q.server]
+                        .on_message(3, q.server, q.label, &q.payload)
+                        .unwrap();
+                    inbox.extend(replies);
+                }
+            }
             assert_eq!(client.digest(), Some(d.expect), "[{name}] decodes");
         }
     }

@@ -259,6 +259,7 @@ fn cored_runs_keep_their_phase_spans() {
         ("batched", "batched", "server-scan"),
         ("poly_it", "polyit", "server-scan"),
         ("multiserver", "multiserver", "server-eval"),
+        ("input_select", "select1", "server-scan"),
         ("psm_spfe", "psm-yao", "server-eval"),
         ("weighted_sum", "weighted-sum", "server-eval"),
     ] {
