@@ -186,11 +186,17 @@ for _ in $(seq 1 50); do
 done
 ADDR=$(awk '/^listening on /{print $3; exit}' "$SRV_LOG")
 test -n "$ADDR"
-# e4's input_select runs in relay mode (its digest sums both parties'
-# shares); every other driver here has sans-io cores and runs in compute
-# mode (all of e1, e2 and e11, xor2), so both session kinds land in the
-# trace journals and net-trace reconciles both.
-target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" e1 e2 e4 e11 xor2
+# These experiments cover all 13 harness drivers. Every one runs in
+# compute mode against the server cores the server hosts, and net-trace
+# below reconciles every session.
+CLIENT_LOG="$WORK/client.log"
+target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" \
+  e1 e2 e4 e6 e8 e10 e11 e12 xor2 | tee "$CLIENT_LOG"
+grep -q "mode=compute" "$CLIENT_LOG"
+if grep -q "mode=relay" "$CLIENT_LOG"; then
+  echo "FAIL: a session ran in relay mode" >&2
+  exit 1
+fi
 # Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
 # Prometheus text exposition, both while sessions are being served.
 target/release/spfe-client stats --addr "$ADDR" > "$SNAP_MID"

@@ -658,7 +658,7 @@ mod tests {
         registry.session_opened();
         registry.session_closed(
             "xor2",
-            "relay",
+            "compute",
             Ok(()),
             spfe_obs::metrics::SessionUsage {
                 bytes_in: 64,

@@ -35,7 +35,7 @@ pub struct SessionSlice {
     pub session: u64,
     /// Driver (experiment) name.
     pub driver: String,
-    /// Session mode code (0 = relay, 1 = compute).
+    /// Session mode code (1 = compute, the only mode a server accepts).
     pub mode: u64,
     /// Journal thread the session ran on.
     pub tid: u64,
@@ -492,40 +492,18 @@ fn render(
 
 /// Cross-checks the server journal against the server's own metrics
 /// snapshot: every payload byte the registry metered must appear on the
-/// journal's wire events exactly once. The reconciliation is mode-aware
-/// because the two layers count differently: the journal records *wire*
-/// frames, while the registry meters *logical* traffic — a relay session
-/// echoes every received Msg verbatim (journalled as a send) but meters
-/// it only once, by its logical direction flag; a compute session meters
-/// incoming frames as `bytes_in` and originated replies as `bytes_out`.
-/// Returns violations.
+/// journal's wire events exactly once. The registry meters incoming
+/// frames as `bytes_in` and originated replies as `bytes_out`, so the
+/// journal's received and sent bytes must add up to their sum. Returns
+/// violations.
 pub fn check_against_metrics(server: &PartyTrace, snap: &MetricsSnapshot) -> Vec<String> {
     let mut violations = Vec::new();
-    let mut expected = 0u64;
-    for s in &server.sessions {
-        let sum = |send: bool| -> u64 {
-            server
-                .session_events(s.session, send)
-                .iter()
-                .map(|e| e.bytes)
-                .sum()
-        };
-        let (recv, sent) = (sum(false), sum(true));
-        if s.mode == 0 {
-            // Relay: the echo stream mirrors the received stream byte
-            // for byte (Bye is received only, but carries no payload),
-            // and the registry counted each received Msg exactly once.
-            if sent != recv {
-                violations.push(format!(
-                    "relay session {}: journal echoed {sent} bytes of {recv} received",
-                    s.session
-                ));
-            }
-            expected += recv;
-        } else {
-            expected += recv + sent;
-        }
-    }
+    let expected: u64 = server
+        .events
+        .iter()
+        .filter(|e| server.sessions.iter().any(|s| s.session == e.session))
+        .map(|e| e.bytes)
+        .sum();
     let metered = snap.bytes_in + snap.bytes_out;
     if expected != metered {
         violations.push(format!(
@@ -556,8 +534,8 @@ mod tests {
         }
     }
 
-    /// One relay-style session 7: the client sends q (64 B) and bye, the
-    /// server echoes q back. Stamps follow the wire protocol: client
+    /// One session 7: the client sends q (64 B) and bye, the server
+    /// answers q with a (32 B). Stamps follow the wire protocol: client
     /// tick=1, server observe→2 tick=3, client observe→4; bye tick=5,
     /// server observe→6.
     fn sample_parties() -> (PartyTrace, PartyTrace) {
@@ -565,11 +543,11 @@ mod tests {
             threads: vec![ThreadTrace {
                 thread: 0,
                 events: vec![
-                    ev(EventKind::NetSessionOpen, 0, "xor2", 7, 0),
+                    ev(EventKind::NetSessionOpen, 0, "xor2", 7, 1),
                     ev(EventKind::NetSend, 1_000, "q", 64, stamp(1, 1)),
-                    ev(EventKind::NetRecv, 5_000, "q", 64, stamp(1, 4)),
-                    ev(EventKind::NetSend, 6_000, "net-bye", 0, stamp(1, 5)),
-                    ev(EventKind::NetSessionClose, 7_000, "xor2", 7, 0),
+                    ev(EventKind::NetRecv, 5_000, "a", 32, stamp(2, 4)),
+                    ev(EventKind::NetSend, 6_000, "net-bye", 0, stamp(2, 5)),
+                    ev(EventKind::NetSessionClose, 7_000, "xor2", 7, 1),
                 ],
                 dropped: 0,
             }],
@@ -581,11 +559,11 @@ mod tests {
             threads: vec![ThreadTrace {
                 thread: 9,
                 events: vec![
-                    ev(EventKind::NetSessionOpen, 100, "xor2", 7, 0),
+                    ev(EventKind::NetSessionOpen, 100, "xor2", 7, 1),
                     ev(EventKind::NetRecv, 500, "q", 64, stamp(1, 2)),
-                    ev(EventKind::NetSend, 900, "q", 64, stamp(1, 3)),
-                    ev(EventKind::NetRecv, 1_500, "net-bye", 0, stamp(1, 6)),
-                    ev(EventKind::NetSessionClose, 1_600, "xor2", 7, 0),
+                    ev(EventKind::NetSend, 900, "a", 32, stamp(2, 3)),
+                    ev(EventKind::NetRecv, 1_500, "net-bye", 0, stamp(2, 6)),
+                    ev(EventKind::NetSessionClose, 1_600, "xor2", 7, 1),
                 ],
                 dropped: 0,
             }],
@@ -602,7 +580,7 @@ mod tests {
         let (client, _) = sample_parties();
         assert_eq!(client.sessions.len(), 1);
         let s = &client.sessions[0];
-        assert_eq!((s.session, s.driver.as_str(), s.mode), (7, "xor2", 0));
+        assert_eq!((s.session, s.driver.as_str(), s.mode), (7, "xor2", 1));
         assert!(s.begin_us < s.end_us);
         assert_eq!(client.events.len(), 3);
         let q = &client.events[0];
@@ -624,7 +602,7 @@ mod tests {
         let (timeline, report) = merge("e1", &client, &server);
         assert_eq!(report.violations, Vec::<String>::new());
         assert_eq!(report.sessions, 1);
-        assert_eq!(report.flows, 3, "q out, q echo, bye");
+        assert_eq!(report.flows, 3, "q out, a back, bye");
         // The merged document is valid JSON with both process tracks,
         // per-pair flow arrows, and synthesized on-wire slices.
         let doc = json::parse(&timeline).unwrap();
@@ -655,9 +633,8 @@ mod tests {
     #[test]
     fn merge_flags_causal_violations() {
         let (client, mut server) = sample_parties();
-        // Corrupt the echo's receive stamp on the client side would need
-        // rebuilding; easier: regress the server's receive stamp below
-        // the client's send stamp.
+        // Regress the server's receive stamp below the client's send
+        // stamp.
         server.events[0].lamport = 1; // was 2, client sent with 1
         let (_, report) = merge("e1", &client, &server);
         assert!(report
@@ -672,9 +649,9 @@ mod tests {
         // Missing server side entirely.
         let (_, report) = merge("e1", &client, &PartyTrace::default());
         assert!(report.violations.iter().any(|v| v.contains("client only")));
-        // Dropped echo: server send unpaired and depth mismatch paths.
+        // Dropped reply: server send unpaired and depth mismatch paths.
         let mut lossy = server.clone();
-        lossy.events.retain(|e| !(e.send && e.label == "q"));
+        lossy.events.retain(|e| !(e.send && e.label == "a"));
         let (_, report) = merge("e1", &client, &lossy);
         assert!(report
             .violations
@@ -691,14 +668,14 @@ mod tests {
     fn metrics_cross_check_compares_byte_totals() {
         let (_, server) = sample_parties();
         let mut snap = spfe_obs::metrics::Metrics::new().snapshot();
-        // The relay session metered q (64 B) once, by its logical
-        // direction; the echo and the 0-byte Bye add nothing.
+        // The session metered q (64 B) in and a (32 B) out; the 0-byte
+        // Bye adds nothing.
         snap.bytes_in = 64;
-        snap.bytes_out = 0;
+        snap.bytes_out = 32;
         assert_eq!(check_against_metrics(&server, &snap), Vec::<String>::new());
-        snap.bytes_out = 1;
+        snap.bytes_out = 33;
         let violations = check_against_metrics(&server, &snap);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("bytes_in + bytes_out = 65"));
+        assert!(violations[0].contains("bytes_in + bytes_out = 97"));
     }
 }

@@ -28,7 +28,7 @@ use spfe_pir::spir::{self, SpirAnswer, SpirClientState, SpirParams, SpirQuery};
 use spfe_pir::{batched, words};
 use spfe_transport::{
     pump, AnswerOnce, Channel, ChannelExt, ClientCore, OneRound, OutMsg, ProtocolError,
-    SessionCore, SessionState, Wire,
+    SessionCore, SessionState, Then, Wire,
 };
 use std::borrow::Cow;
 
@@ -323,6 +323,156 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for Select1ClientCore<P, 
     }
 }
 
+/// The client of §3.3.1 followed by the §3.3 phase on the shares for the
+/// linear `f = sum`, as one sequenced core: select1's queries, drawn
+/// here from `rng`; then one empty `sel1-open-q` request, answered by the
+/// server's `Σ a_j mod p`. The digest is `Σ b_j + Σ a_j mod p`, the sum
+/// of the selected items mod `p`. The opening reveals only that sum: the
+/// individual `a_j`, and so the items, stay masked.
+///
+/// # Panics
+///
+/// Panics if an index is out of range.
+#[allow(clippy::type_complexity)]
+pub fn select1_sum_client<P, S, R>(
+    params: SpirParams,
+    pk: P,
+    sk: S,
+    field: Fp64,
+    indices: &[usize],
+    rng: &mut R,
+) -> Then<
+    Select1ClientCore<P, S>,
+    SumOpenClientCore,
+    impl FnOnce(Select1ClientCore<P, S>) -> Result<SumOpenClientCore, ProtocolError>,
+>
+where
+    P: HomomorphicPk,
+    S: HomomorphicSk<P>,
+    R: RandomSource + ?Sized,
+{
+    let phase = spfe_obs::span("select1");
+    let select = Select1ClientCore::new(params, pk, sk, field, indices, rng);
+    Then::new(select, move |select| {
+        let shares = select.into_shares().unwrap_or_default();
+        Ok(SumOpenClientCore::new(field, &shares))
+    })
+    .in_spans(phase, "open-sum")
+}
+
+/// The server of §3.3.1 followed by the opening of its shares' sum, as
+/// one sequenced core: select1 over `db` for selections of `m` items,
+/// then one `sel1-open` reply carrying `Σ a_j mod p`.
+///
+/// # Panics
+///
+/// As [`Select1ServerCore::new`].
+pub fn select1_sum_server<'a, P, G>(
+    params: SpirParams,
+    pk: P,
+    field: Fp64,
+    m: usize,
+    db: impl Into<Cow<'a, [u64]>>,
+    rng: G,
+) -> impl SessionCore + 'a
+where
+    P: HomomorphicPk + 'a,
+    G: RandomSource + 'a,
+{
+    let select = Select1ServerCore::new(params, pk, field, m, db, rng);
+    Then::new(select, move |select| {
+        let (shares, _) = select.into_parts();
+        Ok(SumOpenServerCore {
+            once: AnswerOnce::new(0, "sel1-open-q", "sel1-open"),
+            sum: shares.iter().fold(0, |acc, &a| field.add(acc, a)),
+        })
+    })
+}
+
+/// The server half of the opening: answers one empty `sel1-open-q`
+/// request with `Σ a_j mod p`.
+#[derive(Debug)]
+pub struct SumOpenServerCore {
+    once: AnswerOnce,
+    sum: u64,
+}
+
+impl SessionCore for SumOpenServerCore {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.once.answer(label, || {
+            if !payload.is_empty() {
+                return Err(ProtocolError::InvalidMessage {
+                    label: "sel1-open-q",
+                    reason: "the opening request carries no payload",
+                });
+            }
+            let _s = spfe_obs::span("server-eval");
+            Ok(self.sum.to_bytes())
+        })
+    }
+}
+
+/// The client half of the opening: sends the empty request, then adds
+/// the server's `Σ a_j` to its own `Σ b_j`.
+#[derive(Debug)]
+pub struct SumOpenClientCore {
+    field: Fp64,
+    own: u64,
+    round: OneRound<[u8; 0], u64>,
+    sum: Option<u64>,
+}
+
+impl SumOpenClientCore {
+    fn new(field: Fp64, shares: &[u64]) -> Self {
+        let _s = spfe_obs::span("query-gen");
+        SumOpenClientCore {
+            field,
+            own: shares.iter().fold(0, |acc, &b| field.add(acc, b)),
+            round: OneRound::new("sel1-open-q", "sel1-open", vec![[]]),
+            sum: None,
+        }
+    }
+}
+
+impl SessionCore for SumOpenClientCore {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        self.round.start()
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let Some(replies) = self.round.receive(server, label, payload)? else {
+            return Ok((SessionState::Running, Vec::new()));
+        };
+        let _s = spfe_obs::span("reconstruct");
+        let theirs = replies[0] % self.field.modulus();
+        self.sum = Some(self.field.add(self.own, theirs));
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl ClientCore for SumOpenClientCore {
+    /// The sum of the selected items mod `p`.
+    fn digest(&self) -> Option<u64> {
+        self.sum
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.round.static_label(label)
+    }
+}
+
 /// Asserts the no-overflow precondition of a homomorphic reply that sums
 /// `m` products of two field elements and adds a blind `p·R` with
 /// `R ≤ 2^{σ+1}` (§3.3.2's server step, §4's weighted-sum functional and
@@ -337,6 +487,16 @@ pub(crate) fn check_hom_capacity<P: HomomorphicPk>(pk: &P, p: u64, m: usize) {
         &bound < pk.plaintext_modulus(),
         "plaintext modulus too small for field {p} and m={m}"
     );
+}
+
+/// Item `x` at index `i` masked by `P_s(i)`, stored in `1..=p` (0 as
+/// `p`): the PIR scan skips zero cells, so a zero would make its cost
+/// depend on the mask. The client reduces what it retrieves mod `p`.
+fn masked_cell(field: Fp64, x: u64, s_poly: &Poly, i: usize) -> u64 {
+    match field.add(x, s_poly.eval(i as u64)) {
+        0 => field.modulus(),
+        v => v,
+    }
 }
 
 /// Encrypts the integer `Σ-term + p·(R+1) − r` without wraparound: the
@@ -418,51 +578,36 @@ where
     let db_idx: Vec<(usize, u64)> = db.iter().copied().enumerate().collect();
     let masked: Vec<u64> =
         spfe_math::par::par_map_cost(spfe_math::par::CostClass::Light, &db_idx, |&(i, x)| {
-            field.add(x, s_poly.eval(i as u64))
+            masked_cell(field, x, &s_poly, i)
         });
 
     // Homomorphic evaluation: E(P_s(i_j) − r_j) with integer-safe blinding.
-    // The m² scalar products are rng-free — flatten them into one batch for
-    // the worker pool, then draw the blinding serially per slot.
-    let mut prod_cts: Vec<P::Ciphertext> = Vec::new();
-    let mut prod_consts: Vec<Nat> = Vec::new();
-    let mut slot_products: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (j, slot) in slot_products.iter_mut().enumerate() {
-        for k in 0..m {
-            let s_k = s_poly.coeffs().get(k).copied().unwrap_or(0);
-            if s_k == 0 {
-                continue;
-            }
-            let ct = pk.ciphertext_from_bytes(&powers[j * m + k]).ok_or(
-                ProtocolError::InvalidMessage {
+    // Every coefficient is multiplied, zero or not, so the op counts do
+    // not depend on P_s (and every power ciphertext is validated). The m²
+    // scalar products are rng-free — one batch for the worker pool — then
+    // the blinding is drawn serially per slot.
+    let prod_cts = powers
+        .iter()
+        .map(|ct| {
+            pk.ciphertext_from_bytes(ct)
+                .ok_or(ProtocolError::InvalidMessage {
                     label: "sel2v1-powers",
                     reason: "malformed power ciphertext",
-                },
-            )?;
-            slot.push(prod_cts.len());
-            prod_cts.push(ct);
-            prod_consts.push(Nat::from(s_k));
-        }
-    }
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let prod_consts: Vec<Nat> = (0..m * m)
+        .map(|jk| Nat::from(s_poly.coeffs().get(jk % m).copied().unwrap_or(0)))
+        .collect();
     let products = pk.scalar_mul_batch(&prod_cts, &prod_consts);
     let mut server_r = Vec::with_capacity(m);
-    let evals: Vec<Vec<u8>> = slot_products
-        .iter()
+    let evals: Vec<Vec<u8>> = products
+        .chunks(m)
         .map(|slot| {
-            let mut acc: Option<P::Ciphertext> = None;
-            for &idx in slot {
-                acc = Some(match acc {
-                    None => products[idx].clone(),
-                    Some(prev) => pk.add(&prev, &products[idx]),
-                });
-            }
             let r_j = field.random(rng);
             server_r.push(r_j);
             let offset = pk.encrypt(&blinded_offset(p, r_j, rng), rng);
-            let total = match acc {
-                None => offset,
-                Some(a) => pk.add(&a, &offset),
-            };
+            let total = slot.iter().fold(offset, |acc, term| pk.add(&acc, term));
             pk.ciphertext_to_bytes(&total)
         })
         .collect();
@@ -494,7 +639,7 @@ where
     let client_shares: Vec<u64> = retrieved
         .iter()
         .zip(sk.decrypt_batch(&evals))
-        .map(|(&xp, v)| field.sub(xp, v.rem(&Nat::from(p)).to_u64().expect("fits")))
+        .map(|(&xp, v)| field.sub(xp % p, v.rem(&Nat::from(p)).to_u64().expect("fits")))
         .collect();
     // Server: a_j = −r_j.
     let server_shares: Vec<u64> = server_r.iter().map(|&r| field.neg(r)).collect();
@@ -569,46 +714,40 @@ where
     let masked: Vec<u64> = db
         .iter()
         .enumerate()
-        .map(|(i, &x)| field.add(x, s_poly.eval(i as u64)))
+        .map(|(i, &x)| masked_cell(field, x, &s_poly, i))
         .collect();
     drop(_open);
 
     // Client: E(P_s(i_j) − r_j) as a known linear combination of the
-    // encrypted coefficients.
+    // encrypted coefficients. Every power is multiplied, zero or not, so
+    // the op counts do not depend on the indices.
     let _qg = spfe_obs::span("query-gen");
+    let coeff_cts = coeff_cts
+        .iter()
+        .map(|ct| {
+            server_pk
+                .ciphertext_from_bytes(ct)
+                .ok_or(ProtocolError::InvalidMessage {
+                    label: "sel2v2-coeffs",
+                    reason: "malformed coefficient ciphertext",
+                })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut client_r = Vec::with_capacity(m);
     let blinded: Vec<Vec<u8>> = indices
         .iter()
         .map(|&i| {
             let i_f = field.from_u64(i as u64);
-            let mut acc: Option<PS::Ciphertext> = None;
-            for (k, ct_bytes) in coeff_cts.iter().enumerate() {
-                let c_k = field.pow(i_f, k as u64);
-                if c_k == 0 {
-                    continue;
-                }
-                let ct = server_pk.ciphertext_from_bytes(ct_bytes).ok_or(
-                    ProtocolError::InvalidMessage {
-                        label: "sel2v2-coeffs",
-                        reason: "malformed coefficient ciphertext",
-                    },
-                )?;
-                let term = server_pk.mul_const(&ct, &Nat::from(c_k));
-                acc = Some(match acc {
-                    None => term,
-                    Some(prev) => server_pk.add(&prev, &term),
-                });
-            }
             let r_j = field.random(rng);
             client_r.push(r_j);
             let offset = server_pk.encrypt(&blinded_offset(p, r_j, rng), rng);
-            let total = match acc {
-                None => offset,
-                Some(a) => server_pk.add(&a, &offset),
-            };
-            Ok(server_pk.ciphertext_to_bytes(&total))
+            let total = coeff_cts.iter().enumerate().fold(offset, |acc, (k, ct)| {
+                let c_k = field.pow(i_f, k as u64);
+                server_pk.add(&acc, &server_pk.mul_const(ct, &Nat::from(c_k)))
+            });
+            server_pk.ciphertext_to_bytes(&total)
         })
-        .collect::<Result<_, ProtocolError>>()?;
+        .collect();
     let blinded: Vec<Vec<u8>> = t.client_to_server(0, "sel2v2-blinded", &blinded)?;
     if blinded.len() != m {
         return Err(ProtocolError::InvalidMessage {
@@ -640,7 +779,7 @@ where
     let client_shares: Vec<u64> = retrieved
         .iter()
         .zip(&client_r)
-        .map(|(&xp, &r)| field.sub(xp, r))
+        .map(|(&xp, &r)| field.sub(xp % p, r))
         .collect();
 
     Ok(SharesModP {
@@ -791,6 +930,31 @@ mod tests {
         let expect: Vec<u64> = indices.iter().map(|&i| database[i]).collect();
         assert_eq!(shares.reconstruct(), expect);
         assert_eq!(t.report().half_rounds, 2, "one round");
+    }
+
+    #[test]
+    fn sum_opening_answers_one_empty_request_once() {
+        let mut server = SumOpenServerCore {
+            once: AnswerOnce::new(0, "sel1-open-q", "sel1-open"),
+            sum: 5,
+        };
+        assert_eq!(
+            server.on_message(3, 0, "sel1-open-q", &[0]),
+            Err(ProtocolError::InvalidMessage {
+                label: "sel1-open-q",
+                reason: "the opening request carries no payload",
+            })
+        );
+        let (state, replies) = server.on_message(3, 0, "sel1-open-q", &[]).unwrap();
+        assert_eq!(state, SessionState::Done);
+        assert_eq!(replies[0].payload, 5u64.to_bytes());
+        assert_eq!(
+            server.on_message(5, 0, "sel1-open-q", &[]),
+            Err(ProtocolError::InvalidMessage {
+                label: "sel1-open-q",
+                reason: "unexpected message for a one-round server",
+            })
+        );
     }
 
     #[test]

@@ -10,17 +10,16 @@
 //! of the same core — which is what the harness driver's `run` pumps.
 //!
 //! [`run_driver`] is the convenience entry point the `spfe-client` binary
-//! and the conformance matrix use: it looks the driver up in
-//! `spfe::harness`, picks compute mode when the driver has an extracted
-//! core and relay mode otherwise, and returns the digest plus the
-//! client-side transcript.
+//! and the conformance matrix use: it looks the driver's client core up
+//! in `spfe::harness` and returns the digest plus the client-side
+//! transcript.
 
 use spfe::harness;
 use spfe_obs::trace as journal;
 use spfe_transport::frame::{read_frame, read_frame_traced, write_frame};
 use spfe_transport::{
-    Channel, ClientCore, Direction, Frame, FrameKind, Lamport, ProtocolError, SessionMode,
-    SessionState, SocketChannel, Transcript,
+    ClientCore, Direction, Frame, FrameKind, Lamport, ProtocolError, SessionMode, SessionState,
+    Transcript,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -40,7 +39,7 @@ pub struct NetRun {
     pub digest: u64,
     /// The client-side metered transcript.
     pub transcript: Transcript,
-    /// The mode the session ran in.
+    /// The mode the session ran in: always [`SessionMode::Compute`].
     pub mode: SessionMode,
 }
 
@@ -194,69 +193,34 @@ pub fn run_core<S: Read + Write>(
     Ok((digest, transcript))
 }
 
-/// Runs harness driver `name` over TCP in relay mode: the driver plays
-/// both parties locally, every message crossing the wire through the
-/// echoing peer.
-///
-/// # Errors
-///
-/// Any [`ProtocolError`] from the handshake, the transport, or the
-/// driver itself.
-pub fn run_driver_relay(
-    addr: &str,
-    d: &harness::Driver,
-    deadline: Option<Duration>,
-) -> Result<NetRun, ProtocolError> {
-    let stream = connect(addr, deadline)?;
-    let mut ch = SocketChannel::connect(
-        stream,
-        d.servers,
-        d.name,
-        SessionMode::Relay,
-        next_session_id(),
-    )?;
-    let digest = (d.run)(&mut ch)?;
-    ch.bye();
-    Ok(NetRun {
-        digest,
-        transcript: ch.transcript().clone(),
-        mode: SessionMode::Relay,
-    })
-}
-
-/// Runs harness driver `name` over TCP: compute mode when the driver has
-/// an extracted sans-io core, relay mode otherwise.
+/// Runs harness driver `name` over TCP: its client core against the
+/// server cores the peer hosts for it.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::InvalidMessage`] for an unknown driver name, else as
-/// [`run_core`] / [`run_driver_relay`].
+/// [`run_core`].
 pub fn run_driver(
     addr: &str,
     name: &str,
     deadline: Option<Duration>,
 ) -> Result<NetRun, ProtocolError> {
-    let drivers = harness::drivers();
-    let d = drivers
-        .iter()
+    let unknown = ProtocolError::InvalidMessage {
+        label: "net-hello",
+        reason: "unknown driver name",
+    };
+    let d = harness::drivers()
+        .into_iter()
         .find(|d| d.name == name)
-        .ok_or(ProtocolError::InvalidMessage {
-            label: "net-hello",
-            reason: "unknown driver name",
-        })?;
-    match harness::net_client_core(name) {
-        Some(mut core) => {
-            let stream = connect(addr, deadline)?;
-            let (digest, transcript) =
-                run_core(stream, name, core.as_mut(), d.servers, next_session_id())?;
-            Ok(NetRun {
-                digest,
-                transcript,
-                mode: SessionMode::Compute,
-            })
-        }
-        None => run_driver_relay(addr, d, deadline),
-    }
+        .ok_or(unknown.clone())?;
+    let mut core = harness::net_client_core(name).ok_or(unknown)?;
+    let stream = connect(addr, deadline)?;
+    let (digest, transcript) = run_core(stream, name, core.as_mut(), d.servers, next_session_id())?;
+    Ok(NetRun {
+        digest,
+        transcript,
+        mode: SessionMode::Compute,
+    })
 }
 
 /// A held-open metrics scrape connection (one TCP connect amortized
@@ -344,4 +308,87 @@ fn connect(addr: &str, deadline: Option<Duration>) -> Result<TcpStream, Protocol
             reason: "could not configure the socket",
         })?;
     Ok(stream)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::io;
+
+    /// An in-memory server that answers reads from a scripted queue of
+    /// frames and swallows writes.
+    struct Script(VecDeque<u8>);
+
+    impl Script {
+        fn replying(frames: &[Frame]) -> Script {
+            Script(frames.iter().flat_map(Frame::to_bytes).collect())
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len());
+            for (b, v) in buf.iter_mut().zip(self.0.drain(..n)) {
+                *b = v;
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frame(kind: FrameKind, session: u64) -> Frame {
+        Frame {
+            kind,
+            client_to_server: false,
+            session,
+            half_round: 0,
+            server: 0,
+            label: "xor2".to_owned(),
+            payload: vec![SessionMode::Compute as u8],
+        }
+    }
+
+    fn xor2_over(script: Script, session: u64) -> Result<(u64, Transcript), ProtocolError> {
+        let mut core = harness::net_client_core("xor2").expect("xor2 core");
+        run_core(script, "xor2", core.as_mut(), 2, session)
+    }
+
+    #[test]
+    fn rejected_hello_is_typed() {
+        let script = Script::replying(&[frame(FrameKind::Error, 5)]);
+        assert_eq!(
+            xor2_over(script, 5).unwrap_err(),
+            ProtocolError::InvalidMessage {
+                label: "net-hello",
+                reason: "peer rejected the session",
+            }
+        );
+    }
+
+    #[test]
+    fn error_frame_aborts_with_invalid_message() {
+        let script = Script::replying(&[frame(FrameKind::Hello, 4), frame(FrameKind::Error, 4)]);
+        assert_eq!(
+            xor2_over(script, 4).unwrap_err(),
+            invalid("server aborted the session")
+        );
+    }
+
+    #[test]
+    fn eof_mid_session_is_a_typed_crash() {
+        let script = Script::replying(&[frame(FrameKind::Hello, 3)]);
+        assert!(matches!(
+            xor2_over(script, 3).unwrap_err(),
+            ProtocolError::ServerCrashed { .. }
+        ));
+    }
 }

@@ -12,13 +12,10 @@
 //! it in place.
 //!
 //! * [`Server`] — a `TcpListener` accept loop with one thread per
-//!   session, serving both Hello modes: **relay** (echo every frame; the
-//!   blanket adapter that runs every harness driver, both parties in
-//!   process, over TCP unchanged) and **compute** (host the genuine
-//!   server state machines from `spfe::harness::net_server_cores`: the
-//!   twelve cored drivers, among them the §3.2 PSM-SPFE, the §4
-//!   statistics and the two-phase §3.3 SPFE; input_select, whose digest
-//!   sums both parties' shares, runs relay only).
+//!   session, each hosting the genuine server state machines from
+//!   `spfe::harness::net_server_cores` for all thirteen harness drivers,
+//!   among them the §3.2 PSM-SPFE, the §4 statistics and the two-phase
+//!   §3.3 SPFE.
 //! * [`run_core`] / [`run_driver`] — the client side: drive a
 //!   [`spfe_transport::ClientCore`] over a connected stream in the same
 //!   phase order as [`spfe_transport::pump`], metering every frame on a
@@ -39,7 +36,5 @@
 pub mod client;
 pub mod server;
 
-pub use client::{
-    fetch_stats, next_session_id, run_core, run_driver, run_driver_relay, NetRun, StatsConn,
-};
+pub use client::{fetch_stats, next_session_id, run_core, run_driver, NetRun, StatsConn};
 pub use server::{classify_failure, Server, ServerConfig};

@@ -2,8 +2,9 @@
 //! sessions, one thread per connection.
 //!
 //! Each connection carries exactly one session, opened by a Hello frame
-//! whose label names the driver and whose payload selects the mode
-//! ([`SessionMode`]) — or a [`FrameKind::Stats`] scrape, answered with a
+//! whose label names the driver and whose payload carries
+//! [`SessionMode::Compute`] (any other mode byte is refused with an Error
+//! frame) — or a [`FrameKind::Stats`] scrape, answered with a
 //! live `spfe-metrics/v1` snapshot on the same listener (DESIGN.md §16).
 //! Sessions are fully isolated: a connection that stalls, dies
 //! mid-protocol, sends garbage, or even panics its session thread poisons
@@ -264,7 +265,7 @@ struct SessionCtx {
     driver: String,
     mode: &'static str,
     /// The Hello mode byte, re-emitted on the session's trace-journal
-    /// close event (0 = relay, 1 = compute).
+    /// close event (always 1 = compute once the Hello was accepted).
     mode_code: u8,
     opened: bool,
     flow: FlowMeter,
@@ -441,49 +442,35 @@ fn serve_connection(
         ));
     }
     let session = hello.session;
-    let mode = match hello.payload.first() {
-        Some(0) => SessionMode::Relay,
-        Some(1) => SessionMode::Compute,
-        _ => {
-            return Err(fail(
-                ctx,
-                metrics,
-                true,
-                abort(stream, session, &hello.label, "unknown session mode"),
-            ))
-        }
-    };
+    if hello.payload.first() != Some(&(SessionMode::Compute as u8)) {
+        return Err(fail(
+            ctx,
+            metrics,
+            true,
+            abort(stream, session, &hello.label, "unknown session mode"),
+        ));
+    }
     {
         let mut c = lock_ctx(ctx);
-        c.mode = match mode {
-            SessionMode::Relay => "relay",
-            SessionMode::Compute => "compute",
-        };
-        c.mode_code = mode as u8;
+        c.mode = "compute";
+        c.mode_code = SessionMode::Compute as u8;
     }
-    spfe_obs::net_session_event(true, session, &hello.label, mode as u8);
+    spfe_obs::net_session_event(true, session, &hello.label, SessionMode::Compute as u8);
     if config.inject_panic_driver.as_deref() == Some(hello.label.as_str()) {
         panic!("injected session panic (ServerConfig::inject_panic_driver)");
     }
-    let cores = if mode == SessionMode::Compute {
-        match harness::net_server_cores(&hello.label) {
-            Some(c) => Some(c),
-            None => {
-                return Err(fail(
-                    ctx,
-                    metrics,
-                    true,
-                    abort(
-                        stream,
-                        session,
-                        &hello.label,
-                        "no server cores for this driver",
-                    ),
-                ))
-            }
-        }
-    } else {
-        None
+    let Some(mut cores) = harness::net_server_cores(&hello.label) else {
+        return Err(fail(
+            ctx,
+            metrics,
+            true,
+            abort(
+                stream,
+                session,
+                &hello.label,
+                "no server cores for this driver",
+            ),
+        ));
     };
     let ack = Frame {
         kind: FrameKind::Hello,
@@ -492,16 +479,12 @@ fn serve_connection(
         half_round: 0,
         server: 0,
         label: hello.label.clone(),
-        payload: vec![mode as u8],
+        payload: vec![SessionMode::Compute as u8],
     };
     if let Err(e) = write_frame(stream, &ack, 0, "net-hello") {
         return Err(fail(ctx, metrics, true, e));
     }
-    match cores {
-        None => relay_session(stream, session, metrics, ctx),
-        Some(mut cores) => compute_session(stream, session, &mut cores, metrics, ctx),
-    }
-    .map(|()| SessionEnd::Completed)
+    compute_session(stream, session, &mut cores, metrics, ctx).map(|()| SessionEnd::Completed)
 }
 
 /// Answers [`FrameKind::Stats`] requests until the scraper hangs up.
@@ -537,76 +520,6 @@ fn stats_session(stream: &mut &TcpStream, metrics: &Metrics, first: Frame) -> Se
             Ok(Some(f)) if f.kind == FrameKind::Stats => f,
             _ => return SessionEnd::Stats,
         };
-    }
-}
-
-/// Relay mode: echo every Msg frame back verbatim until Bye or EOF.
-/// Each received frame is metered once by its *logical* direction flag;
-/// the echo is the same logical message and is not counted.
-fn relay_session(
-    stream: &mut &TcpStream,
-    session: u64,
-    metrics: &Metrics,
-    ctx: &Mutex<SessionCtx>,
-) -> Result<(), SessionFailure> {
-    let mut clock = Lamport::new();
-    loop {
-        let (frame, carried) = match read_frame_or_eof_traced(stream, true, 0, "net-relay") {
-            Ok(None) => return Ok(()),
-            Ok(Some(got)) => got,
-            Err(e) => return Err(fail(ctx, metrics, false, e)),
-        };
-        let recv_stamp = clock.observe(carried.unwrap_or(0));
-        match frame.kind {
-            FrameKind::Msg if frame.session == session => {
-                spfe_obs::net_frame_event(
-                    false,
-                    &frame.label,
-                    frame.payload.len() as u64,
-                    frame.half_round,
-                    recv_stamp,
-                );
-                metrics.transfer(frame.client_to_server, frame.payload.len() as u64);
-                lock_ctx(ctx).flow.observe_msg(&frame);
-                let stamp = clock.tick();
-                if journal::tracing() {
-                    let ctx_frame = Frame::trace_ctx(false, session, frame.half_round, stamp);
-                    if let Err(e) =
-                        write_frame(stream, &ctx_frame, frame.server as usize, "net-relay")
-                    {
-                        return Err(fail(ctx, metrics, false, e));
-                    }
-                    spfe_obs::net_frame_event(
-                        true,
-                        &frame.label,
-                        frame.payload.len() as u64,
-                        frame.half_round,
-                        stamp,
-                    );
-                }
-                if let Err(e) = write_frame(stream, &frame, frame.server as usize, "net-relay") {
-                    return Err(fail(ctx, metrics, false, e));
-                }
-            }
-            FrameKind::Bye => {
-                spfe_obs::net_frame_event(false, "net-bye", 0, frame.half_round, recv_stamp);
-                lock_ctx(ctx).flow.observe_bye(&frame);
-                return Ok(());
-            }
-            _ => {
-                return Err(fail(
-                    ctx,
-                    metrics,
-                    false,
-                    abort(
-                        stream,
-                        session,
-                        &frame.label,
-                        "unexpected frame in relay session",
-                    ),
-                ))
-            }
-        }
     }
 }
 

@@ -335,7 +335,7 @@ impl Metrics {
 pub struct DriverSnapshot {
     /// Driver (experiment) name from the Hello frame.
     pub driver: String,
-    /// `relay` or `compute`.
+    /// `compute` from a server (the only mode it accepts).
     pub mode: String,
     /// Sessions closed under this key (clean or failed).
     pub sessions: u64,
@@ -809,7 +809,8 @@ pub struct SessionLogRecord<'a> {
     pub peer: &'a str,
     /// Driver / experiment id.
     pub driver: &'a str,
-    /// `relay`, `compute`, or `client`.
+    /// `compute`; `unknown` for a session refused at its Hello; `client`
+    /// for a client-side failure.
     pub mode: &'a str,
     /// `ok` or a [`FailureKind`] name.
     pub outcome: &'a str,

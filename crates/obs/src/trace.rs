@@ -79,7 +79,7 @@ pub enum EventKind {
     ViewSeal,
     /// A networked session span opened on this party; `label` is the
     /// driver name (interned), `a` the session id, `b` the session mode
-    /// (0 = relay, 1 = compute). Frame events that follow on the same
+    /// (1 = compute, the only mode a server accepts). Frame events that follow on the same
     /// thread belong to this session until the matching close.
     NetSessionOpen,
     /// The networked session span closed; fields as for
@@ -465,8 +465,8 @@ pub fn view_event(party_is_client: bool, server: usize, events: u64) {
 }
 
 /// Records a networked session span opening or closing on this party.
-/// `mode` is the session-mode byte from the Hello frame (0 = relay,
-/// 1 = compute). Frame events recorded afterwards on the same thread
+/// `mode` is the session-mode byte from the Hello frame (1 = compute,
+/// the only mode a server accepts). Frame events recorded afterwards on the same thread
 /// belong to this session until the matching close, which is how the
 /// cross-process merge (`spfe-tables net-trace --merge`) attributes them.
 /// A no-op unless tracing is on.

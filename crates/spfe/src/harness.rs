@@ -26,7 +26,7 @@
 use spfe_circuits::boolean::Circuit;
 use spfe_circuits::builders::sum_circuit;
 use spfe_core::database::reference;
-use spfe_core::input_select::select1;
+use spfe_core::input_select;
 use spfe_core::multiserver::{self, MsFunction, MultiServerParams};
 use spfe_core::{psm_spfe, stats, two_phase, universal, Statistic};
 use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier, PaillierPk, PaillierSk, SchnorrGroup};
@@ -321,26 +321,49 @@ pub fn ms_params() -> MultiServerParams {
 
 const SELECT1_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 7], [1, 14], [0, 9]];
 
-/// input_select variant `v`: §3.3.1 input selection into shares.
-pub fn drv_select1_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA7);
-    let f = fx();
-    let shares = select1(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &SELECT1_INDICES[v],
-        field(),
-        &mut rng,
-    )?;
-    Ok(shares.reconstruct().iter().sum())
+fn select1_inputs(v: usize) -> Inputs<Vec<u64>, [usize; 2]> {
+    let rng = ChaChaRng::from_u64_seed(0xA7);
+    (rng, db16_v(v), SELECT1_INDICES[v])
 }
 
+/// The input_select client: select1, then the opening of the sum of the
+/// server's shares.
+fn select1_client(v: usize) -> (Vec<u64>, impl ClientCore, ChaChaRng) {
+    let (mut rng, db, indices) = select1_inputs(v);
+    let f = fx();
+    let client = input_select::select1_sum_client(
+        SpirParams::new(f.group.clone(), db.len()),
+        f.pk.clone(),
+        f.sk.clone(),
+        field(),
+        &indices,
+        &mut rng,
+    );
+    (db, client, rng)
+}
+
+/// input_select variant `v`: §3.3.1 input selection into shares, then
+/// the §3.3 phase for the linear `f = sum`: the server opens `Σ a_j`.
+pub fn drv_select1_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
+    let (db, mut client, mut rng) = select1_client(v);
+    let f = fx();
+    let server = input_select::select1_sum_server(
+        SpirParams::new(f.group.clone(), db.len()),
+        f.pk.clone(),
+        field(),
+        SELECT1_INDICES[v].len(),
+        db,
+        &mut rng,
+    );
+    let mut servers = [Box::new(server)];
+    pump(t, &mut client, &mut servers)
+}
+
+/// The sum of the selected items: below `p`, since every `db16` value
+/// is below 50.
 fn expect_select1(v: usize) -> u64 {
-    let db = db16_v(v);
-    SELECT1_INDICES[v].iter().map(|&i| db[i]).sum()
+    let (_, db, indices) = select1_inputs(v);
+    indices.iter().map(|&i| db[i]).sum()
 }
 
 /// The canonical input_select run.
@@ -694,12 +717,11 @@ pub fn drivers() -> Vec<Driver> {
 pub const NET_CORE_DRIVERS: &[&str] = &["xor2", "hom_pir", "poly_it", "multiserver"];
 
 /// The server state machines hosting driver `name`'s canonical database,
-/// one per logical server; `None` for drivers without an extracted core.
-/// A server that draws while answering (spir, batched, psm_spfe,
-/// two_phase, universal, weighted_sum, frequency) gets a fresh OS-seeded
+/// one per logical server; `None` for an unknown name.
+/// A server that draws while answering (spir, batched, input_select,
+/// psm_spfe, two_phase, universal, weighted_sum, frequency) gets a fresh OS-seeded
 /// rng per session: a fixed seed would let a client predict, and strip,
-/// every pad, mask, share and garbling. input_select has no entry: its
-/// digest needs the server's shares, so it runs in relay mode.
+/// every pad, mask, share and garbling.
 pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> {
     Some(match name {
         "xor2" => xor2::server_cores(xor2_inputs(0).1),
@@ -728,6 +750,17 @@ pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> 
         }
         "poly_it" => poly_it::server_cores(&poly_params(), poly_it_inputs(0).1, None),
         "multiserver" => multiserver::server_cores(&ms_params(), ms_inputs(0).1, None),
+        "input_select" => {
+            let (_, db, indices) = select1_inputs(0);
+            vec![Box::new(input_select::select1_sum_server(
+                SpirParams::new(fx().group.clone(), db.len()),
+                fx().pk.clone(),
+                field(),
+                indices.len(),
+                db,
+                ChaChaRng::from_os_entropy(),
+            ))]
+        }
         "psm_spfe" => {
             let (_, db, _) = psm_inputs(0);
             vec![Box::new(psm_spfe::YaoPsmServerCore::new(
@@ -791,7 +824,7 @@ pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> 
 
 /// The client state machine for driver `name`'s canonical run, so its
 /// digest and transcript are those of the in-process driver; `None` for
-/// drivers without an extracted core.
+/// an unknown name.
 pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
     Some(match name {
         "xor2" => {
@@ -856,6 +889,7 @@ pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
                 &mut rng,
             ))
         }
+        "input_select" => Box::new(select1_client(0).1),
         "psm_spfe" => {
             let (mut rng, db, indices) = psm_inputs(0);
             Box::new(psm_spfe::YaoPsmClientCore::new(

@@ -65,6 +65,17 @@ pub enum FrameKind {
     TraceCtx = 5,
 }
 
+/// How the peer should treat a session: the byte a Hello frame carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionMode {
+    /// Retired: the peer echoed every frame back. No server accepts it
+    /// any more (a Hello carrying it gets an Error frame); the variant
+    /// stays only because the frozen benchmark package matches on it.
+    Relay = 0,
+    /// Host the protocol's server state machines.
+    Compute = 1,
+}
+
 impl FrameKind {
     fn from_u8(v: u8) -> Option<FrameKind> {
         match v {

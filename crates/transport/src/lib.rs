@@ -21,17 +21,17 @@ pub mod frame;
 pub mod lamport;
 pub mod meter;
 pub mod session;
-pub mod socket;
 pub mod wire;
 
 pub use channel::{deliver_with_retry, Channel, ChannelExt, MAX_ATTEMPTS};
 pub use error::ProtocolError;
 pub use fault::{FaultAction, FaultPlan, FaultyChannel, TamperHook, DEFAULT_TIMEOUT_TICKS};
-pub use frame::{Frame, FrameKind, HEADER_LEN, MAGIC, MAX_LABEL_LEN, MAX_PAYLOAD_LEN, VERSION};
+pub use frame::{
+    Frame, FrameKind, SessionMode, HEADER_LEN, MAGIC, MAX_LABEL_LEN, MAX_PAYLOAD_LEN, VERSION,
+};
 pub use lamport::Lamport;
 pub use meter::{CommReport, Direction, FlowMeter, MessageRecord, Transcript};
 pub use session::{
     pump, AnswerOnce, ClientCore, OneRound, OutMsg, SessionCore, SessionState, Then,
 };
-pub use socket::{SessionMode, SocketChannel};
 pub use wire::{Reader, Wire, WireError};

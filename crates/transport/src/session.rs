@@ -460,14 +460,6 @@ pub fn pump<S: SessionCore + ?Sized>(
     // stamps stay strictly monotone per party under masked faults.
     let mut client_clock = Lamport::new();
     let mut server_clocks = vec![Lamport::new(); servers.len()];
-    // A channel that journals the frames it carries (a relay socket) is
-    // not journalled twice.
-    let journal = !ch.journals_frames();
-    let frame_event = |send, label, bytes: usize, half_round, stamp| {
-        if journal {
-            spfe_obs::net_frame_event(send, label, bytes as u64, half_round, stamp);
-        }
-    };
     while !outbox.is_empty() {
         let mut replies: Vec<OutMsg> = Vec::new();
         half_round += 1;
@@ -485,13 +477,13 @@ pub fn pump<S: SessionCore + ?Sized>(
                 });
             }
             let stamp = client_clock.tick();
-            frame_event(true, label, payload.len(), half_round, stamp);
+            spfe_obs::net_frame_event(true, label, payload.len() as u64, half_round, stamp);
             let delivered =
                 deliver_with_retry(ch, Direction::ClientToServer(server), label, &payload)?;
             // Only the delivered copy stays alive while the receiver runs.
             drop(payload);
             let recv = server_clocks[server].observe(stamp);
-            frame_event(false, label, delivered.len(), half_round, recv);
+            spfe_obs::net_frame_event(false, label, delivered.len() as u64, half_round, recv);
             let (_, outs) = servers[server].on_message(half_round, server, label, &delivered)?;
             replies.extend(outs);
         }
@@ -511,12 +503,12 @@ pub fn pump<S: SessionCore + ?Sized>(
                 });
             }
             let stamp = server_clocks[server].tick();
-            frame_event(true, label, payload.len(), half_round, stamp);
+            spfe_obs::net_frame_event(true, label, payload.len() as u64, half_round, stamp);
             let delivered =
                 deliver_with_retry(ch, Direction::ServerToClient(server), label, &payload)?;
             drop(payload);
             let recv = client_clock.observe(stamp);
-            frame_event(false, label, delivered.len(), half_round, recv);
+            spfe_obs::net_frame_event(false, label, delivered.len() as u64, half_round, recv);
             let (s, outs) = client.on_message(half_round, server, label, &delivered)?;
             state = s;
             next.extend(outs);

@@ -147,12 +147,12 @@ fn huge_length_words_never_panic_and_errors_stay_typed() {
     }
 }
 
-/// Mutated copies of each recorded message per cored driver in
+/// Mutated copies of each recorded message per driver in
 /// [`mutated_messages_fed_to_cores_never_panic`], spread over the
 /// messages so every core sees at most this many cases.
 const CORE_MUTATIONS: usize = 1_200;
 
-/// Drives cored driver `name` in process in `pump`'s delivery order,
+/// Drives driver `name`'s cores in process in `pump`'s delivery order,
 /// feeding each message straight to its receiving core's `on_message`.
 /// `tamper(i, bytes)` may rewrite delivery `i` first. Returns every
 /// delivered message and the outcome (the first error ends the run).
@@ -229,12 +229,12 @@ fn mutate(rng: &mut spfe::math::XorShiftRng, case: usize, bytes: &mut Vec<u8>) {
 
 #[test]
 fn mutated_messages_fed_to_cores_never_panic() {
-    // Every cored driver's recorded honest session, replayed into fresh
+    // Every driver's recorded honest session, replayed into fresh
     // cores with one message mutated: the receiving core (and whatever
     // runs after it) must return Ok or a typed ProtocolError. A panic is
     // caught only to name the failing case.
     use spfe::math::XorShiftRng;
-    for (di, d) in cored_drivers().iter().enumerate() {
+    for (di, d) in drivers().iter().enumerate() {
         let (log, honest) = drive_cores(d.name, |_, _| {});
         assert_eq!(honest, Ok(()), "[{}] honest replay", d.name);
         let per_message = CORE_MUTATIONS / log.len();
@@ -377,6 +377,11 @@ fn psm_server_rejects_a_query_count_other_than_m() {
             "psm_spfe",
             "psm-spir-queries",
             "query count does not match the circuit's slots",
+        ),
+        (
+            "input_select",
+            "sel1-queries",
+            "query count does not match the selection size",
         ),
         (
             "two_phase",

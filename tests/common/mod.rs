@@ -5,12 +5,3 @@
 #![allow(dead_code)] // each consuming suite uses a different subset
 
 pub use spfe::harness::*;
-
-/// Every driver with extracted sans-io cores (its `net_client_core` is
-/// `Some`): each runs in compute mode over TCP.
-pub fn cored_drivers() -> Vec<Driver> {
-    drivers()
-        .into_iter()
-        .filter(|d| net_client_core(d.name).is_some())
-        .collect()
-}

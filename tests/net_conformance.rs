@@ -2,15 +2,14 @@
 //!
 //! Every harness driver runs over three transports — the in-memory
 //! metered channel, the fault-injecting channel under the two audit mask
-//! seeds, and a real loopback-TCP relay session — and must produce the
-//! identical answer, the identical per-label communication bytes, the
-//! identical half-round structure, the identical per-party view
-//! fingerprints, and the identical deterministic op counters. The
-//! drivers with sans-io cores (those `spfe::harness::net_client_core`
-//! builds) run as `spfe::transport::pump` over those cores in process, so
-//! the in-memory and faulty arms already cover the cores; they also run a
-//! genuine compute-mode TCP session against hosted server state
-//! machines, byte-identical to the in-process run.
+//! seeds, and a real loopback-TCP session against the server cores the
+//! server hosts — and must produce the identical answer, the identical
+//! per-label communication bytes, the identical half-round structure,
+//! the identical per-party view fingerprints, and the identical
+//! deterministic op counters. Every driver is `spfe::transport::pump`
+//! over the cores `spfe::harness::net_client_core` and
+//! `net_server_cores` build, so the in-memory and faulty arms cover the
+//! cores, and the TCP arm is a genuine compute-mode session.
 //!
 //! The matrix re-runs at `SPFE_THREADS` 1 and 4: thread count is outside
 //! the protocol, so nothing observable may move.
@@ -20,7 +19,7 @@ use common::*;
 
 use spfe::obs::audit::deterministic_ops;
 use spfe::transport::{ClientCore, FaultAction, FaultPlan, FaultyChannel, SessionCore, Transcript};
-use spfe_net::{run_driver, run_driver_relay, Server, ServerConfig};
+use spfe_net::{run_driver, Server, ServerConfig};
 use std::sync::Mutex;
 
 /// Op counters are process-global; every test that reads them serializes
@@ -77,24 +76,15 @@ fn faulty(d: &Driver, seed: u64, threads: usize) -> Obs {
     observe(digest, ch.inner())
 }
 
-fn relay_tcp(d: &Driver, addr: &str, threads: usize) -> Obs {
-    arm(threads);
-    let run =
-        run_driver_relay(addr, d, Some(std::time::Duration::from_secs(30))).expect("relay tcp run");
-    observe(run.digest, &run.transcript)
-}
-
 fn local_server() -> Server {
     Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback")
 }
 
-/// The blanket-adapter half of the matrix: every driver, three
-/// transports, two thread counts, one set of observables.
+/// The in-process half of the matrix: every driver, honest and masked
+/// faulty channels, two thread counts, one set of observables.
 #[test]
 fn every_driver_is_transport_invariant() {
     let _g = LOCK.lock().unwrap();
-    let server = local_server();
-    let addr = server.local_addr().to_string();
     for threads in [1usize, 4] {
         for d in drivers() {
             let base = in_memory(&d, threads);
@@ -111,12 +101,6 @@ fn every_driver_is_transport_invariant() {
                     d.name
                 );
             }
-            let r = relay_tcp(&d, &addr, threads);
-            assert_eq!(
-                r, base,
-                "[{} t{threads}] loopback relay TCP changed an observable",
-                d.name
-            );
         }
     }
     spfe::math::par::set_threads(None);
@@ -139,16 +123,16 @@ fn op_counters_are_thread_invariant() {
     spfe::math::par::set_threads(None);
 }
 
-/// The compute-mode half of the matrix: every cored driver over a
-/// genuine compute-mode TCP session against hosted server cores, equal
-/// to its in-process run (which pumps the same cores).
+/// The TCP half of the matrix: every driver over a genuine compute-mode
+/// session against hosted server cores, equal to its in-process run
+/// (which pumps the same cores).
 #[test]
 fn compute_mode_tcp_matches_the_in_process_run() {
     let _g = LOCK.lock().unwrap();
     let server = local_server();
     let addr = server.local_addr().to_string();
     for threads in [1usize, 4] {
-        for d in cored_drivers() {
+        for d in drivers() {
             let name = d.name;
             let base = in_memory(&d, threads);
             arm(threads);
@@ -157,7 +141,7 @@ fn compute_mode_tcp_matches_the_in_process_run() {
             assert_eq!(
                 run.mode,
                 spfe::transport::SessionMode::Compute,
-                "[{name}] core driver must run in compute mode"
+                "[{name}] every driver runs in compute mode"
             );
             assert_eq!(
                 observe(run.digest, &run.transcript),
@@ -173,10 +157,10 @@ fn compute_mode_tcp_matches_the_in_process_run() {
 /// and the expected digest.
 type F17Cores = (Box<dyn ClientCore>, Box<dyn SessionCore>, u64);
 
-/// Cores of driver `name` over F₁₇: the weighted sum and the three
+/// Cores of driver `name` over F₁₇: the weighted sum and the four
 /// drivers that start with select1.
 fn f17_cores(name: &str, server_seed: u64) -> F17Cores {
-    use spfe::core::{stats, two_phase, universal, Statistic};
+    use spfe::core::{input_select, stats, two_phase, universal, Statistic};
     use spfe::pir::SpirParams;
     use std::borrow::Cow;
     let f = fx();
@@ -249,6 +233,18 @@ fn f17_cores(name: &str, server_seed: u64) -> F17Cores {
             );
             (Box::new(client), Box::new(server), expect)
         }
+        "input_select" => {
+            let client = input_select::select1_sum_client(
+                params.clone(),
+                pk.clone(),
+                sk,
+                field,
+                &indices,
+                &mut rng,
+            );
+            let server = input_select::select1_sum_server(params, pk, field, 3, db, server_rng);
+            (Box::new(client), Box::new(server), sum)
+        }
         "frequency" => {
             let keyword = db[4];
             let expect = indices.iter().filter(|&&i| db[i] == keyword).count() as u64;
@@ -276,7 +272,13 @@ fn f17_cores(name: &str, server_seed: u64) -> F17Cores {
 #[test]
 fn weighted_sum_op_counts_do_not_depend_on_the_server_rng() {
     let _g = LOCK.lock().unwrap();
-    for name in ["weighted_sum", "two_phase", "universal", "frequency"] {
+    for name in [
+        "weighted_sum",
+        "input_select",
+        "two_phase",
+        "universal",
+        "frequency",
+    ] {
         let mut counts = Vec::new();
         for seed in 0..8 {
             arm(1);
@@ -289,6 +291,46 @@ fn weighted_sum_op_counts_do_not_depend_on_the_server_rng() {
         assert!(
             counts.windows(2).all(|w| w[0] == w[1]),
             "[{name}] op counts moved with the server seed: {counts:?}"
+        );
+    }
+    spfe::math::par::set_threads(None);
+}
+
+/// The §3.3.2 selections multiply every mask coefficient and index power
+/// and store no masked cell as zero, so over F₁₇ their op counts depend
+/// on neither the rng (the masking polynomial, the masked cells) nor
+/// whether the client selects index 0 (whose powers are zero).
+#[test]
+fn select2_op_counts_do_not_depend_on_the_rng() {
+    use spfe::core::input_select::{select2_v1, select2_v2};
+    let _g = LOCK.lock().unwrap();
+    let f = fx();
+    let field = spfe::math::Fp64::new(17).unwrap();
+    let db: Vec<u64> = (0..16u64).map(|i| (i * 5 + 3) % 17).collect();
+    for v2 in [false, true] {
+        let mut counts = Vec::new();
+        for seed in 0..8u64 {
+            let indices = [(seed % 2) as usize, 4, 9];
+            arm(1);
+            let mut rng = spfe::crypto::ChaChaRng::from_u64_seed(seed);
+            let mut t = Transcript::new(1);
+            let shares = if v2 {
+                select2_v2(
+                    &mut t, &f.group, &f.pk, &f.sk, &f.pk, &f.sk, &db, &indices, field, &mut rng,
+                )
+            } else {
+                select2_v1(
+                    &mut t, &f.group, &f.pk, &f.sk, &db, &indices, field, &mut rng,
+                )
+            }
+            .expect("select2 run");
+            let want: Vec<u64> = indices.iter().map(|&i| db[i]).collect();
+            assert_eq!(shares.reconstruct(), want, "[v2={v2}] seed {seed}");
+            counts.push(deterministic_ops(&spfe::obs::ops_snapshot()));
+        }
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "[v2={v2}] op counts moved with the rng: {counts:?}"
         );
     }
     spfe::math::par::set_threads(None);
@@ -313,6 +355,7 @@ fn concurrent_sessions_multiplex_on_one_listener() {
         "recursive",
         "xor2",
         "poly_it",
+        "input_select",
         "two_phase",
         "universal",
         "frequency",
@@ -338,47 +381,61 @@ fn concurrent_sessions_multiplex_on_one_listener() {
     spfe::math::par::set_threads(None);
 }
 
-/// Hosted servers that draw while answering (spir, batched, two_phase)
-/// get a fresh rng per session: the same client query, answered by two
-/// sessions' cores, yields different bytes, and each session still runs
-/// to the right digest. two_phase's first reply carries select1's
-/// answers; a fixed hosted seed would let a client strip every `a_j`.
+/// Hosted servers that draw while answering (spir, batched,
+/// input_select, two_phase) get a fresh rng per session: the same client,
+/// against each session's cores, sees different reply bytes, and each
+/// session still runs to the right digest. select1's answers carry the
+/// `a_j`, and input_select's `sel1-open` their sum; a fixed hosted seed
+/// would let a client strip every `a_j`. Three sessions make a chance
+/// repeat of the one-word opening (1 in `p`) a non-event.
 #[test]
 fn hosted_pads_are_fresh_per_session() {
     let _g = LOCK.lock().unwrap();
-    for name in ["spir", "batched", "two_phase"] {
+    for name in ["spir", "batched", "input_select", "two_phase"] {
         let d = drivers().into_iter().find(|d| d.name == name).unwrap();
-        let query = {
-            let mut client = net_client_core(name).unwrap();
-            client.start().unwrap().1.remove(0)
-        };
+        // One session in pump's order; every server reply, in order.
         let session = || {
-            let mut cores = net_server_cores(name).unwrap();
-            let (_, mut outs) = cores[0]
-                .on_message(1, 0, query.label, &query.payload)
-                .unwrap();
-            (outs.remove(0), cores)
-        };
-        let (a, b) = (session(), session());
-        assert_eq!(a.0.payload.len(), b.0.payload.len(), "[{name}] same shape");
-        assert_ne!(
-            a.0.payload, b.0.payload,
-            "[{name}] pads repeat across sessions"
-        );
-        for (reply, mut cores) in [a, b] {
             let mut client = net_client_core(name).unwrap();
-            client.start().unwrap();
-            let mut inbox = vec![reply];
-            while let Some(m) = inbox.pop() {
-                let (_, outs) = client.on_message(2, 0, m.label, &m.payload).unwrap();
-                for q in outs {
-                    let (_, replies) = cores[q.server]
-                        .on_message(3, q.server, q.label, &q.payload)
+            let mut cores = net_server_cores(name).unwrap();
+            let mut replies = Vec::new();
+            let (_, mut outbox) = client.start().unwrap();
+            while !outbox.is_empty() {
+                let mut next = Vec::new();
+                for q in outbox.drain(..) {
+                    let (_, outs) = cores[q.server]
+                        .on_message(1, q.server, q.label, &q.payload)
                         .unwrap();
-                    inbox.extend(replies);
+                    for r in outs {
+                        next.extend(
+                            client
+                                .on_message(2, r.server, r.label, &r.payload)
+                                .unwrap()
+                                .1,
+                        );
+                        replies.push(r);
+                    }
                 }
+                outbox = next;
             }
             assert_eq!(client.digest(), Some(d.expect), "[{name}] decodes");
+            replies
+        };
+        let runs = [session(), session(), session()];
+        assert!(runs.iter().all(|r| r.len() == runs[0].len()), "[{name}]");
+        for (at, reply) in runs[0].iter().enumerate() {
+            let shapes: Vec<_> = runs
+                .iter()
+                .map(|r| (r[at].label, r[at].payload.len()))
+                .collect();
+            assert!(
+                shapes.windows(2).all(|w| w[0] == w[1]),
+                "[{name}] same shape"
+            );
+            assert!(
+                runs.iter().any(|r| r[at].payload != reply.payload),
+                "[{name}] {} repeats across sessions",
+                reply.label
+            );
         }
     }
 }

@@ -11,8 +11,10 @@
 mod common;
 use common::*;
 
+use spfe::transport::frame::{read_frame, write_frame};
+use spfe::transport::{Frame, FrameKind, SessionMode};
 use spfe_bench::serve;
-use spfe_net::{fetch_stats, run_driver, run_driver_relay, Server, ServerConfig};
+use spfe_net::{fetch_stats, run_driver, Server, ServerConfig};
 use spfe_obs::metrics::{parse_snapshot, FailureKind, MetricsSnapshot};
 use std::io::Write;
 use std::net::TcpStream;
@@ -37,7 +39,7 @@ fn wait_settled(server: &Server, opened: u64) -> MetricsSnapshot {
     }
 }
 
-/// The tentpole contract: after compute and relay sessions, the server's
+/// The tentpole contract: after sessions of two drivers, the server's
 /// per-driver rows equal the client transcripts exactly — sessions,
 /// bytes in/out, half-rounds — and the JSON scraped over the wire parses
 /// back to the same counters.
@@ -46,19 +48,17 @@ fn server_metrics_match_client_transcripts_exactly() {
     let _ = fx();
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();
-    let table = drivers();
 
-    // Two compute sessions of the same driver (aggregates must add up)…
+    // Two sessions of the same driver (aggregates must add up)…
     let mut hom_pir_reports = Vec::new();
     for _ in 0..2 {
         let run = run_driver(&addr, "hom_pir", Some(DEADLINE)).expect("hom_pir over TCP");
         assert_eq!(run.mode, spfe::transport::SessionMode::Compute);
         hom_pir_reports.push(run.transcript.report());
     }
-    // …and one relay session (the echoing path meters logically).
-    let xor2 = table.iter().find(|d| d.name == "xor2").unwrap();
-    let relay = run_driver_relay(&addr, xor2, Some(DEADLINE)).expect("xor2 relay");
-    let relay_report = relay.transcript.report();
+    // …and one of another (rows must not mix).
+    let xor2 = run_driver(&addr, "xor2", Some(DEADLINE)).expect("xor2 over TCP");
+    let xor2_report = xor2.transcript.report();
 
     let snap = wait_settled(&server, 3);
     assert_eq!(snap.sessions_opened, 3);
@@ -94,14 +94,14 @@ fn server_metrics_match_client_transcripts_exactly() {
         "Bye carries the final transcript stamp; the server must agree"
     );
 
-    let xr = snap.driver("xor2", "relay").expect("xor2/relay row");
+    let xr = snap.driver("xor2", "compute").expect("xor2/compute row");
     assert_eq!((xr.sessions, xr.completed), (1, 1));
-    assert_eq!(xr.bytes_in, relay_report.client_to_server);
-    assert_eq!(xr.bytes_out, relay_report.server_to_client);
-    assert_eq!(xr.half_rounds, u64::from(relay_report.half_rounds));
+    assert_eq!(xr.bytes_in, xor2_report.client_to_server);
+    assert_eq!(xr.bytes_out, xor2_report.server_to_client);
+    assert_eq!(xr.half_rounds, u64::from(xor2_report.half_rounds));
 
-    // Global byte totals are the sum of the per-driver rows — echoes and
-    // scrape traffic never inflate them.
+    // Global byte totals are the sum of the per-driver rows — scrape
+    // traffic never inflates them.
     assert_eq!(snap.bytes_in, hp.bytes_in + xr.bytes_in);
     assert_eq!(snap.bytes_out, hp.bytes_out + xr.bytes_out);
 
@@ -161,8 +161,10 @@ fn prometheus_exposition_over_the_wire_is_wellformed() {
 
 /// Failures land in their taxonomy bucket: a garbage first frame is a
 /// codec reject; a client that connects and stalls mid-handshake is a
-/// handshake timeout. Each failed session still counts as opened, so the
-/// `opened == completed + failed + active` invariant holds throughout.
+/// handshake timeout; a Hello in the retired relay mode is refused with
+/// an Error frame, a protocol error. Each failed session still counts as
+/// opened, so the `opened == completed + failed + active` invariant
+/// holds throughout.
 #[test]
 fn failure_kinds_are_counted_in_the_right_bucket() {
     let _ = fx();
@@ -186,13 +188,31 @@ fn failure_kinds_are_counted_in_the_right_bucket() {
     let staller = TcpStream::connect(addr_sock).expect("connect");
     (&staller).write_all(&[0x53, 0x50]).unwrap();
 
+    // Retired mode: a Hello with mode byte 0 gets an Error frame.
+    {
+        let mut relay = TcpStream::connect(addr_sock).expect("connect");
+        relay.set_read_timeout(Some(DEADLINE)).unwrap();
+        let hello = Frame {
+            kind: FrameKind::Hello,
+            client_to_server: true,
+            session: 1,
+            half_round: 0,
+            server: 0,
+            label: "xor2".to_owned(),
+            payload: vec![SessionMode::Relay as u8],
+        };
+        write_frame(&mut relay, &hello, 0, "net-hello").unwrap();
+        let reply = read_frame(&mut relay, 0, "net-hello").expect("the refusal");
+        assert_eq!(reply.kind, FrameKind::Error, "relay mode is refused");
+    }
+
     // A clean session in between: failures must not disturb it.
     run_driver(&addr, "xor2", Some(DEADLINE)).expect("clean session");
 
     let start = Instant::now();
     let snap = loop {
         let snap = server.snapshot();
-        if snap.sessions_failed() >= 2 {
+        if snap.sessions_failed() >= 3 {
             break snap;
         }
         assert!(
@@ -205,6 +225,7 @@ fn failure_kinds_are_counted_in_the_right_bucket() {
 
     assert_eq!(server.failures(FailureKind::CodecReject), 1);
     assert_eq!(server.failures(FailureKind::HandshakeTimeout), 1);
+    assert_eq!(server.failures(FailureKind::ProtocolError), 1);
     assert_eq!(snap.sessions_completed, 1);
     assert_eq!(
         snap.sessions_opened,
@@ -227,8 +248,7 @@ fn session_panic_is_contained_counted_and_survivable() {
     let addr = server.local_addr().to_string();
     let table = drivers();
 
-    let xor2 = table.iter().find(|d| d.name == "xor2").unwrap();
-    run_driver_relay(&addr, xor2, Some(Duration::from_secs(5)))
+    run_driver(&addr, "xor2", Some(Duration::from_secs(5)))
         .expect_err("session against a panicking thread must fail client-side");
 
     let start = Instant::now();
@@ -250,7 +270,7 @@ fn session_panic_is_contained_counted_and_survivable() {
     assert_eq!(snap.sessions_completed, 1);
     assert_eq!(snap.sessions_failed(), 1);
     let row = snap
-        .driver("xor2", "relay")
+        .driver("xor2", "compute")
         .expect("panicked row is folded");
     assert_eq!((row.sessions, row.failed), (1, 1));
 }

@@ -1,21 +1,18 @@
 //! Deadline and fault behaviour of the networked service (DESIGN.md §15):
 //! a stalling peer surfaces as a typed [`ProtocolError::Timeout`] within
-//! the configured deadline (not a hang), a poisoned socket channel burns
-//! its retry budget instantly instead of paying the deadline per attempt,
-//! and a session killed mid-protocol leaves the server's other sessions
-//! fully functional.
+//! the configured deadline (not a hang), a client session costs one
+//! deadline however many messages it had in flight, and a session killed
+//! mid-protocol leaves the server's other sessions fully functional.
 
 mod common;
 use common::*;
 
 use spfe::transport::frame::{read_frame, write_frame};
-use spfe::transport::{
-    Channel, Direction, Frame, FrameKind, ProtocolError, SessionMode, SocketChannel,
-};
-use spfe_net::{next_session_id, run_driver, Server, ServerConfig, StatsConn};
+use spfe::transport::{Frame, FrameKind, ProtocolError, SessionMode};
+use spfe_net::{next_session_id, run_core, run_driver, Server, ServerConfig, StatsConn};
 use spfe_obs::metrics::FailureKind;
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_millis(300);
@@ -23,11 +20,43 @@ const DEADLINE: Duration = Duration::from_millis(300);
 /// point is "bounded by the deadline", not "takes forever".
 const BOUND: Duration = Duration::from_secs(5);
 
-fn connect_with_deadline(addr: std::net::SocketAddr) -> TcpStream {
+fn connect_with_deadline(addr: SocketAddr) -> TcpStream {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(DEADLINE)).unwrap();
     s.set_write_timeout(Some(DEADLINE)).unwrap();
     s
+}
+
+/// Runs xor2's client core over a fresh connection to `addr`.
+fn xor2_session(addr: SocketAddr) -> Result<(u64, spfe::transport::Transcript), ProtocolError> {
+    let mut core = net_client_core("xor2").expect("xor2 core");
+    run_core(
+        connect_with_deadline(addr),
+        "xor2",
+        core.as_mut(),
+        2,
+        next_session_id(),
+    )
+}
+
+/// Opens a compute session for `driver` by hand: Hello, then the
+/// server's acknowledgement. Returns the stream and the session id.
+fn hello(addr: SocketAddr, driver: &str) -> (TcpStream, u64) {
+    let mut stream = connect_with_deadline(addr);
+    let session = next_session_id();
+    let hello = Frame {
+        kind: FrameKind::Hello,
+        client_to_server: true,
+        session,
+        half_round: 0,
+        server: 0,
+        label: driver.to_owned(),
+        payload: vec![SessionMode::Compute as u8],
+    };
+    write_frame(&mut stream, &hello, 0, "net-hello").expect("hello");
+    let ack = read_frame(&mut stream, 0, "net-hello").expect("hello acknowledgement");
+    assert_eq!((ack.kind, ack.session), (FrameKind::Hello, session));
+    (stream, session)
 }
 
 /// A server that accepts and then never answers: the Hello handshake
@@ -43,14 +72,7 @@ fn stalling_server_times_out_the_handshake() {
         drop(stream);
     });
     let start = Instant::now();
-    let err = SocketChannel::connect(
-        connect_with_deadline(addr),
-        2,
-        "xor2",
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect_err("handshake against a mute server must fail");
+    let err = xor2_session(addr).expect_err("handshake against a mute server must fail");
     assert!(
         matches!(
             err,
@@ -69,10 +91,10 @@ fn stalling_server_times_out_the_handshake() {
     drop(hold); // detach; the holder thread exits on its own clock
 }
 
-/// A server that completes the handshake and then goes mute: the first
-/// transfer times out, and the poisoned channel fails every subsequent
-/// transfer instantly with the same error — a stalled server costs one
-/// deadline, not one per retry attempt.
+/// A server that completes the handshake and then goes mute: the
+/// session times out on its first reply, typed, after one deadline —
+/// xor2 has two queries in flight, but a session waits once, not once
+/// per message.
 #[test]
 fn stalling_server_times_out_one_deadline_total() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -98,95 +120,21 @@ fn stalling_server_times_out_one_deadline_total() {
             }
         }
     });
-    let mut ch = SocketChannel::connect(
-        connect_with_deadline(addr),
-        2,
-        "xor2",
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect("handshake");
     let start = Instant::now();
-    let err = ch
-        .transfer_raw(Direction::ClientToServer(0), "pir2-query", &[1, 2, 3])
-        .expect_err("transfer against a mute relay must fail");
+    let err = xor2_session(addr).expect_err("a session against a mute server must fail");
     assert!(
         matches!(
             err,
             ProtocolError::Timeout {
-                label: "pir2-query",
+                label: "net-msg",
                 ..
             }
         ),
-        "expected a typed transfer timeout, got {err:?}"
-    );
-    // Poisoned: instant replay of the same error, no second deadline.
-    let again = ch
-        .transfer_raw(Direction::ClientToServer(1), "pir2-query", &[4])
-        .expect_err("poisoned channel must fail fast");
-    assert_eq!(again, err);
-    assert!(
-        start.elapsed() < BOUND,
-        "two failing transfers took {:?}; poisoning must make the second free",
-        start.elapsed()
-    );
-    assert_eq!(
-        ch.transcript().report().messages,
-        0,
-        "nothing delivered, nothing metered"
-    );
-    drop(peer);
-}
-
-/// A full in-process driver over a stalling relay: the bounded retry
-/// policy must abort (timeout or exhausted retries) within the bound —
-/// never hang for attempts × deadline.
-#[test]
-fn driver_over_stalling_relay_aborts_bounded() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let peer = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let hello = read_frame(&mut stream, 0, "t").unwrap();
-        let ack = Frame {
-            kind: FrameKind::Hello,
-            client_to_server: false,
-            session: hello.session,
-            half_round: 0,
-            server: 0,
-            label: hello.label,
-            payload: hello.payload,
-        };
-        write_frame(&mut stream, &ack, 0, "t").unwrap();
-        let mut sink = [0u8; 1024];
-        while let Ok(n) = stream.read(&mut sink) {
-            if n == 0 {
-                break;
-            }
-        }
-    });
-    let d_table = drivers();
-    let d = d_table.iter().find(|d| d.name == "xor2").unwrap();
-    let mut ch = SocketChannel::connect(
-        connect_with_deadline(addr),
-        d.servers,
-        d.name,
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect("handshake");
-    let start = Instant::now();
-    let err = (d.run)(&mut ch).expect_err("driver over a mute relay must abort");
-    assert!(
-        matches!(
-            err,
-            ProtocolError::Timeout { .. } | ProtocolError::RetriesExhausted { .. }
-        ),
-        "expected a bounded typed abort, got {err:?}"
+        "expected a typed reply timeout, got {err:?}"
     );
     assert!(
         start.elapsed() < BOUND,
-        "driver abort took {:?}; must cost ~one deadline",
+        "the session took {:?}; it must cost one deadline",
         start.elapsed()
     );
     drop(peer);
@@ -202,19 +150,21 @@ fn killed_session_leaves_other_sessions_serving() {
     let addr_sock = server.local_addr();
     let addr = addr_sock.to_string();
 
-    // Session A: handshake, one live transfer, then die mid-protocol.
-    let mut victim = SocketChannel::connect(
-        connect_with_deadline(addr_sock),
-        2,
-        "xor2",
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect("victim handshake");
-    let echoed = victim
-        .transfer_raw(Direction::ClientToServer(0), "pir2-query", &[9, 9])
-        .expect("victim transfer");
-    assert_eq!(echoed, vec![9, 9]);
+    // Session A: handshake, one live exchange, then die mid-protocol.
+    let (mut victim, session) = hello(addr_sock, "xor2");
+    let query = net_client_core("xor2")
+        .expect("xor2 core")
+        .start()
+        .expect("xor2 queries")
+        .1
+        .remove(0);
+    let frame = Frame::msg(true, session, 1, query.server, query.label, query.payload);
+    write_frame(&mut victim, &frame, query.server, query.label).expect("victim query");
+    let reply = read_frame(&mut victim, 0, "victim").expect("victim reply");
+    assert_eq!(
+        (reply.kind, reply.label.as_str()),
+        (FrameKind::Msg, "pir2-answer")
+    );
     drop(victim); // no Bye: the connection just dies mid-session
 
     // Session B: feed the server a garbage frame so its session thread
@@ -282,7 +232,7 @@ fn killed_session_leaves_other_sessions_serving() {
 
 /// Shutdown must not wait on clients that never hang up: a held-open
 /// metrics scrape (`spfe-client stats --watch`), a connection that never
-/// says Hello, and a relay session idle after its handshake, all on a
+/// says Hello, and a session idle after its handshake, all on a
 /// server with no read deadline. Each is ended by shutdown and settled
 /// into the registry before it returns.
 #[test]
@@ -299,14 +249,7 @@ fn shutdown_is_bounded_with_held_open_connections() {
     let mut watcher = StatsConn::connect(&addr, Some(BOUND)).expect("scrape connect");
     watcher.fetch(false).expect("first scrape");
     let _mute = TcpStream::connect(addr_sock).expect("mute connect");
-    let _idle = SocketChannel::connect(
-        connect_with_deadline(addr_sock),
-        2,
-        "xor2",
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect("idle handshake");
+    let _idle = hello(addr_sock, "xor2");
     // Let the mute connection's session thread start its Hello read.
     std::thread::sleep(Duration::from_millis(50));
 
@@ -325,7 +268,7 @@ fn shutdown_is_bounded_with_held_open_connections() {
 
     let snap = server.snapshot();
     assert_eq!(snap.sessions_active, 0, "every session settled: {snap:?}");
-    assert_eq!(snap.sessions_opened, 1, "only the relay session opened");
+    assert_eq!(snap.sessions_opened, 1, "only the idle session opened");
     assert_eq!(snap.sessions_completed, 1, "{snap:?}");
     assert_eq!(snap.stats_probes, 1);
     assert!(

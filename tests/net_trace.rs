@@ -1,27 +1,22 @@
 //! Distributed session tracing (DESIGN.md §17).
 //!
-//! Three layers of the causal-clock design are held here:
+//! Two layers of the causal-clock design are held here:
 //!
 //! * [`pump`] stamps every logical delivery exactly once — under the two
 //!   audit mask seeds the retried deliveries reuse their stamps, so the
 //!   Lamport sequence is identical to the honest run's.
-//! * [`SocketChannel`] absorbs `TraceCtx` frames transparently (nothing
-//!   metered) and merges the carried stamp into its own clock, so every
-//!   receive stamp lands strictly after the matching send.
-//! * A genuine loopback-TCP run — relay and compute mode, at
-//!   `SPFE_THREADS` 1 and 4 — yields client and server journals that
-//!   `spfe_bench::nettrace` merges into one causally consistent
-//!   timeline: the cross-process gate the CI smoke stage also runs over
-//!   the real binaries.
+//! * A genuine loopback-TCP run of two drivers, at `SPFE_THREADS` 1 and
+//!   4, yields client and server journals that `spfe_bench::nettrace`
+//!   merges into one causally consistent timeline: the cross-process
+//!   gate the CI smoke stage also runs over the real binaries.
 
 mod common;
 use common::*;
 
-use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel, Frame, FrameKind};
+use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel};
 use spfe_bench::nettrace;
 use spfe_net::{run_driver, Server, ServerConfig};
 use spfe_obs::trace::{self, EventKind, Trace};
-use std::io::{Read, Write};
 use std::sync::Mutex;
 
 /// The trace journal is process-global; every test here captures it and
@@ -80,7 +75,7 @@ fn pump_core(name: &str, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
 fn pump_stamps_survive_masked_fault_seeds() {
     let _g = LOCK.lock().unwrap();
     let _ = fx();
-    for d in cored_drivers() {
+    for d in drivers() {
         let name = d.name;
         let (digest, honest) = pump_core(name, FaultPlan::honest());
         assert!(!honest.is_empty(), "[{name}] journal captured the run");
@@ -109,99 +104,6 @@ fn pump_stamps_survive_masked_fault_seeds() {
     }
 }
 
-/// An in-memory peer answering reads from a scripted byte queue.
-struct Script {
-    replies: std::collections::VecDeque<u8>,
-    written: Vec<u8>,
-}
-
-impl Script {
-    fn relay_for(frames: &[Frame]) -> Script {
-        let mut replies = std::collections::VecDeque::new();
-        for f in frames {
-            replies.extend(f.to_bytes());
-        }
-        Script {
-            replies,
-            written: Vec::new(),
-        }
-    }
-}
-
-impl Read for Script {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = buf.len().min(self.replies.len());
-        for b in buf.iter_mut().take(n) {
-            *b = self.replies.pop_front().unwrap();
-        }
-        Ok(n)
-    }
-}
-
-impl Write for Script {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.written.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Satellite: `SocketChannel` merges the peer's carried stamp (receive
-/// stamp strictly above both clocks), absorbs the `TraceCtx` frame
-/// without metering it, and keeps its own stamps monotone.
-#[test]
-fn socket_channel_merges_carried_stamps_and_meters_nothing_extra() {
-    use spfe::transport::{Channel, Direction, SessionMode, SocketChannel};
-    let _g = LOCK.lock().unwrap();
-    let hello_ack = Frame {
-        kind: FrameKind::Hello,
-        client_to_server: false,
-        session: 9,
-        half_round: 0,
-        server: 0,
-        label: "toy".to_owned(),
-        payload: vec![0],
-    };
-    // The peer's echo rides behind a TraceCtx carrying stamp 9.
-    let script = Script::relay_for(&[
-        hello_ack,
-        Frame::trace_ctx(false, 9, 1, 9),
-        Frame::msg(true, 9, 0, 0, "q", vec![1, 2, 3]),
-    ]);
-    let mut report = None;
-    let trace = captured(|| {
-        let mut ch = SocketChannel::connect(script, 1, "toy", SessionMode::Relay, 9).unwrap();
-        let got = ch
-            .transfer_raw(Direction::ClientToServer(0), "q", &[1, 2, 3])
-            .unwrap();
-        assert_eq!(got, vec![1, 2, 3]);
-        ch.bye();
-        report = Some(ch.transcript().report());
-    });
-    // TraceCtx is never metered: one message, three payload bytes.
-    let report = report.unwrap();
-    assert_eq!((report.messages, report.client_to_server), (1, 3));
-    let events = net_events(&trace);
-    // send q (tick 1), recv echo (observe 9 → 10), send bye (tick 11).
-    assert_eq!(
-        events
-            .iter()
-            .map(|&(send, label, _, _, lamport)| (send, label, lamport))
-            .collect::<Vec<_>>(),
-        vec![(true, "q", 1), (false, "q", 10), (true, "net-bye", 11)]
-    );
-    // The channel journalled its session slice around the wire events.
-    let opens = trace.threads.iter().flat_map(|t| &t.events).filter(|e| {
-        matches!(
-            e.kind,
-            EventKind::NetSessionOpen | EventKind::NetSessionClose
-        )
-    });
-    assert_eq!(opens.count(), 2, "balanced open/close");
-}
-
 /// Splits an in-process capture into the client and server halves: both
 /// parties share one journal here, but each thread belongs to exactly
 /// one party, and within a session the client speaks first (its first
@@ -225,36 +127,46 @@ fn split_parties(trace: &Trace) -> (Trace, Trace) {
     (client, server)
 }
 
-/// The acceptance gate, in-process: relay and compute sessions over real
-/// loopback TCP at `SPFE_THREADS` 1 and 4; the captured client and
-/// server journals must merge into one causally consistent timeline
-/// with both process tracks and per-pair flow arrows.
+/// The acceptance gate, in-process: sessions of a one-round driver and
+/// of the two-phase input_select over real loopback TCP at
+/// `SPFE_THREADS` 1 and 4; the captured client and server journals must
+/// merge into one causally consistent timeline with both process tracks
+/// and per-pair flow arrows.
 #[test]
 fn tcp_journals_merge_into_a_causally_consistent_timeline() {
     let _g = LOCK.lock().unwrap();
     let _ = fx();
-    let table = drivers();
-    let compute = NET_CORE_DRIVERS[0];
-    let relay = table
-        .iter()
-        .find(|d| net_client_core(d.name).is_none())
-        .expect("a relay-mode driver")
-        .name;
     for threads in [1usize, 4] {
         spfe::math::par::set_threads(Some(threads));
         let mut server =
             Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
         let addr = server.local_addr().to_string();
+        // Each session's comm report, metered in process with the journal
+        // off: the traced TCP run must meter the same.
+        let untraced: Vec<_> = ["input_select", NET_CORE_DRIVERS[0]]
+            .into_iter()
+            .map(|name| {
+                let d = drivers().into_iter().find(|d| d.name == name).unwrap();
+                let mut t = spfe::transport::Transcript::new(d.servers);
+                (d.run)(&mut t).expect("in-process run");
+                (name, t.report())
+            })
+            .collect();
         let trace = captured(|| {
             // The client lives on its own thread so its journal flushes
             // on thread exit, exactly like a separate client process.
             let addr = addr.clone();
             std::thread::spawn(move || {
-                for name in [relay, compute] {
+                for (name, want) in untraced {
                     let run = run_driver(&addr, name, Some(std::time::Duration::from_secs(30)))
                         .expect("tcp run");
                     let d = drivers().into_iter().find(|d| d.name == name).unwrap();
                     assert_eq!(run.digest, d.expect, "[{name}] digest over tcp");
+                    assert_eq!(
+                        run.transcript.report(),
+                        want,
+                        "[{name}] TraceCtx frames are never metered"
+                    );
                 }
             })
             .join()
@@ -266,7 +178,7 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
             .expect("client journal parses");
         let srv = nettrace::parse_party(&spfe_obs::export::perfetto_json(&server_half))
             .expect("server journal parses");
-        assert_eq!(client.sessions.len(), 2, "relay + compute session");
+        assert_eq!(client.sessions.len(), 2, "two sessions");
         let (timeline, report) = nettrace::merge("e2e", &client, &srv);
         assert_eq!(
             report.violations,
@@ -275,11 +187,10 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
         );
         assert_eq!(report.sessions, 2);
         assert!(report.flows > 0);
-        // Modes journalled as declared: relay = 0, compute = 1.
+        // Modes journalled as declared: compute = 1.
         for s in &client.sessions {
-            let want = u64::from(s.driver == compute);
-            assert_eq!(s.mode, want, "[{}] mode code", s.driver);
-            assert_eq!(srv.session(s.session).unwrap().mode, want);
+            assert_eq!(s.mode, 1, "[{}] mode code", s.driver);
+            assert_eq!(srv.session(s.session).unwrap().mode, 1);
         }
         // The merged artifact: ≥ 2 process tracks and flow arrows.
         let doc = spfe_obs::json::parse(&timeline).expect("merged timeline is JSON");

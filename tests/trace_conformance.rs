@@ -260,6 +260,7 @@ fn cored_runs_keep_their_phase_spans() {
         ("poly_it", "polyit", "server-scan"),
         ("multiserver", "multiserver", "server-eval"),
         ("input_select", "select1", "server-scan"),
+        ("input_select", "open-sum", "server-eval"),
         ("psm_spfe", "psm-yao", "server-eval"),
         ("weighted_sum", "weighted-sum", "server-eval"),
     ] {
