@@ -158,11 +158,13 @@ for threads in 1 4; do
 done
 SPFE_THREADS=1 cargo test "${OFFLINE[@]}" --release -p spfe --test net_timeout -q
 
-echo "==> distributed tracing conformance (Lamport stamps, in-process merge gate)"
-# Stamps are issued once per logical delivery (masked-fault retries at
-# the audit seeds reproduce the honest stamp sequence), TraceCtx frames
-# are absorbed unmetered, and in-process loopback journals merge into a
-# causally consistent timeline at both thread settings (DESIGN.md §17).
+echo "==> distributed tracing conformance (one record per message, in-process merge gate)"
+# Each party journals each message once: one wire event per in-process
+# delivery (masked-fault retries at the audit seeds reproduce the honest
+# events), one stamped frame event per TCP frame on client and server.
+# TraceCtx frames are absorbed unmetered, and in-process loopback
+# journals merge into a causally consistent timeline at both thread
+# settings (DESIGN.md §17).
 for threads in 1 4; do
   echo "    SPFE_THREADS=$threads"
   SPFE_THREADS=$threads cargo test "${OFFLINE[@]}" --release -p spfe --test net_trace -q
@@ -212,14 +214,14 @@ echo "==> distributed trace merge gate (spfe-tables net-trace)"
 # The two per-party journals from the smoke run must merge into one
 # causally consistent timeline: every receive Lamport-stamped strictly
 # after its matching send, per-session half-round depths equal on both
-# sides, per-direction counts/labels/bytes paired, and the server
-# journal's payload bytes reconciled against the metrics registry
-# (DESIGN.md §17). The checks read no wall clock, so this gate is
-# deterministic on any machine.
+# sides, per-direction counts/labels/bytes paired (DESIGN.md §17). The
+# server journals each frame from the same record the metrics registry
+# folds, so there is no second server record to reconcile. The checks
+# read no wall clock, so this gate is deterministic on any machine.
 test -s "$TRACE_CLIENT"
 test -s "$TRACE_SERVER"
 "$TABLES" net-trace e1 --merge "$TRACE_CLIENT" "$TRACE_SERVER" \
-  --metrics "$SNAP_FINAL" -o "$WORK/e1.net-trace.json"
+  -o "$WORK/e1.net-trace.json"
 grep -q '"traceEvents"' "$WORK/e1.net-trace.json"
 
 echo "==> service health + drift gates (spfe-tables serve-report)"

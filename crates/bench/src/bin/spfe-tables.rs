@@ -34,8 +34,9 @@
 //!   instrumented baselines, heap counters, exiting nonzero on any change
 //!   to a counter, comm total or span count and on heap growth past the
 //!   threshold (default 5%); `--json` prints every delta
-//!   machine-readably; `--accept` instead copies `B` over `A` to bless an
-//!   intentional change.
+//!   machine-readably; `--accept` instead blesses an intentional change,
+//!   writing `B`'s new and moved rows into `A` and leaving every other
+//!   row of `A` byte-identical.
 //! * `trend --scaling [--scan PATH] [--min-n N] [--speedup PCT]
 //!   [--overhead PCT]` — the parallel-scaling gate over
 //!   `BENCH_pir_scan.json`: on a machine with `cores ≥ threads` the
@@ -201,7 +202,7 @@ fn list_ids() {
         "  (plus the `validate [paths...]`, `trace <id> [--weight <op>]`, `mem <id>`, \
          `trend --baseline A --current B`, `audit [driver|eN|all]`, \
          `serve-report SNAPSHOT [--baseline EARLIER]`, and \
-         `net-trace <id> --merge CLIENT SERVER [-o OUT] [--metrics SNAPSHOT]` \
+         `net-trace <id> --merge CLIENT SERVER [-o OUT]` \
          subcommands and the `--json` flag)"
     );
 }
@@ -257,28 +258,23 @@ fn validate_cmd(args: &[String]) {
     }
 }
 
-/// `net-trace <id> --merge CLIENT SERVER [-o OUT] [--metrics SNAPSHOT]`:
-/// merges a client and a server `--trace` journal of the same networked
-/// run into one Perfetto timeline (DESIGN.md §17) and gates on causal
-/// consistency: every receive's Lamport stamp after its matching send,
-/// per-session pair counts and half-round depths equal on both sides,
-/// and — with `--metrics` — the server journal's byte totals equal to
-/// the metrics registry's. Exits nonzero on any violation; the merged
-/// timeline is still written so a failing run can be inspected.
+/// `net-trace <id> --merge CLIENT SERVER [-o OUT]`: merges a client and
+/// a server `--trace` journal of the same networked run into one
+/// Perfetto timeline (DESIGN.md §17) and gates on causal consistency:
+/// every receive's Lamport stamp after its matching send, per-session
+/// pair counts, labels, bytes and half-round depths equal on both sides.
+/// Exits nonzero on any violation; the merged timeline is still written
+/// so a failing run can be inspected.
 fn net_trace_cmd(args: &[String]) {
     use spfe_bench::nettrace;
     let usage = || -> ! {
-        eprintln!(
-            "usage: spfe-tables net-trace <id> --merge CLIENT SERVER [-o OUT] \
-             [--metrics SNAPSHOT]"
-        );
+        eprintln!("usage: spfe-tables net-trace <id> --merge CLIENT SERVER [-o OUT]");
         std::process::exit(2);
     };
     let mut id: Option<&str> = None;
     let mut client_path: Option<&str> = None;
     let mut server_path: Option<&str> = None;
     let mut out_path: Option<&str> = None;
-    let mut metrics_path: Option<&str> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -294,13 +290,6 @@ fn net_trace_cmd(args: &[String]) {
                 out_path = it.next().map(String::as_str);
                 if out_path.is_none() {
                     eprintln!("error: -o needs a path");
-                    usage();
-                }
-            }
-            "--metrics" => {
-                metrics_path = it.next().map(String::as_str);
-                if metrics_path.is_none() {
-                    eprintln!("error: --metrics needs a path");
                     usage();
                 }
             }
@@ -327,20 +316,7 @@ fn net_trace_cmd(args: &[String]) {
     };
     let client = load_party(client_path);
     let server = load_party(server_path);
-    let (timeline, mut report) = nettrace::merge(id, &client, &server);
-    if let Some(path) = metrics_path {
-        let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(1);
-        });
-        let snap = spfe_obs::metrics::parse_snapshot(&src).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(1);
-        });
-        report
-            .violations
-            .extend(nettrace::check_against_metrics(&server, &snap));
-    }
+    let (timeline, report) = nettrace::merge(id, &client, &server);
     let out_path = out_path.map_or_else(|| format!("{id}.net-trace.json"), str::to_owned);
     if let Err(e) = std::fs::write(&out_path, &timeline) {
         eprintln!("error: writing {out_path}: {e}");
@@ -856,20 +832,26 @@ fn trend_cmd(args: &[String]) {
         );
         std::process::exit(2);
     };
+    let read = |path: &str| -> String {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("error: {path}: {e}");
+            std::process::exit(1);
+        })
+    };
     if accept {
-        std::fs::copy(current, baseline).unwrap_or_else(|e| {
-            eprintln!("error: copying {current} over {baseline}: {e}");
+        let doc = spfe_bench::trend::accept(&read(baseline), &read(current)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             std::process::exit(1);
         });
-        println!("accepted: {current} is the new baseline at {baseline}");
+        std::fs::write(baseline, doc).unwrap_or_else(|e| {
+            eprintln!("error: writing {baseline}: {e}");
+            std::process::exit(1);
+        });
+        println!("accepted: the new and moved rows of {current} are in {baseline}");
         return;
     }
     let load = |path: &str| -> spfe_obs::Suite {
-        let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(1);
-        });
-        spfe_obs::parse_suite(&src).unwrap_or_else(|e| {
+        spfe_obs::parse_suite(&read(path)).unwrap_or_else(|e| {
             eprintln!("error: {path}: {e}");
             std::process::exit(1);
         })

@@ -183,6 +183,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spfe::transport::ChannelExt;
 
     #[test]
     fn deterministic_workloads() {

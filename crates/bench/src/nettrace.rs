@@ -25,7 +25,6 @@
 //! smoke run and fails the build on any violation.
 
 use spfe_obs::json::{self, escape, Json};
-use spfe_obs::metrics::MetricsSnapshot;
 
 /// One session slice of a party's journal: `session:<driver>` with the
 /// `(session, mode)` tag from the open event.
@@ -490,30 +489,6 @@ fn render(
     out
 }
 
-/// Cross-checks the server journal against the server's own metrics
-/// snapshot: every payload byte the registry metered must appear on the
-/// journal's wire events exactly once. The registry meters incoming
-/// frames as `bytes_in` and originated replies as `bytes_out`, so the
-/// journal's received and sent bytes must add up to their sum. Returns
-/// violations.
-pub fn check_against_metrics(server: &PartyTrace, snap: &MetricsSnapshot) -> Vec<String> {
-    let mut violations = Vec::new();
-    let expected: u64 = server
-        .events
-        .iter()
-        .filter(|e| server.sessions.iter().any(|s| s.session == e.session))
-        .map(|e| e.bytes)
-        .sum();
-    let metered = snap.bytes_in + snap.bytes_out;
-    if expected != metered {
-        violations.push(format!(
-            "server journal carried {expected} payload bytes but the metrics registry \
-             metered bytes_in + bytes_out = {metered}"
-        ));
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,20 +637,5 @@ mod tests {
         tampered.events[0].bytes = 63;
         let (_, report) = merge("e1", &client, &tampered);
         assert!(report.violations.iter().any(|v| v.contains("bytes")));
-    }
-
-    #[test]
-    fn metrics_cross_check_compares_byte_totals() {
-        let (_, server) = sample_parties();
-        let mut snap = spfe_obs::metrics::Metrics::new().snapshot();
-        // The session metered q (64 B) in and a (32 B) out; the 0-byte
-        // Bye adds nothing.
-        snap.bytes_in = 64;
-        snap.bytes_out = 32;
-        assert_eq!(check_against_metrics(&server, &snap), Vec::<String>::new());
-        snap.bytes_out = 33;
-        let violations = check_against_metrics(&server, &snap);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("bytes_in + bytes_out = 97"));
     }
 }

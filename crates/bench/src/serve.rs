@@ -201,8 +201,6 @@ mod tests {
     fn serving_registry() -> Metrics {
         let m = Metrics::new();
         m.session_opened();
-        m.transfer(true, 64);
-        m.transfer(false, 32);
         m.session_closed("xor2", "compute", Ok(()), usage(64, 32));
         m
     }
@@ -279,7 +277,6 @@ mod tests {
         let m = serving_registry();
         let before = m.snapshot();
         m.session_opened();
-        m.transfer(true, 128);
         m.session_closed("hom_pir", "compute", Ok(()), usage(128, 0));
         let report = compare_snapshots(&before, &m.snapshot()).unwrap();
         assert!(report.ok(), "{report:?}");
@@ -297,7 +294,6 @@ mod tests {
         let grown = m.snapshot();
         let fresh = serving_registry();
         fresh.session_opened();
-        fresh.transfer(true, 1);
         fresh.session_closed("xor2", "compute", Ok(()), usage(1, 0));
         // Pretend the fresh registry's extra session existed first, then
         // "compare" against the original single-session snapshot: the

@@ -289,6 +289,57 @@ pub fn compare_suites(
     Ok(rep)
 }
 
+/// The report rows of a suite document, one per line as
+/// [`spfe_obs::suite_json`] renders them, without indent or comma.
+fn report_lines(src: &str, reports: usize) -> Result<Vec<&str>, String> {
+    let rows: Vec<&str> = src
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with("{\"experiment\""))
+        .collect();
+    if rows.len() != reports {
+        return Err(format!("{reports} report(s) on {} line(s)", rows.len()));
+    }
+    Ok(rows)
+}
+
+/// The suite `trend --accept` writes over the baseline: `current`, except
+/// that a row whose gated metrics all equal the baseline's keeps the
+/// baseline's bytes, wall-clock fields included. Only new and moved rows
+/// change, so a re-accept shows in review exactly which rows moved; rows
+/// gone from `current` are dropped. Suites of different thread counts
+/// gate different metrics, so then `current` is taken whole.
+///
+/// # Errors
+///
+/// When either document does not parse as a suite or does not hold one
+/// report per line.
+pub fn accept(baseline_src: &str, current_src: &str) -> Result<String, String> {
+    let base = spfe_obs::parse_suite(baseline_src).map_err(|e| format!("baseline: {e}"))?;
+    let cur = spfe_obs::parse_suite(current_src).map_err(|e| format!("current: {e}"))?;
+    let base_rows = report_lines(baseline_src, base.reports.len())?;
+    let cur_rows = report_lines(current_src, cur.reports.len())?;
+    if base.threads != cur.threads {
+        return Ok(current_src.to_owned());
+    }
+    let deltas = compare_suites(&base, &cur, 0.0).map_or_else(|_| Vec::new(), |r| r.deltas);
+    let mut doc = current_src.to_owned();
+    for (r, row) in cur.reports.iter().zip(cur_rows) {
+        let same = |e: &str, p: &str| e == r.experiment && p == r.protocol;
+        let moved = deltas
+            .iter()
+            .any(|d| d.gated && d.baseline != d.current && same(&d.experiment, &d.protocol));
+        let kept = base
+            .reports
+            .iter()
+            .position(|b| same(&b.experiment, &b.protocol));
+        if let (false, Some(j)) = (moved, kept) {
+            doc = doc.replacen(row, base_rows[j], 1);
+        }
+    }
+    Ok(doc)
+}
+
 // ---------------------------------------------------------------------------
 // The parallel-scaling gate: `spfe-tables trend --scaling`.
 // ---------------------------------------------------------------------------
@@ -461,6 +512,32 @@ mod tests {
             },
             mem: MemStat::default(),
         }
+    }
+
+    #[test]
+    fn accept_splices_only_rows_that_moved() {
+        let base = [10, 20, 30, 40].map(|n| report("e1", &format!("p{n}"), n, n));
+        let base_doc = spfe_obs::suite_json(1, &base);
+        // Every fresh row has new timings; only p20 moved a gated counter,
+        // `new` is new and p40 is gone.
+        let mut cur = base[..3].to_vec();
+        cur.iter_mut().for_each(|r| r.elapsed_ns += 777);
+        cur[1].ops[0].count = 21;
+        cur.push(report("e2", "new", 1, 1));
+        let cur_doc = spfe_obs::suite_json(1, &cur);
+        let out = accept(&base_doc, &cur_doc).unwrap();
+        let rows = |doc| report_lines(doc, 4).unwrap();
+        let (old, fresh) = (rows(&base_doc), rows(&cur_doc));
+        assert_eq!(rows(&out), [old[0], fresh[1], old[2], fresh[3]]);
+        assert_eq!(
+            spfe_obs::parse_suite(&out).unwrap().reports[1].ops[0].count,
+            21
+        );
+        // Re-accepting the result over itself changes no byte; mixed
+        // thread counts take the current suite whole.
+        assert_eq!(accept(&out, &out).unwrap(), out);
+        let other = spfe_obs::suite_json(4, &cur);
+        assert_eq!(accept(&base_doc, &other).unwrap(), other);
     }
 
     fn mem_report(experiment: &str, allocs: u64, bytes: u64, peak: u64) -> CostReport {

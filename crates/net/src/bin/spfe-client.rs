@@ -31,9 +31,10 @@
 //! instead of aborting the watch.
 
 use spfe::harness;
+use spfe::transport::CommReport;
 use spfe_bench::audit::AUDIT_GROUPS;
 use spfe_net::{classify_failure, run_driver, StatsConn};
-use spfe_obs::metrics::{epoch_micros, FailureKind, Metrics, SessionLogRecord, SessionUsage};
+use spfe_obs::metrics::{epoch_micros, FailureKind, SessionLogRecord};
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
@@ -236,57 +237,44 @@ fn main() {
     }
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
     let drivers = harness::drivers();
-    // A client-side registry mirroring the server's: the same taxonomy
-    // (plus digest mismatches, which only the client can detect) and the
-    // same per-driver aggregates, so both ends of a run can be compared.
-    let metrics = Metrics::new();
+    // Failures by kind for the exit summary, digest mismatches included
+    // (only the client can detect those).
+    let mut failures = [0u64; FailureKind::ALL.len()];
     for target in &targets {
         for name in expand(target) {
-            let expect = match drivers.iter().find(|d| d.name == name) {
-                Some(d) => d.expect,
-                None => {
-                    eprintln!("FAIL {name}: unknown driver");
-                    metrics.session_opened();
-                    metrics.session_closed(
-                        &name,
-                        "client",
-                        Err(FailureKind::ProtocolError),
-                        SessionUsage::default(),
-                    );
-                    continue;
-                }
+            let Some(expect) = drivers.iter().find(|d| d.name == name).map(|d| d.expect) else {
+                eprintln!("FAIL {name}: unknown driver");
+                failures[FailureKind::ProtocolError as usize] += 1;
+                continue;
             };
-            metrics.session_opened();
             let start = Instant::now();
             let run = run_driver(&addr, &name, deadline);
             let wall_micros = start.elapsed().as_micros() as u64;
-            let (mode, outcome, usage) = match &run {
-                Ok(r) => {
+            let (mode, outcome, rep) = match &run {
+                Ok(r) if r.digest == expect => {
                     let rep = r.transcript.report();
-                    let usage = SessionUsage {
-                        bytes_in: rep.client_to_server,
-                        bytes_out: rep.server_to_client,
-                        frames_in: 0,
-                        frames_out: 0,
-                        half_rounds: u64::from(rep.half_rounds),
-                        wall_micros,
-                    };
-                    let outcome = if r.digest == expect {
-                        Ok(())
-                    } else {
-                        Err(FailureKind::DigestMismatch)
-                    };
-                    ("compute", outcome, usage)
+                    println!(
+                        "ok {name} mode=compute digest={} bytes={} half_rounds={}",
+                        r.digest,
+                        rep.total_bytes(),
+                        rep.half_rounds
+                    );
+                    ("compute", Ok(()), rep)
+                }
+                Ok(r) => {
+                    eprintln!("FAIL {name}: digest {} != expected {expect}", r.digest);
+                    let mismatch = Err(FailureKind::DigestMismatch);
+                    ("compute", mismatch, r.transcript.report())
                 }
                 Err(e) => {
-                    let usage = SessionUsage {
-                        wall_micros,
-                        ..SessionUsage::default()
-                    };
-                    ("client", Err(classify_failure(false, e)), usage)
+                    eprintln!("FAIL {name}: {e}");
+                    let kind = Err(classify_failure(false, e));
+                    ("client", kind, CommReport::default())
                 }
             };
-            metrics.session_closed(&name, mode, outcome, usage);
+            if let Err(kind) = outcome {
+                failures[kind as usize] += 1;
+            }
             SessionLogRecord {
                 seq: spfe_obs::metrics::next_log_seq(),
                 ts_micros: epoch_micros(),
@@ -298,29 +286,12 @@ fn main() {
                     Ok(()) => "ok",
                     Err(kind) => kind.name(),
                 },
-                wall_micros: usage.wall_micros,
-                bytes_in: usage.bytes_in,
-                bytes_out: usage.bytes_out,
-                half_rounds: usage.half_rounds,
+                wall_micros,
+                bytes_in: rep.client_to_server,
+                bytes_out: rep.server_to_client,
+                half_rounds: u64::from(rep.half_rounds),
             }
             .emit();
-            match run {
-                Ok(run) if run.digest == expect => {
-                    let rep = run.transcript.report();
-                    println!(
-                        "ok {name} mode={mode} digest={} bytes={} half_rounds={}",
-                        run.digest,
-                        rep.total_bytes(),
-                        rep.half_rounds
-                    );
-                }
-                Ok(run) => {
-                    eprintln!("FAIL {name}: digest {} != expected {expect}", run.digest);
-                }
-                Err(e) => {
-                    eprintln!("FAIL {name}: {e}");
-                }
-            }
         }
     }
     // Write the trace journal before settling the exit status so failed
@@ -332,13 +303,13 @@ fn main() {
             std::process::exit(1);
         }
     }
-    let failed = metrics.sessions_failed();
+    let failed: u64 = failures.iter().sum();
     if failed > 0 {
-        let snapshot = metrics.snapshot();
         let breakdown: Vec<String> = FailureKind::ALL
             .iter()
-            .filter(|k| snapshot.failure(**k) > 0)
-            .map(|k| format!("{}={}", k.name(), snapshot.failure(*k)))
+            .zip(failures)
+            .filter(|&(_, n)| n > 0)
+            .map(|(k, n)| format!("{}={n}", k.name()))
             .collect();
         eprintln!("{failed} failure(s): {}", breakdown.join(" "));
         std::process::exit(1);

@@ -1,5 +1,7 @@
 //! The networked client runner: drives a sans-io [`ClientCore`] over a
-//! connected stream, metering every frame on a local [`Transcript`].
+//! connected stream, metering every frame on a local [`Transcript`]
+//! (which journals nothing) and journalling it once, as a Lamport-stamped
+//! `NetSend`/`NetRecv` instant.
 //!
 //! [`run_core`] delivers messages in the same phase order as
 //! [`spfe_transport::pump`] — every client → server message of a burst,
@@ -52,6 +54,7 @@ fn invalid(reason: &'static str) -> ProtocolError {
 
 /// Drives `core` over `stream` in compute mode: handshake, burst-wise
 /// message exchange, Bye. Returns the digest and the metered transcript.
+/// `driver` is the harness driver the Hello names.
 ///
 /// # Errors
 ///
@@ -59,7 +62,7 @@ fn invalid(reason: &'static str) -> ProtocolError {
 /// the stream surfaces as [`ProtocolError::Timeout`].
 pub fn run_core<S: Read + Write>(
     mut stream: S,
-    driver: &str,
+    driver: &'static str,
     core: &mut dyn ClientCore,
     num_servers: usize,
     session: u64,
@@ -215,7 +218,8 @@ pub fn run_driver(
         .ok_or(unknown.clone())?;
     let mut core = harness::net_client_core(name).ok_or(unknown)?;
     let stream = connect(addr, deadline)?;
-    let (digest, transcript) = run_core(stream, name, core.as_mut(), d.servers, next_session_id())?;
+    let (digest, transcript) =
+        run_core(stream, d.name, core.as_mut(), d.servers, next_session_id())?;
     Ok(NetRun {
         digest,
         transcript,

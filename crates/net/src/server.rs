@@ -13,8 +13,12 @@
 //!
 //! Every session settles into the operational [`Metrics`] registry:
 //! opened/completed counters, the typed [`FailureKind`] taxonomy instead
-//! of one opaque `failed` count, per-frame byte totals, and a
-//! per-`(driver, mode)` wall-clock histogram folded at close. With
+//! of one opaque `failed` count, and a per-`(driver, mode)` row of bytes,
+//! frames, half-rounds and wall-clock histogram, folded at close from the
+//! session's [`FlowMeter`] — the one record the server keeps of each
+//! frame, which also journals it. Rows are keyed by the harness driver's
+//! own name, so a Hello naming no known driver folds into one `unknown`
+//! row however many distinct names the network sends. With
 //! `SPFE_LOG` set, each session additionally emits one structured JSONL
 //! line on stderr ([`SessionLogRecord`]).
 //!
@@ -37,7 +41,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -262,11 +266,12 @@ struct SessionFailure {
 #[derive(Debug, Default)]
 struct SessionCtx {
     session: u64,
-    driver: String,
+    /// The harness driver the Hello named; empty until
+    /// `harness::drivers()` knows the name.
+    driver: &'static str,
+    /// `compute` once the Hello was accepted (and the session's open
+    /// journalled); empty before.
     mode: &'static str,
-    /// The Hello mode byte, re-emitted on the session's trace-journal
-    /// close event (always 1 = compute once the Hello was accepted).
-    mode_code: u8,
     opened: bool,
     flow: FlowMeter,
 }
@@ -332,22 +337,14 @@ fn run_session(mut stream: &TcpStream, config: &ServerConfig, metrics: &Arc<Metr
         half_rounds: u64::from(ctx.flow.half_rounds()),
         wall_micros: start.elapsed().as_micros() as u64,
     };
-    let driver = if ctx.driver.is_empty() {
-        "unknown"
-    } else {
-        ctx.driver.as_str()
-    };
-    let mode = if ctx.mode.is_empty() {
-        "unknown"
-    } else {
-        ctx.mode
-    };
+    let or_unknown = |name: &'static str| if name.is_empty() { "unknown" } else { name };
+    let (driver, mode) = (or_unknown(ctx.driver), or_unknown(ctx.mode));
     metrics.session_closed(driver, mode, outcome, usage);
     // Close the per-session span in this thread's trace journal; the
     // settle path runs even when the session failed or panicked, so a
     // captured server journal always balances its session slices.
-    if ctx.opened {
-        spfe_obs::net_session_event(false, ctx.session, driver, ctx.mode_code);
+    if !ctx.mode.is_empty() {
+        spfe_obs::net_session_event(false, ctx.session, driver, SessionMode::Compute as u8);
     }
     SessionLogRecord {
         seq: spfe_obs::metrics::next_log_seq(),
@@ -368,17 +365,8 @@ fn run_session(mut stream: &TcpStream, config: &ServerConfig, metrics: &Arc<Metr
     .emit();
 }
 
-/// Sends an Error frame (best effort) and returns the protocol error.
-fn abort(
-    stream: &mut &TcpStream,
-    session: u64,
-    label: &str,
-    reason: &'static str,
-) -> ProtocolError {
-    let e = ProtocolError::InvalidMessage {
-        label: "net-session",
-        reason,
-    };
+/// Sends an Error frame (best effort).
+fn send_error(stream: &mut &TcpStream, session: u64, label: &str, reason: &'static str) {
     let frame = Frame {
         kind: FrameKind::Error,
         client_to_server: false,
@@ -389,7 +377,34 @@ fn abort(
         payload: reason.as_bytes().to_vec(),
     };
     let _ = write_frame(stream, &frame, 0, "net-error");
-    e
+}
+
+/// Refuses the session: an Error frame to the peer, a classified
+/// protocol failure here.
+fn refuse(
+    stream: &mut &TcpStream,
+    ctx: &Mutex<SessionCtx>,
+    metrics: &Metrics,
+    handshake: bool,
+    session: u64,
+    label: &str,
+    reason: &'static str,
+) -> SessionFailure {
+    send_error(stream, session, label, reason);
+    let e = ProtocolError::InvalidMessage {
+        label: "net-session",
+        reason,
+    };
+    fail(ctx, metrics, handshake, e)
+}
+
+/// The harness driver named `label`, as its own `&'static str`. The
+/// names are read once: `harness::drivers()` computes every driver's
+/// expected digest, about 0.1 ms per call.
+fn known_driver(label: &str) -> Option<&'static str> {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    let names = NAMES.get_or_init(|| harness::drivers().iter().map(|d| d.name).collect());
+    names.iter().copied().find(|&name| name == label)
 }
 
 /// Runs one session (or scrape) on the session's own thread.
@@ -428,49 +443,32 @@ fn serve_connection(
         return Ok(stats_session(stream, metrics, hello));
     }
     ensure_opened(ctx, metrics);
-    {
-        let mut c = lock_ctx(ctx);
-        c.session = hello.session;
-        c.driver = hello.label.clone();
-    }
-    if hello.kind != FrameKind::Hello {
-        return Err(fail(
-            ctx,
-            metrics,
-            true,
-            abort(stream, hello.session, "", "expected a hello frame"),
-        ));
-    }
+    let driver = known_driver(&hello.label);
     let session = hello.session;
-    if hello.payload.first() != Some(&(SessionMode::Compute as u8)) {
-        return Err(fail(
-            ctx,
-            metrics,
-            true,
-            abort(stream, session, &hello.label, "unknown session mode"),
-        ));
-    }
     {
         let mut c = lock_ctx(ctx);
-        c.mode = "compute";
-        c.mode_code = SessionMode::Compute as u8;
+        c.session = session;
+        c.driver = driver.unwrap_or_default();
     }
-    spfe_obs::net_session_event(true, session, &hello.label, SessionMode::Compute as u8);
-    if config.inject_panic_driver.as_deref() == Some(hello.label.as_str()) {
+    let reject = |stream: &mut &TcpStream, label: &str, reason| {
+        Err(refuse(stream, ctx, metrics, true, session, label, reason))
+    };
+    if hello.kind != FrameKind::Hello {
+        return reject(stream, "", "expected a hello frame");
+    }
+    if hello.payload.first() != Some(&(SessionMode::Compute as u8)) {
+        return reject(stream, &hello.label, "unknown session mode");
+    }
+    let Some(driver) = driver else {
+        return reject(stream, &hello.label, "unknown driver");
+    };
+    lock_ctx(ctx).mode = "compute";
+    spfe_obs::net_session_event(true, session, driver, SessionMode::Compute as u8);
+    if config.inject_panic_driver.as_deref() == Some(driver) {
         panic!("injected session panic (ServerConfig::inject_panic_driver)");
     }
-    let Some(mut cores) = harness::net_server_cores(&hello.label) else {
-        return Err(fail(
-            ctx,
-            metrics,
-            true,
-            abort(
-                stream,
-                session,
-                &hello.label,
-                "no server cores for this driver",
-            ),
-        ));
+    let Some(mut cores) = harness::net_server_cores(driver) else {
+        return reject(stream, driver, "no server cores for this driver");
     };
     let ack = Frame {
         kind: FrameKind::Hello,
@@ -525,8 +523,9 @@ fn stats_session(stream: &mut &TcpStream, metrics: &Metrics, first: Frame) -> Se
 
 /// Compute mode: feed each Msg frame to the addressed server core and
 /// write its replies back, until every core is consumed (the client sends
-/// Bye) or an error tears the session down. Incoming frames meter as
-/// client → server traffic, originated replies as server → client.
+/// Bye) or an error tears the session down. Incoming frames meter (and
+/// journal) as client → server traffic, originated replies as server →
+/// client, each once, on the session's [`FlowMeter`].
 fn compute_session(
     stream: &mut &TcpStream,
     session: u64,
@@ -535,16 +534,16 @@ fn compute_session(
     ctx: &Mutex<SessionCtx>,
 ) -> Result<(), SessionFailure> {
     let proto = |ctx: &Mutex<SessionCtx>, e: ProtocolError| fail(ctx, metrics, false, e);
+    let reject = |stream: &mut &TcpStream, label: &str, reason| {
+        Err(refuse(stream, ctx, metrics, false, session, label, reason))
+    };
     for core in cores.iter_mut() {
         let (_, outs) = match core.start() {
             Ok(r) => r,
             Err(e) => return Err(proto(ctx, e)),
         };
         if !outs.is_empty() {
-            return Err(proto(
-                ctx,
-                abort(stream, session, "", "server core tried to speak first"),
-            ));
+            return reject(stream, "", "server core tried to speak first");
         }
     }
     let mut clock = Lamport::new();
@@ -557,57 +556,32 @@ fn compute_session(
         let recv_stamp = clock.observe(carried.unwrap_or(0));
         match frame.kind {
             FrameKind::Bye => {
-                spfe_obs::net_frame_event(false, "net-bye", 0, frame.half_round, recv_stamp);
-                lock_ctx(ctx).flow.observe_bye(&frame);
+                lock_ctx(ctx).flow.observe_bye(&frame, recv_stamp);
                 return Ok(());
             }
             FrameKind::Msg if frame.session == session => {
-                spfe_obs::net_frame_event(
-                    false,
-                    &frame.label,
-                    frame.payload.len() as u64,
-                    frame.half_round,
-                    recv_stamp,
-                );
-                metrics.transfer(frame.client_to_server, frame.payload.len() as u64);
-                lock_ctx(ctx).flow.observe_msg(&frame);
+                lock_ctx(ctx).flow.observe_msg(&frame, recv_stamp);
                 let idx = frame.server as usize;
                 if idx >= cores.len() {
-                    return Err(proto(
-                        ctx,
-                        abort(
-                            stream,
-                            session,
-                            &frame.label,
-                            "message addresses an unknown server",
-                        ),
-                    ));
+                    return reject(stream, &frame.label, "message addresses an unknown server");
                 }
                 let step =
                     cores[idx].on_message(frame.half_round, idx, &frame.label, &frame.payload);
                 let (_, outs) = match step {
                     Ok(r) => r,
                     Err(e) => {
-                        let _ = abort(
-                            stream,
-                            session,
-                            &frame.label,
-                            "server core rejected the message",
-                        );
+                        let reason = "server core rejected the message";
+                        send_error(stream, session, &frame.label, reason);
                         return Err(proto(ctx, e));
                     }
                 };
                 for m in outs {
                     if m.client_to_server {
-                        return Err(proto(
-                            ctx,
-                            abort(
-                                stream,
-                                session,
-                                m.label,
-                                "server core emitted a misdirected message",
-                            ),
-                        ));
+                        return reject(
+                            stream,
+                            m.label,
+                            "server core emitted a misdirected message",
+                        );
                     }
                     let reply = Frame {
                         kind: FrameKind::Msg,
@@ -618,38 +592,20 @@ fn compute_session(
                         label: m.label.to_owned(),
                         payload: m.payload,
                     };
-                    metrics.transfer(false, reply.payload.len() as u64);
-                    lock_ctx(ctx).flow.observe_msg(&reply);
                     let stamp = clock.tick();
+                    lock_ctx(ctx).flow.observe_msg(&reply, stamp);
                     if journal::tracing() {
                         let ctx_frame = Frame::trace_ctx(false, session, reply.half_round, stamp);
                         if let Err(e) = write_frame(stream, &ctx_frame, m.server, m.label) {
                             return Err(proto(ctx, e));
                         }
-                        spfe_obs::net_frame_event(
-                            true,
-                            m.label,
-                            reply.payload.len() as u64,
-                            reply.half_round,
-                            stamp,
-                        );
                     }
                     if let Err(e) = write_frame(stream, &reply, m.server, m.label) {
                         return Err(proto(ctx, e));
                     }
                 }
             }
-            _ => {
-                return Err(proto(
-                    ctx,
-                    abort(
-                        stream,
-                        session,
-                        &frame.label,
-                        "unexpected frame in compute session",
-                    ),
-                ))
-            }
+            _ => return reject(stream, &frame.label, "unexpected frame in compute session"),
         }
     }
 }

@@ -7,11 +7,13 @@
 //! and per-driver latency histograms that an operator can scrape off the
 //! live listener. Three pieces:
 //!
-//! * **[`Metrics`]** — the lock-light registry. Session and byte counters
-//!   are relaxed atomics (the per-frame hot path takes no lock); the
-//!   per-`(driver, mode)` aggregates — wall-clock [`Histo`]s and byte /
-//!   half-round totals — are folded under a mutex exactly once per
-//!   session close, which is cold by construction.
+//! * **[`Metrics`]** — the lock-light registry. Session counters are
+//!   relaxed atomics; the per-`(driver, mode)` aggregates — wall-clock
+//!   [`Histo`]s and byte / frame / half-round totals — are folded under a
+//!   mutex exactly once per session close, which is cold by construction.
+//!   The registry never sees a frame: the byte and frame totals are the
+//!   sums of the driver rows, so a session's traffic counts once it
+//!   closes.
 //! * **[`MetricsSnapshot`]** — a point-in-time copy, rendered as the
 //!   `spfe-metrics/v1` JSON document ([`MetricsSnapshot::to_json`], read
 //!   back by [`parse_snapshot`]) or as Prometheus text exposition
@@ -93,10 +95,10 @@ impl FailureKind {
 
 /// What one closed session transferred, as the registry folds it.
 ///
-/// The serving side fills this from a `FlowMeter` over the session's
-/// frames; the client side fills it from its metered transcript. Either
-/// way the fields agree — that equivalence is what `tests/net_metrics.rs`
-/// pins down.
+/// The serving side fills this from the `FlowMeter` that metered the
+/// session's frames; the client side fills it from its metered
+/// transcript. Either way the fields agree — that equivalence is what
+/// `tests/net_metrics.rs` pins down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionUsage {
     /// Payload bytes, client → server.
@@ -123,6 +125,8 @@ struct DriverStats {
     failed: u64,
     bytes_in: u64,
     bytes_out: u64,
+    frames_in: u64,
+    frames_out: u64,
     half_rounds: u64,
     wall_sum_micros: u64,
     wall: Histo,
@@ -138,10 +142,6 @@ pub struct Metrics {
     active: AtomicU64,
     stats_probes: AtomicU64,
     failures: [AtomicU64; FailureKind::ALL.len()],
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
     drivers: Mutex<Vec<DriverStats>>,
 }
 
@@ -167,10 +167,6 @@ impl Metrics {
             active: AtomicU64::new(0),
             stats_probes: AtomicU64::new(0),
             failures: Default::default(),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
             drivers: Mutex::new(Vec::new()),
         }
     }
@@ -188,20 +184,11 @@ impl Metrics {
         self.stats_probes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One protocol message moved; the per-frame hot path (no lock).
-    pub fn transfer(&self, client_to_server: bool, bytes: u64) {
-        if client_to_server {
-            self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-            self.frames_in.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-            self.frames_out.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// A session ended; folds its usage into the per-driver aggregates
-    /// and settles the outcome counters. `outcome` is `Ok(())` for a
-    /// clean close, or the failure classification.
+    /// (and so into the byte and frame totals) and settles the outcome
+    /// counters. `outcome` is `Ok(())` for a clean close, or the failure
+    /// classification. Every distinct `driver` keeps a row for good, so a
+    /// caller facing the network passes names from a fixed set.
     pub fn session_closed(
         &self,
         driver: &str,
@@ -236,6 +223,8 @@ impl Metrics {
                     failed: 0,
                     bytes_in: 0,
                     bytes_out: 0,
+                    frames_in: 0,
+                    frames_out: 0,
                     half_rounds: 0,
                     wall_sum_micros: 0,
                     wall: Histo::new(),
@@ -250,6 +239,8 @@ impl Metrics {
         }
         entry.bytes_in += usage.bytes_in;
         entry.bytes_out += usage.bytes_out;
+        entry.frames_in += usage.frames_in;
+        entry.frames_out += usage.frames_out;
         entry.half_rounds += usage.half_rounds;
         entry.wall_sum_micros += usage.wall_micros;
         entry.wall.record(usage.wall_micros);
@@ -292,6 +283,7 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         // Held until the counters below are read (see `session_closed`).
         let rows = lock_drivers(&self.drivers);
+        let total = |field: fn(&DriverStats) -> u64| rows.iter().map(field).sum();
         let drivers = rows
             .iter()
             .map(|d| DriverSnapshot {
@@ -321,10 +313,10 @@ impl Metrics {
                 .iter()
                 .map(|&k| (k, self.failures(k)))
                 .collect(),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
+            bytes_in: total(|d| d.bytes_in),
+            bytes_out: total(|d| d.bytes_out),
+            frames_in: total(|d| d.frames_in),
+            frames_out: total(|d| d.frames_out),
             drivers,
         }
     }
@@ -379,13 +371,14 @@ pub struct MetricsSnapshot {
     pub stats_probes: u64,
     /// Failure counters, one per [`FailureKind`], in `ALL` order.
     pub failures: Vec<(FailureKind, u64)>,
-    /// Payload bytes, client → server, process lifetime.
+    /// Payload bytes, client → server, of every closed session (the sum
+    /// of the driver rows).
     pub bytes_in: u64,
-    /// Payload bytes, server → client, process lifetime.
+    /// Payload bytes, server → client, of every closed session.
     pub bytes_out: u64,
-    /// Protocol messages, client → server.
+    /// Protocol messages, client → server, of every closed session.
     pub frames_in: u64,
-    /// Protocol messages, server → client.
+    /// Protocol messages, server → client, of every closed session.
     pub frames_out: u64,
     /// Per-driver aggregates in first-session order.
     pub drivers: Vec<DriverSnapshot>,
@@ -882,9 +875,6 @@ mod tests {
         for _ in 0..3 {
             m.session_opened();
         }
-        m.transfer(true, 100);
-        m.transfer(false, 40);
-        m.transfer(true, 7);
         m.session_closed("hom_pir", "compute", Ok(()), usage(100, 40, 2, 900));
         m.session_closed("hom_pir", "compute", Ok(()), usage(7, 0, 1, 80_000));
         m.session_closed(
@@ -908,8 +898,10 @@ mod tests {
         assert_eq!(m.sessions_active(), 0);
         assert_eq!(m.stats_probes(), 1);
         let snap = m.snapshot();
+        // The totals are the sums of the rows: one frame each way per
+        // sample session.
         assert_eq!((snap.bytes_in, snap.bytes_out), (107, 40));
-        assert_eq!((snap.frames_in, snap.frames_out), (2, 1));
+        assert_eq!((snap.frames_in, snap.frames_out), (3, 3));
         assert_eq!(snap.sessions_failed(), 1);
         assert_eq!(snap.failure(FailureKind::TransferTimeout), 1);
         let hp = snap.driver("hom_pir", "compute").expect("hom_pir row");

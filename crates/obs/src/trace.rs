@@ -62,8 +62,9 @@ pub enum EventKind {
     /// is [`crate::mem::ALLOCS_LABEL`] or [`crate::mem::ALLOC_BYTES_LABEL`],
     /// `a` the span's self delta. Only emitted under `obs-alloc`.
     MemDelta,
-    /// A client→server message; `label` is the wire label, `a` the byte
-    /// count, `b` the server index.
+    /// A client→server message delivered in process (one per delivery,
+    /// journalled by the transport's retry loop); `label` is the wire
+    /// label, `a` the delivered byte count, `b` the server index.
     WireUp,
     /// A server→client message; fields as for [`EventKind::WireUp`].
     WireDown,
@@ -402,24 +403,40 @@ pub fn reset() {
     GEN.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Interns a runtime string as a journal label. The networked paths
-/// see driver names and wire labels as runtime strings (decoded from
-/// frames), while the journal stores `&'static str`; each distinct
-/// label is therefore leaked exactly once. The set is tiny — driver
-/// names plus protocol labels — and only grows while tracing is on.
+/// The most distinct labels [`intern`] keeps: well above every driver
+/// name and protocol label in the workspace (under a hundred), so an
+/// honest run never reaches it.
+pub const INTERN_CAP: usize = 256;
+
+/// The journal label of a frame whose label arrived after the interned
+/// set was full.
+pub const OVERFLOW_LABEL: &str = "(label-overflow)";
+
+static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+/// Interns a runtime string as a journal label. A serving peer sees
+/// frame labels as runtime strings (decoded from frames, before any core
+/// has validated them), while the journal stores `&'static str`; each
+/// distinct label is therefore leaked once. A peer may send any label,
+/// so the set stops growing at [`INTERN_CAP`] and every later new label
+/// is journalled as [`OVERFLOW_LABEL`]: the leak and the scan under the
+/// lock stay bounded.
 fn intern(s: &str) -> &'static str {
-    static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
     let mut set = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = set.iter().find(|k| **k == s) {
         return hit;
+    }
+    if set.len() >= INTERN_CAP {
+        return OVERFLOW_LABEL;
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     set.push(leaked);
     leaked
 }
 
-/// Records a wire message event (`up` = client→server). Called by the
-/// transport meter; a no-op unless tracing is on.
+/// Records a wire message event (`up` = client→server). Called once per
+/// in-process delivery by the transport's retry loop; a no-op unless
+/// tracing is on.
 #[inline]
 pub fn wire_event(up: bool, server: usize, label: &'static str, bytes: u64) {
     if !tracing() {
@@ -471,7 +488,7 @@ pub fn view_event(party_is_client: bool, server: usize, events: u64) {
 /// cross-process merge (`spfe-tables net-trace --merge`) attributes them.
 /// A no-op unless tracing is on.
 #[inline]
-pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
+pub fn net_session_event(open: bool, session: u64, driver: &'static str, mode: u8) {
     if !tracing() {
         return;
     }
@@ -480,13 +497,14 @@ pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
     } else {
         EventKind::NetSessionClose
     };
-    record(kind, intern(driver), session, u64::from(mode));
+    record(kind, driver, session, u64::from(mode));
 }
 
 /// Records a stamped session-frame event: `send` for a frame leaving this
 /// party, receive otherwise. `lamport` is this party's Lamport stamp for
 /// the event (ticked on send, merged on receive, so a matched receive is
-/// always strictly greater than its send). A no-op unless tracing is on.
+/// always strictly greater than its send). The label is interned
+/// ([`INTERN_CAP`] bounds the set). A no-op unless tracing is on.
 #[inline]
 pub fn net_frame_event(send: bool, label: &str, bytes: u64, half_round: u32, lamport: u32) {
     if !tracing() {
@@ -642,7 +660,7 @@ mod tests {
     #[test]
     fn net_events_record_session_and_stamp_payloads() {
         let trace = capture(|| {
-            net_session_event(true, 42, &String::from("toy-driver"), 1);
+            net_session_event(true, 42, "toy-driver", 1);
             net_frame_event(true, &String::from("toy-q"), 128, 1, 7);
             net_frame_event(false, "toy-a", 256, 2, 9);
             net_session_event(false, 42, "toy-driver", 1);
@@ -657,15 +675,31 @@ mod tests {
             .iter()
             .find(|e| e.kind == EventKind::NetSessionClose)
             .unwrap();
-        // Interning is by content: the runtime String and the literal
-        // resolve to the same static label.
-        assert!(std::ptr::eq(open.label, close.label));
+        assert_eq!(open.label, close.label);
         let send = evs.iter().find(|e| e.kind == EventKind::NetSend).unwrap();
         assert_eq!((send.label, send.a), ("toy-q", 128));
         assert_eq!(unpack_net_stamp(send.b), (1, 7));
         let recv = evs.iter().find(|e| e.kind == EventKind::NetRecv).unwrap();
         assert_eq!((recv.label, recv.a), ("toy-a", 256));
         assert_eq!(unpack_net_stamp(recv.b), (2, 9));
+    }
+
+    #[test]
+    fn interning_is_by_content_and_stops_at_the_cap() {
+        let _g = crate::test_guard();
+        // Interned first, so the other tests' labels survive the cap.
+        let q = intern(&String::from("toy-q"));
+        assert!(std::ptr::eq(q, intern("toy-q")), "by content");
+        intern("toy-a");
+        for i in 0..10_000 {
+            intern(&format!("hostile-{i}"));
+        }
+        let size = INTERNED.lock().unwrap_or_else(|e| e.into_inner()).len();
+        assert_eq!(size, INTERN_CAP, "the set stops at the cap");
+        // Past the cap a new label journals as the fixed one; labels
+        // interned before it still resolve to themselves.
+        assert_eq!(intern("never-seen-before"), OVERFLOW_LABEL);
+        assert_eq!(intern("hostile-0"), "hostile-0");
     }
 
     #[test]

@@ -415,7 +415,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for HomPirClientCore<P, S
 mod tests {
     use super::*;
     use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier};
-    use spfe_transport::Transcript;
+    use spfe_transport::{ChannelExt, Transcript};
 
     fn setup() -> (spfe_crypto::PaillierPk, spfe_crypto::PaillierSk, ChaChaRng) {
         let mut rng = ChaChaRng::from_u64_seed(0x9999);

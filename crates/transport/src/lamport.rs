@@ -41,12 +41,6 @@ impl Lamport {
         self.value = self.value.max(carried).saturating_add(1);
         self.value
     }
-
-    /// The last stamp issued (0 if no events yet).
-    #[must_use]
-    pub fn value(&self) -> u32 {
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -59,7 +53,6 @@ mod tests {
         let a = c.tick();
         let b = c.tick();
         assert_eq!((a, b), (1, 2));
-        assert_eq!(c.value(), 2);
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! counted in bits, with rounds as a secondary measure ("a round consists of
 //! a message from the client to each server followed by a reply from each
 //! server", §1.2; some protocols cost 1.5 or 2.5 rounds because the server
-//! speaks first). [`Transcript`] simulates the wire: every logical send
-//! serializes the message, records its size and direction, and hands the
-//! receiver a *re-decoded* copy — so tests exercise the codec and the meter
-//! reports exact on-the-wire sizes.
-
-use crate::wire::{Wire, WireError};
+//! speaks first). [`Transcript`] is the meter: it records each delivered
+//! message's size, direction and half-round. Typed sends go through
+//! [`crate::ChannelExt`], which encodes the message, delivers the bytes
+//! over the transcript and hands the receiver a *re-decoded* copy — so
+//! tests exercise the codec and the meter reports exact on-the-wire sizes.
 
 /// Direction of a message relative to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +67,13 @@ impl CommReport {
     }
 }
 
-/// A metered, codec-exercising channel between a client and `k` servers.
+/// The message meter of a client and `k` servers: the honest
+/// [`crate::Channel`].
 ///
 /// # Examples
 ///
 /// ```
-/// use spfe_transport::Transcript;
+/// use spfe_transport::{ChannelExt, Transcript};
 /// let mut t = Transcript::new(1);
 /// t.begin_round();
 /// let received: u64 = t.client_to_server(0, "query", &42u64).unwrap();
@@ -139,67 +139,9 @@ impl Transcript {
         self.half_rounds
     }
 
-    /// Sends a message from the client to server `server`, returning the
-    /// value as decoded by the receiving side.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the message does not survive an encode/decode roundtrip
-    /// (which would indicate a codec bug — surfaced rather than masked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server >= num_servers`.
-    pub fn client_to_server<T: Wire>(
-        &mut self,
-        server: usize,
-        label: &'static str,
-        msg: &T,
-    ) -> Result<T, WireError> {
-        assert!(server < self.num_servers, "server index out of range");
-        self.transfer(Direction::ClientToServer(server), label, msg)
-    }
-
-    /// Sends a message from server `server` to the client.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the message does not survive an encode/decode roundtrip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server >= num_servers`.
-    pub fn server_to_client<T: Wire>(
-        &mut self,
-        server: usize,
-        label: &'static str,
-        msg: &T,
-    ) -> Result<T, WireError> {
-        assert!(server < self.num_servers, "server index out of range");
-        self.transfer(Direction::ServerToClient(server), label, msg)
-    }
-
-    fn transfer<T: Wire>(
-        &mut self,
-        dir: Direction,
-        label: &'static str,
-        msg: &T,
-    ) -> Result<T, WireError> {
-        let bytes = msg.to_bytes();
-        let half_round = self.advance(dir);
-        self.records.push(MessageRecord {
-            direction: dir,
-            label,
-            bytes: bytes.len(),
-            half_round,
-        });
-        trace_wire(dir, label, bytes.len());
-        T::from_bytes(&bytes)
-    }
-
-    /// Records a raw delivery of `bytes` bytes without exercising the
-    /// codec — the byte-level entry point [`crate::Channel`] builds on.
-    /// Advances the half-round structure exactly like a typed send.
+    /// Records the delivery of a `bytes`-byte message, advancing the
+    /// half-round structure. The one entry point every meter reading
+    /// comes from; it journals nothing (the delivery boundary does).
     pub fn record_raw(&mut self, dir: Direction, label: &'static str, bytes: usize) {
         let half_round = self.advance(dir);
         self.records.push(MessageRecord {
@@ -208,7 +150,6 @@ impl Transcript {
             bytes,
             half_round,
         });
-        trace_wire(dir, label, bytes);
     }
 
     /// Swaps the two most recent records if they share a half-round — the
@@ -340,23 +281,27 @@ impl Transcript {
     }
 }
 
-/// Server-side session accounting over raw [`crate::Frame`]s.
+/// Server-side session accounting over raw [`crate::Frame`]s: the one
+/// record a serving peer keeps of each message.
 ///
 /// A serving peer cannot reuse [`Transcript`] — transcript labels are
 /// `&'static str` protocol identifiers, while frames carry runtime
 /// strings — but the operational metrics registry (`spfe-obs::metrics`)
 /// only needs the totals a transcript would report: logical payload bytes
 /// and message counts per direction plus the half-round structure.
-/// `FlowMeter` recovers those from the frames themselves.
+/// `FlowMeter` recovers those from the frames themselves, and the same
+/// call journals the frame (a `NetRecv` for a frame the server received,
+/// a `NetSend` for a reply it originated), so the registry and the trace
+/// journal read one record.
 ///
 /// Bytes and message counts are metered by each `Msg` frame's direction
 /// flag: the serving side observes the frames it receives (all client →
 /// server) and the replies it originates. Half-rounds come from the
-/// sender's stamps:
-/// the client stamps every frame with its own metered transcript counter
-/// and the Bye frame with the final value, so for a cleanly closed
-/// session the maximum stamp observed equals the client-side half-round
-/// total.
+/// sender's stamps: the client stamps every frame with its own metered
+/// transcript counter and the Bye frame with the final value, so for a
+/// cleanly closed session the maximum stamp observed equals the
+/// client-side half-round total. The registry folds a session's meter
+/// into its totals when the session closes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowMeter {
     /// Payload bytes of client → server messages.
@@ -371,27 +316,32 @@ pub struct FlowMeter {
 }
 
 impl FlowMeter {
-    /// A fresh meter.
-    pub fn new() -> FlowMeter {
-        FlowMeter::default()
-    }
-
-    /// Meters one `Msg` frame by its logical direction flag.
-    pub fn observe_msg(&mut self, frame: &crate::Frame) {
+    /// Meters one `Msg` frame by its logical direction flag and journals
+    /// it with the serving side's Lamport stamp `lamport`.
+    pub fn observe_msg(&mut self, frame: &crate::Frame, lamport: u32) {
+        let bytes = frame.payload.len() as u64;
         if frame.client_to_server {
-            self.bytes_in += frame.payload.len() as u64;
+            self.bytes_in += bytes;
             self.frames_in += 1;
         } else {
-            self.bytes_out += frame.payload.len() as u64;
+            self.bytes_out += bytes;
             self.frames_out += 1;
         }
         self.half_round_max = self.half_round_max.max(frame.half_round);
+        spfe_obs::net_frame_event(
+            !frame.client_to_server,
+            &frame.label,
+            bytes,
+            frame.half_round,
+            lamport,
+        );
     }
 
     /// Folds a Bye frame's final half-round stamp (Bye carries no metered
-    /// payload).
-    pub fn observe_bye(&mut self, frame: &crate::Frame) {
+    /// payload) and journals its receipt.
+    pub fn observe_bye(&mut self, frame: &crate::Frame, lamport: u32) {
         self.half_round_max = self.half_round_max.max(frame.half_round);
+        spfe_obs::net_frame_event(false, "net-bye", 0, frame.half_round, lamport);
     }
 
     /// The highest half-round stamp observed — the client's half-round
@@ -401,20 +351,10 @@ impl FlowMeter {
     }
 }
 
-/// Mirrors a metered delivery into the event journal (no-op unless
-/// tracing is on).
-fn trace_wire(dir: Direction, label: &'static str, bytes: usize) {
-    spfe_obs::wire_event(
-        matches!(dir, Direction::ClientToServer(_)),
-        dir.server(),
-        label,
-        bytes as u64,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::ChannelExt;
 
     #[test]
     fn round_accounting_full_round() {
@@ -589,24 +529,27 @@ mod tests {
     #[test]
     fn flow_meter_splits_directions_and_tracks_stamps() {
         use crate::frame::{Frame, FrameKind};
-        let mut flow = FlowMeter::new();
-        flow.observe_msg(&Frame::msg(true, 7, 1, 0, "q", vec![0; 10]));
-        flow.observe_msg(&Frame::msg(true, 7, 1, 1, "q", vec![0; 4]));
-        flow.observe_msg(&Frame::msg(false, 7, 2, 0, "a", vec![0; 3]));
+        let mut flow = FlowMeter::default();
+        flow.observe_msg(&Frame::msg(true, 7, 1, 0, "q", vec![0; 10]), 1);
+        flow.observe_msg(&Frame::msg(true, 7, 1, 1, "q", vec![0; 4]), 2);
+        flow.observe_msg(&Frame::msg(false, 7, 2, 0, "a", vec![0; 3]), 3);
         assert_eq!((flow.bytes_in, flow.bytes_out), (14, 3));
         assert_eq!((flow.frames_in, flow.frames_out), (2, 1));
         assert_eq!(flow.half_rounds(), 2, "max stamp so far");
         // The Bye stamp carries the client's final half-round total and
         // meters no bytes.
-        flow.observe_bye(&Frame {
-            kind: FrameKind::Bye,
-            client_to_server: true,
-            session: 7,
-            half_round: 4,
-            server: 0,
-            label: String::new(),
-            payload: Vec::new(),
-        });
+        flow.observe_bye(
+            &Frame {
+                kind: FrameKind::Bye,
+                client_to_server: true,
+                session: 7,
+                half_round: 4,
+                server: 0,
+                label: String::new(),
+                payload: Vec::new(),
+            },
+            4,
+        );
         assert_eq!(flow.half_rounds(), 4);
         assert_eq!((flow.bytes_in, flow.frames_in), (14, 2));
     }

@@ -20,7 +20,6 @@
 
 use crate::channel::{deliver_with_retry, Channel};
 use crate::error::ProtocolError;
-use crate::lamport::Lamport;
 use crate::meter::Direction;
 use crate::wire::Wire;
 use spfe_obs::SpanGuard;
@@ -431,7 +430,10 @@ where
 /// Server cores may borrow their data and the caller's rng (`S` need be
 /// neither `Send` nor `'static`), so an in-process run need not copy a
 /// database per server. Transient transport faults are retried with the
-/// same bounded policy as [`crate::ChannelExt`].
+/// same bounded policy as [`crate::ChannelExt`], and each delivery is
+/// journalled once, by [`deliver_with_retry`]. Both parties share this
+/// one thread, so the journal order is the causal order and `pump`
+/// stamps nothing.
 ///
 /// # Errors
 ///
@@ -455,11 +457,6 @@ pub fn pump<S: SessionCore + ?Sized>(
     }
     let (mut state, mut outbox) = client.start()?;
     let mut half_round = 0u32;
-    // Causal clocks for the trace journal: one per party, stamped once
-    // per *logical* delivery (a retried delivery reuses its stamp), so
-    // stamps stay strictly monotone per party under masked faults.
-    let mut client_clock = Lamport::new();
-    let mut server_clocks = vec![Lamport::new(); servers.len()];
     while !outbox.is_empty() {
         let mut replies: Vec<OutMsg> = Vec::new();
         half_round += 1;
@@ -476,14 +473,10 @@ pub fn pump<S: SessionCore + ?Sized>(
                     reason: "client core emitted a misdirected message",
                 });
             }
-            let stamp = client_clock.tick();
-            spfe_obs::net_frame_event(true, label, payload.len() as u64, half_round, stamp);
             let delivered =
                 deliver_with_retry(ch, Direction::ClientToServer(server), label, &payload)?;
             // Only the delivered copy stays alive while the receiver runs.
             drop(payload);
-            let recv = server_clocks[server].observe(stamp);
-            spfe_obs::net_frame_event(false, label, delivered.len() as u64, half_round, recv);
             let (_, outs) = servers[server].on_message(half_round, server, label, &delivered)?;
             replies.extend(outs);
         }
@@ -502,13 +495,9 @@ pub fn pump<S: SessionCore + ?Sized>(
                     reason: "server core emitted a misdirected message",
                 });
             }
-            let stamp = server_clocks[server].tick();
-            spfe_obs::net_frame_event(true, label, payload.len() as u64, half_round, stamp);
             let delivered =
                 deliver_with_retry(ch, Direction::ServerToClient(server), label, &payload)?;
             drop(payload);
-            let recv = client_clock.observe(stamp);
-            spfe_obs::net_frame_event(false, label, delivered.len() as u64, half_round, recv);
             let (s, outs) = client.on_message(half_round, server, label, &delivered)?;
             state = s;
             next.extend(outs);

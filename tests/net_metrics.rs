@@ -161,8 +161,11 @@ fn prometheus_exposition_over_the_wire_is_wellformed() {
 
 /// Failures land in their taxonomy bucket: a garbage first frame is a
 /// codec reject; a client that connects and stalls mid-handshake is a
-/// handshake timeout; a Hello in the retired relay mode is refused with
-/// an Error frame, a protocol error. Each failed session still counts as
+/// handshake timeout; a Hello in the retired relay mode, and each of 200
+/// Hellos naming distinct unknown drivers, is refused with an Error
+/// frame, a protocol error. Rows are keyed by known driver names only:
+/// every session without one folds into a single `unknown` row, and the
+/// server still serves afterwards. Each failed session still counts as
 /// opened, so the `opened == completed + failed + active` invariant
 /// holds throughout.
 #[test]
@@ -188,31 +191,38 @@ fn failure_kinds_are_counted_in_the_right_bucket() {
     let staller = TcpStream::connect(addr_sock).expect("connect");
     (&staller).write_all(&[0x53, 0x50]).unwrap();
 
-    // Retired mode: a Hello with mode byte 0 gets an Error frame.
-    {
-        let mut relay = TcpStream::connect(addr_sock).expect("connect");
-        relay.set_read_timeout(Some(DEADLINE)).unwrap();
+    // A Hello the server must refuse with an Error frame.
+    let refused = |label: String, mode: SessionMode| {
+        let mut probe = TcpStream::connect(addr_sock).expect("connect");
+        probe.set_read_timeout(Some(DEADLINE)).unwrap();
         let hello = Frame {
             kind: FrameKind::Hello,
             client_to_server: true,
             session: 1,
             half_round: 0,
             server: 0,
-            label: "xor2".to_owned(),
-            payload: vec![SessionMode::Relay as u8],
+            label,
+            payload: vec![mode as u8],
         };
-        write_frame(&mut relay, &hello, 0, "net-hello").unwrap();
-        let reply = read_frame(&mut relay, 0, "net-hello").expect("the refusal");
-        assert_eq!(reply.kind, FrameKind::Error, "relay mode is refused");
+        write_frame(&mut probe, &hello, 0, "net-hello").unwrap();
+        let reply = read_frame(&mut probe, 0, "net-hello").expect("the refusal");
+        assert_eq!(reply.kind, FrameKind::Error, "{:?} is refused", hello.label);
+    };
+    // Retired mode: a Hello with mode byte 0.
+    refused("xor2".to_owned(), SessionMode::Relay);
+    // Hostile names: each refused, none granted a row of its own.
+    const HOSTILE: u64 = 200;
+    for i in 0..HOSTILE {
+        refused(format!("no-such-driver-{i}"), SessionMode::Compute);
     }
 
-    // A clean session in between: failures must not disturb it.
+    // A clean session afterwards: failures must not disturb it.
     run_driver(&addr, "xor2", Some(DEADLINE)).expect("clean session");
 
     let start = Instant::now();
     let snap = loop {
         let snap = server.snapshot();
-        if snap.sessions_failed() >= 3 {
+        if snap.sessions_failed() >= 3 + HOSTILE {
             break snap;
         }
         assert!(
@@ -225,8 +235,20 @@ fn failure_kinds_are_counted_in_the_right_bucket() {
 
     assert_eq!(server.failures(FailureKind::CodecReject), 1);
     assert_eq!(server.failures(FailureKind::HandshakeTimeout), 1);
-    assert_eq!(server.failures(FailureKind::ProtocolError), 1);
+    assert_eq!(server.failures(FailureKind::ProtocolError), 1 + HOSTILE);
     assert_eq!(snap.sessions_completed, 1);
+    let unknown: Vec<_> = snap
+        .drivers
+        .iter()
+        .filter(|d| d.driver == "unknown")
+        .collect();
+    assert_eq!(unknown.len(), 1, "one unknown row: {:?}", snap.drivers);
+    // The hostile Hellos, the garbage frame and the staller.
+    assert_eq!(
+        (unknown[0].sessions, unknown[0].failed),
+        (HOSTILE + 2, HOSTILE + 2)
+    );
+    assert_eq!(snap.drivers.len(), 3, "unknown, xor2 refused, xor2 served");
     assert_eq!(
         snap.sessions_opened,
         snap.sessions_completed + snap.sessions_failed() + snap.sessions_active,

@@ -1,27 +1,34 @@
-//! Distributed session tracing (DESIGN.md §17).
+//! Distributed session tracing (DESIGN.md §17) and the one-record rule:
+//! each party journals each message once, at the one boundary it
+//! crosses.
 //!
-//! Two layers of the causal-clock design are held here:
-//!
-//! * [`pump`] stamps every logical delivery exactly once — under the two
-//!   audit mask seeds the retried deliveries reuse their stamps, so the
-//!   Lamport sequence is identical to the honest run's.
-//! * A genuine loopback-TCP run of two drivers, at `SPFE_THREADS` 1 and
-//!   4, yields client and server journals that `spfe_bench::nettrace`
-//!   merges into one causally consistent timeline: the cross-process
-//!   gate the CI smoke stage also runs over the real binaries.
+//! * In process, [`pump`] and every typed send deliver through
+//!   `deliver_with_retry`, which journals one `WireUp`/`WireDown` per
+//!   delivered message — one per transcript record, for every driver,
+//!   and the same events under the masked audit fault seeds as in the
+//!   honest run.
+//! * Over TCP the client journals one Lamport-stamped `NetSend`/`NetRecv`
+//!   per frame and the server one per frame it meters, and a genuine
+//!   loopback run of two drivers, at `SPFE_THREADS` 1 and 4, yields
+//!   client and server journals that `spfe_bench::nettrace` merges into
+//!   one causally consistent timeline: the cross-process gate the CI
+//!   smoke stage also runs over the real binaries.
 
 mod common;
 use common::*;
 
-use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel};
+use spfe::transport::{pump, Direction, FaultAction, FaultPlan, FaultyChannel, Transcript};
 use spfe_bench::nettrace;
 use spfe_net::{run_driver, Server, ServerConfig};
 use spfe_obs::trace::{self, EventKind, Trace};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// The trace journal is process-global; every test here captures it and
 /// therefore serializes on this lock.
 static LOCK: Mutex<()> = Mutex::new(());
+
+const DEADLINE: Duration = Duration::from_secs(30);
 
 /// Runs `f` with the journal on and returns what it recorded.
 fn captured(f: impl FnOnce()) -> Trace {
@@ -32,25 +39,43 @@ fn captured(f: impl FnOnce()) -> Trace {
     trace::take()
 }
 
-/// `(send, label, bytes, half_round, lamport)` of one journalled wire
-/// event.
-type WireEvent = (bool, &'static str, u64, u32, u32);
+/// `(up, server, label, bytes)` of one in-process wire event or
+/// transcript record.
+type WireEvent = (bool, u64, &'static str, u64);
 
-/// Every wire event in the trace, in journal order.
-fn net_events(trace: &Trace) -> Vec<WireEvent> {
+/// Every `WireUp`/`WireDown` event in the trace, in journal order.
+fn wire_events(trace: &Trace) -> Vec<WireEvent> {
     let mut out = Vec::new();
-    for t in &trace.threads {
-        for e in &t.events {
-            let send = match e.kind {
-                EventKind::NetSend => true,
-                EventKind::NetRecv => false,
-                _ => continue,
-            };
-            let (half_round, lamport) = spfe_obs::unpack_net_stamp(e.b);
-            out.push((send, e.label, e.a, half_round, lamport));
-        }
+    for e in trace.threads.iter().flat_map(|t| &t.events) {
+        let up = match e.kind {
+            EventKind::WireUp => true,
+            EventKind::WireDown => false,
+            _ => continue,
+        };
+        out.push((up, e.b, e.label, e.a));
     }
     out
+}
+
+/// The transcript's records in the shape of [`wire_events`].
+fn record_events(t: &Transcript) -> Vec<WireEvent> {
+    t.records()
+        .iter()
+        .map(|r| {
+            let up = matches!(r.direction, Direction::ClientToServer(_));
+            (up, r.direction.server() as u64, r.label, r.bytes as u64)
+        })
+        .collect()
+}
+
+/// How many `NetSend`/`NetRecv` events the trace holds.
+fn frame_events(trace: &Trace) -> usize {
+    trace
+        .threads
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e.kind, EventKind::NetSend | EventKind::NetRecv))
+        .count()
 }
 
 fn pump_core(name: &str, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
@@ -64,41 +89,26 @@ fn pump_core(name: &str, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
         let mut cores = net_server_cores(name).expect("server cores");
         digest = pump(&mut ch, client.as_mut(), &mut cores).expect("pump run");
     });
-    (digest, net_events(&trace))
+    (digest, wire_events(&trace))
 }
 
-/// Satellite: pump's Lamport stamps are issued once per *logical*
-/// delivery, so under the masked audit fault seeds (retried deliveries)
-/// the stamp sequence is byte-identical to the honest run's, and every
-/// receive lands strictly after its send.
+/// A delivery is journalled once it succeeds, so under the masked audit
+/// fault seeds (dropped attempts, retried deliveries) each driver's wire
+/// events — direction, server, label, bytes — equal the honest run's.
 #[test]
-fn pump_stamps_survive_masked_fault_seeds() {
+fn pump_wire_events_survive_masked_fault_seeds() {
     let _g = LOCK.lock().unwrap();
     let _ = fx();
     for d in drivers() {
         let name = d.name;
         let (digest, honest) = pump_core(name, FaultPlan::honest());
         assert!(!honest.is_empty(), "[{name}] journal captured the run");
-        // pump emits send/recv pairs synchronously: check pairwise order.
-        assert_eq!(honest.len() % 2, 0);
-        for pair in honest.chunks(2) {
-            let (send, recv) = (pair[0], pair[1]);
-            assert!(send.0 && !recv.0, "[{name}] events alternate send/recv");
-            assert_eq!(send.1, recv.1, "[{name}] pair shares its label");
-            assert_eq!(send.3, recv.3, "[{name}] pair shares its half-round");
-            assert!(
-                recv.4 > send.4,
-                "[{name}] receive stamp {} is after send stamp {}",
-                recv.4,
-                send.4
-            );
-        }
         for seed in [11u64, 77] {
             let (d2, faulty) = pump_core(name, FaultPlan::with_rate(seed, FaultAction::Drop, 300));
             assert_eq!(d2, digest, "[{name} seed {seed}] digest");
             assert_eq!(
                 faulty, honest,
-                "[{name} seed {seed}] masked retries moved a Lamport stamp"
+                "[{name} seed {seed}] masked retries moved a wire event"
             );
         }
     }
@@ -127,6 +137,40 @@ fn split_parties(trace: &Trace) -> (Trace, Trace) {
     (client, server)
 }
 
+/// Runs `names` over real loopback TCP with the journal on, the client on
+/// its own thread so its journal flushes on thread exit, exactly like a
+/// separate client process. Returns each run's transcript (digest
+/// checked) and the client and server halves of the journal.
+fn tcp_capture(names: &[&'static str]) -> (Vec<(&'static str, Transcript)>, Trace, Trace) {
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let names = names.to_vec();
+    let mut runs = Vec::new();
+    let trace = captured(|| {
+        runs = std::thread::spawn(move || {
+            let table = drivers();
+            names
+                .into_iter()
+                .map(|name| {
+                    let run = run_driver(&addr, name, Some(DEADLINE)).expect("tcp run");
+                    let d = table.iter().find(|d| d.name == name).unwrap();
+                    assert_eq!(run.digest, d.expect, "[{name}] digest over tcp");
+                    (name, run.transcript)
+                })
+                .collect()
+        })
+        .join()
+        .expect("client thread");
+        server.shutdown();
+    });
+    let (client, server) = split_parties(&trace);
+    (runs, client, server)
+}
+
+fn parse(half: &Trace) -> nettrace::PartyTrace {
+    nettrace::parse_party(&spfe_obs::export::perfetto_json(half)).expect("journal parses")
+}
+
 /// The acceptance gate, in-process: sessions of a one-round driver and
 /// of the two-phase input_select over real loopback TCP at
 /// `SPFE_THREADS` 1 and 4; the captured client and server journals must
@@ -138,46 +182,21 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
     let _ = fx();
     for threads in [1usize, 4] {
         spfe::math::par::set_threads(Some(threads));
-        let mut server =
-            Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
-        let addr = server.local_addr().to_string();
+        let names = ["input_select", NET_CORE_DRIVERS[0]];
+        let (runs, client_half, server_half) = tcp_capture(&names);
         // Each session's comm report, metered in process with the journal
         // off: the traced TCP run must meter the same.
-        let untraced: Vec<_> = ["input_select", NET_CORE_DRIVERS[0]]
-            .into_iter()
-            .map(|name| {
-                let d = drivers().into_iter().find(|d| d.name == name).unwrap();
-                let mut t = spfe::transport::Transcript::new(d.servers);
-                (d.run)(&mut t).expect("in-process run");
-                (name, t.report())
-            })
-            .collect();
-        let trace = captured(|| {
-            // The client lives on its own thread so its journal flushes
-            // on thread exit, exactly like a separate client process.
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                for (name, want) in untraced {
-                    let run = run_driver(&addr, name, Some(std::time::Duration::from_secs(30)))
-                        .expect("tcp run");
-                    let d = drivers().into_iter().find(|d| d.name == name).unwrap();
-                    assert_eq!(run.digest, d.expect, "[{name}] digest over tcp");
-                    assert_eq!(
-                        run.transcript.report(),
-                        want,
-                        "[{name}] TraceCtx frames are never metered"
-                    );
-                }
-            })
-            .join()
-            .expect("client thread");
-            server.shutdown();
-        });
-        let (client_half, server_half) = split_parties(&trace);
-        let client = nettrace::parse_party(&spfe_obs::export::perfetto_json(&client_half))
-            .expect("client journal parses");
-        let srv = nettrace::parse_party(&spfe_obs::export::perfetto_json(&server_half))
-            .expect("server journal parses");
+        for (name, t) in &runs {
+            let d = drivers().into_iter().find(|d| d.name == *name).unwrap();
+            let mut want = Transcript::new(d.servers);
+            (d.run)(&mut want).expect("in-process run");
+            assert_eq!(
+                t.report(),
+                want.report(),
+                "[{name}] TraceCtx is never metered"
+            );
+        }
+        let (client, srv) = (parse(&client_half), parse(&server_half));
         assert_eq!(client.sessions.len(), 2, "two sessions");
         let (timeline, report) = nettrace::merge("e2e", &client, &srv);
         assert_eq!(
@@ -208,6 +227,63 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
         assert_eq!(ph("s"), report.flows, "flow starts");
         assert_eq!(ph("f"), report.flows, "flow finishes");
         assert_eq!(ph("X"), report.flows, "synthesized on-wire slices");
+    }
+    spfe::math::par::set_threads(None);
+}
+
+/// One record per message per party, in process and over TCP, at
+/// `SPFE_THREADS` 1 and 4:
+/// - in process, one wire event per transcript record (same direction,
+///   server, label and bytes, in order) and no frame events;
+/// - the TCP client journals no wire event and one `NetSend`/`NetRecv`
+///   per transcript record;
+/// - the server journals one event per frame it received or sent.
+#[test]
+fn each_party_journals_each_message_once() {
+    let _g = LOCK.lock().unwrap();
+    let _ = fx();
+    for threads in [1usize, 4] {
+        spfe::math::par::set_threads(Some(threads));
+        for d in drivers() {
+            let mut t = Transcript::new(d.servers);
+            let trace = captured(|| {
+                (d.run)(&mut t).expect("in-process run");
+            });
+            let ctx = format!("[{} t{threads}]", d.name);
+            assert_eq!(wire_events(&trace), record_events(&t), "{ctx} in process");
+            assert_eq!(frame_events(&trace), 0, "{ctx} pump stamps nothing");
+        }
+
+        let names: Vec<&'static str> = drivers().iter().map(|d| d.name).collect();
+        let (runs, client_half, server_half) = tcp_capture(&names);
+        assert!(wire_events(&client_half).is_empty(), "[t{threads}] client");
+        assert!(wire_events(&server_half).is_empty(), "[t{threads}] server");
+        let (client, srv) = (parse(&client_half), parse(&server_half));
+        assert_eq!(client.sessions.len(), runs.len(), "[t{threads}] sessions");
+        for (slice, (name, t)) in client.sessions.iter().zip(&runs) {
+            // (label, bytes) per direction: the server answers each query
+            // as it arrives, so only each direction's order is shared.
+            let want = |up: bool| -> Vec<(String, u64)> {
+                record_events(t)
+                    .into_iter()
+                    .filter(|e| e.0 == up)
+                    .map(|e| (e.2.to_owned(), e.3))
+                    .collect()
+            };
+            let got = |party: &nettrace::PartyTrace, send: bool| -> Vec<(String, u64)> {
+                party
+                    .session_events(slice.session, send)
+                    .into_iter()
+                    .filter(|e| e.label != "net-bye")
+                    .map(|e| (e.label.clone(), e.bytes))
+                    .collect()
+            };
+            let ctx = format!("[{name} t{threads}]");
+            assert_eq!(got(&client, true), want(true), "{ctx} client sends");
+            assert_eq!(got(&client, false), want(false), "{ctx} client receives");
+            assert_eq!(got(&srv, false), want(true), "{ctx} server receives");
+            assert_eq!(got(&srv, true), want(false), "{ctx} server sends");
+        }
     }
     spfe::math::par::set_threads(None);
 }
