@@ -188,17 +188,22 @@ for _ in $(seq 1 50); do
 done
 ADDR=$(awk '/^listening on /{print $3; exit}' "$SRV_LOG")
 test -n "$ADDR"
-# These experiments cover all 13 harness drivers. Every one runs in
-# compute mode against the server cores the server hosts, and net-trace
-# below reconciles every session.
+# `all` expands to every row of the harness driver table: one session
+# per row, in compute mode against the server cores the server hosts,
+# and net-trace below reconciles every session. Each row must print
+# exactly one ok line. The rows are read from BENCH_audit.json, which
+# the leakage-audit gate above keeps in step with the table, so a new
+# row joins the smoke without this script changing.
 CLIENT_LOG="$WORK/client.log"
-target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" \
-  e1 e2 e4 e6 e8 e10 e11 e12 xor2 | tee "$CLIENT_LOG"
-grep -q "mode=compute" "$CLIENT_LOG"
-if grep -q "mode=relay" "$CLIENT_LOG"; then
-  echo "FAIL: a session ran in relay mode" >&2
-  exit 1
-fi
+target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" all | tee "$CLIENT_LOG"
+ROWS=$(grep -o '"driver": "[^"]*"' BENCH_audit.json | cut -d'"' -f4)
+for name in $ROWS; do
+  if [[ $(grep -c "^ok $name mode=compute " "$CLIENT_LOG") -ne 1 ]]; then
+    echo "FAIL: no single compute-mode ok line for $name" >&2
+    exit 1
+  fi
+done
+test "$(grep -c '^ok ' "$CLIENT_LOG")" -eq "$(wc -w <<< "$ROWS")"
 # Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
 # Prometheus text exposition, both while sessions are being served.
 target/release/spfe-client stats --addr "$ADDR" > "$SNAP_MID"

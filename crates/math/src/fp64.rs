@@ -46,8 +46,10 @@ impl Fp64 {
     ///
     /// Panics if no such prime exists below `2^63`.
     pub fn at_least(min: u64) -> Self {
+        // `next_prime_u64` returns a proven prime: only the bound is left.
         let p = next_prime_u64(min.max(2));
-        Fp64::new(p).expect("prime exceeds 2^63")
+        assert!(p < 1 << 63, "prime exceeds 2^63");
+        Fp64 { p }
     }
 
     /// The modulus `p`.

@@ -5,11 +5,13 @@
 //! spfe-client stats --addr HOST:PORT [--prom] [--watch] [--interval-ms MS] [--count N]
 //! ```
 //!
-//! Each `TARGET` is either a harness driver name (`xor2`, `hom_pir`, …)
-//! or an experiment id from the audit table (`e1`, `e2`, `e11`, …),
-//! which expands to that experiment's driver list. Every driver runs
-//! over TCP, its client core against the server cores the peer hosts,
-//! and its digest is checked against the driver table's expected value. Exit status is 0 only if every run completed with the
+//! Each `TARGET` is a harness driver name (`xor2`, `hom_pir`, …), an
+//! experiment id from the audit table (`e1`, `e2`, `e11`, …), which
+//! expands to that experiment's driver list, or `all`, which expands to
+//! every row of the driver table in table order. Every driver runs over
+//! TCP, its client core against the server cores the peer hosts, and its
+//! digest is checked against the driver table's expected value. Exit
+//! status is 0 only if every run completed with the
 //! right digest; on failure the exit summary breaks the failures down by
 //! [`FailureKind`]. Set `SPFE_LOG=1` for per-run JSONL log lines on
 //! stderr, mirroring the server's session logs. The leading `run`
@@ -42,12 +44,20 @@ fn usage() -> ! {
         "usage: spfe-client [run] --addr HOST:PORT [--deadline-ms MS] [--trace PATH] TARGET..."
     );
     eprintln!("       spfe-client stats --addr HOST:PORT [--prom] [--watch] [--interval-ms MS] [--count N]");
-    eprintln!("  TARGET: a driver name (xor2, hom_pir, ...) or an experiment id (e1, e2, ...)");
+    eprintln!(
+        "  TARGET: a driver name (xor2, hom_pir, ...), an experiment id (e1, e2, ...) or all"
+    );
     eprintln!("  --trace PATH: write the client trace journal as a Perfetto JSON timeline");
     std::process::exit(2);
 }
 
 fn expand(target: &str) -> Vec<String> {
+    if target == "all" {
+        return harness::drivers()
+            .iter()
+            .map(|d| d.name.to_owned())
+            .collect();
+    }
     if let Some((_, group)) = AUDIT_GROUPS.iter().find(|(id, _)| *id == target) {
         return group.iter().map(|d| (*d).to_owned()).collect();
     }
@@ -236,13 +246,12 @@ fn main() {
         spfe_obs::trace::set_tracing(true);
     }
     let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-    let drivers = harness::drivers();
     // Failures by kind for the exit summary, digest mismatches included
     // (only the client can detect those).
     let mut failures = [0u64; FailureKind::ALL.len()];
     for target in &targets {
         for name in expand(target) {
-            let Some(expect) = drivers.iter().find(|d| d.name == name).map(|d| d.expect) else {
+            let Some(expect) = harness::driver(&name).map(|d| d.expect) else {
                 eprintln!("FAIL {name}: unknown driver");
                 failures[FailureKind::ProtocolError as usize] += 1;
                 continue;

@@ -208,15 +208,11 @@ pub fn run_driver(
     name: &str,
     deadline: Option<Duration>,
 ) -> Result<NetRun, ProtocolError> {
-    let unknown = ProtocolError::InvalidMessage {
+    let d = harness::driver(name).ok_or(ProtocolError::InvalidMessage {
         label: "net-hello",
         reason: "unknown driver name",
-    };
-    let d = harness::drivers()
-        .into_iter()
-        .find(|d| d.name == name)
-        .ok_or(unknown.clone())?;
-    let mut core = harness::net_client_core(name).ok_or(unknown)?;
+    })?;
+    let mut core = d.client_core();
     let stream = connect(addr, deadline)?;
     let (digest, transcript) =
         run_core(stream, d.name, core.as_mut(), d.servers, next_session_id())?;

@@ -12,10 +12,11 @@
 //! it in place.
 //!
 //! * [`Server`] — a `TcpListener` accept loop with one thread per
-//!   session, each hosting the genuine server state machines from
-//!   `spfe::harness::net_server_cores` for all thirteen harness drivers,
-//!   among them the §3.2 PSM-SPFE, the §4 statistics and the two-phase
-//!   §3.3 SPFE.
+//!   session, each hosting the genuine server state machines of the
+//!   harness driver its Hello names: the row's server factory
+//!   (`spfe::harness::Driver::hosted_cores`) on a fresh OS-seeded rng,
+//!   for every row of the driver table, among them the §3.2 PSM-SPFE,
+//!   the §4 statistics and the two-phase §3.3 SPFE.
 //! * [`run_core`] / [`run_driver`] — the client side: drive a
 //!   [`spfe_transport::ClientCore`] over a connected stream in the same
 //!   phase order as [`spfe_transport::pump`], metering every frame on a

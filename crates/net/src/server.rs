@@ -16,9 +16,12 @@
 //! of one opaque `failed` count, and a per-`(driver, mode)` row of bytes,
 //! frames, half-rounds and wall-clock histogram, folded at close from the
 //! session's [`FlowMeter`] — the one record the server keeps of each
-//! frame, which also journals it. Rows are keyed by the harness driver's
-//! own name, so a Hello naming no known driver folds into one `unknown`
-//! row however many distinct names the network sends. With
+//! frame. A received frame is journalled once its core has answered,
+//! under its own label only if the core accepted it, so the journal's
+//! labels stay within the protocols' static sets whatever the network
+//! sends. Rows are keyed by the harness driver's own name, so a Hello
+//! naming no known driver folds into one `unknown` row however many
+//! distinct names the network sends. With
 //! `SPFE_LOG` set, each session additionally emits one structured JSONL
 //! line on stderr ([`SessionLogRecord`]).
 //!
@@ -41,7 +44,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -266,8 +269,8 @@ struct SessionFailure {
 #[derive(Debug, Default)]
 struct SessionCtx {
     session: u64,
-    /// The harness driver the Hello named; empty until
-    /// `harness::drivers()` knows the name.
+    /// The harness driver the Hello named; empty until the driver table
+    /// knows the name.
     driver: &'static str,
     /// `compute` once the Hello was accepted (and the session's open
     /// journalled); empty before.
@@ -398,15 +401,6 @@ fn refuse(
     fail(ctx, metrics, handshake, e)
 }
 
-/// The harness driver named `label`, as its own `&'static str`. The
-/// names are read once: `harness::drivers()` computes every driver's
-/// expected digest, about 0.1 ms per call.
-fn known_driver(label: &str) -> Option<&'static str> {
-    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
-    let names = NAMES.get_or_init(|| harness::drivers().iter().map(|d| d.name).collect());
-    names.iter().copied().find(|&name| name == label)
-}
-
 /// Runs one session (or scrape) on the session's own thread.
 fn serve_connection(
     stream: &mut &TcpStream,
@@ -443,12 +437,12 @@ fn serve_connection(
         return Ok(stats_session(stream, metrics, hello));
     }
     ensure_opened(ctx, metrics);
-    let driver = known_driver(&hello.label);
+    let driver = harness::driver(&hello.label);
     let session = hello.session;
     {
         let mut c = lock_ctx(ctx);
         c.session = session;
-        c.driver = driver.unwrap_or_default();
+        c.driver = driver.map_or("", |d| d.name);
     }
     let reject = |stream: &mut &TcpStream, label: &str, reason| {
         Err(refuse(stream, ctx, metrics, true, session, label, reason))
@@ -463,13 +457,11 @@ fn serve_connection(
         return reject(stream, &hello.label, "unknown driver");
     };
     lock_ctx(ctx).mode = "compute";
-    spfe_obs::net_session_event(true, session, driver, SessionMode::Compute as u8);
-    if config.inject_panic_driver.as_deref() == Some(driver) {
+    spfe_obs::net_session_event(true, session, driver.name, SessionMode::Compute as u8);
+    if config.inject_panic_driver.as_deref() == Some(driver.name) {
         panic!("injected session panic (ServerConfig::inject_panic_driver)");
     }
-    let Some(mut cores) = harness::net_server_cores(driver) else {
-        return reject(stream, driver, "no server cores for this driver");
-    };
+    let mut cores = driver.hosted_cores();
     let ack = Frame {
         kind: FrameKind::Hello,
         client_to_server: false,
@@ -523,9 +515,12 @@ fn stats_session(stream: &mut &TcpStream, metrics: &Metrics, first: Frame) -> Se
 
 /// Compute mode: feed each Msg frame to the addressed server core and
 /// write its replies back, until every core is consumed (the client sends
-/// Bye) or an error tears the session down. Incoming frames meter (and
-/// journal) as client → server traffic, originated replies as server →
-/// client, each once, on the session's [`FlowMeter`].
+/// Bye) or an error tears the session down. Incoming frames meter as
+/// client → server traffic, originated replies as server → client, each
+/// once, on the session's [`FlowMeter`]. An incoming frame is journalled
+/// once its core has returned: under its own label if the core accepted
+/// it, else under [`journal::REJECTED_LABEL`], so no peer can make the
+/// journal intern a label outside the protocols' static sets.
 fn compute_session(
     stream: &mut &TcpStream,
     session: u64,
@@ -560,13 +555,22 @@ fn compute_session(
                 return Ok(());
             }
             FrameKind::Msg if frame.session == session => {
-                lock_ctx(ctx).flow.observe_msg(&frame, recv_stamp);
+                lock_ctx(ctx).flow.meter_msg(&frame);
+                let journal_recv = |label: &str| {
+                    let bytes = frame.payload.len() as u64;
+                    spfe_obs::net_frame_event(false, label, bytes, frame.half_round, recv_stamp);
+                };
                 let idx = frame.server as usize;
                 if idx >= cores.len() {
+                    journal_recv(journal::REJECTED_LABEL);
                     return reject(stream, &frame.label, "message addresses an unknown server");
                 }
                 let step =
                     cores[idx].on_message(frame.half_round, idx, &frame.label, &frame.payload);
+                journal_recv(match step {
+                    Ok(_) => &frame.label,
+                    Err(_) => journal::REJECTED_LABEL,
+                });
                 let (_, outs) = match step {
                     Ok(r) => r,
                     Err(e) => {

@@ -412,15 +412,21 @@ pub const INTERN_CAP: usize = 256;
 /// set was full.
 pub const OVERFLOW_LABEL: &str = "(label-overflow)";
 
+/// The journal label of a received frame its core rejected (or that
+/// addressed no core): a serving party journals a frame under its own
+/// label only once a core has accepted it.
+pub const REJECTED_LABEL: &str = "(rejected)";
+
 static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// Interns a runtime string as a journal label. A serving peer sees
-/// frame labels as runtime strings (decoded from frames, before any core
-/// has validated them), while the journal stores `&'static str`; each
-/// distinct label is therefore leaked once. A peer may send any label,
-/// so the set stops growing at [`INTERN_CAP`] and every later new label
-/// is journalled as [`OVERFLOW_LABEL`]: the leak and the scan under the
-/// lock stay bounded.
+/// frame labels as runtime strings (decoded from frames), while the
+/// journal stores `&'static str`; each distinct label is therefore leaked
+/// once. The server journals a received label only once a core has
+/// accepted it, so honest use stays within the protocols' static sets;
+/// as a backstop the set stops growing at [`INTERN_CAP`] and every later
+/// new label is journalled as [`OVERFLOW_LABEL`]: the leak and the scan
+/// under the lock stay bounded.
 fn intern(s: &str) -> &'static str {
     let mut set = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(hit) = set.iter().find(|k| **k == s) {

@@ -289,10 +289,11 @@ impl Transcript {
 /// strings — but the operational metrics registry (`spfe-obs::metrics`)
 /// only needs the totals a transcript would report: logical payload bytes
 /// and message counts per direction plus the half-round structure.
-/// `FlowMeter` recovers those from the frames themselves, and the same
-/// call journals the frame (a `NetRecv` for a frame the server received,
-/// a `NetSend` for a reply it originated), so the registry and the trace
-/// journal read one record.
+/// `FlowMeter` recovers those from the frames themselves. A reply the
+/// server originates is journalled (`NetSend`) by the call that meters
+/// it; a frame it received is metered on arrival and journalled
+/// (`NetRecv`) once its core has returned, under its own label only if
+/// the core accepted it, so a peer cannot fill the journal's label set.
 ///
 /// Bytes and message counts are metered by each `Msg` frame's direction
 /// flag: the serving side observes the frames it receives (all client →
@@ -316,9 +317,8 @@ pub struct FlowMeter {
 }
 
 impl FlowMeter {
-    /// Meters one `Msg` frame by its logical direction flag and journals
-    /// it with the serving side's Lamport stamp `lamport`.
-    pub fn observe_msg(&mut self, frame: &crate::Frame, lamport: u32) {
+    /// Meters one `Msg` frame by its logical direction flag.
+    pub fn meter_msg(&mut self, frame: &crate::Frame) {
         let bytes = frame.payload.len() as u64;
         if frame.client_to_server {
             self.bytes_in += bytes;
@@ -328,10 +328,19 @@ impl FlowMeter {
             self.frames_out += 1;
         }
         self.half_round_max = self.half_round_max.max(frame.half_round);
+    }
+
+    /// Meters one `Msg` frame and journals it under its own label with
+    /// the serving side's Lamport stamp `lamport`: for frames the serving
+    /// side originates, whose labels are its cores' own. A received frame
+    /// is metered with [`FlowMeter::meter_msg`] and journalled once a core
+    /// has vetted its label.
+    pub fn observe_msg(&mut self, frame: &crate::Frame, lamport: u32) {
+        self.meter_msg(frame);
         spfe_obs::net_frame_event(
             !frame.client_to_server,
             &frame.label,
-            bytes,
+            frame.payload.len() as u64,
             frame.half_round,
             lamport,
         );

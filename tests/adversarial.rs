@@ -356,7 +356,7 @@ fn xor2_answer_length_mismatch_is_detected() {
         assert_eq!(label, "pir2-answer");
         *bytes = vec![0u8; 3].to_bytes();
     }));
-    let got = drv_xor2(&mut ch);
+    let got = (driver("xor2").unwrap().run)(&mut ch);
     assert_eq!(
         got,
         Err(ProtocolError::InvalidMessage {
@@ -427,7 +427,7 @@ fn weighted_sum_functional_reply_tamper_is_detected_or_wrong_never_panic() {
             bytes.clear();
         }
     }));
-    let got = drv_weighted_sum(&mut ch);
+    let got = (driver("weighted_sum").unwrap().run)(&mut ch);
     assert!(
         matches!(
             got,

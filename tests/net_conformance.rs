@@ -382,16 +382,27 @@ fn concurrent_sessions_multiplex_on_one_listener() {
 }
 
 /// Hosted servers that draw while answering (spir, batched,
-/// input_select, two_phase) get a fresh rng per session: the same client,
-/// against each session's cores, sees different reply bytes, and each
-/// session still runs to the right digest. select1's answers carry the
-/// `a_j`, and input_select's `sel1-open` their sum; a fixed hosted seed
-/// would let a client strip every `a_j`. Three sessions make a chance
-/// repeat of the one-word opening (1 in `p`) a non-event.
+/// input_select, psm_spfe, two_phase, universal, weighted_sum, frequency)
+/// get a fresh rng per session: the same client, against each session's
+/// cores, sees different reply bytes, and each session still runs to the
+/// right digest. select1's answers carry the `a_j`, and input_select's
+/// `sel1-open` their sum; a fixed hosted seed would let a client strip
+/// every `a_j`, psm_spfe's garbling or the weighted sum's mask. Three
+/// sessions make a chance repeat of a one-word reply (1 in `p`) a
+/// non-event.
 #[test]
 fn hosted_pads_are_fresh_per_session() {
     let _g = LOCK.lock().unwrap();
-    for name in ["spir", "batched", "input_select", "two_phase"] {
+    for name in [
+        "spir",
+        "batched",
+        "input_select",
+        "psm_spfe",
+        "two_phase",
+        "universal",
+        "weighted_sum",
+        "frequency",
+    ] {
         let d = drivers().into_iter().find(|d| d.name == name).unwrap();
         // One session in pump's order; every server reply, in order.
         let session = || {

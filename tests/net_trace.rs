@@ -17,10 +17,15 @@
 mod common;
 use common::*;
 
-use spfe::transport::{pump, Direction, FaultAction, FaultPlan, FaultyChannel, Transcript};
+use spfe::transport::frame::{read_frame, write_frame};
+use spfe::transport::{
+    pump, Direction, FaultAction, FaultPlan, FaultyChannel, Frame, FrameKind, SessionMode,
+    Transcript,
+};
 use spfe_bench::nettrace;
 use spfe_net::{run_driver, Server, ServerConfig};
 use spfe_obs::trace::{self, EventKind, Trace};
+use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -286,4 +291,71 @@ fn each_party_journals_each_message_once() {
         }
     }
     spfe::math::par::set_threads(None);
+}
+
+/// A peer cannot fill the server journal's label set: a received frame is
+/// journalled once its core has returned, under its own label only if the
+/// core accepted it. 300 sessions (more than `INTERN_CAP` distinct
+/// labels) each send one frame under a foreign label, which the server
+/// journals under the one rejected label; an honest traced session
+/// afterwards journals its real labels on the server and merges cleanly
+/// with its client journal.
+#[test]
+fn foreign_frame_labels_never_reach_the_server_journal() {
+    let _g = LOCK.lock().unwrap();
+    let _ = fx();
+    const FOREIGN: usize = 300;
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
+    let addr = server.local_addr();
+    let flood = captured(|| {
+        for i in 0..FOREIGN {
+            let mut peer = TcpStream::connect(addr).expect("connect");
+            peer.set_read_timeout(Some(DEADLINE)).unwrap();
+            let hello = Frame {
+                kind: FrameKind::Hello,
+                client_to_server: true,
+                session: 1,
+                half_round: 0,
+                server: 0,
+                label: "xor2".to_owned(),
+                payload: vec![SessionMode::Compute as u8],
+            };
+            write_frame(&mut peer, &hello, 0, "net-hello").unwrap();
+            let ack = read_frame(&mut peer, 0, "net-hello").unwrap();
+            assert_eq!(ack.kind, FrameKind::Hello, "the session opens");
+            let label = format!("foreign-{i}");
+            let msg = Frame::msg(true, 1, 1, 0, &label, vec![0; 4]);
+            write_frame(&mut peer, &msg, 0, "net-msg").unwrap();
+            let reply = read_frame(&mut peer, 0, "net-msg").unwrap();
+            assert_eq!(reply.kind, FrameKind::Error, "[{label}] is rejected");
+        }
+        server.shutdown();
+    });
+    let received: Vec<&str> = flood
+        .threads
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| e.kind == EventKind::NetRecv)
+        .map(|e| e.label)
+        .collect();
+    assert_eq!(received, vec![trace::REJECTED_LABEL; FOREIGN]);
+
+    let (runs, client_half, server_half) = tcp_capture(&["xor2"]);
+    let (client, srv) = (parse(&client_half), parse(&server_half));
+    let (_, report) = nettrace::merge("foreign", &client, &srv);
+    assert_eq!(report.violations, Vec::<String>::new(), "causal gate");
+    assert_eq!(report.sessions, 1);
+    let session = client.sessions[0].session;
+    let got: Vec<(String, u64)> = srv
+        .session_events(session, false)
+        .into_iter()
+        .filter(|e| e.label != "net-bye")
+        .map(|e| (e.label.clone(), e.bytes))
+        .collect();
+    let want: Vec<(String, u64)> = record_events(&runs[0].1)
+        .into_iter()
+        .filter(|e| e.0)
+        .map(|e| (e.2.to_owned(), e.3))
+        .collect();
+    assert_eq!(got, want, "the server journals the real labels");
 }
